@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: verify build test race vet fuzz chaos bench benchdiff cover cachesim schemes loadgen cluster
+.PHONY: verify build test race vet forks fuzz chaos bench benchdiff cover cachesim schemes loadgen cluster
 
-verify: vet build race
+verify: vet forks build race
 
 build:
 	$(GO) build ./...
@@ -20,22 +20,40 @@ race:
 vet:
 	$(GO) vet ./...
 
+# Fork guard: the HTML decoration pipeline exists once (internal/decorate),
+# and catalyst.Middleware and internal/server are adapters over it. Fails
+# when, in non-test code outside bench/ (which times the leaf functions
+# themselves), snippet injection or delta diffing gains a second call site,
+# the preload-hint cap a second definition, or internal/server a tenant
+# path. See DESIGN.md §3.
+FORK_SRC = $(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' ./... | tr ' ' '\n' | grep -v '/bench/'
+forks:
+	@fail=0; src=$$($(FORK_SRC)); \
+	for pat in 'core\.InjectRegistration(' 'delta\.Diff(' 'maxPreloadHints *='; do \
+		n=$$(grep -h "$$pat" $$src | grep -vc '^[[:space:]]*//'); \
+		if [ "$$n" -ne 1 ]; then echo "forks: '$$pat' appears $$n times in non-test code, want 1:" >&2; grep -n "$$pat" $$src >&2; fail=1; fi; \
+	done; \
+	if $(GO) list -f '{{join .Imports "\n"}}' ./internal/server | grep -q 'internal/tenant$$'; then \
+		echo "forks: internal/server imports internal/tenant; the tenant path belongs to catalyst.Middleware" >&2; fail=1; fi; \
+	exit $$fail
+
 # Short fuzz pass over the hostile-input parsers (X-Etag-Config decoding,
-# map building, cache-trace parsing). The corpus seeds also run as part of
-# plain `go test`.
+# map building, cache-trace parsing, delta patches, probe targets out of
+# upstream HTML). The corpus seeds also run as part of plain `go test`.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeMap -fuzztime=10s ./internal/core/
 	$(GO) test -run=^$$ -fuzz=FuzzBuildMap -fuzztime=10s ./internal/core/
 	$(GO) test -run=^$$ -fuzz=FuzzParseTrace -fuzztime=10s ./internal/cachesim/
 	$(GO) test -run=^$$ -fuzz=FuzzDeltaRoundTrip -fuzztime=10s ./internal/delta/
+	$(GO) test -run=^$$ -fuzz=FuzzProbeTarget -fuzztime=10s ./catalyst/
 
 # Scheme-matrix smoke: the conformance suite (golden table, shape claims,
-# determinism, cancellation under -race) plus one live cell via the example.
+# determinism, cancellation under -race) plus one live run of the command.
 # See EXPERIMENTS.md, "Scheme matrix".
 schemes:
 	$(GO) test -race -count=1 -run 'SchemeMatrix|Scheme|Delta|EarlyHints|Negative' \
 		./internal/harness/ ./internal/browser/ ./internal/delta/ ./catalyst/
-	$(GO) run ./examples/pushcompare
+	$(GO) run ./cmd/schemes -sites 8
 
 # Cache-policy smoke: replay the committed harness-exported trace and a
 # synthetic Zipf/lognormal trace through every policy, checking ratios stay

@@ -29,28 +29,6 @@ func staticAsset(size int) http.Handler {
 	})
 }
 
-// recorderMiddleware reimplements the pre-cachestore write path — record the
-// full response, and for non-HTML replay the inner handler into a second
-// recorder and copy that out — as the comparison baseline for the streaming
-// benchmarks. It executes the inner handler twice and buffers the body
-// twice, which is exactly what the sniffing writer removed.
-func recorderMiddleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec := httptest.NewRecorder()
-		next.ServeHTTP(rec, cloneWithoutConditionals(r))
-		if rec.Code == http.StatusOK && strings.HasPrefix(rec.Header().Get("Content-Type"), "text/html") {
-			return // HTML rewriting is not what these benchmarks measure
-		}
-		rec2 := httptest.NewRecorder()
-		next.ServeHTTP(rec2, r)
-		for k, vs := range rec2.Header() {
-			w.Header()[k] = vs
-		}
-		w.WriteHeader(rec2.Code)
-		_, _ = io.Copy(w, rec2.Body)
-	})
-}
-
 func benchStatic(b *testing.B, h http.Handler, size int) {
 	b.SetBytes(int64(size))
 	b.ReportAllocs()
@@ -62,17 +40,13 @@ func benchStatic(b *testing.B, h http.Handler, size int) {
 	})
 }
 
-// BenchmarkMiddlewareStatic compares the streaming sniffWriter hot path
-// against the old record-then-replay scheme on a 64 KiB static asset. The
-// acceptance bar for the refactor is ≥2× ops/sec for Streaming over
-// Recorder.
+// BenchmarkMiddlewareStatic measures the streaming sniffWriter hot path on
+// a 64 KiB static asset. The sub-benchmark keeps the name it had beside the
+// deleted record-then-replay baseline so BENCH_*.json trajectories line up.
 func BenchmarkMiddlewareStatic(b *testing.B) {
 	const size = 64 << 10
 	b.Run("Streaming", func(b *testing.B) {
 		benchStatic(b, Middleware(staticAsset(size), MiddlewareOptions{}), size)
-	})
-	b.Run("Recorder", func(b *testing.B) {
-		benchStatic(b, recorderMiddleware(staticAsset(size)), size)
 	})
 }
 

@@ -73,13 +73,11 @@ type ServerOptions struct {
 	// paper): per-session capture of requested URLs, folded into later
 	// ETag maps so JS-discovered resources are covered too.
 	Record bool
-	// MaxMapEntries caps the X-Etag-Config size; 0 means unlimited.
-	MaxMapEntries int
 	// Policy assigns Cache-Control per path; nil emits no Cache-Control
 	// (CacheCatalyst needs none — that is the point).
 	Policy func(path string) CachePolicy
 	// AccessLogSize keeps a ring of recent requests readable via the
-	// server's Snapshot method; 0 disables access logging.
+	// server's RecentRequests method; 0 disables access logging.
 	AccessLogSize int
 	// Telemetry indexes the server's counters, caches and latency
 	// histogram in the given registry; WithMetrics then serves the full
@@ -123,7 +121,6 @@ func NewServer(fsys fs.FS, opts ServerOptions) (*server.Server, error) {
 	return server.New(content, server.Options{
 		Catalyst:          true,
 		Record:            opts.Record,
-		MapOptions:        core.BuildOptions{MaxEntries: opts.MaxMapEntries},
 		AccessLogSize:     opts.AccessLogSize,
 		Telemetry:         opts.Telemetry,
 		ServerTiming:      opts.ServerTiming,

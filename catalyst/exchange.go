@@ -35,7 +35,7 @@ func (m *middleware) exchangeLookup(ts *tenantState, pageURL string, ent *render
 	if ex == nil {
 		return "", 0, false
 	}
-	enc, exp, ok := ex.Lookup(ts.name, pageURL, ent.tagStr)
+	enc, exp, ok := ex.Lookup(ts.name, pageURL, ent.TagStr)
 	if !ok || now.UnixNano() >= exp {
 		return "", 0, false
 	}

@@ -2,11 +2,11 @@ package catalyst
 
 import (
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
 
+	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/resilience"
 	"cachecatalyst/internal/telemetry"
@@ -33,7 +33,7 @@ import (
 // staleEntry is the last-known-good serve of one HTML page: everything
 // needed to answer without touching the inner handler.
 type staleEntry struct {
-	body  string
+	body  []byte // shared with the render it was recorded from; never written to
 	tag   etag.Tag
 	enc   string // last X-Etag-Config encoding; possibly outdated, still valid tags at serve time
 	ctype string
@@ -67,12 +67,12 @@ func (m *middleware) recordStale(ts *tenantState, pageURL string, ent *renderEnt
 		return
 	}
 	if prev, ok := ts.stales.Peek(pageURL); ok &&
-		prev.tag == ent.tag && prev.enc == encoded && now.Sub(prev.at) < ts.staleTTL/4 {
+		prev.tag == ent.Tag && prev.enc == encoded && now.Sub(prev.at) < ts.staleTTL/4 {
 		return
 	}
 	ts.stales.Put(pageURL, &staleEntry{
-		body:  ent.injected,
-		tag:   ent.tag,
+		body:  ent.Body,
+		tag:   ent.Tag,
 		enc:   encoded,
 		ctype: hdr.Get("Content-Type"),
 		at:    now,
@@ -89,8 +89,8 @@ func (m *middleware) serveStale(ts *tenantState, w http.ResponseWriter, r *http.
 		return false
 	}
 	m.opts.Metrics.LadderStale.Add(1)
-	telemetry.Event(r.Context(), "stale-serve", reason)
 	h := w.Header()
+	m.decide(r.Context(), h, "stale-serve", reason)
 	if e.ctype != "" {
 		h.Set("Content-Type", e.ctype)
 	}
@@ -100,18 +100,11 @@ func (m *middleware) serveStale(ts *tenantState, w http.ResponseWriter, r *http.
 	h.Set("Etag", e.tag.String())
 	h.Set("Warning", `110 - "Response is Stale"`)
 	h.Set("Age", strconv.FormatInt(int64(time.Since(e.at)/time.Second), 10))
-	if m.opts.ServerTiming {
-		telemetry.AppendServerTiming(h, "stale-serve")
-	}
 	if !etag.NoneMatch(r.Header.Get("If-None-Match"), e.tag) {
 		w.WriteHeader(http.StatusNotModified)
 		return true
 	}
-	h.Set("Content-Length", strconv.Itoa(len(e.body)))
-	w.WriteHeader(http.StatusOK)
-	if r.Method != http.MethodHead {
-		_, _ = io.WriteString(w, e.body)
-	}
+	decorate.WriteEntity(w, r, e.body, nil)
 	return true
 }
 
@@ -120,10 +113,7 @@ func (m *middleware) serveStale(ts *tenantState, w http.ResponseWriter, r *http.
 // the ladder's middle rung.
 func (m *middleware) servePassthrough(w http.ResponseWriter, r *http.Request, reason string) {
 	m.opts.Metrics.LadderPassthrough.Add(1)
-	telemetry.Event(r.Context(), "passthrough", reason)
-	if m.opts.ServerTiming {
-		telemetry.AppendServerTiming(w.Header(), "passthrough")
-	}
+	m.decide(r.Context(), w.Header(), "passthrough", reason)
 	if m.serveInner(w, r) {
 		http.Error(w, "internal error", http.StatusInternalServerError)
 	}
@@ -133,19 +123,11 @@ func (m *middleware) servePassthrough(w http.ResponseWriter, r *http.Request, re
 // the raw body, no snippet, no map, no probing. Used when the request's
 // deadline budget ran out after the inner handler finished but before
 // the probe fan-out could start — late-but-plain beats later-and-decorated.
-func (m *middleware) servePlain(w http.ResponseWriter, r *http.Request, sw *sniffWriter) {
-	telemetry.Event(r.Context(), "budget-exhausted", requestPageURL(r))
+func (m *middleware) servePlain(w http.ResponseWriter, r *http.Request, sw *sniffWriter, pageURL string) {
 	h := w.Header()
 	copyHeader(h, sw.header)
-	if m.opts.ServerTiming {
-		telemetry.AppendServerTiming(h, "budget-exhausted")
-	}
-	body := sw.body()
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(http.StatusOK)
-	if r.Method != http.MethodHead {
-		_, _ = w.Write(body)
-	}
+	m.decide(r.Context(), h, "budget-exhausted", pageURL)
+	decorate.WriteEntity(w, r, sw.body(), nil)
 }
 
 // serveReject answers 503 + Retry-After, the ladder's bottom rung.
@@ -153,7 +135,7 @@ func (m *middleware) serveReject(w http.ResponseWriter, r *http.Request, reason 
 	m.opts.Metrics.LadderRejected.Add(1)
 	telemetry.Event(r.Context(), "shed", reason)
 	h := w.Header()
-	h.Set("Retry-After", strconv.FormatInt(retryAfterSeconds(m.opts.retryAfter()), 10))
+	h.Set("Retry-After", strconv.FormatInt(retryAfterSeconds(m.opts.RetryAfter), 10))
 	h.Set("Cache-Control", "no-store")
 	http.Error(w, "overloaded, retry shortly", http.StatusServiceUnavailable)
 }

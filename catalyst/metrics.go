@@ -30,9 +30,10 @@ type MetricsOptions struct {
 }
 
 // WithMetrics wraps srv so that MetricsPath serves a JSON snapshot of the
-// server's counters (and, when ServerOptions.AccessLogSize was set, its
-// recent requests) while every other request reaches the site. cmd/catalystd
-// uses this behind its -metrics flag.
+// registry the server was constructed with (and, when
+// ServerOptions.AccessLogSize was set, its recent requests) while every
+// other request reaches the site. cmd/catalystd uses this behind its
+// -metrics flag.
 func WithMetrics(srv *server.Server) http.Handler {
 	return WithMetricsOptions(srv, MetricsOptions{})
 }
@@ -44,7 +45,7 @@ func WithMetricsOptions(srv *server.Server, opts MetricsOptions) http.Handler {
 	if opts.Telemetry == nil {
 		opts.Telemetry = srv.Telemetry()
 	}
-	return metricsMux(srv, srv.Snapshot, opts)
+	return metricsMux(srv, srv.RecentRequests, opts)
 }
 
 // WithMetricsHandler is WithMetricsOptions for deployments with no
@@ -58,22 +59,21 @@ func WithMetricsHandler(next http.Handler, opts MetricsOptions) http.Handler {
 }
 
 // metricsMux mounts the MetricsPath JSON (and optionally pprof) in front
-// of next. snapshot, when non-nil, supplies the server counters that
-// anchor the payload; proxy mode passes nil and the payload is registry
-// plus config alone.
-func metricsMux(next http.Handler, snapshot func() server.MetricsSnapshot, opts MetricsOptions) http.Handler {
+// of next. Every counter comes from the registry; recent, when non-nil,
+// adds the server's recent-request ring. Proxy mode passes nil and the
+// payload is registry plus config alone.
+func metricsMux(next http.Handler, recent func() []server.AccessEntry, opts MetricsOptions) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(MetricsPath, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Cache-Control", "no-store")
 		payload := struct {
-			*server.MetricsSnapshot `json:",omitzero"`
-			Config                  any                 `json:"config,omitempty"`
-			Telemetry               *telemetry.Snapshot `json:"telemetry,omitempty"`
+			Recent    []server.AccessEntry `json:"recent,omitempty"`
+			Config    any                  `json:"config,omitempty"`
+			Telemetry *telemetry.Snapshot  `json:"telemetry,omitempty"`
 		}{Config: opts.Config}
-		if snapshot != nil {
-			snap := snapshot()
-			payload.MetricsSnapshot = &snap
+		if recent != nil {
+			payload.Recent = recent()
 		}
 		if opts.Telemetry != nil {
 			snap := opts.Telemetry.Snapshot()
@@ -144,8 +144,7 @@ type MiddlewareMetrics struct {
 	HotMapHits telemetry.Counter
 }
 
-// RegisterTelemetry indexes the counters in reg under "middleware.*"; the
-// registry reads the same storage Snapshot() does.
+// RegisterTelemetry indexes the counters in reg under "middleware.*".
 func (m *MiddlewareMetrics) RegisterTelemetry(reg *telemetry.Registry) {
 	reg.RegisterCounter("middleware.panics_recovered", &m.PanicsRecovered)
 	reg.RegisterCounter("middleware.breaker_trips", &m.BreakerTrips)
@@ -161,44 +160,6 @@ func (m *MiddlewareMetrics) RegisterTelemetry(reg *telemetry.Registry) {
 	reg.RegisterCounter("middleware.deltas_served", &m.DeltasServed)
 	reg.RegisterCounter("middleware.delta_bytes_saved", &m.DeltaBytesSaved)
 	reg.RegisterCounter("middleware.hotmap_hits", &m.HotMapHits)
-}
-
-// MiddlewareMetricsSnapshot is the JSON form of MiddlewareMetrics.
-type MiddlewareMetricsSnapshot struct {
-	PanicsRecovered   int64 `json:"panicsRecovered"`
-	BreakerTrips      int64 `json:"breakerTrips"`
-	ProbesSwept       int64 `json:"probesSwept"`
-	MapEntriesDropped int64 `json:"mapEntriesDropped"`
-	RendersEvicted    int64 `json:"rendersEvicted"`
-	EncodeReuses      int64 `json:"encodeReuses"`
-	LadderStale       int64 `json:"ladderStale"`
-	LadderPassthrough int64 `json:"ladderPassthrough"`
-	LadderRejected    int64 `json:"ladderRejected"`
-	BudgetExhausted   int64 `json:"budgetExhausted"`
-	HintsSent         int64 `json:"hintsSent"`
-	DeltasServed      int64 `json:"deltasServed"`
-	DeltaBytesSaved   int64 `json:"deltaBytesSaved"`
-	HotMapHits        int64 `json:"hotMapHits"`
-}
-
-// Snapshot returns the counters as plain values.
-func (m *MiddlewareMetrics) Snapshot() MiddlewareMetricsSnapshot {
-	return MiddlewareMetricsSnapshot{
-		PanicsRecovered:   m.PanicsRecovered.Load(),
-		BreakerTrips:      m.BreakerTrips.Load(),
-		ProbesSwept:       m.ProbesSwept.Load(),
-		MapEntriesDropped: m.MapEntriesDropped.Load(),
-		RendersEvicted:    m.RendersEvicted.Load(),
-		EncodeReuses:      m.EncodeReuses.Load(),
-		LadderStale:       m.LadderStale.Load(),
-		LadderPassthrough: m.LadderPassthrough.Load(),
-		LadderRejected:    m.LadderRejected.Load(),
-		BudgetExhausted:   m.BudgetExhausted.Load(),
-		HintsSent:         m.HintsSent.Load(),
-		DeltasServed:      m.DeltasServed.Load(),
-		DeltaBytesSaved:   m.DeltaBytesSaved.Load(),
-		HotMapHits:        m.HotMapHits.Load(),
-	}
 }
 
 // ClientMetricsHandler serves c's counters — including the resilience

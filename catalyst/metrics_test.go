@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"testing/fstest"
+
+	"cachecatalyst/internal/telemetry"
 )
 
 func metricsWorld(t *testing.T) (string, func()) {
@@ -16,7 +18,7 @@ func metricsWorld(t *testing.T) (string, func()) {
 		"index.html": {Data: []byte(`<img src="/p.png">`)},
 		"p.png":      {Data: []byte("PNG")},
 	}
-	srv, err := NewServer(fsys, ServerOptions{Policy: DefaultPolicy, AccessLogSize: 32})
+	srv, err := NewServer(fsys, ServerOptions{Policy: DefaultPolicy, AccessLogSize: 32, Telemetry: telemetry.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +49,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("content type = %q", ct)
 	}
 	var snap struct {
-		Requests  int64 `json:"requests"`
-		NotFound  int64 `json:"notFound"`
-		MapsBuilt int64 `json:"mapsBuilt"`
-		Recent    []struct {
+		Telemetry struct {
+			Counters map[string]int64 `json:"counters"`
+		} `json:"telemetry"`
+		Recent []struct {
 			Path   string `json:"path"`
 			Status int    `json:"status"`
 		} `json:"recent"`
@@ -58,8 +60,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Requests != 3 || snap.NotFound != 1 || snap.MapsBuilt != 1 {
-		t.Fatalf("snapshot = %+v", snap)
+	if c := snap.Telemetry.Counters; c["server.requests"] != 3 || c["server.not_found"] != 1 || c["server.maps_built"] != 1 {
+		t.Fatalf("counters = %v", c)
 	}
 	if len(snap.Recent) != 3 {
 		t.Fatalf("recent = %d entries", len(snap.Recent))

@@ -4,9 +4,8 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,6 +13,7 @@ import (
 
 	"cachecatalyst/internal/cachestore"
 	"cachecatalyst/internal/core"
+	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/delta"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/resilience"
@@ -23,8 +23,6 @@ import (
 
 // MiddlewareOptions configures Middleware.
 type MiddlewareOptions struct {
-	// MaxMapEntries caps the X-Etag-Config size; 0 means unlimited.
-	MaxMapEntries int
 	// MaxMapBytes caps the *encoded* X-Etag-Config value in bytes; maps
 	// that encode larger have entries dropped (highest-sorting paths
 	// first) until they fit, so one huge page cannot blow the response
@@ -103,10 +101,9 @@ type MiddlewareOptions struct {
 	// StaleFor is how long a successfully served page may be re-served
 	// from the stale cache (with a Warning 110 header) when the inner
 	// handler is saturated, erroring, or broken. Zero selects 5 minutes;
-	// negative disables stale serving.
+	// negative disables stale serving. The stale cache holds
+	// decorate.BodyStoreBudget bytes.
 	StaleFor time.Duration
-	// MaxStaleBytes bounds the stale cache. Zero selects 8 MiB.
-	MaxStaleBytes int64
 	// RetryAfter is the Retry-After hint on ladder-bottom 503 responses.
 	// Zero selects 5 seconds.
 	RetryAfter time.Duration
@@ -148,42 +145,9 @@ type MiddlewareOptions struct {
 	// retained keyed by their validator, and a request naming one in
 	// X-Delta-Base is answered with a CCD1 patch (internal/delta) against
 	// that base — marked X-Delta-From — whenever the patch is smaller
-	// than the full body. The Etag is always the current entity's.
+	// than the full body. The Etag is always the current entity's. The
+	// retained-base cache holds decorate.BodyStoreBudget bytes.
 	Delta bool
-	// MaxDeltaBytes bounds the retained-base cache behind Delta. Zero
-	// selects 8 MiB.
-	MaxDeltaBytes int64
-}
-
-func (o MiddlewareOptions) breakerThreshold() int {
-	if o.BreakerThreshold < 0 {
-		return 0 // disabled
-	}
-	if o.BreakerThreshold == 0 {
-		return 3
-	}
-	return o.BreakerThreshold
-}
-
-func (o MiddlewareOptions) probeConcurrency() int {
-	if o.ProbeConcurrency != 0 {
-		return o.ProbeConcurrency
-	}
-	return 8
-}
-
-func (o MiddlewareOptions) staleFor() time.Duration {
-	if o.StaleFor == 0 {
-		return 5 * time.Minute
-	}
-	return o.StaleFor
-}
-
-func (o MiddlewareOptions) retryAfter() time.Duration {
-	if o.RetryAfter <= 0 {
-		return 5 * time.Second
-	}
-	return o.RetryAfter
 }
 
 // Middleware retrofits CacheCatalyst onto any http.Handler:
@@ -210,8 +174,20 @@ func Middleware(next http.Handler, opts MiddlewareOptions) http.Handler {
 	if opts.ProbeTTL <= 0 {
 		opts.ProbeTTL = time.Second
 	}
+	if opts.BreakerThreshold == 0 {
+		opts.BreakerThreshold = 3
+	}
 	if opts.BreakerCooldown <= 0 {
 		opts.BreakerCooldown = 30 * time.Second
+	}
+	if opts.ProbeConcurrency == 0 {
+		opts.ProbeConcurrency = 8
+	}
+	if opts.StaleFor == 0 {
+		opts.StaleFor = 5 * time.Minute
+	}
+	if opts.RetryAfter <= 0 {
+		opts.RetryAfter = 5 * time.Second
 	}
 	if opts.MaxProbeEntries <= 0 {
 		opts.MaxProbeEntries = 4096
@@ -227,91 +203,7 @@ func Middleware(next http.Handler, opts MiddlewareOptions) http.Handler {
 		opts.Metrics.RegisterTelemetry(opts.Telemetry)
 		m.htmlNS = opts.Telemetry.Histogram("middleware.html_ns")
 	}
-	d := &m.def
-	d.staleTTL = opts.staleFor()
-	d.requestBudget = opts.RequestBudget
-	d.probes = cachestore.New[probe](cachestore.Options[probe]{
-		// A probe without a retained stylesheet body costs exactly
-		// probeBaseCost, so for ordinary entries MaxBytes stays the entry
-		// count MaxProbeEntries promises; cached CSS bodies are charged
-		// their real bytes on top, so large stylesheets consume
-		// proportionally more of the same budget instead of hiding
-		// behind a flat per-entry unit.
-		MaxBytes: int64(opts.MaxProbeEntries) * probeBaseCost,
-		SizeOf: func(_ string, p probe) int64 {
-			return probeBaseCost + int64(len(p.cssBody))
-		},
-		Policy:    opts.CachePolicy,
-		OnEvict:   func(string, probe) { opts.Metrics.ProbesSwept.Add(1) },
-		Telemetry: opts.Telemetry,
-		Name:      "middleware.probes",
-	})
-	if opts.MaxRenderBytes > 0 {
-		d.renders = cachestore.New[*renderEntry](cachestore.Options[*renderEntry]{
-			MaxBytes:  opts.MaxRenderBytes,
-			SizeOf:    renderEntrySize,
-			Policy:    opts.CachePolicy,
-			OnEvict:   func(string, *renderEntry) { opts.Metrics.RendersEvicted.Add(1) },
-			Telemetry: opts.Telemetry,
-			Name:      "middleware.renders",
-		})
-		// The hot index rides in front of the render cache (hotRender), so
-		// it exists exactly when the render cache does and shares its
-		// budget scale: pinned raw bodies are a strict subset of what the
-		// render cache is willing to spend on injected ones.
-		d.hot = cachestore.New[*hotPage](cachestore.Options[*hotPage]{
-			MaxBytes:  opts.MaxRenderBytes,
-			SizeOf:    hotPageSize,
-			Policy:    opts.CachePolicy,
-			Telemetry: opts.Telemetry,
-			Name:      "middleware.hot",
-		})
-	}
-	if opts.StaleFor >= 0 {
-		maxStale := opts.MaxStaleBytes
-		if maxStale == 0 {
-			maxStale = 8 << 20
-		}
-		d.stales = cachestore.New[*staleEntry](cachestore.Options[*staleEntry]{
-			MaxBytes:  maxStale,
-			SizeOf:    staleEntrySize,
-			Policy:    opts.CachePolicy,
-			Telemetry: opts.Telemetry,
-			Name:      "middleware.stales",
-		})
-	}
-	if opts.Delta {
-		maxDelta := opts.MaxDeltaBytes
-		if maxDelta == 0 {
-			maxDelta = 8 << 20
-		}
-		d.deltaBases = cachestore.New[[]byte](cachestore.Options[[]byte]{
-			MaxBytes:  maxDelta,
-			SizeOf:    func(key string, body []byte) int64 { return int64(len(key) + len(body)) },
-			Policy:    opts.CachePolicy,
-			Telemetry: opts.Telemetry,
-			Name:      "middleware.delta_bases",
-		})
-	}
-	if opts.MaxInflight > 0 {
-		d.gate = resilience.NewGate(resilience.GateOptions{
-			MaxInflight:  opts.MaxInflight,
-			MaxQueue:     opts.MaxQueue,
-			QueueTimeout: opts.QueueTimeout,
-			Telemetry:    opts.Telemetry,
-			Name:         "middleware.gate",
-		})
-	}
-	if opts.OriginBreaker != nil {
-		d.breaker = opts.OriginBreaker
-	} else if opts.OriginFailureThreshold > 0 {
-		d.breaker = resilience.NewBreaker(resilience.BreakerOptions{
-			FailureThreshold: opts.OriginFailureThreshold,
-			Cooldown:         opts.OriginCooldown,
-			Telemetry:        opts.Telemetry,
-			Name:             "middleware.origin",
-		})
-	}
+	m.initState(&m.def, nil)
 	return m
 }
 
@@ -324,10 +216,9 @@ type middleware struct {
 	next   http.Handler
 	opts   MiddlewareOptions
 	htmlNS *telemetry.Histogram // nil without telemetry
-	// def is the process-global serving state: the only state a
-	// single-tenant deployment ever touches, and the parent every tenant's
-	// namespaced state derives from. Requests whose context carries no
-	// tenant run against def on the exact pre-tenant code path.
+	// def is the default serving state — initState called with no tenant:
+	// the only state a single-tenant deployment ever touches, and the
+	// parent every tenant's namespaced state derives from.
 	def tenantState
 	// tenants memoizes per-tenant serving state by tenant name, built
 	// lazily on a tenant's first request (see stateFor).
@@ -335,13 +226,11 @@ type middleware struct {
 }
 
 // tenantState is one tenant's slice of the middleware: its caches (probe
-// results, rendered pages, hot index, stale copies, delta bases — all
-// namespaces of the default stores, so they inherit configuration but own
-// their bytes and eviction order), its admission gate, its upstream
-// breaker, and its probe generation. Dimensioning the state this way is
-// what makes the degradation ladder per-tenant: one tenant's saturated or
-// flapping upstream trips its own gate and breaker while its neighbours
-// serve undisturbed.
+// results, rendered pages, hot index, stale copies, delta bases), its
+// admission gate, its upstream breaker, and its probe generation.
+// Dimensioning the state this way is what makes the degradation ladder
+// per-tenant: one tenant's saturated or flapping upstream trips its own
+// gate and breaker while its neighbours serve undisturbed.
 type tenantState struct {
 	name    string // "" for the default state
 	probes  *cachestore.Store[probe]
@@ -351,14 +240,13 @@ type tenantState struct {
 	// nil exactly when renders is.
 	hot    *cachestore.Store[*hotPage]
 	stales *cachestore.Store[*staleEntry] // last-known-good serves; nil when disabled
-	// deltaBases retains recently served page bodies keyed by
-	// pageURL + "\x00" + validator, the diff bases for Options.Delta;
-	// nil when the feature is off.
+	// deltaBases retains recently served page bodies (decorate.DeltaBase);
+	// nil when Options.Delta is off.
 	deltaBases *cachestore.Store[[]byte]
 	gate       *resilience.Gate    // admission control; nil when disabled
 	breaker    *resilience.Breaker // inner-handler health; nil when disabled
-	// staleTTL and requestBudget are the resolved per-tenant knobs (the
-	// tenant's own values, or the middleware defaults when unset).
+	// staleTTL and requestBudget are the resolved knobs (the tenant's own
+	// values, or the options when unset).
 	staleTTL      time.Duration
 	requestBudget time.Duration
 	// probeGen counts observable probe-cache changes: it bumps whenever a
@@ -371,7 +259,9 @@ type tenantState struct {
 
 // stateFor resolves the serving state for a request: the tenant's when the
 // context carries one, the default otherwise. The no-tenant path costs one
-// context lookup and no allocation — the warm-path budgets pin that.
+// context lookup and no allocation — the warm-path budgets pin that. Racing
+// first requests of one tenant converge on the same caches (namespaces are
+// memoized by name); at worst a loser's gate and breaker are discarded.
 func (m *middleware) stateFor(r *http.Request) *tenantState {
 	t, ok := tenant.FromContext(r.Context())
 	if !ok {
@@ -380,93 +270,123 @@ func (m *middleware) stateFor(r *http.Request) *tenantState {
 	if v, ok := m.tenants.Load(t.Name); ok {
 		return v.(*tenantState)
 	}
-	return m.buildTenantState(t)
+	ts := &tenantState{}
+	m.initState(ts, t)
+	v, _ := m.tenants.LoadOrStore(t.Name, ts)
+	return v.(*tenantState)
 }
 
-// buildTenantState constructs (or loses the race for) a tenant's state.
-// The caches are namespaces of the default stores — memoized by name in
-// cachestore — so racing builders converge on the same storage; at worst a
-// loser's gate and breaker are discarded.
-func (m *middleware) buildTenantState(t *tenant.Tenant) *tenantState {
-	prefix := "tenant." + t.Name + "."
-	var policy *cachestore.Policy
-	if t.Policy.Eviction != nil || t.Policy.Admission != nil {
-		p := t.Policy
-		policy = &p
+// initState is the one constructor of serving state. Every knob resolves
+// "tenant value, else option", and the default state is the tenant with
+// nothing set (t == nil): its caches are the root stores, instrumented as
+// "middleware.*". A tenant's caches are namespaces of those, instrumented as
+// "tenant.<name>.*" — they inherit size accounting, eviction hooks and the
+// registry, and own their bytes, eviction order and budget.
+func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
+	o, def, root := &m.opts, &m.def, t == nil
+	prefix := "middleware."
+	if root {
+		t = &tenant.Tenant{}
+	} else {
+		ts.name, prefix = t.Name, "tenant."+t.Name+"."
 	}
-	ts := &tenantState{name: t.Name}
-	ts.probes = m.def.probes.NamespaceWith(t.Name, cachestore.NamespaceOptions{
-		TelemetryName: prefix + "probes",
-		Policy:        policy,
-	})
-	if m.def.renders != nil {
-		ts.renders = m.def.renders.NamespaceWith(t.Name, cachestore.NamespaceOptions{
-			MaxBytes:      t.BudgetBytes,
-			TelemetryName: prefix + "renders",
-			Policy:        policy,
-		})
-		ts.hot = m.def.hot.NamespaceWith(t.Name, cachestore.NamespaceOptions{
-			MaxBytes:      t.BudgetBytes,
-			TelemetryName: prefix + "hot",
-			Policy:        policy,
-		})
+	ns := func(kind string, budget int64) cachestore.NamespaceOptions {
+		n := cachestore.NamespaceOptions{MaxBytes: budget, TelemetryName: prefix + kind}
+		if t.Policy.Eviction != nil || t.Policy.Admission != nil {
+			n.Policy = &t.Policy
+		}
+		return n
 	}
-	// Stale copies and delta bases scale at half the tenant's budget: they
-	// hold one body per page (no per-render variants), so half the render
-	// budget covers the same page population.
-	halfBudget := t.BudgetBytes / 2
+	// Stale copies and delta bases hold one body per page (no per-render
+	// variants), so half the tenant's render budget covers the same page
+	// population.
+	half := t.BudgetBytes / 2
 	if t.BudgetBytes < 0 {
-		halfBudget = -1
+		half = -1
 	}
-	ts.staleTTL = m.def.staleTTL
+
+	ts.probes = openCache(m, ts.name, def.probes, ns("probes", 0), cachestore.Options[probe]{
+		// A probe without a retained stylesheet body costs exactly
+		// probeBaseCost, so for ordinary entries MaxBytes stays the entry
+		// count MaxProbeEntries promises; cached CSS bodies are charged
+		// their real bytes on top, so large stylesheets consume
+		// proportionally more of the same budget instead of hiding
+		// behind a flat per-entry unit.
+		MaxBytes: int64(o.MaxProbeEntries) * probeBaseCost,
+		SizeOf:   func(_ string, p probe) int64 { return probeBaseCost + int64(len(p.cssBody)) },
+		OnEvict:  func(string, probe) { o.Metrics.ProbesSwept.Add(1) },
+	})
+	if o.MaxRenderBytes > 0 {
+		ts.renders = openCache(m, ts.name, def.renders, ns("renders", t.BudgetBytes), cachestore.Options[*renderEntry]{
+			MaxBytes: o.MaxRenderBytes,
+			SizeOf:   renderEntrySize,
+			OnEvict:  func(string, *renderEntry) { o.Metrics.RendersEvicted.Add(1) },
+		})
+		// The hot index rides in front of the render cache (hotRender), so
+		// it exists exactly when the render cache does and shares its
+		// budget scale: pinned raw bodies are a strict subset of what the
+		// render cache is willing to spend on injected ones.
+		ts.hot = openCache(m, ts.name, def.hot, ns("hot", t.BudgetBytes), cachestore.Options[*hotPage]{
+			MaxBytes: o.MaxRenderBytes,
+			SizeOf:   hotPageSize,
+		})
+	}
+	ts.staleTTL = o.StaleFor
 	if t.StaleFor > 0 {
 		ts.staleTTL = t.StaleFor
 	}
-	if m.def.stales != nil && t.StaleFor >= 0 {
-		ts.stales = m.def.stales.NamespaceWith(t.Name, cachestore.NamespaceOptions{
-			MaxBytes:      halfBudget,
-			TelemetryName: prefix + "stales",
-			Policy:        policy,
+	if o.StaleFor >= 0 && t.StaleFor >= 0 {
+		ts.stales = openCache(m, ts.name, def.stales, ns("stales", half), cachestore.Options[*staleEntry]{
+			MaxBytes: decorate.BodyStoreBudget,
+			SizeOf:   staleEntrySize,
 		})
 	}
-	if m.def.deltaBases != nil {
-		ts.deltaBases = m.def.deltaBases.NamespaceWith(t.Name, cachestore.NamespaceOptions{
-			MaxBytes:      halfBudget,
-			TelemetryName: prefix + "delta_bases",
-			Policy:        policy,
-		})
+	if o.Delta {
+		ts.deltaBases = openCache(m, ts.name, def.deltaBases, ns("delta_bases", half), decorate.BaseStoreOptions())
 	}
-	maxInflight := t.MaxInflight
-	if maxInflight == 0 {
-		maxInflight = m.opts.MaxInflight
+	maxInflight := o.MaxInflight
+	if t.MaxInflight != 0 {
+		maxInflight = t.MaxInflight
 	}
 	if maxInflight > 0 {
 		ts.gate = resilience.NewGate(resilience.GateOptions{
 			MaxInflight:  maxInflight,
-			MaxQueue:     m.opts.MaxQueue,
-			QueueTimeout: m.opts.QueueTimeout,
-			Telemetry:    m.opts.Telemetry,
+			MaxQueue:     o.MaxQueue,
+			QueueTimeout: o.QueueTimeout,
+			Telemetry:    o.Telemetry,
 			Name:         prefix + "gate",
 		})
 	}
-	if t.Breaker != nil {
-		// The daemon wired a health-checked breaker: recovery is
-		// probe-driven, exactly like OriginBreaker in single-tenant mode.
-		ts.breaker = t.Breaker
-	} else if m.opts.OriginFailureThreshold > 0 {
+	// A wired breaker (the daemon's, shared with a health checker so
+	// recovery is probe-driven) wins: the tenant's own, or OriginBreaker
+	// for the default state — never shared across tenants.
+	ts.breaker = t.Breaker
+	if root {
+		ts.breaker = o.OriginBreaker
+	}
+	if ts.breaker == nil && o.OriginFailureThreshold > 0 {
 		ts.breaker = resilience.NewBreaker(resilience.BreakerOptions{
-			FailureThreshold: m.opts.OriginFailureThreshold,
-			Cooldown:         m.opts.OriginCooldown,
-			Telemetry:        m.opts.Telemetry,
+			FailureThreshold: o.OriginFailureThreshold,
+			Cooldown:         o.OriginCooldown,
+			Telemetry:        o.Telemetry,
 			Name:             prefix + "origin",
 		})
 	}
-	ts.requestBudget = m.def.requestBudget
+	ts.requestBudget = o.RequestBudget
 	if t.RequestBudget > 0 {
 		ts.requestBudget = t.RequestBudget
 	}
-	v, _ := m.tenants.LoadOrStore(t.Name, ts)
-	return v.(*tenantState)
+}
+
+// openCache is the one construction site of a state's caches. With no
+// parent it builds the root store from root, adding the middleware-wide
+// policy and registry; otherwise it opens the tenant's namespace of parent.
+func openCache[V any](m *middleware, name string, parent *cachestore.Store[V], ns cachestore.NamespaceOptions, root cachestore.Options[V]) *cachestore.Store[V] {
+	if parent == nil {
+		root.Policy, root.Telemetry, root.Name = m.opts.CachePolicy, m.opts.Telemetry, ns.TelemetryName
+		return cachestore.New(root)
+	}
+	return parent.NamespaceWith(name, ns)
 }
 
 type probe struct {
@@ -479,18 +399,6 @@ type probe struct {
 	// breaker threshold the entry's expiry is pushed out to the cooldown.
 	fails int
 }
-
-// workerScriptTag is the worker script's validator, hashed once at startup;
-// the wire forms next to it are precomputed for the same reason the render
-// entries precompute theirs — the worker script is requested by every
-// first-visit client, and re-rendering constants per request is pure waste.
-var (
-	workerScriptTag   = etag.ForBytes([]byte(core.ServiceWorkerScript))
-	workerScriptBytes = []byte(core.ServiceWorkerScript)
-	workerEtagHeader  = []string{workerScriptTag.String()}
-	workerCTypeHeader = []string{"text/javascript; charset=utf-8"}
-	workerNoCacheHdr  = []string{"no-cache"}
-)
 
 // serveInner runs the inner handler, converting a panic into a recovered
 // flag so one bad request handler can never take the whole server down.
@@ -507,17 +415,7 @@ func (m *middleware) serveInner(w http.ResponseWriter, r *http.Request) (panicke
 
 func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path == WorkerPath && (r.Method == http.MethodGet || r.Method == http.MethodHead) {
-		h := w.Header()
-		h["Content-Type"] = workerCTypeHeader
-		h["Cache-Control"] = workerNoCacheHdr
-		h["Etag"] = workerEtagHeader
-		if !etag.NoneMatch(r.Header.Get("If-None-Match"), workerScriptTag) {
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		if r.Method != http.MethodHead {
-			_, _ = w.Write(workerScriptBytes)
-		}
+		decorate.ServeWorkerScript(w, r)
 		return
 	}
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
@@ -527,7 +425,7 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	pageURL := requestPageURL(r)
+	pageURL := decorate.PageURL(r)
 	ts := m.stateFor(r)
 
 	// Deadline budget: the whole instrumented serve — inner handler,
@@ -624,7 +522,7 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// and the client simply falls back to ordinary caching.
 	if b, ok := resilience.BudgetFrom(r.Context()); ok && b.Exhausted() {
 		m.opts.Metrics.BudgetExhausted.Add(1)
-		m.servePlain(w, r, sw)
+		m.servePlain(w, r, sw, pageURL)
 		return
 	}
 
@@ -653,33 +551,18 @@ func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.R
 	ctx, span := telemetry.BeginSpan(r.Context(), "middleware")
 	defer span.End()
 	ent := m.hotRender(ts, pageURL, sw.body())
+	h := w.Header()
 
 	// Early hints go out the moment the reference list exists: the probe
 	// fan-out below is the serve's slow stage, and the 103 lets the client
 	// start subresource fetches while it runs.
-	if m.opts.EarlyHints && m.emitEarlyHints(w, ent.refs) {
+	if m.opts.EarlyHints && decorate.AddPreloadLinks(h, ent.Refs) {
+		w.WriteHeader(http.StatusEarlyHints)
 		m.opts.Metrics.HintsSent.Add(1)
 		telemetry.Event(ctx, "hints", pageURL)
 	}
+	deltaBase, deltaFrom := decorate.DeltaBase(ts.deltaBases, r, pageURL, &ent.Render)
 
-	// Delta bases: every decorated serve retains its body under its
-	// validator (the lock-free Get doubles as the LRU promotion that
-	// keeps a hot base resident); a request naming a retained base gets
-	// a patch below.
-	var deltaBase []byte
-	deltaFrom := ""
-	if ts.deltaBases != nil {
-		if _, ok := ts.deltaBases.Get(ent.deltaKey); !ok {
-			ts.deltaBases.Put(ent.deltaKey, ent.injectedBytes)
-		}
-		if baseTag := r.Header.Get(delta.RequestHeader); baseTag != "" && baseTag != ent.tagStr {
-			if base, okBase := ts.deltaBases.Get(pageURL + "\x00" + baseTag); okBase {
-				deltaBase, deltaFrom = base, baseTag
-			}
-		}
-	}
-
-	h := w.Header()
 	for k, vs := range sw.header {
 		if k == "Content-Length" || k == "Etag" {
 			continue
@@ -712,10 +595,7 @@ func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.R
 		telemetry.Event(ctx, "hotmap-adopt", pageURL)
 	} else {
 		res := &probeResolver{m: m, ts: ts, req: r, ctx: ctx}
-		etags := core.ResolveRefsContext(ctx, ent.refs, res, core.BuildOptions{
-			MaxEntries:  m.opts.MaxMapEntries,
-			Concurrency: m.opts.probeConcurrency(),
-		})
+		etags := core.ResolveRefsContext(ctx, ent.Refs, res, core.BuildOptions{Concurrency: m.opts.ProbeConcurrency})
 		encoded = m.capMapBytes(etags).Encode()
 		h.Set(HeaderName, encoded)
 		// Never cache an encoding assembled under a cancelled request: a
@@ -732,90 +612,37 @@ func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.R
 			if ex := m.opts.Exchange; ex != nil {
 				// Gossip the fresh encoding so peers serving this page
 				// skip their own probe fan-out entirely.
-				ex.Publish(ts.name, pageURL, ent.tagStr, encoded, exp)
+				ex.Publish(ts.name, pageURL, ent.TagStr, encoded, exp)
 			}
 		}
 	}
 
-	h["Etag"] = ent.etagHeader
+	h["Etag"] = ent.EtagHeader
 	m.recordStale(ts, pageURL, ent, encoded, sw.header, now)
-	telemetry.Event(ctx, "map-built", pageURL)
-	if m.opts.ServerTiming {
-		telemetry.AppendServerTiming(h, "map-built")
-	}
+	m.decide(ctx, h, "map-built", pageURL)
 
-	if !etag.NoneMatch(r.Header.Get("If-None-Match"), ent.tag) {
-		telemetry.Event(ctx, "etag-match", pageURL)
-		if m.opts.ServerTiming {
-			telemetry.AppendServerTiming(h, "etag-match")
-		}
+	if !etag.NoneMatch(r.Header.Get("If-None-Match"), ent.Tag) {
+		m.decide(ctx, h, "etag-match", pageURL)
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	body := ent.injectedBytes
-	clen := ent.clenHeader
-	if deltaBase != nil {
-		// A validator match above wins over a patch (the 304 transfers
-		// nothing at all); here the entity changed, so diff lazily and
-		// serve the patch only when it actually saves bytes.
-		if patch := delta.Diff(deltaBase, body); len(patch) < len(body) {
-			m.opts.Metrics.DeltasServed.Add(1)
-			m.opts.Metrics.DeltaBytesSaved.Add(int64(len(body) - len(patch)))
-			h.Set(delta.FromHeader, deltaFrom)
-			telemetry.Event(ctx, "delta", pageURL)
-			if m.opts.ServerTiming {
-				telemetry.AppendServerTiming(h, "delta")
-			}
-			body = patch
-			clen = nil
-		}
+	// A validator match above wins over a patch (the 304 transfers nothing
+	// at all); here the entity changed, so diff lazily.
+	body, clen := ent.Body, ent.ClenHeader
+	if patch, ok := decorate.Patch(deltaBase, body); ok {
+		m.opts.Metrics.DeltasServed.Add(1)
+		m.opts.Metrics.DeltaBytesSaved.Add(int64(len(body) - len(patch)))
+		h.Set(delta.FromHeader, deltaFrom)
+		m.decide(ctx, h, "delta", pageURL)
+		body, clen = patch, nil
 	}
-	if clen != nil {
-		h["Content-Length"] = clen
-	} else {
-		h.Set("Content-Length", strconv.Itoa(len(body)))
-	}
-	w.WriteHeader(http.StatusOK)
-	if r.Method != http.MethodHead {
-		_, _ = w.Write(body)
-	}
+	decorate.WriteEntity(w, r, body, clen)
 }
 
-// maxPreloadHints caps the Link headers one 103 carries; past a few dozen
-// the hints themselves delay the HTML they are racing.
-const maxPreloadHints = 32
-
-// emitEarlyHints writes a 103 Early Hints response advertising refs as
-// preload links. Reports whether hints were sent.
-func (m *middleware) emitEarlyHints(w http.ResponseWriter, refs []core.Ref) bool {
-	if len(refs) == 0 {
-		return false
-	}
-	h := w.Header()
-	n := 0
-	for _, ref := range refs {
-		if n == maxPreloadHints {
-			break
-		}
-		as := "image"
-		if ref.CSS {
-			as = "style"
-		}
-		h.Add("Link", "<"+ref.Key+">; rel=preload; as="+as)
-		n++
-	}
-	w.WriteHeader(http.StatusEarlyHints)
-	return true
-}
-
-// requestPageURL is the origin-relative URL of the page being served, query
-// included — the base both relative references and the render-cache key
-// resolve against.
-func requestPageURL(r *http.Request) string {
-	if r.URL.RawQuery != "" {
-		return r.URL.Path + "?" + r.URL.RawQuery
-	}
-	return r.URL.Path
+// decide records one cache decision on the request trace and, with
+// MiddlewareOptions.ServerTiming, in the response's Server-Timing header.
+func (m *middleware) decide(ctx context.Context, h http.Header, name, detail string) {
+	decorate.Decide(ctx, h, m.opts.ServerTiming, name, detail)
 }
 
 // capMapBytes drops entries (highest-sorting paths first, the reverse of
@@ -951,42 +778,15 @@ func (m *middleware) probe(ts *tenantState, path string, via *http.Request, ctx 
 		if had && time.Now().Before(prev.expires) {
 			return prev, nil
 		}
-
-		req := httptest.NewRequest(http.MethodGet, path, nil)
-		req.Host = via.Host
-		// Probe requests carry the serving request's tenant so a
-		// tenant-routing inner handler (catalystd's multi-origin proxy)
-		// probes the right upstream, not the default one.
-		if t, ok := tenant.FromContext(via.Context()); ok {
-			req = req.WithContext(tenant.NewContext(req.Context(), t))
-		}
-		rec := httptest.NewRecorder()
-		panicked := m.serveInner(rec, req)
-
-		pr := probe{expires: time.Now().Add(m.opts.ProbeTTL)}
-		if !panicked && rec.Code == http.StatusOK {
-			if t, ok := etag.Parse(rec.Header().Get("Etag")); ok {
-				pr.tag = t
-			} else {
-				// The inner handler emits no validator; derive one the
-				// way the modified Caddy derives tags from file contents.
-				pr.tag = etag.ForBytes(rec.Body.Bytes())
-			}
-			pr.ok = true
-			if strings.HasPrefix(rec.Header().Get("Content-Type"), "text/css") {
-				pr.isCSS = true
-				pr.cssBody = rec.Body.String()
-			}
-		} else if threshold := m.opts.breakerThreshold(); threshold > 0 {
-			if had {
+		pr := m.fetchProbe(path, via)
+		if !pr.ok {
+			if threshold := m.opts.BreakerThreshold; threshold > 0 {
 				pr.fails = prev.fails + 1
-			} else {
-				pr.fails = 1
-			}
-			if pr.fails >= threshold {
-				pr.expires = time.Now().Add(m.opts.BreakerCooldown)
-				m.opts.Metrics.BreakerTrips.Add(1)
-				telemetry.Event(ctx, "breaker-open", path)
+				if pr.fails >= threshold {
+					pr.expires = time.Now().Add(m.opts.BreakerCooldown)
+					m.opts.Metrics.BreakerTrips.Add(1)
+					telemetry.Event(ctx, "breaker-open", path)
+				}
 			}
 		}
 		// An observable change — a tag flip, a path appearing, a path
@@ -1002,6 +802,64 @@ func (m *middleware) probe(ts *tenantState, path string, via *http.Request, ctx 
 		}
 		return pr, nil
 	})
+	return pr
+}
+
+// fetchProbe GETs path against the inner handler and reports what it
+// learned, good for ProbeTTL. Subresource keys come out of upstream HTML
+// and are hostile input: one that does not parse as a request target is a
+// failed probe like any other, and a panic anywhere in the flight — which
+// runs on a fan-out worker goroutine, out of reach of net/http's recover —
+// is recovered into a failed probe too.
+func (m *middleware) fetchProbe(path string, via *http.Request) (pr probe) {
+	defer func() {
+		if v := recover(); v != nil {
+			m.opts.Metrics.PanicsRecovered.Add(1)
+			pr = probe{expires: pr.expires}
+		}
+	}()
+	pr.expires = time.Now().Add(m.opts.ProbeTTL)
+	u, err := url.ParseRequestURI(path)
+	if err != nil {
+		return pr
+	}
+	// The flight is shared by every render waiting on this path, so it must
+	// not die with the request that happened to start it: of the serving
+	// request's context only the tenant carries over, so a tenant-routing
+	// inner handler (catalystd's multi-origin proxy) probes the right
+	// upstream.
+	ctx := context.Background()
+	if t, ok := tenant.FromContext(via.Context()); ok {
+		ctx = tenant.NewContext(ctx, t)
+	}
+	req := (&http.Request{
+		Method:     http.MethodGet,
+		URL:        u,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     make(http.Header),
+		Body:       http.NoBody,
+		Host:       via.Host,
+		RequestURI: path,
+		RemoteAddr: via.RemoteAddr,
+	}).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	if m.serveInner(rec, req) || rec.Code != http.StatusOK {
+		return pr
+	}
+	if t, ok := etag.Parse(rec.Header().Get("Etag")); ok {
+		pr.tag = t
+	} else {
+		// The inner handler emits no validator; derive one the way the
+		// modified Caddy derives tags from file contents.
+		pr.tag = etag.ForBytes(rec.Body.Bytes())
+	}
+	pr.ok = true
+	if decorate.IsCSS(rec.Header().Get("Content-Type")) {
+		pr.isCSS = true
+		pr.cssBody = rec.Body.String()
+	}
 	return pr
 }
 

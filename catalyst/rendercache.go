@@ -3,70 +3,34 @@ package catalyst
 import (
 	"bytes"
 	"crypto/sha256"
-	"strconv"
 	"sync/atomic"
 
-	"cachecatalyst/internal/core"
-	"cachecatalyst/internal/etag"
+	"cachecatalyst/internal/decorate"
 )
 
-// renderEntry memoizes everything about one HTML render that is a pure
-// function of the page's location and raw inner-handler body: the extracted
-// subresource reference list, the snippet-injected body, and the injected
-// body's entity tag. Because the cache key commits to the raw content (see
-// renderKey), entries never go stale — a changed page hashes to a new key —
-// so a hot unchanged page skips the HTML tokenizer, the tree builder, the
-// snippet injection, and the whole-body validator hash on every request
-// after the first.
+// renderEntry is the middleware's cached render: the shared, immutable
+// decorate.Render — a pure function of the page's location and raw
+// inner-handler body — plus the one mutable slot the probe-backed front end
+// adds. Because the cache key commits to the raw content (see renderKey),
+// entries never go stale — a changed page hashes to a new key — so a hot
+// unchanged page skips the HTML tokenizer, the tree builder, the snippet
+// injection, and the whole-body validator hash on every request after the
+// first.
 //
-// Everything but enc is immutable after construction and safe to share
-// across requests — including the precomputed header value slices, which
-// the serve path assigns into a response header map directly (one map
-// store; no per-request string rendering, no Set re-allocation). Sharing
-// one []string across concurrent responses is safe because nothing in
-// net/http or this package mutates a stored value slice in place; Set
-// always installs a fresh one. enc is the one mutable slot: the most
-// recent canonical X-Etag-Config encoding, swapped atomically and valid
-// only while the probe generation it was built under still stands (see
-// middleware.probeGen).
+// enc is the most recent canonical X-Etag-Config encoding, swapped
+// atomically and valid only while the probe generation it was built under
+// still stands (see tenantState.probeGen).
 type renderEntry struct {
-	refs     []core.Ref
-	injected string
-	tag      etag.Tag
-	// injectedBytes aliases injected's contents ready for Write — computed
-	// once here so serving doesn't convert (and copy) per request. Never
-	// written to.
-	injectedBytes []byte
-	// tagStr, etagHeader and clenHeader are the precomputed wire forms:
-	// tag.String() once, plus single-element header value slices for
-	// "Etag" and "Content-Length".
-	tagStr     string
-	etagHeader []string
-	clenHeader []string
-	// deltaKey is the retained-base cache key this entry's body lives
-	// under when MiddlewareOptions.Delta is on (pageURL + NUL + validator).
-	deltaKey string
-	enc      atomic.Pointer[encodedMap]
+	decorate.Render
+	enc atomic.Pointer[encodedMap]
 }
 
-// newRenderEntry builds the immutable render product for one (pageURL, raw
-// body) pair, precomputing every per-request byte the serve path would
-// otherwise re-render.
-func newRenderEntry(pageURL, body string) *renderEntry {
-	injected := core.InjectRegistration(body)
-	injectedBytes := []byte(injected)
-	tag := etag.ForBytes(injectedBytes)
-	tagStr := tag.String()
-	return &renderEntry{
-		refs:          core.ExtractPageRefs(pageURL, body),
-		injected:      injected,
-		tag:           tag,
-		injectedBytes: injectedBytes,
-		tagStr:        tagStr,
-		etagHeader:    []string{tagStr},
-		clenHeader:    []string{strconv.Itoa(len(injected))},
-		deltaKey:      pageURL + "\x00" + tagStr,
-	}
+// renderEntrySize charges the render alone. The cached encoding is
+// deliberately not charged — it is bounded by MaxMapBytes (or by the map
+// the refs imply) and mutates after insertion, which byte accounting must
+// not chase.
+func renderEntrySize(key string, e *renderEntry) int64 {
+	return decorate.RenderSize(key, &e.Render)
 }
 
 // encodedMap is one canonical ETagMap.Encode result, stamped with the probe
@@ -93,20 +57,6 @@ func renderKey(pageURL string, body []byte) string {
 	return pageURL + "\x00" + string(sum[:16])
 }
 
-// renderEntrySize charges an entry for the memory that actually scales:
-// the key, the injected body (the string and its []byte alias are two
-// copies), and the extracted reference strings, plus a fixed allowance for
-// the struct and per-ref bookkeeping. The cached encoding is deliberately
-// not charged — it is bounded by MaxMapBytes (or by the map the refs
-// imply) and mutates after insertion, which byte accounting must not chase.
-func renderEntrySize(key string, e *renderEntry) int64 {
-	n := int64(len(key) + 2*len(e.injected) + 192)
-	for _, r := range e.refs {
-		n += int64(len(r.Key)) + 32
-	}
-	return n
-}
-
 // hotPage pins the most recent render of one page URL together with the
 // raw inner-handler body it was computed from. The warm fast lane compares
 // the current raw body against hot.raw with one memcmp — two orders of
@@ -130,12 +80,14 @@ func hotPageSize(key string, p *hotPage) int64 {
 // cache disabled (MaxRenderBytes < 0) every request pays the full pipeline,
 // which is exactly the pre-cache behaviour.
 func (m *middleware) render(ts *tenantState, pageURL string, raw []byte) *renderEntry {
-	if ts.renders == nil {
-		return newRenderEntry(pageURL, string(raw))
+	load := func() (*renderEntry, error) {
+		return &renderEntry{Render: decorate.NewRender(pageURL, string(raw))}, nil
 	}
-	e, _ := ts.renders.GetOrLoad(renderKey(pageURL, raw), func() (*renderEntry, error) {
-		return newRenderEntry(pageURL, string(raw)), nil
-	})
+	if ts.renders == nil {
+		e, _ := load()
+		return e
+	}
+	e, _ := ts.renders.GetOrLoad(renderKey(pageURL, raw), load)
 	return e
 }
 

@@ -221,8 +221,10 @@ func TestRenderFanOutRaceStaysConsistent(t *testing.T) {
 	if err := m.def.probes.Audit(); err != nil {
 		t.Errorf("probe cache accounting drifted: %v", err)
 	}
+	// Every load stores at most once: GetOrLoad re-checks inside the flight
+	// and skips the Put when a racing flight already stored the entry.
 	rc := m.def.renders.Counters()
-	if rc.Loads == 0 || rc.Puts < rc.Loads {
+	if rc.Puts == 0 || rc.Puts > rc.Loads {
 		t.Errorf("render counters implausible: %+v", rc)
 	}
 }

@@ -367,20 +367,3 @@ func TestClientMetricsHandlerReportsResilienceCounters(t *testing.T) {
 		t.Fatalf("network fetches: %+v", snap)
 	}
 }
-
-func TestMiddlewareMetricsSnapshot(t *testing.T) {
-	var m MiddlewareMetrics
-	m.PanicsRecovered.Add(2)
-	m.BreakerTrips.Add(1)
-	snap := m.Snapshot()
-	if snap.PanicsRecovered != 2 || snap.BreakerTrips != 1 || snap.ProbesSwept != 0 {
-		t.Fatalf("snapshot: %+v", snap)
-	}
-	out, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(out), `"panicsRecovered":2`) {
-		t.Fatalf("json: %s", out)
-	}
-}

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"sync"
 
+	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/headers"
 )
@@ -119,7 +120,7 @@ func (w *sniffWriter) WriteHeader(code int) {
 		}
 	}
 
-	if code == http.StatusOK && isHTML(w.header.Get("Content-Type")) {
+	if code == http.StatusOK && decorate.IsHTML(w.header.Get("Content-Type")) {
 		w.buffering = true
 		// Pre-size from the declared length so a page written in many
 		// small chunks costs one allocation, not a regrow cascade. The
@@ -255,10 +256,6 @@ func (w *sniffWriter) Hijack() (net.Conn, *bufio.ReadWriter, error) {
 // after the inner handler returned; the middleware hands it to the render
 // cache, which hashes it as-is, so the slice must not be mutated.
 func (w *sniffWriter) body() []byte { return w.buf.Bytes() }
-
-func isHTML(contentType string) bool {
-	return len(contentType) >= 9 && contentType[:9] == "text/html"
-}
 
 func copyHeader(dst, src http.Header) {
 	for k, vs := range src {

@@ -146,14 +146,18 @@ func TestTenantBreakerIsolation(t *testing.T) {
 	}
 }
 
-// TestTenantDefaultPathUntouched pins that a request with no tenant in
-// context serves exactly as before the tenant dimension existed, on the
-// default state.
+// TestTenantDefaultPathUntouched pins the instrument names of the default
+// state — a request with no tenant in context lands on "middleware.*" and
+// registers nothing under "tenant.*" — and that default and tenant states,
+// built by the one constructor, expose the same set of caches, gate and
+// breaker.
 func TestTenantDefaultPathUntouched(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tr := &tenantRouter{}
 	tr.failing.Store("")
-	mw := Middleware(tr, MiddlewareOptions{Telemetry: reg})
+	mw := Middleware(tr, MiddlewareOptions{
+		Telemetry: reg, Delta: true, MaxInflight: 4, OriginFailureThreshold: 3,
+	})
 
 	rec := httptest.NewRecorder()
 	mw.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/index.html", nil))
@@ -167,6 +171,39 @@ func TestTenantDefaultPathUntouched(t *testing.T) {
 	for name := range snap.Counters {
 		if strings.HasPrefix(name, "tenant.") {
 			t.Fatalf("tenantless serving registered tenant instrument %q", name)
+		}
+	}
+
+	m := mw.(*middleware)
+	acme := &tenant.Tenant{Name: "acme"}
+	req := httptest.NewRequest(http.MethodGet, "/index.html", nil)
+	ts := m.stateFor(req.WithContext(tenant.NewContext(req.Context(), acme)))
+	if ts == &m.def || ts.name != "acme" {
+		t.Fatalf("tenant request resolved to state %q", ts.name)
+	}
+	parts := func(s *tenantState) map[string]bool {
+		return map[string]bool{
+			"probes": s.probes != nil, "renders": s.renders != nil, "hot": s.hot != nil,
+			"stales": s.stales != nil, "delta_bases": s.deltaBases != nil,
+			"gate": s.gate != nil, "breaker": s.breaker != nil,
+		}
+	}
+	def, ten := parts(&m.def), parts(ts)
+	for part, have := range def {
+		if !have || !ten[part] {
+			t.Errorf("%s: default state has it = %v, tenant state has it = %v", part, have, ten[part])
+		}
+	}
+	// Same parts, separate storage, parallel names.
+	if ts.renders == m.def.renders || ts.probes == m.def.probes || ts.gate == m.def.gate || ts.breaker == m.def.breaker {
+		t.Error("tenant state shares a cache, gate or breaker with the default state")
+	}
+	snap = reg.Snapshot()
+	for _, kind := range []string{"probes", "renders", "hot", "stales", "delta_bases"} {
+		for _, name := range []string{"middleware." + kind + ".puts", "tenant.acme." + kind + ".puts"} {
+			if _, ok := snap.Counters[name]; !ok {
+				t.Errorf("instrument %q not registered", name)
+			}
 		}
 	}
 }

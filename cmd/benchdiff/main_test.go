@@ -171,6 +171,24 @@ func TestRunExitCodes(t *testing.T) {
 	}
 }
 
+// TestRunReportsRemovedAndAddedBenchmarks: deleting a benchmark of a deleted
+// design must not trip the gate — a name present only in the baseline is
+// listed as gone, one present only in the current run as new, and neither
+// is compared.
+func TestRunReportsRemovedAndAddedBenchmarks(t *testing.T) {
+	old := writeStream(t, "old.json", []string{bench("BenchmarkKept", 100), bench("BenchmarkRemoved", 100)})
+	cur := writeStream(t, "cur.json", []string{bench("BenchmarkKept", 101), bench("BenchmarkAdded", 5000)})
+	var out, errb bytes.Buffer
+	if got := run([]string{"-tolerance", "5", old, cur}, &out, &errb); got != exitOK {
+		t.Fatalf("run = %d, want %d (stderr: %s)", got, exitOK, errb.String())
+	}
+	for _, want := range []string{"BenchmarkRemoved", "gone", "BenchmarkAdded", "new"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("stdout missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
 func TestRunGatesMemoryMetrics(t *testing.T) {
 	// Time holds steady but allocations rise: the memory gate must fire.
 	old := writeStream(t, "old.json", []string{benchMem("BenchmarkA", 100, 64, 2)})

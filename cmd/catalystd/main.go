@@ -272,44 +272,20 @@ func buildProxyHandler(opts daemonOptions, reg *telemetry.Registry) (*builtHandl
 	if u.Scheme == "" || u.Host == "" {
 		return nil, fmt.Errorf("-origin %q: need an absolute URL (http://host:port)", opts.Origin)
 	}
-	breaker := resilience.NewBreaker(resilience.BreakerOptions{
-		FailureThreshold: 5,
-		Cooldown:         5 * time.Second,
-		Telemetry:        reg,
-		Name:             "catalystd.origin",
-	})
-	const interval = 2 * time.Second
-	health := resilience.NewHealthChecker(breaker, healthProbe(u, interval), resilience.HealthOptions{
-		Interval:  interval,
-		Telemetry: reg,
-		Name:      "catalystd.health",
-	})
-	health.Start()
+	proxy, breaker, stopHealth := newUpstream(u, "catalystd.", 0, reg)
 
-	h := catalyst.Middleware(reverseProxy(u), catalyst.MiddlewareOptions{
-		Telemetry:      reg,
-		ServerTiming:   opts.ServerTiming,
-		MaxInflight:    opts.MaxInflight,
-		RequestBudget:  opts.RequestBudget,
-		OriginBreaker:  breaker,
-		CachePolicy:    opts.CachePolicy,
-		MaxRenderBytes: opts.CacheBudget,
-	})
-	var handler http.Handler = h
-	if opts.Metrics {
-		handler = catalyst.WithMetricsHandler(handler, catalyst.MetricsOptions{
-			Telemetry: reg, PProf: opts.PProf, Config: configEcho(opts, nil),
-		})
-	}
+	mwOpts := middlewareOptions(opts, reg)
+	mwOpts.OriginBreaker = breaker
+	handler := withMetrics(catalyst.Middleware(proxy, mwOpts), opts, nil, reg)
 	info := fmt.Sprintf("proxying %s (CacheCatalyst + health-checked failover, %s caches)", opts.Origin, opts.CachePolicy.Name())
-	return &builtHandler{Handler: handler, Info: []string{info}, OnDrain: health.Stop}, nil
+	return &builtHandler{Handler: handler, Info: []string{info}, OnDrain: stopHealth}, nil
 }
 
 // buildConfigHandler is multi-tenant proxy mode: each configured tenant
-// gets its own reverse proxy, circuit breaker and health checker, and the
-// tenant resolved from Host/path rides the request context so the
-// middleware and cachestore dimension their state per tenant. A cluster
-// stanza additionally wires the hot-map exchange.
+// gets its own upstream assembly (newUpstream), and the tenant resolved
+// from Host/path rides the request context so the middleware and cachestore
+// dimension their state per tenant. A cluster stanza additionally wires the
+// hot-map exchange.
 func buildConfigHandler(cfg *tenant.Config, opts daemonOptions, reg *telemetry.Registry) (*builtHandler, error) {
 	resolver, err := cfg.Resolver()
 	if err != nil {
@@ -324,30 +300,12 @@ func buildConfigHandler(cfg *tenant.Config, opts daemonOptions, reg *telemetry.R
 		if err != nil {
 			return nil, fmt.Errorf("tenant %q: upstream %q: %w", t.Name, t.Upstream, err)
 		}
-		proxies[t.Name] = reverseProxy(u)
-
-		// Per-tenant breaker + health checker: one tenant's flapping
-		// origin trips only that tenant's degradation ladder. The breaker
-		// pointer rides the descriptor so the middleware consults it for
-		// this tenant's requests.
-		breaker := resilience.NewBreaker(resilience.BreakerOptions{
-			FailureThreshold: 5,
-			Cooldown:         5 * time.Second,
-			Telemetry:        reg,
-			Name:             "tenant." + t.Name + ".origin",
-		})
-		t.Breaker = breaker
-		interval := t.HealthInterval
-		if interval <= 0 {
-			interval = 2 * time.Second
-		}
-		health := resilience.NewHealthChecker(breaker, healthProbe(u, interval), resilience.HealthOptions{
-			Interval:  interval,
-			Telemetry: reg,
-			Name:      "tenant." + t.Name + ".health",
-		})
-		health.Start()
-		stops = append(stops, health.Stop)
+		// One tenant's flapping origin trips only that tenant's degradation
+		// ladder: the breaker pointer rides the descriptor so the middleware
+		// consults it for this tenant's requests.
+		var stopHealth func()
+		proxies[t.Name], t.Breaker, stopHealth = newUpstream(u, "tenant."+t.Name+".", t.HealthInterval, reg)
+		stops = append(stops, stopHealth)
 	}
 
 	// The inner handler routes on the tenant the resolver attached to the
@@ -363,14 +321,7 @@ func buildConfigHandler(cfg *tenant.Config, opts daemonOptions, reg *telemetry.R
 		proxies[t.Name].ServeHTTP(w, r)
 	})
 
-	mwOpts := catalyst.MiddlewareOptions{
-		Telemetry:      reg,
-		ServerTiming:   opts.ServerTiming,
-		MaxInflight:    opts.MaxInflight,
-		RequestBudget:  opts.RequestBudget,
-		CachePolicy:    opts.CachePolicy,
-		MaxRenderBytes: opts.CacheBudget,
-	}
+	mwOpts := middlewareOptions(opts, reg)
 	var exch *cluster.Exchange
 	if cfg.Cluster.Enabled() {
 		exch = cluster.NewExchange(cluster.ExchangeOptions{
@@ -385,11 +336,7 @@ func buildConfigHandler(cfg *tenant.Config, opts daemonOptions, reg *telemetry.R
 	if exch != nil {
 		handler = exch.Mount(handler)
 	}
-	if opts.Metrics {
-		handler = catalyst.WithMetricsHandler(handler, catalyst.MetricsOptions{
-			Telemetry: reg, PProf: opts.PProf, Config: configEcho(opts, cfg),
-		})
-	}
+	handler = withMetrics(handler, opts, cfg, reg)
 
 	onDrain := func() {
 		for _, stop := range stops {
@@ -410,16 +357,59 @@ func buildConfigHandler(cfg *tenant.Config, opts daemonOptions, reg *telemetry.R
 	return &builtHandler{Handler: handler, Info: info, OnDrain: onDrain}, nil
 }
 
-// reverseProxy fronts one upstream. A dead upstream becomes a 502 the
-// middleware can hold back in favor of a stale copy; the default error
-// handler would also log every failure, which under a brown-out is pure
-// noise.
-func reverseProxy(u *url.URL) http.Handler {
-	proxy := httputil.NewSingleHostReverseProxy(u)
-	proxy.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
+// middlewareOptions maps the daemon's flags to the middleware's options, the
+// same for both proxy modes.
+func middlewareOptions(opts daemonOptions, reg *telemetry.Registry) catalyst.MiddlewareOptions {
+	return catalyst.MiddlewareOptions{
+		Telemetry:      reg,
+		ServerTiming:   opts.ServerTiming,
+		MaxInflight:    opts.MaxInflight,
+		RequestBudget:  opts.RequestBudget,
+		CachePolicy:    opts.CachePolicy,
+		MaxRenderBytes: opts.CacheBudget,
+	}
+}
+
+// withMetrics mounts the -metrics surface in front of a proxy-mode handler.
+func withMetrics(h http.Handler, opts daemonOptions, cfg *tenant.Config, reg *telemetry.Registry) http.Handler {
+	if !opts.Metrics {
+		return h
+	}
+	return catalyst.WithMetricsHandler(h, catalyst.MetricsOptions{
+		Telemetry: reg, PProf: opts.PProf, Config: configEcho(opts, cfg),
+	})
+}
+
+// newUpstream assembles what fronts one origin, the same for -origin and
+// for every -config tenant: a reverse proxy, a circuit breaker (5 failures,
+// 5 s cooldown) and a running health checker sharing that breaker, so
+// recovery is probe-driven; stop ends the checker. The instruments are
+// "<prefix>origin" and "<prefix>health"; a non-positive interval selects 2
+// seconds.
+func newUpstream(u *url.URL, prefix string, interval time.Duration, reg *telemetry.Registry) (proxy http.Handler, breaker *resilience.Breaker, stop func()) {
+	// A dead upstream becomes a 502 the middleware can hold back in favor
+	// of a stale copy; the default error handler would also log every
+	// failure, which under a brown-out is pure noise.
+	rp := httputil.NewSingleHostReverseProxy(u)
+	rp.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
 		w.WriteHeader(http.StatusBadGateway)
 	}
-	return proxy
+	breaker = resilience.NewBreaker(resilience.BreakerOptions{
+		FailureThreshold: 5,
+		Cooldown:         5 * time.Second,
+		Telemetry:        reg,
+		Name:             prefix + "origin",
+	})
+	if interval <= 0 {
+		interval = 2 * time.Second
+	}
+	health := resilience.NewHealthChecker(breaker, healthProbe(u, interval), resilience.HealthOptions{
+		Interval:  interval,
+		Telemetry: reg,
+		Name:      prefix + "health",
+	})
+	health.Start()
+	return rp, breaker, health.Stop
 }
 
 // healthProbe builds the upstream liveness probe for a health checker

@@ -149,8 +149,10 @@ func NewClusterCell(opts ClusterCellOptions) (*ClusterCell, error) {
 	return cell, nil
 }
 
-// buildInstance assembles one node's serving stack — the same layering
-// buildConfigHandler gives the daemon.
+// buildInstance assembles one node's serving stack — the layering
+// cmd/catalystd's buildConfigHandler gives the daemon, with newUpstream's
+// per-tenant proxy + breaker tuned to trip within a test (3 failures, 50 ms)
+// and no health checker: recovery here is cooldown-driven.
 func (c *ClusterCell) buildInstance(inst *EdgeInstance, peers []string) error {
 	reg := telemetry.NewRegistry()
 	inst.Registry = reg

@@ -59,36 +59,6 @@ func (l *accessLog) recent() []AccessEntry {
 	return out
 }
 
-// MetricsSnapshot is the JSON shape served by the debug endpoint and
-// returned by Snapshot.
-type MetricsSnapshot struct {
-	Requests    int64 `json:"requests"`
-	NotModified int64 `json:"notModified"`
-	NotFound    int64 `json:"notFound"`
-	BodyBytes   int64 `json:"bodyBytes"`
-	MapsBuilt   int64 `json:"mapsBuilt"`
-	MapBytes    int64 `json:"mapBytes"`
-
-	Recent []AccessEntry `json:"recent,omitempty"`
-}
-
-// Snapshot captures the server's counters and (when access logging is
-// enabled) its recent requests.
-func (s *Server) Snapshot() MetricsSnapshot {
-	snap := MetricsSnapshot{
-		Requests:    s.Metrics.Requests.Load(),
-		NotModified: s.Metrics.NotModified.Load(),
-		NotFound:    s.Metrics.NotFound.Load(),
-		BodyBytes:   s.Metrics.BodyBytes.Load(),
-		MapsBuilt:   s.Metrics.MapsBuilt.Load(),
-		MapBytes:    s.Metrics.MapBytes.Load(),
-	}
-	if s.access != nil {
-		snap.Recent = s.access.recent()
-	}
-	return snap
-}
-
 // RecentRequests returns the access-log ring oldest-first (nil when access
 // logging is disabled).
 func (s *Server) RecentRequests() []AccessEntry {

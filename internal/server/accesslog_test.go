@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"testing"
 
+	"cachecatalyst/internal/telemetry"
 	"cachecatalyst/internal/vclock"
 )
 
@@ -56,34 +57,34 @@ func TestAccessLogRingWraps(t *testing.T) {
 }
 
 func TestAccessLogDisabled(t *testing.T) {
-	s := New(buildSite(), Options{})
+	reg := telemetry.NewRegistry()
+	s := New(buildSite(), Options{Telemetry: reg})
 	get(t, s, "/a.css", nil)
 	if s.RecentRequests() != nil {
 		t.Fatal("access log active without opt-in")
 	}
-	snap := s.Snapshot()
-	if snap.Recent != nil {
-		t.Fatal("snapshot leaked recent entries")
-	}
-	if snap.Requests != 1 {
-		t.Fatalf("snapshot requests = %d", snap.Requests)
+	if n := reg.Snapshot().Counters["server.requests"]; n != 1 {
+		t.Fatalf("server.requests = %d", n)
 	}
 }
 
+// TestSnapshotCounters reads the server's counters where /debug/catalystd
+// does: the registry, with the recent-request ring beside it.
 func TestSnapshotCounters(t *testing.T) {
-	s := New(buildSite(), Options{Catalyst: true, AccessLogSize: 8})
+	reg := telemetry.NewRegistry()
+	s := New(buildSite(), Options{Catalyst: true, AccessLogSize: 8, Telemetry: reg})
 	get(t, s, "/index.html", nil)
 	first := get(t, s, "/d.jpg", nil)
 	get(t, s, "/d.jpg", map[string]string{"If-None-Match": first.Header().Get("Etag")})
 
-	snap := s.Snapshot()
-	if snap.Requests != 3 || snap.NotModified != 1 || snap.MapsBuilt != 1 {
-		t.Fatalf("snapshot = %+v", snap)
+	c := reg.Snapshot().Counters
+	if c["server.requests"] != 3 || c["server.not_modified"] != 1 || c["server.maps_built"] != 1 {
+		t.Fatalf("counters = %v", c)
 	}
-	if snap.BodyBytes == 0 || snap.MapBytes == 0 {
-		t.Fatalf("byte counters empty: %+v", snap)
+	if c["server.body_bytes"] == 0 || c["server.map_bytes"] == 0 {
+		t.Fatalf("byte counters empty: %v", c)
 	}
-	if len(snap.Recent) != 3 {
-		t.Fatalf("recent = %d", len(snap.Recent))
+	if recent := s.RecentRequests(); len(recent) != 3 {
+		t.Fatalf("recent = %d", len(recent))
 	}
 }

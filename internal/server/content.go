@@ -235,15 +235,3 @@ func TypeByPath(p string) string {
 	}
 	return "application/octet-stream"
 }
-
-// IsHTML reports whether a content type is an HTML document (the responses
-// catalyst mode decorates).
-func IsHTML(contentType string) bool {
-	return strings.HasPrefix(contentType, "text/html")
-}
-
-// IsCSS reports whether a content type is a stylesheet (recursively
-// inspected by the map builder).
-func IsCSS(contentType string) bool {
-	return strings.HasPrefix(contentType, "text/css")
-}

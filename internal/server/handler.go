@@ -10,12 +10,12 @@ import (
 
 	"cachecatalyst/internal/cachestore"
 	"cachecatalyst/internal/core"
+	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/delta"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/headers"
 	"cachecatalyst/internal/resilience"
 	"cachecatalyst/internal/telemetry"
-	"cachecatalyst/internal/tenant"
 	"cachecatalyst/internal/vclock"
 )
 
@@ -85,11 +85,9 @@ type Options struct {
 	// version's body is still in the delta base cache, the server
 	// responds with a CCD1 patch (internal/delta) instead of the full
 	// body, marked by X-Delta-From. Requires Catalyst (the scheme patches
-	// the SW-cached copy).
+	// the SW-cached copy). Previous page bodies are kept for diffing in a
+	// store of decorate.BodyStoreBudget bytes.
 	Delta bool
-	// MaxDeltaBytes bounds the delta base cache (previous page bodies
-	// kept for diffing). Zero selects 8 MiB.
-	MaxDeltaBytes int64
 }
 
 // Metrics counts server activity. All fields are atomic telemetry
@@ -124,61 +122,12 @@ type Server struct {
 	resolver   contentResolver // stateless Content→core.Resolver adapter, built once
 	recorder   *Recorder
 	access     *accessLog
-	renders    *cachestore.Store[*pageRender] // nil when disabled
-	deltaBases *cachestore.Store[[]byte]      // previous page bodies; nil unless Options.Delta
-	// tenantNS memoizes per-tenant namespaced views of renders and
-	// deltaBases, keyed by tenant name. Requests whose context carries a
-	// tenant (internal/tenant) render into their tenant's namespace, so
-	// one tenant's page churn cannot evict another's renders; tenantless
-	// requests use the parent stores directly, unchanged.
-	tenantNS   sync.Map             // string → *tenantCaches
-	mapGate    *resilience.Gate               // map-resolution admission; nil when disabled
-	serveNS    *telemetry.Histogram           // nil without telemetry
-	dateHdr    atomic.Pointer[dateHeader]     // per-second Date value cache
+	renders    *cachestore.Store[*decorate.Render] // nil when disabled
+	deltaBases *cachestore.Store[[]byte]           // previous page bodies; nil unless Options.Delta
+	mapGate    *resilience.Gate                    // map-resolution admission; nil when disabled
+	serveNS    *telemetry.Histogram                // nil without telemetry
+	dateHdr    atomic.Pointer[dateHeader]          // per-second Date value cache
 	Metrics    Metrics
-}
-
-// tenantCaches is one tenant's namespaced slice of the server's derived
-// caches.
-type tenantCaches struct {
-	renders    *cachestore.Store[*pageRender]
-	deltaBases *cachestore.Store[[]byte]
-}
-
-// cachesFor resolves the render and delta-base stores for a request: the
-// tenant's namespaces when the context carries one, the process-global
-// stores otherwise. The tenantless path is one context lookup — no lock,
-// no allocation — which is what keeps the warm-serve alloc budget at zero.
-func (s *Server) cachesFor(ctx context.Context) (*cachestore.Store[*pageRender], *cachestore.Store[[]byte]) {
-	t, ok := tenant.FromContext(ctx)
-	if !ok {
-		return s.renders, s.deltaBases
-	}
-	if v, ok := s.tenantNS.Load(t.Name); ok {
-		c := v.(*tenantCaches)
-		return c.renders, c.deltaBases
-	}
-	prefix := "tenant." + t.Name + "."
-	c := &tenantCaches{}
-	if s.renders != nil {
-		c.renders = s.renders.NamespaceWith(t.Name, cachestore.NamespaceOptions{
-			MaxBytes:      t.BudgetBytes,
-			TelemetryName: prefix + "server_renders",
-		})
-	}
-	if s.deltaBases != nil {
-		half := t.BudgetBytes / 2
-		if t.BudgetBytes < 0 {
-			half = -1
-		}
-		c.deltaBases = s.deltaBases.NamespaceWith(t.Name, cachestore.NamespaceOptions{
-			MaxBytes:      half,
-			TelemetryName: prefix + "server_delta_bases",
-		})
-	}
-	v, _ := s.tenantNS.LoadOrStore(t.Name, c)
-	c = v.(*tenantCaches)
-	return c.renders, c.deltaBases
 }
 
 // dateHeader caches one second's worth of Date header value: HTTP dates
@@ -220,31 +169,18 @@ func New(content Content, opts Options) *Server {
 		s.access = newAccessLog(opts.AccessLogSize)
 	}
 	if opts.Catalyst && opts.MaxRenderBytes > 0 {
-		s.renders = cachestore.New[*pageRender](cachestore.Options[*pageRender]{
-			MaxBytes: opts.MaxRenderBytes,
-			SizeOf: func(key string, p *pageRender) int64 {
-				n := int64(len(key) + len(p.body) + 128)
-				for _, r := range p.refs {
-					n += int64(len(r.Key)) + 32
-				}
-				return n
-			},
+		s.renders = cachestore.New(cachestore.Options[*decorate.Render]{
+			MaxBytes:  opts.MaxRenderBytes,
+			SizeOf:    decorate.RenderSize,
 			Policy:    opts.RenderCachePolicy,
 			Telemetry: opts.Telemetry,
 			Name:      "server.renders",
 		})
 	}
 	if opts.Catalyst && opts.Delta {
-		maxDelta := opts.MaxDeltaBytes
-		if maxDelta == 0 {
-			maxDelta = 8 << 20
-		}
-		s.deltaBases = cachestore.New[[]byte](cachestore.Options[[]byte]{
-			MaxBytes:  maxDelta,
-			SizeOf:    func(key string, b []byte) int64 { return int64(len(key) + len(b)) },
-			Telemetry: opts.Telemetry,
-			Name:      "server.delta_bases",
-		})
+		bases := decorate.BaseStoreOptions()
+		bases.Telemetry, bases.Name = opts.Telemetry, "server.delta_bases"
+		s.deltaBases = cachestore.New(bases)
 	}
 	if opts.MaxInflight > 0 {
 		s.mapGate = resilience.NewGate(resilience.GateOptions{
@@ -301,10 +237,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // response's Server-Timing header. A method rather than a per-request
 // closure; the closure allocated on every serve.
 func (s *Server) decide(ctx context.Context, h http.Header, name, detail string) {
-	telemetry.Event(ctx, name, detail)
-	if s.opts.ServerTiming {
-		telemetry.AppendServerTiming(h, name)
-	}
+	decorate.Decide(ctx, h, s.opts.ServerTiming, name, detail)
 }
 
 func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
@@ -324,14 +257,12 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 		s.logAccess(r, http.StatusMethodNotAllowed, 0, 0)
 		return
 	}
-	p := r.URL.Path
-	if q := r.URL.RawQuery; q != "" {
-		p = p + "?" + q
-	}
+	p := decorate.PageURL(r)
 
 	if s.opts.Catalyst && p == core.ServiceWorkerPath {
 		s.decide(ctx, h, "sw-script", p)
-		status, n := s.serveWorkerScript(w, r)
+		h["Date"] = s.dateHeaderValue()
+		status, n := decorate.ServeWorkerScript(w, r)
 		s.logAccess(r, status, n, 0)
 		return
 	}
@@ -372,37 +303,34 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 	// deltaBase holds the previous page body a patch may be computed
 	// against; set only when the client named a base we still have.
 	var deltaBase []byte
-	deltaFrom := ""
+	var deltaFrom string
 
-	isHTML := IsHTML(res.ContentType)
-	var pr *pageRender
-	renders, deltaBases := s.renders, s.deltaBases
+	isHTML := decorate.IsHTML(res.ContentType)
+	var pr *decorate.Render
 	if s.opts.Catalyst && isHTML {
-		renders, deltaBases = s.cachesFor(ctx)
-		pr = s.renderPage(renders, p, res)
+		pr = s.renderPage(p, res)
 	}
 
 	if s.opts.EarlyHints && isHTML {
-		refs := pr.pageRefs(p, res)
-		if s.emitPreloadHints(h, refs) {
+		// Plain early-hints mode has no render to read the references off.
+		var refs []core.Ref
+		if pr != nil {
+			refs = pr.Refs
+		} else {
+			refs = core.ExtractPageRefs(p, string(res.Body))
+		}
+		if decorate.AddPreloadLinks(h, refs) {
 			s.Metrics.HintsSent.Add(1)
 			s.decide(ctx, h, "hints", p)
 		}
 	}
 
 	if pr != nil {
-		body = pr.body
-		tag = pr.tag
-		etagHdr = pr.etagHdr
-		clenHdr = pr.clenHdr
-		if deltaBases != nil {
-			deltaBases.Put(pr.deltaKey, body)
-			if baseTag := r.Header.Get(delta.RequestHeader); baseTag != "" && baseTag != pr.tagStr {
-				if base, okB := deltaBases.Get(p + "\x00" + baseTag); okB {
-					deltaBase, deltaFrom = base, baseTag
-				}
-			}
-		}
+		body = pr.Body
+		tag = pr.Tag
+		etagHdr = pr.EtagHeader
+		clenHdr = pr.ClenHeader
+		deltaBase, deltaFrom = decorate.DeltaBase(s.deltaBases, r, p, pr)
 		// The resolve phase is the only stage with fan-out amplification,
 		// so it alone is gated: a refused request ships its HTML without
 		// the map rather than queueing behind a saturated resolver.
@@ -410,7 +338,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 			s.Metrics.MapSheds.Add(1)
 			s.decide(ctx, h, "map-shed", p)
 		} else {
-			m := s.resolveMap(ctx, p, pr.refs, sessionID)
+			m := s.resolveMap(ctx, p, pr.Refs, sessionID)
 			s.releaseMap()
 			mapEntries = len(m)
 			enc := m.Encode()
@@ -435,57 +363,20 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if deltaBase != nil {
-		// The diff is computed only on the 200 path: a 304 (the client's
-		// validator still matches) never needs one.
-		if patch := delta.Diff(deltaBase, body); len(patch) < len(body) {
-			s.Metrics.DeltasServed.Add(1)
-			s.Metrics.DeltaBytesSaved.Add(int64(len(body) - len(patch)))
-			h.Set(delta.FromHeader, deltaFrom)
-			s.decide(ctx, h, "delta", p)
-			body = patch
-			clenHdr = nil
-		}
+	// The diff is computed only on the 200 path: a 304 (the client's
+	// validator still matches) never needs one.
+	if patch, ok := decorate.Patch(deltaBase, body); ok {
+		s.Metrics.DeltasServed.Add(1)
+		s.Metrics.DeltaBytesSaved.Add(int64(len(body) - len(patch)))
+		h.Set(delta.FromHeader, deltaFrom)
+		s.decide(ctx, h, "delta", p)
+		body, clenHdr = patch, nil
 	}
 
 	s.decide(ctx, h, "network", p)
-	if clenHdr != nil {
-		h["Content-Length"] = clenHdr
-	} else {
-		h.Set("Content-Length", strconv.Itoa(len(body)))
-	}
-	w.WriteHeader(http.StatusOK)
-	if r.Method == http.MethodHead {
-		s.logAccess(r, http.StatusOK, 0, mapEntries)
-		return
-	}
-	n, _ := w.Write(body)
+	n := decorate.WriteEntity(w, r, body, clenHdr)
 	s.Metrics.BodyBytes.Add(int64(n))
 	s.logAccess(r, http.StatusOK, n, mapEntries)
-}
-
-// maxPreloadHints caps Link header emission per response: real 103
-// deployments hint the critical few, and an unbounded list would bloat
-// the interim response past its usefulness.
-const maxPreloadHints = 32
-
-// emitPreloadHints writes "Link: <url>; rel=preload; as=..." headers for
-// the page's statically extractable references. Reports whether any hint
-// was emitted.
-func (s *Server) emitPreloadHints(h http.Header, refs []core.Ref) bool {
-	n := 0
-	for _, ref := range refs {
-		if n >= maxPreloadHints {
-			break
-		}
-		as := "image"
-		if ref.CSS {
-			as = "style"
-		}
-		h.Add("Link", "<"+ref.Key+">; rel=preload; as="+as)
-		n++
-	}
-	return n > 0
 }
 
 // notModified evaluates the request's conditional headers per RFC 9110
@@ -543,60 +434,20 @@ func (r *Resource) headerValues() *resourceHeaders {
 	return h
 }
 
-// pageRender memoizes what serving an HTML page computes from its stored
-// content alone: the extracted subresource references, the body with the
-// registration snippet injected, that body's validator, and the header
-// values / cache keys derived from them. All fields are immutable after
-// construction and shared across requests.
-type pageRender struct {
-	refs []core.Ref
-	body []byte
-	tag  etag.Tag
-
-	// Derived once at build time so the per-request serve path writes
-	// precomputed values instead of re-rendering them.
-	tagStr   string
-	etagHdr  []string
-	clenHdr  []string
-	deltaKey string // path + "\x00" + tagStr: the delta-base cache key
-}
-
-// pageRefs returns the page's subresource references: the memoized
-// extraction when a render exists (catalyst mode), a fresh extraction from
-// the stored body otherwise (plain early-hints mode has no render cache).
-func (pr *pageRender) pageRefs(p string, res *Resource) []core.Ref {
-	if pr != nil {
-		return pr.refs
-	}
-	return core.ExtractPageRefs(p, string(res.Body))
-}
-
 // renderKeyPool recycles the scratch buffer renderPage builds its lookup
 // key in, so a warm render hit allocates nothing at all.
 var renderKeyPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// renderPage returns the extract-phase result for the page, memoized per
-// (path, content validator). The stored ETag commits to the stored body —
-// that is what makes it a validator — so a changed page keys to a new entry
-// and stale renders are never served; they simply age out of the LRU.
-func (s *Server) renderPage(renders *cachestore.Store[*pageRender], p string, res *Resource) *pageRender {
-	build := func() (*pageRender, error) {
-		body := string(res.Body)
-		injected := []byte(core.InjectRegistration(body))
-		pr := &pageRender{
-			refs: core.ExtractPageRefs(p, body),
-			body: injected,
-			// The served entity differs from the stored one, so its
-			// validator must too; derive it from the bytes actually sent.
-			tag: etag.ForBytes(injected),
-		}
-		pr.tagStr = pr.tag.String()
-		pr.etagHdr = []string{pr.tagStr}
-		pr.clenHdr = []string{strconv.Itoa(len(injected))}
-		pr.deltaKey = p + "\x00" + pr.tagStr
-		return pr, nil
+// renderPage returns the page's render, memoized per (path, content
+// validator). The stored ETag commits to the stored body — that is what
+// makes it a validator — so a changed page keys to a new entry and stale
+// renders are never served; they simply age out of the LRU.
+func (s *Server) renderPage(p string, res *Resource) *decorate.Render {
+	build := func() (*decorate.Render, error) {
+		rd := decorate.NewRender(p, string(res.Body))
+		return &rd, nil
 	}
-	if renders == nil {
+	if s.renders == nil {
 		pr, _ := build()
 		return pr
 	}
@@ -608,13 +459,13 @@ func (s *Server) renderPage(renders *cachestore.Store[*pageRender], p string, re
 	key := append((*bufp)[:0], p...)
 	key = append(key, 0)
 	key = append(key, rh.tagStr...)
-	pr, ok := renders.GetBytes(key)
+	pr, ok := s.renders.GetBytes(key)
 	*bufp = key
 	renderKeyPool.Put(bufp)
 	if ok {
 		return pr
 	}
-	pr, _ = renders.GetOrLoad(p+"\x00"+rh.tagStr, build)
+	pr, _ = s.renders.GetOrLoad(p+"\x00"+rh.tagStr, build)
 	return pr
 }
 
@@ -654,38 +505,6 @@ func (s *Server) resolveMap(ctx context.Context, pageURL string, refs []core.Ref
 	return m
 }
 
-// The worker script never changes within one build, so everything serving
-// it derives from — bytes, validator, header values — is computed once at
-// startup.
-var (
-	workerScriptTag   = etag.ForBytes([]byte(core.ServiceWorkerScript))
-	workerScriptBytes = []byte(core.ServiceWorkerScript)
-	workerEtagHdr     = []string{workerScriptTag.String()}
-	workerCTypeHdr    = []string{"text/javascript; charset=utf-8"}
-	workerCacheHdr    = []string{"no-cache"}
-)
-
-// serveWorkerScript serves the JavaScript Service Worker. It is marked
-// no-cache so browsers revalidate it, matching how deployments keep SW
-// logic updatable — and those revalidations are answered 304 when the
-// script is unchanged, which it always is within one build.
-func (s *Server) serveWorkerScript(w http.ResponseWriter, r *http.Request) (status, n int) {
-	h := w.Header()
-	h["Content-Type"] = workerCTypeHdr
-	h["Cache-Control"] = workerCacheHdr
-	h["Date"] = s.dateHeaderValue()
-	h["Etag"] = workerEtagHdr
-	if !etag.NoneMatch(r.Header.Get("If-None-Match"), workerScriptTag) {
-		w.WriteHeader(http.StatusNotModified)
-		return http.StatusNotModified, 0
-	}
-	if r.Method == http.MethodHead {
-		return http.StatusOK, 0
-	}
-	_, _ = w.Write(workerScriptBytes)
-	return http.StatusOK, len(workerScriptBytes)
-}
-
 // contentResolver adapts Content to core.Resolver.
 type contentResolver struct {
 	content Content
@@ -701,7 +520,7 @@ func (c *contentResolver) ETagFor(path string) (etag.Tag, bool) {
 
 func (c *contentResolver) StylesheetBody(path string) (string, bool) {
 	r, ok := c.content.Get(path)
-	if !ok || !IsCSS(r.ContentType) {
+	if !ok || !decorate.IsCSS(r.ContentType) {
 		return "", false
 	}
 	return string(r.Body), true

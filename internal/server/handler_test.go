@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cachecatalyst/internal/core"
+	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/headers"
 	"cachecatalyst/internal/netsim"
@@ -293,7 +294,7 @@ func TestFSContent(t *testing.T) {
 		t.Fatal("file not loaded")
 	}
 	// index.html is also served at the directory root.
-	if r, ok := content.Get("/"); !ok || !IsHTML(r.ContentType) {
+	if r, ok := content.Get("/"); !ok || !decorate.IsHTML(r.ContentType) {
 		t.Fatalf("directory index: %v %v", r, ok)
 	}
 	s := New(content, Options{Catalyst: true})

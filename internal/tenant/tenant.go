@@ -13,8 +13,9 @@
 // same way telemetry tracers travel.
 //
 // Layers never take a *Tenant parameter; they read it from the request
-// context (FromContext) so that single-tenant deployments — no tenant in
-// context — run the exact pre-tenant code path at pre-tenant cost.
+// context (FromContext). A deployment with no tenant in context is served
+// by the default instance of the same per-tenant state — built by the same
+// constructor with every knob unset — not by a second code path.
 package tenant
 
 import (
@@ -112,7 +113,7 @@ func NewContext(ctx context.Context, t *Tenant) context.Context {
 }
 
 // FromContext returns the tenant attached to ctx, if any. Layers use the
-// absence to select their process-global (single-tenant) state.
+// absence to select their default state.
 func FromContext(ctx context.Context) (*Tenant, bool) {
 	t, ok := ctx.Value(ctxKey{}).(*Tenant)
 	return t, ok
