@@ -73,7 +73,8 @@ cachesim:
 BENCH_FILE ?= BENCH_$(shell date +%F).json
 bench:
 	$(GO) test -json -run '^$$' -bench . -benchtime 1s -count 6 \
-		./catalyst/ ./internal/cachestore/ ./internal/server/ > $(BENCH_FILE)
+		./catalyst/ ./internal/cachestore/ ./internal/server/ \
+		./internal/core/ ./internal/htmlparse/ > $(BENCH_FILE)
 	@echo "wrote $(BENCH_FILE)"
 
 # Run the benchmark sweep and compare it against the newest committed

@@ -125,8 +125,8 @@ type MiddlewareOptions struct {
 	// than cooldown-driven. catalystd's proxy mode wires this.
 	OriginBreaker *resilience.Breaker
 	// ServerTiming mirrors each decorated response's cache decisions
-	// ("map-built", "etag-match") into a Server-Timing header so clients
-	// can annotate their traces with the origin middleware's view.
+	// ("map-built", "map-reused", "etag-match") into a Server-Timing header
+	// so clients can annotate their traces with the origin middleware's view.
 	ServerTiming bool
 	// EarlyHints sends a 103 Early Hints informational response carrying
 	// preload links for the page's subresources as soon as the HTML has
@@ -576,6 +576,9 @@ func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.R
 	gen := ts.probeGen.Load()
 	now := time.Now()
 	var encoded string
+	// decision names how the map was come by: "map-built" only when a
+	// resolve ran.
+	decision := "map-built"
 	if e := ent.enc.Load(); e != nil && e.gen == gen && now.UnixNano() < e.expires {
 		// Every probe the encoding depends on is unexpired and none has
 		// changed since it was built, so resolving again would only
@@ -583,6 +586,7 @@ func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.R
 		encoded = e.enc
 		h[HeaderName] = e.hdr
 		m.opts.Metrics.EncodeReuses.Add(1)
+		decision = "map-reused"
 	} else if peerEnc, peerExp, ok := m.exchangeLookup(ts, pageURL, ent, now); ok {
 		// A cluster peer already rendered this exact entity and gossiped
 		// its encoded map: adopt it instead of re-probing. The peer's
@@ -592,7 +596,7 @@ func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.R
 		h.Set(HeaderName, encoded)
 		ent.enc.Store(&encodedMap{gen: gen, expires: peerExp, enc: encoded, hdr: []string{encoded}})
 		m.opts.Metrics.HotMapHits.Add(1)
-		telemetry.Event(ctx, "hotmap-adopt", pageURL)
+		decision = "hotmap-adopt"
 	} else {
 		res := &probeResolver{m: m, ts: ts, req: r, ctx: ctx}
 		etags := core.ResolveRefsContext(ctx, ent.Refs, res, core.BuildOptions{Concurrency: m.opts.ProbeConcurrency})
@@ -619,7 +623,7 @@ func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.R
 
 	h["Etag"] = ent.EtagHeader
 	m.recordStale(ts, pageURL, ent, encoded, sw.header, now)
-	m.decide(ctx, h, "map-built", pageURL)
+	m.decide(ctx, h, decision, pageURL)
 
 	if !etag.NoneMatch(r.Header.Get("If-None-Match"), ent.Tag) {
 		m.decide(ctx, h, "etag-match", pageURL)

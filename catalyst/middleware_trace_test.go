@@ -97,6 +97,23 @@ func TestMiddlewareTraceEndToEnd(t *testing.T) {
 		t.Fatal("load trace empty")
 	}
 
+	// That navigation resolved too — the first one's probes each bumped the
+	// probe generation, so its encoding was never kept — and left one behind
+	// that the next navigation reuses, and says so.
+	byPath = make(map[string][]string)
+	b.OnFetch = func(ev browser.FetchEvent) { byPath[ev.Path] = ev.Decisions }
+	_, err = b.Load(origins, cond, "site.example", "/")
+	b.OnFetch = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nav := strings.Join(byPath["/"], " "); !strings.Contains(nav, "origin:map-reused") || strings.Contains(nav, "origin:map-built") {
+		t.Errorf("warm navigation decisions %q, want origin:map-reused and no origin:map-built", nav)
+	}
+	if metrics.EncodeReuses.Load() != 1 {
+		t.Errorf("EncodeReuses = %d, want 1", metrics.EncodeReuses.Load())
+	}
+
 	snap := reg.Snapshot()
 	for _, name := range []string{
 		"middleware.probes.hits", "middleware.panics_recovered",

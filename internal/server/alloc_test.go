@@ -14,7 +14,10 @@ import (
 // TestWarmServeAllocFree pins the tentpole bar for the origin's hot paths:
 // a warm non-HTML serve and a warm conditional 304 allocate nothing —
 // every header value is a precomputed shared slice, the Date string is
-// cached per second, and the decision plumbing is closure-free.
+// cached per second, and the decision plumbing is closure-free. Nor does a
+// warm catalyst page, 200 or 304: the render comes from the cache by pooled
+// key, and the ETag map from the render's slot — verified, not rebuilt — as
+// a shared header slice.
 func TestWarmServeAllocFree(t *testing.T) {
 	s := New(benchContent(), Options{Catalyst: true})
 
@@ -31,5 +34,22 @@ func TestWarmServeAllocFree(t *testing.T) {
 	cond.Header.Set("If-None-Match", rec.Header().Get("Etag"))
 	if got := testing.AllocsPerRun(200, func() { s.ServeHTTP(w, cond) }); got > 0 {
 		t.Errorf("warm 304 serve allocates %.1f times per request, want 0", got)
+	}
+
+	// A page of realistic fan-out, so a per-reference allocation would show.
+	s = New(siteContent(), Options{Catalyst: true})
+	page := httptest.NewRequest("GET", "/", nil)
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, page) // render, resolve, fill the slot
+	if got := testing.AllocsPerRun(200, func() { s.ServeHTTP(w, page) }); got > 0 {
+		t.Errorf("warm HTML serve allocates %.1f times per request, want 0", got)
+	}
+	pageCond := httptest.NewRequest("GET", "/", nil)
+	pageCond.Header.Set("If-None-Match", rec.Header().Get("Etag"))
+	if got := testing.AllocsPerRun(200, func() { s.ServeHTTP(w, pageCond) }); got > 0 {
+		t.Errorf("warm HTML 304 allocates %.1f times per request, want 0", got)
+	}
+	if built := s.Metrics.MapsBuilt.Load(); built != 1 {
+		t.Errorf("%d resolves over unchanged content, want the first request's only", built)
 	}
 }

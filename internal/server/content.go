@@ -86,6 +86,21 @@ type Resource struct {
 	// Built lazily on first serve; racing builders produce identical
 	// values, so last-store-wins is fine.
 	hdr atomic.Pointer[resourceHeaders]
+	// str memoizes string(Body) for the map builder, which reads every
+	// stylesheet it recurses into as a string on every resolve. Same
+	// lazy, last-store-wins discipline as hdr.
+	str atomic.Pointer[string]
+}
+
+// text returns the body as a string, converting once per Resource rather
+// than once per resolve.
+func (r *Resource) text() string {
+	if s := r.str.Load(); s != nil {
+		return *s
+	}
+	s := string(r.Body)
+	r.str.Store(&s)
+	return s
 }
 
 // Content supplies the site being served. Implementations must reflect the
@@ -153,18 +168,19 @@ type PolicyFunc func(path string) CachePolicy
 
 // FSContent serves a directory tree (cmd/catalystd's backend). Files are
 // read eagerly so that ETags are stable snapshots; call Reload to pick up
-// edits.
+// edits. Reload may run while requests are being served: the snapshot is
+// swapped atomically, so a request sees the old tree or the new one.
 type FSContent struct {
 	fsys   fs.FS
 	policy PolicyFunc
-	mem    *MemContent
+	mem    atomic.Pointer[MemContent]
 }
 
 // NewFSContent loads every regular file under fsys. policy may be nil, in
 // which case no Cache-Control headers are emitted (the all-heuristics
 // configuration §2 attributes to inattentive deployments).
 func NewFSContent(fsys fs.FS, policy PolicyFunc) (*FSContent, error) {
-	c := &FSContent{fsys: fsys, policy: policy, mem: NewMemContent()}
+	c := &FSContent{fsys: fsys, policy: policy}
 	return c, c.Reload()
 }
 
@@ -194,15 +210,15 @@ func (c *FSContent) Reload() error {
 	if err != nil {
 		return err
 	}
-	c.mem = mem
+	c.mem.Store(mem)
 	return nil
 }
 
 // Get implements Content.
-func (c *FSContent) Get(p string) (*Resource, bool) { return c.mem.Get(p) }
+func (c *FSContent) Get(p string) (*Resource, bool) { return c.mem.Load().Get(p) }
 
 // Paths implements Content.
-func (c *FSContent) Paths() []string { return c.mem.Paths() }
+func (c *FSContent) Paths() []string { return c.mem.Load().Paths() }
 
 // TypeByPath maps a URL path to a Content-Type, defaulting to
 // application/octet-stream.

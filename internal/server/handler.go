@@ -98,9 +98,15 @@ type Metrics struct {
 	NotModified telemetry.Counter
 	NotFound    telemetry.Counter
 	BodyBytes   telemetry.Counter
-	MapsBuilt   telemetry.Counter
-	// MapBytes accumulates encoded X-Etag-Config sizes, the overhead the
-	// ablation benchmarks quantify.
+	// MapsBuilt counts ETag-map resolves; MapsReused counts HTML responses
+	// whose map was the previous resolve's, re-verified (see resolvedMap).
+	// Together with MapSheds they add up to the HTML responses served with
+	// Catalyst on.
+	MapsBuilt  telemetry.Counter
+	MapsReused telemetry.Counter
+	// MapBytes accumulates the encoded X-Etag-Config sizes of the maps
+	// MapsBuilt counts, the overhead the ablation benchmarks quantify:
+	// MapBytes ÷ MapsBuilt is the mean header cost.
 	MapBytes telemetry.Counter
 	// MapSheds counts HTML responses served without a map because the
 	// resolution gate (Options.MaxInflight) refused a slot in time.
@@ -119,14 +125,13 @@ type Metrics struct {
 type Server struct {
 	content    Content
 	opts       Options
-	resolver   contentResolver // stateless Content→core.Resolver adapter, built once
 	recorder   *Recorder
 	access     *accessLog
-	renders    *cachestore.Store[*decorate.Render] // nil when disabled
-	deltaBases *cachestore.Store[[]byte]           // previous page bodies; nil unless Options.Delta
-	mapGate    *resilience.Gate                    // map-resolution admission; nil when disabled
-	serveNS    *telemetry.Histogram                // nil without telemetry
-	dateHdr    atomic.Pointer[dateHeader]          // per-second Date value cache
+	renders    *cachestore.Store[*pageRender] // nil when disabled
+	deltaBases *cachestore.Store[[]byte]      // previous page bodies; nil unless Options.Delta
+	mapGate    *resilience.Gate               // map-resolution admission; nil when disabled
+	serveNS    *telemetry.Histogram           // nil without telemetry
+	dateHdr    atomic.Pointer[dateHeader]     // per-second Date value cache
 	Metrics    Metrics
 }
 
@@ -161,7 +166,7 @@ func New(content Content, opts Options) *Server {
 	if opts.MaxRenderBytes == 0 {
 		opts.MaxRenderBytes = 16 << 20
 	}
-	s := &Server{content: content, opts: opts, resolver: contentResolver{content: content}}
+	s := &Server{content: content, opts: opts}
 	if opts.Record {
 		s.recorder = NewRecorder()
 	}
@@ -169,9 +174,9 @@ func New(content Content, opts Options) *Server {
 		s.access = newAccessLog(opts.AccessLogSize)
 	}
 	if opts.Catalyst && opts.MaxRenderBytes > 0 {
-		s.renders = cachestore.New(cachestore.Options[*decorate.Render]{
+		s.renders = cachestore.New(cachestore.Options[*pageRender]{
 			MaxBytes:  opts.MaxRenderBytes,
-			SizeOf:    decorate.RenderSize,
+			SizeOf:    pageRenderSize,
 			Policy:    opts.RenderCachePolicy,
 			Telemetry: opts.Telemetry,
 			Name:      "server.renders",
@@ -196,6 +201,7 @@ func New(content Content, opts Options) *Server {
 		opts.Telemetry.RegisterCounter("server.not_found", &s.Metrics.NotFound)
 		opts.Telemetry.RegisterCounter("server.body_bytes", &s.Metrics.BodyBytes)
 		opts.Telemetry.RegisterCounter("server.maps_built", &s.Metrics.MapsBuilt)
+		opts.Telemetry.RegisterCounter("server.maps_reused", &s.Metrics.MapsReused)
 		opts.Telemetry.RegisterCounter("server.map_bytes", &s.Metrics.MapBytes)
 		opts.Telemetry.RegisterCounter("server.map_sheds", &s.Metrics.MapSheds)
 		opts.Telemetry.RegisterCounter("server.hints_sent", &s.Metrics.HintsSent)
@@ -306,7 +312,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 	var deltaFrom string
 
 	isHTML := decorate.IsHTML(res.ContentType)
-	var pr *decorate.Render
+	var pr *pageRender
 	if s.opts.Catalyst && isHTML {
 		pr = s.renderPage(p, res)
 	}
@@ -330,23 +336,8 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 		tag = pr.Tag
 		etagHdr = pr.EtagHeader
 		clenHdr = pr.ClenHeader
-		deltaBase, deltaFrom = decorate.DeltaBase(s.deltaBases, r, p, pr)
-		// The resolve phase is the only stage with fan-out amplification,
-		// so it alone is gated: a refused request ships its HTML without
-		// the map rather than queueing behind a saturated resolver.
-		if err := s.admitMap(ctx); err != nil {
-			s.Metrics.MapSheds.Add(1)
-			s.decide(ctx, h, "map-shed", p)
-		} else {
-			m := s.resolveMap(ctx, p, pr.Refs, sessionID)
-			s.releaseMap()
-			mapEntries = len(m)
-			enc := m.Encode()
-			h.Set(core.HeaderName, enc)
-			s.Metrics.MapsBuilt.Add(1)
-			s.Metrics.MapBytes.Add(int64(core.WireSizeOf(enc)))
-			s.decide(ctx, h, "map-built", p)
-		}
+		deltaBase, deltaFrom = decorate.DeltaBase(s.deltaBases, r, p, &pr.Render)
+		mapEntries = s.attachMap(ctx, h, p, pr, sessionID)
 	} else if s.recorder != nil && !isHTML {
 		// Recording mode: remember which subresources this session's
 		// page loads actually requested.
@@ -434,6 +425,22 @@ func (r *Resource) headerValues() *resourceHeaders {
 	return h
 }
 
+// pageRender is the server's cached render: the shared, immutable
+// decorate.Render plus the one mutable slot the Content-backed front end
+// adds — the last ETag map resolved for this render (see resolvedMap).
+type pageRender struct {
+	decorate.Render
+	resolved atomic.Pointer[resolvedMap]
+}
+
+// pageRenderSize charges the render alone. The resolved-map slot is
+// deliberately not charged, for the reason the middleware's cached encoding
+// is not: it is bounded by the references the render already pays for, and
+// it mutates after insertion, which byte accounting must not chase.
+func pageRenderSize(key string, pr *pageRender) int64 {
+	return decorate.RenderSize(key, &pr.Render)
+}
+
 // renderKeyPool recycles the scratch buffer renderPage builds its lookup
 // key in, so a warm render hit allocates nothing at all.
 var renderKeyPool = sync.Pool{New: func() any { return new([]byte) }}
@@ -442,18 +449,13 @@ var renderKeyPool = sync.Pool{New: func() any { return new([]byte) }}
 // validator). The stored ETag commits to the stored body — that is what
 // makes it a validator — so a changed page keys to a new entry and stale
 // renders are never served; they simply age out of the LRU.
-func (s *Server) renderPage(p string, res *Resource) *decorate.Render {
-	build := func() (*decorate.Render, error) {
-		rd := decorate.NewRender(p, string(res.Body))
-		return &rd, nil
-	}
+func (s *Server) renderPage(p string, res *Resource) *pageRender {
 	if s.renders == nil {
-		pr, _ := build()
-		return pr
+		return newPageRender(p, res)
 	}
 	// Warm path: probe the cache with a pooled key buffer (the store's
 	// byte-key lookup avoids materializing the key string), falling back
-	// to the allocating GetOrLoad only on a miss.
+	// to the allocating GetOrLoad — and its loader closure — only on a miss.
 	rh := res.headerValues()
 	bufp := renderKeyPool.Get().(*[]byte)
 	key := append((*bufp)[:0], p...)
@@ -465,63 +467,12 @@ func (s *Server) renderPage(p string, res *Resource) *decorate.Render {
 	if ok {
 		return pr
 	}
-	pr, _ = s.renders.GetOrLoad(p+"\x00"+rh.tagStr, build)
+	pr, _ = s.renders.GetOrLoad(p+"\x00"+rh.tagStr, func() (*pageRender, error) {
+		return newPageRender(p, res), nil
+	})
 	return pr
 }
 
-// admitMap acquires a map-resolution slot, or reports that the map should
-// be shed; releaseMap frees it. With no gate configured every request is
-// admitted for free.
-func (s *Server) admitMap(ctx context.Context) error {
-	if s.mapGate == nil {
-		return nil
-	}
-	return s.mapGate.AcquireSlot(ctx)
-}
-
-func (s *Server) releaseMap() {
-	if s.mapGate != nil {
-		s.mapGate.Release()
-	}
-}
-
-// resolveMap runs the resolve phase for an already-extracted page, folding
-// in session-recorded resources when recording is enabled. The request's
-// context flows into the probe fan-out, so an abandoned request stops
-// resolving instead of completing the whole BFS.
-func (s *Server) resolveMap(ctx context.Context, pageURL string, refs []core.Ref, sessionID string) core.ETagMap {
-	res := &s.resolver
-	m := core.ResolveRefsContext(ctx, refs, res, s.opts.MapOptions)
-	if s.recorder != nil && sessionID != "" {
-		for _, extra := range s.recorder.Recorded(sessionID, pageURL) {
-			if _, covered := m[extra]; covered {
-				continue
-			}
-			if t, ok := res.ETagFor(extra); ok {
-				m[extra] = t
-			}
-		}
-	}
-	return m
-}
-
-// contentResolver adapts Content to core.Resolver.
-type contentResolver struct {
-	content Content
-}
-
-func (c *contentResolver) ETagFor(path string) (etag.Tag, bool) {
-	r, ok := c.content.Get(path)
-	if !ok {
-		return etag.Tag{}, false
-	}
-	return r.ETag, true
-}
-
-func (c *contentResolver) StylesheetBody(path string) (string, bool) {
-	r, ok := c.content.Get(path)
-	if !ok || !decorate.IsCSS(r.ContentType) {
-		return "", false
-	}
-	return string(r.Body), true
+func newPageRender(p string, res *Resource) *pageRender {
+	return &pageRender{Render: decorate.NewRender(p, string(res.Body))}
 }

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"testing/fstest"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/headers"
 	"cachecatalyst/internal/netsim"
+	"cachecatalyst/internal/telemetry"
 	"cachecatalyst/internal/vclock"
 )
 
@@ -435,5 +438,101 @@ func TestServerRenderCacheDisabled(t *testing.T) {
 	rec := get(t, s, "/index.html", nil)
 	if rec.Code != 200 || rec.Header().Get(core.HeaderName) == "" {
 		t.Fatalf("uncached catalyst serve broken: %d", rec.Code)
+	}
+}
+
+// TestFSContentReloadUnderTraffic reloads a changing tree while requests are
+// being served: no data race (run under -race), every response's map
+// decodes, the first response after Reload returns names the new tags, and
+// only a reload that changed something costs a resolve — the slot compares
+// validators, not the *Resource pointers a reload replaces wholesale.
+func TestFSContentReloadUnderTraffic(t *testing.T) {
+	fsys := fstest.MapFS{
+		"index.html": {Data: []byte(`<html><head><link rel="stylesheet" href="/a.css"></head><body><img src="/img.png"></body></html>`)},
+		"a.css":      {Data: []byte(`.x { background: url(/bg.png) }`)},
+		"bg.png":     {Data: []byte("bg")},
+		"img.png":    {Data: []byte("v0")},
+	}
+	c, err := NewFSContent(fsys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(c, Options{Catalyst: true})
+	pageMap := func() core.ETagMap {
+		m, err := core.DecodeMap(get(t, s, "/index.html", nil).Header().Get(core.HeaderName))
+		if err != nil || len(m) == 0 {
+			t.Errorf("map %v undecodable or empty: %v", m, err)
+		}
+		return m
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					pageMap()
+				}
+			}
+		}()
+	}
+	// Only this goroutine touches fsys: Reload reads it here, the servers
+	// read the snapshot Reload publishes.
+	redeploy := func(body string) etag.Tag {
+		fsys["img.png"] = &fstest.MapFile{Data: []byte(body)}
+		if err := c.Reload(); err != nil {
+			t.Fatal(err)
+		}
+		return etag.ForBytes([]byte(body))
+	}
+	for i := 1; i <= 20; i++ {
+		want := redeploy(fmt.Sprint("v", i))
+		if got := pageMap()["/img.png"]; got != want {
+			t.Fatalf("reload %d: map names %v after Reload returned, want %v", i, got, want)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	built := s.Metrics.MapsBuilt.Load()
+	if err := c.Reload(); err != nil { // same tree, all-new Resources
+		t.Fatal(err)
+	}
+	pageMap()
+	if got := s.Metrics.MapsBuilt.Load(); got != built {
+		t.Errorf("reload of an unchanged tree cost %d resolves, want 0", got-built)
+	}
+	redeploy("final")
+	pageMap()
+	pageMap()
+	if got := s.Metrics.MapsBuilt.Load(); got != built+1 {
+		t.Errorf("reload of a changed tree cost %d resolves, want 1", got-built)
+	}
+}
+
+// TestMapDecisionNamesBuiltOrReused: the decision token says what happened —
+// "map-built" only when a resolve ran, "map-reused" when the render's
+// verified map was shipped again.
+func TestMapDecisionNamesBuiltOrReused(t *testing.T) {
+	c := buildSite()
+	s := New(c, Options{Catalyst: true, ServerTiming: true})
+	decisions := func() string {
+		return strings.Join(telemetry.ParseServerTiming(get(t, s, "/index.html", nil).Header().Get(telemetry.ServerTimingHeader)), " ")
+	}
+	if got := decisions(); !strings.Contains(got, "map-built") {
+		t.Errorf("first navigation decided %q, want map-built", got)
+	}
+	if got := decisions(); !strings.Contains(got, "map-reused") || strings.Contains(got, "map-built") {
+		t.Errorf("second navigation decided %q, want map-reused and no map-built", got)
+	}
+	c.SetBody("/d.jpg", "JPEGDATA2", CachePolicy{})
+	if got := decisions(); !strings.Contains(got, "map-built") {
+		t.Errorf("navigation after a subresource changed decided %q, want map-built", got)
 	}
 }
