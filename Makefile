@@ -25,11 +25,13 @@ vet:
 # when, in non-test code outside bench/ (which times the leaf functions
 # themselves), snippet injection or delta diffing gains a second call site,
 # the preload-hint cap a second definition, or internal/server a tenant
-# path. See DESIGN.md §3.
+# path (DESIGN.md §3) — or when a second reverse proxy is assembled beside
+# catalyst.NewUpstreamProxy, the one upstream leg the daemon and the cluster
+# harness share (DESIGN.md §13).
 FORK_SRC = $(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' ./... | tr ' ' '\n' | grep -v '/bench/'
 forks:
 	@fail=0; src=$$($(FORK_SRC)); \
-	for pat in 'core\.InjectRegistration(' 'delta\.Diff(' 'maxPreloadHints *='; do \
+	for pat in 'core\.InjectRegistration(' 'delta\.Diff(' 'maxPreloadHints *=' 'httputil\.NewSingleHostReverseProxy('; do \
 		n=$$(grep -h "$$pat" $$src | grep -vc '^[[:space:]]*//'); \
 		if [ "$$n" -ne 1 ]; then echo "forks: '$$pat' appears $$n times in non-test code, want 1:" >&2; grep -n "$$pat" $$src >&2; fail=1; fi; \
 	done; \

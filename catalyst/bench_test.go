@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -187,4 +188,68 @@ func BenchmarkMiddlewareHTMLCold(b *testing.B) {
 	}
 	b.Run("Parallel", func(b *testing.B) { bench(b, 0) })
 	b.Run("Sequential", func(b *testing.B) { bench(b, 1) })
+}
+
+// churnPage is the benchmark's page_churn page shape as an inner handler: one
+// page with 40 references — 4 stylesheets of 6 KB, 12 scripts of 4 KB, 24
+// images of 3 KB — every response tagged and If-None-Match honoured, the way
+// the bench origin (and any static file server) answers.
+func churnPage() http.Handler {
+	mux := http.NewServeMux()
+	var page strings.Builder
+	page.WriteString("<html><head>")
+	asset := func(path, contentType string, size int) {
+		filler := "/* " + path + " */ "
+		handleTagged(mux, path, contentType, strings.Repeat(filler, size/len(filler)))
+	}
+	for i := 0; i < 4; i++ {
+		fmt.Fprintf(&page, `<link rel="stylesheet" href="/s%d.css">`, i)
+		asset(fmt.Sprintf("/s%d.css", i), "text/css", 6<<10)
+	}
+	for i := 0; i < 12; i++ {
+		fmt.Fprintf(&page, `<script src="/j%02d.js"></script>`, i)
+		asset(fmt.Sprintf("/j%02d.js", i), "text/javascript", 4<<10)
+	}
+	page.WriteString("</head><body>")
+	for i := 0; i < 24; i++ {
+		fmt.Fprintf(&page, `<img src="/i%02d.png">`, i)
+		asset(fmt.Sprintf("/i%02d.png", i), "image/png", 3<<10)
+	}
+	page.WriteString("</body></html>")
+	handleTagged(mux, "/{$}", "text/html; charset=utf-8", page.String())
+	return mux
+}
+
+// BenchmarkMiddlewareProbeRefresh measures a navigation that finds every
+// probe expired: the page is unchanged (render cache hit), so what an
+// iteration costs is one page fetch plus a re-probe of all 40 references.
+// InProcess calls the handler directly; Upstream reaches the same handler
+// the way catalystd -origin does, through NewUpstreamProxy over loopback —
+// where a probe also costs a round trip, and before revalidation and the
+// connection pool a body copy and, mostly, a connect.
+func BenchmarkMiddlewareProbeRefresh(b *testing.B) {
+	bench := func(b *testing.B, inner http.Handler) {
+		// One nanosecond: every probe has expired by the time it is read back.
+		h := Middleware(inner, MiddlewareOptions{ProbeTTL: time.Nanosecond})
+		req := httptest.NewRequest("GET", "/", nil)
+		w := &discardWriter{h: make(http.Header)}
+		h.ServeHTTP(w, req)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.ServeHTTP(w, req)
+		}
+	}
+	b.Run("InProcess", func(b *testing.B) { bench(b, churnPage()) })
+	b.Run("Upstream", func(b *testing.B) {
+		origin := httptest.NewServer(churnPage())
+		defer origin.Close()
+		u, err := url.Parse(origin.URL)
+		if err != nil {
+			b.Fatal(err)
+		}
+		proxy, closeIdle := NewUpstreamProxy(u)
+		defer closeIdle()
+		bench(b, proxy)
+	})
 }

@@ -142,6 +142,11 @@ type MiddlewareMetrics struct {
 	// from a cluster peer's published encoding (MiddlewareOptions.Exchange)
 	// instead of being assembled by a local probe fan-out.
 	HotMapHits telemetry.Counter
+	// ProbeRevalidated counts subresource probes the inner handler answered
+	// 304 to the tag the probe cache held (no body produced); ProbeFetched
+	// counts probes answered with a full 200. Failed probes count as neither.
+	ProbeRevalidated telemetry.Counter
+	ProbeFetched     telemetry.Counter
 }
 
 // RegisterTelemetry indexes the counters in reg under "middleware.*".
@@ -160,6 +165,8 @@ func (m *MiddlewareMetrics) RegisterTelemetry(reg *telemetry.Registry) {
 	reg.RegisterCounter("middleware.deltas_served", &m.DeltasServed)
 	reg.RegisterCounter("middleware.delta_bytes_saved", &m.DeltaBytesSaved)
 	reg.RegisterCounter("middleware.hotmap_hits", &m.HotMapHits)
+	reg.RegisterCounter("middleware.probe_revalidated", &m.ProbeRevalidated)
+	reg.RegisterCounter("middleware.probe_fetched", &m.ProbeFetched)
 }
 
 // ClientMetricsHandler serves c's counters — including the resilience

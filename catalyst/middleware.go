@@ -3,7 +3,6 @@ package catalyst
 import (
 	"context"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"sort"
 	"sync"
@@ -394,7 +393,11 @@ type probe struct {
 	cssBody string
 	isCSS   bool
 	ok      bool
-	expires time.Time
+	// received marks a tag the inner handler sent in an Etag header — the
+	// only kind a re-probe may name in If-None-Match. A tag derived from
+	// the body (etag.ForBytes) is one the origin has never seen.
+	received bool
+	expires  time.Time
 	// fails counts consecutive failed probes of this path; at the
 	// breaker threshold the entry's expiry is pushed out to the cooldown.
 	fails int
@@ -762,10 +765,11 @@ func (p *probeResolver) StylesheetBody(path string) (string, bool) {
 	return pr.cssBody, true
 }
 
-// probe returns the cached probe result for path, or GETs path against the
-// inner handler. Concurrent probes of the same expired path are collapsed
-// by singleflight into one inner-handler call — under a thundering herd of
-// page renders each subresource is probed once, not once per render.
+// probe returns the cached probe result for path, or asks the inner handler
+// (fetchProbe: a revalidation when the cache still holds the tag the handler
+// issued, a GET otherwise). Concurrent probes of the same expired path are
+// collapsed by singleflight into one inner-handler call — under a thundering
+// herd of page renders each subresource is probed once, not once per render.
 // Failed probes trip a per-path circuit breaker: after breakerThreshold
 // consecutive failures the path is left alone (and out of the map) for
 // BreakerCooldown, so an inner handler erroring on one path is not hammered
@@ -782,7 +786,7 @@ func (m *middleware) probe(ts *tenantState, path string, via *http.Request, ctx 
 		if had && time.Now().Before(prev.expires) {
 			return prev, nil
 		}
-		pr := m.fetchProbe(path, via)
+		pr := m.fetchProbe(ctx, path, via, prev)
 		if !pr.ok {
 			if threshold := m.opts.BreakerThreshold; threshold > 0 {
 				pr.fails = prev.fails + 1
@@ -809,13 +813,23 @@ func (m *middleware) probe(ts *tenantState, path string, via *http.Request, ctx 
 	return pr
 }
 
-// fetchProbe GETs path against the inner handler and reports what it
-// learned, good for ProbeTTL. Subresource keys come out of upstream HTML
-// and are hostile input: one that does not parse as a request target is a
-// failed probe like any other, and a panic anywhere in the flight — which
-// runs on a fan-out worker goroutine, out of reach of net/http's recover —
-// is recovered into a failed probe too.
-func (m *middleware) fetchProbe(path string, via *http.Request) (pr probe) {
+// fetchProbe asks the inner handler for path's current validator and
+// reports what it learned, good for ProbeTTL. prev is what the probe cache
+// held (the zero probe for a never-seen or evicted path). When prev was a
+// success whose tag the handler itself issued, the probe is a revalidation:
+// it carries If-None-Match with that tag, verbatim, and a 304 renews prev —
+// same tag, same stylesheet body — without a body crossing the handler's
+// writer. The 304 is believed only if it names no Etag or the one sent; one
+// naming another tag is answered by a single unconditional GET in the same
+// flight. Anything but a 200 to that GET — an unsolicited 304 included — is
+// a failed probe.
+//
+// Subresource keys come out of upstream HTML and are hostile input: one that
+// does not parse as a request target is a failed probe like any other, and a
+// panic anywhere in the flight — which runs on a fan-out worker goroutine,
+// out of reach of net/http's recover — is recovered into a failed probe too.
+// trace is the serving request's context, used for trace events only.
+func (m *middleware) fetchProbe(trace context.Context, path string, via *http.Request, prev probe) (pr probe) {
 	defer func() {
 		if v := recover(); v != nil {
 			m.opts.Metrics.PanicsRecovered.Add(1)
@@ -836,33 +850,73 @@ func (m *middleware) fetchProbe(path string, via *http.Request) (pr probe) {
 	if t, ok := tenant.FromContext(via.Context()); ok {
 		ctx = tenant.NewContext(ctx, t)
 	}
-	req := (&http.Request{
-		Method:     http.MethodGet,
-		URL:        u,
-		Proto:      "HTTP/1.1",
-		ProtoMajor: 1,
-		ProtoMinor: 1,
-		Header:     make(http.Header),
-		Body:       http.NoBody,
-		Host:       via.Host,
-		RequestURI: path,
-		RemoteAddr: via.RemoteAddr,
-	}).WithContext(ctx)
-	rec := httptest.NewRecorder()
-	if m.serveInner(rec, req) || rec.Code != http.StatusOK {
+	pw := probeWriterPool.Get().(*probeWriter)
+	defer pw.release()
+	// serve runs one probe request through the inner handler into pw and
+	// reports whether it panicked.
+	serve := func(inm string) bool {
+		req := (&http.Request{
+			Method:     http.MethodGet,
+			URL:        u,
+			Proto:      "HTTP/1.1",
+			ProtoMajor: 1,
+			ProtoMinor: 1,
+			Header:     make(http.Header, 1),
+			Body:       http.NoBody,
+			Host:       via.Host,
+			RequestURI: path,
+			RemoteAddr: via.RemoteAddr,
+		}).WithContext(ctx)
+		if inm != "" {
+			req.Header["If-None-Match"] = []string{inm}
+		}
+		if m.serveInner(pw, req) {
+			return true
+		}
+		if pw.status == 0 {
+			pw.WriteHeader(http.StatusOK) // the handler wrote nothing: net/http's implicit 200
+		}
+		return false
+	}
+
+	// Only a tag the handler itself issued may be named back to it.
+	inm := ""
+	if prev.ok && prev.received {
+		inm = prev.tag.String()
+	}
+	if serve(inm) {
 		return pr
 	}
-	if t, ok := etag.Parse(rec.Header().Get("Etag")); ok {
-		pr.tag = t
+	if inm != "" && pw.status == http.StatusNotModified {
+		if !pw.hasEtag || (pw.tagOK && pw.tag == prev.tag) {
+			m.opts.Metrics.ProbeRevalidated.Add(1)
+			telemetry.Event(trace, "probe-revalidated", path)
+			prev.expires, prev.fails = pr.expires, 0
+			return prev
+		}
+		// The handler vouched for a tag other than the one it was asked
+		// about, so what it holds is not what prev describes. Ask once
+		// more, for the entity itself.
+		pw.reset()
+		if serve("") {
+			return pr
+		}
+	}
+	if pw.status != http.StatusOK {
+		return pr
+	}
+	m.opts.Metrics.ProbeFetched.Add(1)
+	if pw.tagOK {
+		pr.tag, pr.received = pw.tag, true
 	} else {
 		// The inner handler emits no validator; derive one the way the
 		// modified Caddy derives tags from file contents.
-		pr.tag = etag.ForBytes(rec.Body.Bytes())
+		pr.tag = etag.ForBytes(pw.buf.Bytes())
 	}
 	pr.ok = true
-	if decorate.IsCSS(rec.Header().Get("Content-Type")) {
+	if pw.isCSS {
 		pr.isCSS = true
-		pr.cssBody = rec.Body.String()
+		pr.cssBody = pw.buf.String()
 	}
 	return pr
 }

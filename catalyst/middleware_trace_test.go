@@ -1,8 +1,10 @@
 package catalyst
 
 import (
+	"context"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -23,18 +25,7 @@ import (
 // cache.
 func taggedInnerSite() http.Handler {
 	mux := http.NewServeMux()
-	serve := func(path, contentType, body string) {
-		tag := etag.ForBytes([]byte(body)).String()
-		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", contentType)
-			w.Header().Set("Etag", tag)
-			if r.Header.Get("If-None-Match") == tag {
-				w.WriteHeader(http.StatusNotModified)
-				return
-			}
-			_, _ = io.WriteString(w, body)
-		})
-	}
+	serve := func(path, contentType, body string) { handleTagged(mux, path, contentType, body) }
 	serve("/{$}", "text/html; charset=utf-8",
 		`<html><head><link rel="stylesheet" href="/style.css"><script src="/app.js"></script></head><body><img src="/logo.png"></body></html>`)
 	serve("/style.css", "text/css; charset=utf-8", `body { background: url(/bg.png); }`)
@@ -42,6 +33,21 @@ func taggedInnerSite() http.Handler {
 	serve("/logo.png", "image/png", "PNG-LOGO")
 	serve("/bg.png", "image/png", "PNG-BG")
 	return mux
+}
+
+// handleTagged registers body at path with a validator derived from it, and
+// answers a matching If-None-Match with 304.
+func handleTagged(mux *http.ServeMux, path, contentType, body string) {
+	tag := etag.ForBytes([]byte(body)).String()
+	mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", contentType)
+		w.Header().Set("Etag", tag)
+		if r.Header.Get("If-None-Match") == tag {
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		_, _ = io.WriteString(w, body)
+	})
 }
 
 // TestMiddlewareTraceEndToEnd drives the full retrofit stack through the
@@ -128,5 +134,42 @@ func TestMiddlewareTraceEndToEnd(t *testing.T) {
 	}
 	if snap.Counters["sw.site.example.local_hits"] == 0 {
 		t.Error("sw local_hits counter did not move on the warm revisit")
+	}
+}
+
+// TestMiddlewareTraceProbeRevalidated pins what a re-probe of unchanged
+// content costs and says: a navigation after ProbeTTL has run out asks the
+// inner handler about each subresource with the tag it issued, every answer
+// is a 304, the request's trace records one probe-revalidated event per
+// path, and no probe body is fetched.
+func TestMiddlewareTraceProbeRevalidated(t *testing.T) {
+	const ttl = 10 * time.Millisecond
+	var metrics MiddlewareMetrics
+	h := Middleware(taggedInnerSite(), MiddlewareOptions{Metrics: &metrics, ProbeTTL: ttl})
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
+	const paths = 4 // style.css, app.js, logo.png and the stylesheet's bg.png
+	if got := metrics.ProbeFetched.Load(); got != paths {
+		t.Fatalf("cold navigation: ProbeFetched = %d, want %d", got, paths)
+	}
+	time.Sleep(2 * ttl)
+
+	ctx, tr := telemetry.StartTrace(context.Background(), "")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil).WithContext(ctx))
+	if m, err := DecodeMap(rec.Header().Get(HeaderName)); err != nil || len(m) != paths {
+		t.Fatalf("re-probed navigation served %d map entries (err %v), want %d", len(m), err, paths)
+	}
+	revalidated := 0
+	for _, ev := range tr.Events() {
+		if ev.Name == "probe-revalidated" {
+			revalidated++
+		}
+	}
+	if revalidated != paths || metrics.ProbeRevalidated.Load() != paths {
+		t.Errorf("probe-revalidated events = %d, ProbeRevalidated = %d, want %d of each",
+			revalidated, metrics.ProbeRevalidated.Load(), paths)
+	}
+	if got := metrics.ProbeFetched.Load(); got != paths {
+		t.Errorf("ProbeFetched moved to %d on a navigation over unchanged content, want it still %d", got, paths)
 	}
 }

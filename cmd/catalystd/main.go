@@ -69,7 +69,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"net/http/httputil"
 	"net/url"
 	"os"
 	"os/signal"
@@ -381,19 +380,15 @@ func withMetrics(h http.Handler, opts daemonOptions, cfg *tenant.Config, reg *te
 }
 
 // newUpstream assembles what fronts one origin, the same for -origin and
-// for every -config tenant: a reverse proxy, a circuit breaker (5 failures,
-// 5 s cooldown) and a running health checker sharing that breaker, so
-// recovery is probe-driven; stop ends the checker. The instruments are
-// "<prefix>origin" and "<prefix>health"; a non-positive interval selects 2
-// seconds.
+// for every -config tenant: the reverse proxy (catalyst.NewUpstreamProxy), a
+// circuit breaker (5 failures, 5 s cooldown) and a running health checker
+// sharing that breaker, so recovery is probe-driven. The checker's requests
+// ride the proxy's transport, so every socket this upstream holds is in one
+// pool; stop ends the checker and closes that pool's idle connections. The
+// instruments are "<prefix>origin" and "<prefix>health"; a non-positive
+// interval selects 2 seconds.
 func newUpstream(u *url.URL, prefix string, interval time.Duration, reg *telemetry.Registry) (proxy http.Handler, breaker *resilience.Breaker, stop func()) {
-	// A dead upstream becomes a 502 the middleware can hold back in favor
-	// of a stale copy; the default error handler would also log every
-	// failure, which under a brown-out is pure noise.
-	rp := httputil.NewSingleHostReverseProxy(u)
-	rp.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
-		w.WriteHeader(http.StatusBadGateway)
-	}
+	rp, closeIdle := catalyst.NewUpstreamProxy(u)
 	breaker = resilience.NewBreaker(resilience.BreakerOptions{
 		FailureThreshold: 5,
 		Cooldown:         5 * time.Second,
@@ -403,21 +398,24 @@ func newUpstream(u *url.URL, prefix string, interval time.Duration, reg *telemet
 	if interval <= 0 {
 		interval = 2 * time.Second
 	}
-	health := resilience.NewHealthChecker(breaker, healthProbe(u, interval), resilience.HealthOptions{
+	health := resilience.NewHealthChecker(breaker, healthProbe(u, interval, rp.Transport), resilience.HealthOptions{
 		Interval:  interval,
 		Telemetry: reg,
 		Name:      prefix + "health",
 	})
 	health.Start()
-	return rp, breaker, health.Stop
+	return rp, breaker, func() {
+		health.Stop()
+		closeIdle()
+	}
 }
 
 // healthProbe builds the upstream liveness probe for a health checker
 // running at the given interval. The probe client's timeout derives from
 // the interval — never exceeds it — so one slow upstream answer cannot
 // overlap the next probe, whatever the checker's context deadline does.
-func healthProbe(u *url.URL, interval time.Duration) func(ctx context.Context) error {
-	client := &http.Client{Timeout: interval}
+func healthProbe(u *url.URL, interval time.Duration, transport http.RoundTripper) func(ctx context.Context) error {
+	client := &http.Client{Timeout: interval, Transport: transport}
 	target := u.String()
 	return func(ctx context.Context) error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/http/httputil"
 	"net/url"
 	"sync/atomic"
 	"time"
@@ -150,9 +149,10 @@ func NewClusterCell(opts ClusterCellOptions) (*ClusterCell, error) {
 }
 
 // buildInstance assembles one node's serving stack — the layering
-// cmd/catalystd's buildConfigHandler gives the daemon, with newUpstream's
-// per-tenant proxy + breaker tuned to trip within a test (3 failures, 50 ms)
-// and no health checker: recovery here is cooldown-driven.
+// cmd/catalystd's buildConfigHandler gives the daemon, over the same
+// per-tenant upstream proxy (catalyst.NewUpstreamProxy). What differs from
+// newUpstream: the breaker is tuned to trip within a test (3 failures, 50 ms)
+// and there is no health checker, so recovery here is cooldown-driven.
 func (c *ClusterCell) buildInstance(inst *EdgeInstance, peers []string) error {
 	reg := telemetry.NewRegistry()
 	inst.Registry = reg
@@ -172,11 +172,9 @@ func (c *ClusterCell) buildInstance(inst *EdgeInstance, peers []string) error {
 			Name:             "tenant." + name + ".origin",
 		})
 		tenants[i] = t
-		proxy := httputil.NewSingleHostReverseProxy(u)
-		proxy.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
-			w.WriteHeader(http.StatusBadGateway)
-		}
+		proxy, closeIdle := catalyst.NewUpstreamProxy(u)
 		proxies[name] = proxy
+		inst.stops = append(inst.stops, closeIdle)
 	}
 	resolver, err := tenant.NewResolver(tenants)
 	if err != nil {
