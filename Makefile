@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify build test race vet forks fuzz chaos bench benchdiff cover cachesim schemes loadgen cluster
+.PHONY: verify build test race vet forks fuzz chaos bench benchdiff perf perf-compare cover cachesim schemes loadgen cluster
 
 verify: vet forks build race
 
@@ -31,7 +31,7 @@ vet:
 FORK_SRC = $(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' ./... | tr ' ' '\n' | grep -v '/bench/'
 forks:
 	@fail=0; src=$$($(FORK_SRC)); \
-	for pat in 'core\.InjectRegistration(' 'delta\.Diff(' 'maxPreloadHints *=' 'httputil\.NewSingleHostReverseProxy('; do \
+	for pat in 'core\.\(InjectRegistration\|RegistrationOffset\)(' 'delta\.Diff(' 'maxPreloadHints *=' 'httputil\.NewSingleHostReverseProxy('; do \
 		n=$$(grep -h "$$pat" $$src | grep -vc '^[[:space:]]*//'); \
 		if [ "$$n" -ne 1 ]; then echo "forks: '$$pat' appears $$n times in non-test code, want 1:" >&2; grep -n "$$pat" $$src >&2; fail=1; fi; \
 	done; \
@@ -41,13 +41,15 @@ forks:
 
 # Short fuzz pass over the hostile-input parsers (X-Etag-Config decoding,
 # map building, cache-trace parsing, delta patches, probe targets out of
-# upstream HTML). The corpus seeds also run as part of plain `go test`.
+# upstream HTML) and the hot index's raw-page compare. The corpus seeds also
+# run as part of plain `go test`.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeMap -fuzztime=10s ./internal/core/
 	$(GO) test -run=^$$ -fuzz=FuzzBuildMap -fuzztime=10s ./internal/core/
 	$(GO) test -run=^$$ -fuzz=FuzzParseTrace -fuzztime=10s ./internal/cachesim/
 	$(GO) test -run=^$$ -fuzz=FuzzDeltaRoundTrip -fuzztime=10s ./internal/delta/
 	$(GO) test -run=^$$ -fuzz=FuzzProbeTarget -fuzztime=10s ./catalyst/
+	$(GO) test -run=^$$ -fuzz=FuzzHotMatch -fuzztime=10s ./catalyst/
 
 # Scheme-matrix smoke: the conformance suite (golden table, shape claims,
 # determinism, cancellation under -race) plus one live run of the command.
@@ -94,6 +96,22 @@ benchdiff:
 	echo "baseline: $$base"; \
 	$(MAKE) bench BENCH_FILE=BENCH_head.json && \
 	$(GO) run ./cmd/benchdiff -tolerance $(BENCH_TOLERANCE) "$$base" BENCH_head.json
+
+# The repository's benchmark (bench/README.md, BENCHMARK.json): the five
+# end-to-end workloads driven against the real programs — what performance
+# PRs claim on. `make perf W=page_churn SEED=3` runs one workload;
+# PERF_FLAGS takes the rest (`-trace 1` for the per-layer ledger, `-json
+# FILE` to append the run to a file). `make perf-compare A=parent.json
+# B=change.json` judges two such files. About 90 s for all workloads, so
+# not part of `make verify`.
+W ?= all
+SEED ?= 1
+perf:
+	$(GO) run ./bench -workload $(W) -seed $(SEED) $(PERF_FLAGS)
+
+perf-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make perf-compare A=parent.json B=change.json" >&2; exit 2; }
+	$(GO) run ./bench -compare $(A) $(B)
 
 # Socket-level load smoke: drive the in-process demo site closed-loop over
 # real loopback sockets for a couple of seconds and emit both the JSON

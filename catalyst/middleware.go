@@ -40,13 +40,14 @@ type MiddlewareOptions struct {
 	// BreakerCooldown is how long an open breaker suppresses probes of
 	// its path. Zero selects 30 seconds.
 	BreakerCooldown time.Duration
-	// MaxProbeEntries bounds the probe cache. On overflow the
-	// least-recently-used probe is evicted — a crawler walking a million
-	// distinct paths must not grow server memory without bound, and hot
-	// paths must not be collateral damage. Zero selects 4096. Entries are
-	// charged by real size (a cached stylesheet body costs its bytes, see
-	// probeBaseCost), so a handful of huge stylesheets cannot smuggle
-	// unbounded memory past an entry-count reading of this knob.
+	// MaxProbeEntries bounds the probe cache, in units of probeBaseCost
+	// (256) bytes. On overflow the least-recently-used probe is evicted — a
+	// crawler walking a million distinct paths must not grow server memory
+	// without bound, and hot paths must not be collateral damage. Zero
+	// selects defaultMaxProbeEntries (32 768: 8 MiB). Entries are charged
+	// by real size (a cached stylesheet body costs its bytes on top of the
+	// unit), so a handful of huge stylesheets cannot smuggle unbounded
+	// memory past an entry-count reading of this knob.
 	MaxProbeEntries int
 	// ProbeConcurrency bounds how many subresources of one page are
 	// probed at once while its ETag map is resolved, so a cold page with
@@ -189,7 +190,7 @@ func Middleware(next http.Handler, opts MiddlewareOptions) http.Handler {
 		opts.RetryAfter = 5 * time.Second
 	}
 	if opts.MaxProbeEntries <= 0 {
-		opts.MaxProbeEntries = 4096
+		opts.MaxProbeEntries = defaultMaxProbeEntries
 	}
 	if opts.MaxRenderBytes == 0 {
 		opts.MaxRenderBytes = 16 << 20
@@ -210,6 +211,21 @@ func Middleware(next http.Handler, opts MiddlewareOptions) http.Handler {
 // retained stylesheet body: a rough stand-in for the key, tag, timestamps
 // and map overhead an entry costs regardless of content.
 const probeBaseCost = 256
+
+// defaultMaxProbeEntries × probeBaseCost = 8 MiB, half the default render
+// budget, set on purpose rather than inherited from an entry count. A probe
+// entry is what lets the next probe of its path be a revalidation instead
+// of a download, so the cache is only worth having if an entry is still
+// there when its ProbeTTL runs out: the budget must hold the working set of
+// references — validators, and stylesheet bodies at their real bytes — of
+// the pages the render cache keeps beside it (≈ 400 pages of ≈ 40
+// references each at the defaults), or every render hit is a cold fan-out.
+// Measured on page_churn (6 000 paths + 600 stylesheets of 6 KB ≈ 5.1 MB):
+// a 1 MiB budget turns over in under 100 ms against the 1 s TTL and 237
+// probes in 271 281 are revalidations; the knee is at the working set, and
+// from 6 MiB up no probe is evicted at all. The sweep is in EXPERIMENTS.md,
+// "Proxy-mode upstream cost".
+const defaultMaxProbeEntries = 32768
 
 type middleware struct {
 	next   http.Handler
@@ -234,10 +250,10 @@ type tenantState struct {
 	name    string // "" for the default state
 	probes  *cachestore.Store[probe]
 	renders *cachestore.Store[*renderEntry] // nil when disabled
-	// hot maps page URL → most recent (raw body, render) pair: the warm
-	// fast lane's memcmp shortcut over renderKey's SHA-256 (see hotRender).
-	// nil exactly when renders is.
-	hot    *cachestore.Store[*hotPage]
+	// hot maps page URL → its most recent render: the warm fast lane's
+	// memcmp shortcut over renderKey's SHA-256 (see hotRender). nil exactly
+	// when renders is.
+	hot    *cachestore.Store[*renderEntry]
 	stales *cachestore.Store[*staleEntry] // last-known-good serves; nil when disabled
 	// deltaBases retains recently served page bodies (decorate.DeltaBase);
 	// nil when Options.Delta is off.
@@ -304,6 +320,8 @@ func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
 		half = -1
 	}
 
+	// A tenant's probe namespace sets no budget of its own (0): it inherits
+	// the root store's, the same MaxProbeEntries × probeBaseCost.
 	ts.probes = openCache(m, ts.name, def.probes, ns("probes", 0), cachestore.Options[probe]{
 		// A probe without a retained stylesheet body costs exactly
 		// probeBaseCost, so for ordinary entries MaxBytes stays the entry
@@ -322,12 +340,14 @@ func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
 			OnEvict:  func(string, *renderEntry) { o.Metrics.RendersEvicted.Add(1) },
 		})
 		// The hot index rides in front of the render cache (hotRender), so
-		// it exists exactly when the render cache does and shares its
-		// budget scale: pinned raw bodies are a strict subset of what the
-		// render cache is willing to spend on injected ones.
-		ts.hot = openCache(m, ts.name, def.hot, ns("hot", t.BudgetBytes), cachestore.Options[*hotPage]{
+		// it exists exactly when the render cache does. It is charged for
+		// the renders it pins under the same budget, so a render the keyed
+		// cache has evicted stays resident only while hot is paying for it:
+		// the two stores together hold at most 2 × MaxRenderBytes of
+		// renders, and the ones they share are held once.
+		ts.hot = openCache(m, ts.name, def.hot, ns("hot", t.BudgetBytes), cachestore.Options[*renderEntry]{
 			MaxBytes: o.MaxRenderBytes,
-			SizeOf:   hotPageSize,
+			SizeOf:   renderEntrySize,
 		})
 	}
 	ts.staleTTL = o.StaleFor

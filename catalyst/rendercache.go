@@ -1,7 +1,6 @@
 package catalyst
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"sync/atomic"
 
@@ -57,23 +56,6 @@ func renderKey(pageURL string, body []byte) string {
 	return pageURL + "\x00" + string(sum[:16])
 }
 
-// hotPage pins the most recent render of one page URL together with the
-// raw inner-handler body it was computed from. The warm fast lane compares
-// the current raw body against hot.raw with one memcmp — two orders of
-// magnitude cheaper than the SHA-256 the render-cache key costs — and on a
-// match reuses the entry with zero hashing, zero locking and zero
-// allocation. A changed body misses (memcmp is exact, not a heuristic) and
-// falls through to the keyed render cache, so correctness never rests on
-// this index: it is a pure shortcut over renderKey.
-type hotPage struct {
-	raw []byte
-	ent *renderEntry
-}
-
-func hotPageSize(key string, p *hotPage) int64 {
-	return int64(len(key) + len(p.raw) + 48)
-}
-
 // render returns the memoized render for (pageURL, raw), computing and
 // caching it on first sight. Concurrent first renders of the same unchanged
 // page collapse into one extraction via the store's singleflight. With the
@@ -91,18 +73,25 @@ func (m *middleware) render(ts *tenantState, pageURL string, raw []byte) *render
 	return e
 }
 
-// hotRender is render() with the warm fast lane in front: a hit in the
-// per-URL hot index whose pinned raw body memcmp-matches skips hashing and
-// cache machinery entirely; anything else takes the keyed path and then
-// repins the hot index (copying raw, which may live in a pooled buffer).
+// hotRender is render() with the warm fast lane in front: the per-URL hot
+// index pins the most recent render of each page, and a pinned render that
+// is the render of the current raw body (decorate.Render.IsRenderOf: a
+// length check and a memcmp against the pinned body either side of the
+// injected snippet — two orders of magnitude cheaper than the SHA-256 the
+// render-cache key costs) is reused with zero hashing, zero locking and zero
+// allocation. The index keeps no copy of the raw page: the render it pins is
+// that page plus the snippet, and renderEntrySize charges it for exactly
+// that. A changed body misses (the compare is an equality, not a heuristic)
+// and falls through to the keyed render cache, so correctness never rests on
+// this index: it is a pure shortcut over renderKey.
 func (m *middleware) hotRender(ts *tenantState, pageURL string, raw []byte) *renderEntry {
 	if ts.hot == nil {
 		return m.render(ts, pageURL, raw)
 	}
-	if hp, ok := ts.hot.Get(pageURL); ok && bytes.Equal(hp.raw, raw) {
-		return hp.ent
+	if ent, ok := ts.hot.Get(pageURL); ok && ent.IsRenderOf(raw) {
+		return ent
 	}
 	ent := m.render(ts, pageURL, raw)
-	ts.hot.Put(pageURL, &hotPage{raw: append([]byte(nil), raw...), ent: ent})
+	ts.hot.Put(pageURL, ent)
 	return ent
 }

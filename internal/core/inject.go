@@ -13,41 +13,61 @@ const RegistrationSnippet = `<script>if("serviceWorker" in navigator){navigator.
 // otherwise prepended. Documents that already contain the snippet are
 // returned unchanged, so re-serving rewritten content is idempotent.
 func InjectRegistration(htmlBody string) string {
-	if strings.Contains(htmlBody, RegistrationSnippet) {
+	at, gap := RegistrationOffset(htmlBody)
+	if gap == 0 {
 		return htmlBody
 	}
-	idx := indexAfterHeadOpen(htmlBody)
-	if idx < 0 {
-		return RegistrationSnippet + htmlBody
+	return htmlBody[:at] + RegistrationSnippet + htmlBody[at:]
+}
+
+// RegistrationOffset reports the insertion InjectRegistration makes into
+// htmlBody: gap bytes of RegistrationSnippet at byte offset at. gap is
+// len(RegistrationSnippet), or 0 (with at 0) for a document that already
+// contains the snippet. Callers assembling the injected document themselves
+// get the decomposition "input == output[:at] + output[at+gap:]" for free.
+func RegistrationOffset(htmlBody string) (at, gap int) {
+	if strings.Contains(htmlBody, RegistrationSnippet) {
+		return 0, 0
 	}
-	return htmlBody[:idx] + RegistrationSnippet + htmlBody[idx:]
+	if at = indexAfterHeadOpen(htmlBody); at < 0 {
+		at = 0
+	}
+	return at, len(RegistrationSnippet)
 }
 
 // indexAfterHeadOpen returns the byte offset just past the opening <head...>
-// tag, or -1 when the document has none.
+// tag, or -1 when the document has none. It scans s itself, folding case
+// four bytes at a time (no non-ASCII rune folds to a letter of "head"), so
+// every index is an index into s; lowercasing a copy first changes byte
+// lengths (U+0130, U+212A, invalid UTF-8) and shifts the offset on
+// documents that carry such bytes before <head>.
 func indexAfterHeadOpen(s string) int {
-	lower := strings.ToLower(s)
-	from := 0
-	for {
-		i := strings.Index(lower[from:], "<head")
+	for from := 0; ; {
+		i := strings.IndexByte(s[from:], '<')
 		if i < 0 {
 			return -1
 		}
 		i += from
 		after := i + len("<head")
+		if after > len(s) {
+			return -1
+		}
+		from = i + 1
+		if !strings.EqualFold(s[from:after], "head") {
+			continue
+		}
 		if after < len(s) {
 			switch s[after] {
 			case '>', ' ', '\t', '\n', '\r':
 			default:
-				from = after
 				continue // e.g. <header>
 			}
 		}
-		end := strings.IndexByte(s[i:], '>')
+		end := strings.IndexByte(s[after:], '>')
 		if end < 0 {
 			return -1
 		}
-		return i + end + 1
+		return after + end + 1
 	}
 }
 

@@ -63,6 +63,40 @@ func TestInjectUppercaseHead(t *testing.T) {
 	}
 }
 
+// TestInjectOffsetIsIntoTheDocument pins the head search to indexes of the
+// document itself. Lowercasing a copy changes byte lengths — U+0130 grows
+// 2 → 3, U+212A shrinks 3 → 1, an invalid byte becomes three — so an offset
+// found in the copy lands before or after the real tag end.
+func TestInjectOffsetIsIntoTheDocument(t *testing.T) {
+	for _, prefix := range []string{
+		"", "<!-- \u0130stanbul -->", "<!-- 273 \u212a \u212a \u212a -->", "<!-- \xff\xfe\xfd -->",
+		"<html lang=tr title='\u0130\u0130\u0130\u0130\u0130\u0130\u0130\u0130'>",
+	} {
+		for _, head := range []string{"<head>", "<HEAD>", "<hEaD\tdata-\u212a='\u0130'>", "<head\n>"} {
+			in := prefix + "<header>x</header>" + head + "<title>T</title></head><body>\u0130</body>"
+			want := prefix + "<header>x</header>" + head + RegistrationSnippet + "<title>T</title></head><body>\u0130</body>"
+			if out := InjectRegistration(in); out != want {
+				t.Errorf("prefix %q head %q:\n got %q\nwant %q", prefix, head, out, want)
+			}
+			at, gap := RegistrationOffset(in)
+			if at != len(prefix)+len("<header>x</header>")+len(head) || gap != len(RegistrationSnippet) {
+				t.Errorf("prefix %q head %q: offset (%d, %d)", prefix, head, at, gap)
+			}
+		}
+	}
+	// Not a head: the fold is ASCII-only (U+212A KELVIN SIGN folds to 'k',
+	// nothing folds into "head"), and a tag cut off by the end of input has
+	// no end to insert after.
+	for _, in := range []string{"<he\u0430d>", "<head", "<hea", "<", "<headless>", "<\u212aead>"} {
+		if at, gap := RegistrationOffset(in); at != 0 || gap != len(RegistrationSnippet) {
+			t.Errorf("%q: offset (%d, %d), want a prepend", in, at, gap)
+		}
+	}
+	if at, gap := RegistrationOffset("<head>" + RegistrationSnippet); at != 0 || gap != 0 {
+		t.Errorf("snippet present: offset (%d, %d), want (0, 0)", at, gap)
+	}
+}
+
 func TestInjectedDocumentStillParses(t *testing.T) {
 	in := `<html><head><link rel="stylesheet" href="a.css"></head><body><img src="b.png"></body></html>`
 	out := InjectRegistration(in)

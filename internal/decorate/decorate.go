@@ -9,6 +9,7 @@
 package decorate
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"strconv"
@@ -46,12 +47,19 @@ type Render struct {
 	// DeltaKey is the key Body is retained under as a future delta base:
 	// pageURL + NUL + validator.
 	DeltaKey string
+	// snipAt and snipLen locate the injected snippet in Body (snipLen 0 when
+	// the raw page already carried it): the raw page is
+	// Body[:snipAt] + Body[snipAt+snipLen:], which is how IsRenderOf
+	// recognises it without a second copy.
+	snipAt, snipLen int
 }
 
 // NewRender runs parse → extract → inject → hash for one (pageURL, raw)
 // pair.
 func NewRender(pageURL, raw string) Render {
-	body := []byte(core.InjectRegistration(raw))
+	at, gap := core.RegistrationOffset(raw)
+	body := make([]byte, 0, len(raw)+gap)
+	body = append(append(append(body, raw[:at]...), core.RegistrationSnippet[:gap]...), raw[at:]...)
 	tag := etag.ForBytes(body)
 	tagStr := tag.String()
 	return Render{
@@ -62,7 +70,20 @@ func NewRender(pageURL, raw string) Render {
 		EtagHeader: []string{tagStr},
 		ClenHeader: []string{strconv.Itoa(len(body))},
 		DeltaKey:   pageURL + "\x00" + tagStr,
+		snipAt:     at,
+		snipLen:    gap,
 	}
+}
+
+// IsRenderOf reports whether raw is, byte for byte, the page rd was rendered
+// from. Injection is a pure insertion, so comparing raw against Body on
+// either side of the snippet is the same equality as comparing it against a
+// retained copy of the raw page — exact, allocation-free, and one memcmp's
+// worth of work.
+func (rd *Render) IsRenderOf(raw []byte) bool {
+	at, rest := rd.snipAt, rd.snipAt+rd.snipLen
+	return len(raw) == len(rd.Body)-rd.snipLen &&
+		bytes.Equal(raw[:at], rd.Body[:at]) && bytes.Equal(raw[at:], rd.Body[rest:])
 }
 
 // RenderSize charges a cached render for the memory that scales: the key,

@@ -56,6 +56,9 @@ func TestRenderMatchesBothFrontEnds(t *testing.T) {
 		if len(rd.Refs) != len(c.refs) || (len(c.refs) > 0 && !reflect.DeepEqual(rd.Refs, c.refs)) {
 			t.Errorf("%s: refs = %+v, want %+v", c.pageURL, rd.Refs, c.refs)
 		}
+		if !rd.IsRenderOf([]byte(c.raw)) || rd.IsRenderOf(rd.Body) || rd.IsRenderOf([]byte(c.raw+" ")) {
+			t.Errorf("%s: IsRenderOf must hold for the raw page and nothing else", c.pageURL)
+		}
 		if got, min := RenderSize("k", &rd), int64(len(rd.Body)); got <= min || got > min+1024 {
 			t.Errorf("%s: size %d for a %d-byte body held once", c.pageURL, got, min)
 		}
