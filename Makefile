@@ -27,13 +27,21 @@ vet:
 # the preload-hint cap a second definition, or internal/server a tenant
 # path (DESIGN.md §3) — or when a second reverse proxy is assembled beside
 # catalyst.NewUpstreamProxy, the one upstream leg the daemon and the cluster
-# harness share (DESIGN.md §13).
+# harness share (DESIGN.md §13) — or when the cache core's retired forks grow
+# back: a policy knob on a cache no construction bounds (the browser cache,
+# the SW storage, catalyst.Client), or a recency list beside the rank heap
+# (DESIGN.md §7).
 FORK_SRC = $(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' ./... | tr ' ' '\n' | grep -v '/bench/'
 forks:
 	@fail=0; src=$$($(FORK_SRC)); \
 	for pat in 'core\.\(InjectRegistration\|RegistrationOffset\)(' 'delta\.Diff(' 'maxPreloadHints *=' 'httputil\.NewSingleHostReverseProxy('; do \
 		n=$$(grep -h "$$pat" $$src | grep -vc '^[[:space:]]*//'); \
 		if [ "$$n" -ne 1 ]; then echo "forks: '$$pat' appears $$n times in non-test code, want 1:" >&2; grep -n "$$pat" $$src >&2; fail=1; fi; \
+	done; \
+	for chk in '/internal/\(sw\|httpcache\|browser\)/\|/catalyst/client\.go$$:cachestore\.Policy' '/internal/cachestore/:pushFront(\|relink('; do \
+		files=$$(echo "$$src" | tr ' ' '\n' | grep "$${chk%%:*}"); \
+		if grep -Hn "$${chk#*:}" $$files | grep -v ':[0-9]*:[[:space:]]*//' >&2; then \
+			echo "forks: '$${chk#*:}' is back in non-test code under '$${chk%%:*}', want 0" >&2; fail=1; fi; \
 	done; \
 	if $(GO) list -f '{{join .Imports "\n"}}' ./internal/server | grep -q 'internal/tenant$$'; then \
 		echo "forks: internal/server imports internal/tenant; the tenant path belongs to catalyst.Middleware" >&2; fail=1; fi; \
@@ -69,8 +77,11 @@ cachesim:
 	$(GO) run ./cmd/cachesim -synth -requests 60000 -objects 4000 -budget 2% -check
 
 # Benchmark sweep with pinned -benchtime/-count so runs are benchstat-
-# comparable across commits. Output lands in BENCH_<date>.json (`go test
-# -json` stream); extract the text lines for benchstat with:
+# comparable across commits. The cache core runs a second time at -cpu 1,2:
+# absolute ns/op drifts on a shared box, the hit path's 1 → 2 core ratio
+# does not (benchdiff lists the two as Name/cpu=1 and Name/cpu=2). Output
+# lands in BENCH_<date>.json (`go test -json` stream); extract the text
+# lines for benchstat with:
 #   jq -r 'select(.Action=="output") | .Output' BENCH_A.json > a.txt
 #   benchstat a.txt b.txt
 # See EXPERIMENTS.md, "Cache-core and middleware micro-benchmarks".
@@ -79,6 +90,8 @@ bench:
 	$(GO) test -json -run '^$$' -bench . -benchtime 1s -count 6 \
 		./catalyst/ ./internal/cachestore/ ./internal/server/ \
 		./internal/core/ ./internal/htmlparse/ > $(BENCH_FILE)
+	$(GO) test -json -run '^$$' -bench . -benchtime 1s -count 6 -cpu 1,2 \
+		./internal/cachestore/ >> $(BENCH_FILE)
 	@echo "wrote $(BENCH_FILE)"
 
 # Run the benchmark sweep and compare it against the newest committed

@@ -102,10 +102,9 @@ type ServerOptions struct {
 	// MaxRenderBytes bounds the rendered-page cache. Zero selects the
 	// server default (16 MiB); negative disables the cache.
 	MaxRenderBytes int64
-	// RenderCachePolicy selects the rendered-page cache's eviction and
-	// admission policy; the zero value is exact global LRU. See
-	// cachestore.ParsePolicy for the named alternatives (gdsf,
-	// tinylfu-lru, ...).
+	// RenderCachePolicy selects the rendered-page cache's eviction
+	// policy; the zero value is exact global LRU, cachestore.GDSF the
+	// size-aware alternative (see cachestore.ParsePolicy).
 	RenderCachePolicy cachestore.Policy
 }
 

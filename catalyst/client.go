@@ -41,16 +41,9 @@ type ClientOptions struct {
 	// retries) and an entry for the URL exists. The RFC 5861 trade:
 	// possibly-outdated content beats an error page.
 	StaleIfError bool
-	// MaxCacheBytes bounds the response cache's body bytes; the active
-	// cache policy chooses the victims. Zero means unbounded,
-	// preserving the historical behaviour.
+	// MaxCacheBytes bounds the response cache's body bytes, evicting the
+	// least recently used responses. Zero means unbounded.
 	MaxCacheBytes int64
-	// CachePolicy selects the response cache's eviction/admission
-	// policy. The zero value is exact global LRU; size-aware policies
-	// (GDSF, TinyLFU admission) matter once MaxCacheBytes constrains a
-	// mixed-size response population. The per-origin map store always
-	// stays LRU — maps are uniform-cost and recency-driven.
-	CachePolicy cachestore.Policy
 	// Telemetry, when set, indexes the client's counters, its two cache
 	// stores, and a per-Get latency histogram in the given registry under
 	// "client.*". Snapshot() and the registry read the same storage.
@@ -178,7 +171,6 @@ func NewClientWithOptions(hc *http.Client, opts ClientOptions) *Client {
 		cache: cachestore.New[*cachedResponse](cachestore.Options[*cachedResponse]{
 			MaxBytes:  opts.MaxCacheBytes,
 			SizeOf:    func(_ string, r *cachedResponse) int64 { return r.size() },
-			Policy:    opts.CachePolicy,
 			Telemetry: opts.Telemetry,
 			Name:      "client.cache",
 		}),

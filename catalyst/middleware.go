@@ -65,12 +65,10 @@ type MiddlewareOptions struct {
 	// Freshness is unaffected either way — the X-Etag-Config header is
 	// always assembled from live probes.
 	MaxRenderBytes int64
-	// CachePolicy selects the eviction/admission policy for all three of
-	// the middleware's caches (probes, rendered pages, stale copies).
-	// The zero value is exact global LRU — the safe default for the hot
-	// request path. GDSF keeps small popular entries when probe or
-	// render entries vary wildly in size; a TinyLFU admission filter
-	// stops crawler-driven one-hit paths from flushing hot pages.
+	// CachePolicy selects the eviction policy for the middleware's caches
+	// (probes, rendered pages, stale copies). The zero value is exact
+	// global LRU; GDSF keeps small popular entries when probe or render
+	// entries vary wildly in size.
 	CachePolicy cachestore.Policy
 	// Metrics, when set, receives the middleware's resilience counters
 	// (panics recovered, breaker trips, map trims, probe evictions).
@@ -306,11 +304,7 @@ func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
 		ts.name, prefix = t.Name, "tenant."+t.Name+"."
 	}
 	ns := func(kind string, budget int64) cachestore.NamespaceOptions {
-		n := cachestore.NamespaceOptions{MaxBytes: budget, TelemetryName: prefix + kind}
-		if t.Policy.Eviction != nil || t.Policy.Admission != nil {
-			n.Policy = &t.Policy
-		}
-		return n
+		return cachestore.NamespaceOptions{MaxBytes: budget, TelemetryName: prefix + kind, Policy: t.Policy}
 	}
 	// Stale copies and delta bases hold one body per page (no per-render
 	// variants), so half the tenant's render budget covers the same page

@@ -51,7 +51,10 @@ var metrics = []string{"ns/op", "B/op", "allocs/op"}
 type samples map[string][]float64
 
 // parseFile extracts per-metric samples per benchmark name from a
-// `go test -json` stream.
+// `go test -json` stream. A benchmark the stream ran at more than one
+// GOMAXPROCS (`make bench` sweeps the cache core with -cpu 1,2) is reported
+// once per value as "Name/cpu=N"; pooling them would hide the scaling ratio
+// the sweep exists to show.
 func parseFile(path string) (map[string]samples, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -59,12 +62,12 @@ func parseFile(path string) (map[string]samples, error) {
 	}
 	defer f.Close()
 
-	out := make(map[string]samples)
+	byCPU := make(map[string]map[string]samples) // name → GOMAXPROCS → samples
 	// test2json flushes a benchmark's name and its result numbers as
 	// separate output events when the run takes long enough, so a bare
 	// "BenchmarkFoo" line names the samples that follow until the next
 	// name appears (possibly fused with its first sample on one line).
-	pending := ""
+	pending, cpu := "", ""
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -76,18 +79,28 @@ func parseFile(path string) (map[string]samples, error) {
 			continue
 		}
 		line := strings.TrimSpace(ev.Output)
-		if strings.HasPrefix(line, "Benchmark") && len(strings.Fields(line)) == 1 {
-			pending = benchName(line)
-			continue
+		if strings.HasPrefix(line, "Benchmark") {
+			full := strings.Fields(line)[0]
+			cpu = "1" // testing omits the suffix at GOMAXPROCS=1
+			if base := benchName(full); base != full {
+				cpu = full[len(base)+1:]
+			}
+			if full == line {
+				pending = benchName(full)
+				continue
+			}
 		}
 		name, vals, ok := parseBenchLine(line, pending)
 		if !ok {
 			continue
 		}
-		s := out[name]
+		if byCPU[name] == nil {
+			byCPU[name] = make(map[string]samples)
+		}
+		s := byCPU[name][cpu]
 		if s == nil {
 			s = make(samples)
-			out[name] = s
+			byCPU[name][cpu] = s
 		}
 		for unit, v := range vals {
 			s[unit] = append(s[unit], v)
@@ -96,8 +109,18 @@ func parseFile(path string) (map[string]samples, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if len(out) == 0 {
+	if len(byCPU) == 0 {
 		return nil, fmt.Errorf("%s: no benchmark results found", path)
+	}
+	out := make(map[string]samples)
+	for name, variants := range byCPU {
+		for cpu, s := range variants {
+			key := name
+			if len(variants) > 1 {
+				key += "/cpu=" + cpu
+			}
+			out[key] = s
+		}
 	}
 	return out, nil
 }

@@ -61,6 +61,30 @@ func TestParseFileFusedAndSplitLines(t *testing.T) {
 	}
 }
 
+// TestParseFileKeepsCPUSweepApart: a benchmark run at two GOMAXPROCS values
+// in one stream (split and fused lines alike) is two rows, not one pooled
+// median; one run only at a single value keeps its bare name.
+func TestParseFileKeepsCPUSweepApart(t *testing.T) {
+	path := writeStream(t, "sweep.json", []string{
+		"BenchmarkGet-2 \t 1000 \t 160 ns/op",
+		"BenchmarkGet",
+		"  1000 \t 90 ns/op",
+		"BenchmarkGet-2",
+		"  1000 \t 170 ns/op",
+		"BenchmarkOther-2 \t 1000 \t 5 ns/op",
+	})
+	got, err := parseFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one, two := got["BenchmarkGet/cpu=1"]["ns/op"], got["BenchmarkGet/cpu=2"]["ns/op"]; len(one) != 1 || one[0] != 90 || len(two) != 2 {
+		t.Errorf("cpu=1 samples %v, cpu=2 samples %v; want [90] and two", one, two)
+	}
+	if _, pooled := got["BenchmarkGet"]; pooled || len(got["BenchmarkOther"]["ns/op"]) != 1 {
+		t.Errorf("names = %v; want the sweep split and BenchmarkOther bare", got)
+	}
+}
+
 func TestParseFileNoResults(t *testing.T) {
 	path := writeStream(t, "empty.json", []string{"goos: linux", "PASS"})
 	if _, err := parseFile(path); err == nil {

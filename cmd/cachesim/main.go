@@ -81,8 +81,8 @@ func main() {
 	fmt.Printf("trace: %s — %d requests, %s requested, budget %s\n\n",
 		source, ub.Requests, formatBytes(ub.BytesRequested), formatBytes(budget))
 
-	fmt.Printf("%-14s %8s %8s %8s %8s %10s %10s %12s\n",
-		"policy", "OHR", "%opt", "BHR", "%opt", "evictions", "rejects", "victimscans")
+	fmt.Printf("%-14s %8s %8s %8s %8s %10s %12s\n",
+		"policy", "OHR", "%opt", "BHR", "%opt", "evictions", "victimscans")
 	failed := false
 	for _, name := range strings.Split(*policies, ",") {
 		policy, err := cachestore.ParsePolicy(strings.TrimSpace(name))
@@ -90,9 +90,9 @@ func main() {
 			fatalf("%v", err)
 		}
 		res := cachesim.Replay(trace, budget, policy)
-		fmt.Printf("%-14s %8.4f %7.1f%% %8.4f %7.1f%% %10d %10d %12d\n",
+		fmt.Printf("%-14s %8.4f %7.1f%% %8.4f %7.1f%% %10d %12d\n",
 			res.Policy, res.OHR(), pctOf(res.OHR(), ub.OHR()), res.BHR(), pctOf(res.BHR(), ub.BHR()),
-			res.Counters.Evictions, res.Counters.AdmissionRejects, res.Counters.VictimScans)
+			res.Counters.Evictions, res.Counters.VictimScans)
 		if *check {
 			switch {
 			case res.OHR() < 0 || res.OHR() > 1 || res.BHR() < 0 || res.BHR() > 1:

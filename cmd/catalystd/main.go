@@ -42,14 +42,13 @@
 //
 // The daemon's derived caches — rendered pages in serve mode; probes,
 // rendered pages and stale copies in proxy mode — default to exact LRU.
-// -cache-policy picks an alternative (gdsf keeps small popular entries
-// when sizes vary wildly; tinylfu-lru and tinylfu-gdsf add an admission
-// filter that refuses one-hit wonders), and -cache-budget resizes the
-// rendered-page cache. With -metrics, the effective settings are echoed
-// under "config" at /debug/catalystd, and each cache reports per-policy
-// counters (admission rejects, victim scans) in the telemetry snapshot.
-// Compare policies offline against recorded or synthetic workloads with
-// cmd/cachesim.
+// -cache-policy gdsf keeps small popular entries when sizes vary wildly
+// (lru and gdsf are the only spellings; anything else refuses to start),
+// and -cache-budget resizes the rendered-page cache. With -metrics,
+// the effective settings are echoed under "config" at /debug/catalystd, and
+// each cache reports its evictions and victim scans in the telemetry
+// snapshot. Compare the two offline against recorded or synthetic workloads
+// with cmd/cachesim.
 //
 // # Overload and lifecycle
 //
@@ -101,15 +100,10 @@ func main() {
 		requestBudget   = flag.Duration("request-budget", 0, "wall-clock budget per request; probe fan-out stops when spent (0 disables)")
 		shutdownTimeout = flag.Duration("shutdown-timeout", 10*time.Second, "how long in-flight requests get to finish after SIGTERM before being force-closed")
 
-		cachePolicyName = flag.String("cache-policy", "lru", "eviction/admission policy for the derived caches (rendered pages, probes, stale copies): "+strings.Join(cachestore.PolicyNames(), " | "))
+		cachePolicyName = flag.String("cache-policy", "lru", "eviction policy for the derived caches (rendered pages, probes, stale copies): "+strings.Join(cachestore.PolicyNames(), " | "))
 		cacheBudget     = flag.Int64("cache-budget", 0, "byte budget for the rendered-page cache; 0 selects the 16 MiB default, negative disables it")
 	)
 	flag.Parse()
-
-	cachePolicy, err := cachestore.ParsePolicy(*cachePolicyName)
-	if err != nil {
-		log.Fatalf("catalystd: %v", err)
-	}
 
 	// The registry always exists so the shutdown snapshot has something
 	// to flush; -metrics additionally serves it over HTTP.
@@ -120,19 +114,19 @@ func main() {
 	}
 
 	built, err := buildHandler(daemonOptions{
-		Dir:           *dir,
-		Origin:        *origin,
-		ConfigPath:    *configPath,
-		Record:        *record,
-		Plain:         *plain,
-		Metrics:       *metrics,
-		PProf:         *pprof,
-		ServerTiming:  *timing,
-		MaxInflight:   *maxInflight,
-		RequestBudget: *requestBudget,
-		CachePolicy:   cachePolicy,
-		CacheBudget:   *cacheBudget,
-		AccessLogSize: accessLog,
+		Dir:             *dir,
+		Origin:          *origin,
+		ConfigPath:      *configPath,
+		Record:          *record,
+		Plain:           *plain,
+		Metrics:         *metrics,
+		PProf:           *pprof,
+		ServerTiming:    *timing,
+		MaxInflight:     *maxInflight,
+		RequestBudget:   *requestBudget,
+		CachePolicyName: *cachePolicyName,
+		CacheBudget:     *cacheBudget,
+		AccessLogSize:   accessLog,
 	}, reg)
 	if err != nil {
 		log.Fatalf("catalystd: %v", err)
@@ -183,9 +177,12 @@ type daemonOptions struct {
 	ServerTiming  bool
 	MaxInflight   int
 	RequestBudget time.Duration
-	CachePolicy   cachestore.Policy
-	CacheBudget   int64
-	AccessLogSize int
+	// CachePolicyName is -cache-policy as typed; buildHandler resolves it
+	// into CachePolicy or refuses to start.
+	CachePolicyName string
+	CachePolicy     cachestore.Policy
+	CacheBudget     int64
+	AccessLogSize   int
 }
 
 // builtHandler is what buildHandler assembles: the root handler, human
@@ -200,6 +197,10 @@ type builtHandler struct {
 // mutually exclusive in precedence order: -config (multi-tenant proxy),
 // -origin (single-tenant proxy), -dir (file serving).
 func buildHandler(opts daemonOptions, reg *telemetry.Registry) (*builtHandler, error) {
+	var err error
+	if opts.CachePolicy, err = cachestore.ParsePolicy(opts.CachePolicyName); err != nil {
+		return nil, fmt.Errorf("-cache-policy: %w", err)
+	}
 	switch {
 	case opts.ConfigPath != "" && opts.Origin != "":
 		return nil, fmt.Errorf("-config and -origin are mutually exclusive (put the single origin in the config file)")

@@ -11,13 +11,11 @@ import (
 	"testing"
 
 	"cachecatalyst/catalyst"
-	"cachecatalyst/internal/cachestore"
 	"cachecatalyst/internal/telemetry"
 )
 
 func testOpts() daemonOptions {
-	policy, _ := cachestore.ParsePolicy("lru")
-	return daemonOptions{Dir: ".", CachePolicy: policy, MaxInflight: 16}
+	return daemonOptions{Dir: ".", CachePolicyName: "lru", MaxInflight: 16}
 }
 
 // originServer is a minimal upstream: an HTML page referencing a
@@ -130,10 +128,16 @@ func TestBuildHandlerSingleTenantFallback(t *testing.T) {
 }
 
 // TestBuildHandlerRejects covers the refusal paths: bad config file,
-// malformed config JSON, conflicting flags, bad origin URL, missing dir.
+// malformed config JSON, conflicting flags, bad origin URL, missing dir, and
+// a retired cache-policy spelling on the flag or in a tenant (which must
+// stop the daemon, not read as LRU).
 func TestBuildHandlerRejects(t *testing.T) {
 	badJSON := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(badJSON, []byte(`{"tenants": [{"name": "x"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	retired := filepath.Join(t.TempDir(), "retired.json")
+	if err := os.WriteFile(retired, []byte(`{"tenants": [{"name": "x", "upstream": "http://127.0.0.1:1", "cachePolicy": "tinylfu"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -145,6 +149,8 @@ func TestBuildHandlerRejects(t *testing.T) {
 		{"config and origin together", func(o *daemonOptions) { o.ConfigPath = badJSON; o.Origin = "http://x" }},
 		{"relative origin", func(o *daemonOptions) { o.Origin = "not-a-url" }},
 		{"missing dir", func(o *daemonOptions) { o.Dir = filepath.Join(t.TempDir(), "nope") }},
+		{"retired cache-policy flag", func(o *daemonOptions) { o.CachePolicyName = "tinylfu-gdsf" }},
+		{"retired tenant cachePolicy", func(o *daemonOptions) { o.ConfigPath = retired }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

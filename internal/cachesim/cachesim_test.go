@@ -2,6 +2,8 @@ package cachesim
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -202,12 +204,7 @@ func TestUpperBoundDominatesPolicies(t *testing.T) {
 	trace := Synthesize(SynthOptions{Requests: 30000, Objects: 2000, Seed: 42})
 	budget := traceBudget(trace, 0.05)
 	ub := UpperBound(trace, budget)
-	for _, p := range []cachestore.Policy{
-		{},
-		{Eviction: cachestore.GDSF()},
-		{Admission: cachestore.TinyLFU()},
-		{Eviction: cachestore.GDSF(), Admission: cachestore.TinyLFU()},
-	} {
+	for _, p := range []cachestore.Policy{{}, {Eviction: cachestore.GDSF()}} {
 		res := Replay(trace, budget, p)
 		if res.OHR() > ub.OHR()+1e-9 {
 			t.Errorf("%s OHR %.4f exceeds upper bound %.4f", res.Policy, res.OHR(), ub.OHR())
@@ -218,30 +215,87 @@ func TestUpperBoundDominatesPolicies(t *testing.T) {
 	}
 }
 
-// TestSmartPoliciesBeatLRU pins the PR's acceptance criterion: on a
+// TestSmartPoliciesBeatLRU pins what the second policy is kept for: on a
 // size-skewed synthetic trace under pressure, GDSF wins object hit ratio
-// (it keeps many small popular objects where LRU keeps whatever arrived)
-// and TinyLFU admission wins byte hit ratio (it refuses one-hit wonders
-// that would evict proven objects).
+// (it keeps many small popular objects where LRU keeps whatever arrived).
 func TestSmartPoliciesBeatLRU(t *testing.T) {
 	trace := Synthesize(SynthOptions{Requests: 60000, Objects: 4000, Seed: 1})
 	budget := traceBudget(trace, 0.02)
 
 	lru := Replay(trace, budget, cachestore.Policy{})
 	gdsf := Replay(trace, budget, cachestore.Policy{Eviction: cachestore.GDSF()})
-	tlfu := Replay(trace, budget, cachestore.Policy{Admission: cachestore.TinyLFU()})
 
 	if gdsf.OHR() <= lru.OHR() {
 		t.Errorf("GDSF OHR %.4f did not beat LRU OHR %.4f", gdsf.OHR(), lru.OHR())
 	}
-	if tlfu.BHR() <= lru.BHR() {
-		t.Errorf("TinyLFU BHR %.4f did not beat LRU BHR %.4f", tlfu.BHR(), lru.BHR())
-	}
-	if tlfu.Counters.AdmissionRejects == 0 {
-		t.Error("TinyLFU replay recorded no admission rejects; filter inert")
-	}
 	if lru.Counters.VictimScans == 0 {
 		t.Error("LRU replay recorded no victim scans under pressure")
+	}
+}
+
+// serverShapedTrace is the stream the daemon's render cache sees under the
+// benchmark's page_churn workload: Zipf(0.9) navigations over 1 200 pages
+// whose renders are all about 40 KB, one uniformly drawn page re-versioned
+// every 70 requests or so (a new version is a new cache key; the old one
+// is dead weight until evicted). Zipf below 1 needs the inverse CDF —
+// rand.Zipf refuses s ≤ 1.
+func serverShapedTrace(requests int, seed int64) []Request {
+	const (
+		objects   = 1200
+		zipfS     = 0.9
+		churnProb = 1.0 / 70
+	)
+	rng := rand.New(rand.NewSource(seed))
+	cdf := make([]float64, objects)
+	var sum float64
+	for k := range cdf {
+		sum += 1 / math.Pow(float64(k+1), zipfS)
+		cdf[k] = sum
+	}
+	size := func() int64 { return 36<<10 + rng.Int63n(8<<10) } // 36–44 KiB
+	ids := make([]uint64, objects)
+	sizes := make([]int64, objects)
+	next := uint64(1)
+	for o := range ids {
+		ids[o], sizes[o] = next, size()
+		next++
+	}
+	trace := make([]Request, requests)
+	for i := range trace {
+		if rng.Float64() < churnProb {
+			o := rng.Intn(objects)
+			ids[o], sizes[o] = next, size()
+			next++
+		}
+		o := sort.SearchFloat64s(cdf, rng.Float64()*sum)
+		trace[i] = Request{Time: int64(i), ID: ids[o], Size: sizes[o]}
+	}
+	return trace
+}
+
+// TestDefaultPolicyOnServerShapedStream keeps the measurement behind the
+// daemon's LRU default executable. Where every object costs about the same,
+// GDSF's size term has nothing to choose between and LRU gives up little:
+// it must stay within 3 points of optimal OHR of GDSF at the shipped 16 MiB
+// render budget. (The size-skewed traces where GDSF earns its place are
+// TestSmartPoliciesBeatLRU's.) The 8 MiB row is logged, not gated.
+func TestDefaultPolicyOnServerShapedStream(t *testing.T) {
+	trace := serverShapedTrace(200000, 1)
+	for _, budget := range []int64{16 << 20, 8 << 20} {
+		ub := UpperBound(trace, budget)
+		lru := Replay(trace, budget, cachestore.Policy{})
+		gdsf := Replay(trace, budget, cachestore.Policy{Eviction: cachestore.GDSF()})
+		lruPct, gdsfPct := 100*lru.OHR()/ub.OHR(), 100*gdsf.OHR()/ub.OHR()
+		t.Logf("budget %d MiB: bound %.4f, lru %.4f = %.1f%%, gdsf %.4f = %.1f%%",
+			budget>>20, ub.OHR(), lru.OHR(), lruPct, gdsf.OHR(), gdsfPct)
+		for _, res := range []Result{lru, gdsf} {
+			if res.OHR() > ub.OHR()+1e-9 || res.BHR() > ub.BHR()+1e-9 {
+				t.Errorf("%s exceeds the offline bound at %d MiB", res.Policy, budget>>20)
+			}
+		}
+		if budget == 16<<20 && gdsfPct-lruPct > 3 {
+			t.Errorf("LRU trails GDSF by %.1f points of optimal OHR at the shipped budget (limit 3): the default needs re-measuring", gdsfPct-lruPct)
+		}
 	}
 }
 

@@ -15,8 +15,8 @@ type Result struct {
 	// BytesRequested and BytesHit are the corresponding byte totals.
 	BytesRequested, BytesHit int64
 	// Counters is the underlying store's counter snapshot; its
-	// AdmissionRejects, VictimScans and Evictions fields show how the
-	// policy earned its ratios.
+	// VictimScans and Evictions fields show how the policy earned its
+	// ratios.
 	Counters cachestore.Counters
 }
 
@@ -39,8 +39,7 @@ func (r Result) BHR() float64 {
 // Replay runs the trace through a real cachestore.Store under the given
 // byte budget and policy — the same code path production consumers use,
 // not a reimplementation, so simulator numbers reflect the store's actual
-// admission and victim-selection behaviour. Every miss inserts the object
-// (subject to the policy's admission filter).
+// victim selection. Every miss inserts the object.
 func Replay(trace []Request, budget int64, policy cachestore.Policy) Result {
 	store := cachestore.New[int64](cachestore.Options[int64]{
 		MaxBytes: budget,

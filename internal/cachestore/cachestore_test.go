@@ -347,4 +347,14 @@ func TestAuditDetectsDrift(t *testing.T) {
 	if err := s.Audit(); err != nil {
 		t.Fatalf("empty store failed audit: %v", err)
 	}
+	// The default (LRU) store is ordered by the same heap GDSF is, and
+	// audited through it: a node in a slot it does not claim is caught.
+	one := New[string](Options[string]{Shards: 1})
+	one.Put("/a", "a")
+	one.Put("/b", "b")
+	h := one.shards[0].heap
+	h[0], h[1] = h[1], h[0]
+	if err := one.Audit(); err == nil {
+		t.Fatal("audit missed a misplaced heap node")
+	}
 }

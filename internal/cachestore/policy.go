@@ -1,20 +1,16 @@
-// Eviction and admission policies.
+// Eviction policies.
 //
-// The store's replacement behaviour is split into two independently
-// pluggable decisions, because they answer different questions:
-//
-//   - An EvictionPolicy answers "which resident entry should leave when
-//     the budget is exceeded?" by assigning every entry a rank; the store
-//     always evicts the globally smallest rank.
-//   - An AdmissionPolicy answers "should this new entry be allowed to
-//     displace a resident one at all?" and gates inserts in front of
-//     whatever eviction policy is active.
+// A policy answers one question — "which resident entry should leave when
+// the budget is exceeded?" — by assigning every entry a rank; the store
+// keeps each shard's entries in a min-heap on that rank and always evicts
+// the globally smallest.
 //
 // Web objects span four-plus orders of magnitude in size, exactly the
 // regime where pure recency (LRU) — and even Belady's fixed-size OPT — is
-// suboptimal. GDSF folds size and frequency into the rank; TinyLFU keeps a
-// frequency sketch of everything it has seen (including misses) so a
-// one-hit wonder cannot flush a frequently re-read entry.
+// suboptimal, so GDSF folds size and frequency into the rank. There is no
+// admission axis: DESIGN.md §10 records what a filter in front of these two
+// measured against the offline bound, and why that did not pay for a sketch
+// write on every hit.
 package cachestore
 
 import (
@@ -30,9 +26,9 @@ import (
 type EvictionPolicy interface {
 	// Name identifies the policy in flags and telemetry ("lru", "gdsf").
 	Name() string
-	// newRanker returns the store-wide ranking state, or nil to select
-	// the recency-list exact-global-LRU fast path.
-	newRanker() ranker
+	// newRanker returns the store-wide ranking state. touch is the store's
+	// monotone access counter, for a policy that ranks by recency.
+	newRanker(touch *atomic.Uint64) ranker
 }
 
 // ranker computes per-entry eviction ranks; the store evicts the entry
@@ -48,17 +44,25 @@ type ranker interface {
 	onEvict(rank uint64)
 }
 
-// lruPolicy is the default: exact global least-recently-used order via the
-// store's recency lists and touch stamps, unchanged from before policies
-// existed. Its ranker is nil, which keeps the pre-policy fast path.
+// lruPolicy is the default: exact global least-recently-used order.
 type lruPolicy struct{}
 
 // LRU returns the default exact-global-LRU eviction policy. A nil
 // Options.Policy.Eviction selects the same behaviour.
 func LRU() EvictionPolicy { return lruPolicy{} }
 
-func (lruPolicy) Name() string      { return "lru" }
-func (lruPolicy) newRanker() ranker { return nil }
+func (lruPolicy) Name() string                          { return "lru" }
+func (lruPolicy) newRanker(touch *atomic.Uint64) ranker { return lruRanker{touch} }
+
+// lruRanker ranks by the store-wide monotone touch stamp. Stamps are unique,
+// so the heap's order is recency order with no ties to break, and each is
+// larger than every stamp before it, so a new entry's push never sifts.
+type lruRanker struct {
+	touch *atomic.Uint64
+}
+
+func (l lruRanker) onAccess(uint32, int64) uint64 { return l.touch.Add(1) }
+func (lruRanker) onEvict(uint64)                  {}
 
 // gdsfPolicy is greedy-dual size-frequency: rank = L + frequency/size,
 // where L is a store-global inflation value raised to each victim's rank
@@ -72,8 +76,8 @@ type gdsfPolicy struct{}
 // strongly preferring to spend bytes on small popular objects).
 func GDSF() EvictionPolicy { return gdsfPolicy{} }
 
-func (gdsfPolicy) Name() string      { return "gdsf" }
-func (gdsfPolicy) newRanker() ranker { return &gdsfRanker{} }
+func (gdsfPolicy) Name() string                    { return "gdsf" }
+func (gdsfPolicy) newRanker(*atomic.Uint64) ranker { return &gdsfRanker{} }
 
 // gdsfRanker holds L as float64 bits. Ranks are float64 bit patterns:
 // IEEE 754 non-negative floats order identically to their bit patterns, so
@@ -99,198 +103,50 @@ func (g *gdsfRanker) onEvict(rank uint64) {
 	}
 }
 
-// An AdmissionPolicy gates inserts: when storing a new key would exceed
-// the byte budget, the store asks the policy whether the candidate may
-// displace the would-be victim. Rejected candidates are simply not stored
-// (counted as admission_rejects); resident keys are always updated in
-// place. The interface is sealed like EvictionPolicy.
-type AdmissionPolicy interface {
-	// Name identifies the policy in flags and telemetry ("tinylfu").
-	Name() string
-	// newAdmitter returns the store-wide admission state.
-	newAdmitter() admitter
-}
-
-// admitter is the per-store admission state. record is called on every
-// access (hits, misses and puts) with the key's hash; admit compares the
-// candidate against the eviction policy's current victim. Both are called
-// without any shard lock held and must be safe for concurrent use.
-type admitter interface {
-	record(h uint64)
-	admit(candidate, victim uint64) bool
-}
-
-// TinyLFUOptions tunes the TinyLFU admission filter.
-type TinyLFUOptions struct {
-	// Counters is the per-row width of the 4-row count-min sketch,
-	// rounded up to a power of two. Zero selects 8192 (128 KiB of
-	// sketch). Size it near the number of distinct objects a full cache
-	// holds; too small inflates estimates, admitting too eagerly.
-	Counters int
-	// SampleSize is the number of recorded accesses between aging steps
-	// (every counter halves, so frequency estimates decay and the filter
-	// adapts when popularity shifts). Zero selects 10× Counters.
-	SampleSize int
-}
-
-// TinyLFU returns a TinyLFU-style admission filter with default options: a
-// count-min frequency sketch over everything the store has been asked
-// about, gating each insert on estimate(candidate) ≥ estimate(victim).
-func TinyLFU() AdmissionPolicy { return TinyLFUWith(TinyLFUOptions{}) }
-
-// TinyLFUWith is TinyLFU with explicit sketch sizing.
-func TinyLFUWith(opts TinyLFUOptions) AdmissionPolicy { return tinyLFUPolicy{opts: opts} }
-
-type tinyLFUPolicy struct{ opts TinyLFUOptions }
-
-func (tinyLFUPolicy) Name() string { return "tinylfu" }
-
-func (p tinyLFUPolicy) newAdmitter() admitter {
-	width := p.opts.Counters
-	if width <= 0 {
-		width = 8192
-	}
-	pow := 1
-	for pow < width {
-		pow <<= 1
-	}
-	sample := uint64(p.opts.SampleSize)
-	if sample == 0 {
-		sample = uint64(pow) * 10
-	}
-	return &tinylfuSketch{
-		counters: make([]atomic.Uint32, sketchRows*pow),
-		mask:     uint64(pow - 1),
-		sample:   sample,
-	}
-}
-
-const (
-	sketchRows = 4
-	// sketchMax caps counters at 4 bits of resolution, the classic
-	// TinyLFU choice: admission only ever compares estimates, and capping
-	// keeps one burst from dominating an entire aging window.
-	sketchMax = 15
-)
-
-// sketchSeeds decorrelate the four rows; odd constants from splitmix64.
-var sketchSeeds = [sketchRows]uint64{
-	0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9, 0x94d049bb133111eb, 0xd6e8feb86659fd93,
-}
-
-// tinylfuSketch is a 4-row count-min sketch with periodic halving. All
-// operations are atomic but deliberately lossy under races (a dropped
-// increment or a read during aging skews an estimate by at most one) —
-// the sketch is approximate by construction and admission only compares
-// two estimates.
-type tinylfuSketch struct {
-	counters []atomic.Uint32
-	mask     uint64
-	adds     atomic.Uint64
-	sample   uint64
-}
-
-func (t *tinylfuSketch) idx(h uint64, row int) int {
-	x := h ^ sketchSeeds[row]
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	return row*int(t.mask+1) + int(x&t.mask)
-}
-
-func (t *tinylfuSketch) record(h uint64) {
-	for r := 0; r < sketchRows; r++ {
-		c := &t.counters[t.idx(h, r)]
-		if v := c.Load(); v < sketchMax {
-			c.Store(v + 1)
-		}
-	}
-	if t.adds.Add(1)%t.sample == 0 {
-		t.age()
-	}
-}
-
-func (t *tinylfuSketch) estimate(h uint64) uint32 {
-	est := uint32(math.MaxUint32)
-	for r := 0; r < sketchRows; r++ {
-		if v := t.counters[t.idx(h, r)].Load(); v < est {
-			est = v
-		}
-	}
-	return est
-}
-
-// admit favors the candidate on ties: the sketch has just recorded the
-// candidate's access, and evicting a never-again-touched victim costs
-// nothing, while rejecting a warming-up object costs its future hits.
-func (t *tinylfuSketch) admit(candidate, victim uint64) bool {
-	return t.estimate(candidate) >= t.estimate(victim)
-}
-
-// age halves every counter, exponentially decaying history so the filter
-// tracks shifting popularity. Exactly one recorder triggers each step (Add
-// returns unique values); concurrent records during the sweep lose at most
-// their single increment.
-func (t *tinylfuSketch) age() {
-	for i := range t.counters {
-		c := &t.counters[i]
-		c.Store(c.Load() / 2)
-	}
-}
-
-// Policy pairs an eviction policy with an optional admission filter. The
-// zero value is the store default: exact global LRU, admit everything.
+// Policy selects a store's eviction policy. The zero value is the store
+// default, exact global LRU.
 type Policy struct {
 	// Eviction selects the victim ordering; nil means exact global LRU.
 	Eviction EvictionPolicy
-	// Admission, when set, gates budget-displacing inserts.
-	Admission AdmissionPolicy
 }
 
-// Name returns the policy's flag spelling, e.g. "lru", "gdsf",
-// "tinylfu-lru", "tinylfu-gdsf".
-func (p Policy) Name() string {
-	ev := "lru"
-	if p.Eviction != nil {
-		ev = p.Eviction.Name()
+// eviction resolves the nil default.
+func (p Policy) eviction() EvictionPolicy {
+	if p.Eviction == nil {
+		return LRU()
 	}
-	if p.Admission != nil {
-		return p.Admission.Name() + "-" + ev
-	}
-	return ev
+	return p.Eviction
 }
+
+// Name returns the policy's flag spelling: "lru" or "gdsf".
+func (p Policy) Name() string { return p.eviction().Name() }
 
 // PolicyNames lists the spellings ParsePolicy accepts, for flag usage
 // strings.
-func PolicyNames() []string {
-	return []string{"lru", "gdsf", "tinylfu-lru", "tinylfu-gdsf"}
-}
+func PolicyNames() []string { return []string{"lru", "gdsf"} }
 
-// ParsePolicy resolves a policy by name: "lru" (or empty), "gdsf",
-// "tinylfu-lru" (TinyLFU admission in front of LRU eviction; "tinylfu"
-// is accepted as shorthand), or "tinylfu-gdsf".
+// ParsePolicy resolves a policy by name: "lru" (or empty) or "gdsf". The
+// retired admission spellings are refused by name rather than read as LRU,
+// so a configuration that still asks for them fails at startup.
 func ParsePolicy(name string) (Policy, error) {
 	switch name {
 	case "", "lru":
 		return Policy{}, nil
 	case "gdsf":
 		return Policy{Eviction: GDSF()}, nil
-	case "tinylfu", "tinylfu-lru":
-		return Policy{Admission: TinyLFU()}, nil
-	case "tinylfu-gdsf":
-		return Policy{Eviction: GDSF(), Admission: TinyLFU()}, nil
+	case "tinylfu", "tinylfu-lru", "tinylfu-gdsf":
+		return Policy{}, fmt.Errorf("cachestore: policy %q was removed with the admission filter; use lru or gdsf", name)
 	}
-	return Policy{}, fmt.Errorf("cachestore: unknown policy %q (have lru, gdsf, tinylfu-lru, tinylfu-gdsf)", name)
+	return Policy{}, fmt.Errorf("cachestore: unknown policy %q (have lru, gdsf)", name)
 }
 
-// Rank-heap bookkeeping for non-LRU eviction policies. Each shard keeps
-// its entries in a binary min-heap on node.linked (the policy rank as of
-// the entry's last write-side positioning — lock-free reads store fresher
-// ranks into node.stamp, and victim selection pays the difference off
-// before trusting the root), so the shard's cheapest validated victim is
-// heap[0] and the global victim is the smallest root across shards — the
-// same O(shards) victim scan the LRU lists use, with O(log n) maintenance
-// per write. All methods require the shard lock.
+// Rank-heap bookkeeping. Each shard keeps its entries in a binary min-heap
+// on node.linked (the policy rank as of the entry's last write-side
+// positioning — lock-free reads store fresher ranks into node.stamp, and
+// victim selection pays the difference off before trusting the root), so
+// the shard's cheapest validated victim is heap[0] and the global victim is
+// the smallest root across shards, with O(log n) maintenance per eviction.
+// All methods require the shard lock.
 
 func (sh *shard[V]) heapPush(n *node[V]) {
 	n.hidx = int32(len(sh.heap))

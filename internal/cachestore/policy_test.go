@@ -3,6 +3,7 @@ package cachestore
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -202,89 +203,6 @@ func TestGDSFAging(t *testing.T) {
 	}
 }
 
-// TestTinyLFUAdmission: a key seen once cannot displace a frequently used
-// victim, while a key with real history is admitted.
-func TestTinyLFUAdmission(t *testing.T) {
-	s := New[int64](Options[int64]{
-		Shards:   4,
-		MaxBytes: 10,
-		SizeOf:   func(_ string, v int64) int64 { return v },
-		Policy:   Policy{Admission: TinyLFU()},
-	})
-	s.Put("hot", 10)
-	for i := 0; i < 5; i++ {
-		s.Get("hot") // sketch estimate ≈ 6
-	}
-	s.Put("cold", 10) // first sighting: estimate 1 < 6
-	if _, ok := s.Peek("cold"); ok {
-		t.Error("one-hit wonder was admitted over a frequent victim")
-	}
-	if _, ok := s.Peek("hot"); !ok {
-		t.Error("frequent victim was displaced")
-	}
-	if c := s.Counters(); c.AdmissionRejects != 1 {
-		t.Errorf("AdmissionRejects = %d, want 1", c.AdmissionRejects)
-	}
-	// A candidate with more history than the victim gets in (misses
-	// record to the sketch too — that is TinyLFU's point).
-	for i := 0; i < 8; i++ {
-		s.Get("warm")
-	}
-	s.Put("warm", 10)
-	if _, ok := s.Peek("warm"); !ok {
-		t.Error("frequently requested candidate was rejected")
-	}
-	if _, ok := s.Peek("hot"); ok {
-		t.Error("displaced victim still resident")
-	}
-	if err := s.Audit(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTinyLFUResidentUpdateNeverGated: Put on a resident key must replace
-// the value even when the admission filter would reject it as a newcomer.
-func TestTinyLFUResidentUpdateNeverGated(t *testing.T) {
-	s := New[int64](Options[int64]{
-		MaxBytes: 10,
-		SizeOf:   func(_ string, v int64) int64 { return v },
-		Policy:   Policy{Admission: TinyLFU()},
-	})
-	s.Put("a", 6)
-	s.Put("a", 9) // over 10 together with the stale charge? No: replacement re-charges.
-	if v, ok := s.Peek("a"); !ok || v != 9 {
-		t.Fatalf("resident update lost: got %d, %v", v, ok)
-	}
-	if err := s.Audit(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTinyLFUSketchAging exercises the count-min sketch's halving step
-// directly: estimates decay so the filter adapts to popularity shifts.
-func TestTinyLFUSketchAging(t *testing.T) {
-	ad := TinyLFUWith(TinyLFUOptions{Counters: 64, SampleSize: 1 << 20}).newAdmitter()
-	sk := ad.(*tinylfuSketch)
-	h := hashKey("popular")
-	for i := 0; i < 10; i++ {
-		sk.record(h)
-	}
-	if est := sk.estimate(h); est != 10 {
-		t.Fatalf("estimate = %d before aging, want 10", est)
-	}
-	sk.age()
-	if est := sk.estimate(h); est != 5 {
-		t.Fatalf("estimate = %d after aging, want 5", est)
-	}
-	// Counters saturate at sketchMax so one burst cannot dominate.
-	for i := 0; i < 100; i++ {
-		sk.record(h)
-	}
-	if est := sk.estimate(h); est != sketchMax {
-		t.Fatalf("estimate = %d after burst, want cap %d", est, sketchMax)
-	}
-}
-
 // TestResizeEvictsDown: shrinking the budget evicts under the active
 // policy immediately; growing it stops evictions.
 func TestResizeEvictsDown(t *testing.T) {
@@ -324,16 +242,10 @@ func TestResizeEvictsDown(t *testing.T) {
 }
 
 // TestResizeConcurrent stresses live budget changes against a full
-// Get/Put/Delete load under every policy combination; the store must end
-// within budget with intact bookkeeping.
+// Get/Put/Delete load under every policy; the store must end within budget
+// with intact bookkeeping.
 func TestResizeConcurrent(t *testing.T) {
-	policies := []Policy{
-		{},
-		{Eviction: GDSF()},
-		{Admission: TinyLFU()},
-		{Eviction: GDSF(), Admission: TinyLFU()},
-	}
-	for _, pol := range policies {
+	for _, pol := range []Policy{{}, {Eviction: GDSF()}} {
 		t.Run(pol.Name(), func(t *testing.T) {
 			s := New[int64](Options[int64]{
 				Shards:   8,
@@ -428,39 +340,36 @@ func TestParsePolicy(t *testing.T) {
 	if p, err := ParsePolicy(""); err != nil || p.Name() != "lru" {
 		t.Errorf("empty name: %v, %q", err, p.Name())
 	}
-	if p, err := ParsePolicy("tinylfu"); err != nil || p.Name() != "tinylfu-lru" {
-		t.Errorf("tinylfu shorthand: %v, %q", err, p.Name())
-	}
-	if _, err := ParsePolicy("belady"); err == nil {
-		t.Error("unknown policy accepted")
+	// The retired admission spellings must fail loudly, naming what is
+	// accepted, not fall back to LRU.
+	for _, name := range []string{"belady", "tinylfu", "tinylfu-lru", "tinylfu-gdsf"} {
+		_, err := ParsePolicy(name)
+		if err == nil {
+			t.Errorf("ParsePolicy(%q) accepted", name)
+		} else if msg := err.Error(); !strings.Contains(msg, "lru") || !strings.Contains(msg, "gdsf") {
+			t.Errorf("ParsePolicy(%q) error %q does not name the accepted spellings", name, msg)
+		}
 	}
 }
 
-// TestPolicyTelemetry: the new per-policy counters land in the registry
+// TestPolicyTelemetry: the victim-selection counter lands in the registry
 // under the store's name like every other instrument.
 func TestPolicyTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := New[int64](Options[int64]{
 		MaxBytes:  10,
 		SizeOf:    func(_ string, v int64) int64 { return v },
-		Policy:    Policy{Eviction: GDSF(), Admission: TinyLFU()},
+		Policy:    Policy{Eviction: GDSF()},
 		Telemetry: reg,
 		Name:      "test",
 	})
 	s.Put("a", 10)
-	for i := 0; i < 5; i++ {
-		s.Get("a")
-	}
-	s.Put("b", 10) // rejected: no history
+	s.Put("b", 10) // evicts a
 	snap := reg.Snapshot()
-	if got := snap.Counters["test.admission_rejects"]; got != 1 {
-		t.Errorf("test.admission_rejects = %d, want 1", got)
-	}
 	if got := snap.Counters["test.victim_scans"]; got < 1 {
 		t.Errorf("test.victim_scans = %d, want ≥ 1", got)
 	}
-	c := s.Counters()
-	if c.AdmissionRejects != snap.Counters["test.admission_rejects"] {
-		t.Error("Counters() and registry disagree on admission rejects")
+	if c := s.Counters(); c.VictimScans != snap.Counters["test.victim_scans"] {
+		t.Error("Counters() and registry disagree on victim scans")
 	}
 }

@@ -93,6 +93,13 @@ async function handleNavigation(request) {
   return resp;
 }
 
+// no-store anywhere in the Cache-Control directive list forbids storing
+// (PROTOCOL.md section 4 step 3), whatever else the list carries.
+function noStore(cacheControl) {
+  return (cacheControl || "").split(",").some(
+    (d) => d.split("=")[0].trim().toLowerCase() === "no-store");
+}
+
 async function handleSubresource(request) {
   const url = new URL(request.url);
   const key = url.pathname + url.search;
@@ -106,7 +113,7 @@ async function handleSubresource(request) {
     }
   }
   const resp = await fetch(request);
-  if (resp.ok && resp.headers.get("Cache-Control") !== "no-store") {
+  if (resp.ok && !noStore(resp.headers.get("Cache-Control"))) {
     cache.put(request, resp.clone());
   }
   return resp;

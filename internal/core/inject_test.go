@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"os/exec"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -139,5 +141,80 @@ func TestInjectQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServiceWorkerScriptHonorsNoStore runs the shipped script under node
+// with a Map-backed caches, a stub fetch and plain-object requests: a
+// response whose Cache-Control lists no-store anywhere must not be stored
+// (it would later be replayed with zero round trips), anything else is.
+func TestServiceWorkerScriptHonorsNoStore(t *testing.T) {
+	node, err := exec.LookPath("node")
+	if err != nil {
+		t.Skip("SKIPPED, NOT PASSED: node is not on PATH, so the Service Worker script's no-store handling went unchecked")
+	}
+	const harness = `
+const stored = new Map();
+let cacheControl = "";
+let onFetch;
+globalThis.self = {
+  location: { origin: "https://site.example" },
+  clients: { claim() {} },
+  skipWaiting() {},
+  addEventListener(type, fn) { if (type === "fetch") onFetch = fn; },
+};
+globalThis.caches = {
+  open: async () => ({
+    match: async (req) => stored.get(req.url),
+    put: async (req, resp) => { stored.set(req.url, resp); },
+  }),
+};
+globalThis.fetch = async () => {
+  const resp = {
+    ok: true,
+    headers: { get: (name) => ({ "cache-control": cacheControl, etag: '"v1"' })[name.toLowerCase()] || null },
+    clone: () => resp,
+  };
+  return resp;
+};
+(0, eval)(require("fs").readFileSync(0, "utf8"));
+(async () => {
+  const out = {};
+  for (const cc of JSON.parse(process.argv[1])) {
+    cacheControl = cc;
+    const request = { method: "GET", mode: "no-cors", url: "https://site.example/r?cc=" + encodeURIComponent(cc) };
+    let done;
+    onFetch({ request, respondWith(p) { done = p; } });
+    await done;
+    out[cc] = stored.has(request.url);
+  }
+  console.log(JSON.stringify(out));
+})();
+`
+	want := map[string]bool{
+		"no-store":          false,
+		"no-store, private": false,
+		"private, No-Store": false,
+		"max-age=60":        true,
+	}
+	var values []string
+	for cc := range want {
+		values = append(values, cc)
+	}
+	arg, _ := json.Marshal(values)
+	cmd := exec.Command(node, "-e", harness, string(arg))
+	cmd.Stdin = strings.NewReader(ServiceWorkerScript)
+	outBytes, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("node: %v\n%s", err, outBytes)
+	}
+	var got map[string]bool
+	if err := json.Unmarshal(outBytes, &got); err != nil {
+		t.Fatalf("harness output %q: %v", outBytes, err)
+	}
+	for cc, stored := range want {
+		if g, ok := got[cc]; !ok || g != stored {
+			t.Errorf("Cache-Control %q: stored = %v (reported %v), want %v", cc, g, ok, stored)
+		}
 	}
 }

@@ -120,14 +120,9 @@ func (e *Entry) Size() int64 {
 
 // Options configures a Cache.
 type Options struct {
-	// MaxBytes bounds the cache size; 0 means unlimited. The Policy
-	// chooses victims (exact LRU by default).
+	// MaxBytes bounds the cache size; 0 means unlimited. Victims are the
+	// least recently used entries — what real browser caches approximate.
 	MaxBytes int64
-	// Policy selects the eviction/admission policy for stored entries.
-	// The zero value is exact LRU — what real browser caches approximate.
-	// Size-aware policies model proxy/CDN caches facing the same RFC 9111
-	// freshness rules with very mixed object sizes.
-	Policy cachestore.Policy
 	// NegativeTTL, when positive, enables negative caching: complete,
 	// storable 404 responses are kept and served Fresh for this long,
 	// saving the round trip that repeatedly re-discovers a missing
@@ -202,7 +197,6 @@ func New(clock vclock.Clock, opts Options) *Cache {
 		Shards:   1,
 		MaxBytes: opts.MaxBytes,
 		SizeOf:   func(_ string, e *Entry) int64 { return e.Size() },
-		Policy:   opts.Policy,
 		OnEvict:  func(string, *Entry) { c.evictions.Add(1) },
 	})
 	if opts.Telemetry != nil {

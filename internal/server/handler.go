@@ -41,8 +41,8 @@ type Options struct {
 	// (path, content ETag) so an unchanged page skips re-parsing and
 	// re-hashing on every hit. Zero selects 16 MiB; negative disables it.
 	MaxRenderBytes int64
-	// RenderCachePolicy selects the rendered-page cache's eviction and
-	// admission policy; the zero value is exact global LRU. Rendered
+	// RenderCachePolicy selects the rendered-page cache's eviction
+	// policy; the zero value is exact global LRU. Rendered
 	// pages span from landing stubs to huge generated documents, so a
 	// size-aware policy can keep many small hot pages instead of one
 	// giant one. (CachePolicy, by contrast, is this package's

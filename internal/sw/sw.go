@@ -45,37 +45,19 @@ type CacheStorage struct {
 // Evictions returns the number of entries removed by the storage quota.
 func (c *CacheStorage) Evictions() int64 { return c.evictions.Load() }
 
-// CacheStorageOptions configures a CacheStorage.
-type CacheStorageOptions struct {
-	// MaxBytes bounds stored body bytes; 0 means unbounded (real
-	// browsers impose an origin quota; experiments pick one explicitly).
-	MaxBytes int64
-	// Policy selects the quota's eviction/admission policy. The zero
-	// value is exact LRU, matching how browsers evict Cache API
-	// storage; size-aware policies let storage-pressure experiments ask
-	// what a smarter quota would keep.
-	Policy cachestore.Policy
-}
-
 // NewCacheStorage returns an empty, unbounded store.
 func NewCacheStorage() *CacheStorage {
 	return NewBoundedCacheStorage(0)
 }
 
 // NewBoundedCacheStorage returns an empty store evicting least-recently
-// used entries beyond maxBytes of body data (0 = unbounded).
+// used entries beyond maxBytes of body data (0 = unbounded; real browsers
+// impose an origin quota, experiments pick one explicitly).
 func NewBoundedCacheStorage(maxBytes int64) *CacheStorage {
-	return NewCacheStorageOptions(CacheStorageOptions{MaxBytes: maxBytes})
-}
-
-// NewCacheStorageOptions returns an empty store with an explicit quota
-// and cache policy.
-func NewCacheStorageOptions(opts CacheStorageOptions) *CacheStorage {
 	c := &CacheStorage{}
 	c.store = cachestore.New[*httpcache.Response](cachestore.Options[*httpcache.Response]{
-		MaxBytes: opts.MaxBytes,
+		MaxBytes: maxBytes,
 		SizeOf:   func(_ string, r *httpcache.Response) int64 { return int64(len(r.Body)) },
-		Policy:   opts.Policy,
 		OnEvict:  func(string, *httpcache.Response) { c.evictions.Add(1) },
 	})
 	return c

@@ -53,8 +53,8 @@ type Tenant struct {
 	// longest prefix wins across tenants. Empty disables prefix routing
 	// for this tenant.
 	PathPrefix string
-	// Policy is the eviction/admission policy for the tenant's cache
-	// namespaces. The zero value is exact LRU.
+	// Policy is the eviction policy for the tenant's cache namespaces.
+	// The zero value inherits the process default.
 	Policy cachestore.Policy
 	// BudgetBytes bounds the tenant's derived-cache namespaces (rendered
 	// pages; stale copies and delta bases at half scale). Zero inherits

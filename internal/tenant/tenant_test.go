@@ -24,15 +24,15 @@ func TestResolverRouting(t *testing.T) {
 		host, path string
 		want       *Tenant
 	}{
-		{"shop.example.com", "/anything", shop},     // host rule
-		{"shop.example.com:8080", "/x", shop},       // port stripped
-		{"SHOP.EXAMPLE.COM", "/x", shop},            // case-insensitive
-		{"docs.example.com", "/shop/api/v1", docs},  // host wins over prefix
-		{"[::1]:9090", "/x", docs},                  // bracketed IPv6 with port
-		{"::1", "/x", docs},                         // bare IPv6
-		{"other.example.com", "/shop/api/v1", api},  // longest prefix wins
-		{"other.example.com", "/shop/cart", shop},   // shorter prefix
-		{"other.example.com", "/unmatched", def},    // catch-all
+		{"shop.example.com", "/anything", shop},    // host rule
+		{"shop.example.com:8080", "/x", shop},      // port stripped
+		{"SHOP.EXAMPLE.COM", "/x", shop},           // case-insensitive
+		{"docs.example.com", "/shop/api/v1", docs}, // host wins over prefix
+		{"[::1]:9090", "/x", docs},                 // bracketed IPv6 with port
+		{"::1", "/x", docs},                        // bare IPv6
+		{"other.example.com", "/shop/api/v1", api}, // longest prefix wins
+		{"other.example.com", "/shop/cart", shop},  // shorter prefix
+		{"other.example.com", "/unmatched", def},   // catch-all
 	}
 	for _, c := range cases {
 		if got := r.Resolve(c.host, c.path); got != c.want {
@@ -191,6 +191,8 @@ func TestParseConfigRejects(t *testing.T) {
 		{"no tenants", `{"tenants":[]}`, "no tenants"},
 		{"no upstream", `{"tenants":[{"name":"a"}]}`, "missing upstream"},
 		{"bad policy", `{"tenants":[{"name":"a","upstream":"http://x","cachePolicy":"magic"}]}`, "magic"},
+		{"retired policy", `{"tenants":[{"name":"a","upstream":"http://x","cachePolicy":"tinylfu"}]}`, "use lru or gdsf"},
+		{"retired policy pair", `{"tenants":[{"name":"a","upstream":"http://x","cachePolicy":"tinylfu-gdsf"}]}`, "use lru or gdsf"},
 		{"bad duration", `{"tenants":[{"name":"a","upstream":"http://x","staleFor":"fast"}]}`, "duration"},
 		{"dup names", `{"tenants":[
 			{"name":"a","upstream":"http://x","hosts":["a.test"]},
