@@ -30,15 +30,18 @@ vet:
 # harness share (DESIGN.md §13) — or when the cache core's retired forks grow
 # back: a policy knob on a cache no construction bounds (the browser cache,
 # the SW storage, catalyst.Client), or a recency list beside the rank heap
-# (DESIGN.md §7).
+# (DESIGN.md §7) — or when the RFC 9111 §4.3.4 304 merge gains a second
+# definition beside headers.MergeNotModified, or a hand-rolled copy loop over
+# a 304's header in httpcache or catalyst (DESIGN.md §12).
 FORK_SRC = $(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' ./... | tr ' ' '\n' | grep -v '/bench/'
 forks:
 	@fail=0; src=$$($(FORK_SRC)); \
-	for pat in 'core\.\(InjectRegistration\|RegistrationOffset\)(' 'delta\.Diff(' 'maxPreloadHints *=' 'httputil\.NewSingleHostReverseProxy('; do \
+	for pat in 'core\.\(InjectRegistration\|RegistrationOffset\)(' 'delta\.Diff(' 'maxPreloadHints *=' 'httputil\.NewSingleHostReverseProxy(' 'func MergeNotModified('; do \
 		n=$$(grep -h "$$pat" $$src | grep -vc '^[[:space:]]*//'); \
 		if [ "$$n" -ne 1 ]; then echo "forks: '$$pat' appears $$n times in non-test code, want 1:" >&2; grep -n "$$pat" $$src >&2; fail=1; fi; \
 	done; \
-	for chk in '/internal/\(sw\|httpcache\|browser\)/\|/catalyst/client\.go$$:cachestore\.Policy' '/internal/cachestore/:pushFront(\|relink('; do \
+	for chk in '/internal/\(sw\|httpcache\|browser\)/\|/catalyst/client\.go$$:cachestore\.Policy' '/internal/cachestore/:pushFront(\|relink(' \
+		'/internal/httpcache/\|/catalyst/:range [A-Za-z0-9_.]*\([nN]ot[mM]odified\|304\)[A-Za-z0-9_]*\.Header'; do \
 		files=$$(echo "$$src" | tr ' ' '\n' | grep "$${chk%%:*}"); \
 		if grep -Hn "$${chk#*:}" $$files | grep -v ':[0-9]*:[[:space:]]*//' >&2; then \
 			echo "forks: '$${chk#*:}' is back in non-test code under '$${chk%%:*}', want 0" >&2; fail=1; fi; \
@@ -49,8 +52,9 @@ forks:
 
 # Short fuzz pass over the hostile-input parsers (X-Etag-Config decoding,
 # map building, cache-trace parsing, delta patches, probe targets out of
-# upstream HTML) and the hot index's raw-page compare. The corpus seeds also
-# run as part of plain `go test`.
+# upstream HTML), the hot index's raw-page compare, and the 304 header merge
+# the held page and the browser cache share. The corpus seeds also run as
+# part of plain `go test`.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeMap -fuzztime=10s ./internal/core/
 	$(GO) test -run=^$$ -fuzz=FuzzBuildMap -fuzztime=10s ./internal/core/
@@ -58,6 +62,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDeltaRoundTrip -fuzztime=10s ./internal/delta/
 	$(GO) test -run=^$$ -fuzz=FuzzProbeTarget -fuzztime=10s ./catalyst/
 	$(GO) test -run=^$$ -fuzz=FuzzHotMatch -fuzztime=10s ./catalyst/
+	$(GO) test -run=^$$ -fuzz=FuzzMergeNotModified -fuzztime=10s ./internal/headers/
 
 # Scheme-matrix smoke: the conformance suite (golden table, shape claims,
 # determinism, cancellation under -race) plus one live run of the command.

@@ -193,8 +193,10 @@ func BenchmarkMiddlewareHTMLCold(b *testing.B) {
 // churnPage is the benchmark's page_churn page shape as an inner handler: one
 // page with 40 references — 4 stylesheets of 6 KB, 12 scripts of 4 KB, 24
 // images of 3 KB — every response tagged and If-None-Match honoured, the way
-// the bench origin (and any static file server) answers.
-func churnPage() http.Handler {
+// the bench origin (and any static file server) answers. The page body is
+// padded with text to pageBytes (the benchmark's pages are 40 KB); 0 leaves
+// it at its ≈ 1.5 KB of markup.
+func churnPage(pageBytes int) http.Handler {
 	mux := http.NewServeMux()
 	var page strings.Builder
 	page.WriteString("<html><head>")
@@ -214,6 +216,9 @@ func churnPage() http.Handler {
 	for i := 0; i < 24; i++ {
 		fmt.Fprintf(&page, `<img src="/i%02d.png">`, i)
 		asset(fmt.Sprintf("/i%02d.png", i), "image/png", 3<<10)
+	}
+	if pad := pageBytes - page.Len(); pad > 0 {
+		fmt.Fprintf(&page, "<p>%s</p>", strings.Repeat("x", pad))
 	}
 	page.WriteString("</body></html>")
 	handleTagged(mux, "/{$}", "text/html; charset=utf-8", page.String())
@@ -240,16 +245,64 @@ func BenchmarkMiddlewareProbeRefresh(b *testing.B) {
 			h.ServeHTTP(w, req)
 		}
 	}
-	b.Run("InProcess", func(b *testing.B) { bench(b, churnPage()) })
-	b.Run("Upstream", func(b *testing.B) {
-		origin := httptest.NewServer(churnPage())
-		defer origin.Close()
-		u, err := url.Parse(origin.URL)
-		if err != nil {
-			b.Fatal(err)
+	b.Run("InProcess", func(b *testing.B) { bench(b, churnPage(0)) })
+	b.Run("Upstream", func(b *testing.B) { benchUpstream(b, churnPage(0), bench) })
+}
+
+// benchUpstream runs bench against site served over loopback behind
+// NewUpstreamProxy, the way catalystd -origin reaches its origin.
+func benchUpstream(b *testing.B, site http.Handler, bench func(*testing.B, http.Handler)) {
+	origin := httptest.NewServer(site)
+	defer origin.Close()
+	u, err := url.Parse(origin.URL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	proxy, closeIdle := NewUpstreamProxy(u)
+	defer closeIdle()
+	bench(b, proxy)
+}
+
+// BenchmarkMiddlewarePageRevalidate measures a navigation of an unchanged
+// 40 KB page the hot index holds, every probe fresh and the encoding
+// reusable: one conditional page fetch answered 304, and the held render
+// served. InProcess and Upstream as in ProbeRefresh; over loopback the 304 is
+// what replaces the page body's copy through the proxy and the sniffing
+// writer.
+func BenchmarkMiddlewarePageRevalidate(b *testing.B) {
+	bench := func(b *testing.B, inner http.Handler) {
+		h := Middleware(inner, MiddlewareOptions{ProbeTTL: time.Hour})
+		req := httptest.NewRequest("GET", "/", nil)
+		w := &discardWriter{h: make(http.Header)}
+		for i := 0; i < 3; i++ {
+			h.ServeHTTP(w, req)
 		}
-		proxy, closeIdle := NewUpstreamProxy(u)
-		defer closeIdle()
-		bench(b, proxy)
-	})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.ServeHTTP(w, req)
+		}
+	}
+	b.Run("InProcess", func(b *testing.B) { bench(b, churnPage(40<<10)) })
+	b.Run("Upstream", func(b *testing.B) { benchUpstream(b, churnPage(40<<10), bench) })
+}
+
+// BenchmarkMiddlewareWarmResolve measures the resolve a page_churn navigation
+// pays when only the tenant-wide probe generation moved: the page shape of
+// churnPage, every probe fresh in the probe cache, and the cached encoding
+// invalidated by a generation bump each iteration, so every serve re-walks
+// 40 probe-cache hits and re-encodes the map.
+func BenchmarkMiddlewareWarmResolve(b *testing.B) {
+	h := Middleware(churnPage(0), MiddlewareOptions{ProbeTTL: time.Hour})
+	m := h.(*middleware)
+	req := httptest.NewRequest("GET", "/", nil)
+	w := &discardWriter{h: make(http.Header)}
+	h.ServeHTTP(w, req)
+	h.ServeHTTP(w, req)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.def.probeGen.Add(1)
+		h.ServeHTTP(w, req)
+	}
 }

@@ -32,3 +32,28 @@ func TestWarmHitAllocations(t *testing.T) {
 		t.Fatalf("warm hit allocates %.1f/op, want at most 1", n)
 	}
 }
+
+// TestWarmRevalidatedHitAllocations pins the held page's 304 path: the inner
+// handler is asked with If-None-Match and answers 304, and the held render is
+// served. Its budget is the inner handler's two header Sets plus the 304
+// merge's one value array, with one to spare; what it must not grow back is a
+// request Clone or an If-None-Match value built per request.
+func TestWarmRevalidatedHitAllocations(t *testing.T) {
+	h := Middleware(churnPage(0), MiddlewareOptions{ProbeTTL: time.Hour})
+	m := h.(*middleware)
+	req := httptest.NewRequest("GET", "/", nil)
+	w := &discardWriter{h: make(http.Header)}
+	// Fill the caches, hold the page, pin the encoding.
+	for i := 0; i < 3; i++ {
+		h.ServeHTTP(w, req)
+	}
+	before := m.opts.Metrics.PageRevalidated.Load()
+	n := testing.AllocsPerRun(200, func() { h.ServeHTTP(w, req) })
+	if got := m.opts.Metrics.PageRevalidated.Load() - before; got < 200 {
+		t.Fatalf("%d of the measured serves revalidated the page, want all", got)
+	}
+	if n > 4 {
+		t.Fatalf("revalidated warm hit allocates %.1f/op, want at most 4", n)
+	}
+	t.Logf("revalidated warm hit: %.1f allocs/op", n)
+}

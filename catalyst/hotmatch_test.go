@@ -56,12 +56,12 @@ func TestHotMatchIsEquality(t *testing.T) {
 			if got, want := rd.IsRenderOf(x), bytes.Equal(raw, x); got != want {
 				t.Fatalf("doc %d, %s: IsRenderOf(%q) = %v, bytes.Equal(raw, x) = %v", di, what, x, got, want)
 			}
-			if ent := m.hotRender(&m.def, "/", x); string(ent.Body) != core.InjectRegistration(string(x)) {
+			if ent := m.hotRender(&m.def, "/", x, nil); string(ent.Body) != core.InjectRegistration(string(x)) {
 				t.Fatalf("doc %d, %s: hot lane served the render of another body for %q", di, what, x)
 			}
 			// Leave the index pinning rd's page again, so the next input is
 			// compared against it and not against this one.
-			m.hotRender(&m.def, "/", raw)
+			m.hotRender(&m.def, "/", raw, nil)
 		}
 		check("identity", raw)
 		check("copy", append([]byte(nil), raw...))

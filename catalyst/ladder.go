@@ -8,6 +8,7 @@ import (
 
 	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/etag"
+	"cachecatalyst/internal/headers"
 	"cachecatalyst/internal/resilience"
 	"cachecatalyst/internal/telemetry"
 )
@@ -123,11 +124,20 @@ func (m *middleware) servePassthrough(w http.ResponseWriter, r *http.Request, re
 // the raw body, no snippet, no map, no probing. Used when the request's
 // deadline budget ran out after the inner handler finished but before
 // the probe fan-out could start — late-but-plain beats later-and-decorated.
-func (m *middleware) servePlain(w http.ResponseWriter, r *http.Request, sw *sniffWriter, pageURL string) {
+// A page revalidated against the hot index (held set) brought no body: the
+// raw page is taken out of the held render, under the validator the inner
+// handler just vouched for.
+func (m *middleware) servePlain(w http.ResponseWriter, r *http.Request, sw *sniffWriter, pageURL string, held *hotEntry) {
 	h := w.Header()
-	copyHeader(h, sw.header)
+	body := sw.body()
+	if held != nil {
+		headers.MergeNotModified(h, held.header, sw.header)
+		h["Etag"], body = held.inm, held.render.Raw()
+	} else {
+		copyHeader(h, sw.header)
+	}
 	m.decide(r.Context(), h, "budget-exhausted", pageURL)
-	decorate.WriteEntity(w, r, sw.body(), nil)
+	decorate.WriteEntity(w, r, body, nil)
 }
 
 // serveReject answers 503 + Retry-After, the ladder's bottom rung.

@@ -24,6 +24,9 @@ type flakySite struct {
 	block   atomic.Value  // chan struct{}: when set, /page serves block on it
 	delayNS atomic.Int64  // when set, /page serves sleep this long
 	entered chan struct{} // receives one token per blocked /page serve
+	// tag, when set before the first request, is the pages' Etag, and a
+	// matching If-None-Match is answered 304.
+	tag string
 }
 
 const flakyPage = `<html><head><link rel="stylesheet" href="/style.css"></head><body>page</body></html>`
@@ -58,6 +61,13 @@ func (f *flakySite) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 			if d := f.delayNS.Load(); d > 0 {
 				time.Sleep(time.Duration(d))
+			}
+		}
+		if f.tag != "" {
+			w.Header().Set("Etag", f.tag)
+			if r.Header.Get("If-None-Match") == f.tag {
+				w.WriteHeader(http.StatusNotModified)
+				return
 			}
 		}
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -351,6 +361,25 @@ func TestBudgetExhaustedServesPlain(t *testing.T) {
 	h2 := Middleware(newFlakySite(), MiddlewareOptions{RequestBudget: time.Minute})
 	if rec := get(h2, "/page"); rec.Header().Get(HeaderName) == "" {
 		t.Fatal("generous budget failed to decorate")
+	}
+	// A held page whose revalidation spends the budget is served plain too:
+	// the raw page out of the held render, under the tag the handler just
+	// vouched for.
+	site = newFlakySite()
+	site.tag = `"page-v1"`
+	metrics = &MiddlewareMetrics{}
+	h3 := Middleware(site, MiddlewareOptions{Metrics: metrics, RequestBudget: 50 * time.Millisecond})
+	if rec := get(h3, "/page"); rec.Header().Get(HeaderName) == "" {
+		t.Fatal("the budget did not suffice to decorate (and hold) the page")
+	}
+	site.delayNS.Store(int64(100 * time.Millisecond))
+	rec = get(h3, "/page")
+	if rec.Code != 200 || rec.Body.String() != flakyPage || rec.Header().Get("Etag") != site.tag || rec.Header().Get(HeaderName) != "" {
+		t.Fatalf("revalidated past its budget: %d, Etag %q, map %q, body %q; want the raw page under %s, no map",
+			rec.Code, rec.Header().Get("Etag"), rec.Header().Get(HeaderName), rec.Body.String(), site.tag)
+	}
+	if metrics.PageRevalidated.Load() != 1 || metrics.BudgetExhausted.Load() != 1 {
+		t.Fatalf("PageRevalidated = %d, BudgetExhausted = %d, want 1 and 1", metrics.PageRevalidated.Load(), metrics.BudgetExhausted.Load())
 	}
 }
 

@@ -147,6 +147,12 @@ type MiddlewareMetrics struct {
 	// counts probes answered with a full 200. Failed probes count as neither.
 	ProbeRevalidated telemetry.Counter
 	ProbeFetched     telemetry.Counter
+	// PageRevalidated counts page fetches the inner handler answered 304 to
+	// the validator of the page the hot index held, which was then served
+	// from its held render; PageFetched counts page fetches answered with a
+	// full 200 HTML body.
+	PageRevalidated telemetry.Counter
+	PageFetched     telemetry.Counter
 }
 
 // RegisterTelemetry indexes the counters in reg under "middleware.*".
@@ -167,6 +173,8 @@ func (m *MiddlewareMetrics) RegisterTelemetry(reg *telemetry.Registry) {
 	reg.RegisterCounter("middleware.hotmap_hits", &m.HotMapHits)
 	reg.RegisterCounter("middleware.probe_revalidated", &m.ProbeRevalidated)
 	reg.RegisterCounter("middleware.probe_fetched", &m.ProbeFetched)
+	reg.RegisterCounter("middleware.page_revalidated", &m.PageRevalidated)
+	reg.RegisterCounter("middleware.page_fetched", &m.PageFetched)
 }
 
 // ClientMetricsHandler serves c's counters — including the resilience

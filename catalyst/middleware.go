@@ -15,6 +15,7 @@ import (
 	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/delta"
 	"cachecatalyst/internal/etag"
+	"cachecatalyst/internal/headers"
 	"cachecatalyst/internal/resilience"
 	"cachecatalyst/internal/telemetry"
 	"cachecatalyst/internal/tenant"
@@ -249,9 +250,10 @@ type tenantState struct {
 	probes  *cachestore.Store[probe]
 	renders *cachestore.Store[*renderEntry] // nil when disabled
 	// hot maps page URL → its most recent render: the warm fast lane's
-	// memcmp shortcut over renderKey's SHA-256 (see hotRender). nil exactly
-	// when renders is.
-	hot    *cachestore.Store[*renderEntry]
+	// memcmp shortcut over renderKey's SHA-256 (see hotRender), and for a
+	// held page what its conditional re-fetch needs (see hotEntry). nil
+	// exactly when renders is.
+	hot    *cachestore.Store[*hotEntry]
 	stales *cachestore.Store[*staleEntry] // last-known-good serves; nil when disabled
 	// deltaBases retains recently served page bodies (decorate.DeltaBase);
 	// nil when Options.Delta is off.
@@ -338,10 +340,11 @@ func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
 		// the renders it pins under the same budget, so a render the keyed
 		// cache has evicted stays resident only while hot is paying for it:
 		// the two stores together hold at most 2 × MaxRenderBytes of
-		// renders, and the ones they share are held once.
-		ts.hot = openCache(m, ts.name, def.hot, ns("hot", t.BudgetBytes), cachestore.Options[*renderEntry]{
+		// renders, and the ones they share are held once. A held page's
+		// validator and header snapshot are charged on top.
+		ts.hot = openCache(m, ts.name, def.hot, ns("hot", t.BudgetBytes), cachestore.Options[*hotEntry]{
 			MaxBytes: o.MaxRenderBytes,
-			SizeOf:   renderEntrySize,
+			SizeOf:   hotEntrySize,
 		})
 	}
 	ts.staleTTL = o.StaleFor
@@ -489,14 +492,7 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if ts.stales != nil {
 		sw.staleOwner, sw.staleState, sw.stalePage = m, ts, pageURL
 	}
-	// Cloning the request exists only to strip conditionals; the common
-	// unconditional request is served as-is (handlers must not mutate
-	// their request, so sharing is safe).
-	inner := r
-	if r.Header["If-None-Match"] != nil || r.Header["If-Modified-Since"] != nil {
-		inner = cloneWithoutConditionals(r)
-	}
-	panicked := m.serveInner(sw, inner)
+	panicked, held := m.fetchPage(ts, sw, r, pageURL)
 	if ts.breaker != nil {
 		ts.breaker.Record(!panicked && sw.status < http.StatusInternalServerError)
 	}
@@ -512,7 +508,7 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// mismatch, which is exactly what a proxy would do.
 		return
 	}
-	if sw.held {
+	if sw.swallowed {
 		// The writer swallowed a 5xx because a stale copy existed when
 		// the status committed. Serve it; if it expired in the race,
 		// replay the error honestly.
@@ -529,7 +525,7 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		sw.WriteHeader(http.StatusOK)
 		return
 	}
-	if !sw.buffering {
+	if held == nil && !sw.buffering {
 		return // already streamed
 	}
 
@@ -539,7 +535,7 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// and the client simply falls back to ordinary caching.
 	if b, ok := resilience.BudgetFrom(r.Context()); ok && b.Exhausted() {
 		m.opts.Metrics.BudgetExhausted.Add(1)
-		m.servePlain(w, r, sw, pageURL)
+		m.servePlain(w, r, sw, pageURL, held)
 		return
 	}
 
@@ -550,24 +546,72 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// deferring a closure — a closure per request is exactly the kind of
 	// allocation this path exists to avoid.
 	if m.htmlNS == nil {
-		m.serveHTML(ts, w, r, sw, pageURL)
+		m.serveHTML(ts, w, r, sw, pageURL, held)
 		return
 	}
 	htmlStart := time.Now()
-	m.serveHTML(ts, w, r, sw, pageURL)
+	m.serveHTML(ts, w, r, sw, pageURL, held)
 	m.htmlNS.Observe(time.Since(htmlStart).Nanoseconds())
 }
 
-// serveHTML decorates and delivers a buffered 200 HTML entity: render (via
-// the warm fast lane), early hints, delta bases, map assembly or encoding
-// reuse, conditional answer, body. On a fully-warm unchanged page — hot
-// index hit, cached encoding still valid, no conditionals, no delta —
-// this function acquires no mutex and allocates nothing: every header
-// value it writes was precomputed when the render or encoding was cached.
-func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.Request, sw *sniffWriter, pageURL string) {
+// fetchPage runs the inner handler for the request into sw and reports
+// whether it panicked. For a page the hot index holds, the request carries
+// If-None-Match with the validator the handler issued, and the writer
+// captures a 304. That 304 is believed only if it names no Etag or the one
+// sent, and then fetchPage returns the held entry: the handler vouched for
+// the page held, which is served without a body crossing the writer. A 304
+// naming another tag means the handler holds something else, and a 200 page
+// answering a HEAD has no body to decorate (and must never be rendered as the
+// empty document it is): either is answered by one unconditional GET in the
+// same request, as in fetchProbe. Every other outcome returns nil and is
+// served as if the page had never been held.
+func (m *middleware) fetchPage(ts *tenantState, sw *sniffWriter, r *http.Request, pageURL string) (panicked bool, held *hotEntry) {
+	var inm []string
+	if ts.hot != nil {
+		if held, _ = ts.hot.Peek(pageURL); held != nil {
+			inm = held.inm
+		}
+	}
+	panicked = m.serveInner(sw, sw.innerRequest(r, r.Method, inm))
+	if !panicked && sw.captured {
+		if sw.status == http.StatusNotModified {
+			v := sw.header.Get("Etag")
+			if tag, ok := etag.Parse(v); v == "" || ok && tag == held.tag {
+				m.opts.Metrics.PageRevalidated.Add(1)
+				telemetry.Event(r.Context(), "page-revalidated", pageURL)
+				return false, held
+			}
+		}
+		sw.rewind()
+		panicked = m.serveInner(sw, sw.innerRequest(r, http.MethodGet, nil))
+	}
+	if !panicked && sw.buffering {
+		m.opts.Metrics.PageFetched.Add(1)
+	}
+	return panicked, nil
+}
+
+// serveHTML decorates and delivers a page: the buffered 200 HTML entity, or
+// — when held is set — the render the hot index holds, which the inner
+// handler has just answered 304 for. Then: early hints, delta bases, map
+// assembly or encoding reuse, conditional answer, body. On a fully-warm
+// unchanged page — hot index hit, cached encoding still valid, no
+// conditionals, no delta — this function acquires no mutex and allocates
+// nothing when the page was downloaded, and only the header merge's one
+// value array when it was revalidated: every header value it writes was
+// precomputed when the render or encoding was cached.
+func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.Request, sw *sniffWriter, pageURL string, held *hotEntry) {
 	ctx, span := telemetry.BeginSpan(r.Context(), "middleware")
 	defer span.End()
-	ent := m.hotRender(ts, pageURL, sw.body())
+	var ent *renderEntry
+	if held != nil {
+		// The Get counts the serve against the hot index, as the memcmp
+		// lane's does, and keeps the entry recent.
+		ts.hot.Get(pageURL)
+		ent = held.render
+	} else {
+		ent = m.hotRender(ts, pageURL, sw.body(), sw.header)
+	}
 	h := w.Header()
 
 	// Early hints go out the moment the reference list exists: the probe
@@ -580,11 +624,16 @@ func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.R
 	}
 	deltaBase, deltaFrom := decorate.DeltaBase(ts.deltaBases, r, pageURL, &ent.Render)
 
-	for k, vs := range sw.header {
-		if k == "Content-Length" || k == "Etag" {
-			continue
+	if held != nil {
+		// The held 200's header, updated from the 304 (RFC 9111 §4.3.4).
+		headers.MergeNotModified(h, held.header, sw.header)
+	} else {
+		for k, vs := range sw.header {
+			if k == "Content-Length" || k == "Etag" {
+				continue
+			}
+			h[k] = vs
 		}
-		h[k] = vs
 	}
 
 	// Load the generation before resolving: probes that change state
@@ -639,7 +688,7 @@ func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.R
 	}
 
 	h["Etag"] = ent.EtagHeader
-	m.recordStale(ts, pageURL, ent, encoded, sw.header, now)
+	m.recordStale(ts, pageURL, ent, encoded, h, now)
 	m.decide(ctx, h, decision, pageURL)
 
 	if !etag.NoneMatch(r.Header.Get("If-None-Match"), ent.Tag) {
@@ -762,6 +811,14 @@ func (p *probeResolver) observe(pr probe) {
 			return
 		}
 	}
+}
+
+// Cached implements core.CachingResolver: a path whose probe is cached and
+// unexpired is answered without a flight, so the resolve looks it up inline
+// instead of on a fan-out goroutine.
+func (p *probeResolver) Cached(path string) bool {
+	pr, ok := p.ts.probes.Peek(path)
+	return ok && time.Now().Before(pr.expires)
 }
 
 func (p *probeResolver) ETagFor(path string) (etag.Tag, bool) {
@@ -933,16 +990,6 @@ func (m *middleware) fetchProbe(trace context.Context, path string, via *http.Re
 		pr.cssBody = pw.buf.String()
 	}
 	return pr
-}
-
-// cloneWithoutConditionals strips validators so the inner handler returns
-// the full entity (the middleware handles conditionals itself: against the
-// rewritten body for HTML, via the sniffing writer for everything else).
-func cloneWithoutConditionals(r *http.Request) *http.Request {
-	c := r.Clone(r.Context())
-	c.Header.Del("If-None-Match")
-	c.Header.Del("If-Modified-Since")
-	return c
 }
 
 var _ http.Handler = (*middleware)(nil)

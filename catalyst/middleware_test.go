@@ -4,6 +4,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"strings"
 	"testing"
 	"testing/fstest"
@@ -271,6 +273,79 @@ func TestMiddlewareHEADOnHTML(t *testing.T) {
 	}
 	if rec.Header().Get("Etag") == "" {
 		t.Fatal("HEAD response lost the validator")
+	}
+}
+
+// TestMiddlewareHEADThroughProxy is the HEAD of a page behind a reverse
+// proxy, whose upstream answers a HEAD with a page's headers and no body. That
+// empty body must never be rendered or stored: the HEAD gets the validator,
+// length and map the GET gets, and the GET after it still finds the page's
+// render in the hot index. Both for a page the middleware holds (HEAD +
+// If-None-Match → 304 → the held render) and for one it cannot hold or has
+// not seen (the page is fetched with a GET).
+func TestMiddlewareHEADThroughProxy(t *testing.T) {
+	const page = `<html><head><link rel="stylesheet" href="/a.css"></head><body></body></html>`
+	for _, c := range []struct {
+		name      string
+		tag       string // the origin's page Etag; "" for none
+		headFirst bool
+	}{
+		{"held", `"page-v1"`, false},
+		{"untagged", "", false},
+		{"cold", `"page-v1"`, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if c.tag != "" {
+					w.Header().Set("Etag", c.tag)
+				}
+				if r.URL.Path == "/" {
+					w.Header().Set("Content-Type", "text/html; charset=utf-8")
+					http.ServeContent(w, r, "", time.Time{}, strings.NewReader(page))
+					return
+				}
+				w.Header().Set("Content-Type", "text/css")
+				_, _ = io.WriteString(w, "a{}")
+			}))
+			defer origin.Close()
+			u, err := url.Parse(origin.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := Middleware(httputil.NewSingleHostReverseProxy(u), MiddlewareOptions{ProbeTTL: time.Hour})
+			m := h.(*middleware)
+			serve := func(method string) *httptest.ResponseRecorder {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(method, "/", nil))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("%s / = %d", method, rec.Code)
+				}
+				return rec
+			}
+			var get, head *httptest.ResponseRecorder
+			if c.headFirst {
+				head, get = serve("HEAD"), serve("GET")
+			} else {
+				get, head = serve("GET"), serve("HEAD")
+			}
+			if head.Body.Len() != 0 {
+				t.Fatalf("HEAD carried a %d-byte body", head.Body.Len())
+			}
+			for _, k := range []string{"Etag", "Content-Length", HeaderName} {
+				if g, w := head.Header().Get(k), get.Header().Get(k); g != w || w == "" {
+					t.Errorf("HEAD %s = %q, GET %s = %q", k, g, k, w)
+				}
+			}
+			if again := serve("GET"); again.Header().Get("Etag") != get.Header().Get("Etag") || again.Body.String() != get.Body.String() {
+				t.Fatalf("the GET after the HEAD served another page: Etag %q, was %q", again.Header().Get("Etag"), get.Header().Get("Etag"))
+			}
+			if loads := m.def.renders.Counters().Loads; loads != 1 {
+				t.Errorf("%d renders for one page: the HEAD's empty body was rendered", loads)
+			}
+			if got, want := m.opts.Metrics.PageRevalidated.Load() > 0, c.tag != ""; got != want {
+				t.Errorf("page revalidated: %v, want %v for an origin Etag of %q", got, want, c.tag)
+			}
+		})
 	}
 }
 

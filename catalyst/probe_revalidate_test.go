@@ -25,6 +25,10 @@ const (
 	weakTags                       // W/"…" tags, 304 only to the byte-identical weak tag
 	lying304                       // 304 to every conditional request, naming the current tag
 	unsolicited                    // honours, but one image answers 304 to everything
+	// The page-only personalities (page_revalidate_test.go): honours, and the
+	// page's every 200 carries a fresh Set-Cookie, or Cache-Control: private.
+	setsCookie
+	private
 )
 
 var personalities = map[personality]string{
@@ -69,7 +73,9 @@ type timelineSite struct {
 	sawINM    bool                   // any observed request carried If-None-Match
 	held      map[string]int         // version the middleware last received in a 200
 	wasted    int                    // body bytes written for a version the middleware held
-	seen      map[string][]probeSeen // this step's observed subresource requests
+	seen      map[string][]probeSeen // this step's observed requests, the page's under "/"
+	cookie    string                 // the Set-Cookie of the page's latest 200 (setsCookie)
+	cookies   int
 }
 
 func newTimelineSite(p personality) *timelineSite {
@@ -154,13 +160,10 @@ func (s *timelineSite) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.observing && inm != "" {
 		s.sawINM = true
 	}
-	if path == "/" {
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		fmt.Fprint(w, s.pageBody())
-		return
-	}
 	a := s.assets[path]
-	if a == nil || a.gone {
+	if path == "/" {
+		a = &asset{version: s.pageVersion}
+	} else if a == nil || a.gone {
 		if s.observing {
 			delete(s.held, path)
 			s.seen[path] = append(s.seen[path], probeSeen{conditional: inm != ""})
@@ -174,7 +177,7 @@ func (s *timelineSite) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	notModified := false
 	switch s.p {
-	case honours, weakTags:
+	case honours, weakTags, setsCookie, private:
 		notModified = inm == tag
 	case lying304:
 		notModified = inm != ""
@@ -188,10 +191,25 @@ func (s *timelineSite) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	if strings.HasSuffix(path, ".css") {
+	var body string
+	switch {
+	case path == "/":
+		w.Header().Set("Content-Type", "text/html; charset=utf-8")
+		switch s.p {
+		case setsCookie:
+			s.cookies++
+			s.cookie = fmt.Sprintf("visit=%d", s.cookies)
+			w.Header().Set("Set-Cookie", s.cookie)
+		case private:
+			w.Header().Set("Cache-Control", "private")
+		}
+		body = s.pageBody()
+	case strings.HasSuffix(path, ".css"):
 		w.Header().Set("Content-Type", "text/css; charset=utf-8")
+		fallthrough
+	default:
+		body = s.assetBody(path, a)
 	}
-	body := s.assetBody(path, a)
 	if s.observing {
 		if v, ok := s.held[path]; ok && v == a.version {
 			s.wasted += len(body)
@@ -315,24 +333,7 @@ func runTimeline(t *testing.T, p personality, maxProbeEntries int) {
 		if p == unsolicited && strings.Contains(got, brokenPath) {
 			t.Fatalf("step %d: %s answers 304 to an unconditional GET and is in the map: %s", step, brokenPath, got)
 		}
-		// A 304 naming another tag is answered by exactly one unconditional
-		// re-fetch: the request after a lie is unconditional, and a path is
-		// lied about at most once per navigation.
-		for path, reqs := range site.seen {
-			lies := 0
-			for i, req := range reqs {
-				if !req.lied {
-					continue
-				}
-				lies++
-				if i+1 == len(reqs) || reqs[i+1].conditional {
-					t.Fatalf("step %d: %s: a 304 for a different tag was not followed by an unconditional re-fetch: %+v", step, path, reqs)
-				}
-			}
-			if lies > 1 {
-				t.Fatalf("step %d: %s: re-fetched after a mismatched 304 %d times in one navigation: %+v", step, path, lies, reqs)
-			}
-		}
+		checkLies(t, step, site.seen)
 		site.mutate(rng, step)
 		time.Sleep(ttl + ttl/2)
 	}
@@ -365,6 +366,28 @@ func runTimeline(t *testing.T, p personality, maxProbeEntries int) {
 	}
 	if maxProbeEntries > 0 && metrics.ProbesSwept.Load() == 0 {
 		t.Error("the evicting run evicted nothing")
+	}
+}
+
+// checkLies holds one navigation's requests to the rule that a 304 naming
+// another tag is answered by exactly one unconditional re-fetch: the request
+// after a lie is unconditional, and a path is lied about at most once.
+func checkLies(t *testing.T, step int, seen map[string][]probeSeen) {
+	t.Helper()
+	for path, reqs := range seen {
+		lies := 0
+		for i, req := range reqs {
+			if !req.lied {
+				continue
+			}
+			lies++
+			if i+1 == len(reqs) || reqs[i+1].conditional {
+				t.Fatalf("step %d: %s: a 304 for a different tag was not followed by an unconditional re-fetch: %+v", step, path, reqs)
+			}
+		}
+		if lies > 1 {
+			t.Fatalf("step %d: %s: re-fetched after a mismatched 304 %d times in one navigation: %+v", step, path, lies, reqs)
+		}
 	}
 }
 

@@ -28,9 +28,25 @@ import (
 // writer restores conditional semantics itself on the passthrough path: a
 // 200 whose validators match the original request's If-None-Match or
 // If-Modified-Since is rewritten to a 304 and its body discarded.
+//
+// The one conditional the inner handler does see is the middleware's own:
+// the revalidation of a page the hot index holds (see innerRequest). The 304
+// that answers it is the middleware's to judge, so the writer captures it
+// instead of forwarding it. So is a 200 page answering a HEAD: it has no body
+// to decorate, and the middleware asks again with a GET.
 type sniffWriter struct {
 	dst http.ResponseWriter
 	req *http.Request // original request, with its conditional headers
+
+	// inner and innerHeader are the storage innerRequest builds the inner
+	// handler's request in, pooled with the writer.
+	inner       http.Request
+	innerHeader http.Header
+	// revalidating is set while the inner request carries the middleware's
+	// If-None-Match, headOnly while it is a HEAD. The answers those leave to
+	// the middleware — a 304 to the first, a 200 page to the second — commit
+	// here, captured, and never reach dst.
+	revalidating, headOnly, captured bool
 
 	// staleOwner, when set, is consulted before a >= 500 status is
 	// committed to the client: if it holds an unexpired stale copy of
@@ -51,7 +67,7 @@ type sniffWriter struct {
 	discard   bool // conditional answered 304: drop body writes
 	sentToDst bool // headers (and possibly body) reached the client
 	hijacked  bool
-	held      bool // 5xx swallowed for stale substitution
+	swallowed bool // 5xx swallowed for stale substitution
 
 	buf bytes.Buffer
 }
@@ -61,10 +77,12 @@ type sniffWriter struct {
 // zero-allocation cost. Nothing a writer hands out survives the request:
 // header value slices are allocated fresh by each handler's Set/Add calls
 // (only the map's buckets are reused), and every consumer of the buffered
-// body copies it (render interns it as a string, the hot index clones it,
-// passthrough writes flush into net/http's own buffers) before release.
+// body copies it (render interns it as a string; the hot index keeps no raw
+// page, only the render; passthrough writes flush into net/http's own
+// buffers) before release. The inner request lives here too, so a handler
+// must not keep its request past returning, which net/http already forbids.
 var sniffPool = sync.Pool{
-	New: func() any { return &sniffWriter{header: make(http.Header)} },
+	New: func() any { return &sniffWriter{header: make(http.Header), innerHeader: make(http.Header)} },
 }
 
 func newSniffWriter(dst http.ResponseWriter, req *http.Request) *sniffWriter {
@@ -73,16 +91,54 @@ func newSniffWriter(dst http.ResponseWriter, req *http.Request) *sniffWriter {
 	return w
 }
 
+// innerRequest returns the request the inner handler is asked: the client's
+// request with the given method, without its If-None-Match and
+// If-Modified-Since (the middleware answers those itself), carrying inm as
+// If-None-Match when the middleware revalidates a page it holds. A request
+// with nothing to change is handed on as is. Otherwise the result is a
+// shallow copy in the writer's own storage, header values shared with the
+// original (handlers must not mutate their request), so once the pooled
+// header map has grown, asking costs no allocation: no Clone, and inm is the
+// held entry's precomputed slice.
+func (w *sniffWriter) innerRequest(r *http.Request, method string, inm []string) *http.Request {
+	w.revalidating, w.headOnly = inm != nil, method == http.MethodHead
+	if method == r.Method && inm == nil && r.Header["If-None-Match"] == nil && r.Header["If-Modified-Since"] == nil {
+		return r
+	}
+	clear(w.innerHeader)
+	for k, vs := range r.Header {
+		if k != "If-None-Match" && k != "If-Modified-Since" {
+			w.innerHeader[k] = vs
+		}
+	}
+	if inm != nil {
+		w.innerHeader["If-None-Match"] = inm
+	}
+	w.inner = *r
+	w.inner.Method, w.inner.Header = method, w.innerHeader
+	return &w.inner
+}
+
+// rewind forgets a captured answer so the inner handler can be asked again.
+func (w *sniffWriter) rewind() {
+	clear(w.header)
+	w.status = 0
+	w.committed, w.discard, w.captured = false, false, false
+}
+
 // release resets the writer and returns it to the pool. Callers must not
 // touch the writer afterwards; the middleware releases only after the
 // response is fully written and nothing references the buffer.
 func (w *sniffWriter) release() {
 	w.dst, w.req = nil, nil
+	w.inner = http.Request{}
+	clear(w.innerHeader)
 	w.staleOwner, w.staleState, w.stalePage = nil, nil, ""
 	clear(w.header)
 	w.status = 0
 	w.committed, w.buffering, w.discard = false, false, false
-	w.sentToDst, w.hijacked, w.held = false, false, false
+	w.revalidating, w.headOnly, w.captured = false, false, false
+	w.sentToDst, w.hijacked, w.swallowed = false, false, false
 	// One huge page must not pin its buffer in the pool forever; past a
 	// megabyte the writer is dropped and the next request allocates fresh.
 	if w.buf.Cap() > 1<<20 {
@@ -109,18 +165,23 @@ func (w *sniffWriter) WriteHeader(code int) {
 	w.committed = true
 	w.status = code
 
+	html := code == http.StatusOK && decorate.IsHTML(w.header.Get("Content-Type"))
+	if code == http.StatusNotModified && w.revalidating || html && w.headOnly {
+		w.captured, w.discard = true, true
+		return
+	}
 	if code >= http.StatusInternalServerError && w.staleOwner != nil {
 		if _, ok := w.staleOwner.staleFor(w.staleState, w.stalePage); ok {
 			// A stale substitute exists: swallow the error entirely.
 			// Nothing reaches the client; the middleware serves the stale
 			// copy after the inner handler returns.
-			w.held = true
+			w.swallowed = true
 			w.discard = true
 			return
 		}
 	}
 
-	if code == http.StatusOK && decorate.IsHTML(w.header.Get("Content-Type")) {
+	if html {
 		w.buffering = true
 		// Pre-size from the declared length so a page written in many
 		// small chunks costs one allocation, not a regrow cascade. The
@@ -154,6 +215,8 @@ func (w *sniffWriter) WriteHeader(code int) {
 	copyHeader(w.dst.Header(), w.header)
 	w.dst.WriteHeader(code)
 	w.sentToDst = true
+	// A HEAD the middleware asked as a GET gets the GET's head, no body.
+	w.discard = w.req.Method == http.MethodHead
 }
 
 // notModified evaluates the original request's conditionals against the

@@ -154,23 +154,14 @@ func TestResidentRendersAreCharged(t *testing.T) {
 
 	seen := map[*renderEntry]bool{}
 	var reachable int64
-	for _, store := range []struct {
-		name string
-		*cachestore.Store[*renderEntry]
-	}{{"hot", m.def.hot}, {"renders", m.def.renders}} {
-		if err := store.Audit(); err != nil {
-			t.Errorf("%s: %v", store.name, err)
-		}
-		if store.Bytes() > budget {
-			t.Errorf("%s holds %d bytes, budget %d", store.name, store.Bytes(), budget)
-		}
-		for _, k := range store.Keys() {
-			if e, ok := store.Peek(k); ok && !seen[e] {
-				seen[e] = true
-				reachable += int64(len(e.Body))
-			}
+	visit := func(e *renderEntry) {
+		if !seen[e] {
+			seen[e] = true
+			reachable += int64(len(e.Body))
 		}
 	}
+	walk(t, "hot", m.def.hot, budget, func(e *hotEntry) { visit(e.render) })
+	walk(t, "renders", m.def.renders, budget, visit)
 	charged := m.def.hot.Bytes() + m.def.renders.Bytes()
 	t.Logf("%d renders reachable, %d body bytes; charged %d (hot %d + renders %d)", len(seen), reachable, charged, m.def.hot.Bytes(), m.def.renders.Bytes())
 	if len(seen) == 0 || m.opts.Metrics.RendersEvicted.Load() == 0 {
@@ -178,5 +169,22 @@ func TestResidentRendersAreCharged(t *testing.T) {
 	}
 	if reachable > charged {
 		t.Errorf("%d render body bytes are resident but only %d are charged", reachable, charged)
+	}
+}
+
+// walk audits one store, holds it to its budget and visits every resident
+// value.
+func walk[V any](t *testing.T, name string, store *cachestore.Store[V], budget int64, visit func(V)) {
+	t.Helper()
+	if err := store.Audit(); err != nil {
+		t.Errorf("%s: %v", name, err)
+	}
+	if store.Bytes() > budget {
+		t.Errorf("%s holds %d bytes, budget %d", name, store.Bytes(), budget)
+	}
+	for _, k := range store.Keys() {
+		if v, ok := store.Peek(k); ok {
+			visit(v)
+		}
 	}
 }

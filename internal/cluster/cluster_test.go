@@ -2,13 +2,17 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"cachecatalyst/internal/etag"
+	"cachecatalyst/internal/telemetry"
 )
 
 func TestRingDistribution(t *testing.T) {
@@ -140,35 +144,122 @@ func TestExchangeRoundTrip(t *testing.T) {
 }
 
 func TestExchangeRejects(t *testing.T) {
-	e := NewExchange(ExchangeOptions{Instance: "x"})
+	reg := telemetry.NewRegistry()
+	e := NewExchange(ExchangeOptions{Instance: "x", Telemetry: reg})
 	defer e.Close()
 	h := e.Handler()
 	futureNs := time.Now().Add(time.Minute).UnixNano()
+	m := &e.Metrics
 
 	cases := []struct {
 		name, body string
 		wantCode   int
+		reason     *telemetry.Counter
 	}{
-		{"not json", "{", 400},
-		{"missing fields", `{"tenant":"t"}`, 400},
-		{"bad encoding", fmt.Sprintf(`{"tenant":"t","page":"/","tag":"x","enc":"not a map","expires":%d}`, futureNs), 400},
-		{"expired", `{"tenant":"t","page":"/","tag":"x","enc":"{}","expires":1}`, 400},
+		{"not json", "{", 400, &m.RejectedMalformed},
+		{"missing fields", `{"tenant":"t"}`, 400, &m.RejectedMalformed},
+		{"bad encoding", fmt.Sprintf(`{"tenant":"t","page":"/","tag":"x","enc":"not a map","expires":%d}`, futureNs), 400, &m.RejectedBadEncoding},
+		{"expired", `{"tenant":"t","page":"/","tag":"x","enc":"{}","expires":1}`, 400, &m.RejectedExpired},
+		{"too large", strings.Repeat(" ", maxAnnouncementBytes+1), 413, &m.RejectedTooLarge},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			before := c.reason.Load()
 			req := httptest.NewRequest("POST", HotMapPath, strings.NewReader(c.body))
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, req)
 			if rec.Code != c.wantCode {
 				t.Fatalf("code = %d, want %d", rec.Code, c.wantCode)
 			}
+			if got := c.reason.Load() - before; got != 1 {
+				t.Fatalf("the reason's counter moved by %d, want 1", got)
+			}
 		})
 	}
 	if got := e.Metrics.Rejected.Load(); got != int64(len(cases)) {
 		t.Fatalf("Rejected = %d, want %d", got, len(cases))
 	}
+	counters := reg.Snapshot().Counters
+	want := map[string]int64{"cluster.rejected": 5, "cluster.rejected.malformed": 2, "cluster.rejected.bad_encoding": 1,
+		"cluster.rejected.expired": 1, "cluster.rejected.too_large": 1}
+	for name, n := range want {
+		if counters[name] != n {
+			t.Errorf("%s = %d, want %d", name, counters[name], n)
+		}
+	}
 	if e.local.Len() != 0 {
 		t.Fatal("a rejected announcement was stored")
+	}
+}
+
+// roundTripFunc is an http.RoundTripper in one function: the peers of
+// TestExchangeDrops answer without a network.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestExchangeDrops drives each reason an announcement is dropped for and
+// checks that it lands on its own counter and on the Dropped total.
+func TestExchangeDrops(t *testing.T) {
+	answer := func(status int) roundTripFunc {
+		return func(*http.Request) (*http.Response, error) {
+			return &http.Response{StatusCode: status, Body: io.NopCloser(strings.NewReader(""))}, nil
+		}
+	}
+	refuse := roundTripFunc(func(*http.Request) (*http.Response, error) { return nil, errors.New("connection refused") })
+	for _, c := range []struct {
+		name   string
+		peer   string
+		rt     http.RoundTripper
+		reason func(*ExchangeMetrics) *telemetry.Counter
+	}{
+		{"build", "http://bad host", answer(200), func(m *ExchangeMetrics) *telemetry.Counter { return &m.DroppedBuild }},
+		{"send", "http://peer", refuse, func(m *ExchangeMetrics) *telemetry.Counter { return &m.DroppedSend }},
+		{"status", "http://peer", answer(500), func(m *ExchangeMetrics) *telemetry.Counter { return &m.DroppedStatus }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewExchange(ExchangeOptions{Instance: "a", Peers: []string{c.peer}, Client: &http.Client{Transport: c.rt}})
+			defer e.Close()
+			e.Publish("t", "/", `"v"`, "{}", time.Now().Add(time.Minute).UnixNano())
+			waitFor(t, c.reason(&e.Metrics), 1)
+			if e.Metrics.Dropped.Load() != 1 {
+				t.Fatalf("Dropped = %d, want 1", e.Metrics.Dropped.Load())
+			}
+		})
+	}
+
+	t.Run("queue full", func(t *testing.T) {
+		entered, release := make(chan struct{}), make(chan struct{})
+		stall := roundTripFunc(func(*http.Request) (*http.Response, error) {
+			entered <- struct{}{}
+			<-release
+			return answer(200)(nil)
+		})
+		e := NewExchange(ExchangeOptions{Instance: "a", Peers: []string{"http://peer"}, QueueLen: 1, Client: &http.Client{Transport: stall}})
+		defer e.Close()
+		exp := time.Now().Add(time.Minute).UnixNano()
+		e.Publish("t", "/1", `"v"`, "{}", exp)
+		<-entered                              // the sender holds the first announcement
+		e.Publish("t", "/2", `"v"`, "{}", exp) // fills the queue
+		e.Publish("t", "/3", `"v"`, "{}", exp) // finds it full
+		close(release)
+		<-entered // the second announcement reached the sender
+		if got := e.Metrics.DroppedQueueFull.Load(); got != 1 {
+			t.Fatalf("DroppedQueueFull = %d, want 1", got)
+		}
+		if got := e.Metrics.Dropped.Load(); got != 1 {
+			t.Fatalf("Dropped = %d, want 1", got)
+		}
+	})
+}
+
+// waitFor waits until c reads want, failing after a second.
+func waitFor(t *testing.T, c *telemetry.Counter, want int64) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); c.Load() != want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("counter = %d, want %d", c.Load(), want)
+		}
 	}
 }
 

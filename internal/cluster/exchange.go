@@ -61,14 +61,30 @@ type ExchangeMetrics struct {
 	Published telemetry.Counter
 	// Received counts announcements accepted from peers.
 	Received telemetry.Counter
-	// Rejected counts announcements refused (malformed JSON, an encoding
-	// DecodeMap won't parse, expired on arrival).
+	// Rejected counts announcements refused, the sum of the four reasons
+	// below.
 	Rejected telemetry.Counter
+	// A body over maxAnnouncementBytes (RejectedTooLarge), JSON that does
+	// not parse or lacks tenant, page or tag (RejectedMalformed), an
+	// encoding DecodeMap won't parse (RejectedBadEncoding), an expiry
+	// already past on arrival (RejectedExpired).
+	RejectedTooLarge, RejectedMalformed, RejectedBadEncoding, RejectedExpired telemetry.Counter
 	// Adopted counts Lookup hits — probe fan-outs avoided.
 	Adopted telemetry.Counter
-	// Dropped counts announcements discarded because the publish queue
-	// was full or a peer POST failed.
+	// Dropped counts announcements discarded, the sum of the four reasons
+	// below.
 	Dropped telemetry.Counter
+	// The publish queue was full (DroppedQueueFull); or, counted once per
+	// peer, the POST could not be built (DroppedBuild), failed to send or
+	// to be answered (DroppedSend), or was answered with a status other
+	// than 200 (DroppedStatus).
+	DroppedQueueFull, DroppedBuild, DroppedSend, DroppedStatus telemetry.Counter
+}
+
+// count adds one to a reason's counter and to its total.
+func count(total, reason *telemetry.Counter) {
+	total.Add(1)
+	reason.Add(1)
 }
 
 // Exchange gossips hot X-Etag-Config encodings between instances. It
@@ -113,12 +129,17 @@ func NewExchange(opts ExchangeOptions) *Exchange {
 		Telemetry: opts.Telemetry,
 		Name:      "cluster.hotmaps",
 	})
-	if opts.Telemetry != nil {
-		opts.Telemetry.RegisterCounter("cluster.published", &e.Metrics.Published)
-		opts.Telemetry.RegisterCounter("cluster.received", &e.Metrics.Received)
-		opts.Telemetry.RegisterCounter("cluster.rejected", &e.Metrics.Rejected)
-		opts.Telemetry.RegisterCounter("cluster.adopted", &e.Metrics.Adopted)
-		opts.Telemetry.RegisterCounter("cluster.dropped", &e.Metrics.Dropped)
+	if reg := opts.Telemetry; reg != nil {
+		m := &e.Metrics
+		for name, c := range map[string]*telemetry.Counter{
+			"published": &m.Published, "received": &m.Received, "adopted": &m.Adopted,
+			"rejected": &m.Rejected, "rejected.too_large": &m.RejectedTooLarge, "rejected.malformed": &m.RejectedMalformed,
+			"rejected.bad_encoding": &m.RejectedBadEncoding, "rejected.expired": &m.RejectedExpired,
+			"dropped": &m.Dropped, "dropped.queue_full": &m.DroppedQueueFull, "dropped.build": &m.DroppedBuild,
+			"dropped.send": &m.DroppedSend, "dropped.status": &m.DroppedStatus,
+		} {
+			reg.RegisterCounter("cluster."+name, c)
+		}
 	}
 	e.wg.Add(1)
 	go e.sender()
@@ -159,7 +180,7 @@ func (e *Exchange) Publish(tenant, page, tag, enc string, expires int64) {
 	case e.queue <- msg:
 		e.Metrics.Published.Add(1)
 	default:
-		e.Metrics.Dropped.Add(1)
+		count(&e.Metrics.Dropped, &e.Metrics.DroppedQueueFull)
 	}
 }
 
@@ -181,19 +202,19 @@ func (e *Exchange) sender() {
 			for _, peer := range e.opts.Peers {
 				req, err := http.NewRequest(http.MethodPost, peer+HotMapPath, bytes.NewReader(body))
 				if err != nil {
-					e.Metrics.Dropped.Add(1)
+					count(&e.Metrics.Dropped, &e.Metrics.DroppedBuild)
 					continue
 				}
 				req.Header.Set("Content-Type", "application/json")
 				resp, err := e.client.Do(req)
 				if err != nil {
-					e.Metrics.Dropped.Add(1)
+					count(&e.Metrics.Dropped, &e.Metrics.DroppedSend)
 					continue
 				}
 				_, _ = io.Copy(io.Discard, resp.Body)
 				_ = resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {
-					e.Metrics.Dropped.Add(1)
+					count(&e.Metrics.Dropped, &e.Metrics.DroppedStatus)
 				}
 			}
 		}
@@ -216,24 +237,24 @@ func (e *Exchange) Handler() http.Handler {
 		}
 		body, err := io.ReadAll(io.LimitReader(r.Body, maxAnnouncementBytes+1))
 		if err != nil || len(body) > maxAnnouncementBytes {
-			e.Metrics.Rejected.Add(1)
+			count(&e.Metrics.Rejected, &e.Metrics.RejectedTooLarge)
 			http.Error(w, "announcement too large", http.StatusRequestEntityTooLarge)
 			return
 		}
 		var msg hotMapMsg
 		if err := json.Unmarshal(body, &msg); err != nil || msg.Tenant == "" || msg.Page == "" || msg.Tag == "" {
-			e.Metrics.Rejected.Add(1)
+			count(&e.Metrics.Rejected, &e.Metrics.RejectedMalformed)
 			http.Error(w, "malformed announcement", http.StatusBadRequest)
 			return
 		}
 		if _, err := core.DecodeMap(msg.Enc); err != nil {
-			e.Metrics.Rejected.Add(1)
+			count(&e.Metrics.Rejected, &e.Metrics.RejectedBadEncoding)
 			http.Error(w, "malformed encoding", http.StatusBadRequest)
 			return
 		}
 		now := time.Now()
 		if msg.Expires <= now.UnixNano() {
-			e.Metrics.Rejected.Add(1)
+			count(&e.Metrics.Rejected, &e.Metrics.RejectedExpired)
 			http.Error(w, "expired announcement", http.StatusBadRequest)
 			return
 		}

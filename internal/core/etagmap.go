@@ -183,6 +183,17 @@ type Resolver interface {
 	StylesheetBody(path string) (string, bool)
 }
 
+// CachingResolver is a Resolver that can tell, without blocking, which
+// lookups it would answer from what it already holds. ResolveRefsContext
+// makes those lookups inline on the calling goroutine and fans out only the
+// rest, so a level whose references are all held starts no goroutine.
+type CachingResolver interface {
+	Resolver
+	// Cached reports whether ETagFor and StylesheetBody of path would
+	// answer without blocking.
+	Cached(path string) bool
+}
+
 // BuildOptions tunes BuildMap.
 type BuildOptions struct {
 	// MaxEntries caps the map size; 0 means unlimited. Pages with

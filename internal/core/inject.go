@@ -88,7 +88,9 @@ async function handleNavigation(request) {
   const resp = await fetch(request);
   const cfg = resp.headers.get("X-Etag-Config");
   if (cfg) {
-    try { etagConfig = JSON.parse(cfg); } catch (_) { etagConfig = {}; }
+    // A map that does not parse is ignored, the previous one kept
+    // (PROTOCOL.md section 2.4).
+    try { etagConfig = JSON.parse(cfg); } catch (_) {}
   }
   return resp;
 }

@@ -147,15 +147,20 @@ func TestInjectQuick(t *testing.T) {
 // TestServiceWorkerScriptHonorsNoStore runs the shipped script under node
 // with a Map-backed caches, a stub fetch and plain-object requests: a
 // response whose Cache-Control lists no-store anywhere must not be stored
-// (it would later be replayed with zero round trips), anything else is.
+// (it would later be replayed with zero round trips), anything else is. The
+// same harness then delivers a good map, then a navigation whose
+// X-Etag-Config does not parse: the worker keeps the good map (PROTOCOL.md
+// §2.4), so the subresource it names is still served from cache.
 func TestServiceWorkerScriptHonorsNoStore(t *testing.T) {
 	node, err := exec.LookPath("node")
 	if err != nil {
-		t.Skip("SKIPPED, NOT PASSED: node is not on PATH, so the Service Worker script's no-store handling went unchecked")
+		t.Skip("SKIPPED, NOT PASSED: node is not on PATH, so the Service Worker script's no-store and malformed-map handling went unchecked")
 	}
 	const harness = `
 const stored = new Map();
 let cacheControl = "";
+let etagConfig = null;
+let fetches = 0;
 let onFetch;
 globalThis.self = {
   location: { origin: "https://site.example" },
@@ -170,24 +175,35 @@ globalThis.caches = {
   }),
 };
 globalThis.fetch = async () => {
-  const resp = {
-    ok: true,
-    headers: { get: (name) => ({ "cache-control": cacheControl, etag: '"v1"' })[name.toLowerCase()] || null },
-    clone: () => resp,
-  };
+  fetches++;
+  const headers = { "cache-control": cacheControl, etag: '"v1"', "x-etag-config": etagConfig };
+  const resp = { ok: true, headers: { get: (name) => headers[name.toLowerCase()] || null }, clone: () => resp };
   return resp;
 };
 (0, eval)(require("fs").readFileSync(0, "utf8"));
+async function dispatch(mode, url) {
+  let done;
+  onFetch({ request: { method: "GET", mode, url }, respondWith(p) { done = p; } });
+  await done;
+}
 (async () => {
-  const out = {};
+  const out = { noStore: {} };
   for (const cc of JSON.parse(process.argv[1])) {
     cacheControl = cc;
-    const request = { method: "GET", mode: "no-cors", url: "https://site.example/r?cc=" + encodeURIComponent(cc) };
-    let done;
-    onFetch({ request, respondWith(p) { done = p; } });
-    await done;
-    out[cc] = stored.has(request.url);
+    const url = "https://site.example/r?cc=" + encodeURIComponent(cc);
+    await dispatch("no-cors", url);
+    out.noStore[cc] = stored.has(url);
   }
+  cacheControl = "max-age=60";
+  await dispatch("no-cors", "https://site.example/app.js");
+  etagConfig = JSON.stringify({ "/app.js": '"v1"' });
+  await dispatch("navigate", "https://site.example/");
+  etagConfig = '{"/app.js": "\\"v1\\"';
+  await dispatch("navigate", "https://site.example/");
+  etagConfig = null;
+  const before = fetches;
+  await dispatch("no-cors", "https://site.example/app.js");
+  out.servedFromCacheAfterBadMap = fetches === before;
   console.log(JSON.stringify(out));
 })();
 `
@@ -208,13 +224,19 @@ globalThis.fetch = async () => {
 	if err != nil {
 		t.Fatalf("node: %v\n%s", err, outBytes)
 	}
-	var got map[string]bool
+	var got struct {
+		NoStore                    map[string]bool
+		ServedFromCacheAfterBadMap bool
+	}
 	if err := json.Unmarshal(outBytes, &got); err != nil {
 		t.Fatalf("harness output %q: %v", outBytes, err)
 	}
 	for cc, stored := range want {
-		if g, ok := got[cc]; !ok || g != stored {
+		if g, ok := got.NoStore[cc]; !ok || g != stored {
 			t.Errorf("Cache-Control %q: stored = %v (reported %v), want %v", cc, g, ok, stored)
 		}
+	}
+	if !got.ServedFromCacheAfterBadMap {
+		t.Error("a navigation with a malformed X-Etag-Config erased the good map: the subresource it names went to the network")
 	}
 }

@@ -137,7 +137,8 @@ func resolveCrossOrigin(base *url.URL, ref string) (string, bool) {
 // Resolution proceeds in breadth-first levels (the page's own references,
 // then the references their stylesheets introduced, and so on); within a
 // level the lookups are independent and fan out across up to
-// BuildOptions.Concurrency goroutines. The Resolver must be safe for
+// BuildOptions.Concurrency goroutines, except those a CachingResolver
+// holds, which are made inline. The Resolver must be safe for
 // concurrent use when Concurrency > 1. Whatever the fan-out, the assembled
 // map is deterministic: entries are admitted in extraction order, level by
 // level, and MaxEntries truncates that order.
@@ -185,7 +186,7 @@ func ResolveRefsContext(ctx context.Context, refs []Ref, res Resolver, opts Buil
 			}
 		}
 		outs := make([]outcome, len(level))
-		runIndexed(ctx, len(level), opts.workers(), func(i int) {
+		resolve := func(i int) {
 			r := level[i]
 			if r.Cross {
 				if opts.CrossOriginETag == nil {
@@ -207,7 +208,23 @@ func ResolveRefsContext(ctx context.Context, refs []Ref, res Resolver, opts Buil
 				}
 			}
 			outs[i] = o
-		})
+		}
+		if cached, ok := res.(CachingResolver); ok {
+			// What the resolver holds is looked up here, one by one; only
+			// the rest is worth a goroutine.
+			var pending []int
+			for i, r := range level {
+				switch {
+				case r.Cross || !cached.Cached(r.Key):
+					pending = append(pending, i)
+				case ctx.Err() == nil:
+					resolve(i)
+				}
+			}
+			runIndexed(ctx, len(pending), opts.workers(), func(j int) { resolve(pending[j]) })
+		} else {
+			runIndexed(ctx, len(level), opts.workers(), resolve)
+		}
 		depth--
 		var next []Ref
 		for i, r := range level {

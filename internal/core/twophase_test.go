@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -109,6 +110,72 @@ func TestResolveRefsParallelMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cachingResolver claims to hold the paths held reports true for.
+type cachingResolver struct {
+	Resolver
+	held func(path string) bool
+}
+
+func (c cachingResolver) Cached(path string) bool { return c.held(path) }
+
+// Property: a CachingResolver's held lookups run inline and the rest fan
+// out, and the map is still exactly the sequential one, whichever paths are
+// held and whatever the width.
+func TestResolveRefsCachingResolverMatchesSequential(t *testing.T) {
+	res, html, xo := deepSite()
+	seq := BuildMap("/index.html", html, res, BuildOptions{CrossOriginETag: xo})
+	for _, workers := range []int{1, 8} {
+		for mod := 1; mod <= 3; mod++ {
+			held := func(p string) bool { return len(p)%mod == 0 }
+			got := BuildMap("/index.html", html, cachingResolver{res, held}, BuildOptions{CrossOriginETag: xo, Concurrency: workers})
+			if len(got) != len(seq) {
+				t.Fatalf("concurrency %d, held len%%%d: %d entries, want %d", workers, mod, len(got), len(seq))
+			}
+			for p, want := range seq {
+				if got[p] != want {
+					t.Errorf("concurrency %d, held len%%%d: %q = %v, want %v", workers, mod, p, got[p], want)
+				}
+			}
+		}
+	}
+}
+
+// TestResolveRefsHeldLookupsStayInline: when the resolver holds every path,
+// no lookup overlaps another whatever the fan-out width, and once the
+// context is done none starts.
+func TestResolveRefsHeldLookupsStayInline(t *testing.T) {
+	var html string
+	for i := 0; i < 16; i++ {
+		html += fmt.Sprintf(`<img src="/i%02d.png">`, i)
+	}
+	slow := &slowResolver{delay: time.Millisecond}
+	all := func(string) bool { return true }
+	if m := BuildMap("/", html, cachingResolver{slow, all}, BuildOptions{Concurrency: 16}); len(m) != 16 {
+		t.Fatalf("map has %d entries", len(m))
+	}
+	if p := slow.peak.Load(); p != 1 {
+		t.Fatalf("peak in-flight lookups = %d, want 1: held lookups must run inline", p)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancelling := &cancellingResolver{Resolver: slow, cancel: cancel}
+	if m := ResolveRefsContext(ctx, ExtractPageRefs("/", html), cachingResolver{cancelling, all}, BuildOptions{Concurrency: 16}); len(m) != 1 || cancelling.calls != 1 {
+		t.Fatalf("the context was done after the first lookup, but %d ran and %d entries resolved", cancelling.calls, len(m))
+	}
+}
+
+// cancellingResolver cancels its context on the first lookup.
+type cancellingResolver struct {
+	Resolver
+	cancel func()
+	calls  int
+}
+
+func (c *cancellingResolver) ETagFor(path string) (etag.Tag, bool) {
+	c.calls++
+	c.cancel()
+	return c.Resolver.ETagFor(path)
 }
 
 func TestResolveRefsMaxEntriesDeterministicUnderConcurrency(t *testing.T) {

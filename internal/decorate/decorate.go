@@ -86,6 +86,13 @@ func (rd *Render) IsRenderOf(raw []byte) bool {
 		bytes.Equal(raw[:at], rd.Body[:at]) && bytes.Equal(raw[at:], rd.Body[rest:])
 }
 
+// Raw returns, in a fresh slice, the page rd was rendered from: Body without
+// the injected snippet.
+func (rd *Render) Raw() []byte {
+	at, rest := rd.snipAt, rd.snipAt+rd.snipLen
+	return append(append(make([]byte, 0, len(rd.Body)-rd.snipLen), rd.Body[:at]...), rd.Body[rest:]...)
+}
+
 // RenderSize charges a cached render for the memory that scales: the key,
 // the body and the reference strings, plus a fixed allowance for the struct
 // and per-reference bookkeeping.

@@ -59,6 +59,9 @@ func TestRenderMatchesBothFrontEnds(t *testing.T) {
 		if !rd.IsRenderOf([]byte(c.raw)) || rd.IsRenderOf(rd.Body) || rd.IsRenderOf([]byte(c.raw+" ")) {
 			t.Errorf("%s: IsRenderOf must hold for the raw page and nothing else", c.pageURL)
 		}
+		if raw := rd.Raw(); string(raw) != c.raw {
+			t.Errorf("%s: Raw() = %q, want the page %q", c.pageURL, raw, c.raw)
+		}
 		if got, min := RenderSize("k", &rd), int64(len(rd.Body)); got <= min || got > min+1024 {
 			t.Errorf("%s: size %d for a %d-byte body held once", c.pageURL, got, min)
 		}

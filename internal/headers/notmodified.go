@@ -1,0 +1,65 @@
+package headers
+
+import (
+	"net/http"
+	"net/textproto"
+)
+
+// MergeNotModified is the header update RFC 9111 §4.3.4 prescribes when a 304
+// Not Modified freshens a stored response: every field the 304 carries
+// replaces the stored field of that name, and every other stored field is
+// kept. Two kinds of field in the 304 are not taken. Content-Length describes
+// the 304's own empty body, not the stored one. Hop-by-hop fields (RFC 9110
+// §7.6.1) describe one connection, and a cache never stores them (RFC 9111
+// §3.1).
+//
+// The merged fields are written into dst, which is made when nil, and dst is
+// returned; fields of dst that neither input names are left alone. Every value
+// slice written is a fresh copy cut to its length, all of them carved from one
+// allocation. The result therefore shares no backing array with either input,
+// and an append by whoever holds it reallocates instead of writing into a
+// neighbour's values.
+func MergeNotModified(dst, stored, notModified http.Header) http.Header {
+	n := 0
+	for k, vs := range stored {
+		if _, replaced := notModified[k]; !replaced || keptFrom304(k) {
+			n += len(vs)
+		}
+	}
+	for k, vs := range notModified {
+		if !keptFrom304(k) {
+			n += len(vs)
+		}
+	}
+	if dst == nil {
+		dst = make(http.Header, len(stored)+len(notModified))
+	}
+	vals := make([]string, 0, n)
+	put := func(k string, vs []string) {
+		at := len(vals)
+		vals = append(vals, vs...)
+		dst[k] = vals[at:len(vals):len(vals)]
+	}
+	for k, vs := range stored {
+		if _, replaced := notModified[k]; !replaced || keptFrom304(k) {
+			put(k, vs)
+		}
+	}
+	for k, vs := range notModified {
+		if !keptFrom304(k) {
+			put(k, vs)
+		}
+	}
+	return dst
+}
+
+// keptFrom304 reports whether a field of a 304 must not replace the stored
+// field of that name: Content-Length, or a hop-by-hop field.
+func keptFrom304(key string) bool {
+	switch textproto.CanonicalMIMEHeaderKey(key) {
+	case "Content-Length", "Connection", "Keep-Alive", "Proxy-Connection", "Proxy-Authenticate",
+		"Proxy-Authorization", "Te", "Trailer", "Transfer-Encoding", "Upgrade":
+		return true
+	}
+	return false
+}

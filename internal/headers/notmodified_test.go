@@ -1,0 +1,148 @@
+package headers
+
+import (
+	"net/http"
+	"strings"
+	"testing"
+)
+
+// notTakenFrom304 is the reference list of 304 fields the merge must ignore,
+// written out independently of keptFrom304: Content-Length and the hop-by-hop
+// fields, compared case-insensitively.
+var notTakenFrom304 = map[string]bool{
+	"content-length": true, "connection": true, "keep-alive": true, "proxy-connection": true,
+	"proxy-authenticate": true, "proxy-authorization": true, "te": true, "trailer": true,
+	"transfer-encoding": true, "upgrade": true,
+}
+
+// parseFields reads "Name: value" lines into a header, keeping names exactly as
+// written (canonical or not) and repeated names as repeated values.
+func parseFields(s string) http.Header {
+	h := http.Header{}
+	for _, line := range strings.Split(s, "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok {
+			h[k] = append(h[k], strings.TrimSpace(v))
+		}
+	}
+	return h
+}
+
+func sameValues(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// checkMerge holds one MergeNotModified call to its contract.
+func checkMerge(t *testing.T, stored, notModified http.Header) http.Header {
+	t.Helper()
+	storedBefore, nmBefore := stored.Clone(), notModified.Clone()
+	got := MergeNotModified(nil, stored, notModified)
+
+	for k, vs := range notModified {
+		if notTakenFrom304[strings.ToLower(k)] {
+			continue
+		}
+		if !sameValues(got[k], vs) {
+			t.Fatalf("%s: merged %q, the 304 says %q", k, got[k], vs)
+		}
+	}
+	for k, vs := range stored {
+		if _, replaced := notModified[k]; replaced && !notTakenFrom304[strings.ToLower(k)] {
+			continue
+		}
+		if !sameValues(got[k], vs) {
+			t.Fatalf("%s: merged %q, stored %q and the 304 may not replace it", k, got[k], vs)
+		}
+	}
+	for k := range got {
+		_, inStored := stored[k]
+		_, in304 := notModified[k]
+		if !inStored && !(in304 && !notTakenFrom304[strings.ToLower(k)]) {
+			t.Fatalf("%s: merged %q, which neither input supplies", k, got[k])
+		}
+	}
+	// Overwrite and extend every merged value: neither input may notice.
+	for k, vs := range got {
+		if cap(vs) != len(vs) {
+			t.Fatalf("%s: merged value has spare capacity %d beyond its %d values", k, cap(vs), len(vs))
+		}
+		for i := range vs {
+			vs[i] = "\x00clobbered"
+		}
+		got[k] = append(vs, "appended")
+	}
+	for name, pair := range map[string][2]http.Header{"stored": {stored, storedBefore}, "304": {notModified, nmBefore}} {
+		for k, vs := range pair[1] {
+			if !sameValues(pair[0][k], vs) {
+				t.Fatalf("writing the merged header changed the %s header's %s: %q, was %q", name, k, pair[0][k], vs)
+			}
+		}
+	}
+	return got
+}
+
+func TestMergeNotModified(t *testing.T) {
+	stored := http.Header{
+		"Content-Type":   {"text/html"},
+		"Content-Length": {"1234"},
+		"Cache-Control":  {"max-age=60"},
+		"Etag":           {`"v1"`},
+		"Date":           {"Mon, 18 Nov 2024 00:00:00 GMT"},
+		"Link":           {"</a.css>; rel=preload", "</b.js>; rel=preload"},
+	}
+	notModified := http.Header{
+		"Content-Length":    {"0"},
+		"Cache-Control":     {"max-age=120"},
+		"Etag":              {`"v1"`},
+		"Date":              {"Mon, 18 Nov 2024 00:05:00 GMT"},
+		"Connection":        {"close"},
+		"Transfer-Encoding": {"chunked"},
+		"X-Fresh":           {"yes"},
+	}
+	got := MergeNotModified(nil, stored, notModified)
+	want := http.Header{
+		"Content-Type":   {"text/html"},
+		"Content-Length": {"1234"},
+		"Cache-Control":  {"max-age=120"},
+		"Etag":           {`"v1"`},
+		"Date":           {"Mon, 18 Nov 2024 00:05:00 GMT"},
+		"Link":           {"</a.css>; rel=preload", "</b.js>; rel=preload"},
+		"X-Fresh":        {"yes"},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("merged %d fields, want %d: %v", len(got), len(want), got)
+	}
+	for k, vs := range want {
+		if !sameValues(got[k], vs) {
+			t.Errorf("%s = %q, want %q", k, got[k], vs)
+		}
+	}
+
+	// Into an existing header: fields neither input names survive.
+	dst := http.Header{"Server-Timing": {"map-reused"}}
+	if out := MergeNotModified(dst, stored, notModified); out["Server-Timing"][0] != "map-reused" || out["X-Fresh"][0] != "yes" {
+		t.Fatalf("merge into dst = %v", out)
+	}
+	checkMerge(t, stored, notModified)
+}
+
+// FuzzMergeNotModified: no panic; the 304 overrides stored values except
+// Content-Length and hop-by-hop fields; the result shares no value slice with
+// either input.
+func FuzzMergeNotModified(f *testing.F) {
+	f.Add("Content-Type: text/html\nContent-Length: 10\nEtag: \"a\"\nSet-Cookie: x=1\nSet-Cookie: y=2",
+		"Content-Length: 0\nEtag: \"a\"\nConnection: close\nDate: now\nSet-Cookie: z=3")
+	f.Add("content-length: 5\nte: trailers\nX: 1", "CONTENT-LENGTH: 0\nTE: gzip\nX: 2\nx: 3")
+	f.Add("", "Upgrade: h2c\nKeep-Alive: timeout=5\nProxy-Connection: keep-alive")
+	f.Add("A: 1\nA: 2\nB:", "B: \nC: 3")
+	f.Fuzz(func(t *testing.T, stored, notModified string) {
+		checkMerge(t, parseFields(stored), parseFields(notModified))
+	})
+}

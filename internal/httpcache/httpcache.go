@@ -436,12 +436,7 @@ func (c *Cache) Refresh(url string, notModified *Response, requestTime, response
 		return
 	}
 	resp := e.Response.Clone()
-	for k, vs := range notModified.Header {
-		if k == "Content-Length" {
-			continue
-		}
-		resp.Header[k] = append([]string(nil), vs...)
-	}
+	resp.Header = headers.MergeNotModified(nil, e.Response.Header, notModified.Header)
 	vary := make(map[string]string, len(e.varyValues))
 	for k, v := range e.varyValues {
 		vary[k] = v
