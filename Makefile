@@ -32,7 +32,10 @@ vet:
 # the SW storage, catalyst.Client), or a recency list beside the rank heap
 # (DESIGN.md §7) — or when the RFC 9111 §4.3.4 304 merge gains a second
 # definition beside headers.MergeNotModified, or a hand-rolled copy loop over
-# a 304's header in httpcache or catalyst (DESIGN.md §12).
+# a 304's header in httpcache or catalyst (DESIGN.md §12) — or when
+# catalyst.Middleware's page store goes back to keying renders by a content
+# hash: it keys by URL and checks identity with IsRenderOf, so crypto/sha256
+# has no business in non-test catalyst/ code (DESIGN.md §7).
 FORK_SRC = $(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' ./... | tr ' ' '\n' | grep -v '/bench/'
 forks:
 	@fail=0; src=$$($(FORK_SRC)); \
@@ -41,7 +44,8 @@ forks:
 		if [ "$$n" -ne 1 ]; then echo "forks: '$$pat' appears $$n times in non-test code, want 1:" >&2; grep -n "$$pat" $$src >&2; fail=1; fi; \
 	done; \
 	for chk in '/internal/\(sw\|httpcache\|browser\)/\|/catalyst/client\.go$$:cachestore\.Policy' '/internal/cachestore/:pushFront(\|relink(' \
-		'/internal/httpcache/\|/catalyst/:range [A-Za-z0-9_.]*\([nN]ot[mM]odified\|304\)[A-Za-z0-9_]*\.Header'; do \
+		'/internal/httpcache/\|/catalyst/:range [A-Za-z0-9_.]*\([nN]ot[mM]odified\|304\)[A-Za-z0-9_]*\.Header' \
+		'/catalyst/[^/]*\.go$$:"crypto/sha256"'; do \
 		files=$$(echo "$$src" | tr ' ' '\n' | grep "$${chk%%:*}"); \
 		if grep -Hn "$${chk#*:}" $$files | grep -v ':[0-9]*:[[:space:]]*//' >&2; then \
 			echo "forks: '$${chk#*:}' is back in non-test code under '$${chk%%:*}', want 0" >&2; fail=1; fi; \
@@ -52,7 +56,7 @@ forks:
 
 # Short fuzz pass over the hostile-input parsers (X-Etag-Config decoding,
 # map building, cache-trace parsing, delta patches, probe targets out of
-# upstream HTML), the hot index's raw-page compare, and the 304 header merge
+# upstream HTML), the render cache's raw-page compare, and the 304 header merge
 # the held page and the browser cache share. The corpus seeds also run as
 # part of plain `go test`.
 fuzz:
@@ -141,15 +145,26 @@ loadgen:
 		-json loadgen.json -bench loadgen.bench.json
 
 # Coverage with a floor so the suite cannot silently shed coverage. The
-# floor trails the measured total (80.9% when set) by a safety margin;
-# raise it as coverage grows.
-COVERAGE_FLOOR ?= 80.0
+# gated total is taken over library code only — every package not named
+# main — because the programs (bench/, cmd/*, examples/*) are driven end to
+# end rather than unit-tested; each is printed beside it for information.
+# The floor trails the measured library total (90.9% when set) by about two
+# points, so a real drop fails; raise it as coverage grows.
+COVERAGE_FLOOR ?= 89.0
 cover:
 	$(GO) test -coverprofile=cover.out ./...
-	@total=$$($(GO) tool cover -func=cover.out | awk '/^total:/ {sub(/%/,"",$$3); print $$3}'); \
-	echo "total coverage: $$total% (floor $(COVERAGE_FLOOR)%)"; \
+	@$(GO) list -f '{{.ImportPath}} {{.Name}}' ./... | awk ' \
+		NR == FNR { main[$$1] = $$2 == "main"; next } \
+		FNR == 1 { print > "cover.lib.out"; next } \
+		{ pkg = $$1; sub(/\/[^\/]*:.*/, "", pkg) } \
+		!main[pkg] { print > "cover.lib.out"; next } \
+		{ stmts[pkg] += $$2; if ($$3 > 0) hit[pkg] += $$2 } \
+		END { for (p in stmts) printf "  %-40s %5.1f%% (informational)\n", p, 100 * hit[p] / stmts[p] | "sort" }' \
+		- cover.out
+	@total=$$($(GO) tool cover -func=cover.lib.out | awk '/^total:/ {sub(/%/,"",$$3); print $$3}'); \
+	echo "library coverage: $$total% (floor $(COVERAGE_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVERAGE_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || { \
-		echo "cover: total coverage $$total% fell below the $(COVERAGE_FLOOR)% floor" >&2; exit 1; }
+		echo "cover: library coverage $$total% fell below the $(COVERAGE_FLOOR)% floor" >&2; exit 1; }
 
 # Cluster smoke: the multi-instance edge-tier cell under -race — three
 # in-process catalystd instances serving two tenants through the

@@ -151,7 +151,7 @@ func BenchmarkMiddlewareHTML50(b *testing.B) {
 // request and writer are reused across iterations, so — unlike HTML50,
 // whose figures include ~2.4µs of httptest request construction per op —
 // what remains is the serve itself. The tentpole bar is ≤1 alloc/op here:
-// a fully-warm unchanged page runs the hot-index memcmp, reuses the cached
+// a fully-warm unchanged page runs the render-cache memcmp, reuses the cached
 // encoding, writes precomputed headers, and acquires no mutex (see
 // TestWarmGetTakesNoMutex in internal/cachestore for the store-level proof).
 func BenchmarkMiddlewareWarmHit(b *testing.B) {
@@ -264,7 +264,7 @@ func benchUpstream(b *testing.B, site http.Handler, bench func(*testing.B, http.
 }
 
 // BenchmarkMiddlewarePageRevalidate measures a navigation of an unchanged
-// 40 KB page the hot index holds, every probe fresh and the encoding
+// 40 KB page the render cache holds, every probe fresh and the encoding
 // reusable: one conditional page fetch answered 304, and the held render
 // served. InProcess and Upstream as in ProbeRefresh; over loopback the 304 is
 // what replaces the page body's copy through the proxy and the sniffing

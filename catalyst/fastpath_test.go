@@ -8,7 +8,7 @@ import (
 )
 
 // TestWarmHitServesIdenticalResponse proves the fast lane is a pure
-// shortcut: the third (fully warm — hot index, cached encoding, pooled
+// shortcut: the third (fully warm — render hit, cached encoding, pooled
 // writer all engaged) response is byte-identical to the first full render,
 // headers included.
 func TestWarmHitServesIdenticalResponse(t *testing.T) {

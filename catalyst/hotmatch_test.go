@@ -43,7 +43,7 @@ func hotMatchPositions(n, at int) []int {
 // replaced: for the render of raw, IsRenderOf(x) ⇔ bytes.Equal(raw, x), over
 // byte flips, insertions, deletions and truncations before, at and after the
 // snippet's offset. The lane itself is driven with the same inputs: whatever
-// sequence of bodies one URL serves, the entry hotRender returns is the
+// sequence of bodies one URL serves, the entry render returns is the
 // render of the body it was handed.
 func TestHotMatchIsEquality(t *testing.T) {
 	m := Middleware(http.NotFoundHandler(), MiddlewareOptions{}).(*middleware)
@@ -56,12 +56,12 @@ func TestHotMatchIsEquality(t *testing.T) {
 			if got, want := rd.IsRenderOf(x), bytes.Equal(raw, x); got != want {
 				t.Fatalf("doc %d, %s: IsRenderOf(%q) = %v, bytes.Equal(raw, x) = %v", di, what, x, got, want)
 			}
-			if ent := m.hotRender(&m.def, "/", x, nil); string(ent.Body) != core.InjectRegistration(string(x)) {
+			if ent := m.render(&m.def, "/", x, nil); string(ent.Body) != core.InjectRegistration(string(x)) {
 				t.Fatalf("doc %d, %s: hot lane served the render of another body for %q", di, what, x)
 			}
 			// Leave the index pinning rd's page again, so the next input is
 			// compared against it and not against this one.
-			m.hotRender(&m.def, "/", raw, nil)
+			m.render(&m.def, "/", raw, nil)
 		}
 		check("identity", raw)
 		check("copy", append([]byte(nil), raw...))

@@ -124,15 +124,15 @@ func (m *middleware) servePassthrough(w http.ResponseWriter, r *http.Request, re
 // the raw body, no snippet, no map, no probing. Used when the request's
 // deadline budget ran out after the inner handler finished but before
 // the probe fan-out could start — late-but-plain beats later-and-decorated.
-// A page revalidated against the hot index (held set) brought no body: the
-// raw page is taken out of the held render, under the validator the inner
-// handler just vouched for.
-func (m *middleware) servePlain(w http.ResponseWriter, r *http.Request, sw *sniffWriter, pageURL string, held *hotEntry) {
+// A held page that was revalidated (held set) brought no body: the raw page
+// is taken out of the held render, under the validator the inner handler
+// just vouched for.
+func (m *middleware) servePlain(w http.ResponseWriter, r *http.Request, sw *sniffWriter, pageURL string, held *renderEntry) {
 	h := w.Header()
 	body := sw.body()
 	if held != nil {
 		headers.MergeNotModified(h, held.header, sw.header)
-		h["Etag"], body = held.inm, held.render.Raw()
+		h["Etag"], body = held.inm, held.Raw()
 	} else {
 		copyHeader(h, sw.header)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cachecatalyst/internal/leakcheck"
+	"cachecatalyst/internal/resilience"
 	"cachecatalyst/internal/telemetry"
 )
 
@@ -275,10 +276,14 @@ func TestBreakerFlipsToStaleServing(t *testing.T) {
 	metrics := &MiddlewareMetrics{}
 	reg := telemetry.NewRegistry()
 	h := Middleware(site, MiddlewareOptions{
-		Metrics:                metrics,
-		Telemetry:              reg,
-		OriginFailureThreshold: 2,
-		OriginCooldown:         time.Hour, // no recovery inside this test
+		Metrics:   metrics,
+		Telemetry: reg,
+		OriginBreaker: resilience.NewBreaker(resilience.BreakerOptions{
+			FailureThreshold: 2,
+			Cooldown:         time.Hour, // no recovery inside this test
+			Telemetry:        reg,
+			Name:             "middleware.origin",
+		}),
 	})
 	prime(t, h)
 
@@ -315,9 +320,8 @@ func TestBreakerWithoutStaleRejects(t *testing.T) {
 	site.mode.Store("err")
 	metrics := &MiddlewareMetrics{}
 	h := Middleware(site, MiddlewareOptions{
-		Metrics:                metrics,
-		OriginFailureThreshold: 1,
-		OriginCooldown:         time.Hour,
+		Metrics:       metrics,
+		OriginBreaker: resilience.NewBreaker(resilience.BreakerOptions{FailureThreshold: 1, Cooldown: time.Hour}),
 	})
 	if rec := get(h, "/page"); rec.Code != http.StatusInternalServerError {
 		t.Fatalf("first failure: %d", rec.Code) // no stale yet: honest error

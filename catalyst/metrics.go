@@ -104,15 +104,9 @@ type MiddlewareMetrics struct {
 	// BreakerTrips counts per-path probe circuit breakers opening after
 	// repeated probe failures.
 	BreakerTrips telemetry.Counter
-	// ProbesSwept counts probe-cache entries evicted (least recently
-	// used first) to respect MiddlewareOptions.MaxProbeEntries.
-	ProbesSwept telemetry.Counter
 	// MapEntriesDropped counts X-Etag-Config entries removed to respect
 	// MiddlewareOptions.MaxMapBytes.
 	MapEntriesDropped telemetry.Counter
-	// RendersEvicted counts rendered-page cache entries evicted to
-	// respect MiddlewareOptions.MaxRenderBytes.
-	RendersEvicted telemetry.Counter
 	// EncodeReuses counts HTML responses that reused a cached
 	// X-Etag-Config serialization because no probe outcome changed since
 	// it was built (see middleware.probeGen).
@@ -148,7 +142,7 @@ type MiddlewareMetrics struct {
 	ProbeRevalidated telemetry.Counter
 	ProbeFetched     telemetry.Counter
 	// PageRevalidated counts page fetches the inner handler answered 304 to
-	// the validator of the page the hot index held, which was then served
+	// the validator of the page the render cache held, which was then served
 	// from its held render; PageFetched counts page fetches answered with a
 	// full 200 HTML body.
 	PageRevalidated telemetry.Counter
@@ -159,9 +153,7 @@ type MiddlewareMetrics struct {
 func (m *MiddlewareMetrics) RegisterTelemetry(reg *telemetry.Registry) {
 	reg.RegisterCounter("middleware.panics_recovered", &m.PanicsRecovered)
 	reg.RegisterCounter("middleware.breaker_trips", &m.BreakerTrips)
-	reg.RegisterCounter("middleware.probes_swept", &m.ProbesSwept)
 	reg.RegisterCounter("middleware.map_entries_dropped", &m.MapEntriesDropped)
-	reg.RegisterCounter("middleware.renders_evicted", &m.RendersEvicted)
 	reg.RegisterCounter("middleware.encode_reuses", &m.EncodeReuses)
 	reg.RegisterCounter("middleware.ladder_stale", &m.LadderStale)
 	reg.RegisterCounter("middleware.ladder_passthrough", &m.LadderPassthrough)

@@ -59,12 +59,13 @@ type MiddlewareOptions struct {
 	// width deliberately does not track GOMAXPROCS; 1 restores strictly
 	// sequential probing.
 	ProbeConcurrency int
-	// MaxRenderBytes bounds the rendered-page cache, which memoizes the
-	// extracted reference list, injected body, and page validator per
-	// (path, raw-content hash) so unchanged pages skip re-parsing and
-	// re-hashing. Zero selects 16 MiB; negative disables the cache.
-	// Freshness is unaffected either way — the X-Etag-Config header is
-	// always assembled from live probes.
+	// MaxRenderBytes bounds the rendered-page cache, which keeps one entry
+	// per page URL: the extracted reference list, injected body, and page
+	// validator of the page's most recent body, so an unchanged page skips
+	// re-parsing and re-hashing, plus what a held page's conditional
+	// re-fetch needs. Zero selects 16 MiB; negative disables the cache (and
+	// with it page revalidation). Freshness is unaffected either way — the
+	// X-Etag-Config header is always assembled from live probes.
 	MaxRenderBytes int64
 	// CachePolicy selects the eviction policy for the middleware's caches
 	// (probes, rendered pages, stale copies). The zero value is exact
@@ -72,7 +73,8 @@ type MiddlewareOptions struct {
 	// entries vary wildly in size.
 	CachePolicy cachestore.Policy
 	// Metrics, when set, receives the middleware's resilience counters
-	// (panics recovered, breaker trips, map trims, probe evictions).
+	// (panics recovered, breaker trips, map trims, ladder rungs). Cache
+	// evictions are the caches' own counters (Telemetry).
 	Metrics *MiddlewareMetrics
 	// Telemetry, when set, indexes the middleware's counters, both its
 	// caches, and an HTML decoration-latency histogram in the given
@@ -106,22 +108,15 @@ type MiddlewareOptions struct {
 	// RetryAfter is the Retry-After hint on ladder-bottom 503 responses.
 	// Zero selects 5 seconds.
 	RetryAfter time.Duration
-	// OriginFailureThreshold enables the inner-handler circuit breaker:
-	// after this many consecutive 5xx/panic serves the middleware stops
-	// calling the inner handler and answers from the stale cache (or
-	// 503) until OriginCooldown passes, then retries with one trial
-	// request. Zero disables the breaker — appropriate when the inner
-	// handler is in-process; catalystd's proxy mode turns it on so a
-	// flapping upstream origin flips to stale-serving instead of
-	// error-proxying.
-	OriginFailureThreshold int
-	// OriginCooldown is the open-breaker hold-off. Zero selects 5s.
-	OriginCooldown time.Duration
-	// OriginBreaker, when set, is used as the inner-handler breaker
-	// instead of constructing one from OriginFailureThreshold — the hook
-	// for sharing the breaker with an active health checker
-	// (resilience.NewHealthChecker), so recovery is probe-driven rather
-	// than cooldown-driven. catalystd's proxy mode wires this.
+	// OriginBreaker, when set, is the default state's inner-handler
+	// circuit breaker (a tenant's is tenant.Tenant.Breaker): after its
+	// failure threshold of consecutive 5xx/panic serves the middleware
+	// stops calling the inner handler and answers from the stale cache (or
+	// 503) until the breaker admits a trial. Nil disables the breaker —
+	// appropriate when the inner handler is in-process; catalystd's proxy
+	// mode wires one shared with an active health checker
+	// (resilience.NewHealthChecker), so a flapping upstream origin flips to
+	// stale-serving instead of error-proxying and recovery is probe-driven.
 	OriginBreaker *resilience.Breaker
 	// ServerTiming mirrors each decorated response's cache decisions
 	// ("map-built", "map-reused", "etag-match") into a Server-Timing header
@@ -240,21 +235,18 @@ type middleware struct {
 }
 
 // tenantState is one tenant's slice of the middleware: its caches (probe
-// results, rendered pages, hot index, stale copies, delta bases), its
-// admission gate, its upstream breaker, and its probe generation.
-// Dimensioning the state this way is what makes the degradation ladder
-// per-tenant: one tenant's saturated or flapping upstream trips its own
-// gate and breaker while its neighbours serve undisturbed.
+// results, rendered pages, stale copies, delta bases), its admission gate,
+// its upstream breaker, and its probe generation. Dimensioning the state
+// this way is what makes the degradation ladder per-tenant: one tenant's
+// saturated or flapping upstream trips its own gate and breaker while its
+// neighbours serve undisturbed.
 type tenantState struct {
-	name    string // "" for the default state
-	probes  *cachestore.Store[probe]
-	renders *cachestore.Store[*renderEntry] // nil when disabled
-	// hot maps page URL → its most recent render: the warm fast lane's
-	// memcmp shortcut over renderKey's SHA-256 (see hotRender), and for a
-	// held page what its conditional re-fetch needs (see hotEntry). nil
-	// exactly when renders is.
-	hot    *cachestore.Store[*hotEntry]
-	stales *cachestore.Store[*staleEntry] // last-known-good serves; nil when disabled
+	name   string // "" for the default state
+	probes *cachestore.Store[probe]
+	// renders maps page URL → the render of its most recent body, held or
+	// not (see renderEntry); nil when disabled.
+	renders *cachestore.Store[*renderEntry]
+	stales  *cachestore.Store[*staleEntry] // last-known-good serves; nil when disabled
 	// deltaBases retains recently served page bodies (decorate.DeltaBase);
 	// nil when Options.Delta is off.
 	deltaBases *cachestore.Store[[]byte]
@@ -295,8 +287,8 @@ func (m *middleware) stateFor(r *http.Request) *tenantState {
 // "tenant value, else option", and the default state is the tenant with
 // nothing set (t == nil): its caches are the root stores, instrumented as
 // "middleware.*". A tenant's caches are namespaces of those, instrumented as
-// "tenant.<name>.*" — they inherit size accounting, eviction hooks and the
-// registry, and own their bytes, eviction order and budget.
+// "tenant.<name>.*" — they inherit size accounting and the registry, and own
+// their bytes, eviction order and budget.
 func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
 	o, def, root := &m.opts, &m.def, t == nil
 	prefix := "middleware."
@@ -308,9 +300,6 @@ func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
 	ns := func(kind string, budget int64) cachestore.NamespaceOptions {
 		return cachestore.NamespaceOptions{MaxBytes: budget, TelemetryName: prefix + kind, Policy: t.Policy}
 	}
-	// Stale copies and delta bases hold one body per page (no per-render
-	// variants), so half the tenant's render budget covers the same page
-	// population.
 	half := t.BudgetBytes / 2
 	if t.BudgetBytes < 0 {
 		half = -1
@@ -327,24 +316,11 @@ func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
 		// behind a flat per-entry unit.
 		MaxBytes: int64(o.MaxProbeEntries) * probeBaseCost,
 		SizeOf:   func(_ string, p probe) int64 { return probeBaseCost + int64(len(p.cssBody)) },
-		OnEvict:  func(string, probe) { o.Metrics.ProbesSwept.Add(1) },
 	})
 	if o.MaxRenderBytes > 0 {
 		ts.renders = openCache(m, ts.name, def.renders, ns("renders", t.BudgetBytes), cachestore.Options[*renderEntry]{
 			MaxBytes: o.MaxRenderBytes,
 			SizeOf:   renderEntrySize,
-			OnEvict:  func(string, *renderEntry) { o.Metrics.RendersEvicted.Add(1) },
-		})
-		// The hot index rides in front of the render cache (hotRender), so
-		// it exists exactly when the render cache does. It is charged for
-		// the renders it pins under the same budget, so a render the keyed
-		// cache has evicted stays resident only while hot is paying for it:
-		// the two stores together hold at most 2 × MaxRenderBytes of
-		// renders, and the ones they share are held once. A held page's
-		// validator and header snapshot are charged on top.
-		ts.hot = openCache(m, ts.name, def.hot, ns("hot", t.BudgetBytes), cachestore.Options[*hotEntry]{
-			MaxBytes: o.MaxRenderBytes,
-			SizeOf:   hotEntrySize,
 		})
 	}
 	ts.staleTTL = o.StaleFor
@@ -373,20 +349,11 @@ func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
 			Name:         prefix + "gate",
 		})
 	}
-	// A wired breaker (the daemon's, shared with a health checker so
-	// recovery is probe-driven) wins: the tenant's own, or OriginBreaker
-	// for the default state — never shared across tenants.
+	// The breaker is wired, never built here: the tenant's own, or
+	// OriginBreaker for the default state — never shared across tenants.
 	ts.breaker = t.Breaker
 	if root {
 		ts.breaker = o.OriginBreaker
-	}
-	if ts.breaker == nil && o.OriginFailureThreshold > 0 {
-		ts.breaker = resilience.NewBreaker(resilience.BreakerOptions{
-			FailureThreshold: o.OriginFailureThreshold,
-			Cooldown:         o.OriginCooldown,
-			Telemetry:        o.Telemetry,
-			Name:             prefix + "origin",
-		})
 	}
 	ts.requestBudget = o.RequestBudget
 	if t.RequestBudget > 0 {
@@ -539,9 +506,9 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The rendered-page cache keys on (page URL, raw body hash), so the
-	// parse → extract → inject → hash pipeline runs once per distinct
-	// content; probes stay per-request, so freshness is identical to
+	// The rendered-page cache keeps each page URL's most recent render, so
+	// the parse → extract → inject → hash pipeline runs once per body the
+	// page changes to; probes stay per-request, so freshness is identical to
 	// rebuilding from scratch. The histogram wraps the call rather than
 	// deferring a closure — a closure per request is exactly the kind of
 	// allocation this path exists to avoid.
@@ -555,7 +522,7 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // fetchPage runs the inner handler for the request into sw and reports
-// whether it panicked. For a page the hot index holds, the request carries
+// whether it panicked. For a page the render cache holds, the request carries
 // If-None-Match with the validator the handler issued, and the writer
 // captures a 304. That 304 is believed only if it names no Etag or the one
 // sent, and then fetchPage returns the held entry: the handler vouched for
@@ -565,10 +532,10 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // empty document it is): either is answered by one unconditional GET in the
 // same request, as in fetchProbe. Every other outcome returns nil and is
 // served as if the page had never been held.
-func (m *middleware) fetchPage(ts *tenantState, sw *sniffWriter, r *http.Request, pageURL string) (panicked bool, held *hotEntry) {
+func (m *middleware) fetchPage(ts *tenantState, sw *sniffWriter, r *http.Request, pageURL string) (panicked bool, held *renderEntry) {
 	var inm []string
-	if ts.hot != nil {
-		if held, _ = ts.hot.Peek(pageURL); held != nil {
+	if ts.renders != nil {
+		if held, _ = ts.renders.Peek(pageURL); held != nil {
 			inm = held.inm
 		}
 	}
@@ -592,25 +559,24 @@ func (m *middleware) fetchPage(ts *tenantState, sw *sniffWriter, r *http.Request
 }
 
 // serveHTML decorates and delivers a page: the buffered 200 HTML entity, or
-// — when held is set — the render the hot index holds, which the inner
-// handler has just answered 304 for. Then: early hints, delta bases, map
-// assembly or encoding reuse, conditional answer, body. On a fully-warm
-// unchanged page — hot index hit, cached encoding still valid, no
-// conditionals, no delta — this function acquires no mutex and allocates
-// nothing when the page was downloaded, and only the header merge's one
-// value array when it was revalidated: every header value it writes was
-// precomputed when the render or encoding was cached.
-func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.Request, sw *sniffWriter, pageURL string, held *hotEntry) {
+// — when held is set — the held render, which the inner handler has just
+// answered 304 for. Then: early hints, delta bases, map assembly or encoding
+// reuse, conditional answer, body. On a fully-warm unchanged page — render
+// hit, cached encoding still valid, no conditionals, no delta — this
+// function acquires no mutex and allocates nothing when the page was
+// downloaded, and only the header merge's one value array when it was
+// revalidated: every header value it writes was precomputed when the render
+// or encoding was cached.
+func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.Request, sw *sniffWriter, pageURL string, held *renderEntry) {
 	ctx, span := telemetry.BeginSpan(r.Context(), "middleware")
 	defer span.End()
-	var ent *renderEntry
+	ent := held
 	if held != nil {
-		// The Get counts the serve against the hot index, as the memcmp
-		// lane's does, and keeps the entry recent.
-		ts.hot.Get(pageURL)
-		ent = held.render
+		// The Get counts the serve against the render cache, as render's
+		// lookup does, and keeps the entry recent.
+		ts.renders.Get(pageURL)
 	} else {
-		ent = m.hotRender(ts, pageURL, sw.body(), sw.header)
+		ent = m.render(ts, pageURL, sw.body(), sw.header)
 	}
 	h := w.Header()
 

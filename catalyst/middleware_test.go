@@ -280,7 +280,7 @@ func TestMiddlewareHEADOnHTML(t *testing.T) {
 // proxy, whose upstream answers a HEAD with a page's headers and no body. That
 // empty body must never be rendered or stored: the HEAD gets the validator,
 // length and map the GET gets, and the GET after it still finds the page's
-// render in the hot index. Both for a page the middleware holds (HEAD +
+// render in the render cache. Both for a page the middleware holds (HEAD +
 // If-None-Match → 304 → the held render) and for one it cannot hold or has
 // not seen (the page is fetched with a GET).
 func TestMiddlewareHEADThroughProxy(t *testing.T) {

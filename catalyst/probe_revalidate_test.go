@@ -364,7 +364,7 @@ func runTimeline(t *testing.T, p personality, maxProbeEntries int) {
 	if p == lying304 && revalidated == 0 {
 		t.Error("a 304 naming the tag that was sent was never believed")
 	}
-	if maxProbeEntries > 0 && metrics.ProbesSwept.Load() == 0 {
+	if maxProbeEntries > 0 && catalyst.ProbeEvictions(subject) == 0 {
 		t.Error("the evicting run evicted nothing")
 	}
 }

@@ -1,7 +1,6 @@
 package catalyst
 
 import (
-	"crypto/sha256"
 	"net/http"
 	"sync/atomic"
 
@@ -10,29 +9,53 @@ import (
 	"cachecatalyst/internal/headers"
 )
 
-// renderEntry is the middleware's cached render: the shared, immutable
-// decorate.Render — a pure function of the page's location and raw
-// inner-handler body — plus the one mutable slot the probe-backed front end
-// adds. Because the cache key commits to the raw content (see renderKey),
-// entries never go stale — a changed page hashes to a new key — so a hot
-// unchanged page skips the HTML tokenizer, the tree builder, the snippet
-// injection, and the whole-body validator hash on every request after the
-// first.
+// renderEntry is the middleware's record for one page URL: the render of the
+// page's most recent body, the one mutable slot the probe-backed front end
+// adds, and, when the 200 the render came from may be replayed (see
+// holdable), what a conditional fetch of the page needs. The render is the
+// shared, immutable decorate.Render — a pure function of the page's URL and
+// raw inner-handler body — and decorate.Render.IsRenderOf (a length check and
+// a memcmp either side of the injected snippet) tells whether a fetched body
+// is the one rendered. So a hot unchanged page skips the HTML tokenizer, the
+// tree builder, the snippet injection and the whole-body validator hash on
+// every request after the first, and a changed body is rendered afresh and
+// replaces the entry: the store holds one render per page, never a dead
+// version of one.
 //
 // enc is the most recent canonical X-Etag-Config encoding, swapped
 // atomically and valid only while the probe generation it was built under
-// still stands (see tenantState.probeGen).
+// still stands (see tenantState.probeGen). Nothing else is written to an
+// entry after it is stored.
 type renderEntry struct {
 	decorate.Render
 	enc atomic.Pointer[encodedMap]
+	// tag, inm and header are set only for a held page (inm != nil): the
+	// validator the inner handler issued, also as a ready-to-assign
+	// If-None-Match value, and a snapshot of the 200's header without
+	// Content-Length and Etag, which serveHTML takes from the render — so a
+	// conditional page fetch answered 304 can be served from here (DESIGN.md
+	// §12).
+	tag    etag.Tag
+	inm    []string
+	header http.Header
 }
 
-// renderEntrySize charges the render alone. The cached encoding is
-// deliberately not charged — it is bounded by MaxMapBytes (or by the map
-// the refs imply) and mutates after insertion, which byte accounting must
-// not chase.
+// renderEntrySize charges the render plus what a held page keeps beside it:
+// the validator and the header snapshot. The cached encoding is deliberately
+// not charged — it is bounded by MaxMapBytes (or by the map the refs imply)
+// and mutates after insertion, which byte accounting must not chase.
 func renderEntrySize(key string, e *renderEntry) int64 {
-	return decorate.RenderSize(key, &e.Render)
+	n := decorate.RenderSize(key, &e.Render) + int64(len(e.tag.Opaque))
+	for _, v := range e.inm {
+		n += int64(len(v))
+	}
+	for k, vs := range e.header {
+		n += int64(len(k)) + 32
+		for _, v := range vs {
+			n += int64(len(v)) + 16
+		}
+	}
+	return n
 }
 
 // encodedMap is one canonical ETagMap.Encode result, stamped with the probe
@@ -49,64 +72,6 @@ type encodedMap struct {
 	expires int64 // unix nanoseconds
 	enc     string
 	hdr     []string
-}
-
-// renderKey commits a cache entry to the page's URL (path and query) and
-// the raw inner body. SHA-256 keeps the commitment collision-safe even for
-// hostile page content; 16 bytes of it is plenty for a cache key.
-func renderKey(pageURL string, body []byte) string {
-	sum := sha256.Sum256(body)
-	return pageURL + "\x00" + string(sum[:16])
-}
-
-// render returns the memoized render for (pageURL, raw), computing and
-// caching it on first sight. Concurrent first renders of the same unchanged
-// page collapse into one extraction via the store's singleflight. With the
-// cache disabled (MaxRenderBytes < 0) every request pays the full pipeline,
-// which is exactly the pre-cache behaviour.
-func (m *middleware) render(ts *tenantState, pageURL string, raw []byte) *renderEntry {
-	load := func() (*renderEntry, error) {
-		return &renderEntry{Render: decorate.NewRender(pageURL, string(raw))}, nil
-	}
-	if ts.renders == nil {
-		e, _ := load()
-		return e
-	}
-	e, _ := ts.renders.GetOrLoad(renderKey(pageURL, raw), load)
-	return e
-}
-
-// hotEntry is the hot index's record for one page URL: the page's most recent
-// render, shared with the render cache, and what this URL alone adds. When
-// the 200 the render came from may be replayed (see holdable), the page is
-// held. A held entry keeps the validator the inner handler issued, as a
-// ready-to-assign If-None-Match value, and a snapshot of that 200's header,
-// so a conditional page fetch answered 304 can be served from here (DESIGN.md
-// §12). Nothing is written to an entry after it is stored.
-type hotEntry struct {
-	render *renderEntry
-	// tag, inm and header are set only for a held page (inm != nil). header
-	// is the 200's header without Content-Length and Etag, which serveHTML
-	// takes from the render.
-	tag    etag.Tag
-	inm    []string
-	header http.Header
-}
-
-// hotEntrySize charges the pinned render (see renderEntrySize) plus what the
-// entry holds beside it: the validator and the header snapshot.
-func hotEntrySize(key string, e *hotEntry) int64 {
-	n := renderEntrySize(key, e.render) + int64(len(e.tag.Opaque))
-	for _, v := range e.inm {
-		n += int64(len(v))
-	}
-	for k, vs := range e.header {
-		n += int64(len(k)) + 32
-		for _, v := range vs {
-			n += int64(len(v)) + 16
-		}
-	}
-	return n
 }
 
 // holdable reports whether a 200 page response may be held, and its
@@ -128,38 +93,52 @@ func holdable(hdr http.Header) (etag.Tag, bool) {
 	return tag, true
 }
 
-// hotRender is render() with the warm fast lane in front: the per-URL hot
-// index pins the most recent render of each page, and a pinned render that
-// is the render of the current raw body (decorate.Render.IsRenderOf: a
-// length check and a memcmp against the pinned body either side of the
-// injected snippet — two orders of magnitude cheaper than the SHA-256 the
-// render-cache key costs) is reused with zero hashing, zero locking and zero
-// allocation. The index keeps no copy of the raw page: the render it pins is
-// that page plus the snippet, and renderEntrySize charges it for exactly
-// that. A changed body misses (the compare is an equality, not a heuristic)
-// and falls through to the keyed render cache, so correctness never rests on
-// this index: it is a pure shortcut over renderKey. hdr is the 200's header:
-// it decides whether the page is held (see hotEntry).
-func (m *middleware) hotRender(ts *tenantState, pageURL string, raw []byte, hdr http.Header) *renderEntry {
-	if ts.hot == nil {
-		return m.render(ts, pageURL, raw)
+// newRenderEntry wraps rd, holding the page when hold is set.
+func newRenderEntry(rd decorate.Render, tag etag.Tag, hold bool, hdr http.Header) *renderEntry {
+	e := &renderEntry{Render: rd}
+	if hold {
+		e.tag, e.inm, e.header = tag, []string{tag.String()}, hdr.Clone()
+		delete(e.header, "Content-Length")
+		delete(e.header, "Etag")
+	}
+	return e
+}
+
+// render returns the entry whose render is that of raw, the 200 body the
+// inner handler just served for pageURL, with one lookup by URL. The stored
+// entry answers when it is the render of raw, which is reused with zero
+// hashing, zero locking and zero allocation. Any other body is rendered under
+// the store's singleflight for the URL — concurrent first renders of one body
+// collapse into one extraction — and replaces the entry; a caller that waited
+// on the flight of another body asks again. hdr is the 200's header and
+// decides whether the page is held: when only that changes, the entry is
+// replaced with the same render and its encoding carried over. With the store
+// disabled (MaxRenderBytes < 0) every request pays the full pipeline and no
+// page is held.
+func (m *middleware) render(ts *tenantState, pageURL string, raw []byte, hdr http.Header) *renderEntry {
+	if ts.renders == nil {
+		return &renderEntry{Render: decorate.NewRender(pageURL, string(raw))}
 	}
 	tag, hold := holdable(hdr)
-	var ent *renderEntry
-	if he, ok := ts.hot.Get(pageURL); ok && he.render.IsRenderOf(raw) {
-		if (he.inm != nil) == hold && he.tag == tag {
-			return he.render // the entry describes this 200 already
-		}
-		ent = he.render
-	} else {
-		ent = m.render(ts, pageURL, raw)
+	ent, ok := ts.renders.Get(pageURL)
+	for !ok || !ent.IsRenderOf(raw) {
+		ent, _, _ = ts.renders.Do(pageURL, func() (*renderEntry, error) {
+			// A flight that landed between the lookup and this one may have
+			// stored this body's render already.
+			if cur, ok := ts.renders.Peek(pageURL); ok && cur.IsRenderOf(raw) {
+				return cur, nil
+			}
+			e := newRenderEntry(decorate.NewRender(pageURL, string(raw)), tag, hold, hdr)
+			ts.renders.Put(pageURL, e)
+			return e, nil
+		})
+		ok = true
 	}
-	he := &hotEntry{render: ent}
-	if hold {
-		he.tag, he.inm, he.header = tag, []string{tag.String()}, hdr.Clone()
-		delete(he.header, "Content-Length")
-		delete(he.header, "Etag")
+	if (ent.inm != nil) == hold && ent.tag == tag {
+		return ent // the entry describes this 200 already
 	}
-	ts.hot.Put(pageURL, he)
-	return ent
+	e := newRenderEntry(ent.Render, tag, hold, hdr)
+	e.enc.Store(ent.enc.Load())
+	ts.renders.Put(pageURL, e)
+	return e
 }

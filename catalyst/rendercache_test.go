@@ -33,11 +33,10 @@ func TestRenderCacheReusesUnchangedPage(t *testing.T) {
 	if c.Loads != 1 {
 		t.Fatalf("unchanged page re-extracted: %d loads", c.Loads)
 	}
-	// The warm fast lane answers unchanged pages from the per-URL hot
-	// index (one memcmp, no hashing); the keyed render cache is only
-	// consulted when the hot pin misses.
-	if m.def.hot.Counters().Hits == 0 {
-		t.Fatal("second render did not hit the hot index")
+	// The unchanged page is answered by its URL's entry (one memcmp, no
+	// hashing).
+	if m.def.renders.Counters().Hits == 0 {
+		t.Fatal("second render did not hit the render cache")
 	}
 	if first.Body.String() != second.Body.String() {
 		t.Fatal("cached render served a different body")
@@ -64,8 +63,8 @@ func TestRenderCacheReusesUnchangedPage(t *testing.T) {
 }
 
 // TestRenderCacheKeysOnContent asserts the cache cannot serve stale HTML: a
-// changed raw body hashes to a new key, so the new content is extracted,
-// injected, and tagged afresh.
+// changed raw body is not the stored render's, so the new content is
+// extracted, injected, and tagged afresh.
 func TestRenderCacheKeysOnContent(t *testing.T) {
 	var body atomic.Value
 	body.Store(`<html><body><img src="/v1.png"></body></html>`)
@@ -180,7 +179,6 @@ func TestRenderFanOutRaceStaysConsistent(t *testing.T) {
 	h := Middleware(inner, MiddlewareOptions{
 		ProbeTTL:         time.Millisecond,
 		ProbeConcurrency: 4,
-		MaxRenderBytes:   1 << 14, // small enough to force evictions mid-race
 	})
 	m := h.(*middleware)
 
@@ -221,11 +219,51 @@ func TestRenderFanOutRaceStaysConsistent(t *testing.T) {
 	if err := m.def.probes.Audit(); err != nil {
 		t.Errorf("probe cache accounting drifted: %v", err)
 	}
-	// Every load stores at most once: GetOrLoad re-checks inside the flight
-	// and skips the Put when a racing flight already stored the entry.
-	rc := m.def.renders.Counters()
-	if rc.Puts == 0 || rc.Puts > rc.Loads {
-		t.Errorf("render counters implausible: %+v", rc)
+	// However many bodies raced through the one URL, and in whatever order
+	// their flights landed, the store keys by URL: one entry, for "/".
+	if keys := m.def.renders.Keys(); len(keys) != 1 || keys[0] != "/" {
+		t.Errorf("render cache holds %q after the race, want the one page", keys)
+	}
+}
+
+// TestRenderCacheHoldsOneEntryPerPage serves successive bodies of one held
+// URL: the store keeps one entry for it, the render of the current body,
+// charged for that render alone — no dead version of the page waits for
+// eviction beside it.
+func TestRenderCacheHoldsOneEntryPerPage(t *testing.T) {
+	const versions = 8
+	var version atomic.Int64
+	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/" {
+			w.Header().Set("Content-Type", "image/png")
+			_, _ = io.WriteString(w, r.URL.Path)
+			return
+		}
+		v := version.Load()
+		w.Header().Set("Content-Type", "text/html")
+		w.Header().Set("Etag", fmt.Sprintf(`"page-v%d"`, v))
+		fmt.Fprintf(w, `<html><head><title>v%d</title></head><body><img src="/a.png"></body></html>`, v)
+	})
+	h := Middleware(inner, MiddlewareOptions{ProbeTTL: time.Hour})
+	m := h.(*middleware)
+	var last *httptest.ResponseRecorder
+	for i := 0; i < versions; i++ {
+		version.Add(1)
+		last = httptest.NewRecorder()
+		h.ServeHTTP(last, httptest.NewRequest("GET", "/", nil))
+	}
+	if keys := m.def.renders.Keys(); len(keys) != 1 || keys[0] != "/" {
+		t.Fatalf("%d bodies of one page left %d entries (%q), want 1", versions, len(keys), keys)
+	}
+	ent, _ := m.def.renders.Peek("/")
+	if string(ent.Body) != last.Body.String() || ent.inm == nil || ent.tag.Opaque != fmt.Sprintf("page-v%d", versions) {
+		t.Fatalf("the entry is not the held render of the current body (held %v, tag %q)", ent.inm != nil, ent.tag.Opaque)
+	}
+	if got, want := m.def.renders.Bytes(), renderEntrySize("/", ent); got != want {
+		t.Fatalf("render cache charged %d bytes, the current render costs %d", got, want)
+	}
+	if c := m.def.renders.Counters(); c.Loads != versions {
+		t.Fatalf("%d renders built for %d bodies", c.Loads, versions)
 	}
 }
 

@@ -258,11 +258,9 @@ func TestMiddlewareProbeCacheBounded(t *testing.T) {
 		w.Header().Set("Content-Type", "image/png")
 		fmt.Fprint(w, "PNG")
 	})
-	var metrics MiddlewareMetrics
 	h := Middleware(mux, MiddlewareOptions{
 		ProbeTTL:        time.Nanosecond,
 		MaxProbeEntries: 8,
-		Metrics:         &metrics,
 	})
 	for i := 0; i < 100; i++ {
 		rec := httptest.NewRecorder()
@@ -275,7 +273,7 @@ func TestMiddlewareProbeCacheBounded(t *testing.T) {
 	if size := m.def.probes.Len(); size > 8 {
 		t.Fatalf("probe cache grew to %d entries, cap 8", size)
 	}
-	if metrics.ProbesSwept.Load() == 0 {
+	if m.def.probes.Counters().Evictions == 0 {
 		t.Fatal("no probe-cache entries were evicted")
 	}
 }

@@ -314,11 +314,9 @@ func TestCapMapBytesMatchesNaive(t *testing.T) {
 // and sniffing writer as concurrency-safe.
 func TestMiddlewareParallelStress(t *testing.T) {
 	t.Parallel()
-	metrics := &MiddlewareMetrics{}
 	h := Middleware(innerSite(), MiddlewareOptions{
 		ProbeTTL:        time.Millisecond, // force constant re-probing
 		MaxProbeEntries: 2,                // fewer than the page's 4 subresources: constant eviction
-		Metrics:         metrics,
 	})
 	paths := []string{"/", "/logo.png", "/api/data", "/style.css", WorkerPath, "/missing"}
 
@@ -343,7 +341,7 @@ func TestMiddlewareParallelStress(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if metrics.ProbesSwept.Load() == 0 {
+	if h.(*middleware).def.probes.Counters().Evictions == 0 {
 		t.Error("stress with MaxProbeEntries=4 evicted nothing")
 	}
 }

@@ -30,7 +30,7 @@ import (
 // If-Modified-Since is rewritten to a 304 and its body discarded.
 //
 // The one conditional the inner handler does see is the middleware's own:
-// the revalidation of a page the hot index holds (see innerRequest). The 304
+// the revalidation of a page the render cache holds (see innerRequest). The 304
 // that answers it is the middleware's to judge, so the writer captures it
 // instead of forwarding it. So is a 200 page answering a HEAD: it has no body
 // to decorate, and the middleware asks again with a GET.
@@ -77,8 +77,8 @@ type sniffWriter struct {
 // zero-allocation cost. Nothing a writer hands out survives the request:
 // header value slices are allocated fresh by each handler's Set/Add calls
 // (only the map's buckets are reused), and every consumer of the buffered
-// body copies it (render interns it as a string; the hot index keeps no raw
-// page, only the render; passthrough writes flush into net/http's own
+// body copies it (render interns it as a string; the render cache keeps no
+// raw page, only the render; passthrough writes flush into net/http's own
 // buffers) before release. The inner request lives here too, so a handler
 // must not keep its request past returning, which net/http already forbids.
 var sniffPool = sync.Pool{

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"cachecatalyst/internal/resilience"
 	"cachecatalyst/internal/telemetry"
 	"cachecatalyst/internal/tenant"
 )
@@ -41,7 +42,10 @@ func (tr *tenantRouter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func newTenantedMiddleware(t *testing.T, reg *telemetry.Registry, opts MiddlewareOptions) (http.Handler, *tenantRouter) {
+// newTenantedMiddleware serves a tenantRouter to tenants alpha and beta.
+// breaker, when set, builds each tenant's origin breaker, as catalystd wires
+// one per configured tenant.
+func newTenantedMiddleware(t *testing.T, reg *telemetry.Registry, opts MiddlewareOptions, breaker func(name string) *resilience.Breaker) (http.Handler, *tenantRouter) {
 	t.Helper()
 	tr := &tenantRouter{}
 	tr.failing.Store("")
@@ -49,6 +53,9 @@ func newTenantedMiddleware(t *testing.T, reg *telemetry.Registry, opts Middlewar
 	mw := Middleware(tr, opts)
 	alpha := &tenant.Tenant{Name: "alpha", Hosts: []string{"alpha.test"}}
 	beta := &tenant.Tenant{Name: "beta", Hosts: []string{"beta.test"}}
+	if breaker != nil {
+		alpha.Breaker, beta.Breaker = breaker(alpha.Name), breaker(beta.Name)
+	}
 	res, err := tenant.NewResolver([]*tenant.Tenant{alpha, beta})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +75,7 @@ func tenantGet(h http.Handler, host, path string) *httptest.ResponseRecorder {
 // and per-tenant cache telemetry.
 func TestTenantIsolatedServing(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	h, _ := newTenantedMiddleware(t, reg, MiddlewareOptions{})
+	h, _ := newTenantedMiddleware(t, reg, MiddlewareOptions{}, nil)
 
 	ra := tenantGet(h, "alpha.test", "/")
 	rb := tenantGet(h, "beta.test", "/")
@@ -86,13 +93,13 @@ func TestTenantIsolatedServing(t *testing.T) {
 		t.Fatalf("tenants share a map: %s", ra.Header().Get(HeaderName))
 	}
 
-	// Second serve of each page is a warm hit in that tenant's hot index.
+	// Second serve of each page is a warm hit in that tenant's render cache.
 	tenantGet(h, "alpha.test", "/")
 	snap := reg.Snapshot()
-	if snap.Counters["tenant.alpha.hot.hits"] == 0 {
-		t.Fatalf("no warm hit recorded in alpha's hot namespace: %v", snap.Counters)
+	if snap.Counters["tenant.alpha.renders.hits"] == 0 {
+		t.Fatalf("no warm hit recorded in alpha's renders namespace: %v", snap.Counters)
 	}
-	if snap.Counters["tenant.beta.hot.hits"] != 0 {
+	if snap.Counters["tenant.beta.renders.hits"] != 0 {
 		t.Fatalf("alpha's warm hit leaked into beta's namespace: %v", snap.Counters)
 	}
 	if snap.Counters["tenant.alpha.requests"] != 2 || snap.Counters["tenant.beta.requests"] != 1 {
@@ -105,9 +112,13 @@ func TestTenantIsolatedServing(t *testing.T) {
 // failing tenant degrades to its own stale copy.
 func TestTenantBreakerIsolation(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	h, tr := newTenantedMiddleware(t, reg, MiddlewareOptions{
-		OriginFailureThreshold: 2,
-		OriginCooldown:         time.Millisecond,
+	h, tr := newTenantedMiddleware(t, reg, MiddlewareOptions{}, func(name string) *resilience.Breaker {
+		return resilience.NewBreaker(resilience.BreakerOptions{
+			FailureThreshold: 2,
+			Cooldown:         time.Millisecond,
+			Telemetry:        reg,
+			Name:             "tenant." + name + ".origin",
+		})
 	})
 
 	// Warm both tenants so stale copies exist.
@@ -130,6 +141,10 @@ func TestTenantBreakerIsolation(t *testing.T) {
 	rb := tenantGet(h, "beta.test", "/")
 	if rb.Code != 200 || rb.Header().Get("Warning") != "" || rb.Header().Get(HeaderName) == "" {
 		t.Fatalf("beta degraded alongside alpha: code %d warning %q", rb.Code, rb.Header().Get("Warning"))
+	}
+	if snap := reg.Snapshot(); snap.Counters["tenant.alpha.origin.trips"] == 0 || snap.Counters["tenant.beta.origin.trips"] != 0 {
+		t.Fatalf("alpha's breaker should have opened and beta's not: alpha %d trips, beta %d",
+			snap.Counters["tenant.alpha.origin.trips"], snap.Counters["tenant.beta.origin.trips"])
 	}
 
 	// Alpha recovers once its origin does.
@@ -155,8 +170,11 @@ func TestTenantDefaultPathUntouched(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tr := &tenantRouter{}
 	tr.failing.Store("")
+	breaker := func() *resilience.Breaker {
+		return resilience.NewBreaker(resilience.BreakerOptions{FailureThreshold: 3})
+	}
 	mw := Middleware(tr, MiddlewareOptions{
-		Telemetry: reg, Delta: true, MaxInflight: 4, OriginFailureThreshold: 3,
+		Telemetry: reg, Delta: true, MaxInflight: 4, OriginBreaker: breaker(),
 	})
 
 	rec := httptest.NewRecorder()
@@ -175,7 +193,7 @@ func TestTenantDefaultPathUntouched(t *testing.T) {
 	}
 
 	m := mw.(*middleware)
-	acme := &tenant.Tenant{Name: "acme"}
+	acme := &tenant.Tenant{Name: "acme", Breaker: breaker()}
 	req := httptest.NewRequest(http.MethodGet, "/index.html", nil)
 	ts := m.stateFor(req.WithContext(tenant.NewContext(req.Context(), acme)))
 	if ts == &m.def || ts.name != "acme" {
@@ -183,7 +201,7 @@ func TestTenantDefaultPathUntouched(t *testing.T) {
 	}
 	parts := func(s *tenantState) map[string]bool {
 		return map[string]bool{
-			"probes": s.probes != nil, "renders": s.renders != nil, "hot": s.hot != nil,
+			"probes": s.probes != nil, "renders": s.renders != nil,
 			"stales": s.stales != nil, "delta_bases": s.deltaBases != nil,
 			"gate": s.gate != nil, "breaker": s.breaker != nil,
 		}
@@ -199,11 +217,18 @@ func TestTenantDefaultPathUntouched(t *testing.T) {
 		t.Error("tenant state shares a cache, gate or breaker with the default state")
 	}
 	snap = reg.Snapshot()
-	for _, kind := range []string{"probes", "renders", "hot", "stales", "delta_bases"} {
+	for _, kind := range []string{"probes", "renders", "stales", "delta_bases"} {
 		for _, name := range []string{"middleware." + kind + ".puts", "tenant.acme." + kind + ".puts"} {
 			if _, ok := snap.Counters[name]; !ok {
 				t.Errorf("instrument %q not registered", name)
 			}
+		}
+	}
+	// One page store per state, and no counter that duplicates a store's
+	// own evictions.
+	for name := range snap.Counters {
+		if strings.Contains(name, ".hot.") || name == "middleware.renders_evicted" || name == "middleware.probes_swept" {
+			t.Errorf("retired instrument %q registered", name)
 		}
 	}
 }

@@ -89,11 +89,12 @@ func TestProbeWorkingSetSurvivesItsTTL(t *testing.T) {
 		time.Sleep(40 * time.Millisecond) // every probe of the first pass expires
 		fetched, bodyBytes = metrics.ProbeFetched.Load(), site.subBytes.Load()
 		site.navigateAll(t, h)
-		if err := h.(*middleware).def.probes.Audit(); err != nil {
+		probes := h.(*middleware).def.probes
+		if err := probes.Audit(); err != nil {
 			t.Errorf("probe cache accounting drifted: %v", err)
 		}
 		return metrics.ProbeRevalidated.Load(), metrics.ProbeFetched.Load() - fetched,
-			metrics.ProbesSwept.Load(), site.subBytes.Load() - bodyBytes
+			probes.Counters().Evictions, site.subBytes.Load() - bodyBytes
 	}
 
 	t.Run("default budget", func(t *testing.T) {
@@ -120,12 +121,10 @@ func TestProbeWorkingSetSurvivesItsTTL(t *testing.T) {
 
 // TestResidentRendersAreCharged drives several times MaxRenderBytes of
 // distinct renders through the middleware — many pages, then many versions
-// of one page, which flush the keyed cache while the hot index goes on
-// pinning the other pages' renders — and then walks both stores: each stays
-// within its budget, and the render bodies reachable from them, counted once
-// each, are covered by what the stores were charged — which a hot index
-// keeping its own copy of each page, or pinning evicted renders at no charge,
-// is not.
+// of one page — and then walks the render cache: it stays within its budget,
+// and the render bodies reachable from it, counted once each, are covered by
+// what it was charged — which a store keeping a second copy of each page, or
+// pinning evicted renders at no charge, is not.
 func TestResidentRendersAreCharged(t *testing.T) {
 	const budget, pageBytes, pages = 256 << 10, 8 << 10, 120
 	var version atomic.Int64
@@ -160,12 +159,11 @@ func TestResidentRendersAreCharged(t *testing.T) {
 			reachable += int64(len(e.Body))
 		}
 	}
-	walk(t, "hot", m.def.hot, budget, func(e *hotEntry) { visit(e.render) })
 	walk(t, "renders", m.def.renders, budget, visit)
-	charged := m.def.hot.Bytes() + m.def.renders.Bytes()
-	t.Logf("%d renders reachable, %d body bytes; charged %d (hot %d + renders %d)", len(seen), reachable, charged, m.def.hot.Bytes(), m.def.renders.Bytes())
-	if len(seen) == 0 || m.opts.Metrics.RendersEvicted.Load() == 0 {
-		t.Fatalf("%d renders resident, %d evicted: the budget was never under pressure", len(seen), m.opts.Metrics.RendersEvicted.Load())
+	charged, evicted := m.def.renders.Bytes(), m.def.renders.Counters().Evictions
+	t.Logf("%d renders reachable, %d body bytes; charged %d", len(seen), reachable, charged)
+	if len(seen) == 0 || evicted == 0 {
+		t.Fatalf("%d renders resident, %d evicted: the budget was never under pressure", len(seen), evicted)
 	}
 	if reachable > charged {
 		t.Errorf("%d render body bytes are resident but only %d are charged", reachable, charged)

@@ -102,6 +102,14 @@ function noStore(cacheControl) {
     (d) => d.split("=")[0].trim().toLowerCase() === "no-store");
 }
 
+// The map's tag vouches for the cached copy's (PROTOCOL.md section 4 step 1):
+// a weak map tag matches any tag with the same opaque value, a strong one only
+// the identical strong tag.
+function tagMatches(want, have) {
+  const opaque = (t) => t.replace(/^W\//, "");
+  return want.startsWith("W/") ? opaque(want) === opaque(have) : want === have;
+}
+
 async function handleSubresource(request) {
   const url = new URL(request.url);
   const key = url.pathname + url.search;
@@ -110,7 +118,7 @@ async function handleSubresource(request) {
   if (cached) {
     const have = cached.headers.get("ETag");
     const want = etagConfig[key];
-    if (have && want && have === want) {
+    if (have && typeof want === "string" && tagMatches(want, have)) {
       return cached; // zero network round trips
     }
   }

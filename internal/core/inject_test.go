@@ -150,7 +150,10 @@ func TestInjectQuick(t *testing.T) {
 // (it would later be replayed with zero round trips), anything else is. The
 // same harness then delivers a good map, then a navigation whose
 // X-Etag-Config does not parse: the worker keeps the good map (PROTOCOL.md
-// §2.4), so the subresource it names is still served from cache.
+// §2.4), so the subresource it names is still served from cache. Last, tags
+// match as PROTOCOL.md §4 step 1 and core.Decide have it: a weak map tag
+// vouches for a cached copy with the same opaque tag, strong or weak, and a
+// strong map tag only for the identical strong tag.
 func TestServiceWorkerScriptHonorsNoStore(t *testing.T) {
 	node, err := exec.LookPath("node")
 	if err != nil {
@@ -159,6 +162,7 @@ func TestServiceWorkerScriptHonorsNoStore(t *testing.T) {
 	const harness = `
 const stored = new Map();
 let cacheControl = "";
+let respEtag = '"v1"';
 let etagConfig = null;
 let fetches = 0;
 let onFetch;
@@ -176,7 +180,7 @@ globalThis.caches = {
 };
 globalThis.fetch = async () => {
   fetches++;
-  const headers = { "cache-control": cacheControl, etag: '"v1"', "x-etag-config": etagConfig };
+  const headers = { "cache-control": cacheControl, etag: respEtag, "x-etag-config": etagConfig };
   const resp = { ok: true, headers: { get: (name) => headers[name.toLowerCase()] || null }, clone: () => resp };
   return resp;
 };
@@ -204,6 +208,18 @@ async function dispatch(mode, url) {
   const before = fetches;
   await dispatch("no-cors", "https://site.example/app.js");
   out.servedFromCacheAfterBadMap = fetches === before;
+  out.servedFromCache = {};
+  for (const [name, mapTag, cachedTag] of [["weakMapStrongCopy", 'W/"x"', '"x"'], ["strongMapWeakCopy", '"x"', 'W/"x"']]) {
+    const path = "/" + name + ".css";
+    respEtag = cachedTag;
+    await dispatch("no-cors", "https://site.example" + path);
+    etagConfig = JSON.stringify({ [path]: mapTag });
+    await dispatch("navigate", "https://site.example/");
+    etagConfig = null;
+    const before = fetches;
+    await dispatch("no-cors", "https://site.example" + path);
+    out.servedFromCache[name] = fetches === before;
+  }
   console.log(JSON.stringify(out));
 })();
 `
@@ -227,6 +243,7 @@ async function dispatch(mode, url) {
 	var got struct {
 		NoStore                    map[string]bool
 		ServedFromCacheAfterBadMap bool
+		ServedFromCache            map[string]bool
 	}
 	if err := json.Unmarshal(outBytes, &got); err != nil {
 		t.Fatalf("harness output %q: %v", outBytes, err)
@@ -238,5 +255,10 @@ async function dispatch(mode, url) {
 	}
 	if !got.ServedFromCacheAfterBadMap {
 		t.Error("a navigation with a malformed X-Etag-Config erased the good map: the subresource it names went to the network")
+	}
+	for name, want := range map[string]bool{"weakMapStrongCopy": true, "strongMapWeakCopy": false} {
+		if g, ok := got.ServedFromCache[name]; !ok || g != want {
+			t.Errorf("%s: served from cache = %v (reported %v), want %v", name, g, ok, want)
+		}
 	}
 }

@@ -282,7 +282,8 @@ func (c *ClusterCell) Snapshot(id string) telemetry.Snapshot {
 }
 
 // HitRatio aggregates a tenant's warm-serve hit ratio across the cell's
-// live instances: hot-index and render-cache hits over the tenant's
+// live instances: pages served from a cached render — render-cache lookups
+// (one per decorated page) less the renders built — over the tenant's
 // requests, read from each node's "tenant.<name>.*" counters.
 func (c *ClusterCell) HitRatio(tenantName string) float64 {
 	var hits, requests int64
@@ -291,7 +292,8 @@ func (c *ClusterCell) HitRatio(tenantName string) float64 {
 			continue
 		}
 		snap := inst.Registry.Snapshot()
-		hits += snap.Counters["tenant."+tenantName+".hot.hits"] + snap.Counters["tenant."+tenantName+".renders.hits"]
+		renders := "tenant." + tenantName + ".renders."
+		hits += snap.Counters[renders+"hits"] + snap.Counters[renders+"misses"] - snap.Counters[renders+"loads"]
 		requests += snap.Counters["tenant."+tenantName+".requests"]
 	}
 	if requests == 0 {

@@ -54,7 +54,9 @@ func RunFig3(cfg Config) (*SweepResult, error) {
 // every grid condition. For each (site, condition) pair both schemes load
 // the page cold at the virtual epoch and then reload at each delay; the
 // virtual clocks advance identically, so both schemes see identical content
-// trajectories and the comparison is paired.
+// trajectories and the comparison is paired. Results do not depend on
+// Parallelism: every trial fills its own (condition, site) slot, and the
+// slots are folded in index order, as RunSchemeMatrix does.
 func RunPairedSweep(cfg Config, base, treatment Scheme) (*SweepResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -64,10 +66,12 @@ func RunPairedSweep(cfg Config, base, treatment Scheme) (*SweepResult, error) {
 		p = 100
 	}
 
+	trials := make([][][]sampleOut, len(cfg.Grid))
+	for condIdx := range trials {
+		trials[condIdx] = make([][]sampleOut, p)
+	}
 	type job struct{ condIdx, siteIdx int }
-
 	jobs := make(chan job)
-	samplesCh := make(chan []sampleOut)
 	var wg sync.WaitGroup
 	workers := cfg.Parallelism
 	if workers <= 0 {
@@ -86,39 +90,36 @@ func RunPairedSweep(cfg Config, base, treatment Scheme) (*SweepResult, error) {
 					errOnce.Do(func() { firstErr = err })
 					continue
 				}
-				samplesCh <- out
+				trials[j.condIdx][j.siteIdx] = out
 			}
 		}()
 	}
-	go func() {
-		for condIdx := range cfg.Grid {
-			for siteIdx := 0; siteIdx < p; siteIdx++ {
-				jobs <- job{condIdx, siteIdx}
-			}
+	for condIdx := range cfg.Grid {
+		for siteIdx := 0; siteIdx < p; siteIdx++ {
+			jobs <- job{condIdx, siteIdx}
 		}
-		close(jobs)
-		wg.Wait()
-		close(samplesCh)
-	}()
+	}
+	close(jobs)
+	wg.Wait()
+	if firstErr != nil {
+		return nil, firstErr
+	}
 
 	// reductions[cond][delay] accumulates per-site samples.
 	reductions := make([][][]float64, len(cfg.Grid))
 	fcpReductions := make([][]float64, len(cfg.Grid))
 	basePLTs := make([][]float64, len(cfg.Grid))
 	treatPLTs := make([][]float64, len(cfg.Grid))
-	for i := range reductions {
-		reductions[i] = make([][]float64, len(cfg.Delays))
-	}
-	for batch := range samplesCh {
-		for _, s := range batch {
-			reductions[s.condIdx][s.delayIdx] = append(reductions[s.condIdx][s.delayIdx], s.reduction)
-			fcpReductions[s.condIdx] = append(fcpReductions[s.condIdx], s.fcpReduction)
-			basePLTs[s.condIdx] = append(basePLTs[s.condIdx], float64(s.basePLT))
-			treatPLTs[s.condIdx] = append(treatPLTs[s.condIdx], float64(s.treatPLT))
+	for condIdx := range trials {
+		reductions[condIdx] = make([][]float64, len(cfg.Delays))
+		for _, out := range trials[condIdx] {
+			for _, s := range out {
+				reductions[condIdx][s.delayIdx] = append(reductions[condIdx][s.delayIdx], s.reduction)
+				fcpReductions[condIdx] = append(fcpReductions[condIdx], s.fcpReduction)
+				basePLTs[condIdx] = append(basePLTs[condIdx], float64(s.basePLT))
+				treatPLTs[condIdx] = append(treatPLTs[condIdx], float64(s.treatPLT))
+			}
 		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 
 	res := &SweepResult{Base: base, Treatment: treatment}
@@ -176,7 +177,6 @@ func runPairedTrial(cfg Config, base, treatment Scheme, condIdx, siteIdx int) ([
 			return nil, err
 		}
 		out = append(out, sampleOut{
-			condIdx:      condIdx,
 			delayIdx:     delayIdx,
 			reduction:    stats.ReductionPercent(float64(rBase.PLT), float64(rTreat.PLT)),
 			fcpReduction: stats.ReductionPercent(float64(rBase.FCP), float64(rTreat.FCP)),
@@ -188,7 +188,7 @@ func runPairedTrial(cfg Config, base, treatment Scheme, condIdx, siteIdx int) ([
 }
 
 type sampleOut struct {
-	condIdx, delayIdx int
+	delayIdx          int
 	reduction         float64
 	fcpReduction      float64
 	basePLT, treatPLT time.Duration
