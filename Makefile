@@ -35,17 +35,21 @@ vet:
 # a 304's header in httpcache or catalyst (DESIGN.md §12) — or when
 # catalyst.Middleware's page store goes back to keying renders by a content
 # hash: it keys by URL and checks identity with IsRenderOf, so crypto/sha256
-# has no business in non-test catalyst/ code (DESIGN.md §7).
+# has no business in non-test catalyst/ code (DESIGN.md §7) — or when the
+# HTML tree comes back onto a serving path: htmlparse.ExtractPage extracts
+# off the token stream, so htmlparse.Parse has no caller outside its own
+# package, and the per-element link rules (the `case "iframe":` table) are
+# defined once, for the tree walk and the stream alike (DESIGN.md §3).
 FORK_SRC = $(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' ./... | tr ' ' '\n' | grep -v '/bench/'
 forks:
 	@fail=0; src=$$($(FORK_SRC)); \
-	for pat in 'core\.\(InjectRegistration\|RegistrationOffset\)(' 'delta\.Diff(' 'maxPreloadHints *=' 'httputil\.NewSingleHostReverseProxy(' 'func MergeNotModified('; do \
+	for pat in 'core\.\(InjectRegistration\|RegistrationOffset\)(' 'delta\.Diff(' 'maxPreloadHints *=' 'httputil\.NewSingleHostReverseProxy(' 'func MergeNotModified(' 'case "iframe":'; do \
 		n=$$(grep -h "$$pat" $$src | grep -vc '^[[:space:]]*//'); \
 		if [ "$$n" -ne 1 ]; then echo "forks: '$$pat' appears $$n times in non-test code, want 1:" >&2; grep -n "$$pat" $$src >&2; fail=1; fi; \
 	done; \
 	for chk in '/internal/\(sw\|httpcache\|browser\)/\|/catalyst/client\.go$$:cachestore\.Policy' '/internal/cachestore/:pushFront(\|relink(' \
 		'/internal/httpcache/\|/catalyst/:range [A-Za-z0-9_.]*\([nN]ot[mM]odified\|304\)[A-Za-z0-9_]*\.Header' \
-		'/catalyst/[^/]*\.go$$:"crypto/sha256"'; do \
+		'/catalyst/[^/]*\.go$$:"crypto/sha256"' '/:htmlparse\.Parse('; do \
 		files=$$(echo "$$src" | tr ' ' '\n' | grep "$${chk%%:*}"); \
 		if grep -Hn "$${chk#*:}" $$files | grep -v ':[0-9]*:[[:space:]]*//' >&2; then \
 			echo "forks: '$${chk#*:}' is back in non-test code under '$${chk%%:*}', want 0" >&2; fail=1; fi; \
@@ -56,7 +60,8 @@ forks:
 
 # Short fuzz pass over the hostile-input parsers (X-Etag-Config decoding,
 # map building, cache-trace parsing, delta patches, probe targets out of
-# upstream HTML), the render cache's raw-page compare, and the 304 header merge
+# upstream HTML, the HTML parser itself and the streaming extractor checked
+# against it), the render cache's raw-page compare, and the 304 header merge
 # the held page and the browser cache share. The corpus seeds also run as
 # part of plain `go test`.
 fuzz:
@@ -67,6 +72,9 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzProbeTarget -fuzztime=10s ./catalyst/
 	$(GO) test -run=^$$ -fuzz=FuzzHotMatch -fuzztime=10s ./catalyst/
 	$(GO) test -run=^$$ -fuzz=FuzzMergeNotModified -fuzztime=10s ./internal/headers/
+	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=10s ./internal/htmlparse/
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeEntities -fuzztime=10s ./internal/htmlparse/
+	$(GO) test -run=^$$ -fuzz=FuzzExtractPage -fuzztime=10s ./internal/htmlparse/
 
 # Scheme-matrix smoke: the conformance suite (golden table, shape claims,
 # determinism, cancellation under -race) plus one live run of the command.

@@ -970,13 +970,13 @@ func (l *loader) process(host, path string, kind htmlparse.ResourceKind, resp *h
 
 func (l *loader) processHTML(host, path string, resp *httpcache.Response) {
 	base := &url.URL{Scheme: "https", Host: host, Path: path}
-	doc := htmlparse.Parse(string(resp.Body))
-	if href, ok := htmlparse.BaseHref(doc); ok {
+	rs, href, ok := htmlparse.ExtractPage(string(resp.Body))
+	if ok {
 		if bu, err := url.Parse(href); err == nil {
 			base = base.ResolveReference(bu)
 		}
 	}
-	for _, r := range htmlparse.ExtractResources(doc) {
+	for _, r := range rs {
 		h, p, ok := l.resolve(base, r.URL)
 		if !ok {
 			continue

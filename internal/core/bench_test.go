@@ -70,6 +70,20 @@ func BenchmarkBuildMap(b *testing.B) {
 	}
 }
 
+// BenchmarkExtractPageRefs measures the extract phase a render miss pays,
+// on a page of the benchmark's page_churn shape (40 KB, 40 references).
+func BenchmarkExtractPageRefs(b *testing.B) {
+	page := churnShapedPage(40_000)
+	b.SetBytes(int64(len(page)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if refs := ExtractPageRefs("/p/0001.html", page); len(refs) != 40 {
+			b.Fatalf("%d refs", len(refs))
+		}
+	}
+}
+
 // BenchmarkDecide measures the per-request Service-Worker decision.
 func BenchmarkDecide(b *testing.B) {
 	m := benchMap(70)

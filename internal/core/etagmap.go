@@ -252,6 +252,18 @@ func CrossOriginKey(host, escapedPath, rawQuery string) string {
 // origin-relative path (with query), or ok=false for cross-origin or
 // non-fetchable references.
 func resolveSameOrigin(base *url.URL, ref string) (string, bool) {
+	if isPlainPath(ref) && (base.Scheme == "" || base.Scheme == "http" || base.Scheme == "https") {
+		// The common case, and its own key. ref is cut from the document it
+		// was extracted from; the copy keeps a cached key from pinning that
+		// whole page.
+		return strings.Clone(ref), true
+	}
+	return resolveSameOriginURL(base, ref)
+}
+
+// resolveSameOriginURL is resolveSameOrigin's general route, through
+// url.Parse and ResolveReference.
+func resolveSameOriginURL(base *url.URL, ref string) (string, bool) {
 	if !cssparse.IsFetchable(ref) {
 		return "", false
 	}
@@ -274,6 +286,31 @@ func resolveSameOrigin(base *url.URL, ref string) (string, bool) {
 		path += "?" + resolved.RawQuery
 	}
 	return path, true
+}
+
+// isPlainPath reports whether ref is an absolute path that url.Parse plus
+// ResolveReference plus EscapedPath would return unchanged under any http(s)
+// base: a leading '/' but not "//" (a network path), only unreserved bytes
+// and '/' (nothing to escape, no query or fragment), and no "." or ".."
+// segment (nothing to remove).
+func isPlainPath(ref string) bool {
+	if len(ref) == 0 || ref[0] != '/' || len(ref) > 1 && ref[1] == '/' {
+		return false
+	}
+	seg := 1 // start of the current segment
+	for i := 1; i <= len(ref); i++ {
+		if i == len(ref) || ref[i] == '/' {
+			if s := ref[seg:i]; s == "." || s == ".." {
+				return false
+			}
+			seg = i + 1
+			continue
+		}
+		if c := ref[i]; !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '-' || c == '.' || c == '_' || c == '~') {
+			return false
+		}
+	}
+	return true
 }
 
 // Decision is the Service Worker's verdict for one request.

@@ -38,24 +38,25 @@ type Ref struct {
 	Cross bool
 }
 
-// ExtractPageRefs is the extract phase for a base HTML document: parse,
+// ExtractPageRefs is the extract phase for a base HTML document: extract
+// its references off the token stream (htmlparse.ExtractPage, no tree),
 // honor <base href>, resolve every subresource reference against the page
 // URL, and return the deduplicated reference list in document order. It is a
 // pure function of its arguments — no Resolver, no I/O — so callers may
-// cache the result keyed by the document's content.
+// cache the result keyed by the document's content. No returned Key shares
+// memory with htmlBody, so a cached reference list does not pin the page.
 func ExtractPageRefs(pageURL, htmlBody string) []Ref {
 	base, err := url.Parse(pageURL)
 	if err != nil {
 		base = &url.URL{Path: "/"}
 	}
-	doc := htmlparse.Parse(htmlBody)
+	rs, href, ok := htmlparse.ExtractPage(htmlBody)
 	// <base href> redirects relative resolution for the whole document.
-	if href, ok := htmlparse.BaseHref(doc); ok {
+	if ok {
 		if bu, err := url.Parse(href); err == nil {
 			base = base.ResolveReference(bu)
 		}
 	}
-	rs := htmlparse.ExtractResources(doc)
 	refs := make([]Ref, 0, len(rs))
 	index := make(map[string]int, len(rs))
 	for _, r := range rs {

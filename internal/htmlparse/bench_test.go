@@ -1,8 +1,10 @@
-package htmlparse
+package htmlparse_test
 
 import (
 	"strings"
 	"testing"
+
+	"cachecatalyst/internal/htmlparse"
 )
 
 // benchDoc is a realistic homepage-sized document (~30 KB, ~60 resources).
@@ -34,7 +36,7 @@ func BenchmarkTokenize(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		z := NewTokenizer(doc)
+		z := htmlparse.NewTokenizer(doc)
 		for {
 			if _, ok := z.Next(); !ok {
 				break
@@ -49,7 +51,7 @@ func BenchmarkParse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Parse(doc)
+		_ = htmlparse.Parse(doc)
 	}
 }
 
@@ -59,7 +61,7 @@ func BenchmarkExtractResources(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs := ExtractFromHTML(doc)
+		rs := htmlparse.ExtractFromHTML(doc)
 		if len(rs) == 0 {
 			b.Fatal("no resources")
 		}

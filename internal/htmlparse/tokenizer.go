@@ -8,6 +8,10 @@
 // entity decoding, raw-text elements (script, style, title, textarea),
 // comments, doctypes, and a forgiving tree builder. It is not a rendering
 // engine; it is a faithful link harvester.
+//
+// The serving paths do not build the tree: ExtractPage runs the tree
+// builder's open-element rules over the token stream and yields exactly
+// what ExtractResources and BaseHref read off Parse's tree.
 package htmlparse
 
 import (
@@ -64,8 +68,10 @@ type Token struct {
 }
 
 // Attr returns the value of the named attribute and whether it is present.
-func (t *Token) Attr(name string) (string, bool) {
-	for _, a := range t.Attrs {
+func (t *Token) Attr(name string) (string, bool) { return attr(t.Attrs, name) }
+
+func attr(attrs []Attr, name string) (string, bool) {
+	for _, a := range attrs {
 		if a.Name == name {
 			return a.Value, true
 		}
@@ -73,15 +79,14 @@ func (t *Token) Attr(name string) (string, bool) {
 	return "", false
 }
 
-// rawTextElements switch the tokenizer into raw-text mode: their content is
-// opaque until the matching close tag.
-var rawTextElements = map[string]bool{
-	"script":   true,
-	"style":    true,
-	"textarea": true,
-	"title":    true,
-	"xmp":      true,
-	"noscript": true,
+// isRawText reports whether tag switches the tokenizer into raw-text mode:
+// the element's content is opaque until the matching close tag.
+func isRawText(tag string) bool {
+	switch tag {
+	case "script", "style", "textarea", "title", "xmp", "noscript":
+		return true
+	}
+	return false
 }
 
 // Tokenizer yields tokens from HTML input. It never fails: malformed markup
@@ -92,6 +97,10 @@ type Tokenizer struct {
 	// pending raw text element name; when set, the next token is the raw
 	// content up to its close tag.
 	rawTag string
+	// reuseAttrs hands every tag token the same attribute backing array,
+	// for a caller that is done with a token before asking for the next.
+	reuseAttrs bool
+	attrs      []Attr
 }
 
 // NewTokenizer returns a tokenizer over the given input.
@@ -118,9 +127,11 @@ func (z *Tokenizer) Next() (Token, bool) {
 
 func (z *Tokenizer) nextText() Token {
 	start := z.pos
-	z.pos++ // consume at least one byte to guarantee progress
-	for z.pos < len(z.in) && z.in[z.pos] != '<' {
-		z.pos++
+	// Consume at least one byte to guarantee progress.
+	if i := strings.IndexByte(z.in[start+1:], '<'); i >= 0 {
+		z.pos = start + 1 + i
+	} else {
+		z.pos = len(z.in)
 	}
 	return Token{Type: TextToken, Data: DecodeEntities(z.in[start:z.pos]), Offset: start}
 }
@@ -129,8 +140,7 @@ func (z *Tokenizer) nextText() Token {
 // its case-insensitive close tag.
 func (z *Tokenizer) nextRawText() Token {
 	start := z.pos
-	closeTag := "</" + z.rawTag
-	idx := indexFold(z.in[z.pos:], closeTag)
+	idx := indexCloseTag(z.in[z.pos:], z.rawTag)
 	z.rawTag = ""
 	if idx < 0 {
 		z.pos = len(z.in)
@@ -140,18 +150,23 @@ func (z *Tokenizer) nextRawText() Token {
 	return Token{Type: TextToken, Data: z.in[start : start+idx], Offset: start}
 }
 
-// indexFold is a case-insensitive strings.Index for ASCII needles.
-func indexFold(haystack, needle string) int {
-	n := len(needle)
-	if n == 0 {
-		return 0
-	}
-	for i := 0; i+n <= len(haystack); i++ {
-		if strings.EqualFold(haystack[i:i+n], needle) {
+// indexCloseTag returns the index of the first "</"+tag in s, the tag name
+// matched case-insensitively, or -1. Only the bytes after a '<' are
+// compared, so the scan is linear in s.
+func indexCloseTag(s, tag string) int {
+	for i := 0; ; i++ {
+		j := strings.IndexByte(s[i:], '<')
+		if j < 0 {
+			return -1
+		}
+		i += j
+		if i+2+len(tag) > len(s) {
+			return -1
+		}
+		if s[i+1] == '/' && strings.EqualFold(s[i+2:i+2+len(tag)], tag) {
 			return i
 		}
 	}
-	return -1
 }
 
 func (z *Tokenizer) nextMarkup() (Token, bool) {
@@ -215,6 +230,9 @@ func (z *Tokenizer) nextStartTag(start int) (Token, bool) {
 		return Token{}, false
 	}
 	tok := Token{Type: StartTagToken, Data: name, Offset: start}
+	if z.reuseAttrs {
+		tok.Attrs = z.attrs[:0]
+	}
 	for {
 		p = skipSpace(z.in, p)
 		if p >= len(z.in) {
@@ -243,7 +261,10 @@ func (z *Tokenizer) nextStartTag(start int) (Token, bool) {
 		tok.Attrs = append(tok.Attrs, attr)
 	}
 	z.pos = p
-	if tok.Type == StartTagToken && rawTextElements[tok.Data] {
+	if z.reuseAttrs {
+		z.attrs = tok.Attrs
+	}
+	if tok.Type == StartTagToken && isRawText(tok.Data) {
 		z.rawTag = tok.Data
 	}
 	return tok, true

@@ -1,6 +1,8 @@
 package htmlparse
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -203,5 +205,80 @@ func TestTokenTypeStrings(t *testing.T) {
 		if got := tt.String(); got != want {
 			t.Errorf("TokenType(%d).String() = %q, want %q", tt, got, want)
 		}
+	}
+}
+
+// oldIndexFold is the reference close-tag search indexCloseTag must agree
+// with: strings.EqualFold of "</"+tag at every byte, quadratic but plainly
+// right.
+func oldIndexFold(haystack, needle string) int {
+	n := len(needle)
+	if n == 0 {
+		return 0
+	}
+	for i := 0; i+n <= len(haystack); i++ {
+		if strings.EqualFold(haystack[i:i+n], needle) {
+			return i
+		}
+	}
+	return -1
+}
+
+func TestIndexCloseTagMatchesEqualFold(t *testing.T) {
+	cases := []struct {
+		in   string
+		tag  string
+		want int
+	}{
+		{"a()</script>", "script", 3},
+		{"a()</SCRIPT>", "script", 3},
+		{"x</ScRiPt x>", "script", 1},
+		{"x</scriptx>", "script", 1}, // a prefix match, as before: the end tag is "scriptx"
+		{"x</scrip", "script", -1},   // unterminated
+		{"if (a<b) </ script>", "script", -1},
+		{"<<//style></style>", "style", 10},
+		{"<", "style", -1},
+		{"</", "title", -1},
+		{"", "title", -1},
+		{"ſcript </ſcript></script>", "script", 18}, // U+017F folds to 's' in Unicode, not in ASCII
+		{"</TEXTAREA", "textarea", 0},
+		{"<\x00/style></Style>", "style", 9},
+	}
+	for _, c := range cases {
+		if got, old := indexCloseTag(c.in, c.tag), oldIndexFold(c.in, "</"+c.tag); got != c.want || old != c.want {
+			t.Errorf("indexCloseTag(%q, %q) = %d, old search %d, want %d", c.in, c.tag, got, old, c.want)
+		}
+	}
+	// Random haystacks over a close-tag-heavy alphabet.
+	rng := rand.New(rand.NewSource(1))
+	const alpha = "<</sSyYtTlLeEcCrRiIpP x>ſ\xff"
+	for i := 0; i < 50_000; i++ {
+		b := make([]byte, rng.Intn(24))
+		for j := range b {
+			b[j] = alpha[rng.Intn(len(alpha))]
+		}
+		for _, tag := range []string{"style", "script", "title"} {
+			if got, want := indexCloseTag(string(b), tag), oldIndexFold(string(b), "</"+tag); got != want {
+				t.Fatalf("indexCloseTag(%q, %q) = %d, old search %d", b, tag, got, want)
+			}
+		}
+	}
+}
+
+func TestRawTextTokensAcrossCloseTagCase(t *testing.T) {
+	for _, c := range []struct{ in, text, end string }{
+		{"<script>a<b</SCRIPT>", "a<b", "script"},
+		{"<script>x</ScRiPt x>y", "x", "script"},
+		{"<script>x</scriptx>y", "x", "scriptx"},
+		{"<style>p{}</Style >", "p{}", "style"},
+	} {
+		toks := collect(t, c.in)
+		if len(toks) < 3 || toks[1].Type != TextToken || toks[1].Data != c.text || toks[2].Type != EndTagToken || toks[2].Data != c.end {
+			t.Errorf("%q: tokens %+v, want text %q then </%s>", c.in, toks, c.text, c.end)
+		}
+	}
+	toks := collect(t, "<title>never closed <b>")
+	if len(toks) != 2 || toks[1].Data != "never closed <b>" {
+		t.Errorf("unterminated title: %+v", toks)
 	}
 }

@@ -28,14 +28,7 @@ type Node struct {
 }
 
 // Attr returns the value of the named attribute and whether it is present.
-func (n *Node) Attr(name string) (string, bool) {
-	for _, a := range n.Attrs {
-		if a.Name == name {
-			return a.Value, true
-		}
-	}
-	return "", false
-}
+func (n *Node) Attr(name string) (string, bool) { return attr(n.Attrs, name) }
 
 // Text returns the concatenated text content of the subtree.
 func (n *Node) Text() string {
@@ -89,26 +82,32 @@ func (n *Node) FindAll(tag string) []*Node {
 	return out
 }
 
-// voidElements never have children; their start tag implies the whole
-// element (WHATWG HTML §13.1.2).
-var voidElements = map[string]bool{
-	"area": true, "base": true, "br": true, "col": true, "embed": true,
-	"hr": true, "img": true, "input": true, "link": true, "meta": true,
-	"param": true, "source": true, "track": true, "wbr": true,
+// isVoid reports whether tag is a void element: it never has children, its
+// start tag implies the whole element (WHATWG HTML §13.1.2).
+func isVoid(tag string) bool {
+	switch tag {
+	case "area", "base", "br", "col", "embed", "hr", "img", "input", "link",
+		"meta", "param", "source", "track", "wbr":
+		return true
+	}
+	return false
 }
 
-// impliedEndTags maps an opening tag to the set of open tags it implicitly
-// closes — the small part of the HTML5 "in body" insertion mode that matters
+// impliesEnd reports whether opening tag implicitly closes the open element
+// open — the small part of the HTML5 "in body" insertion mode that matters
 // for getting link extraction parents right.
-var impliedEndTags = map[string]map[string]bool{
-	"li":     {"li": true},
-	"p":      {"p": true},
-	"tr":     {"tr": true, "td": true, "th": true},
-	"td":     {"td": true, "th": true},
-	"th":     {"td": true, "th": true},
-	"option": {"option": true},
-	"dt":     {"dt": true, "dd": true},
-	"dd":     {"dt": true, "dd": true},
+func impliesEnd(tag, open string) bool {
+	switch tag {
+	case "li", "p", "option":
+		return open == tag
+	case "tr":
+		return open == "tr" || open == "td" || open == "th"
+	case "td", "th":
+		return open == "td" || open == "th"
+	case "dt", "dd":
+		return open == "dt" || open == "dd"
+	}
+	return false
 }
 
 // Parse builds a document tree from HTML source. It never fails; malformed
@@ -135,14 +134,12 @@ func Parse(input string) *Node {
 		case DoctypeToken:
 			top().append(&Node{Type: DoctypeNode, Data: tok.Data, Offset: tok.Offset})
 		case StartTagToken, SelfClosingTagToken:
-			if closes := impliedEndTags[tok.Data]; closes != nil {
-				if len(stack) > 1 && closes[top().Data] {
-					stack = stack[:len(stack)-1]
-				}
+			if len(stack) > 1 && impliesEnd(tok.Data, top().Data) {
+				stack = stack[:len(stack)-1]
 			}
 			el := &Node{Type: ElementNode, Data: tok.Data, Attrs: tok.Attrs, Offset: tok.Offset}
 			top().append(el)
-			if tok.Type == StartTagToken && !voidElements[tok.Data] {
+			if tok.Type == StartTagToken && !isVoid(tok.Data) {
 				stack = append(stack, el)
 			}
 		case EndTagToken:
@@ -189,7 +186,7 @@ func renderNode(b *strings.Builder, n *Node) {
 		b.WriteString(n.Data)
 		b.WriteString("-->")
 	case TextNode:
-		if n.Parent != nil && n.Parent.Type == ElementNode && rawTextElements[n.Parent.Data] {
+		if n.Parent != nil && n.Parent.Type == ElementNode && isRawText(n.Parent.Data) {
 			b.WriteString(n.Data)
 			return
 		}
@@ -207,7 +204,7 @@ func renderNode(b *strings.Builder, n *Node) {
 			}
 		}
 		b.WriteByte('>')
-		if voidElements[n.Data] {
+		if isVoid(n.Data) {
 			return
 		}
 		for _, c := range n.Kids {
