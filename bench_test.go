@@ -1,16 +1,17 @@
-// Package bench is the benchmark harness that regenerates every figure and
-// headline number in the paper's evaluation (see DESIGN.md §4 for the
-// experiment index and EXPERIMENTS.md for recorded paper-vs-measured
-// values).
+// Package bench holds the simulator experiments that cmd/pltbench does not
+// print: the Figure 1 scenario, the change-rate, slow-start and
+// fingerprinting ablations, First Contentful Paint, and the emulator's own
+// cold-load cost. Figure 3, the headline, the corpus statistics, the §5
+// baselines, header overhead, coverage and the H2 / mobile ablations are
+// pltbench experiments and flags (DESIGN.md §4, EXPERIMENTS.md).
 //
 // Each benchmark both times its experiment and reports the experiment's
 // key quantity as a custom metric (ReportMetric), so
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem .
 //
 // prints the reproduction numbers alongside the usual ns/op. Benchmarks use
-// a reduced corpus so the suite completes quickly; run cmd/pltbench -full
-// for the paper-scale sweep.
+// a reduced corpus so the suite completes quickly.
 package bench
 
 import (
@@ -77,161 +78,6 @@ func BenchmarkFig1(b *testing.B) {
 	b.ReportMetric(ms(cat), "fig1c-cat-ms")
 }
 
-// BenchmarkFig3 regenerates Figure 3 on a reduced corpus and grid. Metrics:
-// mean PLT reduction (%) at the extreme cells and overall.
-func BenchmarkFig3(b *testing.B) {
-	cfg := harness.Config{
-		Corpus: benchCorpus(),
-		Grid: []netsim.Conditions{
-			{RTT: 10 * time.Millisecond, DownlinkBps: 8e6},
-			{RTT: 80 * time.Millisecond, DownlinkBps: 8e6},
-			{RTT: 10 * time.Millisecond, DownlinkBps: 60e6},
-			{RTT: 80 * time.Millisecond, DownlinkBps: 60e6},
-		},
-		Delays: []time.Duration{time.Hour, 24 * time.Hour},
-	}
-	var res *harness.SweepResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = harness.RunFig3(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.Cells[0].MeanReductionPct, "8Mbps10ms-%")
-	b.ReportMetric(res.Cells[3].MeanReductionPct, "60Mbps80ms-%")
-	b.ReportMetric(res.OverallReduction, "overall-%")
-}
-
-// BenchmarkHeadline regenerates the abstract's claim: mean PLT reduction at
-// the global-median 5G condition (paper: ≈30%).
-func BenchmarkHeadline(b *testing.B) {
-	cfg := harness.Config{
-		Corpus: webgen.Params{Sites: 8, Seed: 1, Scale: 1.0},
-		Grid:   []netsim.Conditions{harness.Median5G()},
-		Delays: harness.PaperDelays(),
-	}
-	var res *harness.HeadlineResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = harness.RunHeadline(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.Median5GReduction, "5G-median-reduction-%")
-}
-
-// BenchmarkCorpusStats regenerates the §2 workload-model calibration
-// table. Metrics: the cache-pathology fractions the paper cites.
-func BenchmarkCorpusStats(b *testing.B) {
-	day := 24 * time.Hour
-	var st webgen.CorpusStats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clock := vclock.NewVirtual(vclock.Epoch)
-		corpus := webgen.Generate(webgen.Params{Sites: 30, Seed: 1}, clock)
-		st = corpus.Stats([]time.Duration{day})
-	}
-	b.ReportMetric(st.FracShortTTL*100, "ttl<1d-%")                      // paper: 40
-	b.ReportMetric(st.ShortTTLUnchangedWithin24h*100, "unchanged-24h-%") // paper: 86
-	b.ReportMetric(st.SpuriousExpiry[day]*100, "spurious-expiry-%")      // paper: 47
-	b.ReportMetric(st.MeanPageBytes/1e6, "page-MB")                      // paper: ~2.5
-}
-
-// BenchmarkBaselines regenerates the §5 scheme comparison at the 5G-median
-// condition. Metrics: warm PLT per scheme (ms) and warm bytes for push.
-func BenchmarkBaselines(b *testing.B) {
-	cfg := harness.Config{Corpus: benchCorpus()}
-	var rows []harness.BaselineRow
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = harness.RunBaselines(cfg, harness.Median5G(), time.Hour)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		switch r.Scheme {
-		case harness.SchemeConventional:
-			b.ReportMetric(ms(r.MeanWarmPLT), "conv-warm-ms")
-		case harness.SchemeCatalyst:
-			b.ReportMetric(ms(r.MeanWarmPLT), "catalyst-warm-ms")
-		case harness.SchemeServerPush:
-			b.ReportMetric(ms(r.MeanWarmPLT), "push-warm-ms")
-			b.ReportMetric(r.MeanWarmBytes/1024, "push-warm-KB")
-		case harness.SchemeRDR:
-			b.ReportMetric(ms(r.MeanColdPLT), "rdr-cold-ms")
-		}
-	}
-}
-
-// BenchmarkAblationHeaderOverhead quantifies the X-Etag-Config cost.
-// Metrics: mean map bytes per navigation and its share of the response.
-func BenchmarkAblationHeaderOverhead(b *testing.B) {
-	cfg := harness.Config{Corpus: benchCorpus()}
-	var res *harness.OverheadResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = harness.RunHeaderOverhead(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.MeanMapBytes, "map-bytes")
-	b.ReportMetric(res.OverheadFraction*100, "nav-overhead-%")
-}
-
-// BenchmarkAblationCoverage quantifies static-map coverage vs the
-// recording extension. Metrics: covered fraction per variant.
-func BenchmarkAblationCoverage(b *testing.B) {
-	cfg := harness.Config{Corpus: benchCorpus()}
-	var rows []harness.CoverageRow
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = harness.RunCoverage(cfg, harness.Median5G())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].CoveredFraction*100, "static-covered-%")
-	b.ReportMetric(rows[1].CoveredFraction*100, "record-covered-%")
-}
-
-// BenchmarkAblationH2 reruns a Figure 3 cell under HTTP/2 multiplexing:
-// fewer connections means revalidations pipeline better, so conventional
-// caching loses less — catalyst's edge shrinks but stays positive.
-func BenchmarkAblationH2(b *testing.B) {
-	for _, h2 := range []bool{false, true} {
-		name := "h1-6conns"
-		if h2 {
-			name = "h2-multiplexed"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := harness.Config{
-				Corpus:    benchCorpus(),
-				Transport: netsim.TransportOptions{H2: h2},
-				Grid:      []netsim.Conditions{harness.Median5G()},
-				Delays:    []time.Duration{time.Hour},
-			}
-			var res *harness.SweepResult
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = harness.RunFig3(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.OverallReduction, "reduction-%")
-		})
-	}
-}
-
 // BenchmarkAblationChangeRate sweeps revisit delay — a proxy for content
 // volatility: the longer the gap, the more resources have really changed
 // and the less any token scheme can save.
@@ -252,33 +98,6 @@ func BenchmarkAblationChangeRate(b *testing.B) {
 	}
 	for _, dp := range res.Cells[0].ByDelay {
 		b.ReportMetric(dp.MeanReductionPct, "+"+dp.Delay.String()+"-%")
-	}
-}
-
-// BenchmarkAblationMobileProfile reruns the 5G-median cell with the
-// mobile corpus profile — the device class the paper's motivation centres
-// on. Lighter pages shift the bottleneck further toward latency, so the
-// reduction holds (or grows) despite fewer resources.
-func BenchmarkAblationMobileProfile(b *testing.B) {
-	for _, profile := range []webgen.Profile{webgen.ProfileDesktop, webgen.ProfileMobile} {
-		b.Run(profile.String(), func(b *testing.B) {
-			corpus := benchCorpus()
-			corpus.Profile = profile
-			cfg := harness.Config{
-				Corpus: corpus,
-				Grid:   []netsim.Conditions{harness.Median5G()},
-				Delays: []time.Duration{time.Hour},
-			}
-			var res *harness.SweepResult
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = harness.RunFig3(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.OverallReduction, "reduction-%")
-		})
 	}
 }
 

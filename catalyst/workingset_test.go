@@ -77,16 +77,25 @@ func (s *churnSite) navigateAll(t *testing.T, h http.Handler) {
 // subresource body crossing the handler's writer. Under a budget smaller
 // than the working set the same traffic thrashes, which is what the second
 // subtest holds this test's teeth to.
+//
+// The TTL is long against one navigation (tens of milliseconds under -race
+// on a loaded machine), so no probe expires between the resolver's ETagFor
+// and StylesheetBody of the same page; the default budget evicts nothing, so
+// its first pass fetches exactly once per path. Under the thrash budget a
+// stylesheet's probe can be evicted between those two lookups and fetched
+// again, so that first pass is bounded below only.
 func TestProbeWorkingSetSurvivesItsTTL(t *testing.T) {
+	const ttl = 500 * time.Millisecond
 	secondPass := func(t *testing.T, maxProbeEntries int) (revalidated, fetched, swept, bodyBytes int64) {
 		site := &churnSite{pages: 150, sheet: "/*" + strings.Repeat("x", 6<<10-4) + "*/"}
 		metrics := &MiddlewareMetrics{}
-		h := Middleware(site, MiddlewareOptions{ProbeTTL: 20 * time.Millisecond, MaxProbeEntries: maxProbeEntries, Metrics: metrics})
+		h := Middleware(site, MiddlewareOptions{ProbeTTL: ttl, MaxProbeEntries: maxProbeEntries, Metrics: metrics})
 		site.navigateAll(t, h)
-		if got, want := metrics.ProbeFetched.Load(), int64(site.pages*churnRefsPerPage); got != want {
+		got, want := metrics.ProbeFetched.Load(), int64(site.pages*churnRefsPerPage)
+		if got < want || maxProbeEntries == 0 && got != want {
 			t.Fatalf("first pass fetched %d probes, want one per path (%d)", got, want)
 		}
-		time.Sleep(40 * time.Millisecond) // every probe of the first pass expires
+		time.Sleep(ttl + ttl/2) // every probe of the first pass expires
 		fetched, bodyBytes = metrics.ProbeFetched.Load(), site.subBytes.Load()
 		site.navigateAll(t, h)
 		probes := h.(*middleware).def.probes

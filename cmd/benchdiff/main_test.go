@@ -171,21 +171,21 @@ func benchMem(name string, ns, bytes, allocs float64) string {
 }
 
 func TestRunExitCodes(t *testing.T) {
-	old := writeStream(t, "old.json", []string{bench("BenchmarkA", 100)})
-	fast := writeStream(t, "fast.json", []string{bench("BenchmarkA", 102)})
-	slow := writeStream(t, "slow.json", []string{bench("BenchmarkA", 200)})
+	old := writeStream(t, "old.json", []string{benchMem("BenchmarkA", 100, 64, 2)})
+	slower := writeStream(t, "slower.json", []string{benchMem("BenchmarkA", 200, 64, 2)})
+	leaky := writeStream(t, "leaky.json", []string{benchMem("BenchmarkA", 100, 64, 4)})
 
 	cases := []struct {
 		name string
 		args []string
 		want int
 	}{
-		{"within tolerance", []string{"-tolerance", "5", old, fast}, exitOK},
-		{"no gate ignores regression", []string{old, slow}, exitOK},
-		{"regression beyond tolerance", []string{"-tolerance", "5", old, slow}, exitRegression},
+		{"ns/op is never gated", []string{"-tolerance", "5", old, slower}, exitOK},
+		{"no tolerance ignores a rise from non-zero", []string{old, leaky}, exitOK},
+		{"memory regression beyond tolerance", []string{"-tolerance", "5", old, leaky}, exitRegression},
 		{"missing arg", []string{old}, exitUsage},
-		{"negative tolerance", []string{"-tolerance", "-1", old, fast}, exitUsage},
-		{"missing baseline", []string{filepath.Join(t.TempDir(), "nope.json"), fast}, exitUsage},
+		{"negative tolerance", []string{"-tolerance", "-1", old, slower}, exitUsage},
+		{"missing baseline", []string{filepath.Join(t.TempDir(), "nope.json"), slower}, exitUsage},
 	}
 	for _, c := range cases {
 		var out, errb bytes.Buffer
@@ -225,28 +225,30 @@ func TestRunGatesMemoryMetrics(t *testing.T) {
 		t.Errorf("stderr does not name the regressed metric: %s", errb.String())
 	}
 
-	// Any rise from a zero baseline regresses, however small the tolerance
-	// would otherwise allow (0 → 1 alloc has no finite percentage).
+	// Any rise from a zero baseline regresses at every tolerance, the
+	// default of none included (0 → 1 alloc has no finite percentage).
 	zero := writeStream(t, "zero.json", []string{benchMem("BenchmarkA", 100, 0, 0)})
 	one := writeStream(t, "one.json", []string{benchMem("BenchmarkA", 100, 16, 1)})
-	out.Reset()
-	errb.Reset()
-	if got := run([]string{"-tolerance", "50", zero, one}, &out, &errb); got != exitRegression {
-		t.Fatalf("zero-baseline regression: run = %d, want %d (stderr: %s)", got, exitRegression, errb.String())
-	}
-	if !strings.Contains(out.String(), "+∞") {
-		t.Errorf("stdout missing infinite delta: %s", out.String())
+	for _, args := range [][]string{{zero, one}, {"-tolerance", "50", zero, one}} {
+		out.Reset()
+		errb.Reset()
+		if got := run(args, &out, &errb); got != exitRegression {
+			t.Fatalf("zero-baseline regression: run(%v) = %d, want %d (stderr: %s)", args, got, exitRegression, errb.String())
+		}
+		if !strings.Contains(out.String(), "+∞") || !strings.Contains(errb.String(), "B/op") {
+			t.Errorf("run(%v): want an infinite delta on stdout and B/op named on stderr:\n%s%s", args, out.String(), errb.String())
+		}
 	}
 
-	// Unchanged memory metrics pass the gate.
-	same := writeStream(t, "same.json", []string{benchMem("BenchmarkA", 101, 64, 2)})
+	// Unchanged memory metrics pass the gate, however far ns/op moved.
+	same := writeStream(t, "same.json", []string{benchMem("BenchmarkA", 300, 64, 2)})
 	out.Reset()
 	errb.Reset()
 	if got := run([]string{"-tolerance", "10", old, same}, &out, &errb); got != exitOK {
 		t.Fatalf("steady run = %d, want %d (stderr: %s)", got, exitOK, errb.String())
 	}
 
-	// A baseline without memory metrics gates ns/op only: a new run that
+	// A baseline without memory metrics has nothing to gate: a new run that
 	// adds -benchmem must not fail for lacking something to compare.
 	plain := writeStream(t, "plain.json", []string{bench("BenchmarkA", 100)})
 	withMem := writeStream(t, "withmem.json", []string{benchMem("BenchmarkA", 100, 512, 9)})
@@ -258,14 +260,14 @@ func TestRunGatesMemoryMetrics(t *testing.T) {
 }
 
 func TestRunReportsRegressedBenchmarks(t *testing.T) {
-	old := writeStream(t, "old.json", []string{bench("BenchmarkA", 100)})
-	slow := writeStream(t, "slow.json", []string{bench("BenchmarkA", 150)})
+	old := writeStream(t, "old.json", []string{benchMem("BenchmarkA", 100, 100, 1)})
+	fat := writeStream(t, "fat.json", []string{benchMem("BenchmarkA", 100, 150, 1)})
 	var out, errb bytes.Buffer
-	if got := run([]string{"-tolerance", "10", old, slow}, &out, &errb); got != exitRegression {
+	if got := run([]string{"-tolerance", "10", old, fat}, &out, &errb); got != exitRegression {
 		t.Fatalf("run = %d, want %d", got, exitRegression)
 	}
-	if !strings.Contains(errb.String(), "BenchmarkA") {
-		t.Errorf("stderr does not name the regressed benchmark: %s", errb.String())
+	if !strings.Contains(errb.String(), "BenchmarkA B/op") {
+		t.Errorf("stderr does not name the regressed benchmark and metric: %s", errb.String())
 	}
 	if !strings.Contains(out.String(), "+50.0%") {
 		t.Errorf("stdout missing delta: %s", out.String())

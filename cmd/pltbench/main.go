@@ -10,7 +10,10 @@
 //	pltbench -experiment overhead   # ablation: X-Etag-Config header cost
 //	pltbench -experiment coverage   # ablation: static map vs recording mode
 //	pltbench -experiment crosspage  # §1 intra-site navigation reuse
-//	pltbench -experiment all        # everything
+//	pltbench -experiment all        # everything, in the order above
+//
+// -h2 and -mobile rerun any of them under HTTP/2 multiplexing or with the
+// mobile corpus profile (the H2 and device-profile ablations).
 //
 // The default corpus is a fast subset; pass -full for the paper's scale
 // (100 sites, full grid, all five revisit delays).
@@ -21,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"cachecatalyst/internal/harness"
@@ -28,9 +32,58 @@ import (
 	"cachecatalyst/internal/webgen"
 )
 
+// experiments is every experiment in the order -experiment all runs them.
+// Each returns its table and the value -json encodes.
+var experiments = []struct {
+	name string
+	run  func(cfg harness.Config, treat harness.Scheme) (table string, v any, err error)
+}{
+	{"corpus", func(cfg harness.Config, _ harness.Scheme) (string, any, error) {
+		st := webgen.Generate(cfg.Corpus, vclock.NewVirtual(vclock.Epoch)).Stats(cfg.Delays)
+		return st.String(), st, nil
+	}},
+	{"fig3", func(cfg harness.Config, treat harness.Scheme) (string, any, error) {
+		res, err := harness.RunPairedSweep(cfg, harness.SchemeConventional, treat)
+		if err != nil {
+			return "", nil, err
+		}
+		return res.Table(), res, nil
+	}},
+	{"headline", func(cfg harness.Config, _ harness.Scheme) (string, any, error) {
+		res, err := harness.RunHeadline(cfg)
+		if err != nil {
+			return "", nil, err
+		}
+		return res.Table(), res, nil
+	}},
+	{"baselines", func(cfg harness.Config, _ harness.Scheme) (string, any, error) {
+		rows, err := harness.RunBaselines(cfg, harness.Median5G(), time.Hour)
+		return harness.BaselineTable(rows, time.Hour), rows, err
+	}},
+	{"overhead", func(cfg harness.Config, _ harness.Scheme) (string, any, error) {
+		res, err := harness.RunHeaderOverhead(cfg)
+		if err != nil {
+			return "", nil, err
+		}
+		return res.Table(), res, nil
+	}},
+	{"coverage", func(cfg harness.Config, _ harness.Scheme) (string, any, error) {
+		rows, err := harness.RunCoverage(cfg, harness.Median5G())
+		return harness.CoverageTable(rows), rows, err
+	}},
+	{"crosspage", func(cfg harness.Config, _ harness.Scheme) (string, any, error) {
+		rows, err := harness.RunCrossPage(cfg, harness.Median5G())
+		return harness.CrossPageTable(rows), rows, err
+	}},
+}
+
 func main() {
+	names := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
 	var (
-		experiment = flag.String("experiment", "all", "fig3 | headline | corpus | baselines | overhead | coverage | all")
+		experiment = flag.String("experiment", "all", strings.Join(append(names, "all"), " | "))
 		full       = flag.Bool("full", false, "paper scale: 100 sites, full grid, all delays")
 		sites      = flag.Int("sites", 0, "override corpus size")
 		scale      = flag.Float64("scale", 0, "override per-page resource scale")
@@ -83,79 +136,28 @@ func main() {
 		return nil
 	}
 
-	run := func(name string, fn func() error) {
-		if !*asJSON {
-			fmt.Printf("=== %s ===\n", name)
+	ran := false
+	for _, e := range experiments {
+		if *experiment != e.name && *experiment != "all" {
+			continue
 		}
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "pltbench: %s: %v\n", name, err)
+		ran = true
+		if !*asJSON {
+			fmt.Printf("=== %s ===\n", e.name)
+		}
+		table, v, err := e.run(cfg, treatScheme)
+		if err == nil {
+			err = emit(table, v)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "pltbench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 		fmt.Println()
 	}
-
-	experiments := map[string]func() error{
-		"fig3": func() error {
-			res, err := harness.RunPairedSweep(cfg, harness.SchemeConventional, treatScheme)
-			if err != nil {
-				return err
-			}
-			return emit(res.Table(), res)
-		},
-		"headline": func() error {
-			res, err := harness.RunHeadline(cfg)
-			if err != nil {
-				return err
-			}
-			return emit(res.Table(), res)
-		},
-		"corpus": func() error {
-			clock := vclock.NewVirtual(vclock.Epoch)
-			corpus := webgen.Generate(cfg.Corpus, clock)
-			st := corpus.Stats(cfg.Delays)
-			return emit(st.String(), st)
-		},
-		"baselines": func() error {
-			rows, err := harness.RunBaselines(cfg, harness.Median5G(), time.Hour)
-			if err != nil {
-				return err
-			}
-			return emit(harness.BaselineTable(rows, time.Hour), rows)
-		},
-		"overhead": func() error {
-			res, err := harness.RunHeaderOverhead(cfg)
-			if err != nil {
-				return err
-			}
-			return emit(res.Table(), res)
-		},
-		"coverage": func() error {
-			rows, err := harness.RunCoverage(cfg, harness.Median5G())
-			if err != nil {
-				return err
-			}
-			return emit(harness.CoverageTable(rows), rows)
-		},
-		"crosspage": func() error {
-			rows, err := harness.RunCrossPage(cfg, harness.Median5G())
-			if err != nil {
-				return err
-			}
-			return emit(harness.CrossPageTable(rows), rows)
-		},
-	}
-
-	if *experiment == "all" {
-		for _, name := range []string{"corpus", "fig3", "headline", "baselines", "overhead", "coverage", "crosspage"} {
-			run(name, experiments[name])
-		}
-		return
-	}
-	fn, ok := experiments[*experiment]
-	if !ok {
+	if !ran {
 		fmt.Fprintf(os.Stderr, "pltbench: unknown experiment %q\n", *experiment)
 		flag.Usage()
 		os.Exit(2)
 	}
-	run(*experiment, fn)
 }
