@@ -27,12 +27,12 @@ vet:
 # the preload-hint cap a second definition, or internal/server a tenant
 # path (DESIGN.md §3) — or when a second reverse proxy is assembled beside
 # catalyst.NewUpstreamProxy, the one upstream leg the daemon and the cluster
-# harness share (DESIGN.md §13) — or when the cache core's retired forks grow
-# back: a policy knob on a cache no construction bounds (the browser cache,
-# the SW storage, catalyst.Client), or a recency list beside the rank heap
-# (DESIGN.md §7) — or when the RFC 9111 §4.3.4 304 merge gains a second
-# definition beside headers.MergeNotModified, or a hand-rolled copy loop over
-# a 304's header in httpcache or catalyst (DESIGN.md §12) — or when
+# harness share (DESIGN.md §13) — or when the cache core grows a second
+# eviction order beside GDSF's rank: a recency list, a touch counter, a policy
+# parser or a ranker type (DESIGN.md §10) — or when the RFC 9111 §4.3.4 304
+# merge gains a second definition beside headers.MergeNotModified, or a
+# hand-rolled copy loop over a 304's header in httpcache or catalyst,
+# catalyst.Client's included (DESIGN.md §12) — or when
 # catalyst.Middleware's page store goes back to keying renders by a content
 # hash: it keys by URL and checks identity with IsRenderOf, so crypto/sha256
 # has no business in non-test catalyst/ code (DESIGN.md §7) — or when the
@@ -47,8 +47,8 @@ forks:
 		n=$$(grep -h "$$pat" $$src | grep -vc '^[[:space:]]*//'); \
 		if [ "$$n" -ne 1 ]; then echo "forks: '$$pat' appears $$n times in non-test code, want 1:" >&2; grep -n "$$pat" $$src >&2; fail=1; fi; \
 	done; \
-	for chk in '/internal/\(sw\|httpcache\|browser\)/\|/catalyst/client\.go$$:cachestore\.Policy' '/internal/cachestore/:pushFront(\|relink(' \
-		'/internal/httpcache/\|/catalyst/:range [A-Za-z0-9_.]*\([nN]ot[mM]odified\|304\)[A-Za-z0-9_]*\.Header' \
+	for chk in '/internal/cachestore/:pushFront(\|relink(\|touch\.Add(\|ParsePolicy(\|type [A-Za-z]*[rR]anker' \
+		'/internal/httpcache/\|/catalyst/:range [A-Za-z0-9_.]*\([nN]ot[mM]odified\|304\|httpResp\)[A-Za-z0-9_]*\.Header' \
 		'/catalyst/[^/]*\.go$$:"crypto/sha256"' '/:htmlparse\.Parse('; do \
 		files=$$(echo "$$src" | tr ' ' '\n' | grep "$${chk%%:*}"); \
 		if grep -Hn "$${chk#*:}" $$files | grep -v ':[0-9]*:[[:space:]]*//' >&2; then \
@@ -85,10 +85,10 @@ schemes:
 	$(GO) run ./cmd/schemes -sites 8
 
 # Cache-policy smoke: replay the committed harness-exported trace and a
-# synthetic Zipf/lognormal trace through every policy, checking ratios stay
-# within [0,1], no policy beats the FOO-style offline bound, and every
-# policy scores hits. See EXPERIMENTS.md, "Cache policies vs the offline
-# optimal bound".
+# synthetic Zipf/lognormal trace through the cache core's GDSF order,
+# checking ratios stay within [0,1], the replay does not beat the FOO-style
+# offline bound, and it scores hits. See EXPERIMENTS.md, "Cache policies vs
+# the offline optimal bound".
 cachesim:
 	$(GO) run ./cmd/cachesim -trace internal/cachesim/testdata/harness_quick.trace -budget 40% -check
 	$(GO) run ./cmd/cachesim -synth -requests 60000 -objects 4000 -budget 2% -check

@@ -29,7 +29,6 @@ import (
 	"io/fs"
 	"time"
 
-	"cachecatalyst/internal/cachestore"
 	"cachecatalyst/internal/core"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/server"
@@ -102,10 +101,6 @@ type ServerOptions struct {
 	// MaxRenderBytes bounds the rendered-page cache. Zero selects the
 	// server default (16 MiB); negative disables the cache.
 	MaxRenderBytes int64
-	// RenderCachePolicy selects the rendered-page cache's eviction
-	// policy; the zero value is exact global LRU, cachestore.GDSF the
-	// size-aware alternative (see cachestore.ParsePolicy).
-	RenderCachePolicy cachestore.Policy
 }
 
 // NewServer serves the directory tree fsys with CacheCatalyst enabled: the
@@ -118,16 +113,15 @@ func NewServer(fsys fs.FS, opts ServerOptions) (*server.Server, error) {
 		return nil, err
 	}
 	return server.New(content, server.Options{
-		Catalyst:          true,
-		Record:            opts.Record,
-		AccessLogSize:     opts.AccessLogSize,
-		Telemetry:         opts.Telemetry,
-		ServerTiming:      opts.ServerTiming,
-		MaxInflight:       opts.MaxInflight,
-		QueueTimeout:      opts.QueueTimeout,
-		RequestBudget:     opts.RequestBudget,
-		MaxRenderBytes:    opts.MaxRenderBytes,
-		RenderCachePolicy: opts.RenderCachePolicy,
+		Catalyst:       true,
+		Record:         opts.Record,
+		AccessLogSize:  opts.AccessLogSize,
+		Telemetry:      opts.Telemetry,
+		ServerTiming:   opts.ServerTiming,
+		MaxInflight:    opts.MaxInflight,
+		QueueTimeout:   opts.QueueTimeout,
+		RequestBudget:  opts.RequestBudget,
+		MaxRenderBytes: opts.MaxRenderBytes,
 	}), nil
 }
 

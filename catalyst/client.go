@@ -7,12 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strings"
 	"time"
 
 	"cachecatalyst/internal/cachestore"
 	"cachecatalyst/internal/core"
 	"cachecatalyst/internal/etag"
+	"cachecatalyst/internal/headers"
 	"cachecatalyst/internal/telemetry"
 )
 
@@ -41,8 +41,9 @@ type ClientOptions struct {
 	// retries) and an entry for the URL exists. The RFC 5861 trade:
 	// possibly-outdated content beats an error page.
 	StaleIfError bool
-	// MaxCacheBytes bounds the response cache's body bytes, evicting the
-	// least recently used responses. Zero means unbounded.
+	// MaxCacheBytes bounds the response cache's body bytes, evicting in
+	// the cache core's greedy-dual size-frequency order. Zero means
+	// unbounded.
 	MaxCacheBytes int64
 	// Telemetry, when set, indexes the client's counters, its two cache
 	// stores, and a per-Get latency histogram in the given registry under
@@ -73,8 +74,8 @@ func (o ClientOptions) backoffMax() time.Duration {
 // re-cached.
 //
 // Both the per-origin map store and the response cache sit on
-// internal/cachestore's sharded LRU store, so a Client is safe for — and
-// scales under — concurrent use.
+// internal/cachestore's sharded store, so a Client is safe for — and scales
+// under — concurrent use.
 type Client struct {
 	// HTTP performs the actual requests; nil means http.DefaultClient.
 	HTTP *http.Client
@@ -311,13 +312,7 @@ func (c *Client) GetContext(ctx context.Context, rawURL string) (*ClientResponse
 			c.revalidations.Add(1)
 			// Merge refreshed headers per RFC 9111 §4.3.4 — into a fresh
 			// entry, never mutating the shared one in place.
-			merged := cached.header.Clone()
-			for k, vs := range httpResp.Header {
-				if k == "Content-Length" {
-					continue
-				}
-				merged[k] = append([]string(nil), vs...)
-			}
+			merged := headers.MergeNotModified(nil, cached.header, httpResp.Header)
 			fresh := &cachedResponse{status: cached.status, header: merged, body: cached.body}
 			c.cache.Put(cacheKey, fresh)
 			return fresh.response("revalidated"), nil
@@ -332,7 +327,7 @@ func (c *Client) GetContext(ctx context.Context, rawURL string) (*ClientResponse
 		Body:       body,
 		Source:     "network",
 	}
-	if httpResp.StatusCode == http.StatusOK && !strings.Contains(httpResp.Header.Get("Cache-Control"), "no-store") {
+	if httpResp.StatusCode == http.StatusOK && !headers.ParseCacheControl(httpResp.Header.Get("Cache-Control")).NoStore {
 		c.cache.Put(cacheKey, &cachedResponse{
 			status: httpResp.StatusCode,
 			header: httpResp.Header.Clone(),

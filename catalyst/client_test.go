@@ -1,7 +1,10 @@
 package catalyst
 
 import (
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"testing/fstest"
 
@@ -197,5 +200,76 @@ func TestClientClear(t *testing.T) {
 	}
 	if css.Source != "network" {
 		t.Fatalf("cleared client served from %s", css.Source)
+	}
+}
+
+// stubTransport answers every request from the function, with no network.
+type stubTransport func(*http.Request) *http.Response
+
+func (f stubTransport) RoundTrip(r *http.Request) (*http.Response, error) { return f(r), nil }
+
+func stubResponse(status int, h http.Header, body string) *http.Response {
+	return &http.Response{StatusCode: status, Header: h, Body: io.NopCloser(strings.NewReader(body))}
+}
+
+// TestClient304DropsHopByHopFields: a 304 refreshes the stored response per
+// RFC 9111 §4.3.4, but the fields that describe its own connection and its
+// own empty body never land in the cache.
+func TestClient304DropsHopByHopFields(t *testing.T) {
+	c := NewClient(&http.Client{Transport: stubTransport(func(r *http.Request) *http.Response {
+		if r.Header.Get("If-None-Match") == `"v1"` {
+			return stubResponse(http.StatusNotModified, http.Header{
+				"Etag":           {`"v1"`},
+				"Cache-Control":  {"max-age=60"},
+				"Connection":     {"keep-alive"},
+				"Keep-Alive":     {"timeout=5"},
+				"Content-Length": {"0"},
+			}, "")
+		}
+		return stubResponse(http.StatusOK, http.Header{
+			"Etag":           {`"v1"`},
+			"Content-Type":   {"text/css"},
+			"Content-Length": {"6"},
+		}, "body{}")
+	})})
+	if _, err := c.Get("http://site.test/a.css"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Get("http://site.test/a.css")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Source != "revalidated" || string(resp.Body) != "body{}" {
+		t.Fatalf("second Get: source %q body %q, want a revalidated body{}", resp.Source, resp.Body)
+	}
+	if got := resp.Header.Get("Cache-Control"); got != "max-age=60" {
+		t.Errorf("Cache-Control = %q, want the 304's max-age=60", got)
+	}
+	if got := resp.Header.Get("Content-Length"); got != "6" {
+		t.Errorf("Content-Length = %q, want the stored 6", got)
+	}
+	for _, k := range []string{"Connection", "Keep-Alive"} {
+		if v := resp.Header.Values(k); len(v) != 0 {
+			t.Errorf("hop-by-hop %s: %q was stored from the 304", k, v)
+		}
+	}
+}
+
+// TestClientHonorsNoStoreInAnyCase: Cache-Control directives are
+// case-insensitive, so a No-Store 200 is not cached, and the next Get
+// is unconditional.
+func TestClientHonorsNoStoreInAnyCase(t *testing.T) {
+	var inm []string
+	c := NewClient(&http.Client{Transport: stubTransport(func(r *http.Request) *http.Response {
+		inm = append(inm, r.Header.Get("If-None-Match"))
+		return stubResponse(http.StatusOK, http.Header{"Etag": {`"v1"`}, "Cache-Control": {"No-Store"}}, "secret")
+	})})
+	for i := 0; i < 2; i++ {
+		if _, err := c.Get("http://site.test/account"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(inm) != 2 || inm[1] != "" {
+		t.Fatalf("a No-Store response was cached: the second Get sent If-None-Match %q", inm[len(inm)-1])
 	}
 }

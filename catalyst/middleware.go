@@ -42,7 +42,7 @@ type MiddlewareOptions struct {
 	// its path. Zero selects 30 seconds.
 	BreakerCooldown time.Duration
 	// MaxProbeEntries bounds the probe cache, in units of probeBaseCost
-	// (256) bytes. On overflow the least-recently-used probe is evicted — a
+	// (256) bytes. On overflow the lowest-ranked probe is evicted — a
 	// crawler walking a million distinct paths must not grow server memory
 	// without bound, and hot paths must not be collateral damage. Zero
 	// selects defaultMaxProbeEntries (32 768: 8 MiB). Entries are charged
@@ -67,11 +67,6 @@ type MiddlewareOptions struct {
 	// with it page revalidation). Freshness is unaffected either way — the
 	// X-Etag-Config header is always assembled from live probes.
 	MaxRenderBytes int64
-	// CachePolicy selects the eviction policy for the middleware's caches
-	// (probes, rendered pages, stale copies). The zero value is exact
-	// global LRU; GDSF keeps small popular entries when probe or render
-	// entries vary wildly in size.
-	CachePolicy cachestore.Policy
 	// Metrics, when set, receives the middleware's resilience counters
 	// (panics recovered, breaker trips, map trims, ladder rungs). Cache
 	// evictions are the caches' own counters (Telemetry).
@@ -298,7 +293,7 @@ func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
 		ts.name, prefix = t.Name, "tenant."+t.Name+"."
 	}
 	ns := func(kind string, budget int64) cachestore.NamespaceOptions {
-		return cachestore.NamespaceOptions{MaxBytes: budget, TelemetryName: prefix + kind, Policy: t.Policy}
+		return cachestore.NamespaceOptions{MaxBytes: budget, TelemetryName: prefix + kind}
 	}
 	half := t.BudgetBytes / 2
 	if t.BudgetBytes < 0 {
@@ -363,10 +358,10 @@ func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
 
 // openCache is the one construction site of a state's caches. With no
 // parent it builds the root store from root, adding the middleware-wide
-// policy and registry; otherwise it opens the tenant's namespace of parent.
+// registry; otherwise it opens the tenant's namespace of parent.
 func openCache[V any](m *middleware, name string, parent *cachestore.Store[V], ns cachestore.NamespaceOptions, root cachestore.Options[V]) *cachestore.Store[V] {
 	if parent == nil {
-		root.Policy, root.Telemetry, root.Name = m.opts.CachePolicy, m.opts.Telemetry, ns.TelemetryName
+		root.Telemetry, root.Name = m.opts.Telemetry, ns.TelemetryName
 		return cachestore.New(root)
 	}
 	return parent.NamespaceWith(name, ns)

@@ -292,9 +292,8 @@ func TestRevalidatedProbesAreExact(t *testing.T) {
 			runTimeline(t, p, 0)
 		})
 	}
-	// A probe cache smaller than the site evicts entries between steps (a
-	// repeated scan through an LRU: nearly all of them); an evicted path is
-	// probed unconditionally and the map still converges.
+	// A probe cache smaller than the site evicts entries between steps; an
+	// evicted path is probed unconditionally and the map still converges.
 	t.Run("evicting", func(t *testing.T) {
 		t.Parallel()
 		runTimeline(t, honours, 32)

@@ -347,7 +347,7 @@ func TestMiddlewareParallelStress(t *testing.T) {
 }
 
 // TestClientGetParallelStressBounded hammers a byte-bounded Client cache so
-// concurrent Gets race against LRU eviction; under -race this pins the
+// concurrent Gets race against eviction; under -race this pins the
 // rebased response cache.
 func TestClientGetParallelStressBounded(t *testing.T) {
 	t.Parallel()

@@ -1,6 +1,6 @@
-// Command cachesim replays request traces through the cachestore policies
-// and reports each policy's object and byte hit ratios as a percentage of
-// an offline optimal upper bound, in the style of webcachesim.
+// Command cachesim replays request traces through the cachestore's GDSF
+// eviction order and reports its object and byte hit ratios as a percentage
+// of an offline optimal upper bound, in the style of webcachesim.
 //
 //	cachesim -trace access.trace -budget 64MiB
 //	cachesim -synth -requests 100000 -objects 5000 -budget 2%
@@ -17,44 +17,60 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"cachecatalyst/internal/cachesim"
-	"cachecatalyst/internal/cachestore"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, replays, writes the table to stdout
+// and diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cachesim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		traceFile = flag.String("trace", "", "webcachesim-format trace file to replay")
-		synth     = flag.Bool("synth", false, "replay a synthetic Zipf/lognormal trace instead of a file")
-		requests  = flag.Int("requests", 100000, "synthetic trace length")
-		objects   = flag.Int("objects", 5000, "synthetic catalog size")
-		zipfS     = flag.Float64("zipf", 1.08, "synthetic Zipf popularity exponent (>1)")
-		seed      = flag.Int64("seed", 1, "synthetic trace seed")
-		budgetStr = flag.String("budget", "2%", "cache size: bytes (64MiB) or % of unique bytes (2%)")
-		policies  = flag.String("policies", strings.Join(cachestore.PolicyNames(), ","), "comma-separated policies to replay")
-		check     = flag.Bool("check", false, "smoke mode: verify invariants and exit non-zero on violation")
+		traceFile = fs.String("trace", "", "webcachesim-format trace file to replay")
+		synth     = fs.Bool("synth", false, "replay a synthetic Zipf/lognormal trace instead of a file")
+		requests  = fs.Int("requests", 100000, "synthetic trace length")
+		objects   = fs.Int("objects", 5000, "synthetic catalog size")
+		zipfS     = fs.Float64("zipf", 1.08, "synthetic Zipf popularity exponent (>1)")
+		seed      = fs.Int64("seed", 1, "synthetic trace seed")
+		budgetStr = fs.String("budget", "2%", "cache size: bytes (64MiB) or % of unique bytes (2%)")
+		check     = fs.Bool("check", false, "smoke mode: verify invariants and exit non-zero on violation")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "cachesim: "+format+"\n", a...)
+		return 1
+	}
 
 	var trace []cachesim.Request
 	var source string
 	switch {
 	case *traceFile != "" && *synth:
-		fatalf("pass -trace or -synth, not both")
+		return fail("pass -trace or -synth, not both")
 	case *traceFile != "":
 		f, err := os.Open(*traceFile)
 		if err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
 		trace, err = cachesim.ParseTrace(f)
 		f.Close()
 		if err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
 		source = *traceFile
 	case *synth:
@@ -66,58 +82,52 @@ func main() {
 		})
 		source = fmt.Sprintf("synthetic (zipf %.2f, %d objects, seed %d)", *zipfS, *objects, *seed)
 	default:
-		fatalf("pass -trace FILE or -synth (see -help)")
+		return fail("pass -trace FILE or -synth (see -help)")
 	}
 	if len(trace) == 0 {
-		fatalf("trace is empty")
+		return fail("trace is empty")
 	}
 
 	budget, err := parseBudget(*budgetStr, trace)
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 
 	ub := cachesim.UpperBound(trace, budget)
-	fmt.Printf("trace: %s — %d requests, %s requested, budget %s\n\n",
+	fmt.Fprintf(stdout, "trace: %s — %d requests, %s requested, budget %s\n\n",
 		source, ub.Requests, formatBytes(ub.BytesRequested), formatBytes(budget))
 
-	fmt.Printf("%-14s %8s %8s %8s %8s %10s %12s\n",
+	fmt.Fprintf(stdout, "%-14s %8s %8s %8s %8s %10s %12s\n",
 		"policy", "OHR", "%opt", "BHR", "%opt", "evictions", "victimscans")
+	res := cachesim.Replay(trace, budget)
+	fmt.Fprintf(stdout, "%-14s %8.4f %7.1f%% %8.4f %7.1f%% %10d %12d\n",
+		"gdsf", res.OHR(), pctOf(res.OHR(), ub.OHR()), res.BHR(), pctOf(res.BHR(), ub.BHR()),
+		res.Counters.Evictions, res.Counters.VictimScans)
+	fmt.Fprintf(stdout, "%-14s %8.4f %7.1f%% %8.4f %7.1f%%\n", "foo-bound", ub.OHR(), 100.0, ub.BHR(), 100.0)
+	if !*check {
+		return 0
+	}
 	failed := false
-	for _, name := range strings.Split(*policies, ",") {
-		policy, err := cachestore.ParsePolicy(strings.TrimSpace(name))
-		if err != nil {
-			fatalf("%v", err)
-		}
-		res := cachesim.Replay(trace, budget, policy)
-		fmt.Printf("%-14s %8.4f %7.1f%% %8.4f %7.1f%% %10d %12d\n",
-			res.Policy, res.OHR(), pctOf(res.OHR(), ub.OHR()), res.BHR(), pctOf(res.BHR(), ub.BHR()),
-			res.Counters.Evictions, res.Counters.VictimScans)
-		if *check {
-			switch {
-			case res.OHR() < 0 || res.OHR() > 1 || res.BHR() < 0 || res.BHR() > 1:
-				fmt.Fprintf(os.Stderr, "check: %s ratios out of range\n", res.Policy)
-				failed = true
-			case res.OHR() > ub.OHR()+1e-9 || res.BHR() > ub.BHR()+1e-9:
-				fmt.Fprintf(os.Stderr, "check: %s exceeds the offline upper bound\n", res.Policy)
-				failed = true
-			case res.Hits == 0:
-				fmt.Fprintf(os.Stderr, "check: %s scored zero hits; replay inert\n", res.Policy)
-				failed = true
-			}
-		}
+	switch {
+	case res.OHR() < 0 || res.OHR() > 1 || res.BHR() < 0 || res.BHR() > 1:
+		fmt.Fprintln(stderr, "check: gdsf ratios out of range")
+		failed = true
+	case res.OHR() > ub.OHR()+1e-9 || res.BHR() > ub.BHR()+1e-9:
+		fmt.Fprintln(stderr, "check: gdsf exceeds the offline upper bound")
+		failed = true
+	case res.Hits == 0:
+		fmt.Fprintln(stderr, "check: gdsf scored zero hits; replay inert")
+		failed = true
 	}
-	fmt.Printf("%-14s %8.4f %7.1f%% %8.4f %7.1f%%\n", "foo-bound", ub.OHR(), 100.0, ub.BHR(), 100.0)
-	if *check {
-		if ub.OHR() <= 0 || ub.BHR() <= 0 {
-			fmt.Fprintln(os.Stderr, "check: upper bound degenerate")
-			failed = true
-		}
-		if failed {
-			os.Exit(1)
-		}
-		fmt.Println("\ncheck: ok")
+	if ub.OHR() <= 0 || ub.BHR() <= 0 {
+		fmt.Fprintln(stderr, "check: upper bound degenerate")
+		failed = true
 	}
+	if failed {
+		return 1
+	}
+	fmt.Fprintln(stdout, "\ncheck: ok")
+	return 0
 }
 
 // parseBudget accepts "1234", "64KiB", "16MiB", "1GiB" or "2%" (of the
@@ -178,9 +188,4 @@ func formatBytes(n int64) string {
 	default:
 		return fmt.Sprintf("%dB", n)
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "cachesim: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -28,27 +28,25 @@
 //	catalystd -config catalystd.json -addr :8080
 //
 // With -config, catalystd fronts several upstreams from one process: the
-// file names each tenant (its upstream, Host/path routing rule, cache
-// policy and byte budget, degradation knobs), and the daemon gives each
-// one isolated cache namespaces, its own circuit breaker and health
-// checker, and per-tenant "tenant.<name>.*" telemetry. A "cluster"
-// stanza additionally joins the instance to a peer group: hot
-// X-Etag-Config encodings gossip between instances so a page rendered on
-// one node serves from a peer without re-probing. -origin and -config are
-// mutually exclusive; all existing flags keep working as the defaults
-// tenants inherit.
+// file names each tenant (its upstream, Host/path routing rule, cache byte
+// budget, degradation knobs), and the daemon gives each one isolated cache
+// namespaces, its own circuit breaker and health checker, and per-tenant
+// "tenant.<name>.*" telemetry. A "cluster" stanza additionally joins the
+// instance to a peer group: hot X-Etag-Config encodings gossip between
+// instances so a page rendered on one node serves from a peer without
+// re-probing. -origin and -config are mutually exclusive; all existing flags
+// keep working as the defaults tenants inherit.
 //
-// # Cache policy
+// # Caches
 //
 // The daemon's derived caches — rendered pages in serve mode; probes,
-// rendered pages and stale copies in proxy mode — default to exact LRU.
-// -cache-policy gdsf keeps small popular entries when sizes vary wildly
-// (lru and gdsf are the only spellings; anything else refuses to start),
-// and -cache-budget resizes the rendered-page cache. With -metrics,
-// the effective settings are echoed under "config" at /debug/catalystd, and
-// each cache reports its evictions and victim scans in the telemetry
-// snapshot. Compare the two offline against recorded or synthetic workloads
-// with cmd/cachesim.
+// rendered pages and stale copies in proxy mode — evict in greedy-dual
+// size-frequency order, the cache core's only one. There is no policy flag,
+// and a command line that still names one refuses to start. -cache-budget
+// resizes the rendered-page cache. With -metrics, the effective settings are
+// echoed under "config" at /debug/catalystd, and each cache reports its
+// evictions and victim scans in the telemetry snapshot. cmd/cachesim scores
+// the order offline against recorded or synthetic workloads.
 //
 // # Overload and lifecycle
 //
@@ -63,8 +61,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -76,7 +76,6 @@ import (
 	"time"
 
 	"cachecatalyst/catalyst"
-	"cachecatalyst/internal/cachestore"
 	"cachecatalyst/internal/cluster"
 	"cachecatalyst/internal/resilience"
 	"cachecatalyst/internal/server"
@@ -85,63 +84,31 @@ import (
 )
 
 func main() {
-	var (
-		dir        = flag.String("dir", ".", "directory tree to serve")
-		addr       = flag.String("addr", ":8080", "listen address")
-		origin     = flag.String("origin", "", "proxy this upstream origin URL instead of serving -dir, with health-checked failover to stale copies")
-		configPath = flag.String("config", "", "multi-tenant config file (JSON); fronts several upstreams with per-tenant caches, breakers and telemetry")
-		record     = flag.Bool("record", false, "enable first-visit session recording")
-		plain      = flag.Bool("plain", false, "disable CacheCatalyst (baseline mode)")
-		metrics    = flag.Bool("metrics", false, "expose counters, telemetry registry and recent requests at "+catalyst.MetricsPath)
-		pprof      = flag.Bool("pprof", false, "with -metrics, also mount net/http/pprof under /debug/pprof/")
-		timing     = flag.Bool("server-timing", false, "report per-request cache decisions in Server-Timing response headers")
-
-		maxInflight     = flag.Int("max-inflight", 256, "max concurrent instrumented requests; excess degrade down the ladder (stale, passthrough, 503). 0 disables admission control")
-		requestBudget   = flag.Duration("request-budget", 0, "wall-clock budget per request; probe fan-out stops when spent (0 disables)")
-		shutdownTimeout = flag.Duration("shutdown-timeout", 10*time.Second, "how long in-flight requests get to finish after SIGTERM before being force-closed")
-
-		cachePolicyName = flag.String("cache-policy", "lru", "eviction policy for the derived caches (rendered pages, probes, stale copies): "+strings.Join(cachestore.PolicyNames(), " | "))
-		cacheBudget     = flag.Int64("cache-budget", 0, "byte budget for the rendered-page cache; 0 selects the 16 MiB default, negative disables it")
-	)
-	flag.Parse()
+	opts, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	} else if err != nil {
+		os.Exit(2)
+	}
 
 	// The registry always exists so the shutdown snapshot has something
 	// to flush; -metrics additionally serves it over HTTP.
 	reg := telemetry.NewRegistry()
-	accessLog := 0
-	if *metrics {
-		accessLog = 256
-	}
-
-	built, err := buildHandler(daemonOptions{
-		Dir:             *dir,
-		Origin:          *origin,
-		ConfigPath:      *configPath,
-		Record:          *record,
-		Plain:           *plain,
-		Metrics:         *metrics,
-		PProf:           *pprof,
-		ServerTiming:    *timing,
-		MaxInflight:     *maxInflight,
-		RequestBudget:   *requestBudget,
-		CachePolicyName: *cachePolicyName,
-		CacheBudget:     *cacheBudget,
-		AccessLogSize:   accessLog,
-	}, reg)
+	built, err := buildHandler(opts, reg)
 	if err != nil {
 		log.Fatalf("catalystd: %v", err)
 	}
 	for _, line := range built.Info {
-		fmt.Printf("catalystd: %s on %s\n", line, *addr)
+		fmt.Printf("catalystd: %s on %s\n", line, opts.Addr)
 	}
-	if *metrics {
+	if opts.Metrics {
 		fmt.Printf("catalystd: metrics at %s\n", catalyst.MetricsPath)
-		if *pprof {
+		if opts.PProf {
 			fmt.Println("catalystd: pprof at /debug/pprof/")
 		}
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", opts.Addr)
 	if err != nil {
 		log.Fatalf("catalystd: %v", err)
 	}
@@ -152,7 +119,7 @@ func main() {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	err = resilience.Serve(ctx, httpSrv, ln, resilience.ServeOptions{
-		ShutdownTimeout: *shutdownTimeout,
+		ShutdownTimeout: opts.ShutdownTimeout,
 		Telemetry:       reg,
 		SnapshotTo:      os.Stderr,
 		Logf:            log.Printf,
@@ -164,25 +131,52 @@ func main() {
 }
 
 // daemonOptions is the daemon's resolved configuration — every flag after
-// parsing, policy names already resolved. buildHandler consumes it so the
-// flag-to-handler mapping is testable without a process or a listener.
+// parsing. buildHandler consumes it so the flag-to-handler mapping is
+// testable without a process or a listener.
 type daemonOptions struct {
-	Dir           string
-	Origin        string
-	ConfigPath    string
-	Record        bool
-	Plain         bool
-	Metrics       bool
-	PProf         bool
-	ServerTiming  bool
-	MaxInflight   int
-	RequestBudget time.Duration
-	// CachePolicyName is -cache-policy as typed; buildHandler resolves it
-	// into CachePolicy or refuses to start.
-	CachePolicyName string
-	CachePolicy     cachestore.Policy
+	Dir             string
+	Addr            string
+	Origin          string
+	ConfigPath      string
+	Record          bool
+	Plain           bool
+	Metrics         bool
+	PProf           bool
+	ServerTiming    bool
+	MaxInflight     int
+	RequestBudget   time.Duration
+	ShutdownTimeout time.Duration
 	CacheBudget     int64
 	AccessLogSize   int
+}
+
+// parseFlags reads the command line into the daemon's options. A flag it
+// does not define, a retired one included, is an error, reported on stderr
+// with the usage.
+func parseFlags(args []string, stderr io.Writer) (daemonOptions, error) {
+	var o daemonOptions
+	fs := flag.NewFlagSet("catalystd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.Dir, "dir", ".", "directory tree to serve")
+	fs.StringVar(&o.Addr, "addr", ":8080", "listen address")
+	fs.StringVar(&o.Origin, "origin", "", "proxy this upstream origin URL instead of serving -dir, with health-checked failover to stale copies")
+	fs.StringVar(&o.ConfigPath, "config", "", "multi-tenant config file (JSON); fronts several upstreams with per-tenant caches, breakers and telemetry")
+	fs.BoolVar(&o.Record, "record", false, "enable first-visit session recording")
+	fs.BoolVar(&o.Plain, "plain", false, "disable CacheCatalyst (baseline mode)")
+	fs.BoolVar(&o.Metrics, "metrics", false, "expose counters, telemetry registry and recent requests at "+catalyst.MetricsPath)
+	fs.BoolVar(&o.PProf, "pprof", false, "with -metrics, also mount net/http/pprof under /debug/pprof/")
+	fs.BoolVar(&o.ServerTiming, "server-timing", false, "report per-request cache decisions in Server-Timing response headers")
+	fs.IntVar(&o.MaxInflight, "max-inflight", 256, "max concurrent instrumented requests; excess degrade down the ladder (stale, passthrough, 503). 0 disables admission control")
+	fs.DurationVar(&o.RequestBudget, "request-budget", 0, "wall-clock budget per request; probe fan-out stops when spent (0 disables)")
+	fs.DurationVar(&o.ShutdownTimeout, "shutdown-timeout", 10*time.Second, "how long in-flight requests get to finish after SIGTERM before being force-closed")
+	fs.Int64Var(&o.CacheBudget, "cache-budget", 0, "byte budget for the rendered-page cache; 0 selects the 16 MiB default, negative disables it")
+	if err := fs.Parse(args); err != nil {
+		return daemonOptions{}, err
+	}
+	if o.Metrics {
+		o.AccessLogSize = 256
+	}
+	return o, nil
 }
 
 // builtHandler is what buildHandler assembles: the root handler, human
@@ -197,10 +191,6 @@ type builtHandler struct {
 // mutually exclusive in precedence order: -config (multi-tenant proxy),
 // -origin (single-tenant proxy), -dir (file serving).
 func buildHandler(opts daemonOptions, reg *telemetry.Registry) (*builtHandler, error) {
-	var err error
-	if opts.CachePolicy, err = cachestore.ParsePolicy(opts.CachePolicyName); err != nil {
-		return nil, fmt.Errorf("-cache-policy: %w", err)
-	}
 	switch {
 	case opts.ConfigPath != "" && opts.Origin != "":
 		return nil, fmt.Errorf("-config and -origin are mutually exclusive (put the single origin in the config file)")
@@ -235,21 +225,20 @@ func buildServeHandler(opts daemonOptions, reg *telemetry.Registry) (*builtHandl
 	} else {
 		var err error
 		srv, err = catalyst.NewServer(os.DirFS(opts.Dir), catalyst.ServerOptions{
-			Record:            opts.Record,
-			Policy:            catalyst.DefaultPolicy,
-			AccessLogSize:     opts.AccessLogSize,
-			Telemetry:         reg,
-			ServerTiming:      opts.ServerTiming,
-			MaxInflight:       opts.MaxInflight,
-			RequestBudget:     opts.RequestBudget,
-			MaxRenderBytes:    opts.CacheBudget,
-			RenderCachePolicy: opts.CachePolicy,
+			Record:         opts.Record,
+			Policy:         catalyst.DefaultPolicy,
+			AccessLogSize:  opts.AccessLogSize,
+			Telemetry:      reg,
+			ServerTiming:   opts.ServerTiming,
+			MaxInflight:    opts.MaxInflight,
+			RequestBudget:  opts.RequestBudget,
+			MaxRenderBytes: opts.CacheBudget,
 		})
 		if err != nil {
 			return nil, err
 		}
-		info = fmt.Sprintf("serving %s (CacheCatalyst%s, %s render cache)", opts.Dir,
-			map[bool]string{true: " + recording", false: ""}[opts.Record], opts.CachePolicy.Name())
+		info = fmt.Sprintf("serving %s (CacheCatalyst%s)", opts.Dir,
+			map[bool]string{true: " + recording", false: ""}[opts.Record])
 	}
 	var handler http.Handler = srv
 	if opts.Metrics {
@@ -277,7 +266,7 @@ func buildProxyHandler(opts daemonOptions, reg *telemetry.Registry) (*builtHandl
 	mwOpts := middlewareOptions(opts, reg)
 	mwOpts.OriginBreaker = breaker
 	handler := withMetrics(catalyst.Middleware(proxy, mwOpts), opts, nil, reg)
-	info := fmt.Sprintf("proxying %s (CacheCatalyst + health-checked failover, %s caches)", opts.Origin, opts.CachePolicy.Name())
+	info := fmt.Sprintf("proxying %s (CacheCatalyst + health-checked failover)", opts.Origin)
 	return &builtHandler{Handler: handler, Info: []string{info}, OnDrain: stopHealth}, nil
 }
 
@@ -365,7 +354,6 @@ func middlewareOptions(opts daemonOptions, reg *telemetry.Registry) catalyst.Mid
 		ServerTiming:   opts.ServerTiming,
 		MaxInflight:    opts.MaxInflight,
 		RequestBudget:  opts.RequestBudget,
-		CachePolicy:    opts.CachePolicy,
 		MaxRenderBytes: opts.CacheBudget,
 	}
 }
@@ -440,7 +428,6 @@ func healthProbe(u *url.URL, interval time.Duration, transport http.RoundTripper
 // carry. In multi-tenant mode it includes the per-tenant settings.
 func configEcho(opts daemonOptions, cfg *tenant.Config) map[string]any {
 	echo := map[string]any{
-		"cachePolicy": opts.CachePolicy.Name(),
 		"cacheBudget": opts.CacheBudget,
 		"maxInflight": opts.MaxInflight,
 	}

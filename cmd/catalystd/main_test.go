@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,13 +10,14 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/telemetry"
 )
 
 func testOpts() daemonOptions {
-	return daemonOptions{Dir: ".", CachePolicyName: "lru", MaxInflight: 16}
+	return daemonOptions{Dir: ".", MaxInflight: 16}
 }
 
 // originServer is a minimal upstream: an HTML page referencing a
@@ -122,42 +124,58 @@ func TestBuildHandlerSingleTenantFallback(t *testing.T) {
 	if err := json.Unmarshal(mrec.Body.Bytes(), &payload); err != nil {
 		t.Fatalf("metrics payload: %v", err)
 	}
-	if payload.Config["cachePolicy"] != "lru" {
+	if payload.Config["maxInflight"] != float64(16) {
 		t.Fatalf("config echo missing: %v", payload.Config)
 	}
 }
 
-// TestBuildHandlerRejects covers the refusal paths: bad config file,
-// malformed config JSON, conflicting flags, bad origin URL, missing dir, and
-// a retired cache-policy spelling on the flag or in a tenant (which must
-// stop the daemon, not read as LRU).
+// TestParseFlags pins the flag-to-options mapping main starts from.
+func TestParseFlags(t *testing.T) {
+	opts, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-origin", "http://app:3000", "-metrics", "-cache-budget", "1024", "-shutdown-timeout", "2s"}, &bytes.Buffer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := daemonOptions{Dir: ".", Addr: "127.0.0.1:0", Origin: "http://app:3000", Metrics: true, MaxInflight: 256,
+		ShutdownTimeout: 2 * time.Second, CacheBudget: 1024, AccessLogSize: 256}
+	if opts != want {
+		t.Fatalf("parseFlags = %+v, want %+v", opts, want)
+	}
+}
+
+// TestBuildHandlerRejects covers the refusal paths from the command line
+// on: bad config file, malformed config JSON, conflicting flags, bad origin
+// URL, missing dir, and a cache policy on the flag or in a tenant — there
+// is one eviction order, so asking for one must stop the daemon, not be
+// ignored.
 func TestBuildHandlerRejects(t *testing.T) {
 	badJSON := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(badJSON, []byte(`{"tenants": [{"name": "x"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	retired := filepath.Join(t.TempDir(), "retired.json")
-	if err := os.WriteFile(retired, []byte(`{"tenants": [{"name": "x", "upstream": "http://127.0.0.1:1", "cachePolicy": "tinylfu"}]}`), 0o644); err != nil {
+	if err := os.WriteFile(retired, []byte(`{"tenants": [{"name": "x", "upstream": "http://127.0.0.1:1", "cachePolicy": "gdsf"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
 		name string
-		mod  func(*daemonOptions)
+		args []string
 	}{
-		{"missing config file", func(o *daemonOptions) { o.ConfigPath = filepath.Join(t.TempDir(), "nope.json") }},
-		{"config without upstream", func(o *daemonOptions) { o.ConfigPath = badJSON }},
-		{"config and origin together", func(o *daemonOptions) { o.ConfigPath = badJSON; o.Origin = "http://x" }},
-		{"relative origin", func(o *daemonOptions) { o.Origin = "not-a-url" }},
-		{"missing dir", func(o *daemonOptions) { o.Dir = filepath.Join(t.TempDir(), "nope") }},
-		{"retired cache-policy flag", func(o *daemonOptions) { o.CachePolicyName = "tinylfu-gdsf" }},
-		{"retired tenant cachePolicy", func(o *daemonOptions) { o.ConfigPath = retired }},
+		{"missing config file", []string{"-config", filepath.Join(t.TempDir(), "nope.json")}},
+		{"config without upstream", []string{"-config", badJSON}},
+		{"config and origin together", []string{"-config", badJSON, "-origin", "http://x"}},
+		{"relative origin", []string{"-origin", "not-a-url"}},
+		{"missing dir", []string{"-dir", filepath.Join(t.TempDir(), "nope")}},
+		{"retired cache-policy flag", []string{"-cache-policy", "gdsf"}},
+		{"retired tenant cachePolicy", []string{"-config", retired}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			opts := testOpts()
-			c.mod(&opts)
-			if _, err := buildHandler(opts, telemetry.NewRegistry()); err == nil {
-				t.Fatal("buildHandler accepted a bad configuration")
+			opts, err := parseFlags(c.args, &bytes.Buffer{})
+			if err == nil {
+				_, err = buildHandler(opts, telemetry.NewRegistry())
+			}
+			if err == nil {
+				t.Fatal("start-up accepted a bad configuration")
 			}
 		})
 	}
@@ -173,7 +191,7 @@ func TestBuildHandlerMultiTenant(t *testing.T) {
 	cfg := fmt.Sprintf(`{
 		"tenants": [
 			{"name": "alpha", "upstream": %q, "hosts": ["alpha.test"], "healthInterval": "50ms"},
-			{"name": "beta", "upstream": %q, "hosts": ["beta.test"], "cachePolicy": "gdsf"}
+			{"name": "beta", "upstream": %q, "hosts": ["beta.test"], "cacheBudget": 1048576}
 		]
 	}`, upA.URL, upB.URL)
 	if err := os.WriteFile(cfgPath, []byte(cfg), 0o644); err != nil {

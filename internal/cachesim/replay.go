@@ -6,16 +6,14 @@ import (
 	"cachecatalyst/internal/cachestore"
 )
 
-// Result summarizes one policy's replay of a trace.
+// Result summarizes one replay of a trace.
 type Result struct {
-	// Policy is the replayed policy's name.
-	Policy string
 	// Requests and Hits count trace requests and cache hits.
 	Requests, Hits int64
 	// BytesRequested and BytesHit are the corresponding byte totals.
 	BytesRequested, BytesHit int64
 	// Counters is the underlying store's counter snapshot; its
-	// VictimScans and Evictions fields show how the policy earned its
+	// VictimScans and Evictions fields show how the store earned its
 	// ratios.
 	Counters cachestore.Counters
 }
@@ -37,16 +35,15 @@ func (r Result) BHR() float64 {
 }
 
 // Replay runs the trace through a real cachestore.Store under the given
-// byte budget and policy — the same code path production consumers use,
-// not a reimplementation, so simulator numbers reflect the store's actual
-// victim selection. Every miss inserts the object.
-func Replay(trace []Request, budget int64, policy cachestore.Policy) Result {
+// byte budget — the same code path production consumers use, not a
+// reimplementation, so simulator numbers reflect the store's actual victim
+// selection. Every miss inserts the object.
+func Replay(trace []Request, budget int64) Result {
 	store := cachestore.New[int64](cachestore.Options[int64]{
 		MaxBytes: budget,
 		SizeOf:   func(_ string, size int64) int64 { return size },
-		Policy:   policy,
 	})
-	res := Result{Policy: policy.Name()}
+	var res Result
 	for _, req := range trace {
 		key := strconv.FormatUint(req.ID, 10)
 		res.Requests++

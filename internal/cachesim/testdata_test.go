@@ -4,26 +4,32 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"cachecatalyst/internal/cachestore"
 )
+
+// readTrace parses a committed trace under testdata/.
+func readTrace(t *testing.T, name string) []Request {
+	t.Helper()
+	f, err := os.Open(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer f.Close()
+	trace, err := ParseTrace(f)
+	if err != nil {
+		t.Fatalf("ParseTrace: %v", err)
+	}
+	return trace
+}
 
 // TestCommittedTraces keeps the checked-in traces honest: both must
 // parse, show reuse, and produce a non-degenerate optimal bound — the
 // properties the make cachesim smoke target and the EXPERIMENTS.md table
-// rely on.
+// rely on — and the store must neither exceed that bound nor score below
+// the reference LRU.
 func TestCommittedTraces(t *testing.T) {
 	for _, name := range []string{"mini.trace", "harness_quick.trace"} {
 		t.Run(name, func(t *testing.T) {
-			f, err := os.Open(filepath.Join("testdata", name))
-			if err != nil {
-				t.Fatalf("open: %v", err)
-			}
-			defer f.Close()
-			trace, err := ParseTrace(f)
-			if err != nil {
-				t.Fatalf("ParseTrace: %v", err)
-			}
+			trace := readTrace(t, name)
 			if len(trace) == 0 {
 				t.Fatal("trace is empty")
 			}
@@ -41,11 +47,12 @@ func TestCommittedTraces(t *testing.T) {
 			if ub.OHR() <= 0 || ub.BHR() <= 0 {
 				t.Fatalf("degenerate bound: OHR %v BHR %v", ub.OHR(), ub.BHR())
 			}
-			for _, p := range []cachestore.Policy{{}, {Eviction: cachestore.GDSF()}} {
-				res := Replay(trace, budget, p)
-				if res.OHR() > ub.OHR()+1e-9 || res.BHR() > ub.BHR()+1e-9 {
-					t.Errorf("%s exceeds the offline bound", res.Policy)
-				}
+			res := Replay(trace, budget)
+			if res.OHR() > ub.OHR()+1e-9 || res.BHR() > ub.BHR()+1e-9 {
+				t.Error("GDSF exceeds the offline bound")
+			}
+			if lru := replayLRU(trace, budget); res.OHR() < lru.OHR() {
+				t.Errorf("GDSF OHR %.4f below LRU OHR %.4f", res.OHR(), lru.OHR())
 			}
 		})
 	}

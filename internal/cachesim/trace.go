@@ -1,6 +1,5 @@
-// Package cachesim replays request traces through internal/cachestore's
-// cache policies and compares each policy's hit ratios against an offline
-// upper bound, in the style of the webcachesim simulator that accompanies
+// Package cachesim replays request traces through internal/cachestore and
+// compares the store's hit ratios against an offline upper bound, in the style of the webcachesim simulator that accompanies
 // the AdaptSize/LRB line of caching papers.
 //
 // The trace format is webcachesim's: one request per line, three
@@ -85,7 +84,7 @@ func WriteTrace(w io.Writer, reqs []Request) error {
 // Recorder accumulates cache accesses into a trace. It exists so harness
 // runs can export what the emulated browsers actually requested: the
 // Service Worker layer calls Record for every subresource access, and the
-// result replays through cmd/cachesim against any policy. Timestamps are
+// result replays through cmd/cachesim. Timestamps are
 // the access sequence number — the simulator only needs order, and the
 // harness's virtual clock rarely advances between subresource fetches of
 // one page load.

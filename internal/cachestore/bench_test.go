@@ -48,41 +48,6 @@ func BenchmarkStoreMixed(b *testing.B) {
 	}
 }
 
-// BenchmarkStorePolicies runs the mixed workload of BenchmarkStoreMixed
-// under both policies, so a rank-heap regression on GDSF's hot path shows up
-// next to the LRU baseline it must not disturb.
-func BenchmarkStorePolicies(b *testing.B) {
-	val := strings.Repeat("v", 512)
-	keys := benchKeys(1024)
-	for _, policy := range []Policy{{}, {Eviction: GDSF()}} {
-		b.Run(policy.Name(), func(b *testing.B) {
-			s := New[string](Options[string]{
-				Shards:   16,
-				MaxBytes: 512 * 768,
-				SizeOf:   func(_ string, v string) int64 { return int64(len(v)) },
-				Policy:   policy,
-			})
-			for _, k := range keys {
-				s.Put(k, val)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					k := keys[i%len(keys)]
-					if i%10 == 0 {
-						s.Put(k, val)
-					} else {
-						s.Get(k)
-					}
-					i++
-				}
-			})
-		})
-	}
-}
-
 // BenchmarkStoreGetHit measures the uncontended promote-on-hit fast path.
 func BenchmarkStoreGetHit(b *testing.B) {
 	s := New[string](Options[string]{})

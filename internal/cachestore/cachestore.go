@@ -21,32 +21,26 @@
 // garbage collector is the epoch reclamation: memory is reused only after
 // the last reader lets go).
 //
-// Recency is recorded lock-free too: a Get bumps the entry's eviction rank
-// with a single atomic store and touches nothing else. The per-shard rank
+// An access is recorded lock-free too: a Get bumps the entry's frequency and
+// eviction rank with atomic stores on the entry itself. The per-shard rank
 // heap is maintained only by writers — under the shard mutex — and is
 // allowed to go stale while a shard takes only reads. Victim selection
 // revalidates lazily: a root whose live rank no longer matches its linked
 // position is sifted to where it belongs (paying off the deferred
 // promotions) and the peek repeats, so the entry finally chosen is exactly
-// the globally smallest live rank. Ranks only grow — LRU stamps come off a
-// monotone counter, GDSF priorities only inflate — which is what makes
-// "candidate's rank unchanged since linking" prove global minimality.
-// Single-threaded eviction order is therefore exactly the policy's order
-// (the differential tests replay it against a naive reference LRU);
-// concurrent races can at worst pick a near-minimal victim.
+// the globally smallest live rank. Ranks only grow — frequencies only rise
+// and the inflation value only inflates — which is what makes "candidate's
+// rank unchanged since linking" prove global minimality. Single-threaded
+// eviction order is therefore exactly GDSF's order (the differential tests
+// replay it against a naive reference); concurrent races can at worst pick
+// a near-minimal victim.
 //
-// # One ordering structure
+// # One eviction order
 //
 // Every shard orders its entries in one min-heap on rank, and the store
 // evicts the smallest root across shards — one O(shards) scan, no global
-// lock. The eviction policy (Options.Policy; see policy.go) only decides
-// what a rank is. Under the default, LRU, it is a store-wide monotone touch
-// stamp: stamps are unique, so heap order is recency order and the victim is
-// the globally least-recently-used entry regardless of the shard count, and
-// a new entry's stamp, drawn under the shard lock, is larger than every
-// rank already linked there, so its push stops at the leaf it lands on —
-// O(1). Under GDSF the rank is the size- and frequency-aware priority, on
-// the same heap.
+// lock. The rank is greedy-dual size-frequency (see policy.go), so the
+// victim is the same whatever the shard count.
 package cachestore
 
 import (
@@ -66,15 +60,12 @@ type Options[V any] struct {
 	// take a shard lock regardless.
 	Shards int
 	// MaxBytes bounds the sum of entry sizes as reported by SizeOf;
-	// 0 means unbounded. The least-recently-used entry (across all
-	// shards) is evicted first.
+	// 0 means unbounded. The entry with the smallest GDSF rank (across
+	// all shards) is evicted first.
 	MaxBytes int64
 	// SizeOf reports an entry's accounting size. Nil charges 1 per
 	// entry, turning MaxBytes into a maximum entry count.
 	SizeOf func(key string, v V) int64
-	// Policy selects the eviction policy. The zero value is exact global
-	// LRU.
-	Policy Policy
 	// OnEvict, when set, observes budget evictions — not Delete, Clear
 	// or replacement. It is called with no shard lock held, so it may
 	// call back into the store.
@@ -119,17 +110,14 @@ type node[V any] struct {
 	val  V
 	size int64
 	// stamp is the entry's live eviction rank — the smallest rank in the
-	// store is evicted first — as the ranker computed it at the last
-	// access: under LRU the store-wide touch counter's value (smaller means
-	// less recently used), under GDSF the priority. Written lock-free by
+	// store is evicted first — as of its last access. Written lock-free by
 	// Get.
 	stamp atomic.Uint64
 	// linked is the rank at which the entry was last positioned in its
 	// shard's heap. Guarded by the shard mutex.
 	linked uint64
 	// freq counts this entry's accesses while resident (saturating;
-	// racing increments may be lost, which only GDSF consumes and
-	// tolerates by construction; LRU's hit path does not maintain it).
+	// racing increments may be lost, which the rank tolerates).
 	freq atomic.Uint32
 	// hidx is the entry's index in its shard's heap; -1 once removed.
 	hidx int32
@@ -151,19 +139,12 @@ type Store[V any] struct {
 	mask    uint64
 	sizeOf  func(string, V) int64
 	onEvict func(string, V)
-	ranker  ranker
-	// recency marks LRU's ranker, whose rank is the next touch stamp
-	// whatever the entry: a hit takes it straight off the counter, with no
-	// interface call and no freq write.
-	recency bool
 
 	maxBytes atomic.Int64 // live-adjustable via Resize
 	bytes    atomic.Int64
-	// touch is the monotone access counter LRU ranks by. It lives here,
-	// beside hits, not in the ranker: a hit writes both, and two cores
-	// trading one cache line measured 20 % cheaper on the mixed benchmark
-	// than trading two.
-	touch atomic.Uint64
+	// inflation is GDSF's L as float64 bits: raised to each victim's rank,
+	// never lowered (see policy.go).
+	inflation atomic.Uint64
 
 	hits, misses, puts, evictions telemetry.Counter
 	loads, loadsShared            telemetry.Counter
@@ -197,8 +178,6 @@ func New[V any](opts Options[V]) *Store[V] {
 		opts:    opts,
 	}
 	s.maxBytes.Store(opts.MaxBytes)
-	s.ranker = opts.Policy.eviction().newRanker(&s.touch)
-	_, s.recency = s.ranker.(lruRanker)
 	if s.sizeOf == nil {
 		s.sizeOf = func(string, V) int64 { return 1 }
 	}
@@ -229,11 +208,11 @@ func (s *Store[V]) shard(key string) *shard[V] {
 	return &s.shards[hashKey(key)&s.mask]
 }
 
-// Get returns the value for key, promoting it under the active eviction
-// policy and counting the hit or miss. A warm hit acquires no mutex: the
-// lookup reads the shard's concurrent index and the promotion is one atomic
-// rank store, deferred into the shard's ordering structures until the next
-// write needs them (see the package comment's warm-path fast lane).
+// Get returns the value for key, promoting it in the eviction order and
+// counting the hit or miss. A warm hit acquires no mutex: the lookup reads
+// the shard's concurrent index and the promotion is atomic stores on the
+// entry, deferred into the shard's heap until the next write needs it (see
+// the package comment's warm-path fast lane).
 func (s *Store[V]) Get(key string) (V, bool) {
 	e, ok := s.shard(key).index.Load(key)
 	if !ok {
@@ -274,22 +253,17 @@ func hashKeyBytes(key []byte) uint64 {
 	return h
 }
 
-// promote records an access on a resident entry with atomics only: LRU
-// stores a fresh touch stamp; GDSF bumps the (saturating, lossy under
-// races) frequency and stores the recomputed rank. The entry's heap
-// position is intentionally left stale — victim selection revalidates it
-// before trusting it.
+// promote records an access on a resident entry with atomics only: it bumps
+// the (saturating, lossy under races) frequency and stores the recomputed
+// rank. The entry's heap position is intentionally left stale — victim
+// selection revalidates it before trusting it.
 func (s *Store[V]) promote(n *node[V]) {
-	if s.recency {
-		n.stamp.Store(s.touch.Add(1))
-		return
-	}
 	f := n.freq.Load()
 	if f != ^uint32(0) {
 		f++
 		n.freq.Store(f)
 	}
-	n.stamp.Store(s.ranker.onAccess(f, n.size))
+	n.stamp.Store(s.rank(f, n.size))
 }
 
 // Peek returns the value for key without touching eviction order or
@@ -326,7 +300,7 @@ func (s *Store[V]) Put(key string, v V) {
 		}
 	}
 	n.freq.Store(freq)
-	rank := s.ranker.onAccess(freq, size)
+	rank := s.rank(freq, size)
 	n.stamp.Store(rank)
 	n.linked = rank
 	if old != nil {
@@ -346,7 +320,7 @@ func (s *Store[V]) Put(key string, v V) {
 // enforceBudget evicts globally-smallest-rank entries until the byte budget
 // is respected. Concurrent evictors can race on the choice of victim; each
 // still evicts some near-minimal entry and the loop re-checks the budget, so
-// the store converges. Single-threaded use is exactly the policy's order.
+// the store converges. Single-threaded use is exactly GDSF's order.
 func (s *Store[V]) enforceBudget() {
 	max := s.maxBytes.Load()
 	if max <= 0 {
@@ -412,7 +386,8 @@ func (s *Store[V]) findVictimShard() int {
 	return best
 }
 
-// evictOne removes and returns the entry with the smallest rank.
+// evictOne removes and returns the entry with the smallest rank, raising L
+// to that rank (GDSF aging).
 func (s *Store[V]) evictOne() (string, V, bool) {
 	var zero V
 	best := s.findVictimShard()
@@ -430,7 +405,11 @@ func (s *Store[V]) evictOne() (string, V, bool) {
 	}
 	s.remove(sh, n)
 	sh.mu.Unlock()
-	s.ranker.onEvict(n.linked)
+	for l := s.inflation.Load(); n.linked > l; l = s.inflation.Load() {
+		if s.inflation.CompareAndSwap(l, n.linked) {
+			break
+		}
+	}
 	return n.key, n.val, true
 }
 
@@ -474,7 +453,7 @@ func (s *Store[V]) Clear() {
 }
 
 // Resize changes the byte budget while the store serves traffic, evicting
-// down under the active policy when the new budget is smaller. A budget of
+// down in rank order when the new budget is smaller. A budget of
 // 0 or less removes the bound. Concurrent Puts observe the new budget as
 // soon as it is stored.
 func (s *Store[V]) Resize(maxBytes int64) {

@@ -59,35 +59,36 @@ func TestReplaceAccountsBytes(t *testing.T) {
 	}
 }
 
-// TestGlobalLRUAcrossShards drives many keys — spread over every shard —
-// through a byte budget and asserts the eviction order is exactly global
-// LRU, which is the point of the per-entry touch stamps.
-func TestGlobalLRUAcrossShards(t *testing.T) {
-	s := New[string](Options[string]{
-		Shards:   16,
-		MaxBytes: 10,
-		SizeOf:   func(string, string) int64 { return 1 },
-	})
+// TestGlobalOrderAcrossShards drives many keys — spread over every shard —
+// through a byte budget and asserts every victim is the globally
+// smallest-rank entry, whichever shard holds it.
+func TestGlobalOrderAcrossShards(t *testing.T) {
+	s := sized(20)
 	for i := 0; i < 10; i++ {
-		s.Put(fmt.Sprintf("k%02d", i), "x")
+		s.Put(fmt.Sprintf("k%02d", i), "xx") // rank 1/2
 	}
-	// Touch the first five so the second five become the LRU block.
+	// Touch the first five three times (rank 4/2), so the second five
+	// become the block of smallest ranks.
 	for i := 0; i < 5; i++ {
-		if _, ok := s.Get(fmt.Sprintf("k%02d", i)); !ok {
-			t.Fatalf("k%02d missing before eviction", i)
+		for j := 0; j < 3; j++ {
+			if _, ok := s.Get(fmt.Sprintf("k%02d", i)); !ok {
+				t.Fatalf("k%02d missing before eviction", i)
+			}
 		}
 	}
-	for i := 10; i < 15; i++ {
+	// Ten one-byte arrivals (rank L + 1, with L at most 1/2) push out
+	// exactly ten bytes: the five untouched two-byte entries.
+	for i := 10; i < 20; i++ {
 		s.Put(fmt.Sprintf("k%02d", i), "x")
 	}
 	for i := 5; i < 10; i++ {
 		if _, ok := s.Peek(fmt.Sprintf("k%02d", i)); ok {
-			t.Errorf("k%02d should have been evicted (global LRU)", i)
+			t.Errorf("k%02d should have been evicted (smallest rank)", i)
 		}
 	}
-	for i := 0; i < 5; i++ {
+	for _, i := range []int{0, 1, 2, 3, 4, 10, 19} {
 		if _, ok := s.Peek(fmt.Sprintf("k%02d", i)); !ok {
-			t.Errorf("recently touched k%02d was evicted", i)
+			t.Errorf("higher-ranked k%02d was evicted", i)
 		}
 	}
 	if c := s.Counters(); c.Evictions != 5 {
@@ -110,32 +111,41 @@ func TestOverBudgetEntryEvictedEntirely(t *testing.T) {
 func TestOnEvictObservesOnlyBudgetEvictions(t *testing.T) {
 	var evicted []string
 	s := New[string](Options[string]{
-		MaxBytes: 2,
+		MaxBytes: 3,
+		SizeOf:   func(_ string, v string) int64 { return int64(len(v)) },
 		OnEvict:  func(k string, _ string) { evicted = append(evicted, k) },
 	})
 	s.Put("a", "1")
-	s.Put("a", "2") // replacement: no callback
-	s.Put("b", "1")
-	s.Delete("b") // delete: no callback
-	s.Put("b", "1")
-	s.Put("c", "1") // budget: evicts a
-	if len(evicted) != 1 || evicted[0] != "a" {
+	s.Put("a", "2") // replacement: no callback (a's rank 2/1)
+	s.Put("b", "11")
+	s.Delete("b")    // delete: no callback
+	s.Put("b", "11") // rank 1/2
+	s.Put("c", "1")  // budget: evicts b, the smallest rank
+	if len(evicted) != 1 || evicted[0] != "b" {
 		t.Fatalf("evicted = %v", evicted)
 	}
 }
 
+// TestPeekDoesNotPromote: a Peek neither raises an entry's frequency nor
+// touches the counters, so a peeked entry is still the first victim.
 func TestPeekDoesNotPromote(t *testing.T) {
-	s := New[string](Options[string]{MaxBytes: 2})
-	s.Put("a", "")
-	s.Put("b", "")
-	if _, ok := s.Peek("a"); !ok { // must NOT promote a
-		t.Fatal("peek miss")
+	s := sized(4)
+	s.Put("a", "xx") // rank 1/2; three promotions would lift it to 4/2
+	s.Put("b", "x")  // rank 1
+	for i := 0; i < 3; i++ {
+		if _, ok := s.Peek("a"); !ok {
+			t.Fatal("peek miss")
+		}
 	}
-	s.Put("c", "") // evicts a (still LRU despite the peek)
+	if e, _ := s.shard("a").index.Load("a"); e.(*node[string]).freq.Load() != 1 {
+		t.Fatal("Peek raised the entry's frequency")
+	}
+	s.Put("c", "x")
+	s.Put("d", "x") // over budget: evicts a, still the smallest rank
 	if _, ok := s.Peek("a"); ok {
 		t.Fatal("Peek promoted the entry")
 	}
-	if c := s.Counters(); c.Hits != 0 && c.Misses != 0 {
+	if c := s.Counters(); c.Hits != 0 || c.Misses != 0 {
 		t.Fatalf("Peek touched counters: %+v", c)
 	}
 }
@@ -347,8 +357,8 @@ func TestAuditDetectsDrift(t *testing.T) {
 	if err := s.Audit(); err != nil {
 		t.Fatalf("empty store failed audit: %v", err)
 	}
-	// The default (LRU) store is ordered by the same heap GDSF is, and
-	// audited through it: a node in a slot it does not claim is caught.
+	// The heap is audited too: a node in a slot it does not claim is
+	// caught.
 	one := New[string](Options[string]{Shards: 1})
 	one.Put("/a", "a")
 	one.Put("/b", "b")

@@ -16,38 +16,36 @@ import (
 // with every shard mutex held by the test, a warm Get (and Peek, and
 // GetBytes) must still return — it would deadlock if the read path touched
 // any shard lock.
-func TestWarmGetTakesNoMutex(t *testing.T) {
-	for _, pol := range []Policy{{}, {Eviction: GDSF()}} {
-		t.Run(pol.Name(), func(t *testing.T) {
-			s := New[string](Options[string]{Shards: 4, Policy: pol})
-			for i := 0; i < 32; i++ {
-				s.Put(fmt.Sprintf("/k%d", i), "v")
-			}
-			for i := range s.shards {
-				s.shards[i].mu.Lock()
-			}
-			defer func() {
-				for i := range s.shards {
-					s.shards[i].mu.Unlock()
-				}
-			}()
-			done := make(chan bool, 1)
-			go func() {
-				_, ok1 := s.Get("/k7")
-				_, ok2 := s.Peek("/k8")
-				_, ok3 := s.GetBytes([]byte("/k9"))
-				_, miss := s.Get("/absent")
-				done <- ok1 && ok2 && ok3 && !miss
-			}()
-			select {
-			case ok := <-done:
-				if !ok {
-					t.Fatal("lock-free reads returned wrong results")
-				}
-			case <-time.After(2 * time.Second):
-				t.Fatal("Get blocked on a shard mutex — read path is not lock-free")
-			}
-		})
+func TestWarmGetTakesNoMutex(t *testing.T) { t.Run("gdsf", testWarmGetTakesNoMutex) }
+
+func testWarmGetTakesNoMutex(t *testing.T) {
+	s := New[string](Options[string]{Shards: 4})
+	for i := 0; i < 32; i++ {
+		s.Put(fmt.Sprintf("/k%d", i), "v")
+	}
+	for i := range s.shards {
+		s.shards[i].mu.Lock()
+	}
+	defer func() {
+		for i := range s.shards {
+			s.shards[i].mu.Unlock()
+		}
+	}()
+	done := make(chan bool, 1)
+	go func() {
+		_, ok1 := s.Get("/k7")
+		_, ok2 := s.Peek("/k8")
+		_, ok3 := s.GetBytes([]byte("/k9"))
+		_, miss := s.Get("/absent")
+		done <- ok1 && ok2 && ok3 && !miss
+	}()
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Fatal("lock-free reads returned wrong results")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Get blocked on a shard mutex — read path is not lock-free")
 	}
 }
 
@@ -67,10 +65,10 @@ func TestGetAllocsZero(t *testing.T) {
 
 // TestDeferredPromotionEvictsExactly exercises the lazy-promotion design
 // directly: a burst of lock-free Gets reorders the live ranks without
-// touching the shards' recency structures, and the subsequent evictions
-// (forced one at a time through Resize) must still come out in exact
-// global LRU order — proving victim validation pays off every deferred
-// promotion before trusting a candidate.
+// touching the shards' heaps, and the subsequent evictions (forced one at a
+// time through Resize) must still come out in exact rank order — proving
+// victim validation pays off every deferred promotion before trusting a
+// candidate.
 func TestDeferredPromotionEvictsExactly(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -83,19 +81,22 @@ func TestDeferredPromotionEvictsExactly(t *testing.T) {
 			for i := 0; i < n; i++ {
 				s.Put(fmt.Sprintf("/k%02d", i), i)
 			}
-			// Touch every entry in a scrambled order; these promotions all
-			// stay deferred (stamp runs ahead of linked) because no write
-			// intervenes.
+			// Touch the entry at position p of a scrambled order p+1 times,
+			// in interleaved rounds, so every rank is distinct; these
+			// promotions all stay deferred (stamp runs ahead of linked)
+			// because no write intervenes.
 			rng := rand.New(rand.NewSource(9))
 			order := rng.Perm(n)
-			for _, i := range order {
-				if _, ok := s.Get(fmt.Sprintf("/k%02d", i)); !ok {
-					t.Fatalf("key %d vanished", i)
+			for round := 0; round < n; round++ {
+				for _, i := range order[round:] {
+					if _, ok := s.Get(fmt.Sprintf("/k%02d", i)); !ok {
+						t.Fatalf("key %d vanished", i)
+					}
 				}
 			}
 			// Shrink one entry at a time: each Resize must evict exactly
-			// the least recently touched survivor. (Resize(0) would lift
-			// the bound, so stop at one resident entry.)
+			// the least touched survivor. (Resize(0) would lift the bound,
+			// so stop at one resident entry.)
 			for remaining := n; remaining > 1; remaining-- {
 				s.Resize(int64(remaining - 1))
 			}
@@ -104,7 +105,7 @@ func TestDeferredPromotionEvictsExactly(t *testing.T) {
 			}
 			for pos, i := range order[:n-1] {
 				if want := fmt.Sprintf("/k%02d", i); evicted[pos] != want {
-					t.Fatalf("eviction %d: got %q, want %q (exact LRU order violated)", pos, evicted[pos], want)
+					t.Fatalf("eviction %d: got %q, want %q (exact rank order violated)", pos, evicted[pos], want)
 				}
 			}
 			if err := s.Audit(); err != nil {
@@ -115,69 +116,62 @@ func TestDeferredPromotionEvictsExactly(t *testing.T) {
 }
 
 // TestLockFreeStressAgainstBudget hammers every mutating operation —
-// Get, Put, Delete, Resize, Clear, policy eviction — from many goroutines
-// under every policy, then quiesces and audits. Run under -race this is
-// the memory-safety half of the differential argument (the sequential
-// half is TestDefaultPolicyMatchesReferenceLRU and
-// TestDeferredPromotionEvictsExactly).
+// Get, Put, Delete, Resize, Clear, eviction — from many goroutines, then
+// quiesces and audits. Run under -race this is the memory-safety half of
+// the differential argument (the sequential half is
+// TestStoreMatchesReferenceGDSF and TestDeferredPromotionEvictsExactly).
 func TestLockFreeStressAgainstBudget(t *testing.T) {
 	t.Parallel()
-	for _, name := range PolicyNames() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			pol, err := ParsePolicy(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := New[string](Options[string]{
-				Shards:   8,
-				MaxBytes: 4 << 10,
-				SizeOf:   func(_ string, v string) int64 { return int64(len(v)) },
-				Policy:   pol,
-			})
-			var wg sync.WaitGroup
-			for g := 0; g < 12; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(g)))
-					val := string(make([]byte, 48))
-					for i := 0; i < 800; i++ {
-						key := fmt.Sprintf("/obj-%d", rng.Intn(300))
-						switch rng.Intn(10) {
-						case 0, 1, 2:
-							s.Put(key, val)
-						case 3:
-							s.Delete(key)
-						case 4:
-							if i%200 == 0 {
-								s.Resize(int64(2<<10 + rng.Intn(4<<10)))
-							} else if i%399 == 0 {
-								s.Clear()
-							} else {
-								s.GetBytes([]byte(key))
-							}
-						default:
-							s.Get(key)
-						}
+	t.Run("gdsf", testLockFreeStressAgainstBudget)
+}
+
+func testLockFreeStressAgainstBudget(t *testing.T) {
+	t.Parallel()
+	s := New[string](Options[string]{
+		Shards:   8,
+		MaxBytes: 4 << 10,
+		SizeOf:   func(_ string, v string) int64 { return int64(len(v)) },
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < 12; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			val := string(make([]byte, 48))
+			for i := 0; i < 800; i++ {
+				key := fmt.Sprintf("/obj-%d", rng.Intn(300))
+				switch rng.Intn(10) {
+				case 0, 1, 2:
+					s.Put(key, val)
+				case 3:
+					s.Delete(key)
+				case 4:
+					if i%200 == 0 {
+						s.Resize(int64(2<<10 + rng.Intn(4<<10)))
+					} else if i%399 == 0 {
+						s.Clear()
+					} else {
+						s.GetBytes([]byte(key))
 					}
-				}(g)
+				default:
+					s.Get(key)
+				}
 			}
-			wg.Wait()
-			s.Resize(4 << 10)
-			if s.Bytes() > 4<<10 {
-				t.Fatalf("over budget after quiesce: %d", s.Bytes())
-			}
-			if err := s.Audit(); err != nil {
-				t.Fatal(err)
-			}
-			// The store must still be fully functional afterwards.
-			s.Put("/after", "x")
-			if v, ok := s.Get("/after"); !ok || v != "x" {
-				t.Fatalf("store broken after stress: %q %v", v, ok)
-			}
-		})
+		}(g)
+	}
+	wg.Wait()
+	s.Resize(4 << 10)
+	if s.Bytes() > 4<<10 {
+		t.Fatalf("over budget after quiesce: %d", s.Bytes())
+	}
+	if err := s.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	// The store must still be fully functional afterwards.
+	s.Put("/after", "x")
+	if v, ok := s.Get("/after"); !ok || v != "x" {
+		t.Fatalf("store broken after stress: %q %v", v, ok)
 	}
 }
 

@@ -4,9 +4,8 @@
 // — Ma et al.'s app-scoped-cache argument, and the shape CacheLib's pools
 // take — without giving up the warm-path properties the shared core earned.
 // Store.Namespace carves a store into named sub-stores that inherit the
-// parent's configuration (shard count, size accounting, eviction policy,
-// telemetry registry) while owning their bytes, their eviction order and
-// their budget outright:
+// parent's configuration (shard count, size accounting, telemetry registry)
+// while owning their bytes, their eviction order and their budget outright:
 //
 //   - Per-namespace byte accounting: each namespace's Bytes()/Len() count
 //     only its own entries, and the parent's TotalBytes() sums the family.
@@ -36,9 +35,6 @@ type NamespaceOptions struct {
 	// parent's registry. Empty selects "<parent name>.ns.<name>"; with no
 	// parent registry or name, no instruments are registered either way.
 	TelemetryName string
-	// Policy, when it names an eviction policy, overrides the child's; the
-	// zero value inherits the parent's.
-	Policy Policy
 }
 
 // Namespace returns the named sub-store, creating it on first use with the
@@ -60,9 +56,6 @@ func (s *Store[V]) NamespaceWith(name string, nsOpts NamespaceOptions) *Store[V]
 		opts.MaxBytes = s.maxBytes.Load()
 	} else if opts.MaxBytes < 0 {
 		opts.MaxBytes = 0 // unbounded in Store terms
-	}
-	if nsOpts.Policy.Eviction != nil {
-		opts.Policy = nsOpts.Policy
 	}
 	switch {
 	case nsOpts.TelemetryName != "":

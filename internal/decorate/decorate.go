@@ -137,7 +137,7 @@ func BaseStoreOptions() cachestore.Options[[]byte] {
 
 // DeltaBase retains rd's body under its validator as a future diff base,
 // and returns the retained body the request names in X-Delta-Base, if any,
-// with its tag. The lock-free Get doubles as the recency promotion that
+// with its tag. The lock-free Get doubles as the promotion that
 // keeps a hot base resident, so a warm serve writes nothing. A nil store
 // means delta encoding is off.
 func DeltaBase(bases *cachestore.Store[[]byte], r *http.Request, pageURL string, rd *Render) (base []byte, from string) {

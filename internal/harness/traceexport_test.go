@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cachecatalyst/internal/cachesim"
-	"cachecatalyst/internal/cachestore"
 	"cachecatalyst/internal/netsim"
 	"cachecatalyst/internal/webgen"
 	"time"
@@ -55,7 +54,7 @@ func TestExportTraceReplayable(t *testing.T) {
 	if ub.OHR() <= 0 || ub.BHR() <= 0 {
 		t.Fatalf("degenerate upper bound: OHR %v BHR %v", ub.OHR(), ub.BHR())
 	}
-	res := cachesim.Replay(trace, budget, cachestore.Policy{Eviction: cachestore.GDSF()})
+	res := cachesim.Replay(trace, budget)
 	if res.Hits == 0 {
 		t.Error("GDSF replay of exported trace scored zero hits")
 	}

@@ -9,7 +9,7 @@
 // reuses this package's storage but bypasses freshness entirely, deciding
 // reuse from proactively delivered ETags instead.
 //
-// Storage and LRU eviction sit on internal/cachestore; this package keeps
+// Storage and eviction sit on internal/cachestore; this package keeps
 // only the RFC 9111 policy layer (freshness math, Vary secondary keys, the
 // 304 refresh procedure).
 package httpcache
@@ -120,8 +120,8 @@ func (e *Entry) Size() int64 {
 
 // Options configures a Cache.
 type Options struct {
-	// MaxBytes bounds the cache size; 0 means unlimited. Victims are the
-	// least recently used entries — what real browser caches approximate.
+	// MaxBytes bounds the cache size; 0 means unlimited. Victims are chosen
+	// in the cache core's greedy-dual size-frequency order.
 	MaxBytes int64
 	// NegativeTTL, when positive, enables negative caching: complete,
 	// storable 404 responses are kept and served Fresh for this long,
@@ -351,7 +351,7 @@ func (c *Cache) GetWithRequest(url string, reqHeader http.Header) (*Entry, State
 	return e, Stale
 }
 
-// Peek returns the entry without touching counters or LRU order.
+// Peek returns the entry without touching counters or eviction order.
 func (c *Cache) Peek(url string) (*Entry, bool) {
 	return c.store.Peek(url)
 }

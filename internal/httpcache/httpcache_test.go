@@ -221,6 +221,8 @@ func TestPutReplacesEntry(t *testing.T) {
 	}
 }
 
+// TestLRUEviction pins that a bounded cache evicts the entry the cache core
+// ranks lowest: the one neither touched nor small.
 func TestLRUEviction(t *testing.T) {
 	clk := vclock.NewVirtual(vclock.Epoch)
 	var entrySize int64
@@ -234,14 +236,18 @@ func TestLRUEviction(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		put(c, clk, fmt.Sprintf("/r%d", i), respWith(map[string]string{"Cache-Control": "max-age=600"}, "0123456789"))
 	}
-	// Touch r0 so r1 becomes LRU.
+	// Touch r0 and r2, and make the arriving r3 smaller than the rest, so
+	// r1 holds the one smallest rank.
 	c.Get("/r0")
-	put(c, clk, "/r3", respWith(map[string]string{"Cache-Control": "max-age=600"}, "0123456789"))
+	c.Get("/r2")
+	put(c, clk, "/r3", respWith(map[string]string{"Cache-Control": "max-age=600"}, "01234"))
 	if _, ok := c.Peek("/r1"); ok {
-		t.Fatal("LRU entry survived eviction")
+		t.Fatal("lowest-ranked entry survived eviction")
 	}
-	if _, ok := c.Peek("/r0"); !ok {
-		t.Fatal("recently used entry evicted")
+	for _, u := range []string{"/r0", "/r2", "/r3"} {
+		if _, ok := c.Peek(u); !ok {
+			t.Fatalf("higher-ranked %s evicted", u)
+		}
 	}
 	if c.Stats().Evictions == 0 {
 		t.Fatal("eviction counter not bumped")

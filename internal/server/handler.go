@@ -41,13 +41,6 @@ type Options struct {
 	// (path, content ETag) so an unchanged page skips re-parsing and
 	// re-hashing on every hit. Zero selects 16 MiB; negative disables it.
 	MaxRenderBytes int64
-	// RenderCachePolicy selects the rendered-page cache's eviction
-	// policy; the zero value is exact global LRU. Rendered
-	// pages span from landing stubs to huge generated documents, so a
-	// size-aware policy can keep many small hot pages instead of one
-	// giant one. (CachePolicy, by contrast, is this package's
-	// Cache-Control configuration — unrelated.)
-	RenderCachePolicy cachestore.Policy
 	// Telemetry, when set, indexes the server's counters, the
 	// rendered-page cache's counters, and a serve-latency histogram in
 	// the given registry under "server.*". The registry reads the same
@@ -177,7 +170,6 @@ func New(content Content, opts Options) *Server {
 		s.renders = cachestore.New(cachestore.Options[*pageRender]{
 			MaxBytes:  opts.MaxRenderBytes,
 			SizeOf:    pageRenderSize,
-			Policy:    opts.RenderCachePolicy,
 			Telemetry: opts.Telemetry,
 			Name:      "server.renders",
 		})
@@ -448,7 +440,7 @@ var renderKeyPool = sync.Pool{New: func() any { return new([]byte) }}
 // renderPage returns the page's render, memoized per (path, content
 // validator). The stored ETag commits to the stored body — that is what
 // makes it a validator — so a changed page keys to a new entry and stale
-// renders are never served; they simply age out of the LRU.
+// renders are never served; they simply age out of the cache.
 func (s *Server) renderPage(p string, res *Resource) *pageRender {
 	if s.renders == nil {
 		return newPageRender(p, res)

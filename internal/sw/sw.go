@@ -27,10 +27,10 @@ import (
 // CacheStorage emulates the Cache interface available to Service Workers:
 // a URL-keyed response store with none of the RFC 9111 freshness machinery
 // (Service Worker caches never expire entries on their own). Browsers do
-// impose storage quotas, so the store supports an optional byte bound with
-// least-recently-used eviction.
+// impose storage quotas, so the store supports an optional byte bound,
+// evicting in the cache core's greedy-dual size-frequency order.
 //
-// Storage sits on internal/cachestore's sharded LRU store, so a
+// Storage sits on internal/cachestore's sharded store, so a
 // CacheStorage is safe for concurrent workers (real browsers share one
 // Cache across worker contexts the same way).
 type CacheStorage struct {
@@ -50,8 +50,8 @@ func NewCacheStorage() *CacheStorage {
 	return NewBoundedCacheStorage(0)
 }
 
-// NewBoundedCacheStorage returns an empty store evicting least-recently
-// used entries beyond maxBytes of body data (0 = unbounded; real browsers
+// NewBoundedCacheStorage returns an empty store evicting lowest-ranked
+// entries beyond maxBytes of body data (0 = unbounded; real browsers
 // impose an origin quota, experiments pick one explicitly).
 func NewBoundedCacheStorage(maxBytes int64) *CacheStorage {
 	c := &CacheStorage{}

@@ -221,20 +221,22 @@ func TestWorkerCachedResponseWithoutETagNotServed(t *testing.T) {
 	}
 }
 
+// TestBoundedCacheStorageEvictsLRU pins that the quota evicts the entry the
+// cache core ranks lowest: the one neither touched nor small.
 func TestBoundedCacheStorageEvictsLRU(t *testing.T) {
 	c := NewBoundedCacheStorage(25)
 	c.Put("/a", resp("v1", "0123456789", nil)) // 10 bytes
 	c.Put("/b", resp("v1", "0123456789", nil)) // 20 bytes
-	// Touch /a so /b becomes least recently used.
+	// Touch /a, so untouched /b ranks below it.
 	if _, ok := c.Match("/a"); !ok {
 		t.Fatal("miss")
 	}
-	c.Put("/c", resp("v1", "0123456789", nil)) // 30 > 25 → evict /b
+	c.Put("/c", resp("v1", "012345", nil)) // 26 > 25 → evict /b, below smaller /c too
 	if _, ok := c.Match("/b"); ok {
-		t.Fatal("LRU entry survived quota eviction")
+		t.Fatal("lowest-ranked entry survived quota eviction")
 	}
 	if _, ok := c.Match("/a"); !ok {
-		t.Fatal("recently used entry evicted")
+		t.Fatal("touched entry evicted")
 	}
 	if c.Evictions() != 1 {
 		t.Fatalf("evictions = %d", c.Evictions())

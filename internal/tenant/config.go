@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"os"
 	"time"
-
-	"cachecatalyst/internal/cachestore"
 )
 
 // Config is the declarative shape of a multi-tenant catalystd deployment —
@@ -30,7 +28,6 @@ type TenantConfig struct {
 	Upstream      string   `json:"upstream"`
 	Hosts         []string `json:"hosts,omitempty"`
 	PathPrefix    string   `json:"pathPrefix,omitempty"`
-	CachePolicy   string   `json:"cachePolicy,omitempty"`
 	CacheBudget   int64    `json:"cacheBudget,omitempty"`
 	MaxInflight   int      `json:"maxInflight,omitempty"`
 	RequestBudget Duration `json:"requestBudget,omitempty"`
@@ -128,22 +125,13 @@ func LoadConfig(path string) (*Config, error) {
 	return ParseConfig(data)
 }
 
-// Tenant materializes the descriptor, resolving the named cache policy.
+// Tenant materializes and validates the descriptor.
 func (tc TenantConfig) Tenant() (*Tenant, error) {
-	policy := cachestore.Policy{}
-	if tc.CachePolicy != "" {
-		var err error
-		policy, err = cachestore.ParsePolicy(tc.CachePolicy)
-		if err != nil {
-			return nil, fmt.Errorf("tenant %q: %w", tc.Name, err)
-		}
-	}
 	t := &Tenant{
 		Name:           tc.Name,
 		Upstream:       tc.Upstream,
 		Hosts:          tc.Hosts,
 		PathPrefix:     tc.PathPrefix,
-		Policy:         policy,
 		BudgetBytes:    tc.CacheBudget,
 		MaxInflight:    tc.MaxInflight,
 		RequestBudget:  time.Duration(tc.RequestBudget),

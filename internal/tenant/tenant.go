@@ -1,5 +1,5 @@
 // Package tenant introduces the application dimension to the edge tier:
-// who a request is served on behalf of, and which cache budget, policy and
+// who a request is served on behalf of, and which cache budget and
 // degradation knobs that application bought.
 //
 // The paper's mechanism was built single-origin — one middleware, one
@@ -27,7 +27,6 @@ import (
 	"strings"
 	"time"
 
-	"cachecatalyst/internal/cachestore"
 	"cachecatalyst/internal/resilience"
 	"cachecatalyst/internal/telemetry"
 )
@@ -53,9 +52,6 @@ type Tenant struct {
 	// longest prefix wins across tenants. Empty disables prefix routing
 	// for this tenant.
 	PathPrefix string
-	// Policy is the eviction policy for the tenant's cache namespaces.
-	// The zero value inherits the process default.
-	Policy cachestore.Policy
 	// BudgetBytes bounds the tenant's derived-cache namespaces (rendered
 	// pages; stale copies and delta bases at half scale). Zero inherits
 	// the process default; negative means unbounded.

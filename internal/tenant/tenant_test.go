@@ -146,7 +146,6 @@ func TestParseConfig(t *testing.T) {
 	      "name": "shop",
 	      "upstream": "http://127.0.0.1:9001",
 	      "hosts": ["shop.example.com"],
-	      "cachePolicy": "gdsf",
 	      "cacheBudget": 1048576,
 	      "maxInflight": 64,
 	      "requestBudget": "150ms",
@@ -174,8 +173,8 @@ func TestParseConfig(t *testing.T) {
 	if shop.RequestBudget != 150*time.Millisecond || shop.StaleFor != 5*time.Minute {
 		t.Fatalf("durations parsed wrong: %v, %v", shop.RequestBudget, shop.StaleFor)
 	}
-	if shop.Policy.Eviction == nil {
-		t.Fatal("gdsf policy not resolved")
+	if shop.BudgetBytes != 1048576 || shop.MaxInflight != 64 {
+		t.Fatalf("budgets parsed wrong: %d bytes, %d in flight", shop.BudgetBytes, shop.MaxInflight)
 	}
 	if _, err := c.Resolver(); err != nil {
 		t.Fatal(err)
@@ -190,9 +189,11 @@ func TestParseConfigRejects(t *testing.T) {
 		{"unknown field", `{"tenants":[{"name":"a","upstream":"http://x","hots":["a.test"]}]}`, "unknown field"},
 		{"no tenants", `{"tenants":[]}`, "no tenants"},
 		{"no upstream", `{"tenants":[{"name":"a"}]}`, "missing upstream"},
-		{"bad policy", `{"tenants":[{"name":"a","upstream":"http://x","cachePolicy":"magic"}]}`, "magic"},
-		{"retired policy", `{"tenants":[{"name":"a","upstream":"http://x","cachePolicy":"tinylfu"}]}`, "use lru or gdsf"},
-		{"retired policy pair", `{"tenants":[{"name":"a","upstream":"http://x","cachePolicy":"tinylfu-gdsf"}]}`, "use lru or gdsf"},
+		// There is one eviction order: a tenant naming any policy, even the
+		// one in force, is refused rather than silently ignored.
+		{"bad policy", `{"tenants":[{"name":"a","upstream":"http://x","cachePolicy":"magic"}]}`, `unknown field "cachePolicy"`},
+		{"retired policy", `{"tenants":[{"name":"a","upstream":"http://x","cachePolicy":"lru"}]}`, `unknown field "cachePolicy"`},
+		{"retired policy pair", `{"tenants":[{"name":"a","upstream":"http://x","cachePolicy":"gdsf"}]}`, `unknown field "cachePolicy"`},
 		{"bad duration", `{"tenants":[{"name":"a","upstream":"http://x","staleFor":"fast"}]}`, "duration"},
 		{"dup names", `{"tenants":[
 			{"name":"a","upstream":"http://x","hosts":["a.test"]},
