@@ -126,9 +126,8 @@ func BenchmarkMiddlewareHTML50(b *testing.B) {
 	bench := func(b *testing.B, opts MiddlewareOptions) {
 		opts.ProbeTTL = time.Hour
 		h := Middleware(site50(0), opts)
-		// Two warm-up renders: the first fills the probe cache (bumping the
-		// probe generation as entries land), the second caches the map
-		// encoding against the now-stable generation.
+		// Two warm-up renders: the first fills the probe and render caches
+		// and slots the map, which the second already reuses.
 		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
 		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
 		b.ReportAllocs()
@@ -156,8 +155,8 @@ func BenchmarkMiddlewareHTML50(b *testing.B) {
 // TestWarmGetTakesNoMutex in internal/cachestore for the store-level proof).
 func BenchmarkMiddlewareWarmHit(b *testing.B) {
 	h := Middleware(site50(0), MiddlewareOptions{ProbeTTL: time.Hour})
-	// Warm: first request fills probe + render caches, second pins the
-	// encoding against the stable probe generation.
+	// Warm: the first request fills the probe and render caches and slots
+	// the map, which the second already reuses.
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
 	req := httptest.NewRequest("GET", "/", nil)
@@ -288,10 +287,10 @@ func BenchmarkMiddlewarePageRevalidate(b *testing.B) {
 }
 
 // BenchmarkMiddlewareWarmResolve measures the resolve a page_churn navigation
-// pays when only the tenant-wide probe generation moved: the page shape of
-// churnPage, every probe fresh in the probe cache, and the cached encoding
-// invalidated by a generation bump each iteration, so every serve re-walks
-// 40 probe-cache hits and re-encodes the map.
+// pays when its slotted map does not verify: the page shape of churnPage,
+// every probe fresh in the probe cache, and the page's slot emptied each
+// iteration, so every serve re-walks 40 probe-cache hits and re-encodes the
+// map.
 func BenchmarkMiddlewareWarmResolve(b *testing.B) {
 	h := Middleware(churnPage(0), MiddlewareOptions{ProbeTTL: time.Hour})
 	m := h.(*middleware)
@@ -299,10 +298,11 @@ func BenchmarkMiddlewareWarmResolve(b *testing.B) {
 	w := &discardWriter{h: make(http.Header)}
 	h.ServeHTTP(w, req)
 	h.ServeHTTP(w, req)
+	ent, _ := m.def.renders.Peek("/")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.def.probeGen.Add(1)
+		ent.Map.Store(nil)
 		h.ServeHTTP(w, req)
 	}
 }

@@ -13,8 +13,10 @@ import "time"
 // Keys are (tenant, page URL, page validator): the validator commits the
 // encoding to the exact entity it decorates, so a peer that renders a
 // different body never adopts a map built for another version. Expiries
-// are unix nanoseconds — the earliest probe expiry the encoding was
-// assembled from — after which the map must be re-proved locally.
+// are unix nanoseconds — the earliest expiry among the probes the
+// encoding's evidence names — after which the map must be re-proved locally.
+// An adopted encoding has no evidence on the adopting instance, so it
+// decorates one response and is looked up again for the next.
 //
 // Implementations must be safe for concurrent use and must never block
 // the serving path: Publish is called on request paths and should hand
@@ -30,14 +32,11 @@ type MapExchange interface {
 // exchangeLookup consults the configured exchange for a still-fresh peer
 // encoding of the entity ent. The nil-exchange check is here rather than
 // at the call site so the serve path stays an if/else-if chain.
-func (m *middleware) exchangeLookup(ts *tenantState, pageURL string, ent *renderEntry, now time.Time) (string, int64, bool) {
+func (m *middleware) exchangeLookup(ts *tenantState, pageURL string, ent *renderEntry, now time.Time) (string, bool) {
 	ex := m.opts.Exchange
 	if ex == nil {
-		return "", 0, false
+		return "", false
 	}
 	enc, exp, ok := ex.Lookup(ts.name, pageURL, ent.TagStr)
-	if !ok || now.UnixNano() >= exp {
-		return "", 0, false
-	}
-	return enc, exp, true
+	return enc, ok && now.UnixNano() < exp
 }

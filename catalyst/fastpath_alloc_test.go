@@ -21,8 +21,8 @@ import (
 // span closures, request clones).
 func TestWarmHitAllocations(t *testing.T) {
 	h := Middleware(site50(0), MiddlewareOptions{ProbeTTL: time.Hour})
-	// First request warms probes + render + hot pin; second caches the
-	// encoding against the now-stable probe generation.
+	// The first request warms probes and render and slots the map; the
+	// second reuses it.
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
 	req := httptest.NewRequest("GET", "/", nil)

@@ -107,9 +107,10 @@ type MiddlewareMetrics struct {
 	// MapEntriesDropped counts X-Etag-Config entries removed to respect
 	// MiddlewareOptions.MaxMapBytes.
 	MapEntriesDropped telemetry.Counter
-	// EncodeReuses counts HTML responses that reused a cached
-	// X-Etag-Config serialization because no probe outcome changed since
-	// it was built (see middleware.probeGen).
+	// EncodeReuses counts HTML responses that reused the render's slotted
+	// X-Etag-Config encoding because every probe its evidence names is
+	// still held, unexpired and answering the recorded tag
+	// (decorate.Resolved.Verify).
 	EncodeReuses telemetry.Counter
 	// LadderStale counts responses served from the stale cache (with a
 	// Warning 110 header) because full service was refused — admission

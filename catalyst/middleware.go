@@ -6,7 +6,6 @@ import (
 	"net/url"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 	"unicode/utf8"
 
@@ -230,8 +229,8 @@ type middleware struct {
 }
 
 // tenantState is one tenant's slice of the middleware: its caches (probe
-// results, rendered pages, stale copies, delta bases), its admission gate,
-// its upstream breaker, and its probe generation. Dimensioning the state
+// results, rendered pages, stale copies, delta bases), its admission gate
+// and its upstream breaker. Dimensioning the state
 // this way is what makes the degradation ladder per-tenant: one tenant's
 // saturated or flapping upstream trips its own gate and breaker while its
 // neighbours serve undisturbed.
@@ -251,12 +250,6 @@ type tenantState struct {
 	// values, or the options when unset).
 	staleTTL      time.Duration
 	requestBudget time.Duration
-	// probeGen counts observable probe-cache changes: it bumps whenever a
-	// probe flight lands a (tag, ok) pair that differs from what the
-	// cache held before. While it stands still, every map assembled from
-	// the cache is byte-identical, so renderEntry.enc may be reused
-	// instead of re-serializing the map per request.
-	probeGen atomic.Uint64
 }
 
 // stateFor resolves the serving state for a request: the tenant's when the
@@ -597,56 +590,50 @@ func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.R
 		}
 	}
 
-	// Load the generation before resolving: probes that change state
-	// during the resolve bump it, which both blocks reuse of a cached
-	// encoding below and prevents this request from caching one.
-	gen := ts.probeGen.Load()
-	now := time.Now()
-	var encoded string
 	// decision names how the map was come by: "map-built" only when a
 	// resolve ran.
+	now := time.Now()
 	decision := "map-built"
-	if e := ent.enc.Load(); e != nil && e.gen == gen && now.UnixNano() < e.expires {
-		// Every probe the encoding depends on is unexpired and none has
-		// changed since it was built, so resolving again would only
-		// re-read the probe cache and re-serialize the identical map.
-		encoded = e.enc
-		h[HeaderName] = e.hdr
+	var hdr []string
+	if rm := ent.Map.Load(); rm != nil && ts.verify(rm, now, nil) {
+		// Every probe the slotted map rests on is held, unexpired and
+		// answers as it did, so resolving again would only re-read them and
+		// re-serialize the identical map.
+		hdr, decision = rm.Hdr, "map-reused"
 		m.opts.Metrics.EncodeReuses.Add(1)
-		decision = "map-reused"
-	} else if peerEnc, peerExp, ok := m.exchangeLookup(ts, pageURL, ent, now); ok {
+	} else if peerEnc, ok := m.exchangeLookup(ts, pageURL, ent, now); ok {
 		// A cluster peer already rendered this exact entity and gossiped
-		// its encoded map: adopt it instead of re-probing. The peer's
-		// expiry bounds the trust window; the local generation stamp means
-		// any local probe outcome still invalidates it immediately.
-		encoded = peerEnc
-		h.Set(HeaderName, encoded)
-		ent.enc.Store(&encodedMap{gen: gen, expires: peerExp, enc: encoded, hdr: []string{encoded}})
+		// its encoded map: adopt it instead of re-probing. It has no
+		// evidence behind it here, so it is served for this response only
+		// and never enters the slot.
+		hdr, decision = []string{peerEnc}, "hotmap-adopt"
 		m.opts.Metrics.HotMapHits.Add(1)
-		decision = "hotmap-adopt"
 	} else {
-		res := &probeResolver{m: m, ts: ts, req: r, ctx: ctx}
-		etags := core.ResolveRefsContext(ctx, ent.Refs, res, core.BuildOptions{Concurrency: m.opts.ProbeConcurrency})
-		encoded = m.capMapBytes(etags).Encode()
-		h.Set(HeaderName, encoded)
-		// Never cache an encoding assembled under a cancelled request: a
-		// client that disconnected mid-render stopped the probe fan-out,
-		// so the map may be a prefix of the real one.
-		if ctx.Err() == nil && ts.probeGen.Load() == gen {
-			exp := res.minExpires.Load()
-			if exp == 0 {
-				// No probes ran (a page with no same-origin refs);
-				// the empty map is still only trusted for one TTL.
-				exp = now.Add(m.opts.ProbeTTL).UnixNano()
-			}
-			ent.enc.Store(&encodedMap{gen: gen, expires: exp, enc: encoded, hdr: []string{encoded}})
+		etags, seen := decorate.Resolve(ctx, ent.Refs, &probeSource{m: m, ts: ts, req: r, ctx: ctx},
+			core.BuildOptions{Concurrency: m.opts.ProbeConcurrency})
+		rm := decorate.NewResolved(m.capMapBytes(etags), seen)
+		hdr = rm.Hdr
+		// Never slot a map assembled under a cancelled request: a client
+		// that disconnected mid-render stopped the probe fan-out, so the map
+		// may be a prefix of the real one. Nor one whose probes moved while
+		// it was assembled: the next request would only rebuild it.
+		var exp int64
+		if ctx.Err() == nil && ts.verify(rm, time.Now(), &exp) {
+			ent.Map.Store(rm)
 			if ex := m.opts.Exchange; ex != nil {
+				if exp == 0 {
+					// No probe ran (a page with no same-origin refs); the
+					// empty map is still only announced for one TTL.
+					exp = now.Add(m.opts.ProbeTTL).UnixNano()
+				}
 				// Gossip the fresh encoding so peers serving this page
 				// skip their own probe fan-out entirely.
-				ex.Publish(ts.name, pageURL, ent.TagStr, encoded, exp)
+				ex.Publish(ts.name, pageURL, ent.TagStr, hdr[0], exp)
 			}
 		}
 	}
+	h[HeaderName] = hdr
+	encoded := hdr[0]
 
 	h["Etag"] = ent.EtagHeader
 	m.recordStale(ts, pageURL, ent, encoded, h, now)
@@ -748,53 +735,45 @@ func jsonStringLen(s string) int {
 	return n
 }
 
-type probeResolver struct {
+// verify is the middleware's side of decorate.Resolved.Verify: a recorded
+// lookup is re-asked of the probe cache as of now, and only a probe that is
+// held and unexpired answers it — anything else needs a resolve. When
+// expires is set it receives the earliest expiry among those probes (unix
+// nanoseconds; 0 when rm rests on none), the moment rm stops verifying.
+func (ts *tenantState) verify(rm *decorate.Resolved, now time.Time, expires *int64) bool {
+	return rm.Verify(func(path string, _ bool) (etag.Tag, bool, bool) {
+		pr, held := ts.probes.Peek(path)
+		if !held || !now.Before(pr.expires) {
+			return etag.Tag{}, false, false
+		}
+		if e := pr.expires.UnixNano(); expires != nil && (*expires == 0 || e < *expires) {
+			*expires = e
+		}
+		return pr.tag, pr.ok, true
+	})
+}
+
+// probeSource is the decorate.Source a resolve runs through: every lookup is
+// a probe, fetched when the cache does not hold it unexpired.
+type probeSource struct {
 	m   *middleware
 	ts  *tenantState
 	req *http.Request
 	// ctx carries the request trace probe decisions are recorded on.
 	ctx context.Context
-	// minExpires tracks the earliest expiry (unix nanoseconds) among the
-	// probes this resolve consulted — the moment the assembled map stops
-	// being trustworthy without a re-probe. Updated from fan-out workers,
-	// hence atomic; 0 means no probe ran.
-	minExpires atomic.Int64
 }
 
-func (p *probeResolver) observe(pr probe) {
-	n := pr.expires.UnixNano()
-	for {
-		cur := p.minExpires.Load()
-		if cur != 0 && cur <= n {
-			return
-		}
-		if p.minExpires.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
-// Cached implements core.CachingResolver: a path whose probe is cached and
-// unexpired is answered without a flight, so the resolve looks it up inline
-// instead of on a fan-out goroutine.
-func (p *probeResolver) Cached(path string) bool {
+// Cached makes the resolve a core.CachingResolver: a path whose probe is
+// cached and unexpired is answered without a flight, so the resolve looks
+// it up inline instead of on a fan-out goroutine.
+func (p *probeSource) Cached(path string) bool {
 	pr, ok := p.ts.probes.Peek(path)
 	return ok && time.Now().Before(pr.expires)
 }
 
-func (p *probeResolver) ETagFor(path string) (etag.Tag, bool) {
+func (p *probeSource) Lookup(path string) (etag.Tag, bool, string, bool) {
 	pr := p.m.probe(p.ts, path, p.req, p.ctx)
-	p.observe(pr)
-	return pr.tag, pr.ok
-}
-
-func (p *probeResolver) StylesheetBody(path string) (string, bool) {
-	pr := p.m.probe(p.ts, path, p.req, p.ctx)
-	p.observe(pr)
-	if !pr.ok || !pr.isCSS {
-		return "", false
-	}
-	return pr.cssBody, true
+	return pr.tag, pr.ok, pr.cssBody, pr.ok && pr.isCSS
 }
 
 // probe returns the cached probe result for path, or asks the inner handler
@@ -829,17 +808,7 @@ func (m *middleware) probe(ts *tenantState, path string, via *http.Request, ctx 
 				}
 			}
 		}
-		// An observable change — a tag flip, a path appearing, a path
-		// going bad — invalidates every cached map serialization. Bumping
-		// after the Put means a request racing this flight can cache an
-		// encoding that is stale for at most one flight; the next request
-		// sees the new generation and rebuilds, well inside the freshness
-		// window ProbeTTL already grants.
-		changed := !had || prev.tag != pr.tag || prev.ok != pr.ok
 		ts.probes.Put(path, pr)
-		if changed {
-			ts.probeGen.Add(1)
-		}
 		return pr, nil
 	})
 	return pr

@@ -2,7 +2,6 @@ package catalyst
 
 import (
 	"net/http"
-	"sync/atomic"
 
 	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/etag"
@@ -22,13 +21,13 @@ import (
 // replaces the entry: the store holds one render per page, never a dead
 // version of one.
 //
-// enc is the most recent canonical X-Etag-Config encoding, swapped
-// atomically and valid only while the probe generation it was built under
-// still stands (see tenantState.probeGen). Nothing else is written to an
-// entry after it is stored.
+// Map is the last X-Etag-Config map resolved for the render, with the
+// evidence it rests on (decorate.Slot): reused while every probe it names is
+// held, unexpired and unchanged. Nothing else is written to an entry after
+// it is stored.
 type renderEntry struct {
 	decorate.Render
-	enc atomic.Pointer[encodedMap]
+	Map decorate.Slot
 	// tag, inm and header are set only for a held page (inm != nil): the
 	// validator the inner handler issued, also as a ready-to-assign
 	// If-None-Match value, and a snapshot of the 200's header without
@@ -41,9 +40,9 @@ type renderEntry struct {
 }
 
 // renderEntrySize charges the render plus what a held page keeps beside it:
-// the validator and the header snapshot. The cached encoding is deliberately
-// not charged — it is bounded by MaxMapBytes (or by the map the refs imply)
-// and mutates after insertion, which byte accounting must not chase.
+// the validator and the header snapshot. The map slot is deliberately not
+// charged — it is bounded by MaxMapBytes (or by the map the refs imply) and
+// mutates after insertion, which byte accounting must not chase.
 func renderEntrySize(key string, e *renderEntry) int64 {
 	n := decorate.RenderSize(key, &e.Render) + int64(len(e.tag.Opaque))
 	for _, v := range e.inm {
@@ -56,22 +55,6 @@ func renderEntrySize(key string, e *renderEntry) int64 {
 		}
 	}
 	return n
-}
-
-// encodedMap is one canonical ETagMap.Encode result, stamped with the probe
-// generation it reflects and the earliest expiry among the probes it was
-// assembled from. While the generation still matches and no contributing
-// probe has expired, re-resolving would only re-read unchanged cache
-// entries and re-serialize the identical map — so the whole resolve phase
-// is skipped and the string reused as-is. The first request past either
-// bound rebuilds (and re-probes whatever expired). hdr is the encoding as
-// a ready-to-assign header value slice, shared across responses like the
-// renderEntry header slices.
-type encodedMap struct {
-	gen     uint64
-	expires int64 // unix nanoseconds
-	enc     string
-	hdr     []string
 }
 
 // holdable reports whether a 200 page response may be held, and its
@@ -112,7 +95,7 @@ func newRenderEntry(rd decorate.Render, tag etag.Tag, hold bool, hdr http.Header
 // collapse into one extraction — and replaces the entry; a caller that waited
 // on the flight of another body asks again. hdr is the 200's header and
 // decides whether the page is held: when only that changes, the entry is
-// replaced with the same render and its encoding carried over. With the store
+// replaced with the same render and its map slot carried over. With the store
 // disabled (MaxRenderBytes < 0) every request pays the full pipeline and no
 // page is held.
 func (m *middleware) render(ts *tenantState, pageURL string, raw []byte, hdr http.Header) *renderEntry {
@@ -138,7 +121,7 @@ func (m *middleware) render(ts *tenantState, pageURL string, raw []byte, hdr htt
 		return ent // the entry describes this 200 already
 	}
 	e := newRenderEntry(ent.Render, tag, hold, hdr)
-	e.enc.Store(ent.enc.Load())
+	e.Map.Store(ent.Map.Load())
 	ts.renders.Put(pageURL, e)
 	return e
 }

@@ -48,10 +48,8 @@ func TestRenderCacheReusesUnchangedPage(t *testing.T) {
 		t.Fatal("cached render served a different map")
 	}
 
-	// The first request's probes were cold, so their landing bumped the
-	// probe generation and blocked that request from caching an encoding;
-	// the second request stored one against the now-stable generation, so
-	// the third gets to reuse it.
+	// The first request slotted its map; the probes it names are unexpired
+	// and unchanged, so later requests reuse it.
 	third := httptest.NewRecorder()
 	h.ServeHTTP(third, httptest.NewRequest("GET", "/", nil))
 	if third.Header().Get(HeaderName) != first.Header().Get(HeaderName) {
@@ -121,9 +119,9 @@ func TestRenderCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestEncodeReuseInvalidatedByProbeChange asserts the generation check: a
+// TestEncodeReuseInvalidatedByProbeChange asserts the evidence check: a
 // subresource changing under an expired probe must surface in the very next
-// map even though the page's render entry (and its cached encoding) is hot.
+// map even though the page's render entry (and its slotted map) is hot.
 func TestEncodeReuseInvalidatedByProbeChange(t *testing.T) {
 	var asset atomic.Value
 	asset.Store("v1")

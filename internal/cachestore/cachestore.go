@@ -226,33 +226,6 @@ func (s *Store[V]) Get(key string) (V, bool) {
 	return n.val, true
 }
 
-// GetBytes is Get for callers that assembled the key in a scratch buffer:
-// the lookup indexes with string(key) directly, which the compiler performs
-// without copying, so a warm hit allocates nothing. The promotion and
-// counter semantics are identical to Get.
-func (s *Store[V]) GetBytes(key []byte) (V, bool) {
-	e, ok := s.shards[hashKeyBytes(key)&s.mask].index.Load(string(key))
-	if !ok {
-		s.misses.Add(1)
-		var zero V
-		return zero, false
-	}
-	n := e.(*node[V])
-	s.promote(n)
-	s.hits.Add(1)
-	return n.val, true
-}
-
-// hashKeyBytes is hashKey over a byte slice.
-func hashKeyBytes(key []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // promote records an access on a resident entry with atomics only: it bumps
 // the (saturating, lossy under races) frequency and stores the recomputed
 // rank. The entry's heap position is intentionally left stale — victim

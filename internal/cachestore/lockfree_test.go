@@ -13,8 +13,8 @@ import (
 )
 
 // TestWarmGetTakesNoMutex is the direct proof of the warm-path fast lane:
-// with every shard mutex held by the test, a warm Get (and Peek, and
-// GetBytes) must still return — it would deadlock if the read path touched
+// with every shard mutex held by the test, a warm Get (and Peek) must still
+// return — it would deadlock if the read path touched
 // any shard lock.
 func TestWarmGetTakesNoMutex(t *testing.T) { t.Run("gdsf", testWarmGetTakesNoMutex) }
 
@@ -35,7 +35,7 @@ func testWarmGetTakesNoMutex(t *testing.T) {
 	go func() {
 		_, ok1 := s.Get("/k7")
 		_, ok2 := s.Peek("/k8")
-		_, ok3 := s.GetBytes([]byte("/k9"))
+		_, ok3 := s.Get("/k9")
 		_, miss := s.Get("/absent")
 		done <- ok1 && ok2 && ok3 && !miss
 	}()
@@ -49,17 +49,16 @@ func testWarmGetTakesNoMutex(t *testing.T) {
 	}
 }
 
-// TestGetAllocsZero pins the warm read path at zero allocations, for both
-// the string-key and the assembled-byte-key entry points.
+// TestGetAllocsZero pins the warm read path at zero allocations, for a hit
+// and for a miss.
 func TestGetAllocsZero(t *testing.T) {
 	s := New[string](Options[string]{Shards: 4})
 	s.Put("/page", "body")
-	key := []byte("/page")
 	if n := testing.AllocsPerRun(200, func() { s.Get("/page") }); n != 0 {
 		t.Fatalf("Get allocates %.1f per op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { s.GetBytes(key) }); n != 0 {
-		t.Fatalf("GetBytes allocates %.1f per op, want 0", n)
+	if n := testing.AllocsPerRun(200, func() { s.Get("/absent") }); n != 0 {
+		t.Fatalf("Get of an absent key allocates %.1f per op, want 0", n)
 	}
 }
 
@@ -152,7 +151,7 @@ func testLockFreeStressAgainstBudget(t *testing.T) {
 					} else if i%399 == 0 {
 						s.Clear()
 					} else {
-						s.GetBytes([]byte(key))
+						s.Peek(key)
 					}
 				default:
 					s.Get(key)

@@ -14,7 +14,7 @@
 //     budget cannot starve a sibling — the failure mode a shared flat
 //     budget invites under a crawler-shaped tenant.
 //   - The lock-free read path is untouched: a namespace IS a Store, running
-//     the exact same Get/GetBytes fast lane, which is what the differential
+//     the exact same lock-free Get fast lane, which is what the differential
 //     test (namespace views vs independent stores) pins.
 //
 // Namespaces are memoized: the same name always returns the same child, so

@@ -2,8 +2,9 @@
 // the HTML, attach X-Etag-Config, inject the registration snippet — written
 // once. catalyst.Middleware and internal/server are adapters over it: they
 // differ in how the raw HTML is obtained (a sniffing writer vs Content.Get),
-// how the ETag map is resolved (probe cache vs Content) and what happens
-// under overload, and share everything here: the render product, preload
+// which Source answers the resolve's lookups (the probe cache vs Content)
+// and what happens under overload, and share everything here: the render
+// product, the map slot and its one reuse rule (Resolved.Verify), preload
 // links, delta bases, the worker script, the page URL and decision
 // reporting.
 package decorate

@@ -69,9 +69,12 @@ func TestClusterCell(t *testing.T) {
 		t.Fatalf("ring left instances idle: %v", served)
 	}
 
-	// Phase 2: hot-map exchange. The owner of t0/page0 has rendered and
-	// gossiped its encoding; a non-owner asked for the same page must
-	// adopt it instead of re-probing. Gossip is async, so poll briefly.
+	// Phase 2: hot-map exchange. The owner of t0/page0 built its map on the
+	// cold sweep and gossiped it. A non-owner keeps the first map it builds
+	// itself, so it is not asked for the page before the owner's
+	// announcement has landed there. Gossip is async: wait until the
+	// non-owner has received everything its peers published, then one
+	// request must adopt the encoding instead of re-probing.
 	owner := owners[cell.Tenants[0]+paths[0]]
 	var nonOwner string
 	for _, inst := range cell.Instances {
@@ -80,22 +83,33 @@ func TestClusterCell(t *testing.T) {
 			break
 		}
 	}
-	var adopted bool
 	deadline := time.Now().Add(2 * time.Second)
-	for !adopted {
-		before := cell.Snapshot(nonOwner).Counters["middleware.hotmap_hits"]
-		status, _, hdr, err := cell.GetFrom(nonOwner, cell.Tenants[0], paths[0])
-		if err != nil || status != 200 {
-			t.Fatalf("non-owner serve: %d %v", status, err)
+	for {
+		var published int64
+		for _, inst := range cell.Instances {
+			if inst.ID != nonOwner {
+				published += cell.Snapshot(inst.ID).Counters["cluster.published"]
+			}
 		}
-		if hdr.Get("X-Etag-Config") == "" {
-			t.Fatal("non-owner served without a map")
+		received := cell.Snapshot(nonOwner).Counters["cluster.received"]
+		if received >= published {
+			break
 		}
-		after := cell.Snapshot(nonOwner).Counters["middleware.hotmap_hits"]
-		adopted = after > before
-		if !adopted && time.Now().After(deadline) {
-			t.Fatalf("non-owner %s never adopted the peer encoding: %v", nonOwner, cell.Snapshot(nonOwner).Counters)
+		if time.Now().After(deadline) {
+			t.Fatalf("non-owner %s received %d of the %d announcements its peers published", nonOwner, received, published)
 		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	before := cell.Snapshot(nonOwner).Counters["middleware.hotmap_hits"]
+	status, _, hdr, err := cell.GetFrom(nonOwner, cell.Tenants[0], paths[0])
+	if err != nil || status != 200 {
+		t.Fatalf("non-owner serve: %d %v", status, err)
+	}
+	if hdr.Get("X-Etag-Config") == "" {
+		t.Fatal("non-owner served without a map")
+	}
+	if after := cell.Snapshot(nonOwner).Counters["middleware.hotmap_hits"]; after != before+1 {
+		t.Fatalf("non-owner %s did not adopt the peer encoding: %v", nonOwner, cell.Snapshot(nonOwner).Counters)
 	}
 	if got := cell.Snapshot(owner).Counters["cluster.published"]; got == 0 {
 		t.Fatalf("owner %s never gossiped: %v", owner, cell.Snapshot(owner).Counters)

@@ -15,9 +15,9 @@ import (
 // a warm non-HTML serve and a warm conditional 304 allocate nothing —
 // every header value is a precomputed shared slice, the Date string is
 // cached per second, and the decision plumbing is closure-free. Nor does a
-// warm catalyst page, 200 or 304: the render comes from the cache by pooled
-// key, and the ETag map from the render's slot — verified, not rebuilt — as
-// a shared header slice.
+// warm catalyst page, 200 or 304: the render comes from the cache by the
+// page URL, and the ETag map from the render's slot — verified, not rebuilt —
+// as a shared header slice.
 func TestWarmServeAllocFree(t *testing.T) {
 	s := New(benchContent(), Options{Catalyst: true})
 

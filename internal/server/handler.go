@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,10 +35,11 @@ type Options struct {
 	// AccessLogSize keeps a ring of the most recent requests for the
 	// debug/metrics endpoint; 0 disables access logging.
 	AccessLogSize int
-	// MaxRenderBytes bounds the rendered-page cache, which memoizes the
-	// extracted reference list, injected body, and derived validator per
-	// (path, content ETag) so an unchanged page skips re-parsing and
-	// re-hashing on every hit. Zero selects 16 MiB; negative disables it.
+	// MaxRenderBytes bounds the rendered-page cache, which keeps one entry
+	// per page URL — the extracted reference list, injected body, and
+	// derived validator of the page's current version — so an unchanged page
+	// skips re-parsing and re-hashing on every hit. Zero selects 16 MiB;
+	// negative disables it.
 	MaxRenderBytes int64
 	// Telemetry, when set, indexes the server's counters, the
 	// rendered-page cache's counters, and a serve-latency histogram in
@@ -92,7 +92,7 @@ type Metrics struct {
 	NotFound    telemetry.Counter
 	BodyBytes   telemetry.Counter
 	// MapsBuilt counts ETag-map resolves; MapsReused counts HTML responses
-	// whose map was the previous resolve's, re-verified (see resolvedMap).
+	// whose map was the previous resolve's, re-verified (decorate.Resolved).
 	// Together with MapSheds they add up to the HTML responses served with
 	// Catalyst on.
 	MapsBuilt  telemetry.Counter
@@ -418,53 +418,50 @@ func (r *Resource) headerValues() *resourceHeaders {
 }
 
 // pageRender is the server's cached render: the shared, immutable
-// decorate.Render plus the one mutable slot the Content-backed front end
-// adds — the last ETag map resolved for this render (see resolvedMap).
+// decorate.Render, the Content validator of the page it was rendered from,
+// and the one mutable slot both front ends add — the last ETag map resolved
+// for this render (decorate.Slot).
 type pageRender struct {
 	decorate.Render
-	resolved atomic.Pointer[resolvedMap]
+	src      etag.Tag
+	resolved decorate.Slot
 }
 
-// pageRenderSize charges the render alone. The resolved-map slot is
-// deliberately not charged, for the reason the middleware's cached encoding
-// is not: it is bounded by the references the render already pays for, and
-// it mutates after insertion, which byte accounting must not chase.
+// pageRenderSize charges the render alone. The map slot is deliberately not
+// charged, for the reason the middleware's is not: it is bounded by the
+// references the render already pays for, and it mutates after insertion,
+// which byte accounting must not chase.
 func pageRenderSize(key string, pr *pageRender) int64 {
 	return decorate.RenderSize(key, &pr.Render)
 }
 
-// renderKeyPool recycles the scratch buffer renderPage builds its lookup
-// key in, so a warm render hit allocates nothing at all.
-var renderKeyPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// renderPage returns the page's render, memoized per (path, content
-// validator). The stored ETag commits to the stored body — that is what
-// makes it a validator — so a changed page keys to a new entry and stale
-// renders are never served; they simply age out of the cache.
+// renderPage returns the page's render from the store's one entry per page
+// URL. The entry answers while it was rendered from the version of the page
+// Content serves now — the validator commits to the body — so a warm hit is
+// one lookup and one tag compare, allocating nothing. A changed page is
+// rendered under the store's singleflight for the URL and replaces the
+// entry; a caller that waited on the flight of another version asks again.
 func (s *Server) renderPage(p string, res *Resource) *pageRender {
 	if s.renders == nil {
 		return newPageRender(p, res)
 	}
-	// Warm path: probe the cache with a pooled key buffer (the store's
-	// byte-key lookup avoids materializing the key string), falling back
-	// to the allocating GetOrLoad — and its loader closure — only on a miss.
-	rh := res.headerValues()
-	bufp := renderKeyPool.Get().(*[]byte)
-	key := append((*bufp)[:0], p...)
-	key = append(key, 0)
-	key = append(key, rh.tagStr...)
-	pr, ok := s.renders.GetBytes(key)
-	*bufp = key
-	renderKeyPool.Put(bufp)
-	if ok {
-		return pr
+	pr, ok := s.renders.Get(p)
+	for !ok || pr.src != res.ETag {
+		pr, _, _ = s.renders.Do(p, func() (*pageRender, error) {
+			// A flight that landed between the lookup and this one may have
+			// stored this version's render already.
+			if cur, ok := s.renders.Peek(p); ok && cur.src == res.ETag {
+				return cur, nil
+			}
+			pr := newPageRender(p, res)
+			s.renders.Put(p, pr)
+			return pr, nil
+		})
+		ok = true
 	}
-	pr, _ = s.renders.GetOrLoad(p+"\x00"+rh.tagStr, func() (*pageRender, error) {
-		return newPageRender(p, res), nil
-	})
 	return pr
 }
 
 func newPageRender(p string, res *Resource) *pageRender {
-	return &pageRender{Render: decorate.NewRender(p, string(res.Body))}
+	return &pageRender{Render: decorate.NewRender(p, string(res.Body)), src: res.ETag}
 }

@@ -430,6 +430,31 @@ func TestServerRenderCacheReusesUnchangedPage(t *testing.T) {
 	}
 }
 
+// TestServerRenderStoreKeysByURL serves successive versions of one page: the
+// store keeps one entry for its URL, the render of the version served now,
+// and its accounting stays exact.
+func TestServerRenderStoreKeysByURL(t *testing.T) {
+	site := buildSite()
+	s := New(site, Options{Clock: vclock.NewVirtual(vclock.Epoch), Catalyst: true})
+	const versions = 8
+	for v := 0; v < versions; v++ {
+		title := fmt.Sprintf("<title>v%d</title>", v)
+		site.SetBody("/index.html", "<html><head>"+title+`</head><body><img src="/d.jpg"></body></html>`, CachePolicy{NoCache: true})
+		if rec := get(t, s, "/index.html", nil); !strings.Contains(rec.Body.String(), title) {
+			t.Fatalf("version %d: stale body served: %q", v, rec.Body.String())
+		}
+	}
+	if keys := s.renders.Keys(); len(keys) != 1 || keys[0] != "/index.html" {
+		t.Fatalf("%d versions of one page left %q in the render store, want one entry for it", versions, keys)
+	}
+	if err := s.renders.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	if c := s.renders.Counters(); c.Loads != versions {
+		t.Fatalf("%d renders built for %d versions", c.Loads, versions)
+	}
+}
+
 func TestServerRenderCacheDisabled(t *testing.T) {
 	s := New(buildSite(), Options{Clock: vclock.NewVirtual(vclock.Epoch), Catalyst: true, MaxRenderBytes: -1})
 	if s.renders != nil {
