@@ -39,7 +39,11 @@ vet:
 # HTML tree comes back onto a serving path: htmlparse.ExtractPage extracts
 # off the token stream, so htmlparse.Parse has no caller outside its own
 # package, and the per-element link rules (the `case "iframe":` table) are
-# defined once, for the tree walk and the stream alike (DESIGN.md §3).
+# defined once, for the tree walk and the stream alike (DESIGN.md §3) — or
+# when the ETag map's reuse rule forks again: probeGen, minExpires or
+# encodedMap back in non-test catalyst/, GetBytes( or renderKeyPool in any
+# non-test code, or the evidence type defined anywhere but once, in
+# internal/decorate (DESIGN.md §7, §12).
 FORK_SRC = $(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' ./... | tr ' ' '\n' | grep -v '/bench/'
 forks:
 	@fail=0; src=$$($(FORK_SRC)); \
@@ -49,11 +53,15 @@ forks:
 	done; \
 	for chk in '/internal/cachestore/:pushFront(\|relink(\|touch\.Add(\|ParsePolicy(\|type [A-Za-z]*[rR]anker' \
 		'/internal/httpcache/\|/catalyst/:range [A-Za-z0-9_.]*\([nN]ot[mM]odified\|304\|httpResp\)[A-Za-z0-9_]*\.Header' \
-		'/catalyst/[^/]*\.go$$:"crypto/sha256"' '/:htmlparse\.Parse('; do \
+		'/catalyst/[^/]*\.go$$:"crypto/sha256"' '/:htmlparse\.Parse(' \
+		'/catalyst/[^/]*\.go$$:probeGen\|minExpires\|encodedMap' '/:GetBytes(\|renderKeyPool'; do \
 		files=$$(echo "$$src" | tr ' ' '\n' | grep "$${chk%%:*}"); \
 		if grep -Hn "$${chk#*:}" $$files | grep -v ':[0-9]*:[[:space:]]*//' >&2; then \
 			echo "forks: '$${chk#*:}' is back in non-test code under '$${chk%%:*}', want 0" >&2; fail=1; fi; \
 	done; \
+	ev=$$(grep -Hn 'type [A-Za-z]*[eE]vidence struct' $$src); \
+	if [ "$$(echo "$$ev" | grep -c /internal/decorate/)" -ne 1 ] || [ "$$(echo "$$ev" | grep -c .)" -ne 1 ]; then \
+		echo "forks: the evidence type is defined $$(echo "$$ev" | grep -c .) times in non-test code, want once, in internal/decorate:" >&2; echo "$$ev" >&2; fail=1; fi; \
 	if $(GO) list -f '{{join .Imports "\n"}}' ./internal/server | grep -q 'internal/tenant$$'; then \
 		echo "forks: internal/server imports internal/tenant; the tenant path belongs to catalyst.Middleware" >&2; fail=1; fi; \
 	exit $$fail

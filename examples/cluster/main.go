@@ -61,18 +61,26 @@ func main() {
 			break
 		}
 	}
-	adopted := false
-	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
-		if _, _, _, err := cell.GetFrom(peer, cell.Tenants[0], paths[0]); err != nil {
-			log.Fatalf("cluster: peer serve: %v", err)
+	// A node keeps the first map it builds itself, so the peer is asked only
+	// once everything the other nodes gossiped has landed there.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		var published int64
+		for _, inst := range cell.Instances {
+			if inst.ID != peer {
+				published += cell.Snapshot(inst.ID).Counters["cluster.published"]
+			}
 		}
-		if cell.Snapshot(peer).Counters["middleware.hotmap_hits"] > 0 {
-			adopted = true
+		if cell.Snapshot(peer).Counters["cluster.received"] >= published {
 			break
 		}
-		time.Sleep(10 * time.Millisecond)
+		if time.Now().After(deadline) {
+			log.Fatalf("cluster: %s never received its peers' announcements", peer)
+		}
 	}
-	if !adopted {
+	if _, _, _, err := cell.GetFrom(peer, cell.Tenants[0], paths[0]); err != nil {
+		log.Fatalf("cluster: peer serve: %v", err)
+	}
+	if cell.Snapshot(peer).Counters["middleware.hotmap_hits"] == 0 {
 		log.Fatalf("cluster: %s never adopted %s's hot map", peer, owner)
 	}
 	fmt.Printf("  %s adopted %s's gossiped map for %s without re-probing\n", peer, owner, page)
