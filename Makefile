@@ -43,7 +43,12 @@ vet:
 # when the ETag map's reuse rule forks again: probeGen, minExpires or
 # encodedMap back in non-test catalyst/, GetBytes( or renderKeyPool in any
 # non-test code, or the evidence type defined anywhere but once, in
-# internal/decorate (DESIGN.md §7, §12).
+# internal/decorate (DESIGN.md §7, §12) — or when a simulated load copies a
+# response body again: append([]byte(nil), / bytes.Clone( / a non-header
+# .Clone() in non-test httpcache, sw, browser, netsim or baselines,
+# httptest.NewRecorder back in the origin adapter, or "unsafe" imported by
+# any non-test file but the body view's (internal/httpcache/view.go)
+# (DESIGN.md §3, §14).
 FORK_SRC = $(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' ./... | tr ' ' '\n' | grep -v '/bench/'
 forks:
 	@fail=0; src=$$($(FORK_SRC)); \
@@ -54,11 +59,17 @@ forks:
 	for chk in '/internal/cachestore/:pushFront(\|relink(\|touch\.Add(\|ParsePolicy(\|type [A-Za-z]*[rR]anker' \
 		'/internal/httpcache/\|/catalyst/:range [A-Za-z0-9_.]*\([nN]ot[mM]odified\|304\|httpResp\)[A-Za-z0-9_]*\.Header' \
 		'/catalyst/[^/]*\.go$$:"crypto/sha256"' '/:htmlparse\.Parse(' \
-		'/catalyst/[^/]*\.go$$:probeGen\|minExpires\|encodedMap' '/:GetBytes(\|renderKeyPool'; do \
+		'/catalyst/[^/]*\.go$$:probeGen\|minExpires\|encodedMap' '/:GetBytes(\|renderKeyPool' \
+		'/internal/server/origin\.go$$:httptest\.NewRecorder'; do \
 		files=$$(echo "$$src" | tr ' ' '\n' | grep "$${chk%%:*}"); \
 		if grep -Hn "$${chk#*:}" $$files | grep -v ':[0-9]*:[[:space:]]*//' >&2; then \
 			echo "forks: '$${chk#*:}' is back in non-test code under '$${chk%%:*}', want 0" >&2; fail=1; fi; \
 	done; \
+	body=$$(echo "$$src" | grep '/internal/\(httpcache\|sw\|browser\|netsim\|baselines\)/'); \
+	if grep -Hn 'append(\[\]byte(nil),\|bytes\.Clone(\|\.Clone()' $$body | grep -v '[hH]eader\(()\)\?\.Clone()\|:[0-9]*:[[:space:]]*//' >&2; then \
+		echo "forks: a simulated load copies a response body again; stores and parsers share it (DESIGN.md §3)" >&2; fail=1; fi; \
+	if grep -Hn '^[[:space:]]*\(import[[:space:]]*\)\?\(_[[:space:]]*\)\?"unsafe"' $$src | grep -v '/internal/httpcache/view\.go:' >&2; then \
+		echo "forks: \"unsafe\" imported outside internal/httpcache/view.go, the one read-only body view" >&2; fail=1; fi; \
 	ev=$$(grep -Hn 'type [A-Za-z]*[eE]vidence struct' $$src); \
 	if [ "$$(echo "$$ev" | grep -c /internal/decorate/)" -ne 1 ] || [ "$$(echo "$$ev" | grep -c .)" -ne 1 ]; then \
 		echo "forks: the evidence type is defined $$(echo "$$ev" | grep -c .) times in non-test code, want once, in internal/decorate:" >&2; echo "$$ev" >&2; fail=1; fi; \

@@ -1,6 +1,7 @@
 package catalyst
 
 import (
+	"bytes"
 	"errors"
 	"net/http"
 	"strconv"
@@ -129,12 +130,15 @@ func (m *middleware) servePassthrough(w http.ResponseWriter, r *http.Request, re
 // just vouched for.
 func (m *middleware) servePlain(w http.ResponseWriter, r *http.Request, sw *sniffWriter, pageURL string, held *renderEntry) {
 	h := w.Header()
-	body := sw.body()
+	var body []byte
 	if held != nil {
 		headers.MergeNotModified(h, held.header, sw.header)
 		h["Etag"], body = held.inm, held.Raw()
 	} else {
 		copyHeader(h, sw.header)
+		// sw's buffer is reused once this request ends, and WriteEntity
+		// may hand its body to a writer that keeps it: send a copy.
+		body = bytes.Clone(sw.body())
 	}
 	m.decide(r.Context(), h, "budget-exhausted", pageURL)
 	decorate.WriteEntity(w, r, body, nil)

@@ -21,8 +21,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -78,23 +80,36 @@ var experiments = []struct {
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, runs the chosen experiments, writes
+// their tables (or JSON) to stdout and diagnostics to stderr, and returns
+// the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
 	names := make([]string, 0, len(experiments)+1)
 	for _, e := range experiments {
 		names = append(names, e.name)
 	}
+	fs := flag.NewFlagSet("pltbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		experiment = flag.String("experiment", "all", strings.Join(append(names, "all"), " | "))
-		full       = flag.Bool("full", false, "paper scale: 100 sites, full grid, all delays")
-		sites      = flag.Int("sites", 0, "override corpus size")
-		scale      = flag.Float64("scale", 0, "override per-page resource scale")
-		seed       = flag.Int64("seed", 1, "corpus seed")
-		h2         = flag.Bool("h2", false, "use HTTP/2 multiplexing instead of 6 HTTP/1.1 connections")
-		parallel   = flag.Int("parallel", 0, "measurement parallelism (0 = GOMAXPROCS)")
-		mobile     = flag.Bool("mobile", false, "use the mobile corpus profile")
-		treatment  = flag.String("treatment", "catalyst", "scheme measured against the conventional baseline in fig3/headline: catalyst | record | full | push | rdr")
-		asJSON     = flag.Bool("json", false, "emit machine-readable JSON instead of tables")
+		experiment = fs.String("experiment", "all", strings.Join(append(names, "all"), " | "))
+		full       = fs.Bool("full", false, "paper scale: 100 sites, full grid, all delays")
+		sites      = fs.Int("sites", 0, "override corpus size")
+		scale      = fs.Float64("scale", 0, "override per-page resource scale")
+		seed       = fs.Int64("seed", 1, "corpus seed")
+		h2         = fs.Bool("h2", false, "use HTTP/2 multiplexing instead of 6 HTTP/1.1 connections")
+		parallel   = fs.Int("parallel", 0, "measurement parallelism (0 = GOMAXPROCS)")
+		mobile     = fs.Bool("mobile", false, "use the mobile corpus profile")
+		treatment  = fs.String("treatment", "catalyst", "scheme measured against the conventional baseline in fig3/headline: catalyst | record | full | push | rdr")
+		asJSON     = fs.Bool("json", false, "emit machine-readable JSON instead of tables")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	cfg := harness.DefaultConfig()
 	if !*full {
@@ -122,18 +137,18 @@ func main() {
 		"rdr":      harness.SchemeRDR,
 	}[*treatment]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "pltbench: unknown treatment %q\n", *treatment)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "pltbench: unknown treatment %q\n", *treatment)
+		return 2
 	}
 
 	emit := func(table string, v any) error {
 		if *asJSON {
-			enc := json.NewEncoder(os.Stdout)
+			enc := json.NewEncoder(stdout)
 			enc.SetIndent("", "  ")
 			return enc.Encode(v)
 		}
-		fmt.Print(table)
-		return nil
+		_, err := fmt.Fprint(stdout, table)
+		return err
 	}
 
 	ran := false
@@ -143,21 +158,22 @@ func main() {
 		}
 		ran = true
 		if !*asJSON {
-			fmt.Printf("=== %s ===\n", e.name)
+			fmt.Fprintf(stdout, "=== %s ===\n", e.name)
 		}
 		table, v, err := e.run(cfg, treatScheme)
 		if err == nil {
 			err = emit(table, v)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pltbench: %s: %v\n", e.name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "pltbench: %s: %v\n", e.name, err)
+			return 1
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "pltbench: unknown experiment %q\n", *experiment)
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintf(stderr, "pltbench: unknown experiment %q\n", *experiment)
+		fs.Usage()
+		return 2
 	}
+	return 0
 }

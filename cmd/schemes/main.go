@@ -15,8 +15,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 
@@ -24,14 +26,26 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, runs the matrix, writes the table (or
+// JSON) to stdout and diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("schemes", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		sites    = flag.Int("sites", 0, "override corpus size (0 = quick-config default)")
-		seed     = flag.Int64("seed", 0, "override corpus seed (0 = quick-config default)")
-		parallel = flag.Int("parallel", 0, "measurement parallelism (0 = GOMAXPROCS)")
-		h2       = flag.Bool("h2", false, "use HTTP/2 multiplexing instead of 6 HTTP/1.1 connections")
-		asJSON   = flag.Bool("json", false, "emit machine-readable JSON instead of the table")
+		sites    = fs.Int("sites", 0, "override corpus size (0 = quick-config default)")
+		seed     = fs.Int64("seed", 0, "override corpus seed (0 = quick-config default)")
+		parallel = fs.Int("parallel", 0, "measurement parallelism (0 = GOMAXPROCS)")
+		h2       = fs.Bool("h2", false, "use HTTP/2 multiplexing instead of 6 HTTP/1.1 connections")
+		asJSON   = fs.Bool("json", false, "emit machine-readable JSON instead of the table")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	cfg := harness.QuickMatrixConfig()
 	if *sites > 0 {
@@ -47,17 +61,18 @@ func main() {
 	defer stop()
 	res, err := harness.RunSchemeMatrixContext(ctx, cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "schemes: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "schemes: %v\n", err)
+		return 1
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
-			fmt.Fprintf(os.Stderr, "schemes: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "schemes: %v\n", err)
+			return 1
 		}
-		return
+		return 0
 	}
-	fmt.Print(harness.MatrixTable(res))
+	fmt.Fprint(stdout, harness.MatrixTable(res))
+	return 0
 }

@@ -89,7 +89,7 @@ func (b *bundleOrigin) RoundTrip(req *netsim.Request) *httpcache.Response {
 	var paths []string
 	switch b.policy {
 	case RDR:
-		paths = b.resolveAll(req.Path, string(resp.Body))
+		paths = b.resolveAll(req.Path, resp.Text())
 	default:
 		paths = staticPaths(resp)
 	}
@@ -199,11 +199,11 @@ func (b *bundleOrigin) resolveAll(pagePath, html string) []string {
 		}
 		switch {
 		case strings.HasPrefix(ct, "text/css"):
-			for _, ref := range cssparse.ExtractRefs(string(sub.Body)) {
+			for _, ref := range cssparse.ExtractRefs(sub.Text()) {
 				addRef(from, ref.URL)
 			}
 		case strings.HasPrefix(ct, "text/javascript"):
-			for _, u := range jsexec.ExtractFetches(string(sub.Body)) {
+			for _, u := range jsexec.ExtractFetches(sub.Text()) {
 				addRef(&url.URL{Path: "/"}, u)
 			}
 		}
@@ -247,7 +247,9 @@ func Split(resp *httpcache.Response) (page *httpcache.Response, pushed map[strin
 		sub := &httpcache.Response{
 			StatusCode: e.Status,
 			Header:     h,
-			Body:       resp.Body[off : off+e.Len],
+			// A full slice expression: an append to one part must not
+			// write over the next part of the shared bundle body.
+			Body: resp.Body[off : off+e.Len : off+e.Len],
 		}
 		off += e.Len
 		if i == 0 {

@@ -624,7 +624,7 @@ func (l *loader) fetchCatalyst(host, path string, kind htmlparse.ResourceKind, i
 		// whose 304 still carries the refreshed X-Etag-Config header —
 		// the client gets fresh tokens without re-downloading the page.
 		navAfter := func(resp *httpcache.Response) {
-			if !registered && strings.Contains(string(resp.Body), `serviceWorker`) {
+			if !registered && strings.Contains(resp.Text(), `serviceWorker`) {
 				l.b.registry.Register(host)
 			}
 			if w, ok := l.b.registry.Lookup(host); ok {
@@ -970,7 +970,7 @@ func (l *loader) process(host, path string, kind htmlparse.ResourceKind, resp *h
 
 func (l *loader) processHTML(host, path string, resp *httpcache.Response) {
 	base := &url.URL{Scheme: "https", Host: host, Path: path}
-	rs, href, ok := htmlparse.ExtractPage(string(resp.Body))
+	rs, href, ok := htmlparse.ExtractPage(resp.Text())
 	if ok {
 		if bu, err := url.Parse(href); err == nil {
 			base = base.ResolveReference(bu)
@@ -994,7 +994,7 @@ func (l *loader) processHTML(host, path string, resp *httpcache.Response) {
 
 func (l *loader) processCSS(host, path string, resp *httpcache.Response, wasBlocking bool) {
 	base := &url.URL{Scheme: "https", Host: host, Path: path}
-	for _, ref := range cssparse.ExtractRefs(string(resp.Body)) {
+	for _, ref := range cssparse.ExtractRefs(resp.Text()) {
 		if h, p, ok := l.resolve(base, ref.URL); ok {
 			if ref.Import {
 				// @import chains inherit the parent sheet's blocking.
@@ -1011,7 +1011,7 @@ func (l *loader) processCSS(host, path string, resp *httpcache.Response, wasBloc
 }
 
 func (l *loader) processJS(host string, resp *httpcache.Response) {
-	fetches := jsexec.ExtractFetches(string(resp.Body))
+	fetches := jsexec.ExtractFetches(resp.Text())
 	if len(fetches) == 0 {
 		return
 	}

@@ -207,6 +207,9 @@ func IsCSS(contentType string) bool { return strings.HasPrefix(contentType, "tex
 // WriteEntity commits a 200 carrying body and returns the body bytes
 // written (none for HEAD). clen is body's precomputed Content-Length value
 // when the caller has one, nil to render it.
+//
+// body must never be written again, by the caller or anyone else: a
+// sharedWriter keeps body itself instead of copying it.
 func WriteEntity(w http.ResponseWriter, r *http.Request, body []byte, clen []string) (n int) {
 	if clen == nil {
 		clen = []string{strconv.Itoa(len(body))}
@@ -214,9 +217,21 @@ func WriteEntity(w http.ResponseWriter, r *http.Request, body []byte, clen []str
 	w.Header()["Content-Length"] = clen
 	w.WriteHeader(http.StatusOK)
 	if r.Method != http.MethodHead {
+		if sw, ok := w.(sharedWriter); ok {
+			return sw.WriteShared(body)
+		}
 		n, _ = w.Write(body)
 	}
 	return n
+}
+
+// sharedWriter is the hand-off WriteEntity offers a ResponseWriter that
+// keeps the bodies it is given: the simulator's origin adapter, whose
+// response goes on to the emulated browser's caches unchanged. Write must
+// copy, because its argument may be a reused buffer; WriteShared is handed
+// a body no one writes again and may keep the slice itself.
+type sharedWriter interface {
+	WriteShared(body []byte) int
 }
 
 // PageURL is the origin-relative URL of the page being served, query

@@ -28,22 +28,24 @@ import (
 
 // Response is the minimal response representation shared by the real
 // net/http path and the discrete-event simulator.
+//
+// Ownership rule: a body is never written after it enters a Response. The
+// origin adapter, this cache, the Service Worker's CacheStorage and the
+// browser's parsers all share one body slice instead of copying it, and a
+// stage that needs different bytes builds a new slice (delta.Apply, the
+// bundler) or reslices with a full slice expression (chaos truncation), so
+// an append can never reach a shared array. Headers are not covered: they
+// are mutable maps, and every store clones the header it keeps.
 type Response struct {
 	StatusCode int
 	Header     http.Header
-	Body       []byte
+	// Body is read-only once set; see the ownership rule above.
+	Body []byte
 	// Truncated marks a body cut short by a mid-transfer failure
 	// (connection reset, injected truncation). A truncated response must
 	// never be cached or processed as content; Storable enforces the
 	// former.
 	Truncated bool
-}
-
-// Clone returns a deep copy of the response.
-func (r *Response) Clone() *Response {
-	out := &Response{StatusCode: r.StatusCode, Header: r.Header.Clone(), Truncated: r.Truncated}
-	out.Body = append([]byte(nil), r.Body...)
-	return out
 }
 
 // ETag returns the response's parsed entity tag, if any.
@@ -240,7 +242,8 @@ func (c *Cache) Put(url string, resp *Response, requestTime, responseTime time.T
 }
 
 // PutWithRequest stores a response along with the request header values its
-// Vary field names, enabling the secondary-key check on later lookups.
+// Vary field names, enabling the secondary-key check on later lookups. The
+// stored entry keeps a clone of resp's header and shares its body.
 func (c *Cache) PutWithRequest(url string, reqHeader http.Header, resp *Response, requestTime, responseTime time.Time) {
 	negative := false
 	if !Storable(resp) {
@@ -251,7 +254,7 @@ func (c *Cache) PutWithRequest(url string, reqHeader http.Header, resp *Response
 	}
 	e := &Entry{
 		URL:          url,
-		Response:     resp.Clone(),
+		Response:     &Response{StatusCode: resp.StatusCode, Header: resp.Header.Clone(), Body: resp.Body},
 		RequestTime:  requestTime,
 		ResponseTime: responseTime,
 		CC:           headers.ParseCacheControl(resp.Header.Get("Cache-Control")),
@@ -429,14 +432,17 @@ func (c *Cache) dateValue(e *Entry) time.Time {
 // Refresh applies a 304 Not Modified to the stored entry per RFC 9111 §4.3.4:
 // the stored headers are updated from the 304 and the entry's clock fields
 // reset, renewing its freshness. The refreshed entry replaces the stored
-// one — entries already handed out are never mutated.
+// one — entries already handed out are never mutated — and shares its body.
 func (c *Cache) Refresh(url string, notModified *Response, requestTime, responseTime time.Time) {
 	e, ok := c.store.Peek(url)
 	if !ok {
 		return
 	}
-	resp := e.Response.Clone()
-	resp.Header = headers.MergeNotModified(nil, e.Response.Header, notModified.Header)
+	resp := &Response{
+		StatusCode: e.Response.StatusCode,
+		Header:     headers.MergeNotModified(nil, e.Response.Header, notModified.Header),
+		Body:       e.Response.Body,
+	}
 	vary := make(map[string]string, len(e.varyValues))
 	for k, v := range e.varyValues {
 		vary[k] = v

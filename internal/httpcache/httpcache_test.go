@@ -273,18 +273,32 @@ func TestDelete(t *testing.T) {
 	c.Delete("/ghost") // must not panic
 }
 
-func TestPutClonesResponse(t *testing.T) {
+// TestPutClonesHeader: a stored entry owns its header, so a caller editing
+// its own header after Put or Refresh does not reach the cache, and shares
+// the body, which no one writes after it enters a Response.
+func TestPutClonesHeader(t *testing.T) {
 	c, clk := newTestCache()
 	resp := respWith(map[string]string{"Cache-Control": "max-age=60"}, "orig")
 	put(c, clk, "/x", resp)
-	resp.Body[0] = 'X'
 	resp.Header.Set("Cache-Control", "no-store")
 	e, _ := c.Get("/x")
-	if string(e.Response.Body) != "orig" {
-		t.Fatal("stored body aliases caller's slice")
-	}
 	if e.Response.Header.Get("Cache-Control") != "max-age=60" {
 		t.Fatal("stored header aliases caller's map")
+	}
+	if &e.Response.Body[0] != &resp.Body[0] {
+		t.Fatal("Put copied the body")
+	}
+
+	nm := respWith(map[string]string{"Cache-Control": "max-age=120"}, "")
+	nm.StatusCode = http.StatusNotModified
+	c.Refresh("/x", nm, clk.Now(), clk.Now())
+	nm.Header.Set("Cache-Control", "no-store")
+	f, _ := c.Peek("/x")
+	if f.Response.Header.Get("Cache-Control") != "max-age=120" || e.Response.Header.Get("Cache-Control") != "max-age=60" {
+		t.Fatal("Refresh's header aliases the 304's or the entry it replaced")
+	}
+	if &f.Response.Body[0] != &resp.Body[0] {
+		t.Fatal("Refresh copied the body")
 	}
 }
 

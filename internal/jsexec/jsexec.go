@@ -22,10 +22,13 @@ func Directive(url string) string { return DirectivePrefix + url }
 
 // ExtractFetches returns the URLs a script fetches when executed, in
 // program order. Directives must start a line (modulo leading whitespace);
-// anything else is inert script text.
+// anything else is inert script text. The returned URLs are substrings of
+// js.
 func ExtractFetches(js string) []string {
 	var out []string
-	for _, line := range strings.Split(js, "\n") {
+	for js != "" {
+		var line string
+		line, js, _ = strings.Cut(js, "\n")
 		line = strings.TrimSpace(line)
 		if !strings.HasPrefix(line, DirectivePrefix) {
 			continue

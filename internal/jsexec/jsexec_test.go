@@ -71,3 +71,48 @@ func TestDirectiveAlwaysRecoveredQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// splitReference is ExtractFetches written over strings.Split: the
+// reference the line scanner must agree with.
+func splitReference(js string) []string {
+	var out []string
+	for _, line := range strings.Split(js, "\n") {
+		line = strings.TrimSpace(line)
+		if !strings.HasPrefix(line, DirectivePrefix) {
+			continue
+		}
+		if url := strings.TrimSpace(line[len(DirectivePrefix):]); url != "" {
+			out = append(out, url)
+		}
+	}
+	return out
+}
+
+// TestExtractFetchesMatchesSplit checks the line scanner against the
+// strings.Split reference on line-ending and whitespace edge cases and on
+// random scripts built from directive-like fragments.
+func TestExtractFetchesMatchesSplit(t *testing.T) {
+	same := func(js string) bool {
+		return strings.Join(ExtractFetches(js), "\x00") == strings.Join(splitReference(js), "\x00")
+	}
+	for _, js := range []string{
+		"", "\n", "\n\n", "//@fetch /a", "//@fetch /a\n", "\n//@fetch /a\n\n",
+		"//@fetch /a\r\n//@fetch /b\r\n", " //@fetch /nbsp \u0085\n", "\t//@fetch \t\n",
+		"//@fetch //@fetch /x\n", "x //@fetch /y\n//@fetch /z",
+	} {
+		if !same(js) {
+			t.Errorf("%q: got %q, want %q", js, ExtractFetches(js), splitReference(js))
+		}
+	}
+	frags := []string{"//@fetch ", "/p.js", "\n", "\r\n", " ", "\t", "x", "//@fetch\n", " "}
+	f := func(picks []uint8) bool {
+		var b strings.Builder
+		for _, p := range picks {
+			b.WriteString(frags[int(p)%len(frags)])
+		}
+		return same(b.String())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -251,19 +251,31 @@ func (c *ChaosOrigin) RoundTrip(req *Request) *httpcache.Response {
 	resp := c.inner.RoundTrip(req)
 
 	if truncate && resp.StatusCode == http.StatusOK && len(resp.Body) > 1 {
-		resp = resp.Clone()
-		resp.Body = resp.Body[:len(resp.Body)/2]
+		resp = ownHeader(resp)
+		// The body is shared with the origin's stores; the full slice
+		// expression makes any later append copy instead of writing over
+		// the half that was cut off.
+		n := len(resp.Body) / 2
+		resp.Body = resp.Body[:n:n]
 		resp.Truncated = true
 		c.truncations.Add(1)
 	}
 	if corrupt {
 		if v := resp.Header.Get(etagConfigHeader); v != "" {
-			if !resp.Truncated { // avoid double-cloning a truncated response
-				resp = resp.Clone()
+			if !resp.Truncated { // a truncated response already owns its header
+				resp = ownHeader(resp)
 			}
 			resp.Header.Set(etagConfigHeader, v[:len(v)/2])
 			c.corruptedMaps.Add(1)
 		}
 	}
 	return resp
+}
+
+// ownHeader returns a copy of resp whose header may be edited without
+// reaching the inner origin's; the body stays shared.
+func ownHeader(resp *httpcache.Response) *httpcache.Response {
+	out := *resp
+	out.Header = resp.Header.Clone()
+	return &out
 }

@@ -67,6 +67,39 @@ func TestChaosTruncationFlagsAndCuts(t *testing.T) {
 	}
 }
 
+// sharedOrigin answers every request with the same response: the one body
+// and header a caching origin would hand out again and again.
+type sharedOrigin struct{ resp *httpcache.Response }
+
+func (o sharedOrigin) RoundTrip(*Request) *httpcache.Response { return o.resp }
+
+// TestChaosTruncationLeavesSharedBodyAlone: truncation shares the inner
+// origin's body instead of copying it, so the cut must not be able to reach
+// the half it cut off — an append to the truncated body copies — and the
+// inner response's header and flags stay as they were.
+func TestChaosTruncationLeavesSharedBodyAlone(t *testing.T) {
+	inner := okOrigin{}.RoundTrip(&Request{})
+	want := string(inner.Body)
+	c := NewChaosOrigin(sharedOrigin{inner}, ChaosConfig{Seed: 1, TruncateProb: 1, CorruptMapProb: 1})
+	resp := c.RoundTrip(&Request{Method: "GET", Path: "/"})
+	if !resp.Truncated || len(resp.Body) != 32 {
+		t.Fatalf("got truncated=%v len=%d, want a 32-byte truncated body", resp.Truncated, len(resp.Body))
+	}
+	if &resp.Body[0] != &inner.Body[0] {
+		t.Fatal("truncation copied the body")
+	}
+	if cap(resp.Body) != len(resp.Body) {
+		t.Fatalf("truncated body has cap %d past its len %d: an append would write into the shared array", cap(resp.Body), len(resp.Body))
+	}
+	_ = append(resp.Body, "yyyyyyyy"...)
+	if string(inner.Body) != want {
+		t.Fatal("appending to the truncated body wrote into the inner origin's body")
+	}
+	if inner.Truncated || inner.Header.Get(etagConfigHeader) != `{"/a.css":"\"v1\""}` {
+		t.Fatal("truncation or map corruption reached the inner origin's response")
+	}
+}
+
 func TestChaosCorruptsMapHeaderUndecodably(t *testing.T) {
 	c := NewChaosOrigin(okOrigin{}, ChaosConfig{Seed: 1, CorruptMapProb: 1})
 	resp := c.RoundTrip(&Request{Method: "GET", Path: "/"})

@@ -74,6 +74,11 @@ func itoa(n int64) string {
 // implementations treat a Resource as immutable once handed to Get — a
 // changed entity is a new *Resource — which is what lets the server cache
 // the wire-format header values derived from it.
+//
+// Body in particular is never written after it enters a Resource: the
+// simulator's origin adapter (NewOrigin) hands this very slice to the
+// emulated browser, whose caches and parsers share it (the ownership rule
+// on httpcache.Response).
 type Resource struct {
 	Body         []byte
 	ContentType  string

@@ -13,16 +13,25 @@ import (
 // deployments. The handler runs synchronously in zero simulated time;
 // network costs are the transport model's job (TransportOptions.ServerThink
 // charges processing time if desired).
-func NewOrigin(s *Server) netsim.Origin { return &originAdapter{h: s} }
+//
+// The response body is the one the server holds — the Resource's body, the
+// render's, or a freshly computed patch — handed over by decorate.WriteEntity
+// without a copy. None of them is written after it is served, which is the
+// ownership rule the browser's caches and parsers rely on when they share
+// it in turn (httpcache.Response).
+func NewOrigin(s *Server) netsim.Origin { return &originAdapter{h: s, share: true} }
 
 // NewHandlerOrigin adapts any http.Handler — for example an existing
 // application wrapped in catalyst.Middleware — to the simulator's Origin
 // interface, so the emulated browser can drive the retrofit path
-// end-to-end.
+// end-to-end. Bodies are copied: an arbitrary handler may write from a
+// buffer it reuses (the middleware streams through pooled copy buffers and
+// sends a plain page out of its pooled sniffing buffer).
 func NewHandlerOrigin(h http.Handler) netsim.Origin { return &originAdapter{h: h} }
 
 type originAdapter struct {
-	h http.Handler
+	h     http.Handler
+	share bool // accept decorate.WriteEntity's body hand-off
 }
 
 // RoundTrip implements netsim.Origin.
@@ -43,11 +52,50 @@ func (a *originAdapter) RoundTrip(req *netsim.Request) *httpcache.Response {
 			r.Header.Add(k, v)
 		}
 	}
-	rec := httptest.NewRecorder()
+	rec := &recorder{header: make(http.Header), code: http.StatusOK, share: a.share}
 	a.h.ServeHTTP(rec, r)
-	return &httpcache.Response{
-		StatusCode: rec.Code,
-		Header:     rec.Header(),
-		Body:       rec.Body.Bytes(),
+	return &httpcache.Response{StatusCode: rec.code, Header: rec.header, Body: rec.body}
+}
+
+// recorder is the adapter's ResponseWriter, with httptest.ResponseRecorder's
+// semantics for what the simulator reads: the first WriteHeader fixes the
+// status (200 if the handler writes or flushes without one) and the header
+// map is the live one. Write copies, since its argument may be a reused
+// buffer.
+type recorder struct {
+	header http.Header
+	code   int
+	wrote  bool
+	body   []byte
+	share  bool // keep what WriteShared is handed (NewOrigin)
+}
+
+func (w *recorder) Header() http.Header { return w.header }
+
+func (w *recorder) WriteHeader(code int) {
+	if !w.wrote {
+		w.code, w.wrote = code, true
 	}
+}
+
+func (w *recorder) Write(p []byte) (int, error) {
+	w.wrote = true
+	w.body = append(w.body, p...)
+	return len(p), nil
+}
+
+// Flush implements http.Flusher; like net/http, it commits the status.
+func (w *recorder) Flush() { w.wrote = true }
+
+// WriteShared is decorate.WriteEntity's hand-off. Under NewOrigin it keeps
+// body as the response body; the full slice expression makes a later Write
+// append to a copy rather than into body's array.
+func (w *recorder) WriteShared(body []byte) int {
+	if !w.share || len(w.body) > 0 {
+		n, _ := w.Write(body)
+		return n
+	}
+	w.wrote = true
+	w.body = body[:len(body):len(body)]
+	return len(body)
 }

@@ -68,7 +68,9 @@ func (c *CacheStorage) Match(path string) (*httpcache.Response, bool) {
 	return c.store.Get(path)
 }
 
-// Put stores a clone of resp under path, replacing any previous entry.
+// Put stores resp under path, replacing any previous entry. The stored
+// response keeps a clone of resp's header and shares its body, which no one
+// writes after it enters a Response (httpcache.Response's ownership rule).
 // Responses marked no-store are not cached, matching the paper's rule that
 // the Service Worker stores "all resources received from the server ...
 // provided they do not have a no-store header". Truncated bodies are never
@@ -82,7 +84,7 @@ func (c *CacheStorage) Put(path string, resp *httpcache.Response) {
 	if cc.NoStore {
 		return
 	}
-	c.store.Put(path, resp.Clone())
+	c.store.Put(path, &httpcache.Response{StatusCode: resp.StatusCode, Header: resp.Header.Clone(), Body: resp.Body})
 }
 
 // Delete removes the entry for path.

@@ -98,14 +98,20 @@ func TestCacheStorageDeleteAndClear(t *testing.T) {
 	}
 }
 
-func TestCacheStoragePutClones(t *testing.T) {
+// TestCacheStoragePutClonesHeader: the stored response owns its header, so
+// a caller editing its own header after Put does not reach the store, and
+// shares the body, which no one writes after it enters a Response.
+func TestCacheStoragePutClonesHeader(t *testing.T) {
 	c := NewCacheStorage()
-	r := resp("v1", "orig", nil)
+	r := resp("v1", "orig", map[string]string{"Cache-Control": "max-age=60"})
 	c.Put("/a", r)
-	r.Body[0] = 'X'
+	r.Header.Set("Cache-Control", "no-store")
 	got, _ := c.Match("/a")
-	if string(got.Body) != "orig" {
-		t.Fatal("stored response aliases caller's body")
+	if got.Header.Get("Cache-Control") != "max-age=60" {
+		t.Fatal("stored response aliases caller's header")
+	}
+	if &got.Body[0] != &r.Body[0] {
+		t.Fatal("Put copied the body")
 	}
 }
 

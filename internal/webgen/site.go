@@ -212,9 +212,8 @@ func (s *Site) refFor(ref string) string {
 // renderPage emits the homepage HTML listing the spec's refs as the
 // appropriate tags.
 func (s *Site) renderPage(spec *resourceSpec, v uint64) []byte {
-	var b strings.Builder
-	b.Grow(spec.size + 256)
-	fmt.Fprintf(&b, "<!DOCTYPE html>\n<!-- %s v=%d -->\n<html><head>\n<title>%s</title>\n", s.Host, v, s.Host)
+	b := make([]byte, 0, spec.size+256)
+	b = fmt.Appendf(b, "<!DOCTYPE html>\n<!-- %s v=%d -->\n<html><head>\n<title>%s</title>\n", s.Host, v, s.Host)
 	for _, ref := range spec.refs {
 		target, ok := s.specByRef(ref)
 		if !ok {
@@ -222,16 +221,16 @@ func (s *Site) renderPage(spec *resourceSpec, v uint64) []byte {
 		}
 		switch target.kind {
 		case htmlparse.KindStylesheet:
-			fmt.Fprintf(&b, "<link rel=\"stylesheet\" href=\"%s\">\n", s.refFor(ref))
+			b = fmt.Appendf(b, "<link rel=\"stylesheet\" href=\"%s\">\n", s.refFor(ref))
 		case htmlparse.KindScript:
 			if target.async {
-				fmt.Fprintf(&b, "<script src=\"%s\" async></script>\n", s.refFor(ref))
+				b = fmt.Appendf(b, "<script src=\"%s\" async></script>\n", s.refFor(ref))
 			} else {
-				fmt.Fprintf(&b, "<script src=\"%s\"></script>\n", s.refFor(ref))
+				b = fmt.Appendf(b, "<script src=\"%s\"></script>\n", s.refFor(ref))
 			}
 		}
 	}
-	b.WriteString("</head><body>\n")
+	b = append(b, "</head><body>\n"...)
 	for _, ref := range spec.refs {
 		target, ok := s.specByRef(ref)
 		if !ok {
@@ -239,14 +238,13 @@ func (s *Site) renderPage(spec *resourceSpec, v uint64) []byte {
 		}
 		switch target.kind {
 		case htmlparse.KindImage:
-			fmt.Fprintf(&b, "<img src=\"%s\" alt=\"\">\n", ref)
+			b = fmt.Appendf(b, "<img src=\"%s\" alt=\"\">\n", ref)
 		case htmlparse.KindMedia:
-			fmt.Fprintf(&b, "<video src=\"%s\"></video>\n", ref)
+			b = fmt.Appendf(b, "<video src=\"%s\"></video>\n", ref)
 		}
 	}
-	padText(&b, spec.size, "<p>", "</p>\n")
-	b.WriteString("</body></html>\n")
-	return []byte(b.String())
+	b = padText(b, spec.size, "<p>", "</p>\n")
+	return append(b, "</body></html>\n"...)
 }
 
 // specByRef resolves a page/CSS reference (path or absolute CDN URL) to its
@@ -262,34 +260,29 @@ func (s *Site) specByRef(ref string) (*resourceSpec, bool) {
 }
 
 func renderCSS(spec *resourceSpec, v uint64) []byte {
-	var b strings.Builder
-	b.Grow(spec.size + 256)
-	fmt.Fprintf(&b, "/* %s v=%d */\n", spec.path, v)
+	b := make([]byte, 0, spec.size+256)
+	b = fmt.Appendf(b, "/* %s v=%d */\n", spec.path, v)
 	for _, imp := range spec.imports {
-		fmt.Fprintf(&b, "@import \"%s\";\n", imp)
+		b = fmt.Appendf(b, "@import \"%s\";\n", imp)
 	}
 	for i, ref := range spec.refs {
 		if strings.Contains(ref, "/fonts/") {
-			fmt.Fprintf(&b, "@font-face { font-family: F%d; src: url(%s); }\n", i, ref)
+			b = fmt.Appendf(b, "@font-face { font-family: F%d; src: url(%s); }\n", i, ref)
 		} else {
-			fmt.Fprintf(&b, ".c%d { background-image: url(%s); }\n", i, ref)
+			b = fmt.Appendf(b, ".c%d { background-image: url(%s); }\n", i, ref)
 		}
 	}
-	padText(&b, spec.size, "/* ", " */\n")
-	return []byte(b.String())
+	return padText(b, spec.size, "/* ", " */\n")
 }
 
 func renderJS(spec *resourceSpec, v uint64) []byte {
-	var b strings.Builder
-	b.Grow(spec.size + 256)
-	fmt.Fprintf(&b, "// %s v=%d\n", spec.path, v)
+	b := make([]byte, 0, spec.size+256)
+	b = fmt.Appendf(b, "// %s v=%d\n", spec.path, v)
 	for _, f := range spec.fetches {
-		b.WriteString(jsexec.Directive(f))
-		b.WriteByte('\n')
+		b = append(append(b, jsexec.Directive(f)...), '\n')
 	}
-	fmt.Fprintf(&b, "console.log(%q);\n", spec.path)
-	padText(&b, spec.size, "// ", "\n")
-	return []byte(b.String())
+	b = fmt.Appendf(b, "console.log(%q);\n", spec.path)
+	return padText(b, spec.size, "// ", "\n")
 }
 
 func renderBinary(spec *resourceSpec, v uint64) []byte {
@@ -305,14 +298,13 @@ func renderBinary(spec *resourceSpec, v uint64) []byte {
 // fillerLine is sized so padding converges in few iterations.
 const fillerLine = "lorem ipsum dolor sit amet consectetur adipiscing elit sed do eiusmod tempor incididunt ut labore et dolore magna aliqua"
 
-// padText appends wrapped filler lines until the builder reaches target
-// bytes (plus at most one line of overshoot).
-func padText(b *strings.Builder, target int, open, close string) {
-	for b.Len() < target {
-		b.WriteString(open)
-		b.WriteString(fillerLine)
-		b.WriteString(close)
+// padText appends wrapped filler lines until b reaches target bytes (plus
+// at most one line of overshoot) and returns it.
+func padText(b []byte, target int, open, close string) []byte {
+	for len(b) < target {
+		b = append(append(append(b, open...), fillerLine...), close...)
 	}
+	return b
 }
 
 // Content returns the main-origin server.Content view.
