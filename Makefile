@@ -46,9 +46,10 @@ vet:
 # internal/decorate (DESIGN.md §7, §12) — or when a simulated load copies a
 # response body again: append([]byte(nil), / bytes.Clone( / a non-header
 # .Clone() in non-test httpcache, sw, browser, netsim or baselines,
-# httptest.NewRecorder back in the origin adapter, or "unsafe" imported by
-# any non-test file but the body view's (internal/httpcache/view.go)
-# (DESIGN.md §3, §14).
+# httptest anything (NewRecorder, NewRequest) back in non-test
+# internal/server, whose origin adapter builds its request and records its
+# response itself, or "unsafe" imported by any non-test file but the body
+# view's (internal/httpcache/view.go) (DESIGN.md §3, §14).
 FORK_SRC = $(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' ./... | tr ' ' '\n' | grep -v '/bench/'
 forks:
 	@fail=0; src=$$($(FORK_SRC)); \
@@ -60,7 +61,7 @@ forks:
 		'/internal/httpcache/\|/catalyst/:range [A-Za-z0-9_.]*\([nN]ot[mM]odified\|304\|httpResp\)[A-Za-z0-9_]*\.Header' \
 		'/catalyst/[^/]*\.go$$:"crypto/sha256"' '/:htmlparse\.Parse(' \
 		'/catalyst/[^/]*\.go$$:probeGen\|minExpires\|encodedMap' '/:GetBytes(\|renderKeyPool' \
-		'/internal/server/origin\.go$$:httptest\.NewRecorder'; do \
+		'/internal/server/:httptest\.'; do \
 		files=$$(echo "$$src" | tr ' ' '\n' | grep "$${chk%%:*}"); \
 		if grep -Hn "$${chk#*:}" $$files | grep -v ':[0-9]*:[[:space:]]*//' >&2; then \
 			echo "forks: '$${chk#*:}' is back in non-test code under '$${chk%%:*}', want 0" >&2; fail=1; fi; \
@@ -96,12 +97,18 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzExtractPage -fuzztime=10s ./internal/htmlparse/
 
 # Scheme-matrix smoke: the conformance suite (golden table, shape claims,
-# determinism, cancellation under -race) plus one live run of the command.
-# See EXPERIMENTS.md, "Scheme matrix".
+# determinism, cancellation under -race) plus one live run of the command,
+# and the determinism check on the sweep's job shape: the headline sweep
+# prints the same bytes at -parallel 1 and -parallel 4. See EXPERIMENTS.md,
+# "Scheme matrix".
 schemes:
 	$(GO) test -race -count=1 -run 'SchemeMatrix|Scheme|Delta|EarlyHints|Negative' \
 		./internal/harness/ ./internal/browser/ ./internal/delta/ ./catalyst/
 	$(GO) run ./cmd/schemes -sites 8
+	$(GO) run ./cmd/pltbench -experiment headline -sites 3 -json -parallel 1 > headline.p1.json
+	$(GO) run ./cmd/pltbench -experiment headline -sites 3 -json -parallel 4 > headline.p4.json
+	cmp headline.p1.json headline.p4.json
+	rm -f headline.p1.json headline.p4.json
 
 # Cache-policy smoke: replay the committed harness-exported trace and a
 # synthetic Zipf/lognormal trace through the cache core's GDSF order,

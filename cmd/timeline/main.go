@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -27,53 +29,81 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, prints the three waterfalls to
+// stdout (and writes the HAR files, if asked), reports errors to stderr,
+// and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("timeline", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		rttMS  = flag.Int("rtt", 40, "round-trip time in milliseconds")
-		mbps   = flag.Float64("mbps", 60, "downlink throughput in Mbit/s")
-		harDir = flag.String("har", "", "also write one HAR file per panel into this directory")
+		rttMS  = fs.Int("rtt", 40, "round-trip time in milliseconds")
+		mbps   = fs.Float64("mbps", 60, "downlink throughput in Mbit/s")
+		harDir = fs.String("har", "", "also write one HAR file per panel into this directory")
 	)
-	flag.Parse()
-	harOut = *harDir
-	if harOut != "" {
-		if err := os.MkdirAll(harOut, 0o755); err != nil {
-			panic(err)
-		}
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
 	}
 	cond := netsim.Conditions{
 		RTT:         time.Duration(*rttMS) * time.Millisecond,
 		DownlinkBps: *mbps * 1e6,
 	}
+	if err := figure1(panels{out: stdout, harDir: *harDir}, cond); err != nil {
+		fmt.Fprintf(stderr, "timeline: %v\n", err)
+		return 1
+	}
+	return 0
+}
 
-	fmt.Printf("Figure 1 example page under %s\n\n", cond)
+// figure1 prints the three panels of Figure 1 under cond.
+func figure1(p panels, cond netsim.Conditions) error {
+	if p.harDir != "" {
+		if err := os.MkdirAll(p.harDir, 0o755); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(p.out, "Figure 1 example page under %s\n\n", cond)
 
 	// (a) First visit, conventional.
 	clockA := vclock.NewVirtual(vclock.Epoch)
 	worldA := makeWorld(clockA, false)
 	browserA := browser.New(clockA, browser.Conventional, netsim.TransportOptions{})
-	fmt.Println("(a) first visit (cold cache)")
-	printWaterfall("fig1a", browserA, worldA, clockA, cond)
+	fmt.Fprintln(p.out, "(a) first visit (cold cache)")
+	if err := p.waterfall("fig1a", browserA, worldA, clockA, cond); err != nil {
+		return err
+	}
 
 	// (b) Conventional revisit two hours later; d.jpg has changed.
 	clockA.Advance(2 * time.Hour)
 	changeDJPG(worldA.content)
-	fmt.Println("(b) conventional revisit (+2h; d.jpg changed)")
-	printWaterfall("fig1b", browserA, worldA, clockA, cond)
+	fmt.Fprintln(p.out, "(b) conventional revisit (+2h; d.jpg changed)")
+	if err := p.waterfall("fig1b", browserA, worldA, clockA, cond); err != nil {
+		return err
+	}
 
 	// (c) Catalyst revisit: cold load first to warm the SW, then revisit.
 	clockC := vclock.NewVirtual(vclock.Epoch)
 	worldC := makeWorld(clockC, true)
 	browserC := browser.New(clockC, browser.Catalyst, netsim.TransportOptions{})
 	if _, err := browserC.Load(worldC.origins, cond, host, "/index.html"); err != nil {
-		panic(err)
+		return fmt.Errorf("fig1c cold load: %w", err)
 	}
 	clockC.Advance(2 * time.Hour)
 	changeDJPG(worldC.content)
-	fmt.Println("(c) CacheCatalyst revisit (+2h; d.jpg changed)")
-	printWaterfall("fig1c", browserC, worldC, clockC, cond)
+	fmt.Fprintln(p.out, "(c) CacheCatalyst revisit (+2h; d.jpg changed)")
+	return p.waterfall("fig1c", browserC, worldC, clockC, cond)
 }
 
-// harOut is the optional HAR output directory (empty = disabled).
-var harOut string
+// panels is where the waterfalls go: the printed bars, and the optional HAR
+// output directory (empty = none).
+type panels struct {
+	out    io.Writer
+	harDir string
+}
 
 const host = "site.example"
 
@@ -100,7 +130,7 @@ func changeDJPG(c *server.MemContent) {
 	c.SetBody("/d.jpg", "JPEG-VERSION-2-CHANGED", server.CachePolicy{MaxAge: time.Hour, HasMaxAge: true})
 }
 
-func printWaterfall(name string, b *browser.Browser, w *world, clock vclock.Clock, cond netsim.Conditions) {
+func (p panels) waterfall(name string, b *browser.Browser, w *world, clock vclock.Clock, cond netsim.Conditions) error {
 	var events []browser.FetchEvent
 	col := trace.NewCollector(clock.Now())
 	b.OnFetch = func(ev browser.FetchEvent) {
@@ -110,19 +140,19 @@ func printWaterfall(name string, b *browser.Browser, w *world, clock vclock.Cloc
 	res, err := b.Load(w.origins, cond, host, "/index.html")
 	b.OnFetch = nil
 	if err != nil {
-		panic(err)
+		return fmt.Errorf("%s: %w", name, err)
 	}
-	if harOut != "" {
+	if p.harDir != "" {
 		har := col.HAR("https://"+host+"/index.html", res.PLT)
 		data, err := har.Marshal()
 		if err != nil {
-			panic(err)
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		path := filepath.Join(harOut, name+".har")
+		path := filepath.Join(p.harDir, name+".har")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
-			panic(err)
+			return err
 		}
-		fmt.Printf("  (wrote %s)\n", path)
+		fmt.Fprintf(p.out, "  (wrote %s)\n", path)
 	}
 
 	sort.Slice(events, func(i, j int) bool {
@@ -142,11 +172,12 @@ func printWaterfall(name string, b *browser.Browser, w *world, clock vclock.Cloc
 		if len(ev.Decisions) > 0 {
 			label += "  [" + strings.Join(ev.Decisions, " ") + "]"
 		}
-		fmt.Printf("  %-12s |%s| %6.1fms  %s\n", strings.TrimPrefix(ev.Path, "/"), bar,
+		fmt.Fprintf(p.out, "  %-12s |%s| %6.1fms  %s\n", strings.TrimPrefix(ev.Path, "/"), bar,
 			float64(ev.End.Microseconds())/1000, label)
 	}
-	fmt.Printf("  PLT = %.1fms  (requests=%d local=%d bytes=%d)\n\n",
+	fmt.Fprintf(p.out, "  PLT = %.1fms  (requests=%d local=%d bytes=%d)\n\n",
 		float64(res.PLT.Microseconds())/1000, res.NetworkRequests, res.LocalHits, res.BytesDown)
+	return nil
 }
 
 func renderBar(ev browser.FetchEvent, scale float64, width int) string {

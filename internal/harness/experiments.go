@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -54,9 +55,10 @@ func RunFig3(cfg Config) (*SweepResult, error) {
 // every grid condition. For each (site, condition) pair both schemes load
 // the page cold at the virtual epoch and then reload at each delay; the
 // virtual clocks advance identically, so both schemes see identical content
-// trajectories and the comparison is paired. Results do not depend on
-// Parallelism: every trial fills its own (condition, site) slot, and the
-// slots are folded in index order, as RunSchemeMatrix does.
+// trajectories and the comparison is paired. Each site is generated once and
+// every world of it runs on a view of that one site (forEachSite). Results
+// do not depend on Parallelism: every trial fills its own (condition, site)
+// slot, and the slots are folded in index order, as RunSchemeMatrix does.
 func RunPairedSweep(cfg Config, base, treatment Scheme) (*SweepResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -70,41 +72,62 @@ func RunPairedSweep(cfg Config, base, treatment Scheme) (*SweepResult, error) {
 	for condIdx := range trials {
 		trials[condIdx] = make([][]sampleOut, p)
 	}
-	type job struct{ condIdx, siteIdx int }
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	workers := cfg.Parallelism
+	err := forEachSite(context.Background(), cfg.Corpus, p, cfg.Parallelism, func(siteIdx int, site *webgen.Site) error {
+		for condIdx, cond := range cfg.Grid {
+			out, err := runPairedTrial(cfg, cond, newWorld(site, base, cfg.Transport), newWorld(site, treatment, cfg.Transport))
+			if err != nil {
+				return err
+			}
+			trials[condIdx][siteIdx] = out
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return foldPaired(cfg, base, treatment, trials), nil
+}
+
+// forEachSite calls trial once for every site index below sites, on up to
+// workers goroutines (≤0 means GOMAXPROCS), handing it the site generated
+// once. trial builds every world of that site on views of it, and the site
+// is dropped when trial returns, so at most workers sites are resident.
+// Trials fill index-ordered slots, so what they produce does not depend on
+// workers. Once ctx is done no further site starts; the first error is
+// returned.
+func forEachSite(ctx context.Context, p webgen.Params, sites, workers int, trial func(siteIdx int, site *webgen.Site) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-
+	jobs := make(chan int)
+	var wg sync.WaitGroup
 	var firstErr error
 	var errOnce sync.Once
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				out, err := runPairedTrial(cfg, base, treatment, j.condIdx, j.siteIdx)
+			for siteIdx := range jobs {
+				err := ctx.Err()
+				if err == nil {
+					err = trial(siteIdx, generate(p, siteIdx))
+				}
 				if err != nil {
 					errOnce.Do(func() { firstErr = err })
-					continue
 				}
-				trials[j.condIdx][j.siteIdx] = out
 			}
 		}()
 	}
-	for condIdx := range cfg.Grid {
-		for siteIdx := 0; siteIdx < p; siteIdx++ {
-			jobs <- job{condIdx, siteIdx}
-		}
+	for siteIdx := 0; siteIdx < sites; siteIdx++ {
+		jobs <- siteIdx
 	}
 	close(jobs)
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
+	return firstErr
+}
 
+// foldPaired aggregates the per-(condition, site) trials in index order.
+func foldPaired(cfg Config, base, treatment Scheme, trials [][][]sampleOut) *SweepResult {
 	// reductions[cond][delay] accumulates per-site samples.
 	reductions := make([][][]float64, len(cfg.Grid))
 	fcpReductions := make([][]float64, len(cfg.Grid))
@@ -143,15 +166,12 @@ func RunPairedSweep(cfg Config, base, treatment Scheme) (*SweepResult, error) {
 		all = append(all, condAll...)
 	}
 	res.OverallReduction = stats.Mean(all)
-	return res, nil
+	return res
 }
 
-// runPairedTrial runs one (condition, site) pair through both schemes.
-func runPairedTrial(cfg Config, base, treatment Scheme, condIdx, siteIdx int) ([]sampleOut, error) {
-	cond := cfg.Grid[condIdx]
-	wBase := NewWorld(cfg.Corpus, siteIdx, base, cfg.Transport)
-	wTreat := NewWorld(cfg.Corpus, siteIdx, treatment, cfg.Transport)
-
+// runPairedTrial runs one (condition, site) pair through the base and
+// treatment worlds of that site.
+func runPairedTrial(cfg Config, cond netsim.Conditions, wBase, wTreat *World) ([]sampleOut, error) {
 	// Cold loads at the epoch (not measured for the sweep; they warm the
 	// client state, as in the paper's methodology).
 	if _, err := wBase.Load(cond); err != nil {

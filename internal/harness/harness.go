@@ -115,10 +115,24 @@ type World struct {
 	Server  *server.Server
 }
 
-// NewWorld builds the world for one (site, scheme) pair.
+// NewWorld builds the world for one (site, scheme) pair on a site of its
+// own.
 func NewWorld(p webgen.Params, siteIndex int, scheme Scheme, transport netsim.TransportOptions) *World {
+	return newWorld(generate(p, siteIndex), scheme, transport)
+}
+
+// generate builds the siteIndex-th site at the virtual epoch. The sweeps
+// generate a site once and build every world of it on a view of that one
+// site, so the worlds share its bodies instead of each rendering its own.
+func generate(p webgen.Params, siteIndex int) *webgen.Site {
+	return webgen.GenerateOne(p, siteIndex, vclock.NewVirtual(vclock.Epoch))
+}
+
+// newWorld builds one world on a view of site: its own clock, server,
+// browser and caches, reading bodies from the site's shared store.
+func newWorld(site *webgen.Site, scheme Scheme, transport netsim.TransportOptions) *World {
 	clock := vclock.NewVirtual(vclock.Epoch)
-	site := webgen.GenerateOne(p, siteIndex, clock)
+	site = site.View(clock)
 
 	srvOpts := server.Options{Clock: clock}
 	mode := browser.Conventional

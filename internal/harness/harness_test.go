@@ -265,7 +265,9 @@ func TestRunCrossPage(t *testing.T) {
 // goroutine scheduling, map iteration, or hidden randomness: at any
 // parallelism the same configuration must produce deep-equal results, every
 // mean bit for bit — floating-point sums depend on their order, so trials are
-// folded in index order, not in the order workers finish them.
+// folded in index order, not in the order workers finish them. Both sweeps
+// run one job per site, every (condition, scheme) trial of it on views of
+// one generated site, so the check covers the scheme matrix too.
 func TestSweepDeterministic(t *testing.T) {
 	cfg := Config{
 		Corpus:      webgen.Params{Sites: 6, Seed: 11, Scale: 0.3},
@@ -285,6 +287,22 @@ func TestSweepDeterministic(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("run %d: -parallel 4 differs from -parallel 1:\n%+v\n%+v", run, got, want)
+		}
+	}
+
+	mcfg := MatrixConfig{Corpus: cfg.Corpus, Grid: cfg.Grid, Delays: cfg.Delays, Parallelism: 1}
+	wantM, err := RunSchemeMatrix(mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mcfg.Parallelism = 4
+	for run := 0; run < 2; run++ {
+		got, err := RunSchemeMatrix(mcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, wantM) {
+			t.Fatalf("matrix run %d: -parallel 4 differs from -parallel 1:\n%+v\n%+v", run, got, wantM)
 		}
 	}
 }

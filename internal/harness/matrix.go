@@ -3,8 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"cachecatalyst/internal/netsim"
@@ -126,9 +124,11 @@ func RunSchemeMatrix(cfg MatrixConfig) (*MatrixResult, error) {
 
 // RunSchemeMatrixContext measures every scheme across the grid. Each
 // (condition, scheme, site) trial runs its own world — cold load at the
-// epoch, then a warm load at each revisit delay — so schemes see identical
-// content trajectories and results are independent of scheduling.
-// Cancelling ctx stops the run promptly and leaves no goroutines behind.
+// epoch, then a warm load at each revisit delay — on a view of the site,
+// which is generated once for all of its trials (forEachSite), so schemes
+// see identical content trajectories and results are independent of
+// scheduling. Cancelling ctx stops the run promptly and leaves no
+// goroutines behind.
 func RunSchemeMatrixContext(ctx context.Context, cfg MatrixConfig) (*MatrixResult, error) {
 	if len(cfg.Schemes) == 0 {
 		cfg.Schemes = MatrixSchemes
@@ -145,6 +145,30 @@ func RunSchemeMatrixContext(ctx context.Context, cfg MatrixConfig) (*MatrixResul
 	// Results are preallocated and indexed, never appended: workers write
 	// disjoint slots, and aggregation order is fixed regardless of which
 	// worker finishes first.
+	trials := newMatrixTrials(cfg, sites)
+	err := forEachSite(ctx, cfg.Corpus, sites, cfg.Parallelism, func(siteIdx int, site *webgen.Site) error {
+		for ci, cond := range cfg.Grid {
+			for si, scheme := range cfg.Schemes {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				out, err := runMatrixTrial(cfg, cond, newWorld(site, scheme, cfg.Transport))
+				if err != nil {
+					return err
+				}
+				trials[ci][si][siteIdx] = out
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return foldMatrix(cfg, trials), nil
+}
+
+// newMatrixTrials allocates the trials[condIdx][schemeIdx][siteIdx] slots.
+func newMatrixTrials(cfg MatrixConfig, sites int) [][][]*matrixTrial {
 	trials := make([][][]*matrixTrial, len(cfg.Grid))
 	for ci := range trials {
 		trials[ci] = make([][]*matrixTrial, len(cfg.Schemes))
@@ -152,49 +176,11 @@ func RunSchemeMatrixContext(ctx context.Context, cfg MatrixConfig) (*MatrixResul
 			trials[ci][si] = make([]*matrixTrial, sites)
 		}
 	}
+	return trials
+}
 
-	type job struct{ condIdx, schemeIdx, siteIdx int }
-	jobs := make(chan job)
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	var wg sync.WaitGroup
-	var firstErr error
-	var errOnce sync.Once
-	fail := func(err error) { errOnce.Do(func() { firstErr = err }) }
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if ctx.Err() != nil {
-					fail(ctx.Err())
-					continue // keep draining so the producer never blocks
-				}
-				out, err := runMatrixTrial(cfg, j.condIdx, j.schemeIdx, j.siteIdx)
-				if err != nil {
-					fail(err)
-					continue
-				}
-				trials[j.condIdx][j.schemeIdx][j.siteIdx] = out
-			}
-		}()
-	}
-	for ci := range cfg.Grid {
-		for si := range cfg.Schemes {
-			for site := 0; site < sites; site++ {
-				jobs <- job{ci, si, site}
-			}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
+// foldMatrix aggregates the trials in index order.
+func foldMatrix(cfg MatrixConfig, trials [][][]*matrixTrial) *MatrixResult {
 	res := &MatrixResult{Schemes: cfg.Schemes}
 	convIdx := -1
 	for si, s := range cfg.Schemes {
@@ -234,14 +220,12 @@ func RunSchemeMatrixContext(ctx context.Context, cfg MatrixConfig) (*MatrixResul
 		}
 		res.Cells = append(res.Cells, row)
 	}
-	return res, nil
+	return res
 }
 
 // runMatrixTrial measures one (condition, scheme, site) world: a cold load
 // at the virtual epoch, then a warm load at each cumulative revisit delay.
-func runMatrixTrial(cfg MatrixConfig, condIdx, schemeIdx, siteIdx int) (*matrixTrial, error) {
-	cond := cfg.Grid[condIdx]
-	w := NewWorld(cfg.Corpus, siteIdx, cfg.Schemes[schemeIdx], cfg.Transport)
+func runMatrixTrial(cfg MatrixConfig, cond netsim.Conditions, w *World) (*matrixTrial, error) {
 	coldRes, err := w.Load(cond)
 	if err != nil {
 		return nil, err

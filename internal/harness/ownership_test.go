@@ -3,6 +3,7 @@ package harness
 import (
 	"crypto/sha256"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,17 +20,19 @@ type bodyLedger struct {
 }
 
 type ledgerEntry struct {
+	world int // which world's origin handed the body out
 	where string
 	body  []byte
 	sum   [sha256.Size]byte
 }
 
-func (l *bodyLedger) wrap(where string, inner netsim.Origin) netsim.Origin {
-	return ledgerOrigin{l, where, inner}
+func (l *bodyLedger) wrap(world int, where string, inner netsim.Origin) netsim.Origin {
+	return ledgerOrigin{l, world, where, inner}
 }
 
 type ledgerOrigin struct {
 	l     *bodyLedger
+	world int
 	where string
 	inner netsim.Origin
 }
@@ -38,7 +41,7 @@ func (o ledgerOrigin) RoundTrip(req *netsim.Request) *httpcache.Response {
 	resp := o.inner.RoundTrip(req)
 	if len(resp.Body) > 0 {
 		o.l.mu.Lock()
-		o.l.entries = append(o.l.entries, ledgerEntry{o.where + " " + req.Path, resp.Body, sha256.Sum256(resp.Body)})
+		o.l.entries = append(o.l.entries, ledgerEntry{o.world, o.where + " " + req.Path, resp.Body, sha256.Sum256(resp.Body)})
 		o.l.mu.Unlock()
 	}
 	return resp
@@ -52,24 +55,28 @@ func (o ledgerOrigin) RoundTrip(req *netsim.Request) *httpcache.Response {
 // map corruption on every origin, fingerprints every body on both sides of
 // the chaos layer (the server's own slice, and the possibly truncated view
 // the browser receives), and re-takes every fingerprint after the whole run.
+// Worlds are built the way the sweeps build them: one generated site per
+// index, every condition and scheme on a view of it, so one body reaches
+// many worlds' browsers and a write in any of them would show in the others.
 func TestBodiesAreNeverWritten(t *testing.T) {
 	cfg := QuickMatrixConfig()
 	chaos := netsim.ChaosConfig{Seed: 33, TruncateProb: 0.15, CorruptMapProb: 0.1}
 	var ledger bodyLedger
-	var loads int
+	var loads, worlds int
 	var chaosOrigins []*netsim.ChaosOrigin
-	for ci, cond := range cfg.Grid {
-		for _, scheme := range MatrixSchemes {
-			for site := 0; site < cfg.Corpus.Sites; site++ {
-				w := NewWorld(cfg.Corpus, site, scheme, cfg.Transport)
+	for site := 0; site < cfg.Corpus.Sites; site++ {
+		shared := generate(cfg.Corpus, site)
+		for ci, cond := range cfg.Grid {
+			for _, scheme := range MatrixSchemes {
+				w := newWorld(shared, scheme, cfg.Transport)
 				w.Browser.MaxFetchRetries = 2
 				for host, o := range w.Origins {
 					name := fmt.Sprintf("%v/%v/%s", cond, scheme, host)
 					c := chaos
 					c.Seed += int64(ci*100 + site)
-					co := netsim.NewChaosOrigin(ledger.wrap(name+" server", o), c)
+					co := netsim.NewChaosOrigin(ledger.wrap(worlds, name+" server", o), c)
 					chaosOrigins = append(chaosOrigins, co)
-					w.Origins[host] = ledger.wrap(name+" browser", co)
+					w.Origins[host] = ledger.wrap(worlds, name+" browser", co)
 				}
 				if _, err := w.Load(cond); err != nil {
 					t.Fatal(err)
@@ -83,11 +90,31 @@ func TestBodiesAreNeverWritten(t *testing.T) {
 					}
 				}
 				loads += 1 + len(cfg.Delays)
+				worlds++
 			}
 		}
 	}
 	if len(ledger.entries) < 10*loads {
 		t.Fatalf("ledger saw %d bodies over %d loads; the wrapper is not in the path", len(ledger.entries), loads)
+	}
+	// reached[first byte of a body's array] = the worlds whose browsers got it.
+	reached := make(map[*byte]map[int]bool)
+	shared := 0
+	for _, e := range ledger.entries {
+		if !strings.Contains(e.where, " browser ") {
+			continue
+		}
+		ws := reached[&e.body[0]]
+		if ws == nil {
+			ws = make(map[int]bool)
+			reached[&e.body[0]] = ws
+		}
+		if ws[e.world] = true; len(ws) == 2 {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no body reached two worlds' browsers; the worlds do not share their site's bodies")
 	}
 	var truncations int64
 	for _, co := range chaosOrigins {

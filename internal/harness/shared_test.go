@@ -1,0 +1,81 @@
+package harness
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+	"time"
+
+	"cachecatalyst/internal/netsim"
+	"cachecatalyst/internal/vclock"
+	"cachecatalyst/internal/webgen"
+)
+
+// sharedCorpus has what the default corpora lack and a shared body store
+// has to get right: pages that embed fingerprinted assets' version stamps,
+// and references deployed before their assets (404 until they appear).
+var sharedCorpus = webgen.Params{Sites: 3, Seed: 13, Scale: 0.35, FingerprintFrac: 0.3, BrokenFrac: 0.15}
+
+var sharedGrid = []netsim.Conditions{Median5G(), {RTT: 80 * time.Millisecond, DownlinkBps: 8e6}}
+
+var sharedDelays = []time.Duration{time.Hour, 24 * time.Hour, 7 * 24 * time.Hour}
+
+// TestSweepsMatchPrivateSites is the differential test of the shared site:
+// RunFig3 and RunSchemeMatrix, whose worlds are views of one site per index,
+// must equal bit for bit a reference that builds every world with NewWorld,
+// on a site of its own, and folds the trials the same way.
+func TestSweepsMatchPrivateSites(t *testing.T) {
+	stamped := 0
+	for i := 0; i < sharedCorpus.Sites; i++ {
+		clock := vclock.NewVirtual(vclock.Epoch)
+		site := webgen.GenerateOne(sharedCorpus, i, clock)
+		cold, _ := site.Content().Get(webgen.PagePath)
+		clock.Advance(sharedDelays[len(sharedDelays)-1])
+		warm, _ := site.Content().Get(webgen.PagePath)
+		if bytes.Contains(cold.Body, []byte("?v=")) && !bytes.Equal(cold.Body, warm.Body) {
+			stamped++
+		}
+	}
+	if stamped == 0 {
+		t.Fatal("no page embeds a fingerprinted asset's stamp; the corpus does not exercise the store's page key")
+	}
+
+	cfg := Config{Corpus: sharedCorpus, Grid: sharedGrid, Delays: sharedDelays, Parallelism: 2}
+	got, err := RunFig3(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paired := make([][][]sampleOut, len(cfg.Grid))
+	for ci, cond := range cfg.Grid {
+		paired[ci] = make([][]sampleOut, sharedCorpus.Sites)
+		for site := range paired[ci] {
+			wBase := NewWorld(cfg.Corpus, site, SchemeConventional, cfg.Transport)
+			wTreat := NewWorld(cfg.Corpus, site, SchemeCatalyst, cfg.Transport)
+			if paired[ci][site], err = runPairedTrial(cfg, cond, wBase, wTreat); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if want := foldPaired(cfg, SchemeConventional, SchemeCatalyst, paired); !reflect.DeepEqual(got, want) {
+		t.Errorf("RunFig3 over shared sites differs from private sites:\n%+v\n%+v", got, want)
+	}
+
+	mcfg := MatrixConfig{Corpus: sharedCorpus, Grid: sharedGrid, Delays: sharedDelays, Schemes: MatrixSchemes, Parallelism: 2}
+	gotM, err := RunSchemeMatrix(mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trials := newMatrixTrials(mcfg, sharedCorpus.Sites)
+	for ci, cond := range mcfg.Grid {
+		for si, scheme := range mcfg.Schemes {
+			for site := 0; site < sharedCorpus.Sites; site++ {
+				if trials[ci][si][site], err = runMatrixTrial(mcfg, cond, NewWorld(mcfg.Corpus, site, scheme, mcfg.Transport)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if want := foldMatrix(mcfg, trials); !reflect.DeepEqual(gotM, want) {
+		t.Errorf("RunSchemeMatrix over shared sites differs from private sites:\n%+v\n%+v", gotM, want)
+	}
+}

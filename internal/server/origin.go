@@ -2,7 +2,7 @@ package server
 
 import (
 	"net/http"
-	"net/http/httptest"
+	"net/url"
 
 	"cachecatalyst/internal/httpcache"
 	"cachecatalyst/internal/netsim"
@@ -40,7 +40,30 @@ func (a *originAdapter) RoundTrip(req *netsim.Request) *httpcache.Response {
 	if method == "" {
 		method = "GET"
 	}
-	r := httptest.NewRequest(method, req.Path, nil)
+	u, err := url.ParseRequestURI(req.Path)
+	if err != nil {
+		// What a server answers a request line whose target is not a
+		// request URI.
+		return &httpcache.Response{StatusCode: http.StatusBadRequest, Header: make(http.Header)}
+	}
+	// The request httptest.NewRequest would build, without parsing a
+	// request line: the same Host, RemoteAddr, Proto and body.
+	host := u.Host
+	if host == "" {
+		host = "example.com"
+	}
+	r := &http.Request{
+		Method:     method,
+		URL:        u,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     make(http.Header, len(req.Header)),
+		Body:       http.NoBody,
+		Host:       host,
+		RequestURI: req.Path,
+		RemoteAddr: "192.0.2.1:1234",
+	}
 	if req.Ctx != nil {
 		// Propagate the caller's context so cancelling the simulated
 		// request cancels the real handler's work (probe fan-outs,

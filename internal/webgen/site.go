@@ -1,9 +1,11 @@
 package webgen
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"cachecatalyst/internal/etag"
@@ -57,8 +59,21 @@ type resourceSpec struct {
 // Site is one generated website. It exposes two server.Content views: the
 // main origin and the site's CDN origin (cross-origin resources).
 //
-// A Site is not safe for concurrent use; experiments run one goroutine per
-// simulation.
+// A Site reads resource versions off its clock. View returns the same site
+// on another clock, so several simulations can run one generated site at
+// once, each advancing its own virtual time. All views share what
+// generation produced: the resource tree, the epoch and the body store,
+// which holds one *server.Resource per (request path, version) — for a
+// page, its own version and the version of every fingerprinted asset whose
+// stamp it embeds. Content is a pure function of those versions, so a view
+// answers exactly what a freshly generated site on its clock would, and
+// views at the same versions return the same *server.Resource. The store
+// keeps every version any view materialized for as long as the site lives.
+//
+// Get on the Content and CDNContent views is safe for concurrent use, within
+// one view and across views of one site; the resource tree is read-only
+// after generation and the store is locked. Resources handed out are never
+// written (server.Resource's ownership rule).
 type Site struct {
 	// Host is the main origin, e.g. "site042.example".
 	Host string
@@ -66,15 +81,18 @@ type Site struct {
 	CDNHost string
 
 	clock vclock.Clock
+	*generation
+}
+
+// generation is what every view of a site shares.
+type generation struct {
 	epoch time.Time
 	specs map[string]*resourceSpec
 	order []string
-	cache map[string]*materialized
-}
 
-type materialized struct {
-	version uint64
-	res     *server.Resource
+	mu sync.Mutex
+	// store holds every materialized resource, keyed as get describes.
+	store map[string]*server.Resource
 }
 
 func newSite(host string, clock vclock.Clock, epoch time.Time) *Site {
@@ -82,10 +100,21 @@ func newSite(host string, clock vclock.Clock, epoch time.Time) *Site {
 		Host:    host,
 		CDNHost: "cdn." + host,
 		clock:   clock,
-		epoch:   epoch,
-		specs:   make(map[string]*resourceSpec),
-		cache:   make(map[string]*materialized),
+		generation: &generation{
+			epoch: epoch,
+			specs: make(map[string]*resourceSpec),
+			store: make(map[string]*server.Resource),
+		},
 	}
+}
+
+// View returns the site on clock: the same resources, epoch and body store,
+// with versions read off clock instead of the site's own. The epoch stays
+// the time the site was generated at, whatever clock reads it.
+func (s *Site) View(clock vclock.Clock) *Site {
+	v := *s
+	v.clock = clock
+	return &v
 }
 
 func (s *Site) add(spec *resourceSpec) {
@@ -148,7 +177,8 @@ func (s *Site) lookupSpec(path string) (*resourceSpec, bool) {
 	return nil, false
 }
 
-// get materializes the resource at path for the current clock time.
+// get materializes the resource at path for the current clock time, or
+// returns the one already in the store.
 func (s *Site) get(path string) (*server.Resource, bool) {
 	spec, ok := s.lookupSpec(path)
 	if !ok {
@@ -161,35 +191,53 @@ func (s *Site) get(path string) (*server.Resource, bool) {
 		return nil, false
 	}
 	v := s.version(spec, now)
+	// The store key is the request path followed by every version the
+	// body depends on. A page embeds the current ?v= stamps of its
+	// fingerprinted dependencies, so their versions are part of its key;
+	// mixed folds them into the one number its body and ETag carry, which
+	// names a version but is not unique enough to key a store by.
+	var buf [64]byte
+	key := binary.BigEndian.AppendUint64(append(append(buf[:0], path...), 0), v)
+	mixed := v
 	if spec.kind == htmlparse.KindDocument {
-		// The page's bytes embed the current ?v= stamps of fingerprinted
-		// dependencies, so its effective version must change when theirs
-		// do — otherwise the materialization cache would serve stale refs.
 		for _, ref := range spec.refs {
 			if target, okT := s.specByRef(ref); okT && target.fingerprinted {
-				v = v*1000003 + s.version(target, now) + 1
+				tv := s.version(target, now)
+				key = binary.BigEndian.AppendUint64(key, tv)
+				mixed = mixed*1000003 + tv + 1
 			}
 		}
 	}
-	if m, ok := s.cache[path]; ok && m.version == v {
-		return m.res, true
+	s.mu.Lock()
+	res, ok := s.store[string(key)]
+	s.mu.Unlock()
+	if ok {
+		return res, true
 	}
-	res := &server.Resource{
-		Body:         s.materialize(spec, v),
+	// Rendered unlocked: a view that races this one to the same key
+	// renders the same bytes, and the first store wins.
+	res = &server.Resource{
+		Body:         s.materialize(spec, mixed, now),
 		ContentType:  server.TypeByPath(path),
-		ETag:         etag.ForVersion(s.Host+path, v),
+		ETag:         etag.ForVersion(s.Host+path, mixed),
 		Policy:       spec.policy,
 		LastModified: s.lastModified(spec, now),
 	}
-	s.cache[path] = &materialized{version: v, res: res}
+	s.mu.Lock()
+	if prev, ok := s.store[string(key)]; ok {
+		res = prev
+	} else {
+		s.store[string(key)] = res
+	}
+	s.mu.Unlock()
 	return res, true
 }
 
-// materialize renders the resource body for a given version.
-func (s *Site) materialize(spec *resourceSpec, v uint64) []byte {
+// materialize renders the resource body for a given version at time now.
+func (s *Site) materialize(spec *resourceSpec, v uint64, now time.Time) []byte {
 	switch spec.kind {
 	case htmlparse.KindDocument:
-		return s.renderPage(spec, v)
+		return s.renderPage(spec, v, now)
 	case htmlparse.KindStylesheet:
 		return renderCSS(spec, v)
 	case htmlparse.KindScript:
@@ -200,18 +248,18 @@ func (s *Site) materialize(spec *resourceSpec, v uint64) []byte {
 }
 
 // refFor renders the URL a page uses to reference target: fingerprinted
-// assets carry their current version as a cache-busting query.
-func (s *Site) refFor(ref string) string {
+// assets carry their version at now as a cache-busting query.
+func (s *Site) refFor(ref string, now time.Time) string {
 	target, ok := s.specByRef(ref)
 	if !ok || !target.fingerprinted {
 		return ref
 	}
-	return fmt.Sprintf("%s?v=%d", ref, s.version(target, s.clock.Now()))
+	return fmt.Sprintf("%s?v=%d", ref, s.version(target, now))
 }
 
 // renderPage emits the homepage HTML listing the spec's refs as the
 // appropriate tags.
-func (s *Site) renderPage(spec *resourceSpec, v uint64) []byte {
+func (s *Site) renderPage(spec *resourceSpec, v uint64, now time.Time) []byte {
 	b := make([]byte, 0, spec.size+256)
 	b = fmt.Appendf(b, "<!DOCTYPE html>\n<!-- %s v=%d -->\n<html><head>\n<title>%s</title>\n", s.Host, v, s.Host)
 	for _, ref := range spec.refs {
@@ -221,12 +269,12 @@ func (s *Site) renderPage(spec *resourceSpec, v uint64) []byte {
 		}
 		switch target.kind {
 		case htmlparse.KindStylesheet:
-			b = fmt.Appendf(b, "<link rel=\"stylesheet\" href=\"%s\">\n", s.refFor(ref))
+			b = fmt.Appendf(b, "<link rel=\"stylesheet\" href=\"%s\">\n", s.refFor(ref, now))
 		case htmlparse.KindScript:
 			if target.async {
-				b = fmt.Appendf(b, "<script src=\"%s\" async></script>\n", s.refFor(ref))
+				b = fmt.Appendf(b, "<script src=\"%s\" async></script>\n", s.refFor(ref, now))
 			} else {
-				b = fmt.Appendf(b, "<script src=\"%s\"></script>\n", s.refFor(ref))
+				b = fmt.Appendf(b, "<script src=\"%s\"></script>\n", s.refFor(ref, now))
 			}
 		}
 	}
