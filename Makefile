@@ -49,7 +49,9 @@ vet:
 # httptest anything (NewRecorder, NewRequest) back in non-test
 # internal/server, whose origin adapter builds its request and records its
 # response itself, or "unsafe" imported by any non-test file but the body
-# view's (internal/httpcache/view.go) (DESIGN.md §3, §14).
+# view's (internal/httpcache/view.go) (DESIGN.md §3, §14) — or when the
+# client decision of PROTOCOL.md §4 forks again: core.Decide( is called once,
+# by sw.Worker, and catalyst.Client is a shell over that worker (DESIGN.md §6).
 FORK_SRC = $(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' ./... | tr ' ' '\n' | grep -v '/bench/'
 forks:
 	@fail=0; src=$$($(FORK_SRC)); \
@@ -71,6 +73,9 @@ forks:
 		echo "forks: a simulated load copies a response body again; stores and parsers share it (DESIGN.md §3)" >&2; fail=1; fi; \
 	if grep -Hn '^[[:space:]]*\(import[[:space:]]*\)\?\(_[[:space:]]*\)\?"unsafe"' $$src | grep -v '/internal/httpcache/view\.go:' >&2; then \
 		echo "forks: \"unsafe\" imported outside internal/httpcache/view.go, the one read-only body view" >&2; fail=1; fi; \
+	dec=$$(grep -Hn 'core\.Decide(' $$src | grep -v ':[0-9]*:[[:space:]]*//'); \
+	if [ "$$(echo "$$dec" | grep -c /internal/sw/)" -ne 1 ] || [ "$$(echo "$$dec" | grep -c .)" -ne 1 ]; then \
+		echo "forks: core.Decide( is called $$(echo "$$dec" | grep -c .) times in non-test code, want once, in internal/sw:" >&2; echo "$$dec" >&2; fail=1; fi; \
 	ev=$$(grep -Hn 'type [A-Za-z]*[eE]vidence struct' $$src); \
 	if [ "$$(echo "$$ev" | grep -c /internal/decorate/)" -ne 1 ] || [ "$$(echo "$$ev" | grep -c .)" -ne 1 ]; then \
 		echo "forks: the evidence type is defined $$(echo "$$ev" | grep -c .) times in non-test code, want once, in internal/decorate:" >&2; echo "$$ev" >&2; fail=1; fi; \

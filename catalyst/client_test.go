@@ -1,12 +1,16 @@
 package catalyst
 
 import (
+	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/fstest"
+	"time"
 
 	"cachecatalyst/internal/server"
 )
@@ -29,7 +33,7 @@ func clientWorld(t *testing.T) (string, *server.Server, func()) {
 }
 
 func TestClientFirstVisitFetchesAndCaches(t *testing.T) {
-	base, _, done := clientWorld(t)
+	base, srv, done := clientWorld(t)
 	defer done()
 	c := NewClient(nil)
 
@@ -47,12 +51,15 @@ func TestClientFirstVisitFetchesAndCaches(t *testing.T) {
 	if css.Source != "network" || string(css.Body) != "body{}" {
 		t.Fatalf("css: %+v", css)
 	}
-	if _, err := c.Get(base + "/logo.png"); err != nil {
+	logo, err := c.Get(base + "/logo.png")
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := c.Snapshot()
-	if st.NetworkFetches != 3 || st.LocalHits != 0 {
-		t.Fatalf("stats = %+v", st)
+	if logo.Source != "network" {
+		t.Fatalf("logo source = %s", logo.Source)
+	}
+	if got := srv.Metrics.Requests.Load(); got != 3 {
+		t.Fatalf("server saw %d requests, want 3", got)
 	}
 }
 
@@ -89,9 +96,6 @@ func TestClientRevisitServesFromCache(t *testing.T) {
 	}
 	if got := srv.Metrics.Requests.Load() - before; got != 1 {
 		t.Fatalf("server saw %d requests on revisit, want 1", got)
-	}
-	if st := c.Snapshot(); st.LocalHits != 2 || st.Revalidations != 1 {
-		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -183,23 +187,136 @@ func TestClientRejectsRelativeURL(t *testing.T) {
 	}
 }
 
+// TestClientClear: a new client holds nothing — no map, no copies — while
+// the one that visited keeps serving from its own.
 func TestClientClear(t *testing.T) {
+	base, srv, done := clientWorld(t)
+	defer done()
+	c := NewClient(nil)
+	for _, p := range []string{"/index.html", "/s.css", "/index.html"} {
+		if _, err := c.Get(base + p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := srv.Metrics.Requests.Load()
+	css, err := NewClient(nil).Get(base + "/s.css")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if css.Source != "network" || srv.Metrics.Requests.Load()-before != 1 {
+		t.Fatalf("new client served from %s", css.Source)
+	}
+	if css, err = c.Get(base + "/s.css"); err != nil {
+		t.Fatal(err)
+	}
+	if css.Source != "cache" {
+		t.Fatalf("visiting client served from %s", css.Source)
+	}
+}
+
+// TestClientScopesMapsPerOrigin (PROTOCOL.md §6): two origins serve the
+// same path under the same tag, and A's map never lets B's copy be served
+// from cache — B has delivered no map.
+func TestClientScopesMapsPerOrigin(t *testing.T) {
+	baseA, _, doneA := clientWorld(t)
+	defer doneA()
+	baseB, srvB, doneB := clientWorld(t)
+	defer doneB()
+	c := NewClient(nil)
+	for _, u := range []string{baseA + "/index.html", baseA + "/s.css", baseB + "/s.css"} {
+		if _, err := c.Get(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, err := c.Get(baseA + "/s.css")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Source != "cache" {
+		t.Fatalf("A's stylesheet served from %s, want cache", a.Source)
+	}
+	b, err := c.Get(baseB + "/s.css")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Source == "cache" {
+		t.Fatal("A's map served B's stylesheet from cache")
+	}
+	if got := srvB.Metrics.Requests.Load(); got != 2 {
+		t.Fatalf("B saw %d requests, want 2", got)
+	}
+}
+
+// TestClientResponsesAreCallerOwned: writing into a returned response's
+// body or header does not reach the cache, so the next "cache" answer is
+// unchanged.
+func TestClientResponsesAreCallerOwned(t *testing.T) {
 	base, _, done := clientWorld(t)
 	defer done()
 	c := NewClient(nil)
-	if _, err := c.Get(base + "/index.html"); err != nil {
-		t.Fatal(err)
+	spoil := func(r *ClientResponse) {
+		copy(r.Body, "XXXX")
+		r.Header.Set("Etag", `"spoiled"`)
+		r.Header.Set("X-Spoiled", "1")
 	}
-	if _, err := c.Get(base + "/s.css"); err != nil {
-		t.Fatal(err)
+	for _, p := range []string{"/index.html", "/s.css", "/index.html", "/s.css"} {
+		r, err := c.Get(base + p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spoil(r)
 	}
-	c.Clear()
 	css, err := c.Get(base + "/s.css")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if css.Source != "network" {
-		t.Fatalf("cleared client served from %s", css.Source)
+	if css.Source != "cache" || string(css.Body) != "body{}" || css.Header.Get("X-Spoiled") != "" || css.Header.Get("Etag") == `"spoiled"` {
+		t.Fatalf("cache answer changed by its callers: %s %q %v", css.Source, css.Body, css.Header)
+	}
+}
+
+// TestClientTimeoutIsAClearErrorNotAHang: GetContext's deadline bounds a
+// Get against a stalled origin; the client adds no budget of its own.
+func TestClientTimeoutIsAClearErrorNotAHang(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select { // a stalled origin: headers never arrive
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := NewClient(nil).GetContext(ctx, ts.URL+"/hang")
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want a deadline error", err)
+	}
+	if elapsed > 5*time.Second {
+		t.Fatalf("Get hung for %v", elapsed)
+	}
+}
+
+// TestClientDoesNotRetry4xx: a 404 is a response, not an error — one
+// request, StatusCode 404.
+func TestClientDoesNotRetry4xx(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		http.NotFound(w, r)
+	}))
+	defer ts.Close()
+
+	resp, err := NewClient(nil).Get(ts.URL + "/gone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != 404 || resp.Source != "network" || calls.Load() != 1 {
+		t.Fatalf("status %d, source %s after %d calls", resp.StatusCode, resp.Source, calls.Load())
 	}
 }
 

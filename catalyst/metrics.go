@@ -169,16 +169,3 @@ func (m *MiddlewareMetrics) RegisterTelemetry(reg *telemetry.Registry) {
 	reg.RegisterCounter("middleware.page_revalidated", &m.PageRevalidated)
 	reg.RegisterCounter("middleware.page_fetched", &m.PageFetched)
 }
-
-// ClientMetricsHandler serves c's counters — including the resilience
-// counters (retries, timeouts, stale serves) — as JSON, for mounting at a
-// debug path next to WithMetrics.
-func ClientMetricsHandler(c *Client) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Cache-Control", "no-store")
-		if err := json.NewEncoder(w).Encode(c.Snapshot()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-}

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/fstest"
 
@@ -103,6 +104,7 @@ func TestClientConcurrentGets(t *testing.T) {
 	c := NewClient(nil)
 	paths := []string{"/index.html", "/s.css", "/p.png"}
 	var wg sync.WaitGroup
+	var hits atomic.Int64
 	for i := 0; i < 24; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -117,12 +119,14 @@ func TestClientConcurrentGets(t *testing.T) {
 					t.Errorf("status %d", resp.StatusCode)
 					return
 				}
+				if resp.Source == "cache" {
+					hits.Add(1)
+				}
 			}
 		}(i)
 	}
 	wg.Wait()
-	st := c.Snapshot()
-	if st.LocalHits == 0 {
+	if hits.Load() == 0 {
 		t.Error("no local hits across 240 concurrent gets")
 	}
 }

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"cachecatalyst/internal/core"
 )
 
 // TestCacheStorageConcurrentWorkers drives one bounded CacheStorage from
@@ -62,5 +65,54 @@ func TestCacheStorageConcurrentWorkers(t *testing.T) {
 	}
 	if c.Len() == 0 {
 		t.Fatal("storage empty after stress")
+	}
+}
+
+// TestWorkerMapSwapRacesFetches runs navigations, alternating two maps,
+// against subresource fetches on one worker — the shape of one
+// catalyst.Client shared across goroutines, with remembered 404s landing
+// meanwhile. Under -race this pins the map's publication and the negative
+// cache's lock; functionally, a resource both maps prove current is always
+// served locally, whichever map a fetch reads.
+func TestWorkerMapSwapRacesFetches(t *testing.T) {
+	t.Parallel()
+	w, _ := newNegativeWorker(time.Hour)
+	both := core.ETagMap{"/a.css": {Opaque: "v1"}}
+	second := core.ETagMap{"/a.css": {Opaque: "v1"}, "/b.js": {Opaque: "v2"}}
+	w.OnSubresourceResponse("/a.css", resp("v1", "a", nil))
+	w.OnSubresourceResponse("/b.js", resp("v2", "b", nil))
+	w.OnNavigationResponse(navResp(both))
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				m := both
+				if i%2 == 1 {
+					m = second
+				}
+				w.OnNavigationResponse(navResp(m))
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				w.OnSubresourceResponse(fmt.Sprintf("/gone-%d", i%8), swResp404())
+				if _, ok := w.HandleFetch("/a.css"); !ok {
+					t.Error("/a.css, current under both maps, was not served locally")
+					return
+				}
+				if got, ok := w.HandleFetch("/b.js"); ok && string(got.Body) != "b" {
+					t.Errorf("/b.js served %q", got.Body)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := w.Stats().MapUpdates; got != 1+4*200 {
+		t.Fatalf("MapUpdates = %d, want %d", got, 1+4*200)
 	}
 }

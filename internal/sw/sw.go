@@ -13,6 +13,7 @@ import (
 	"context"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cachecatalyst/internal/cachestore"
@@ -152,10 +153,11 @@ type Stats struct {
 
 // Worker is the CacheCatalyst Service Worker for one origin. Its counters
 // are telemetry instruments so a registry can index them (RegisterTelemetry)
-// while Stats() keeps serving the legacy snapshot.
+// while Stats() keeps serving the legacy snapshot. A Worker is safe for
+// concurrent use: catalyst.Client shares one per origin across goroutines.
 type Worker struct {
 	cache    *CacheStorage
-	etags    core.ETagMap
+	etags    atomic.Pointer[core.ETagMap] // the last delivered map, never nil
 	site     SiteWorker
 	recorder AccessRecorder
 
@@ -177,7 +179,9 @@ type Worker struct {
 // NewWorker returns a freshly installed worker with an empty cache and no
 // ETag map (the state right after first registration).
 func NewWorker() *Worker {
-	return &Worker{cache: NewCacheStorage(), etags: core.ETagMap{}}
+	w := &Worker{cache: NewCacheStorage()}
+	w.etags.Store(&core.ETagMap{})
+	return w
 }
 
 // WithSiteWorker attaches a coexisting site-provided worker. The catalyst
@@ -241,7 +245,7 @@ func (w *Worker) RegisterTelemetry(reg *telemetry.Registry, name string) {
 }
 
 // ETagMap returns the most recently delivered map.
-func (w *Worker) ETagMap() core.ETagMap { return w.etags }
+func (w *Worker) ETagMap() core.ETagMap { return *w.etags.Load() }
 
 // OnNavigationResponse processes the response to a navigation (base HTML)
 // request: it captures the proactively delivered ETag map. A navigation
@@ -260,14 +264,14 @@ func (w *Worker) OnNavigationResponse(resp *httpcache.Response) {
 		w.mapDecodeFails.Add(1)
 		return
 	}
-	w.etags = m
+	w.etags.Store(&m)
 	w.mapUpdates.Add(1)
 
 	// Flip-to-200 invalidation: the proactive map names every resource
 	// the current page version references, so a remembered 404 whose path
 	// now appears in the map is provably wrong — drop it immediately
 	// rather than waiting out the TTL.
-	if w.negative != nil && len(w.negative) > 0 {
+	if w.negative != nil {
 		w.negMu.Lock()
 		for path := range w.negative {
 			if _, ok := m[path]; ok {
@@ -310,7 +314,7 @@ func (w *Worker) HandleFetchContext(ctx context.Context, path string) (*httpcach
 		if t, has := cached.ETag(); has {
 			cachedTag = t
 		}
-		if core.Decide(w.etags, path, cachedTag) == core.ServeFromCache {
+		if core.Decide(w.ETagMap(), path, cachedTag) == core.ServeFromCache {
 			w.localHits.Add(1)
 			telemetry.Event(ctx, "sw-hit", path)
 			if w.recorder != nil {
