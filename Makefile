@@ -51,7 +51,12 @@ vet:
 # response itself, or "unsafe" imported by any non-test file but the body
 # view's (internal/httpcache/view.go) (DESIGN.md §3, §14) — or when the
 # client decision of PROTOCOL.md §4 forks again: core.Decide( is called once,
-# by sw.Worker, and catalyst.Client is a shell over that worker (DESIGN.md §6).
+# by sw.Worker, and catalyst.Client is a shell over that worker (DESIGN.md §6)
+# — or when the emulated browser parses a body beside its parse memo:
+# htmlparse.ExtractPage(, cssparse.ExtractRefs( and jsexec.ExtractFetches(
+# are each called once in non-test internal/browser, in memo.go, so every
+# parse goes through the memo a sweep shares among a site's worlds
+# (DESIGN.md §3).
 FORK_SRC = $(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' ./... | tr ' ' '\n' | grep -v '/bench/'
 forks:
 	@fail=0; src=$$($(FORK_SRC)); \
@@ -73,6 +78,12 @@ forks:
 		echo "forks: a simulated load copies a response body again; stores and parsers share it (DESIGN.md §3)" >&2; fail=1; fi; \
 	if grep -Hn '^[[:space:]]*\(import[[:space:]]*\)\?\(_[[:space:]]*\)\?"unsafe"' $$src | grep -v '/internal/httpcache/view\.go:' >&2; then \
 		echo "forks: \"unsafe\" imported outside internal/httpcache/view.go, the one read-only body view" >&2; fail=1; fi; \
+	brw=$$(echo "$$src" | grep '/internal/browser/'); \
+	for pat in 'htmlparse\.ExtractPage(' 'cssparse\.ExtractRefs(' 'jsexec\.ExtractFetches('; do \
+		calls=$$(grep -Hn "$$pat" $$brw | grep -v ':[0-9]*:[[:space:]]*//'); \
+		if [ "$$(echo "$$calls" | grep -c '/internal/browser/memo\.go:')" -ne 1 ] || [ "$$(echo "$$calls" | grep -c .)" -ne 1 ]; then \
+			echo "forks: '$$pat' is called $$(echo "$$calls" | grep -c .) times in non-test internal/browser, want once, in memo.go:" >&2; echo "$$calls" >&2; fail=1; fi; \
+	done; \
 	dec=$$(grep -Hn 'core\.Decide(' $$src | grep -v ':[0-9]*:[[:space:]]*//'); \
 	if [ "$$(echo "$$dec" | grep -c /internal/sw/)" -ne 1 ] || [ "$$(echo "$$dec" | grep -c .)" -ne 1 ]; then \
 		echo "forks: core.Decide( is called $$(echo "$$dec" | grep -c .) times in non-test code, want once, in internal/sw:" >&2; echo "$$dec" >&2; fail=1; fi; \
@@ -102,12 +113,14 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzExtractPage -fuzztime=10s ./internal/htmlparse/
 
 # Scheme-matrix smoke: the conformance suite (golden table, shape claims,
-# determinism, cancellation under -race) plus one live run of the command,
+# determinism, cancellation under -race, and the parse memo's differential
+# test, whose sweeps share one memo per site on one goroutine: -race reports
+# a memo two goroutines touch) plus one live run of the command,
 # and the determinism check on the sweep's job shape: the headline sweep
 # prints the same bytes at -parallel 1 and -parallel 4. See EXPERIMENTS.md,
 # "Scheme matrix".
 schemes:
-	$(GO) test -race -count=1 -run 'SchemeMatrix|Scheme|Delta|EarlyHints|Negative' \
+	$(GO) test -race -count=1 -run 'SchemeMatrix|Scheme|Delta|EarlyHints|Negative|Memo' \
 		./internal/harness/ ./internal/browser/ ./internal/delta/ ./catalyst/
 	$(GO) run ./cmd/schemes -sites 8
 	$(GO) run ./cmd/pltbench -experiment headline -sites 3 -json -parallel 1 > headline.p1.json

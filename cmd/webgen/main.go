@@ -11,9 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,13 +25,26 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, writes the corpus under -out, prints
+// one line per site and a total to stdout and diagnostics to stderr, and
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("webgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		out   = flag.String("out", "./corpus", "output directory")
-		sites = flag.Int("sites", 5, "number of sites")
-		seed  = flag.Int64("seed", 1, "corpus seed")
-		scale = flag.Float64("scale", 1.0, "per-page resource scale")
+		out   = fs.String("out", "./corpus", "output directory")
+		sites = fs.Int("sites", 5, "number of sites")
+		seed  = fs.Int64("seed", 1, "corpus seed")
+		scale = fs.Float64("scale", 1.0, "per-page resource scale")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	clock := vclock.NewVirtual(vclock.Epoch)
 	corpus := webgen.Generate(webgen.Params{Sites: *sites, Seed: *seed, Scale: *scale}, clock)
@@ -51,13 +65,15 @@ func main() {
 			root := filepath.Join(*out, pair.host)
 			manifest, err := writeSite(root, pair.content, paths)
 			if err != nil {
-				log.Fatalf("webgen: %s: %v", pair.host, err)
+				fmt.Fprintf(stderr, "webgen: %s: %v\n", pair.host, err)
+				return 1
 			}
 			total += manifest
 		}
-		fmt.Printf("%s: %d resources, %.1f KB\n", site.Host, site.NumResources(), float64(site.TotalBytes())/1024)
+		fmt.Fprintf(stdout, "%s: %d resources, %.1f KB\n", site.Host, site.NumResources(), float64(site.TotalBytes())/1024)
 	}
-	fmt.Printf("wrote %d sites (%.1f MB) under %s\n", len(corpus.Sites), float64(total)/1e6, *out)
+	fmt.Fprintf(stdout, "wrote %d sites (%.1f MB) under %s\n", len(corpus.Sites), float64(total)/1e6, *out)
+	return 0
 }
 
 // writeSite writes each resource body under root, returning bytes written.

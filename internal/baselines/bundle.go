@@ -94,15 +94,19 @@ func (b *bundleOrigin) RoundTrip(req *netsim.Request) *httpcache.Response {
 		paths = staticPaths(resp)
 	}
 
-	entries := []Entry{{
+	// Fetch every part first, then copy them into one buffer of the
+	// bundle's exact size.
+	entries := make([]Entry, 1, 1+len(paths))
+	entries[0] = Entry{
 		Path:        req.Path,
 		Status:      resp.StatusCode,
 		ContentType: resp.Header.Get("Content-Type"),
 		ETag:        resp.Header.Get("Etag"),
 		Len:         len(resp.Body),
-	}}
-	var body []byte
-	body = append(body, resp.Body...)
+	}
+	parts := make([][]byte, 1, 1+len(paths))
+	parts[0] = resp.Body
+	size := len(resp.Body)
 	for _, p := range paths {
 		sub := b.inner.RoundTrip(&netsim.Request{Method: "GET", Path: p, Header: make(http.Header)})
 		if sub.StatusCode != http.StatusOK {
@@ -116,7 +120,12 @@ func (b *bundleOrigin) RoundTrip(req *netsim.Request) *httpcache.Response {
 			CacheControl: sub.Header.Get("Cache-Control"),
 			Len:          len(sub.Body),
 		})
-		body = append(body, sub.Body...)
+		parts = append(parts, sub.Body)
+		size += len(sub.Body)
+	}
+	body := make([]byte, 0, size)
+	for _, part := range parts {
+		body = append(body, part...)
 	}
 
 	manifest, err := json.Marshal(entries)

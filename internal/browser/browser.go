@@ -169,6 +169,10 @@ type Browser struct {
 	// cookies holds name→value per host; enough for the session cookie
 	// the recording extension depends on.
 	cookies map[string]map[string]string
+	// memo is where the loader looks up a body's references first, own
+	// the browser's private memo it looks in second. They are one memo
+	// unless WithParseMemo shares another.
+	memo, own *ParseMemo
 
 	// OnFetch, when set, receives one event per resource delivery — the
 	// waterfall data behind Figure-1-style timelines. It runs inside the
@@ -209,7 +213,8 @@ type FetchEvent struct {
 
 // New returns a browser with empty caches.
 func New(clock vclock.Clock, mode Mode, transport netsim.TransportOptions) *Browser {
-	b := &Browser{clock: clock, mode: mode, transport: transport}
+	own := NewParseMemo()
+	b := &Browser{clock: clock, mode: mode, transport: transport, memo: own, own: own}
 	b.ClearState()
 	return b
 }
@@ -540,7 +545,7 @@ func (l *loader) deliverLocal(host, path string, kind htmlparse.ResourceKind, so
 			l.finish(host, path)
 			return
 		}
-		l.process(host, path, kind, resp)
+		l.process(host, path, kind, resp, false)
 	})
 }
 
@@ -924,7 +929,9 @@ func (l *loader) attemptFetch(ep *netsim.Endpoint, host, path string, kind htmlp
 			l.finish(host, path)
 			return
 		}
-		l.process(host, path, kind, resp)
+		// A body the interceptor swapped (for a cached copy, a patched
+		// page or a bundle's part) is not the origin's own.
+		l.process(host, path, kind, resp, resp == fr.Resp)
 	})
 }
 
@@ -955,28 +962,30 @@ func (l *loader) absTime(d time.Duration) time.Time {
 }
 
 // process inspects a delivered resource and schedules dependent fetches.
-func (l *loader) process(host, path string, kind htmlparse.ResourceKind, resp *httpcache.Response) {
+// asSent says the body is exactly the one the origin sent for this request
+// (see ParseMemo).
+func (l *loader) process(host, path string, kind htmlparse.ResourceKind, resp *httpcache.Response, asSent bool) {
 	wasBlocking := l.finish(host, path)
 	ct := resp.Header.Get("Content-Type")
 	switch {
 	case kind == htmlparse.KindDocument && strings.HasPrefix(ct, "text/html"):
-		l.processHTML(host, path, resp)
+		l.processHTML(host, path, resp, asSent)
 	case strings.HasPrefix(ct, "text/css"):
-		l.processCSS(host, path, resp, wasBlocking)
+		l.processCSS(host, path, resp, asSent, wasBlocking)
 	case strings.HasPrefix(ct, "text/javascript"), strings.HasPrefix(ct, "application/javascript"):
-		l.processJS(host, resp)
+		l.processJS(host, resp, asSent)
 	}
 }
 
-func (l *loader) processHTML(host, path string, resp *httpcache.Response) {
+func (l *loader) processHTML(host, path string, resp *httpcache.Response, asSent bool) {
 	base := &url.URL{Scheme: "https", Host: host, Path: path}
-	rs, href, ok := htmlparse.ExtractPage(resp.Text())
-	if ok {
-		if bu, err := url.Parse(href); err == nil {
+	page := l.b.pageRefs(resp.Text(), asSent)
+	if page.hasBase {
+		if bu, err := url.Parse(page.base); err == nil {
 			base = base.ResolveReference(bu)
 		}
 	}
-	for _, r := range rs {
+	for _, r := range page.resources {
 		h, p, ok := l.resolve(base, r.URL)
 		if !ok {
 			continue
@@ -992,9 +1001,9 @@ func (l *loader) processHTML(host, path string, resp *httpcache.Response) {
 	l.maybeFCP()
 }
 
-func (l *loader) processCSS(host, path string, resp *httpcache.Response, wasBlocking bool) {
+func (l *loader) processCSS(host, path string, resp *httpcache.Response, asSent, wasBlocking bool) {
 	base := &url.URL{Scheme: "https", Host: host, Path: path}
-	for _, ref := range cssparse.ExtractRefs(resp.Text()) {
+	for _, ref := range l.b.sheetRefs(resp.Text(), asSent) {
 		if h, p, ok := l.resolve(base, ref.URL); ok {
 			if ref.Import {
 				// @import chains inherit the parent sheet's blocking.
@@ -1010,8 +1019,8 @@ func (l *loader) processCSS(host, path string, resp *httpcache.Response, wasBloc
 	}
 }
 
-func (l *loader) processJS(host string, resp *httpcache.Response) {
-	fetches := jsexec.ExtractFetches(resp.Text())
+func (l *loader) processJS(host string, resp *httpcache.Response, asSent bool) {
+	fetches := l.b.scriptFetches(resp.Text(), asSent)
 	if len(fetches) == 0 {
 		return
 	}

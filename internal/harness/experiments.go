@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"cachecatalyst/internal/browser"
 	"cachecatalyst/internal/netsim"
 	"cachecatalyst/internal/stats"
 	"cachecatalyst/internal/webgen"
@@ -72,9 +73,9 @@ func RunPairedSweep(cfg Config, base, treatment Scheme) (*SweepResult, error) {
 	for condIdx := range trials {
 		trials[condIdx] = make([][]sampleOut, p)
 	}
-	err := forEachSite(context.Background(), cfg.Corpus, p, cfg.Parallelism, func(siteIdx int, site *webgen.Site) error {
+	err := forEachSite(context.Background(), cfg.Corpus, p, cfg.Parallelism, func(siteIdx int, site *webgen.Site, memo *browser.ParseMemo) error {
 		for condIdx, cond := range cfg.Grid {
-			out, err := runPairedTrial(cfg, cond, newWorld(site, base, cfg.Transport), newWorld(site, treatment, cfg.Transport))
+			out, err := runPairedTrial(cfg, cond, newWorld(site, memo, base, cfg.Transport), newWorld(site, memo, treatment, cfg.Transport))
 			if err != nil {
 				return err
 			}
@@ -90,12 +91,14 @@ func RunPairedSweep(cfg Config, base, treatment Scheme) (*SweepResult, error) {
 
 // forEachSite calls trial once for every site index below sites, on up to
 // workers goroutines (≤0 means GOMAXPROCS), handing it the site generated
-// once. trial builds every world of that site on views of it, and the site
-// is dropped when trial returns, so at most workers sites are resident.
+// once and a parse memo made for it. trial builds every world of that site
+// on views of it, with that memo, and both are dropped when trial returns,
+// so at most workers sites are resident. A trial's worlds run one after
+// another on its goroutine, which is what lets them share the memo.
 // Trials fill index-ordered slots, so what they produce does not depend on
 // workers. Once ctx is done no further site starts; the first error is
 // returned.
-func forEachSite(ctx context.Context, p webgen.Params, sites, workers int, trial func(siteIdx int, site *webgen.Site) error) error {
+func forEachSite(ctx context.Context, p webgen.Params, sites, workers int, trial func(siteIdx int, site *webgen.Site, memo *browser.ParseMemo) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -110,7 +113,7 @@ func forEachSite(ctx context.Context, p webgen.Params, sites, workers int, trial
 			for siteIdx := range jobs {
 				err := ctx.Err()
 				if err == nil {
-					err = trial(siteIdx, generate(p, siteIdx))
+					err = trial(siteIdx, generate(p, siteIdx), browser.NewParseMemo())
 				}
 				if err != nil {
 					errOnce.Do(func() { firstErr = err })
@@ -252,26 +255,52 @@ type BaselineRow struct {
 	MeanPushedUnused  float64
 }
 
+// eachWorld runs visit on one world of every (site, scheme) pair, site by
+// site (forEachSite), and returns what it returned as [scheme][site]: a
+// caller folding each scheme's sites in index order sums them as the
+// sequential loops over schemes and then sites did.
+func eachWorld[T any](cfg Config, schemes []Scheme, visit func(w *World) (T, error)) ([][]T, error) {
+	out := make([][]T, len(schemes))
+	for si := range out {
+		out[si] = make([]T, cfg.Corpus.Sites)
+	}
+	err := forEachSite(context.Background(), cfg.Corpus, cfg.Corpus.Sites, cfg.Parallelism, func(siteIdx int, site *webgen.Site, memo *browser.ParseMemo) error {
+		for si, scheme := range schemes {
+			v, err := visit(newWorld(site, memo, scheme, cfg.Transport))
+			if err != nil {
+				return err
+			}
+			out[si][siteIdx] = v
+		}
+		return nil
+	})
+	return out, err
+}
+
 // RunBaselines compares all schemes at one condition and one revisit delay:
 // the multifaceted comparison the paper defers to future work.
 func RunBaselines(cfg Config, cond netsim.Conditions, delay time.Duration) ([]BaselineRow, error) {
 	if cfg.Corpus.Sites == 0 {
 		cfg.Corpus.Sites = 100
 	}
+	loads, err := eachWorld(cfg, AllSchemes, func(w *World) ([2]browser.LoadResult, error) {
+		cold, err := w.Load(cond)
+		if err != nil {
+			return [2]browser.LoadResult{}, err
+		}
+		w.Advance(delay)
+		warm, err := w.Load(cond)
+		cold.Trace, warm.Trace = nil, nil
+		return [2]browser.LoadResult{cold, warm}, err
+	})
+	if err != nil {
+		return nil, err
+	}
 	var rows []BaselineRow
-	for _, scheme := range AllSchemes {
+	for si, scheme := range AllSchemes {
 		var coldPLT, warmPLT, coldBytes, warmBytes, warmReqs, warmHits, unused []float64
-		for siteIdx := 0; siteIdx < cfg.Corpus.Sites; siteIdx++ {
-			w := NewWorld(cfg.Corpus, siteIdx, scheme, cfg.Transport)
-			cold, err := w.Load(cond)
-			if err != nil {
-				return nil, err
-			}
-			w.Advance(delay)
-			warm, err := w.Load(cond)
-			if err != nil {
-				return nil, err
-			}
+		for _, l := range loads[si] {
+			cold, warm := l[0], l[1]
 			coldPLT = append(coldPLT, float64(cold.PLT))
 			warmPLT = append(warmPLT, float64(warm.PLT))
 			coldBytes = append(coldBytes, float64(cold.BytesDown))
@@ -308,25 +337,39 @@ func RunHeaderOverhead(cfg Config) (*OverheadResult, error) {
 	if cfg.Corpus.Sites == 0 {
 		cfg.Corpus.Sites = 100
 	}
-	var entries, mapBytes, navBytes []float64
-	for siteIdx := 0; siteIdx < cfg.Corpus.Sites; siteIdx++ {
-		w := NewWorld(cfg.Corpus, siteIdx, SchemeCatalyst, cfg.Transport)
-		cond := Median5G()
-		if _, err := w.Load(cond); err != nil {
-			return nil, err
+	type siteOverhead struct {
+		mapBytes, navBytes float64
+		entries            float64
+		hasWorker          bool
+	}
+	sites, err := eachWorld(cfg, []Scheme{SchemeCatalyst}, func(w *World) (o siteOverhead, err error) {
+		if _, err := w.Load(Median5G()); err != nil {
+			return o, err
 		}
 		m := w.Server.Metrics.MapBytes.Load()
 		built := w.Server.Metrics.MapsBuilt.Load()
 		if built == 0 {
-			return nil, fmt.Errorf("harness: no maps built for site %d", siteIdx)
+			return o, fmt.Errorf("harness: no maps built for site %s", w.Site.Host)
 		}
-		mapBytes = append(mapBytes, float64(m)/float64(built))
+		o.mapBytes = float64(m) / float64(built)
 		// The worker's map size ≈ entry count.
 		if worker, ok := w.Browser.Workers().Lookup(w.Site.Host); ok {
-			entries = append(entries, float64(len(worker.ETagMap())))
+			o.entries, o.hasWorker = float64(len(worker.ETagMap())), true
 		}
 		page, _ := w.Site.Content().Get(webgen.PagePath)
-		navBytes = append(navBytes, float64(len(page.Body)))
+		o.navBytes = float64(len(page.Body))
+		return o, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var entries, mapBytes, navBytes []float64
+	for _, o := range sites[0] {
+		mapBytes = append(mapBytes, o.mapBytes)
+		if o.hasWorker {
+			entries = append(entries, o.entries)
+		}
+		navBytes = append(navBytes, o.navBytes)
 	}
 	res := &OverheadResult{
 		MeanEntries:  stats.Mean(entries),
@@ -360,18 +403,22 @@ func RunCrossPage(cfg Config, cond netsim.Conditions) ([]CrossPageRow, error) {
 	if cfg.Corpus.Sites == 0 {
 		cfg.Corpus.Sites = 100
 	}
+	schemes := []Scheme{SchemeConventional, SchemeCatalyst, SchemeCatalystRecord}
+	seconds, err := eachWorld(cfg, schemes, func(w *World) (browser.LoadResult, error) {
+		if _, err := w.Load(cond); err != nil {
+			return browser.LoadResult{}, err
+		}
+		second, err := w.LoadPage(cond, webgen.SecondaryPagePath)
+		second.Trace = nil
+		return second, err
+	})
+	if err != nil {
+		return nil, err
+	}
 	var rows []CrossPageRow
-	for _, scheme := range []Scheme{SchemeConventional, SchemeCatalyst, SchemeCatalystRecord} {
+	for si, scheme := range schemes {
 		var plt, reqs, hits []float64
-		for siteIdx := 0; siteIdx < cfg.Corpus.Sites; siteIdx++ {
-			w := NewWorld(cfg.Corpus, siteIdx, scheme, cfg.Transport)
-			if _, err := w.Load(cond); err != nil {
-				return nil, err
-			}
-			second, err := w.LoadPage(cond, webgen.SecondaryPagePath)
-			if err != nil {
-				return nil, err
-			}
+		for _, second := range seconds[si] {
 			plt = append(plt, float64(second.PLT))
 			reqs = append(reqs, float64(second.NetworkRequests))
 			hits = append(hits, float64(second.LocalHits))
@@ -404,19 +451,23 @@ func RunCoverage(cfg Config, cond netsim.Conditions) ([]CoverageRow, error) {
 	if cfg.Corpus.Sites == 0 {
 		cfg.Corpus.Sites = 100
 	}
+	schemes := []Scheme{SchemeCatalyst, SchemeCatalystRecord, SchemeCatalystFull}
+	warms, err := eachWorld(cfg, schemes, func(w *World) (browser.LoadResult, error) {
+		if _, err := w.Load(cond); err != nil {
+			return browser.LoadResult{}, err
+		}
+		w.Advance(time.Minute)
+		warm, err := w.Load(cond)
+		warm.Trace = nil
+		return warm, err
+	})
+	if err != nil {
+		return nil, err
+	}
 	var rows []CoverageRow
-	for _, scheme := range []Scheme{SchemeCatalyst, SchemeCatalystRecord, SchemeCatalystFull} {
+	for si, scheme := range schemes {
 		var reqs, hits, covered []float64
-		for siteIdx := 0; siteIdx < cfg.Corpus.Sites; siteIdx++ {
-			w := NewWorld(cfg.Corpus, siteIdx, scheme, cfg.Transport)
-			if _, err := w.Load(cond); err != nil {
-				return nil, err
-			}
-			w.Advance(time.Minute)
-			warm, err := w.Load(cond)
-			if err != nil {
-				return nil, err
-			}
+		for _, warm := range warms[si] {
 			reqs = append(reqs, float64(warm.NetworkRequests))
 			hits = append(hits, float64(warm.LocalHits))
 			sub := float64(warm.Resources - 1)

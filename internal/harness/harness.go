@@ -116,21 +116,23 @@ type World struct {
 }
 
 // NewWorld builds the world for one (site, scheme) pair on a site of its
-// own.
+// own, with a parse memo of its own.
 func NewWorld(p webgen.Params, siteIndex int, scheme Scheme, transport netsim.TransportOptions) *World {
-	return newWorld(generate(p, siteIndex), scheme, transport)
+	return newWorld(generate(p, siteIndex), browser.NewParseMemo(), scheme, transport)
 }
 
 // generate builds the siteIndex-th site at the virtual epoch. The sweeps
 // generate a site once and build every world of it on a view of that one
-// site, so the worlds share its bodies instead of each rendering its own.
+// site, so the worlds share its bodies instead of each rendering its own,
+// and its parses (browser.ParseMemo) instead of each parsing its own.
 func generate(p webgen.Params, siteIndex int) *webgen.Site {
 	return webgen.GenerateOne(p, siteIndex, vclock.NewVirtual(vclock.Epoch))
 }
 
 // newWorld builds one world on a view of site: its own clock, server,
-// browser and caches, reading bodies from the site's shared store.
-func newWorld(site *webgen.Site, scheme Scheme, transport netsim.TransportOptions) *World {
+// browser and caches, reading bodies from the site's shared store and
+// parsing them through memo, which the sweeps share among a site's worlds.
+func newWorld(site *webgen.Site, memo *browser.ParseMemo, scheme Scheme, transport netsim.TransportOptions) *World {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	site = site.View(clock)
 
@@ -190,7 +192,7 @@ func newWorld(site *webgen.Site, scheme Scheme, transport netsim.TransportOption
 		mode = browser.Catalyst
 	}
 
-	b := browser.New(clock, mode, transport)
+	b := browser.New(clock, mode, transport).WithParseMemo(memo)
 	switch scheme {
 	case SchemeCatalystDelta:
 		b.WithDelta()

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cachecatalyst/internal/browser"
 	"cachecatalyst/internal/httpcache"
 	"cachecatalyst/internal/netsim"
 )
@@ -56,8 +57,9 @@ func (o ledgerOrigin) RoundTrip(req *netsim.Request) *httpcache.Response {
 // the chaos layer (the server's own slice, and the possibly truncated view
 // the browser receives), and re-takes every fingerprint after the whole run.
 // Worlds are built the way the sweeps build them: one generated site per
-// index, every condition and scheme on a view of it, so one body reaches
-// many worlds' browsers and a write in any of them would show in the others.
+// index, every condition and scheme on a view of it with the site's parse
+// memo, so one body reaches many worlds' browsers and parsers and a write in
+// any of them would show in the others.
 func TestBodiesAreNeverWritten(t *testing.T) {
 	cfg := QuickMatrixConfig()
 	chaos := netsim.ChaosConfig{Seed: 33, TruncateProb: 0.15, CorruptMapProb: 0.1}
@@ -65,10 +67,10 @@ func TestBodiesAreNeverWritten(t *testing.T) {
 	var loads, worlds int
 	var chaosOrigins []*netsim.ChaosOrigin
 	for site := 0; site < cfg.Corpus.Sites; site++ {
-		shared := generate(cfg.Corpus, site)
+		shared, memo := generate(cfg.Corpus, site), browser.NewParseMemo()
 		for ci, cond := range cfg.Grid {
 			for _, scheme := range MatrixSchemes {
-				w := newWorld(shared, scheme, cfg.Transport)
+				w := newWorld(shared, memo, scheme, cfg.Transport)
 				w.Browser.MaxFetchRetries = 2
 				for host, o := range w.Origins {
 					name := fmt.Sprintf("%v/%v/%s", cond, scheme, host)

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"sync"
 
 	"cachecatalyst/internal/cachesim"
 	"cachecatalyst/internal/netsim"
@@ -13,7 +14,10 @@ import (
 // a webcachesim-format trace (see internal/cachesim). One recorder spans
 // all sites, so the trace mixes origins the way a shared cache would see
 // them — cold loads contribute the one-hit-wonder tail, revisits the
-// popular core, and both pages of each site the intra-site reuse.
+// popular core, and both pages of each site the intra-site reuse. Sites
+// run concurrently (eachWorld), each logging its own accesses, and the
+// logs are recorded in site order, so the trace does not depend on
+// Parallelism.
 //
 // The export exists to close the measurement loop: cmd/cachesim replays
 // the returned trace through any cachestore policy and scores it against
@@ -24,15 +28,39 @@ func ExportTrace(cfg Config) ([]cachesim.Request, error) {
 		return nil, fmt.Errorf("harness: config has no network conditions")
 	}
 	cond := cfg.Grid[0]
+	logs, err := eachWorld(cfg, []Scheme{SchemeCatalyst}, func(w *World) (*accessLog, error) {
+		log := new(accessLog)
+		w.Browser.WithAccessRecorder(log)
+		return log, loadTraceVisits(w, cond, cfg)
+	})
+	if err != nil {
+		return nil, err
+	}
 	rec := cachesim.NewRecorder()
-	for site := 0; site < cfg.Corpus.Sites; site++ {
-		w := NewWorld(cfg.Corpus, site, SchemeCatalyst, cfg.Transport)
-		w.Browser.WithAccessRecorder(rec)
-		if err := loadTraceVisits(w, cond, cfg); err != nil {
-			return nil, err
+	for _, log := range logs[0] {
+		for _, a := range log.accesses {
+			rec.Record(a.key, a.size)
 		}
 	}
 	return rec.Trace(), nil
+}
+
+// accessLog is one site's sw.AccessRecorder: its accesses, in order.
+type accessLog struct {
+	mu       sync.Mutex
+	accesses []access
+}
+
+type access struct {
+	key  string
+	size int64
+}
+
+// Record implements sw.AccessRecorder.
+func (l *accessLog) Record(key string, size int64) {
+	l.mu.Lock()
+	l.accesses = append(l.accesses, access{key, size})
+	l.mu.Unlock()
 }
 
 // loadTraceVisits performs the cold visit and every configured revisit,
