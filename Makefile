@@ -55,8 +55,14 @@ vet:
 # — or when the emulated browser parses a body beside its parse memo:
 # htmlparse.ExtractPage(, cssparse.ExtractRefs( and jsexec.ExtractFetches(
 # are each called once in non-test internal/browser, in memo.go, so every
-# parse goes through the memo a sweep shares among a site's worlds
-# (DESIGN.md §3).
+# parse goes through the memo a sweep shares among a site's worlds — or
+# resolves a reference beside it: url.Parse(, ResolveReference( and
+# resolveRef( have no caller in non-test internal/browser outside memo.go,
+# which keeps each body's references resolved per document URL — or when
+# internal/server renders a page beside its render memo: decorate.NewRender(
+# is called once in non-test internal/server, in rendermemo.go's fill, so
+# every world's server of a site reads renders through the memo the sweep
+# shares (DESIGN.md §3).
 FORK_SRC = $(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' ./... | tr ' ' '\n' | grep -v '/bench/'
 forks:
 	@fail=0; src=$$($(FORK_SRC)); \
@@ -84,6 +90,11 @@ forks:
 		if [ "$$(echo "$$calls" | grep -c '/internal/browser/memo\.go:')" -ne 1 ] || [ "$$(echo "$$calls" | grep -c .)" -ne 1 ]; then \
 			echo "forks: '$$pat' is called $$(echo "$$calls" | grep -c .) times in non-test internal/browser, want once, in memo.go:" >&2; echo "$$calls" >&2; fail=1; fi; \
 	done; \
+	if grep -Hn 'ResolveReference(\|url\.Parse(\|resolveRef(' $$brw | grep -v '/internal/browser/memo\.go:\|:[0-9]*:[[:space:]]*//' >&2; then \
+		echo "forks: the emulated browser resolves a reference outside memo.go, beside the memo that keeps resolved references (DESIGN.md §3)" >&2; fail=1; fi; \
+	rnd=$$(grep -Hn 'decorate\.NewRender(' $$(echo "$$src" | grep '/internal/server/') | grep -v ':[0-9]*:[[:space:]]*//'); \
+	if [ "$$(echo "$$rnd" | grep -c '/internal/server/rendermemo\.go:')" -ne 1 ] || [ "$$(echo "$$rnd" | grep -c .)" -ne 1 ]; then \
+		echo "forks: 'decorate.NewRender(' is called $$(echo "$$rnd" | grep -c .) times in non-test internal/server, want once, in rendermemo.go:" >&2; echo "$$rnd" >&2; fail=1; fi; \
 	dec=$$(grep -Hn 'core\.Decide(' $$src | grep -v ':[0-9]*:[[:space:]]*//'); \
 	if [ "$$(echo "$$dec" | grep -c /internal/sw/)" -ne 1 ] || [ "$$(echo "$$dec" | grep -c .)" -ne 1 ]; then \
 		echo "forks: core.Decide( is called $$(echo "$$dec" | grep -c .) times in non-test code, want once, in internal/sw:" >&2; echo "$$dec" >&2; fail=1; fi; \
@@ -113,15 +124,15 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzExtractPage -fuzztime=10s ./internal/htmlparse/
 
 # Scheme-matrix smoke: the conformance suite (golden table, shape claims,
-# determinism, cancellation under -race, and the parse memo's differential
-# test, whose sweeps share one memo per site on one goroutine: -race reports
-# a memo two goroutines touch) plus one live run of the command,
+# determinism, cancellation under -race, and the parse and render memos'
+# differential tests, whose sweeps share one memo of each per site on one
+# goroutine: -race reports a memo two goroutines touch) plus one live run of the command,
 # and the determinism check on the sweep's job shape: the headline sweep
 # prints the same bytes at -parallel 1 and -parallel 4. See EXPERIMENTS.md,
 # "Scheme matrix".
 schemes:
 	$(GO) test -race -count=1 -run 'SchemeMatrix|Scheme|Delta|EarlyHints|Negative|Memo' \
-		./internal/harness/ ./internal/browser/ ./internal/delta/ ./catalyst/
+		./internal/harness/ ./internal/browser/ ./internal/server/ ./internal/delta/ ./catalyst/
 	$(GO) run ./cmd/schemes -sites 8
 	$(GO) run ./cmd/pltbench -experiment headline -sites 3 -json -parallel 1 > headline.p1.json
 	$(GO) run ./cmd/pltbench -experiment headline -sites 3 -json -parallel 4 > headline.p4.json

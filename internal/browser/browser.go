@@ -15,14 +15,12 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"net/url"
 	"sort"
 	"strings"
 	"time"
 
 	"cachecatalyst/internal/baselines"
 	"cachecatalyst/internal/core"
-	"cachecatalyst/internal/cssparse"
 	"cachecatalyst/internal/delta"
 	"cachecatalyst/internal/htmlparse"
 	"cachecatalyst/internal/httpcache"
@@ -789,20 +787,15 @@ func (l *loader) fetchEarlyHints(host, path string, kind htmlparse.ResourceKind,
 // consumeHints starts a fetch for every preload link in an early-hints
 // header block, resolved against the navigation URL.
 func (l *loader) consumeHints(navHost, navPath string, hdr http.Header) {
-	base := &url.URL{Scheme: "https", Host: navHost, Path: navPath}
-	for _, ref := range parseLinkPreloads(hdr.Values("Link")) {
-		h, p, ok := l.resolve(base, ref)
-		if !ok {
-			continue
-		}
-		key := h + p
+	for _, t := range hintTargets(navHost, navPath, hdr.Values("Link")) {
+		key := t.host + t.path
 		if l.seen[key] {
 			continue
 		}
 		l.result.HintedPreloads++
 		l.hinted[key] = true
-		l.decide(h, p, []string{"hinted"})
-		l.fetch(h, p, kindForPath(p))
+		l.decide(t.host, t.path, []string{"hinted"})
+		l.fetch(t.host, t.path, t.kind)
 	}
 }
 
@@ -978,85 +971,42 @@ func (l *loader) process(host, path string, kind htmlparse.ResourceKind, resp *h
 }
 
 func (l *loader) processHTML(host, path string, resp *httpcache.Response, asSent bool) {
-	base := &url.URL{Scheme: "https", Host: host, Path: path}
-	page := l.b.pageRefs(resp.Text(), asSent)
-	if page.hasBase {
-		if bu, err := url.Parse(page.base); err == nil {
-			base = base.ResolveReference(bu)
-		}
-	}
-	for _, r := range page.resources {
-		h, p, ok := l.resolve(base, r.URL)
-		if !ok {
-			continue
-		}
+	ts, _ := l.b.references(htmlBody, resp, host, path, asSent)
+	for _, t := range ts {
 		// Stylesheets and synchronous scripts block the first paint.
-		if r.Kind == htmlparse.KindStylesheet || r.Kind == htmlparse.KindScript && !r.Async {
-			l.fetchBlocking(h, p, r.Kind)
+		if t.blocking {
+			l.fetchBlocking(t.host, t.path, t.kind)
 			continue
 		}
-		l.fetch(h, p, r.Kind)
+		l.fetch(t.host, t.path, t.kind)
 	}
 	l.htmlProcessed = true
 	l.maybeFCP()
 }
 
 func (l *loader) processCSS(host, path string, resp *httpcache.Response, asSent, wasBlocking bool) {
-	base := &url.URL{Scheme: "https", Host: host, Path: path}
-	for _, ref := range l.b.sheetRefs(resp.Text(), asSent) {
-		if h, p, ok := l.resolve(base, ref.URL); ok {
-			if ref.Import {
-				// @import chains inherit the parent sheet's blocking.
-				if wasBlocking {
-					l.fetchBlocking(h, p, htmlparse.KindStylesheet)
-				} else {
-					l.fetch(h, p, htmlparse.KindStylesheet)
-				}
-				continue
-			}
-			l.fetch(h, p, htmlparse.KindImage)
+	ts, _ := l.b.references(cssBody, resp, host, path, asSent)
+	for _, t := range ts {
+		// @import chains inherit the parent sheet's blocking.
+		if t.blocking && wasBlocking {
+			l.fetchBlocking(t.host, t.path, t.kind)
+			continue
 		}
+		l.fetch(t.host, t.path, t.kind)
 	}
 }
 
 func (l *loader) processJS(host string, resp *httpcache.Response, asSent bool) {
-	fetches := l.b.scriptFetches(resp.Text(), asSent)
-	if len(fetches) == 0 {
+	ts, written := l.b.references(jsBody, resp, host, "/", asSent)
+	if written == 0 {
 		return
 	}
 	// Script evaluation takes time before runtime fetches issue.
 	l.sim.After(jsexec.ExecDelayMillis*time.Millisecond, func() {
-		base := &url.URL{Scheme: "https", Host: host, Path: "/"}
-		for _, u := range fetches {
-			if h, p, ok := l.resolve(base, u); ok {
-				kind := htmlparse.KindImage
-				if strings.HasSuffix(p, ".js") {
-					kind = htmlparse.KindScript
-				}
-				l.fetch(h, p, kind)
-			}
+		for _, t := range ts {
+			l.fetch(t.host, t.path, t.kind)
 		}
 	})
-}
-
-// resolve turns a document reference into (host, origin-relative path).
-func (l *loader) resolve(base *url.URL, ref string) (string, string, bool) {
-	if !cssparse.IsFetchable(ref) {
-		return "", "", false
-	}
-	u, err := url.Parse(strings.TrimSpace(ref))
-	if err != nil {
-		return "", "", false
-	}
-	abs := base.ResolveReference(u)
-	p := abs.EscapedPath()
-	if p == "" {
-		p = "/"
-	}
-	if abs.RawQuery != "" {
-		p += "?" + abs.RawQuery
-	}
-	return abs.Host, p, true
 }
 
 // cacheKey is the conventional cache's key for a resource.

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
-
-	"cachecatalyst/internal/cssparse"
-	"cachecatalyst/internal/htmlparse"
-	"cachecatalyst/internal/jsexec"
+	"unsafe"
 )
 
 // memoLog collects the memos NewParseMemo makes while it is on.
@@ -41,32 +38,62 @@ func CollectMemos(f func()) []*ParseMemo {
 	return memos
 }
 
-// Recheck parses every entry's key afresh and returns how many entries the
-// memo holds and an error naming those whose stored result differs.
-func (m *ParseMemo) Recheck() (int, error) {
+// MemoCounts is how many entries of each sort memos hold.
+type MemoCounts struct {
+	Identity, Content, Resolved int
+}
+
+// Recheck derives every entry of memos afresh: it parses the bytes behind
+// every identity key and every content key, and resolves a fresh parse of
+// the body behind every resolved entry against that entry's document URL.
+// It returns how many entries the memos hold and an error naming those whose
+// stored value differs.
+func Recheck(memos []*ParseMemo) (MemoCounts, error) {
+	var n MemoCounts
 	var bad []string
-	for text, got := range m.pages {
-		rs, base, ok := htmlparse.ExtractPage(text)
-		if !reflect.DeepEqual(got, pageRefs{rs, base, ok}) {
-			bad = append(bad, fmt.Sprintf("html %.40q: %+v, a parse gives %+v %q %v", text, got, rs, base, ok))
+	texts := make(map[*parsed]bodyText)
+	for _, m := range memos {
+		for text, got := range m.byText {
+			texts[got] = text
+			if want := parse(text.kind, text.text); !reflect.DeepEqual(got, want) {
+				bad = append(bad, fmt.Sprintf("content %d %.40q: %+v, a parse gives %+v", text.kind, text.text, got, want))
+			}
+		}
+		for id, got := range m.byID {
+			var text string
+			if id.first == nil && id.n > 0 {
+				bad = append(bad, fmt.Sprintf("identity %d: %d bytes keyed without an address", id.kind, id.n))
+				continue
+			}
+			if id.n > 0 {
+				text = string(unsafe.Slice(id.first, id.n))
+			}
+			if want := parse(id.kind, text); !reflect.DeepEqual(got, want) {
+				bad = append(bad, fmt.Sprintf("identity %d %.40q: %+v, a parse gives %+v", id.kind, text, got, want))
+			}
+		}
+		n.Identity += len(m.byID)
+		n.Content += len(m.byText)
+		n.Resolved += len(m.resolved)
+	}
+	for _, m := range memos {
+		for doc, got := range m.resolved {
+			text, ok := texts[doc.body]
+			if !ok {
+				bad = append(bad, fmt.Sprintf("resolved against %s%s: the body is in no memo", doc.host, doc.path))
+				continue
+			}
+			if want := parse(text.kind, text.text).resolve(text.kind, doc.host, doc.path); !reflect.DeepEqual(got, want) {
+				bad = append(bad, fmt.Sprintf("resolved %.40q against %s%s: %+v, a resolve gives %+v", text.text, doc.host, doc.path, got, want))
+			}
 		}
 	}
-	for text, got := range m.sheets {
-		if want := cssparse.ExtractRefs(text); !reflect.DeepEqual(got, want) {
-			bad = append(bad, fmt.Sprintf("css %.40q: %+v, a parse gives %+v", text, got, want))
-		}
-	}
-	for text, got := range m.scripts {
-		if want := jsexec.ExtractFetches(text); !reflect.DeepEqual(got, want) {
-			bad = append(bad, fmt.Sprintf("js %.40q: %q, a parse gives %q", text, got, want))
-		}
-	}
-	n := len(m.pages) + len(m.sheets) + len(m.scripts)
 	if len(bad) > 0 {
-		if len(bad) > 3 {
-			bad = append(bad[:3], fmt.Sprintf("… %d more", len(bad)-3))
+		total := len(bad)
+		if total > 3 {
+			bad = append(bad[:3], fmt.Sprintf("… %d more", total-3))
 		}
-		return n, fmt.Errorf("%d of %d entries differ from a fresh parse: %q", len(bad), n, bad)
+		return n, fmt.Errorf("%d entries differ from a fresh parse or resolve: %q", total, bad)
 	}
 	return n, nil
 }

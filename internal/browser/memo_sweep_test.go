@@ -10,10 +10,13 @@ import (
 // TestMemoisedParsesAreExact is the differential test of the parse memo.
 // After the quick scheme matrix and a two-site headline sweep, every entry
 // of every memo the sweeps made (each site's, shared by its worlds, and each
-// browser's own) must equal a fresh parse of its key: an HTML body's
-// resources and base href, a stylesheet's references, a script's fetches.
-// A memo keyed by anything but the body's bytes, or a caller that writes
-// into a result the memo handed it, leaves an entry that differs.
+// browser's own) must equal what it is derived from, done afresh: the parse
+// of the bytes behind each identity key and each content key, and the
+// resolve of each body's parse against each document URL it was resolved
+// for. A memo that keys a body by anything that does not commit to its
+// bytes, or a caller that writes into a result the memo handed it, leaves an
+// entry that differs. (The renders a site's servers share are checked the
+// same way by internal/server's TestMemoisedRendersAreExact.)
 func TestMemoisedParsesAreExact(t *testing.T) {
 	headline := harness.DefaultConfig()
 	headline.Corpus.Sites, headline.Corpus.Scale = 2, 0.6
@@ -25,18 +28,12 @@ func TestMemoisedParsesAreExact(t *testing.T) {
 	if matrixErr != nil || headlineErr != nil {
 		t.Fatal(matrixErr, headlineErr)
 	}
-	entries, filled := 0, 0
-	for _, m := range memos {
-		n, err := m.Recheck()
-		if err != nil {
-			t.Error(err)
-		}
-		if entries += n; n > 0 {
-			filled++
-		}
+	n, err := browser.Recheck(memos)
+	if err != nil {
+		t.Error(err)
 	}
-	if entries == 0 {
-		t.Fatal("the sweeps stored nothing in a memo; the browser does not parse through one")
+	if n.Identity == 0 || n.Content == 0 || n.Resolved == 0 {
+		t.Fatalf("the sweeps stored %+v in the memos; the browser does not parse and resolve through one", n)
 	}
-	t.Logf("%d memos made, %d hold entries, %d entries checked", len(memos), filled, entries)
+	t.Logf("%d memos made; %d identity, %d content and %d resolved entries checked", len(memos), n.Identity, n.Content, n.Resolved)
 }

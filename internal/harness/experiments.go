@@ -73,9 +73,9 @@ func RunPairedSweep(cfg Config, base, treatment Scheme) (*SweepResult, error) {
 	for condIdx := range trials {
 		trials[condIdx] = make([][]sampleOut, p)
 	}
-	err := forEachSite(context.Background(), cfg.Corpus, p, cfg.Parallelism, func(siteIdx int, site *webgen.Site, memo *browser.ParseMemo) error {
+	err := forEachSite(context.Background(), cfg.Corpus, p, cfg.Parallelism, func(siteIdx int, site *webgen.Site, memos siteMemos) error {
 		for condIdx, cond := range cfg.Grid {
-			out, err := runPairedTrial(cfg, cond, newWorld(site, memo, base, cfg.Transport), newWorld(site, memo, treatment, cfg.Transport))
+			out, err := runPairedTrial(cfg, cond, newWorld(site, memos, base, cfg.Transport), newWorld(site, memos, treatment, cfg.Transport))
 			if err != nil {
 				return err
 			}
@@ -91,17 +91,20 @@ func RunPairedSweep(cfg Config, base, treatment Scheme) (*SweepResult, error) {
 
 // forEachSite calls trial once for every site index below sites, on up to
 // workers goroutines (≤0 means GOMAXPROCS), handing it the site generated
-// once and a parse memo made for it. trial builds every world of that site
-// on views of it, with that memo, and both are dropped when trial returns,
+// once and the memos made for it. trial builds every world of that site on
+// views of it, with those memos, and both are dropped when trial returns,
 // so at most workers sites are resident. A trial's worlds run one after
-// another on its goroutine, which is what lets them share the memo.
+// another on its goroutine, which is what lets them share the memos.
 // Trials fill index-ordered slots, so what they produce does not depend on
-// workers. Once ctx is done no further site starts; the first error is
-// returned.
-func forEachSite(ctx context.Context, p webgen.Params, sites, workers int, trial func(siteIdx int, site *webgen.Site, memo *browser.ParseMemo) error) error {
+// workers. Once ctx is done or a trial has failed no further site starts;
+// the first error is returned.
+func forEachSite(ctx context.Context, p webgen.Params, sites, workers int, trial func(siteIdx int, site *webgen.Site, memos siteMemos) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	// A failed trial stops the sites still queued, as a cancelled ctx does.
+	ctx, stop := context.WithCancel(ctx)
+	defer stop()
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	var firstErr error
@@ -113,10 +116,11 @@ func forEachSite(ctx context.Context, p webgen.Params, sites, workers int, trial
 			for siteIdx := range jobs {
 				err := ctx.Err()
 				if err == nil {
-					err = trial(siteIdx, generate(p, siteIdx), browser.NewParseMemo())
+					err = trial(siteIdx, generate(p, siteIdx), newSiteMemos())
 				}
 				if err != nil {
 					errOnce.Do(func() { firstErr = err })
+					stop()
 				}
 			}
 		}()
@@ -264,9 +268,9 @@ func eachWorld[T any](cfg Config, schemes []Scheme, visit func(w *World) (T, err
 	for si := range out {
 		out[si] = make([]T, cfg.Corpus.Sites)
 	}
-	err := forEachSite(context.Background(), cfg.Corpus, cfg.Corpus.Sites, cfg.Parallelism, func(siteIdx int, site *webgen.Site, memo *browser.ParseMemo) error {
+	err := forEachSite(context.Background(), cfg.Corpus, cfg.Corpus.Sites, cfg.Parallelism, func(siteIdx int, site *webgen.Site, memos siteMemos) error {
 		for si, scheme := range schemes {
-			v, err := visit(newWorld(site, memo, scheme, cfg.Transport))
+			v, err := visit(newWorld(site, memos, scheme, cfg.Transport))
 			if err != nil {
 				return err
 			}

@@ -116,23 +116,37 @@ type World struct {
 }
 
 // NewWorld builds the world for one (site, scheme) pair on a site of its
-// own, with a parse memo of its own.
+// own, with a parse memo of its own and no render memo.
 func NewWorld(p webgen.Params, siteIndex int, scheme Scheme, transport netsim.TransportOptions) *World {
-	return newWorld(generate(p, siteIndex), browser.NewParseMemo(), scheme, transport)
+	return newWorld(generate(p, siteIndex), siteMemos{parse: browser.NewParseMemo()}, scheme, transport)
 }
 
 // generate builds the siteIndex-th site at the virtual epoch. The sweeps
 // generate a site once and build every world of it on a view of that one
 // site, so the worlds share its bodies instead of each rendering its own,
-// and its parses (browser.ParseMemo) instead of each parsing its own.
+// and its pure derived work (siteMemos) instead of each doing its own.
 func generate(p webgen.Params, siteIndex int) *webgen.Site {
 	return webgen.GenerateOne(p, siteIndex, vclock.NewVirtual(vclock.Epoch))
 }
 
+// siteMemos is the work a site's worlds share because it is a pure function
+// of the site's bodies: the browser's parses and resolved references, and
+// the server's page renders. render is nil for a world of its own.
+type siteMemos struct {
+	parse  *browser.ParseMemo
+	render *server.RenderMemo
+}
+
+// newSiteMemos returns the empty memos of one site.
+func newSiteMemos() siteMemos {
+	return siteMemos{parse: browser.NewParseMemo(), render: server.NewRenderMemo()}
+}
+
 // newWorld builds one world on a view of site: its own clock, server,
 // browser and caches, reading bodies from the site's shared store and
-// parsing them through memo, which the sweeps share among a site's worlds.
-func newWorld(site *webgen.Site, memo *browser.ParseMemo, scheme Scheme, transport netsim.TransportOptions) *World {
+// parsing and rendering them through memos, which the sweeps share among a
+// site's worlds.
+func newWorld(site *webgen.Site, memos siteMemos, scheme Scheme, transport netsim.TransportOptions) *World {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	site = site.View(clock)
 
@@ -192,7 +206,7 @@ func newWorld(site *webgen.Site, memo *browser.ParseMemo, scheme Scheme, transpo
 		mode = browser.Catalyst
 	}
 
-	b := browser.New(clock, mode, transport).WithParseMemo(memo)
+	b := browser.New(clock, mode, transport).WithParseMemo(memos.parse)
 	switch scheme {
 	case SchemeCatalystDelta:
 		b.WithDelta()
@@ -200,7 +214,7 @@ func newWorld(site *webgen.Site, memo *browser.ParseMemo, scheme Scheme, transpo
 		b.WithNegativeCache(NegativeTTL)
 	}
 
-	srv := server.New(site.Content(), srvOpts)
+	srv := server.New(site.Content(), srvOpts).WithRenderMemo(memos.render)
 	cdn := server.New(site.CDNContent(), server.Options{Clock: clock})
 	return &World{
 		Scheme:  scheme,

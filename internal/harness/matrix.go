@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"cachecatalyst/internal/browser"
 	"cachecatalyst/internal/netsim"
 	"cachecatalyst/internal/stats"
 	"cachecatalyst/internal/webgen"
@@ -147,13 +146,13 @@ func RunSchemeMatrixContext(ctx context.Context, cfg MatrixConfig) (*MatrixResul
 	// disjoint slots, and aggregation order is fixed regardless of which
 	// worker finishes first.
 	trials := newMatrixTrials(cfg, sites)
-	err := forEachSite(ctx, cfg.Corpus, sites, cfg.Parallelism, func(siteIdx int, site *webgen.Site, memo *browser.ParseMemo) error {
+	err := forEachSite(ctx, cfg.Corpus, sites, cfg.Parallelism, func(siteIdx int, site *webgen.Site, memos siteMemos) error {
 		for ci, cond := range cfg.Grid {
 			for si, scheme := range cfg.Schemes {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				out, err := runMatrixTrial(cfg, cond, newWorld(site, memo, scheme, cfg.Transport))
+				out, err := runMatrixTrial(cfg, cond, newWorld(site, memos, scheme, cfg.Transport))
 				if err != nil {
 					return err
 				}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"cachecatalyst/internal/browser"
 	"cachecatalyst/internal/httpcache"
 	"cachecatalyst/internal/netsim"
 )
@@ -58,8 +57,9 @@ func (o ledgerOrigin) RoundTrip(req *netsim.Request) *httpcache.Response {
 // the browser receives), and re-takes every fingerprint after the whole run.
 // Worlds are built the way the sweeps build them: one generated site per
 // index, every condition and scheme on a view of it with the site's parse
-// memo, so one body reaches many worlds' browsers and parsers and a write in
-// any of them would show in the others.
+// and render memos, so one body (a page render included) reaches many
+// worlds' browsers and parsers and a write in any of them would show in the
+// others.
 func TestBodiesAreNeverWritten(t *testing.T) {
 	cfg := QuickMatrixConfig()
 	chaos := netsim.ChaosConfig{Seed: 33, TruncateProb: 0.15, CorruptMapProb: 0.1}
@@ -67,10 +67,10 @@ func TestBodiesAreNeverWritten(t *testing.T) {
 	var loads, worlds int
 	var chaosOrigins []*netsim.ChaosOrigin
 	for site := 0; site < cfg.Corpus.Sites; site++ {
-		shared, memo := generate(cfg.Corpus, site), browser.NewParseMemo()
+		shared, memos := generate(cfg.Corpus, site), newSiteMemos()
 		for ci, cond := range cfg.Grid {
 			for _, scheme := range MatrixSchemes {
-				w := newWorld(shared, memo, scheme, cfg.Transport)
+				w := newWorld(shared, memos, scheme, cfg.Transport)
 				w.Browser.MaxFetchRetries = 2
 				for host, o := range w.Origins {
 					name := fmt.Sprintf("%v/%v/%s", cond, scheme, host)

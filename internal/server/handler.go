@@ -121,6 +121,7 @@ type Server struct {
 	recorder   *Recorder
 	access     *accessLog
 	renders    *cachestore.Store[*pageRender] // nil when disabled
+	renderMemo *RenderMemo                    // renders shared with a site's other servers; nil unless WithRenderMemo
 	deltaBases *cachestore.Store[[]byte]      // previous page bodies; nil unless Options.Delta
 	mapGate    *resilience.Gate               // map-resolution admission; nil when disabled
 	serveNS    *telemetry.Histogram           // nil without telemetry
@@ -443,7 +444,7 @@ func pageRenderSize(key string, pr *pageRender) int64 {
 // entry; a caller that waited on the flight of another version asks again.
 func (s *Server) renderPage(p string, res *Resource) *pageRender {
 	if s.renders == nil {
-		return newPageRender(p, res)
+		return s.newPageRender(p, res)
 	}
 	pr, ok := s.renders.Get(p)
 	for !ok || pr.src != res.ETag {
@@ -453,7 +454,7 @@ func (s *Server) renderPage(p string, res *Resource) *pageRender {
 			if cur, ok := s.renders.Peek(p); ok && cur.src == res.ETag {
 				return cur, nil
 			}
-			pr := newPageRender(p, res)
+			pr := s.newPageRender(p, res)
 			s.renders.Put(p, pr)
 			return pr, nil
 		})
@@ -462,6 +463,6 @@ func (s *Server) renderPage(p string, res *Resource) *pageRender {
 	return pr
 }
 
-func newPageRender(p string, res *Resource) *pageRender {
-	return &pageRender{Render: decorate.NewRender(p, string(res.Body)), src: res.ETag}
+func (s *Server) newPageRender(p string, res *Resource) *pageRender {
+	return &pageRender{Render: s.renderMemo.render(p, res), src: res.ETag}
 }
