@@ -55,7 +55,7 @@ func BenchmarkMiddlewareStatic(b *testing.B) {
 // both schemes share; it bounds the regression risk of the rewrite on the
 // HTML side.
 func BenchmarkMiddlewareHTML(b *testing.B) {
-	h := Middleware(innerSite(), MiddlewareOptions{ProbeTTL: time.Hour})
+	h := tuned(innerSite(), MiddlewareOptions{}, withProbeTTL(time.Hour))
 	// Warm the probe cache once so the benchmark measures the steady state.
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
 	b.ReportAllocs()
@@ -70,7 +70,7 @@ func BenchmarkMiddlewareHTML(b *testing.B) {
 // probe TTL so short every render wants a re-probe: the singleflight layer
 // determines how many inner-handler probes actually run.
 func BenchmarkProbeContention(b *testing.B) {
-	h := Middleware(innerSite(), MiddlewareOptions{ProbeTTL: 100 * time.Microsecond})
+	h := tuned(innerSite(), MiddlewareOptions{}, withProbeTTL(100*time.Microsecond))
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
@@ -124,8 +124,7 @@ func site50(delay time.Duration) http.Handler {
 // ops/sec for RenchmarkCache over NoRenderCache.
 func BenchmarkMiddlewareHTML50(b *testing.B) {
 	bench := func(b *testing.B, opts MiddlewareOptions) {
-		opts.ProbeTTL = time.Hour
-		h := Middleware(site50(0), opts)
+		h := tuned(site50(0), opts, withProbeTTL(time.Hour))
 		// Two warm-up renders: the first fills the probe and render caches
 		// and slots the map, which the second already reuses.
 		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
@@ -154,7 +153,7 @@ func BenchmarkMiddlewareHTML50(b *testing.B) {
 // encoding, writes precomputed headers, and acquires no mutex (see
 // TestWarmGetTakesNoMutex in internal/cachestore for the store-level proof).
 func BenchmarkMiddlewareWarmHit(b *testing.B) {
-	h := Middleware(site50(0), MiddlewareOptions{ProbeTTL: time.Hour})
+	h := tuned(site50(0), MiddlewareOptions{}, withProbeTTL(time.Hour))
 	// Warm: the first request fills the probe and render caches and slots
 	// the map, which the second already reuses.
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
@@ -172,7 +171,7 @@ func BenchmarkMiddlewareWarmHit(b *testing.B) {
 // page when every probe must actually run against an inner handler that
 // costs ~100µs per request — the cold-page latency the resolve fan-out
 // attacks. Each iteration uses a fresh middleware so nothing is cached;
-// Parallel uses the default fan-out, Sequential pins ProbeConcurrency to 1
+// Parallel uses the frozen fan-out, Sequential pins probeConcurrency to 1
 // (the pre-fan-out behaviour, roughly sum(probe) vs max(probe)).
 func BenchmarkMiddlewareHTMLCold(b *testing.B) {
 	const probeCost = 100 * time.Microsecond
@@ -181,11 +180,11 @@ func BenchmarkMiddlewareHTMLCold(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			h := Middleware(inner, MiddlewareOptions{ProbeTTL: time.Hour, ProbeConcurrency: concurrency})
+			h := tuned(inner, MiddlewareOptions{}, withProbeTTL(time.Hour), withProbeConcurrency(concurrency))
 			h.ServeHTTP(&discardWriter{h: make(http.Header)}, httptest.NewRequest("GET", "/", nil))
 		}
 	}
-	b.Run("Parallel", func(b *testing.B) { bench(b, 0) })
+	b.Run("Parallel", func(b *testing.B) { bench(b, probeConcurrency) })
 	b.Run("Sequential", func(b *testing.B) { bench(b, 1) })
 }
 
@@ -234,7 +233,7 @@ func churnPage(pageBytes int) http.Handler {
 func BenchmarkMiddlewareProbeRefresh(b *testing.B) {
 	bench := func(b *testing.B, inner http.Handler) {
 		// One nanosecond: every probe has expired by the time it is read back.
-		h := Middleware(inner, MiddlewareOptions{ProbeTTL: time.Nanosecond})
+		h := tuned(inner, MiddlewareOptions{}, withProbeTTL(time.Nanosecond))
 		req := httptest.NewRequest("GET", "/", nil)
 		w := &discardWriter{h: make(http.Header)}
 		h.ServeHTTP(w, req)
@@ -270,7 +269,7 @@ func benchUpstream(b *testing.B, site http.Handler, bench func(*testing.B, http.
 // writer.
 func BenchmarkMiddlewarePageRevalidate(b *testing.B) {
 	bench := func(b *testing.B, inner http.Handler) {
-		h := Middleware(inner, MiddlewareOptions{ProbeTTL: time.Hour})
+		h := tuned(inner, MiddlewareOptions{}, withProbeTTL(time.Hour))
 		req := httptest.NewRequest("GET", "/", nil)
 		w := &discardWriter{h: make(http.Header)}
 		for i := 0; i < 3; i++ {
@@ -292,7 +291,7 @@ func BenchmarkMiddlewarePageRevalidate(b *testing.B) {
 // iteration, so every serve re-walks 40 probe-cache hits and re-encodes the
 // map.
 func BenchmarkMiddlewareWarmResolve(b *testing.B) {
-	h := Middleware(churnPage(0), MiddlewareOptions{ProbeTTL: time.Hour})
+	h := tuned(churnPage(0), MiddlewareOptions{}, withProbeTTL(time.Hour))
 	m := h.(*middleware)
 	req := httptest.NewRequest("GET", "/", nil)
 	w := &discardWriter{h: make(http.Header)}

@@ -79,21 +79,18 @@ type ServerOptions struct {
 	// server's RecentRequests method; 0 disables access logging.
 	AccessLogSize int
 	// Telemetry indexes the server's counters, caches and latency
-	// histogram in the given registry; WithMetrics then serves the full
-	// snapshot. Nil disables registry wiring (counters still work).
+	// histogram in the given registry; WithMetricsOptions then serves the
+	// full snapshot. Nil disables registry wiring (counters still work).
 	Telemetry *telemetry.Registry
 	// ServerTiming mirrors each request's cache decisions (etag-match,
 	// map-built, network, …) back to the client in a Server-Timing
 	// response header.
 	ServerTiming bool
 	// MaxInflight bounds concurrent ETag-map resolutions; a request
-	// refused a slot within QueueTimeout serves its HTML without a map
-	// instead of queueing behind a saturated resolver. Zero disables
-	// the admission gate.
+	// refused a slot within 50 ms serves its HTML without a map instead of
+	// queueing behind a saturated resolver. Zero disables the admission
+	// gate.
 	MaxInflight int
-	// QueueTimeout bounds the wait for a resolution slot; zero selects
-	// the gate default (50ms).
-	QueueTimeout time.Duration
 	// RequestBudget, when positive, deadlines each request; map
 	// resolution inherits the remainder and ships partial maps on time
 	// rather than complete maps late.
@@ -119,7 +116,6 @@ func NewServer(fsys fs.FS, opts ServerOptions) (*server.Server, error) {
 		Telemetry:      opts.Telemetry,
 		ServerTiming:   opts.ServerTiming,
 		MaxInflight:    opts.MaxInflight,
-		QueueTimeout:   opts.QueueTimeout,
 		RequestBudget:  opts.RequestBudget,
 		MaxRenderBytes: opts.MaxRenderBytes,
 	}), nil

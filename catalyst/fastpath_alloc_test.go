@@ -20,7 +20,7 @@ import (
 // garbage the fast-lane refactor removed (sniff buffers, header encodes,
 // span closures, request clones).
 func TestWarmHitAllocations(t *testing.T) {
-	h := Middleware(site50(0), MiddlewareOptions{ProbeTTL: time.Hour})
+	h := tuned(site50(0), MiddlewareOptions{}, withProbeTTL(time.Hour))
 	// The first request warms probes and render and slots the map; the
 	// second reuses it.
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
@@ -39,7 +39,7 @@ func TestWarmHitAllocations(t *testing.T) {
 // merge's one value array, with one to spare; what it must not grow back is a
 // request Clone or an If-None-Match value built per request.
 func TestWarmRevalidatedHitAllocations(t *testing.T) {
-	h := Middleware(churnPage(0), MiddlewareOptions{ProbeTTL: time.Hour})
+	h := tuned(churnPage(0), MiddlewareOptions{}, withProbeTTL(time.Hour))
 	m := h.(*middleware)
 	req := httptest.NewRequest("GET", "/", nil)
 	w := &discardWriter{h: make(http.Header)}
@@ -47,9 +47,9 @@ func TestWarmRevalidatedHitAllocations(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		h.ServeHTTP(w, req)
 	}
-	before := m.opts.Metrics.PageRevalidated.Load()
+	before := m.metrics.PageRevalidated.Load()
 	n := testing.AllocsPerRun(200, func() { h.ServeHTTP(w, req) })
-	if got := m.opts.Metrics.PageRevalidated.Load() - before; got < 200 {
+	if got := m.metrics.PageRevalidated.Load() - before; got < 200 {
 		t.Fatalf("%d of the measured serves revalidated the page, want all", got)
 	}
 	if n > 4 {

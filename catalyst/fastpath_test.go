@@ -12,7 +12,7 @@ import (
 // writer all engaged) response is byte-identical to the first full render,
 // headers included.
 func TestWarmHitServesIdenticalResponse(t *testing.T) {
-	h := Middleware(site50(0), MiddlewareOptions{ProbeTTL: time.Hour})
+	h := tuned(site50(0), MiddlewareOptions{}, withProbeTTL(time.Hour))
 	recs := make([]*httptest.ResponseRecorder, 4)
 	for i := range recs {
 		recs[i] = httptest.NewRecorder()

@@ -90,7 +90,7 @@ func (m *middleware) serveStale(ts *tenantState, w http.ResponseWriter, r *http.
 	if !ok {
 		return false
 	}
-	m.opts.Metrics.LadderStale.Add(1)
+	m.metrics.LadderStale.Add(1)
 	h := w.Header()
 	m.decide(r.Context(), h, "stale-serve", reason)
 	if e.ctype != "" {
@@ -114,7 +114,7 @@ func (m *middleware) serveStale(ts *tenantState, w http.ResponseWriter, r *http.
 // — conditionals intact, no sniffing, no probing, no instrumentation —
 // the ladder's middle rung.
 func (m *middleware) servePassthrough(w http.ResponseWriter, r *http.Request, reason string) {
-	m.opts.Metrics.LadderPassthrough.Add(1)
+	m.metrics.LadderPassthrough.Add(1)
 	m.decide(r.Context(), w.Header(), "passthrough", reason)
 	if m.serveInner(w, r) {
 		http.Error(w, "internal error", http.StatusInternalServerError)
@@ -146,22 +146,12 @@ func (m *middleware) servePlain(w http.ResponseWriter, r *http.Request, sw *snif
 
 // serveReject answers 503 + Retry-After, the ladder's bottom rung.
 func (m *middleware) serveReject(w http.ResponseWriter, r *http.Request, reason string) {
-	m.opts.Metrics.LadderRejected.Add(1)
+	m.metrics.LadderRejected.Add(1)
 	telemetry.Event(r.Context(), "shed", reason)
 	h := w.Header()
-	h.Set("Retry-After", strconv.FormatInt(retryAfterSeconds(m.opts.RetryAfter), 10))
+	h.Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 	h.Set("Cache-Control", "no-store")
 	http.Error(w, "overloaded, retry shortly", http.StatusServiceUnavailable)
-}
-
-// retryAfterSeconds renders a Retry-After duration in whole seconds, at
-// least 1 — a zero would tell clients to hammer an overloaded server.
-func retryAfterSeconds(d time.Duration) int64 {
-	s := int64((d + time.Second - 1) / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return s
 }
 
 // shed routes a gate-refused request down the ladder. A timed-out queue

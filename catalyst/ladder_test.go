@@ -104,8 +104,8 @@ func prime(t *testing.T, h http.Handler) *httptest.ResponseRecorder {
 func TestLadderRungs(t *testing.T) {
 	t.Run("stale on origin error", func(t *testing.T) {
 		site := newFlakySite()
-		metrics := &MiddlewareMetrics{}
-		h := Middleware(site, MiddlewareOptions{Metrics: metrics})
+		h := Middleware(site, MiddlewareOptions{})
+		metrics := metricsOf(h)
 		fresh := prime(t, h)
 
 		site.mode.Store("err")
@@ -141,8 +141,8 @@ func TestLadderRungs(t *testing.T) {
 
 	t.Run("stale on panic", func(t *testing.T) {
 		site := newFlakySite()
-		metrics := &MiddlewareMetrics{}
-		h := Middleware(site, MiddlewareOptions{Metrics: metrics})
+		h := Middleware(site, MiddlewareOptions{})
+		metrics := metricsOf(h)
 		prime(t, h)
 
 		site.mode.Store("panic")
@@ -157,13 +157,8 @@ func TestLadderRungs(t *testing.T) {
 
 	t.Run("passthrough on queue timeout", func(t *testing.T) {
 		site := newFlakySite()
-		metrics := &MiddlewareMetrics{}
-		h := Middleware(site, MiddlewareOptions{
-			Metrics:      metrics,
-			MaxInflight:  1,
-			MaxQueue:     4,
-			QueueTimeout: 5 * time.Millisecond,
-		})
+		h := Middleware(site, MiddlewareOptions{MaxInflight: 1})
+		metrics := metricsOf(h)
 		// Occupy the only slot with a request blocked inside the handler.
 		blockCh := make(chan struct{})
 		site.block.Store(blockCh)
@@ -196,13 +191,8 @@ func TestLadderRungs(t *testing.T) {
 
 	t.Run("503 on full queue", func(t *testing.T) {
 		site := newFlakySite()
-		metrics := &MiddlewareMetrics{}
-		h := Middleware(site, MiddlewareOptions{
-			Metrics:     metrics,
-			MaxInflight: 1,
-			MaxQueue:    -1, // no queue: immediate shed
-			RetryAfter:  7 * time.Second,
-		})
+		h := Middleware(site, MiddlewareOptions{MaxInflight: 1})
+		metrics := metricsOf(h)
 		blockCh := make(chan struct{})
 		site.block.Store(blockCh)
 		var wg sync.WaitGroup
@@ -210,15 +200,34 @@ func TestLadderRungs(t *testing.T) {
 		go func() { defer wg.Done(); get(h, "/page") }()
 		<-site.entered
 
-		rec := get(h, "/other")
-		if rec.Code != http.StatusServiceUnavailable {
-			t.Fatalf("reject status = %d", rec.Code)
+		// One slot, held, and a queue as long: of a burst for /other (no
+		// stale copy), one waits out its 50 ms and passes through, and the
+		// arrivals that find it waiting are refused at once.
+		const burst = 8
+		var codes [burst]int
+		var retryAfter [burst]string
+		var burstWG sync.WaitGroup
+		for i := range codes {
+			burstWG.Add(1)
+			go func() {
+				defer burstWG.Done()
+				rec := get(h, "/other")
+				codes[i], retryAfter[i] = rec.Code, rec.Header().Get("Retry-After")
+			}()
 		}
-		if rec.Header().Get("Retry-After") != "7" {
-			t.Fatalf("Retry-After = %q", rec.Header().Get("Retry-After"))
+		burstWG.Wait()
+		var rejected int64
+		for i, code := range codes {
+			switch {
+			case code == http.StatusServiceUnavailable && retryAfter[i] == "5":
+				rejected++
+			case code != http.StatusOK:
+				t.Fatalf("burst request %d: status %d, Retry-After %q; want 200 or 503 with Retry-After 5", i, code, retryAfter[i])
+			}
 		}
-		if metrics.LadderRejected.Load() != 1 {
-			t.Fatalf("LadderRejected = %d", metrics.LadderRejected.Load())
+		if rejected == 0 || metrics.LadderRejected.Load() != rejected || metrics.LadderPassthrough.Load() != burst-rejected {
+			t.Fatalf("%d of %d refused; LadderRejected = %d, LadderPassthrough = %d", rejected, burst,
+				metrics.LadderRejected.Load(), metrics.LadderPassthrough.Load())
 		}
 
 		close(blockCh)
@@ -228,12 +237,8 @@ func TestLadderRungs(t *testing.T) {
 
 	t.Run("shed prefers stale over passthrough", func(t *testing.T) {
 		site := newFlakySite()
-		metrics := &MiddlewareMetrics{}
-		h := Middleware(site, MiddlewareOptions{
-			Metrics:     metrics,
-			MaxInflight: 1,
-			MaxQueue:    -1,
-		})
+		h := Middleware(site, MiddlewareOptions{MaxInflight: 1})
+		metrics := metricsOf(h)
 		prime(t, h)
 
 		blockCh := make(chan struct{})
@@ -273,10 +278,8 @@ func TestLadderErrorWithoutStaleIsHonest(t *testing.T) {
 // entirely and serves stale, then recovers through a half-open trial.
 func TestBreakerFlipsToStaleServing(t *testing.T) {
 	site := newFlakySite()
-	metrics := &MiddlewareMetrics{}
 	reg := telemetry.NewRegistry()
 	h := Middleware(site, MiddlewareOptions{
-		Metrics:   metrics,
 		Telemetry: reg,
 		OriginBreaker: resilience.NewBreaker(resilience.BreakerOptions{
 			FailureThreshold: 2,
@@ -285,6 +288,7 @@ func TestBreakerFlipsToStaleServing(t *testing.T) {
 			Name:             "middleware.origin",
 		}),
 	})
+	metrics := metricsOf(h)
 	prime(t, h)
 
 	site.mode.Store("err")
@@ -318,11 +322,10 @@ func TestBreakerFlipsToStaleServing(t *testing.T) {
 func TestBreakerWithoutStaleRejects(t *testing.T) {
 	site := newFlakySite()
 	site.mode.Store("err")
-	metrics := &MiddlewareMetrics{}
 	h := Middleware(site, MiddlewareOptions{
-		Metrics:       metrics,
 		OriginBreaker: resilience.NewBreaker(resilience.BreakerOptions{FailureThreshold: 1, Cooldown: time.Hour}),
 	})
+	metrics := metricsOf(h)
 	if rec := get(h, "/page"); rec.Code != http.StatusInternalServerError {
 		t.Fatalf("first failure: %d", rec.Code) // no stale yet: honest error
 	}
@@ -340,11 +343,10 @@ func TestBreakerWithoutStaleRejects(t *testing.T) {
 // and map assembly and delivers the HTML un-instrumented.
 func TestBudgetExhaustedServesPlain(t *testing.T) {
 	site := newFlakySite()
-	metrics := &MiddlewareMetrics{}
 	h := Middleware(site, MiddlewareOptions{
-		Metrics:       metrics,
 		RequestBudget: time.Nanosecond, // spent before the handler returns
 	})
+	metrics := metricsOf(h)
 	rec := get(h, "/page")
 	if rec.Code != 200 {
 		t.Fatalf("status = %d", rec.Code)
@@ -371,8 +373,8 @@ func TestBudgetExhaustedServesPlain(t *testing.T) {
 	// vouched for.
 	site = newFlakySite()
 	site.tag = `"page-v1"`
-	metrics = &MiddlewareMetrics{}
-	h3 := Middleware(site, MiddlewareOptions{Metrics: metrics, RequestBudget: 50 * time.Millisecond})
+	h3 := Middleware(site, MiddlewareOptions{RequestBudget: 50 * time.Millisecond})
+	metrics = metricsOf(h3)
 	if rec := get(h3, "/page"); rec.Header().Get(HeaderName) == "" {
 		t.Fatal("the budget did not suffice to decorate (and hold) the page")
 	}
@@ -394,15 +396,12 @@ func TestBudgetExhaustedServesPlain(t *testing.T) {
 func TestOverloadBurstInvariants(t *testing.T) {
 	leakcheck.Check(t)
 	site := newFlakySite()
-	metrics := &MiddlewareMetrics{}
 	reg := telemetry.NewRegistry()
 	h := Middleware(site, MiddlewareOptions{
-		Metrics:      metrics,
-		Telemetry:    reg,
-		MaxInflight:  2,
-		MaxQueue:     2,
-		QueueTimeout: time.Millisecond,
+		Telemetry:   reg,
+		MaxInflight: 2,
 	})
+	metrics := metricsOf(h)
 	prime(t, h)
 	site.delayNS.Store(int64(2 * time.Millisecond)) // force queueing
 

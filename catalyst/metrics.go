@@ -9,7 +9,8 @@ import (
 	"cachecatalyst/internal/telemetry"
 )
 
-// MetricsPath is the conventional path WithMetrics serves the snapshot at.
+// MetricsPath is the path WithMetricsOptions and WithMetricsHandler serve
+// the snapshot at.
 const MetricsPath = "/debug/catalystd"
 
 // MetricsOptions configures WithMetricsOptions.
@@ -29,18 +30,11 @@ type MetricsOptions struct {
 	Config any
 }
 
-// WithMetrics wraps srv so that MetricsPath serves a JSON snapshot of the
-// registry the server was constructed with (and, when
-// ServerOptions.AccessLogSize was set, its recent requests) while every
-// other request reaches the site. cmd/catalystd uses this behind its
-// -metrics flag.
-func WithMetrics(srv *server.Server) http.Handler {
-	return WithMetricsOptions(srv, MetricsOptions{})
-}
-
-// WithMetricsOptions is WithMetrics with the full telemetry surface: the
-// MetricsPath JSON gains a "telemetry" field holding the registry snapshot,
-// and MetricsOptions.PProf mounts the pprof handlers.
+// WithMetricsOptions wraps srv so that MetricsPath serves a JSON snapshot —
+// the registry's instruments under "telemetry" and, when
+// ServerOptions.AccessLogSize was set, the recent requests — while every
+// other request reaches the site; MetricsOptions.PProf mounts the pprof
+// handlers. cmd/catalystd uses this behind its -metrics flag.
 func WithMetricsOptions(srv *server.Server, opts MetricsOptions) http.Handler {
 	if opts.Telemetry == nil {
 		opts.Telemetry = srv.Telemetry()
@@ -94,18 +88,17 @@ func metricsMux(next http.Handler, recent func() []server.AccessEntry, opts Metr
 	return mux
 }
 
-// MiddlewareMetrics exposes the middleware's resilience counters. Pass a
-// pointer in MiddlewareOptions.Metrics to observe a wrapped handler; all
-// fields are atomic telemetry counters, safe to read while serving, and a
-// registry passed in MiddlewareOptions.Telemetry indexes this same storage.
-type MiddlewareMetrics struct {
+// middlewareMetrics is the middleware's own counters. All fields are atomic
+// telemetry counters, safe to read while serving, and a registry passed in
+// MiddlewareOptions.Telemetry indexes this same storage.
+type middlewareMetrics struct {
 	// PanicsRecovered counts inner-handler panics converted to 500s.
 	PanicsRecovered telemetry.Counter
 	// BreakerTrips counts per-path probe circuit breakers opening after
 	// repeated probe failures.
 	BreakerTrips telemetry.Counter
-	// MapEntriesDropped counts X-Etag-Config entries removed to respect
-	// MiddlewareOptions.MaxMapBytes.
+	// MapEntriesDropped counts X-Etag-Config entries removed to keep the
+	// encoded map within core.MaxEncodedMapBytes (decorate.EncodeMap).
 	MapEntriesDropped telemetry.Counter
 	// EncodeReuses counts HTML responses that reused the render's slotted
 	// X-Etag-Config encoding because every probe its evidence names is
@@ -150,8 +143,8 @@ type MiddlewareMetrics struct {
 	PageFetched     telemetry.Counter
 }
 
-// RegisterTelemetry indexes the counters in reg under "middleware.*".
-func (m *MiddlewareMetrics) RegisterTelemetry(reg *telemetry.Registry) {
+// register indexes the counters in reg under "middleware.*".
+func (m *middlewareMetrics) register(reg *telemetry.Registry) {
 	reg.RegisterCounter("middleware.panics_recovered", &m.PanicsRecovered)
 	reg.RegisterCounter("middleware.breaker_trips", &m.BreakerTrips)
 	reg.RegisterCounter("middleware.map_entries_dropped", &m.MapEntriesDropped)

@@ -23,7 +23,7 @@ func metricsWorld(t *testing.T) (string, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(WithMetrics(srv))
+	ts := httptest.NewServer(WithMetricsOptions(srv, MetricsOptions{}))
 	return ts.URL, ts.Close
 }
 

@@ -1,13 +1,12 @@
 package catalyst
 
 import (
+	"cmp"
 	"context"
 	"net/http"
 	"net/url"
-	"sort"
 	"sync"
 	"time"
-	"unicode/utf8"
 
 	"cachecatalyst/internal/cachestore"
 	"cachecatalyst/internal/core"
@@ -20,44 +19,9 @@ import (
 	"cachecatalyst/internal/tenant"
 )
 
-// MiddlewareOptions configures Middleware.
+// MiddlewareOptions configures Middleware. A value no program sets is not an
+// option but a constant (see tuning).
 type MiddlewareOptions struct {
-	// MaxMapBytes caps the *encoded* X-Etag-Config value in bytes; maps
-	// that encode larger have entries dropped (highest-sorting paths
-	// first) until they fit, so one huge page cannot blow the response
-	// head past proxy header limits. 0 means unlimited.
-	MaxMapBytes int
-	// ProbeTTL bounds how long a subresource's probed ETag may be reused
-	// before re-probing the inner handler. Zero selects 1 second — fresh
-	// enough that a deployed map is never stale longer than that, cheap
-	// enough that hot pages don't probe every sibling per request.
-	ProbeTTL time.Duration
-	// BreakerThreshold is the number of consecutive failed probes after
-	// which a path's circuit breaker opens: the path stops being probed
-	// (and stays out of the map) until BreakerCooldown passes. Zero
-	// selects 3; negative disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker suppresses probes of
-	// its path. Zero selects 30 seconds.
-	BreakerCooldown time.Duration
-	// MaxProbeEntries bounds the probe cache, in units of probeBaseCost
-	// (256) bytes. On overflow the lowest-ranked probe is evicted — a
-	// crawler walking a million distinct paths must not grow server memory
-	// without bound, and hot paths must not be collateral damage. Zero
-	// selects defaultMaxProbeEntries (32 768: 8 MiB). Entries are charged
-	// by real size (a cached stylesheet body costs its bytes on top of the
-	// unit), so a handful of huge stylesheets cannot smuggle unbounded
-	// memory past an entry-count reading of this knob.
-	MaxProbeEntries int
-	// ProbeConcurrency bounds how many subresources of one page are
-	// probed at once while its ETag map is resolved, so a cold page with
-	// N subresources costs roughly its slowest probe rather than the sum.
-	// Concurrent renders still probe each path once: the fan-out dedups
-	// through the probe cache's singleflight. Zero selects 8 — probe cost
-	// is dominated by the inner handler (I/O, locks), not CPU, so the
-	// width deliberately does not track GOMAXPROCS; 1 restores strictly
-	// sequential probing.
-	ProbeConcurrency int
 	// MaxRenderBytes bounds the rendered-page cache, which keeps one entry
 	// per page URL: the extracted reference list, injected body, and page
 	// validator of the page's most recent body, so an unchanged page skips
@@ -66,42 +30,22 @@ type MiddlewareOptions struct {
 	// with it page revalidation). Freshness is unaffected either way — the
 	// X-Etag-Config header is always assembled from live probes.
 	MaxRenderBytes int64
-	// Metrics, when set, receives the middleware's resilience counters
-	// (panics recovered, breaker trips, map trims, ladder rungs). Cache
-	// evictions are the caches' own counters (Telemetry).
-	Metrics *MiddlewareMetrics
 	// Telemetry, when set, indexes the middleware's counters, both its
 	// caches, and an HTML decoration-latency histogram in the given
 	// registry under "middleware.*".
 	Telemetry *telemetry.Registry
 	// MaxInflight bounds how many instrumented GET/HEAD requests may run
-	// concurrently. Excess requests wait in a short queue (MaxQueue /
-	// QueueTimeout) and are shed down the degradation ladder — stale
-	// copy, un-instrumented passthrough, or 503 — instead of piling onto
-	// a saturated inner handler. Zero disables admission control.
+	// concurrently. As many again may wait up to 50 ms for a slot; the
+	// rest are shed down the degradation ladder — stale copy,
+	// un-instrumented passthrough, or 503 — instead of piling onto a
+	// saturated inner handler. Zero disables admission control.
 	MaxInflight int
-	// MaxQueue bounds how many shed candidates may wait for a slot; zero
-	// selects MaxInflight, negative disables queueing (immediate shed).
-	MaxQueue int
-	// QueueTimeout bounds how long a request waits for a slot before it
-	// is shed. Zero selects 50ms — long enough to ride out a momentary
-	// spike, short enough to keep tail latency honest.
-	QueueTimeout time.Duration
 	// RequestBudget, when positive, puts a wall-clock deadline on every
 	// instrumented request. Stages consume from it — probe fan-out stops
 	// issuing new probes once the budget is spent — and a request whose
 	// budget runs out before map assembly is served its rendered HTML
 	// un-instrumented rather than late.
 	RequestBudget time.Duration
-	// StaleFor is how long a successfully served page may be re-served
-	// from the stale cache (with a Warning 110 header) when the inner
-	// handler is saturated, erroring, or broken. Zero selects 5 minutes;
-	// negative disables stale serving. The stale cache holds
-	// decorate.BodyStoreBudget bytes.
-	StaleFor time.Duration
-	// RetryAfter is the Retry-After hint on ladder-bottom 503 responses.
-	// Zero selects 5 seconds.
-	RetryAfter time.Duration
 	// OriginBreaker, when set, is the default state's inner-handler
 	// circuit breaker (a tenant's is tenant.Tenant.Breaker): after its
 	// failure threshold of consecutive 5xx/panic serves the middleware
@@ -138,6 +82,81 @@ type MiddlewareOptions struct {
 	Delta bool
 }
 
+// No program sets the values below, so they are constants rather than
+// options (DESIGN.md, "Frozen values").
+const (
+	// probeTTL bounds how long a subresource's probed ETag is reused before
+	// the inner handler is asked again: PROTOCOL.md §2.3's trust bound.
+	// Fresh enough that a deployed map is never stale longer than that,
+	// cheap enough that hot pages don't probe every sibling per request.
+	probeTTL = time.Second
+	// breakerThreshold consecutive failed probes of a path open its circuit
+	// breaker: the path is not probed (and stays out of the map) for
+	// breakerCooldown, so an inner handler erroring on one path is not
+	// hammered on every render.
+	breakerThreshold = 3
+	breakerCooldown  = 30 * time.Second
+	// maxProbeEntries bounds the probe cache, in units of probeBaseCost
+	// bytes: 8 MiB, half the default render budget, set on purpose rather
+	// than inherited from an entry count. A probe entry is what lets the
+	// next probe of its path be a revalidation instead of a download, so
+	// the cache is only worth having if an entry is still there when its
+	// probeTTL runs out: the budget must hold the working set of references
+	// — validators, and stylesheet bodies at their real bytes — of the pages
+	// the render cache keeps beside it (≈ 400 pages of ≈ 40 references each
+	// at the defaults), or every render hit is a cold fan-out. Measured on
+	// page_churn (6 000 paths + 600 stylesheets of 6 KB ≈ 5.1 MB): a 1 MiB
+	// budget turns over in under 100 ms against the 1 s TTL and 237 probes
+	// in 271 281 are revalidations; the knee is at the working set, and from
+	// 6 MiB up no probe is evicted at all. The sweep is in EXPERIMENTS.md,
+	// "Proxy-mode upstream cost".
+	maxProbeEntries = 32768
+	// probeConcurrency bounds how many subresources of one page are probed
+	// at once, so a cold page with N subresources costs roughly its slowest
+	// probe rather than the sum. Probe cost is dominated by the inner
+	// handler (I/O, locks), not CPU, so the width does not track
+	// GOMAXPROCS. Concurrent renders still probe each path once: the
+	// fan-out dedups through the probe cache's singleflight.
+	probeConcurrency = 8
+	// staleFor is how long a successfully served page may be re-served from
+	// the stale cache (with a Warning 110 header) when the inner handler is
+	// saturated, erroring, or broken; a tenant's StaleFor overrides it. The
+	// stale cache holds decorate.BodyStoreBudget bytes.
+	staleFor = 5 * time.Minute
+	// retryAfter is the Retry-After hint on ladder-bottom 503 responses.
+	retryAfter = 5 * time.Second
+)
+
+// defaultRenderBytes is the render cache budget a zero MaxRenderBytes
+// selects.
+const defaultRenderBytes = 16 << 20
+
+// tuning holds the frozen values a test needs other settings of. Middleware
+// serves with frozen(), the one place they are read; only a test reaches
+// other values (export_test.go).
+type tuning struct {
+	probeTTL         time.Duration
+	breakerThreshold int
+	breakerCooldown  time.Duration
+	maxProbeEntries  int
+	probeConcurrency int
+	// maxMapBytes bounds every X-Etag-Config value the middleware writes
+	// (decorate.EncodeMap).
+	maxMapBytes int
+}
+
+// frozen returns the tuning Middleware serves with.
+func frozen() tuning {
+	return tuning{
+		probeTTL:         probeTTL,
+		breakerThreshold: breakerThreshold,
+		breakerCooldown:  breakerCooldown,
+		maxProbeEntries:  maxProbeEntries,
+		probeConcurrency: probeConcurrency,
+		maxMapBytes:      core.MaxEncodedMapBytes,
+	}
+}
+
 // Middleware retrofits CacheCatalyst onto any http.Handler:
 //
 //   - HTML responses are inspected (the paper's DOM traversal); each
@@ -159,36 +178,13 @@ type MiddlewareOptions struct {
 // Concurrent probes of the same path are collapsed into a single
 // inner-handler call.
 func Middleware(next http.Handler, opts MiddlewareOptions) http.Handler {
-	if opts.ProbeTTL <= 0 {
-		opts.ProbeTTL = time.Second
-	}
-	if opts.BreakerThreshold == 0 {
-		opts.BreakerThreshold = 3
-	}
-	if opts.BreakerCooldown <= 0 {
-		opts.BreakerCooldown = 30 * time.Second
-	}
-	if opts.ProbeConcurrency == 0 {
-		opts.ProbeConcurrency = 8
-	}
-	if opts.StaleFor == 0 {
-		opts.StaleFor = 5 * time.Minute
-	}
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = 5 * time.Second
-	}
-	if opts.MaxProbeEntries <= 0 {
-		opts.MaxProbeEntries = defaultMaxProbeEntries
-	}
-	if opts.MaxRenderBytes == 0 {
-		opts.MaxRenderBytes = 16 << 20
-	}
-	if opts.Metrics == nil {
-		opts.Metrics = &MiddlewareMetrics{}
-	}
-	m := &middleware{next: next, opts: opts}
+	return newMiddleware(next, opts, frozen())
+}
+
+func newMiddleware(next http.Handler, opts MiddlewareOptions, tune tuning) *middleware {
+	m := &middleware{next: next, opts: opts, tune: tune, metrics: &middlewareMetrics{}}
 	if opts.Telemetry != nil {
-		opts.Metrics.RegisterTelemetry(opts.Telemetry)
+		m.metrics.register(opts.Telemetry)
 		m.htmlNS = opts.Telemetry.Histogram("middleware.html_ns")
 	}
 	m.initState(&m.def, nil)
@@ -200,25 +196,14 @@ func Middleware(next http.Handler, opts MiddlewareOptions) http.Handler {
 // and map overhead an entry costs regardless of content.
 const probeBaseCost = 256
 
-// defaultMaxProbeEntries × probeBaseCost = 8 MiB, half the default render
-// budget, set on purpose rather than inherited from an entry count. A probe
-// entry is what lets the next probe of its path be a revalidation instead
-// of a download, so the cache is only worth having if an entry is still
-// there when its ProbeTTL runs out: the budget must hold the working set of
-// references — validators, and stylesheet bodies at their real bytes — of
-// the pages the render cache keeps beside it (≈ 400 pages of ≈ 40
-// references each at the defaults), or every render hit is a cold fan-out.
-// Measured on page_churn (6 000 paths + 600 stylesheets of 6 KB ≈ 5.1 MB):
-// a 1 MiB budget turns over in under 100 ms against the 1 s TTL and 237
-// probes in 271 281 are revalidations; the knee is at the working set, and
-// from 6 MiB up no probe is evicted at all. The sweep is in EXPERIMENTS.md,
-// "Proxy-mode upstream cost".
-const defaultMaxProbeEntries = 32768
-
 type middleware struct {
-	next   http.Handler
-	opts   MiddlewareOptions
-	htmlNS *telemetry.Histogram // nil without telemetry
+	next http.Handler
+	opts MiddlewareOptions
+	tune tuning
+	// metrics is its own allocation, so the counters every request bumps
+	// share no cache line with the fields every request reads.
+	metrics *middlewareMetrics
+	htmlNS  *telemetry.Histogram // nil without telemetry
 	// def is the default serving state — initState called with no tenant:
 	// the only state a single-tenant deployment ever touches, and the
 	// parent every tenant's namespaced state derives from.
@@ -294,28 +279,28 @@ func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
 	}
 
 	// A tenant's probe namespace sets no budget of its own (0): it inherits
-	// the root store's, the same MaxProbeEntries × probeBaseCost.
+	// the root store's, the same maxProbeEntries × probeBaseCost.
 	ts.probes = openCache(m, ts.name, def.probes, ns("probes", 0), cachestore.Options[probe]{
 		// A probe without a retained stylesheet body costs exactly
 		// probeBaseCost, so for ordinary entries MaxBytes stays the entry
-		// count MaxProbeEntries promises; cached CSS bodies are charged
+		// count maxProbeEntries promises; cached CSS bodies are charged
 		// their real bytes on top, so large stylesheets consume
 		// proportionally more of the same budget instead of hiding
 		// behind a flat per-entry unit.
-		MaxBytes: int64(o.MaxProbeEntries) * probeBaseCost,
+		MaxBytes: int64(m.tune.maxProbeEntries) * probeBaseCost,
 		SizeOf:   func(_ string, p probe) int64 { return probeBaseCost + int64(len(p.cssBody)) },
 	})
-	if o.MaxRenderBytes > 0 {
+	if o.MaxRenderBytes >= 0 {
 		ts.renders = openCache(m, ts.name, def.renders, ns("renders", t.BudgetBytes), cachestore.Options[*renderEntry]{
-			MaxBytes: o.MaxRenderBytes,
+			MaxBytes: cmp.Or(o.MaxRenderBytes, defaultRenderBytes),
 			SizeOf:   renderEntrySize,
 		})
 	}
-	ts.staleTTL = o.StaleFor
+	ts.staleTTL = staleFor
 	if t.StaleFor > 0 {
 		ts.staleTTL = t.StaleFor
 	}
-	if o.StaleFor >= 0 && t.StaleFor >= 0 {
+	if t.StaleFor >= 0 {
 		ts.stales = openCache(m, ts.name, def.stales, ns("stales", half), cachestore.Options[*staleEntry]{
 			MaxBytes: decorate.BodyStoreBudget,
 			SizeOf:   staleEntrySize,
@@ -330,11 +315,9 @@ func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
 	}
 	if maxInflight > 0 {
 		ts.gate = resilience.NewGate(resilience.GateOptions{
-			MaxInflight:  maxInflight,
-			MaxQueue:     o.MaxQueue,
-			QueueTimeout: o.QueueTimeout,
-			Telemetry:    o.Telemetry,
-			Name:         prefix + "gate",
+			MaxInflight: maxInflight,
+			Telemetry:   o.Telemetry,
+			Name:        prefix + "gate",
 		})
 	}
 	// The breaker is wired, never built here: the tenant's own, or
@@ -380,7 +363,7 @@ type probe struct {
 func (m *middleware) serveInner(w http.ResponseWriter, r *http.Request) (panicked bool) {
 	defer func() {
 		if v := recover(); v != nil {
-			m.opts.Metrics.PanicsRecovered.Add(1)
+			m.metrics.PanicsRecovered.Add(1)
 			panicked = true
 		}
 	}()
@@ -489,7 +472,7 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// HTML un-instrumented — late-but-plain beats later-and-decorated,
 	// and the client simply falls back to ordinary caching.
 	if b, ok := resilience.BudgetFrom(r.Context()); ok && b.Exhausted() {
-		m.opts.Metrics.BudgetExhausted.Add(1)
+		m.metrics.BudgetExhausted.Add(1)
 		m.servePlain(w, r, sw, pageURL, held)
 		return
 	}
@@ -532,7 +515,7 @@ func (m *middleware) fetchPage(ts *tenantState, sw *sniffWriter, r *http.Request
 		if sw.status == http.StatusNotModified {
 			v := sw.header.Get("Etag")
 			if tag, ok := etag.Parse(v); v == "" || ok && tag == held.tag {
-				m.opts.Metrics.PageRevalidated.Add(1)
+				m.metrics.PageRevalidated.Add(1)
 				telemetry.Event(r.Context(), "page-revalidated", pageURL)
 				return false, held
 			}
@@ -541,7 +524,7 @@ func (m *middleware) fetchPage(ts *tenantState, sw *sniffWriter, r *http.Request
 		panicked = m.serveInner(sw, sw.innerRequest(r, http.MethodGet, nil))
 	}
 	if !panicked && sw.buffering {
-		m.opts.Metrics.PageFetched.Add(1)
+		m.metrics.PageFetched.Add(1)
 	}
 	return panicked, nil
 }
@@ -573,7 +556,7 @@ func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.R
 	// start subresource fetches while it runs.
 	if m.opts.EarlyHints && decorate.AddPreloadLinks(h, ent.Refs) {
 		w.WriteHeader(http.StatusEarlyHints)
-		m.opts.Metrics.HintsSent.Add(1)
+		m.metrics.HintsSent.Add(1)
 		telemetry.Event(ctx, "hints", pageURL)
 	}
 	deltaBase, deltaFrom := decorate.DeltaBase(ts.deltaBases, r, pageURL, &ent.Render)
@@ -600,18 +583,21 @@ func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.R
 		// answers as it did, so resolving again would only re-read them and
 		// re-serialize the identical map.
 		hdr, decision = rm.Hdr, "map-reused"
-		m.opts.Metrics.EncodeReuses.Add(1)
+		m.metrics.EncodeReuses.Add(1)
 	} else if peerEnc, ok := m.exchangeLookup(ts, pageURL, ent, now); ok {
 		// A cluster peer already rendered this exact entity and gossiped
 		// its encoded map: adopt it instead of re-probing. It has no
 		// evidence behind it here, so it is served for this response only
 		// and never enters the slot.
 		hdr, decision = []string{peerEnc}, "hotmap-adopt"
-		m.opts.Metrics.HotMapHits.Add(1)
+		m.metrics.HotMapHits.Add(1)
 	} else {
 		etags, seen := decorate.Resolve(ctx, ent.Refs, &probeSource{m: m, ts: ts, req: r, ctx: ctx},
-			core.BuildOptions{Concurrency: m.opts.ProbeConcurrency})
-		rm := decorate.NewResolved(m.capMapBytes(etags), seen)
+			core.BuildOptions{Concurrency: m.tune.probeConcurrency})
+		rm, dropped := decorate.NewResolved(etags, seen, m.tune.maxMapBytes)
+		if dropped > 0 {
+			m.metrics.MapEntriesDropped.Add(int64(dropped))
+		}
 		hdr = rm.Hdr
 		// Never slot a map assembled under a cancelled request: a client
 		// that disconnected mid-render stopped the probe fan-out, so the map
@@ -624,7 +610,7 @@ func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.R
 				if exp == 0 {
 					// No probe ran (a page with no same-origin refs); the
 					// empty map is still only announced for one TTL.
-					exp = now.Add(m.opts.ProbeTTL).UnixNano()
+					exp = now.Add(m.tune.probeTTL).UnixNano()
 				}
 				// Gossip the fresh encoding so peers serving this page
 				// skip their own probe fan-out entirely.
@@ -648,8 +634,8 @@ func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.R
 	// at all); here the entity changed, so diff lazily.
 	body, clen := ent.Body, ent.ClenHeader
 	if patch, ok := decorate.Patch(deltaBase, body); ok {
-		m.opts.Metrics.DeltasServed.Add(1)
-		m.opts.Metrics.DeltaBytesSaved.Add(int64(len(body) - len(patch)))
+		m.metrics.DeltasServed.Add(1)
+		m.metrics.DeltaBytesSaved.Add(int64(len(body) - len(patch)))
 		h.Set(delta.FromHeader, deltaFrom)
 		m.decide(ctx, h, "delta", pageURL)
 		body, clen = patch, nil
@@ -661,78 +647,6 @@ func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.R
 // MiddlewareOptions.ServerTiming, in the response's Server-Timing header.
 func (m *middleware) decide(ctx context.Context, h http.Header, name, detail string) {
 	decorate.Decide(ctx, h, m.opts.ServerTiming, name, detail)
-}
-
-// capMapBytes drops entries (highest-sorting paths first, the reverse of
-// the canonical encode order) until the encoded map fits MaxMapBytes. The
-// encoded size is tracked incrementally while dropping — each entry's wire
-// cost is measured once — so trimming is O(n) in the map size rather than
-// re-encoding the whole map per dropped entry.
-func (m *middleware) capMapBytes(etags ETagMap) ETagMap {
-	max := m.opts.MaxMapBytes
-	if max <= 0 || len(etags) == 0 {
-		return etags
-	}
-	paths := make([]string, 0, len(etags))
-	for p := range etags {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	// Mirror ETagMap.Encode: '{' + comma-joined `"path":"tag"` + '}'.
-	sizes := make([]int, len(paths))
-	total := 2
-	for i, p := range paths {
-		sizes[i] = jsonStringLen(p) + 1 + jsonStringLen(etags[p].String())
-		total += sizes[i]
-	}
-	if len(paths) > 1 {
-		total += len(paths) - 1 // commas
-	}
-	for i := len(paths) - 1; i >= 0 && total > max; i-- {
-		total -= sizes[i]
-		if i > 0 {
-			total-- // the comma that preceded this entry
-		}
-		delete(etags, paths[i])
-		m.opts.Metrics.MapEntriesDropped.Add(1)
-	}
-	return etags
-}
-
-// jsonStringLen is the encoded length of s as a JSON string, quotes and
-// escapes included — exactly len(json.Marshal(s)) without the allocation.
-// It mirrors encoding/json's default (HTML-escaping) encoder: two-byte
-// escapes for the common control characters and for quote/backslash,
-// six-byte \u00xx escapes for the rest of the control range and for <, >, &,
-// six-byte escapes for U+2028/U+2029, and a \ufffd escape per invalid byte.
-// TestJSONStringLenMatchesMarshal cross-checks the mirror property.
-func jsonStringLen(s string) int {
-	n := 2 // surrounding quotes
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			switch {
-			case b == '"' || b == '\\' || b == '\n' || b == '\r' || b == '\t' || b == '\b' || b == '\f':
-				n += 2
-			case b < 0x20 || b == '<' || b == '>' || b == '&':
-				n += 6
-			default:
-				n++
-			}
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			n += 6 // each invalid byte becomes the six-byte escape \ufffd
-		case r == 0x2028 || r == 0x2029:
-			n += 6 // \u2028 and \u2029 are escaped for JS embedding
-		default:
-			n += size
-		}
-		i += size
-	}
-	return n
 }
 
 // verify is the middleware's side of decorate.Resolved.Verify: a recorded
@@ -783,7 +697,7 @@ func (p *probeSource) Lookup(path string) (etag.Tag, bool, string, bool) {
 // herd of page renders each subresource is probed once, not once per render.
 // Failed probes trip a per-path circuit breaker: after breakerThreshold
 // consecutive failures the path is left alone (and out of the map) for
-// BreakerCooldown, so an inner handler erroring on one path is not hammered
+// breakerCooldown, so an inner handler erroring on one path is not hammered
 // on every page render.
 func (m *middleware) probe(ts *tenantState, path string, via *http.Request, ctx context.Context) probe {
 	if pr, ok := ts.probes.Get(path); ok && time.Now().Before(pr.expires) {
@@ -799,13 +713,11 @@ func (m *middleware) probe(ts *tenantState, path string, via *http.Request, ctx 
 		}
 		pr := m.fetchProbe(ctx, path, via, prev)
 		if !pr.ok {
-			if threshold := m.opts.BreakerThreshold; threshold > 0 {
-				pr.fails = prev.fails + 1
-				if pr.fails >= threshold {
-					pr.expires = time.Now().Add(m.opts.BreakerCooldown)
-					m.opts.Metrics.BreakerTrips.Add(1)
-					telemetry.Event(ctx, "breaker-open", path)
-				}
+			pr.fails = prev.fails + 1
+			if pr.fails >= m.tune.breakerThreshold {
+				pr.expires = time.Now().Add(m.tune.breakerCooldown)
+				m.metrics.BreakerTrips.Add(1)
+				telemetry.Event(ctx, "breaker-open", path)
 			}
 		}
 		ts.probes.Put(path, pr)
@@ -815,7 +727,7 @@ func (m *middleware) probe(ts *tenantState, path string, via *http.Request, ctx 
 }
 
 // fetchProbe asks the inner handler for path's current validator and
-// reports what it learned, good for ProbeTTL. prev is what the probe cache
+// reports what it learned, good for probeTTL. prev is what the probe cache
 // held (the zero probe for a never-seen or evicted path). When prev was a
 // success whose tag the handler itself issued, the probe is a revalidation:
 // it carries If-None-Match with that tag, verbatim, and a 304 renews prev —
@@ -833,11 +745,11 @@ func (m *middleware) probe(ts *tenantState, path string, via *http.Request, ctx 
 func (m *middleware) fetchProbe(trace context.Context, path string, via *http.Request, prev probe) (pr probe) {
 	defer func() {
 		if v := recover(); v != nil {
-			m.opts.Metrics.PanicsRecovered.Add(1)
+			m.metrics.PanicsRecovered.Add(1)
 			pr = probe{expires: pr.expires}
 		}
 	}()
-	pr.expires = time.Now().Add(m.opts.ProbeTTL)
+	pr.expires = time.Now().Add(m.tune.probeTTL)
 	u, err := url.ParseRequestURI(path)
 	if err != nil {
 		return pr
@@ -890,7 +802,7 @@ func (m *middleware) fetchProbe(trace context.Context, path string, via *http.Re
 	}
 	if inm != "" && pw.status == http.StatusNotModified {
 		if !pw.hasEtag || (pw.tagOK && pw.tag == prev.tag) {
-			m.opts.Metrics.ProbeRevalidated.Add(1)
+			m.metrics.ProbeRevalidated.Add(1)
 			telemetry.Event(trace, "probe-revalidated", path)
 			prev.expires, prev.fails = pr.expires, 0
 			return prev
@@ -906,7 +818,7 @@ func (m *middleware) fetchProbe(trace context.Context, path string, via *http.Re
 	if pw.status != http.StatusOK {
 		return pr
 	}
-	m.opts.Metrics.ProbeFetched.Add(1)
+	m.metrics.ProbeFetched.Add(1)
 	if pw.tagOK {
 		pr.tag, pr.received = pw.tag, true
 	} else {

@@ -135,7 +135,7 @@ func TestMiddlewareProbeTTL(t *testing.T) {
 		w.Header().Set("Content-Type", "text/html")
 		_, _ = io.WriteString(w, `<script src="/a.js"></script>`)
 	})
-	h := Middleware(inner, MiddlewareOptions{ProbeTTL: time.Hour})
+	h := tuned(inner, MiddlewareOptions{}, withProbeTTL(time.Hour))
 	for i := 0; i < 5; i++ {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
@@ -312,7 +312,7 @@ func TestMiddlewareHEADThroughProxy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := Middleware(httputil.NewSingleHostReverseProxy(u), MiddlewareOptions{ProbeTTL: time.Hour})
+			h := tuned(httputil.NewSingleHostReverseProxy(u), MiddlewareOptions{}, withProbeTTL(time.Hour))
 			m := h.(*middleware)
 			serve := func(method string) *httptest.ResponseRecorder {
 				rec := httptest.NewRecorder()
@@ -342,7 +342,7 @@ func TestMiddlewareHEADThroughProxy(t *testing.T) {
 			if loads := m.def.renders.Counters().Loads; loads != 1 {
 				t.Errorf("%d renders for one page: the HEAD's empty body was rendered", loads)
 			}
-			if got, want := m.opts.Metrics.PageRevalidated.Load() > 0, c.tag != ""; got != want {
+			if got, want := m.metrics.PageRevalidated.Load() > 0, c.tag != ""; got != want {
 				t.Errorf("page revalidated: %v, want %v for an origin Etag of %q", got, want, c.tag)
 			}
 		})

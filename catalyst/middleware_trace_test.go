@@ -57,12 +57,11 @@ func handleTagged(mux *http.ServeMux, path, contentType, body string) {
 // that the middleware's instruments land in the shared registry.
 func TestMiddlewareTraceEndToEnd(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	var metrics MiddlewareMetrics
 	h := Middleware(taggedInnerSite(), MiddlewareOptions{
-		Metrics:      &metrics,
 		Telemetry:    reg,
 		ServerTiming: true,
 	})
+	metrics := metricsOf(h)
 	clock := vclock.NewVirtual(vclock.Epoch)
 	origins := browser.OriginMap{"site.example": server.NewHandlerOrigin(h)}
 	cond := netsim.Conditions{RTT: 40 * time.Millisecond, DownlinkBps: 60e6}
@@ -128,14 +127,14 @@ func TestMiddlewareTraceEndToEnd(t *testing.T) {
 }
 
 // TestMiddlewareTraceProbeRevalidated pins what a re-probe of unchanged
-// content costs and says: a navigation after ProbeTTL has run out asks the
+// content costs and says: a navigation after the probe TTL has run out asks the
 // inner handler about each subresource with the tag it issued, every answer
 // is a 304, the request's trace records one probe-revalidated event per
 // path, and no probe body is fetched.
 func TestMiddlewareTraceProbeRevalidated(t *testing.T) {
 	const ttl = 10 * time.Millisecond
-	var metrics MiddlewareMetrics
-	h := Middleware(taggedInnerSite(), MiddlewareOptions{Metrics: &metrics, ProbeTTL: ttl})
+	h := tuned(taggedInnerSite(), MiddlewareOptions{}, withProbeTTL(ttl))
+	metrics := metricsOf(h)
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
 	const paths = 4 // style.css, app.js, logo.png and the stylesheet's bg.png
 	if got := metrics.ProbeFetched.Load(); got != paths {

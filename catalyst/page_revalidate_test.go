@@ -48,8 +48,7 @@ func runPageTimeline(t *testing.T, p personality) {
 	)
 	site := newTimelineSite(p)
 	rng := rand.New(rand.NewSource(int64(p) + 1))
-	var metrics catalyst.MiddlewareMetrics
-	subject := catalyst.Middleware(site, catalyst.MiddlewareOptions{ProbeTTL: ttl, BreakerCooldown: ttl, Metrics: &metrics})
+	subject, metrics := catalyst.TimelineMiddleware(site, ttl, 0)
 	// held reports whether the page may ever be held: anything else must
 	// never be asked for conditionally.
 	held := p == honours || p == ignores || p == lying304 || p == unsolicited

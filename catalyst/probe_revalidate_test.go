@@ -307,16 +307,10 @@ func runTimeline(t *testing.T, p personality, maxProbeEntries int) {
 	)
 	site := newTimelineSite(p)
 	rng := rand.New(rand.NewSource(int64(p) + 1))
-	var metrics catalyst.MiddlewareMetrics
-	subject := catalyst.Middleware(site, catalyst.MiddlewareOptions{
-		ProbeTTL: ttl,
-		// The breaker stays on and counting, but holds a failing path out
-		// no longer than a probe is trusted anyway: a redeployed path must
-		// be back in the map as soon as the fresh crawl sees it.
-		BreakerCooldown: ttl,
-		MaxProbeEntries: maxProbeEntries,
-		Metrics:         &metrics,
-	})
+	// The breaker stays on and counting, but holds a failing path out no
+	// longer than a probe is trusted anyway: a redeployed path must be back
+	// in the map as soon as the fresh crawl sees it.
+	subject, metrics := catalyst.TimelineMiddleware(site, ttl, maxProbeEntries)
 
 	for step := 0; step <= steps; step++ {
 		site.observe(true)

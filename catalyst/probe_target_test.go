@@ -118,7 +118,7 @@ func FuzzProbeTarget(f *testing.F) {
 		reached.Store("")
 		m := Middleware(inner, MiddlewareOptions{}).(*middleware)
 		pr := m.probe(&m.def, key, via, context.Background())
-		if n := m.opts.Metrics.PanicsRecovered.Load(); n != 0 {
+		if n := m.metrics.PanicsRecovered.Load(); n != 0 {
 			t.Fatalf("probe of %q panicked (recovered %d)", key, n)
 		}
 		if _, err := url.ParseRequestURI(key); err != nil {

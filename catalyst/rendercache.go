@@ -41,7 +41,7 @@ type renderEntry struct {
 
 // renderEntrySize charges the render plus what a held page keeps beside it:
 // the validator and the header snapshot. The map slot is deliberately not
-// charged — it is bounded by MaxMapBytes (or by the map the refs imply) and
+// charged — it is bounded by core.MaxEncodedMapBytes (decorate.EncodeMap) and
 // mutates after insertion, which byte accounting must not chase.
 func renderEntrySize(key string, e *renderEntry) int64 {
 	n := decorate.RenderSize(key, &e.Render) + int64(len(e.tag.Opaque))

@@ -18,7 +18,7 @@ import (
 // whose raw body does not change parses, injects and hashes exactly once —
 // later requests hit the render cache — while the response stays identical.
 func TestRenderCacheReusesUnchangedPage(t *testing.T) {
-	h := Middleware(innerSite(), MiddlewareOptions{ProbeTTL: time.Hour})
+	h := tuned(innerSite(), MiddlewareOptions{}, withProbeTTL(time.Hour))
 	m := h.(*middleware)
 
 	first := httptest.NewRecorder()
@@ -55,7 +55,7 @@ func TestRenderCacheReusesUnchangedPage(t *testing.T) {
 	if third.Header().Get(HeaderName) != first.Header().Get(HeaderName) {
 		t.Fatal("reused encoding differs from the rebuilt one")
 	}
-	if m.opts.Metrics.EncodeReuses.Load() == 0 {
+	if m.metrics.EncodeReuses.Load() == 0 {
 		t.Fatal("stable probes did not reuse the cached encoding")
 	}
 }
@@ -75,7 +75,7 @@ func TestRenderCacheKeysOnContent(t *testing.T) {
 		w.Header().Set("Content-Type", "image/png")
 		_, _ = io.WriteString(w, r.URL.Path)
 	})
-	h := Middleware(inner, MiddlewareOptions{ProbeTTL: time.Hour})
+	h := tuned(inner, MiddlewareOptions{}, withProbeTTL(time.Hour))
 
 	r1 := httptest.NewRecorder()
 	h.ServeHTTP(r1, httptest.NewRequest("GET", "/", nil))
@@ -102,12 +102,12 @@ func TestRenderCacheKeysOnContent(t *testing.T) {
 // TestRenderCacheDisabled asserts MaxRenderBytes < 0 restores the
 // uncached pipeline with identical responses.
 func TestRenderCacheDisabled(t *testing.T) {
-	h := Middleware(innerSite(), MiddlewareOptions{ProbeTTL: time.Hour, MaxRenderBytes: -1})
+	h := tuned(innerSite(), MiddlewareOptions{MaxRenderBytes: -1}, withProbeTTL(time.Hour))
 	m := h.(*middleware)
 	if m.def.renders != nil {
 		t.Fatal("render cache allocated despite MaxRenderBytes < 0")
 	}
-	cached := Middleware(innerSite(), MiddlewareOptions{ProbeTTL: time.Hour})
+	cached := tuned(innerSite(), MiddlewareOptions{}, withProbeTTL(time.Hour))
 	for i := 0; i < 2; i++ {
 		a, b := httptest.NewRecorder(), httptest.NewRecorder()
 		h.ServeHTTP(a, httptest.NewRequest("GET", "/", nil))
@@ -134,7 +134,7 @@ func TestEncodeReuseInvalidatedByProbeChange(t *testing.T) {
 		w.Header().Set("Content-Type", "image/png")
 		_, _ = io.WriteString(w, asset.Load().(string))
 	})
-	h := Middleware(inner, MiddlewareOptions{ProbeTTL: time.Millisecond})
+	h := tuned(inner, MiddlewareOptions{}, withProbeTTL(time.Millisecond))
 
 	r1 := httptest.NewRecorder()
 	h.ServeHTTP(r1, httptest.NewRequest("GET", "/", nil))
@@ -174,10 +174,7 @@ func TestRenderFanOutRaceStaysConsistent(t *testing.T) {
 		w.Header().Set("Content-Type", "image/png")
 		_, _ = io.WriteString(w, r.URL.Path)
 	})
-	h := Middleware(inner, MiddlewareOptions{
-		ProbeTTL:         time.Millisecond,
-		ProbeConcurrency: 4,
-	})
+	h := tuned(inner, MiddlewareOptions{}, withProbeTTL(time.Millisecond), withProbeConcurrency(4))
 	m := h.(*middleware)
 
 	const goroutines = 8
@@ -242,7 +239,7 @@ func TestRenderCacheHoldsOneEntryPerPage(t *testing.T) {
 		w.Header().Set("Etag", fmt.Sprintf(`"page-v%d"`, v))
 		fmt.Fprintf(w, `<html><head><title>v%d</title></head><body><img src="/a.png"></body></html>`, v)
 	})
-	h := Middleware(inner, MiddlewareOptions{ProbeTTL: time.Hour})
+	h := tuned(inner, MiddlewareOptions{}, withProbeTTL(time.Hour))
 	m := h.(*middleware)
 	var last *httptest.ResponseRecorder
 	for i := 0; i < versions; i++ {
@@ -265,16 +262,18 @@ func TestRenderCacheHoldsOneEntryPerPage(t *testing.T) {
 	}
 }
 
-// TestJSONStringLenMatchesMarshal pins jsonStringLen to its spec: exactly
-// len(json.Marshal(s)) for every string, including the escaping edge cases
-// the default HTML-escaping encoder has.
+// TestJSONStringLenMatchesMarshal pins the map encoder's keys to
+// json.Marshal's bytes for every string, including the escaping edge cases
+// the default HTML-escaping encoder has: the JSON a Service Worker parses,
+// and the unit the map bound cuts an encoding at (decorate.EncodeMap).
 func TestJSONStringLenMatchesMarshal(t *testing.T) {
 	check := func(s string) bool {
 		b, err := json.Marshal(s)
 		if err != nil {
 			return false
 		}
-		return jsonStringLen(s) == len(b)
+		enc := ETagMap{s: Tag{Opaque: "v"}}.Encode()
+		return enc == "{"+string(b)+`:"\"v\""}`
 	}
 	for _, s := range []string{
 		"",
@@ -292,7 +291,7 @@ func TestJSONStringLenMatchesMarshal(t *testing.T) {
 	} {
 		if !check(s) {
 			b, _ := json.Marshal(s)
-			t.Errorf("jsonStringLen(%q) = %d, marshal is %d bytes", s, jsonStringLen(s), len(b))
+			t.Errorf("key %q encodes as %s, marshal is %s", s, ETagMap{s: Tag{Opaque: "v"}}.Encode(), b)
 		}
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {

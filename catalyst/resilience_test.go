@@ -20,8 +20,8 @@ func TestMiddlewareRecoversPanics(t *testing.T) {
 		w.Header().Set("Content-Type", "text/plain")
 		fmt.Fprint(w, "ok")
 	})
-	var metrics MiddlewareMetrics
-	h := Middleware(inner, MiddlewareOptions{Metrics: &metrics})
+	h := Middleware(inner, MiddlewareOptions{})
+	metrics := metricsOf(h)
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/boom", nil))
@@ -56,13 +56,11 @@ func TestMiddlewareProbeCircuitBreaker(t *testing.T) {
 		cssCalls.Add(1)
 		http.Error(w, "db down", http.StatusInternalServerError)
 	})
-	var metrics MiddlewareMetrics
-	h := Middleware(mux, MiddlewareOptions{
-		ProbeTTL:         time.Nanosecond, // every page load re-probes
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour,
-		Metrics:          &metrics,
-	})
+	h := tuned(mux, MiddlewareOptions{},
+		withProbeTTL(time.Nanosecond), // every page load re-probes
+		withBreaker(2, time.Hour),
+	)
+	metrics := metricsOf(h)
 
 	loadPage := func() {
 		rec := httptest.NewRecorder()
@@ -100,10 +98,7 @@ func TestMiddlewareProbeCacheBounded(t *testing.T) {
 		w.Header().Set("Content-Type", "image/png")
 		fmt.Fprint(w, "PNG")
 	})
-	h := Middleware(mux, MiddlewareOptions{
-		ProbeTTL:        time.Nanosecond,
-		MaxProbeEntries: 8,
-	})
+	h := tuned(mux, MiddlewareOptions{}, withProbeTTL(time.Nanosecond), withMaxProbeEntries(8))
 	for i := 0; i < 100; i++ {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/p%d.html", i), nil))
@@ -137,8 +132,8 @@ func TestMiddlewareMapByteCap(t *testing.T) {
 		w.Header().Set("Content-Type", "image/png")
 		fmt.Fprint(w, "PNG", r.URL.Path)
 	})
-	var metrics MiddlewareMetrics
-	h := Middleware(mux, MiddlewareOptions{MaxMapBytes: 512, Metrics: &metrics})
+	h := tuned(mux, MiddlewareOptions{}, withMaxMapBytes(512))
+	metrics := metricsOf(h)
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/big.html", nil))

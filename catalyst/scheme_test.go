@@ -33,8 +33,8 @@ func TestMiddlewareDeltaRoundTrip(t *testing.T) {
 	page := `<html><head><link rel="stylesheet" href="/style.css"></head><body>version one of a page body long enough that a patch is worth serving</body></html>`
 	var cur atomic.Value
 	cur.Store(page)
-	var mm MiddlewareMetrics
-	h := Middleware(swapSite(&cur), MiddlewareOptions{Delta: true, Metrics: &mm})
+	h := Middleware(swapSite(&cur), MiddlewareOptions{Delta: true})
+	mm := metricsOf(h)
 
 	// First visit: full body, validator names the base the client now holds.
 	rec := httptest.NewRecorder()
@@ -101,8 +101,8 @@ func TestMiddlewareDeltaLosesTo304(t *testing.T) {
 	page := `<html><body>stable page</body></html>`
 	var cur atomic.Value
 	cur.Store(page)
-	var mm MiddlewareMetrics
-	h := Middleware(swapSite(&cur), MiddlewareOptions{Delta: true, Metrics: &mm})
+	h := Middleware(swapSite(&cur), MiddlewareOptions{Delta: true})
+	mm := metricsOf(h)
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
@@ -129,8 +129,9 @@ func TestMiddlewareDeltaLosesTo304(t *testing.T) {
 // informational response is only observable over a socket, via the
 // client-side Got1xxResponse trace hook.
 func TestMiddlewareEarlyHints(t *testing.T) {
-	var mm MiddlewareMetrics
-	ts := httptest.NewServer(Middleware(innerSite(), MiddlewareOptions{EarlyHints: true, Metrics: &mm}))
+	h := Middleware(innerSite(), MiddlewareOptions{EarlyHints: true})
+	mm := metricsOf(h)
+	ts := httptest.NewServer(h)
 	defer ts.Close()
 
 	var hintCode int

@@ -54,7 +54,7 @@ type slotHarness struct {
 }
 
 func newSlotHarness(t *testing.T, inner http.Handler, ex MapExchange) *slotHarness {
-	h := Middleware(inner, MiddlewareOptions{ProbeTTL: time.Hour, ServerTiming: true, Exchange: ex})
+	h := tuned(inner, MiddlewareOptions{ServerTiming: true, Exchange: ex}, withProbeTTL(time.Hour))
 	return &slotHarness{t: t, h: h, m: h.(*middleware)}
 }
 
@@ -213,7 +213,7 @@ func TestExchangePublishesAndAdopts(t *testing.T) {
 	if ent, _ := s.m.def.renders.Peek("/c.html"); ent.Map.Load() != nil {
 		t.Fatal("the adopted encoding entered the slot")
 	}
-	if n := s.m.opts.Metrics.HotMapHits.Load(); n != 1 {
+	if n := s.m.metrics.HotMapHits.Load(); n != 1 {
 		t.Fatalf("HotMapHits = %d, want 1", n)
 	}
 

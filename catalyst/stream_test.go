@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/etag"
 )
 
@@ -234,7 +235,7 @@ func TestProbeSingleflight(t *testing.T) {
 		w.Header().Set("Content-Type", "text/javascript")
 		_, _ = io.WriteString(w, "js()")
 	})
-	h := Middleware(mux, MiddlewareOptions{ProbeTTL: time.Hour})
+	h := tuned(mux, MiddlewareOptions{}, withProbeTTL(time.Hour))
 
 	const renders = 12
 	var wg sync.WaitGroup
@@ -262,9 +263,11 @@ func TestProbeSingleflight(t *testing.T) {
 	}
 }
 
-// TestCapMapBytesMatchesNaive cross-checks the incremental encoded-size
-// trimming against the obvious re-encode-per-drop reference over a large
-// map with escape-heavy and multi-byte paths.
+// TestCapMapBytesMatchesNaive cross-checks the map bound every X-Etag-Config
+// the middleware writes goes through (decorate.EncodeMap), which cuts the
+// full encoding at an entry boundary, against the obvious
+// re-encode-per-drop reference over a large map with escape-heavy and
+// multi-byte paths.
 func TestCapMapBytesMatchesNaive(t *testing.T) {
 	build := func() ETagMap {
 		m := ETagMap{}
@@ -291,9 +294,13 @@ func TestCapMapBytesMatchesNaive(t *testing.T) {
 
 	full := len(build().Encode())
 	for _, max := range []int{full, full - 1, full / 2, 512, 64, 10} {
-		mid := Middleware(innerSite(), MiddlewareOptions{MaxMapBytes: max}).(*middleware)
-		got := mid.capMapBytes(build())
+		got := build()
+		enc, dropped := decorate.EncodeMap(got, max)
 		want := naive(build(), max)
+		if enc != got.Encode() || dropped != len(build())-len(got) {
+			t.Fatalf("max=%d: returned %d bytes and %d dropped, the kept map encodes to %d bytes and lost %d",
+				max, len(enc), dropped, len(got.Encode()), len(build())-len(got))
+		}
 		if len(got) != len(want) {
 			t.Fatalf("max=%d: incremental kept %d entries, naive kept %d", max, len(got), len(want))
 		}
@@ -313,10 +320,10 @@ func TestCapMapBytesMatchesNaive(t *testing.T) {
 // and sniffing writer as concurrency-safe.
 func TestMiddlewareParallelStress(t *testing.T) {
 	t.Parallel()
-	h := Middleware(innerSite(), MiddlewareOptions{
-		ProbeTTL:        time.Millisecond, // force constant re-probing
-		MaxProbeEntries: 2,                // fewer than the page's 4 subresources: constant eviction
-	})
+	h := tuned(innerSite(), MiddlewareOptions{},
+		withProbeTTL(time.Millisecond), // force constant re-probing
+		withMaxProbeEntries(2),         // fewer than the page's 4 subresources: constant eviction
+	)
 	paths := []string{"/", "/logo.png", "/api/data", "/style.css", WorkerPath, "/missing"}
 
 	var wg sync.WaitGroup
@@ -341,6 +348,6 @@ func TestMiddlewareParallelStress(t *testing.T) {
 	}
 	wg.Wait()
 	if h.(*middleware).def.probes.Counters().Evictions == 0 {
-		t.Error("stress with MaxProbeEntries=4 evicted nothing")
+		t.Error("stress with a 2-entry probe cache evicted nothing")
 	}
 }

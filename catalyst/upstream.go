@@ -9,7 +9,7 @@ import (
 
 // upstreamIdleConns is how many idle keep-alive connections an upstream's
 // transport retains. The idle pool is a cache of sockets, and what it must
-// cover is the probe fan-out: one cold render holds ProbeConcurrency (8)
+// cover is the probe fan-out: one cold render holds probeConcurrency (8)
 // probes in flight at once, and a handful of renders overlap under load, so
 // 8 × 8 connections come back to the pool together. Go's default of 2 per
 // host closes all but two of them — and the next render dials them again,

@@ -86,13 +86,13 @@ func (s *churnSite) navigateAll(t *testing.T, h http.Handler) {
 // again, so that first pass is bounded below only.
 func TestProbeWorkingSetSurvivesItsTTL(t *testing.T) {
 	const ttl = 500 * time.Millisecond
-	secondPass := func(t *testing.T, maxProbeEntries int) (revalidated, fetched, swept, bodyBytes int64) {
+	secondPass := func(t *testing.T, budget int) (revalidated, fetched, swept, bodyBytes int64) {
 		site := &churnSite{pages: 150, sheet: "/*" + strings.Repeat("x", 6<<10-4) + "*/"}
-		metrics := &MiddlewareMetrics{}
-		h := Middleware(site, MiddlewareOptions{ProbeTTL: ttl, MaxProbeEntries: maxProbeEntries, Metrics: metrics})
+		h := tuned(site, MiddlewareOptions{}, withProbeTTL(ttl), withMaxProbeEntries(budget))
+		metrics := metricsOf(h)
 		site.navigateAll(t, h)
 		got, want := metrics.ProbeFetched.Load(), int64(site.pages*churnRefsPerPage)
-		if got < want || maxProbeEntries == 0 && got != want {
+		if got < want || budget == maxProbeEntries && got != want {
 			t.Fatalf("first pass fetched %d probes, want one per path (%d)", got, want)
 		}
 		time.Sleep(ttl + ttl/2) // every probe of the first pass expires
@@ -107,7 +107,7 @@ func TestProbeWorkingSetSurvivesItsTTL(t *testing.T) {
 	}
 
 	t.Run("default budget", func(t *testing.T) {
-		revalidated, fetched, swept, bodyBytes := secondPass(t, 0)
+		revalidated, fetched, swept, bodyBytes := secondPass(t, maxProbeEntries)
 		t.Logf("second pass: %d revalidated, %d fetched, %d swept, %d subresource body bytes", revalidated, fetched, swept, bodyBytes)
 		if revalidated*10 < (revalidated+fetched)*9 {
 			t.Errorf("%d of %d re-probes were revalidations, want at least nine in ten", revalidated, revalidated+fetched)

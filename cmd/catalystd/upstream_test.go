@@ -18,8 +18,8 @@ import (
 	"cachecatalyst/internal/telemetry"
 )
 
-// probeConcurrency is the middleware's default fan-out width
-// (MiddlewareOptions.ProbeConcurrency), which catalystd does not override.
+// probeConcurrency is the middleware's fan-out width
+// (the frozen probeConcurrency in catalyst/middleware.go).
 const probeConcurrency = 8
 
 // countingOrigin is an upstream serving one page with refs subresources
@@ -116,7 +116,7 @@ func TestProxyUpstreamPoolAndDrain(t *testing.T) {
 		}
 	}
 	render()
-	time.Sleep(1100 * time.Millisecond) // the daemon's ProbeTTL is the 1 s default
+	time.Sleep(1100 * time.Millisecond) // the middleware's probe TTL is the frozen 1 s
 	render()
 
 	snap := reg.Snapshot()

@@ -27,7 +27,7 @@ func xoWorld() (*world, *server.MemContent) {
 	cdn.SetBody("/logo.png", "CDN-PNG-V1", server.CachePolicy{NoCache: true})
 
 	opts := server.Options{Catalyst: true, Clock: w.clock}
-	opts.MapOptions.CrossOriginETag = func(absURL string) (etag.Tag, bool) {
+	opts.CrossOriginETag = func(absURL string) (etag.Tag, bool) {
 		u, err := url.Parse(absURL)
 		if err != nil || u.Host != "cdn.example" {
 			return etag.Tag{}, false

@@ -221,8 +221,9 @@ func (e *Exchange) sender() {
 	}
 }
 
-// maxAnnouncementBytes bounds a POST body: a map encoding is already
-// capped at core.MaxEncodedMapBytes, plus key fields and JSON overhead.
+// maxAnnouncementBytes bounds a POST body: a map encoding, which the
+// middleware encodes within core.MaxEncodedMapBytes (decorate.EncodeMap),
+// plus key fields and JSON overhead.
 const maxAnnouncementBytes = core.MaxEncodedMapBytes + 64<<10
 
 // Handler accepts peer announcements: POST HotMapPath with one hotMapMsg.

@@ -114,6 +114,10 @@ func writeJSONString(b *strings.Builder, s string) {
 			b.WriteString(`\r`)
 		case '\t':
 			b.WriteString(`\t`)
+		case '\b':
+			b.WriteString(`\b`)
+		case '\f':
+			b.WriteString(`\f`)
 		default: // <, >, & (HTML escaping) and control bytes
 			const hex = "0123456789abcdef"
 			b.WriteString(`\u00`)
@@ -196,13 +200,6 @@ type CachingResolver interface {
 
 // BuildOptions tunes BuildMap.
 type BuildOptions struct {
-	// MaxEntries caps the map size; 0 means unlimited. Pages with
-	// thousands of resources would otherwise produce unbounded headers.
-	MaxEntries int
-	// MaxCSSDepth bounds recursion through @import chains. Zero selects
-	// a default of 5, enough for real-world nesting while terminating on
-	// import cycles.
-	MaxCSSDepth int
 	// CrossOriginETag, when set, resolves third-party resources: given an
 	// absolute URL it returns the resource's current entity tag. This is
 	// the paper's §6 second future-work item — "the main server fetches
@@ -220,7 +217,10 @@ type BuildOptions struct {
 	Concurrency int
 }
 
-const defaultMaxCSSDepth = 5
+// maxCSSDepth bounds recursion through @import chains: enough for
+// real-world nesting while terminating on import cycles. No caller sets
+// another depth.
+const maxCSSDepth = 5
 
 // BuildMap inspects a base HTML document and produces the ETag map for its
 // same-origin subresources, recursing into same-origin stylesheets. pageURL

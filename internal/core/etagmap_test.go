@@ -67,7 +67,7 @@ func TestEncodeCanonical(t *testing.T) {
 func TestWriteJSONStringMatchesMarshal(t *testing.T) {
 	cases := []string{
 		"", "/a.css", `"v123"`, `W/"weak"`, "back\\slash",
-		"<script>&amp;</script>", "ctrl\x00\x01\x1f", "tab\tnl\ncr\r",
+		"<script>&amp;</script>", "ctrl\x00\x01\x1f", "tab\tnl\ncr\r", "bs\bff\f",
 		"unicode-é  ", "invalid-\xff\xfe-utf8",
 		"/path?q=a&b=<c>", "mixed \"quote\" and ü",
 	}
@@ -216,17 +216,6 @@ func TestBuildMapKeepsQueryStrings(t *testing.T) {
 	m := BuildMap("/", `<script src="/app.js?v=3"></script>`, res, BuildOptions{})
 	if _, ok := m["/app.js?v=3"]; !ok {
 		t.Fatalf("query string lost: %v", m)
-	}
-}
-
-func TestBuildMapMaxEntries(t *testing.T) {
-	res := &fakeResolver{tags: map[string]etag.Tag{
-		"/1.png": tag("1"), "/2.png": tag("2"), "/3.png": tag("3"),
-	}}
-	html := `<img src="/1.png"><img src="/2.png"><img src="/3.png">`
-	m := BuildMap("/", html, res, BuildOptions{MaxEntries: 2})
-	if len(m) != 2 {
-		t.Fatalf("MaxEntries ignored: %v", m)
 	}
 }
 

@@ -133,7 +133,7 @@ func resolveCrossOrigin(base *url.URL, ref string) (string, bool) {
 
 // ResolveRefs is the resolve phase: look up the current entity tag of every
 // reference, recursing into same-origin stylesheets up to
-// BuildOptions.MaxCSSDepth, and assemble the ETagMap.
+// maxCSSDepth, and assemble the ETagMap.
 //
 // Resolution proceeds in breadth-first levels (the page's own references,
 // then the references their stylesheets introduced, and so on); within a
@@ -141,8 +141,8 @@ func resolveCrossOrigin(base *url.URL, ref string) (string, bool) {
 // BuildOptions.Concurrency goroutines, except those a CachingResolver
 // holds, which are made inline. The Resolver must be safe for
 // concurrent use when Concurrency > 1. Whatever the fan-out, the assembled
-// map is deterministic: entries are admitted in extraction order, level by
-// level, and MaxEntries truncates that order.
+// map is deterministic: it holds every reference that resolved. The map's
+// size is bounded where it is encoded (decorate.EncodeMap), not here.
 func ResolveRefs(refs []Ref, res Resolver, opts BuildOptions) ETagMap {
 	return ResolveRefsContext(context.Background(), refs, res, opts)
 }
@@ -155,10 +155,7 @@ func ResolveRefs(refs []Ref, res Resolver, opts BuildOptions) ETagMap {
 // that cache assembled maps must not cache a cancelled resolve's partial
 // result; check ctx.Err() after the call.
 func ResolveRefsContext(ctx context.Context, refs []Ref, res Resolver, opts BuildOptions) ETagMap {
-	depth := opts.MaxCSSDepth
-	if depth == 0 {
-		depth = defaultMaxCSSDepth
-	}
+	depth := maxCSSDepth
 	type outcome struct {
 		tag      etag.Tag
 		ok       bool
@@ -166,8 +163,7 @@ func ResolveRefsContext(ctx context.Context, refs []Ref, res Resolver, opts Buil
 	}
 	seen := make(map[string]bool, len(refs))
 	seenCSS := make(map[string]bool)
-	var order []string
-	tags := make(map[string]etag.Tag, len(refs))
+	out := make(ETagMap, len(refs))
 
 	level := make([]Ref, 0, len(refs))
 	for _, r := range refs {
@@ -230,8 +226,7 @@ func ResolveRefsContext(ctx context.Context, refs []Ref, res Resolver, opts Buil
 		var next []Ref
 		for i, r := range level {
 			if outs[i].ok {
-				order = append(order, r.Key)
-				tags[r.Key] = outs[i].tag
+				out[r.Key] = outs[i].tag
 			}
 			for _, c := range outs[i].children {
 				if !seen[c.Key] {
@@ -241,14 +236,6 @@ func ResolveRefsContext(ctx context.Context, refs []Ref, res Resolver, opts Buil
 			}
 		}
 		level = next
-	}
-
-	out := make(ETagMap, len(order))
-	for _, k := range order {
-		if opts.MaxEntries > 0 && len(out) >= opts.MaxEntries {
-			break
-		}
-		out[k] = tags[k]
 	}
 	return out
 }

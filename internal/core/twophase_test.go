@@ -178,25 +178,6 @@ func (c *cancellingResolver) ETagFor(path string) (etag.Tag, bool) {
 	return c.Resolver.ETagFor(path)
 }
 
-func TestResolveRefsMaxEntriesDeterministicUnderConcurrency(t *testing.T) {
-	res, html, xo := deepSite()
-	seq := BuildMap("/index.html", html, res, BuildOptions{CrossOriginETag: xo, MaxEntries: 7})
-	if len(seq) != 7 {
-		t.Fatalf("sequential capped map has %d entries", len(seq))
-	}
-	for trial := 0; trial < 10; trial++ {
-		par := BuildMap("/index.html", html, res, BuildOptions{CrossOriginETag: xo, MaxEntries: 7, Concurrency: 8})
-		if len(par) != 7 {
-			t.Fatalf("capped map has %d entries", len(par))
-		}
-		for p := range par {
-			if _, ok := seq[p]; !ok {
-				t.Fatalf("trial %d: parallel cap kept %q, sequential did not (%v vs %v)", trial, p, par, seq)
-			}
-		}
-	}
-}
-
 // slowResolver serializes nothing and sleeps per lookup, to make the resolve
 // fan-out observable in wall-clock time.
 type slowResolver struct {

@@ -2,6 +2,7 @@ package decorate
 
 import (
 	"context"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -101,10 +102,48 @@ func Resolve(ctx context.Context, refs []core.Ref, src Source, opts core.BuildOp
 	return core.ResolveRefsContext(ctx, refs, w, opts), w.seen
 }
 
-// NewResolved encodes m, a map Resolve returned (or one trimmed from it),
-// resting on seen.
-func NewResolved(m core.ETagMap, seen []Evidence) *Resolved {
-	return &Resolved{Hdr: []string{m.Encode()}, Entries: len(m), seen: seen}
+// NewResolved encodes m, a map Resolve returned, resting on seen, at most
+// max bytes (EncodeMap), and reports how many entries the bound dropped.
+func NewResolved(m core.ETagMap, seen []Evidence, max int) (rm *Resolved, dropped int) {
+	enc, dropped := EncodeMap(m, max)
+	return &Resolved{Hdr: []string{enc}, Entries: len(m), seen: seen}, dropped
+}
+
+// EncodeMap returns m's X-Etag-Config value, at most max bytes, and how many
+// entries it dropped to fit: the highest-sorting paths, the tail of the
+// canonical encoding, which are also deleted from m. Both front ends encode
+// every map they ship through here with max at core.MaxEncodedMapBytes, the
+// bound core.DecodeMap enforces, so a client never discards a shipped map as
+// oversized. The size is checked after encoding: a map that fits costs one
+// length compare.
+func EncodeMap(m core.ETagMap, max int) (string, int) {
+	enc := m.Encode()
+	if len(enc) <= max {
+		return enc, 0
+	}
+	paths := make([]string, 0, len(m))
+	for p := range m {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	// enc is '{', the entries in path order joined by commas, and '}'; keep
+	// the longest run of leading entries that fits with its closing brace,
+	// measuring each entry by encoding it alone.
+	end, kept := 1, 0
+	for _, p := range paths {
+		next := end + len(core.ETagMap{p: m[p]}.Encode()) - 2
+		if kept > 0 {
+			next++ // the comma before this entry
+		}
+		if next+1 > max {
+			break
+		}
+		end, kept = next, kept+1
+	}
+	for _, p := range paths[kept:] {
+		delete(m, p)
+	}
+	return enc[:end] + "}", len(paths) - kept
 }
 
 // witness is the core.CachingResolver a resolve runs through: the Source,

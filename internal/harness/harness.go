@@ -168,7 +168,7 @@ func newWorld(site *webgen.Site, memos siteMemos, scheme Scheme, transport netsi
 		// The main server resolves third-party ETags by consulting the
 		// CDN origin — the §6 "fetch those resources itself" strategy.
 		cdnContent := site.CDNContent()
-		srvOpts.MapOptions.CrossOriginETag = func(absURL string) (etag.Tag, bool) {
+		srvOpts.CrossOriginETag = func(absURL string) (etag.Tag, bool) {
 			u, err := url.Parse(absURL)
 			if err != nil || u.Host != site.CDNHost {
 				return etag.Tag{}, false

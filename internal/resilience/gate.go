@@ -26,24 +26,22 @@ var (
 // GateOptions configures a Gate.
 type GateOptions struct {
 	// MaxInflight bounds how many acquisitions may be outstanding at
-	// once. Zero selects 256.
+	// once. Zero selects 256. As many requests again may wait for a slot
+	// (arrivals beyond that are refused immediately with ErrQueueFull),
+	// each for at most queueTimeout.
 	MaxInflight int
-	// MaxQueue bounds how many requests may wait for a slot; arrivals
-	// beyond it are refused immediately with ErrQueueFull. Zero selects
-	// MaxInflight; negative disables queueing entirely (every acquisition
-	// either gets a free slot or ErrQueueFull).
-	MaxQueue int
-	// QueueTimeout is how long a queued request waits for a slot before
-	// giving up with ErrQueueTimeout. Zero selects 50 ms — long enough to
-	// absorb a scheduling hiccup, short enough that a shed request still
-	// has latency budget left for the degraded response.
-	QueueTimeout time.Duration
 	// Telemetry, when set, indexes the gate's counters and gauges under
 	// Name (e.g. "<name>.admitted"). Name must be non-empty when
 	// Telemetry is set.
 	Telemetry *telemetry.Registry
 	Name      string
 }
+
+// queueTimeout is how long a queued request waits for a slot before giving
+// up with ErrQueueTimeout: long enough to absorb a scheduling hiccup, short
+// enough that a shed request still has latency budget left for the degraded
+// response. No program sets another wait.
+const queueTimeout = 50 * time.Millisecond
 
 // Gate is a bounded-concurrency admission controller with a short timed
 // queue: the front door of the overload story. Under normal load every
@@ -72,19 +70,16 @@ func NewGate(opts GateOptions) *Gate {
 	if opts.MaxInflight <= 0 {
 		opts.MaxInflight = 256
 	}
-	if opts.MaxQueue == 0 {
-		opts.MaxQueue = opts.MaxInflight
-	}
-	if opts.MaxQueue < 0 {
-		opts.MaxQueue = 0
-	}
-	if opts.QueueTimeout <= 0 {
-		opts.QueueTimeout = 50 * time.Millisecond
-	}
+	return newGate(opts, opts.MaxInflight, queueTimeout)
+}
+
+// newGate is NewGate with the queue's length and wait given: the frozen
+// values, or a test's.
+func newGate(opts GateOptions, maxQueue int, timeout time.Duration) *Gate {
 	g := &Gate{
 		slots:    make(chan struct{}, opts.MaxInflight),
-		maxQueue: opts.MaxQueue,
-		timeout:  opts.QueueTimeout,
+		maxQueue: maxQueue,
+		timeout:  timeout,
 	}
 	if opts.Telemetry != nil && opts.Name != "" {
 		reg, n := opts.Telemetry, opts.Name

@@ -12,7 +12,7 @@ import (
 )
 
 func TestGateAdmitsUpToCapacity(t *testing.T) {
-	g := NewGate(GateOptions{MaxInflight: 2, MaxQueue: -1})
+	g := newGate(GateOptions{MaxInflight: 2}, 0, queueTimeout) // no queue: immediate shed
 	r1, err := g.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestGateAdmitsUpToCapacity(t *testing.T) {
 }
 
 func TestGateQueueTimesOut(t *testing.T) {
-	g := NewGate(GateOptions{MaxInflight: 1, MaxQueue: 4, QueueTimeout: 5 * time.Millisecond})
+	g := newGate(GateOptions{MaxInflight: 1}, 4, 5*time.Millisecond)
 	release, err := g.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestGateQueueTimesOut(t *testing.T) {
 
 func TestGateQueueDrainsToWaiter(t *testing.T) {
 	leakcheck.Check(t)
-	g := NewGate(GateOptions{MaxInflight: 1, MaxQueue: 4, QueueTimeout: 2 * time.Second})
+	g := newGate(GateOptions{MaxInflight: 1}, 4, 2*time.Second)
 	release, err := g.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestGateQueueDrainsToWaiter(t *testing.T) {
 }
 
 func TestGateCancelledContextSheds(t *testing.T) {
-	g := NewGate(GateOptions{MaxInflight: 1, MaxQueue: 4, QueueTimeout: time.Minute})
+	g := newGate(GateOptions{MaxInflight: 1}, 4, time.Minute)
 	release, _ := g.Acquire(context.Background())
 	defer release()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -106,9 +106,9 @@ func TestGateCancelledContextSheds(t *testing.T) {
 
 func TestGateTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	g := NewGate(GateOptions{MaxInflight: 1, MaxQueue: -1, Telemetry: reg, Name: "test.gate"})
+	g := newGate(GateOptions{MaxInflight: 1, Telemetry: reg, Name: "test.gate"}, 0, queueTimeout)
 	release, _ := g.Acquire(context.Background())
-	g.Acquire(context.Background()) // shed: queue disabled
+	g.Acquire(context.Background()) // shed: no queue
 	release()
 	snap := reg.Snapshot()
 	if snap.Counters["test.gate.admitted"] != 1 || snap.Counters["test.gate.shed_full"] != 1 {
@@ -121,7 +121,7 @@ func TestGateTelemetry(t *testing.T) {
 
 func TestGateConcurrentStress(t *testing.T) {
 	leakcheck.Check(t)
-	g := NewGate(GateOptions{MaxInflight: 4, MaxQueue: 8, QueueTimeout: time.Millisecond})
+	g := newGate(GateOptions{MaxInflight: 4}, 8, time.Millisecond)
 	var wg sync.WaitGroup
 	var served, shed telemetry.Counter
 	for i := 0; i < 64; i++ {
@@ -148,5 +148,14 @@ func TestGateConcurrentStress(t *testing.T) {
 	if served.Load() != g.Admitted() || shed.Load() != g.Shed() {
 		t.Fatalf("accounting mismatch: served=%d admitted=%d shed=%d gateShed=%d",
 			served.Load(), g.Admitted(), shed.Load(), g.Shed())
+	}
+}
+
+// TestNewGateFreezesTheQueue pins the values no program sets: as many may
+// wait as may run, each for 50 ms.
+func TestNewGateFreezesTheQueue(t *testing.T) {
+	g := NewGate(GateOptions{MaxInflight: 3})
+	if cap(g.slots) != 3 || g.maxQueue != 3 || g.timeout != 50*time.Millisecond {
+		t.Fatalf("slots %d, queue %d, wait %v; want 3, 3 and 50ms", cap(g.slots), g.maxQueue, g.timeout)
 	}
 }

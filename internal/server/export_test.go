@@ -8,6 +8,18 @@ import (
 	"cachecatalyst/internal/decorate"
 )
 
+// NewTuned is New with the map resolve fanned out over mapConcurrency
+// workers and, when maxMapBytes > 0, the encoded map bound at that many
+// bytes: the one way to reach values other than the constants.
+func NewTuned(content Content, opts Options, mapConcurrency, maxMapBytes int) *Server {
+	s := New(content, opts)
+	s.tune.mapConcurrency = mapConcurrency
+	if maxMapBytes > 0 {
+		s.tune.maxMapBytes = maxMapBytes
+	}
+	return s
+}
+
 // renderMemoLog collects the memos NewRenderMemo makes while it is on.
 var renderMemoLog struct {
 	sync.Mutex

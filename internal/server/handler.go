@@ -28,8 +28,10 @@ type Options struct {
 	// first-visit resource URLs, folded into later ETag maps so that
 	// JS-discovered resources are covered on revisits.
 	Record bool
-	// MapOptions tunes the ETag-map builder.
-	MapOptions core.BuildOptions
+	// CrossOriginETag, when set, puts third-party subresources in the map
+	// (core.BuildOptions.CrossOriginETag). The map is resolved sequentially,
+	// and encoded within core.MaxEncodedMapBytes.
+	CrossOriginETag func(absURL string) (etag.Tag, bool)
 	// Clock supplies Date headers; nil means the system clock.
 	Clock vclock.Clock
 	// AccessLogSize keeps a ring of the most recent requests for the
@@ -55,11 +57,9 @@ type Options struct {
 	// touches every subresource). A request refused a slot still serves
 	// its HTML, just without the map: the client falls back to
 	// conventional caching, which degrades latency, not correctness.
-	// Zero disables the gate.
+	// Zero disables the gate; a request waits at most 50 ms for a slot
+	// before shedding the map.
 	MaxInflight int
-	// QueueTimeout bounds how long a request waits for a resolution slot
-	// before shedding the map. Zero selects the gate default (50ms).
-	QueueTimeout time.Duration
 	// RequestBudget, when positive, deadlines each request's context; map
 	// resolution inherits the remainder and stops issuing probes when it
 	// is spent, so an overloaded server ships partial maps on time
@@ -126,7 +126,17 @@ type Server struct {
 	mapGate    *resilience.Gate               // map-resolution admission; nil when disabled
 	serveNS    *telemetry.Histogram           // nil without telemetry
 	dateHdr    atomic.Pointer[dateHeader]     // per-second Date value cache
+	tune       tuning
 	Metrics    Metrics
+}
+
+// tuning holds the map values no program sets: the resolve runs
+// sequentially, and a map encodes within core.MaxEncodedMapBytes, the bound
+// core.DecodeMap enforces. New sets these; only a test reaches other values
+// (export_test.go).
+type tuning struct {
+	mapConcurrency int
+	maxMapBytes    int
 }
 
 // dateHeader caches one second's worth of Date header value: HTTP dates
@@ -160,7 +170,7 @@ func New(content Content, opts Options) *Server {
 	if opts.MaxRenderBytes == 0 {
 		opts.MaxRenderBytes = 16 << 20
 	}
-	s := &Server{content: content, opts: opts}
+	s := &Server{content: content, opts: opts, tune: tuning{mapConcurrency: 1, maxMapBytes: core.MaxEncodedMapBytes}}
 	if opts.Record {
 		s.recorder = NewRecorder()
 	}
@@ -182,10 +192,9 @@ func New(content Content, opts Options) *Server {
 	}
 	if opts.MaxInflight > 0 {
 		s.mapGate = resilience.NewGate(resilience.GateOptions{
-			MaxInflight:  opts.MaxInflight,
-			QueueTimeout: opts.QueueTimeout,
-			Telemetry:    opts.Telemetry,
-			Name:         "server.gate",
+			MaxInflight: opts.MaxInflight,
+			Telemetry:   opts.Telemetry,
+			Name:        "server.gate",
 		})
 	}
 	if opts.Telemetry != nil {

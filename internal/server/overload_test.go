@@ -39,10 +39,9 @@ func TestServerShedsMapUnderGate(t *testing.T) {
 	content := &slowContent{Content: buildSite(), entered: make(chan struct{}, 8)}
 	reg := telemetry.NewRegistry()
 	s := New(content, Options{
-		Catalyst:     true,
-		MaxInflight:  1,
-		QueueTimeout: 5 * time.Millisecond,
-		Telemetry:    reg,
+		Catalyst:    true,
+		MaxInflight: 1,
+		Telemetry:   reg,
 	})
 
 	block := make(chan struct{})

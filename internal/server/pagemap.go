@@ -29,7 +29,7 @@ func (cs contentSource) Lookup(path string) (etag.Tag, bool, string, bool) {
 // answers, so every lookup is held.
 func (s *Server) recheck(key string, cross bool) (etag.Tag, bool, bool) {
 	if cross {
-		tag, ok := s.opts.MapOptions.CrossOriginETag(key)
+		tag, ok := s.opts.CrossOriginETag(key)
 		return tag, ok, true
 	}
 	r, ok := s.content.Get(key)
@@ -43,8 +43,9 @@ func (s *Server) recheck(key string, cross bool) (etag.Tag, bool, bool) {
 // the result. The request's context flows into the fan-out, so an abandoned
 // request stops resolving instead of completing the whole BFS.
 func (s *Server) resolve(ctx context.Context, refs []core.Ref) *decorate.Resolved {
-	m, seen := decorate.Resolve(ctx, refs, contentSource{s.content}, s.opts.MapOptions)
-	rm := decorate.NewResolved(m, seen)
+	m, seen := decorate.Resolve(ctx, refs, contentSource{s.content},
+		core.BuildOptions{CrossOriginETag: s.opts.CrossOriginETag, Concurrency: s.tune.mapConcurrency})
+	rm, _ := decorate.NewResolved(m, seen, s.tune.maxMapBytes)
 	if s.recorder != nil {
 		rm.Base = m
 	}
@@ -81,7 +82,8 @@ func (s *Server) attachMap(ctx context.Context, h http.Header, p string, pr *pag
 	// Recorded extras are per session, so they ride on top of the shared
 	// map for this response only and never enter the slot.
 	if m := s.withRecorded(rm.Base, sessionID, p); m != nil {
-		hdr, entries = []string{m.Encode()}, len(m)
+		enc, _ := decorate.EncodeMap(m, s.tune.maxMapBytes)
+		hdr, entries = []string{enc}, len(m)
 	}
 	h[core.HeaderName] = hdr
 	if built {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"cachecatalyst/internal/core"
+	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/server"
 	"cachecatalyst/internal/vclock"
@@ -24,7 +25,8 @@ import (
 // in X-Etag-Config — resolved now or reused from an earlier request — is the
 // bytes a from-scratch build over the content of that instant produces. The
 // tests here hold it to that differentially, against core.BuildMap run
-// through the test's own resolver, under every map option the server has.
+// through the test's own resolver, under every map option the server has and
+// every value its test hook reaches (server.NewTuned).
 
 // freshResolver is the reference Content→core.Resolver adapter: no memo, no
 // log, nothing shared with the server under test.
@@ -47,21 +49,26 @@ func (f freshResolver) StylesheetBody(p string) (string, bool) {
 }
 
 // mapConfig is one point of the option space the reuse must be right for.
+// max, when nonzero, cuts the map bound to max × boundUnit bytes, which
+// these sites' maps overflow, so the shipped maps are trimmed.
 type mapConfig struct {
-	maxEntries, concurrency int
-	cross, record           bool
+	max, concurrency int
+	cross, record    bool
 }
 
+// boundUnit is about one entry of these sites' maps, in encoded bytes.
+const boundUnit = 64
+
 func (c mapConfig) String() string {
-	return fmt.Sprintf("max%d/conc%d/cross=%v/record=%v", c.maxEntries, c.concurrency, c.cross, c.record)
+	return fmt.Sprintf("max%d/conc%d/cross=%v/record=%v", c.max, c.concurrency, c.cross, c.record)
 }
 
 func eachMapConfig(t *testing.T, fn func(t *testing.T, cfg mapConfig)) {
-	for _, maxEntries := range []int{0, 5} {
+	for _, max := range []int{0, 5} {
 		for _, conc := range []int{1, 8} {
 			for _, cross := range []bool{false, true} {
 				for _, record := range []bool{false, true} {
-					cfg := mapConfig{maxEntries, conc, cross, record}
+					cfg := mapConfig{max, conc, cross, record}
 					t.Run(cfg.String(), func(t *testing.T) { fn(t, cfg) })
 				}
 			}
@@ -81,6 +88,9 @@ type differ struct {
 	content server.Content
 	page    string
 	opts    core.BuildOptions // reference options: the server's, sequential
+	// bound is the server's map bound in bytes; trimmed counts the entries
+	// it cut from the reference maps.
+	bound, trimmed int
 	// extras are the paths extrasSession's earlier loads of page requested;
 	// nil with recording off.
 	extras []string
@@ -88,16 +98,19 @@ type differ struct {
 }
 
 func newDiffer(t *testing.T, content server.Content, page string, cfg mapConfig, cross func(string) (etag.Tag, bool), extras []string) *differ {
-	opts := core.BuildOptions{MaxEntries: cfg.maxEntries, Concurrency: cfg.concurrency}
+	opts := server.Options{Catalyst: true, Record: cfg.record}
 	if cfg.cross {
 		opts.CrossOriginETag = cross
 	}
-	s := server.New(content, server.Options{Catalyst: true, Record: cfg.record, MapOptions: opts})
-	d := &differ{t: t, s: s, content: content, page: page, opts: opts}
+	bound := core.MaxEncodedMapBytes
+	if cfg.max > 0 {
+		bound = cfg.max * boundUnit
+	}
+	s := server.NewTuned(content, opts, cfg.concurrency, bound)
 	// The reference resolves sequentially: the assembled map does not
 	// depend on the fan-out width, and webgen sites tolerate concurrent
 	// readers only once a sequential pass has materialized the instant.
-	d.opts.Concurrency = 1
+	d := &differ{t: t, s: s, content: content, page: page, opts: core.BuildOptions{CrossOriginETag: opts.CrossOriginETag}, bound: bound}
 	if cfg.record {
 		d.extras = extras
 		for _, p := range extras {
@@ -115,7 +128,8 @@ func (d *differ) want() (plain, withExtras string) {
 		d.t.Fatalf("page %s missing", d.page)
 	}
 	m := core.BuildMap(d.page, string(res.Body), freshResolver{d.content}, d.opts)
-	plain = m.Encode()
+	plain, dropped := decorate.EncodeMap(m, d.bound)
+	d.trimmed += dropped
 	m = maps.Clone(m)
 	for _, p := range d.extras {
 		if _, covered := m[p]; covered {
@@ -125,7 +139,8 @@ func (d *differ) want() (plain, withExtras string) {
 			m[p] = r.ETag
 		}
 	}
-	return plain, m.Encode()
+	withExtras, _ = decorate.EncodeMap(m, d.bound)
+	return plain, withExtras
 }
 
 // check sends `clients` concurrent navigations and requires each one's map
@@ -173,6 +188,9 @@ func (d *differ) finish() {
 	}
 	if reused == 0 {
 		d.t.Error("the schedule never reused a map")
+	}
+	if d.bound < core.MaxEncodedMapBytes && d.trimmed == 0 {
+		d.t.Errorf("a %d-byte bound never trimmed a map", d.bound)
 	}
 }
 

@@ -64,7 +64,8 @@ type Tenant struct {
 	// inherits the process default.
 	RequestBudget time.Duration
 	// StaleFor bounds how long the tenant's last-known-good copies may
-	// be re-served under degradation. Zero inherits the process default.
+	// be re-served under degradation. Zero keeps the middleware's 5
+	// minutes; negative disables stale serving.
 	StaleFor time.Duration
 	// HealthInterval is the cadence of the tenant's upstream health
 	// probe (and, derived from it, the probe's request timeout). Zero
