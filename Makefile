@@ -62,7 +62,12 @@ vet:
 # internal/server renders a page beside its render memo: decorate.NewRender(
 # is called once in non-test internal/server, in rendermemo.go's fill, so
 # every world's server of a site reads renders through the memo the sweep
-# shares (DESIGN.md §3).
+# shares — or when a bundling origin assembles a push bundle beside its
+# bundle memo: json.Marshal(entries) is called once in non-test
+# internal/baselines, in bundle.go's memo fill (DESIGN.md §3) — or when the
+# emulated browser starts a trace of its own: telemetry.StartTrace( has no
+# caller in non-test internal/browser, because a load records only into the
+# trace its caller passes (DESIGN.md §8).
 FORK_SRC = $(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' ./... | tr ' ' '\n' | grep -v '/bench/'
 forks:
 	@fail=0; src=$$($(FORK_SRC)); \
@@ -95,6 +100,11 @@ forks:
 	rnd=$$(grep -Hn 'decorate\.NewRender(' $$(echo "$$src" | grep '/internal/server/') | grep -v ':[0-9]*:[[:space:]]*//'); \
 	if [ "$$(echo "$$rnd" | grep -c '/internal/server/rendermemo\.go:')" -ne 1 ] || [ "$$(echo "$$rnd" | grep -c .)" -ne 1 ]; then \
 		echo "forks: 'decorate.NewRender(' is called $$(echo "$$rnd" | grep -c .) times in non-test internal/server, want once, in rendermemo.go:" >&2; echo "$$rnd" >&2; fail=1; fi; \
+	bnd=$$(grep -Hn 'json\.Marshal(entries)' $$(echo "$$src" | grep '/internal/baselines/') | grep -v ':[0-9]*:[[:space:]]*//'); \
+	if [ "$$(echo "$$bnd" | grep -c '/internal/baselines/bundle\.go:')" -ne 1 ] || [ "$$(echo "$$bnd" | grep -c .)" -ne 1 ]; then \
+		echo "forks: 'json.Marshal(entries)' is called $$(echo "$$bnd" | grep -c .) times in non-test internal/baselines, want once, in bundle.go's memo fill:" >&2; echo "$$bnd" >&2; fail=1; fi; \
+	if grep -Hn 'telemetry\.StartTrace(' $$brw | grep -v ':[0-9]*:[[:space:]]*//' >&2; then \
+		echo "forks: the emulated browser starts a trace of its own; a load records only into its caller's (DESIGN.md §8)" >&2; fail=1; fi; \
 	dec=$$(grep -Hn 'core\.Decide(' $$src | grep -v ':[0-9]*:[[:space:]]*//'); \
 	if [ "$$(echo "$$dec" | grep -c /internal/sw/)" -ne 1 ] || [ "$$(echo "$$dec" | grep -c .)" -ne 1 ]; then \
 		echo "forks: core.Decide( is called $$(echo "$$dec" | grep -c .) times in non-test code, want once, in internal/sw:" >&2; echo "$$dec" >&2; fail=1; fi; \
@@ -124,7 +134,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzExtractPage -fuzztime=10s ./internal/htmlparse/
 
 # Scheme-matrix smoke: the conformance suite (golden table, shape claims,
-# determinism, cancellation under -race, and the parse and render memos'
+# determinism, cancellation under -race, and the parse, render and bundle memos'
 # differential tests, whose sweeps share one memo of each per site on one
 # goroutine: -race reports a memo two goroutines touch) plus one live run of the command,
 # and the determinism check on the sweep's job shape: the headline sweep

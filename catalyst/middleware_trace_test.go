@@ -79,8 +79,10 @@ func TestMiddlewareTraceEndToEnd(t *testing.T) {
 
 	// The revisit finds the page's map slotted, every probe it names still
 	// unexpired (the probe TTL runs on the wall clock), reuses it, and says so.
+	// It is traced: a load records into its caller's trace only.
 	byPath = make(map[string][]string)
-	res, err := b.Load(origins, cond, "site.example", "/")
+	ctx, _ := telemetry.StartTrace(context.Background(), "")
+	res, err := b.LoadContext(ctx, origins, cond, "site.example", "/")
 	b.OnFetch = nil
 	if err != nil {
 		t.Fatal(err)

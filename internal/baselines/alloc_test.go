@@ -46,7 +46,7 @@ func TestBundleAllocatesItsBodyOnce(t *testing.T) {
 	for _, p := range append([]string{"/index.html"}, site.Paths()...) {
 		rec[p] = live.RoundTrip(&netsim.Request{Method: "GET", Path: p, Header: make(http.Header)})
 	}
-	origin := NewBundleOrigin(rec, PushAll)
+	origin := NewBundleOrigin(rec, PushAll, nil)
 	var resp *httpcache.Response
 	nav := func() {
 		resp = origin.RoundTrip(&netsim.Request{Method: "GET", Path: "/index.html", Header: make(http.Header)})

@@ -69,14 +69,17 @@ type Entry struct {
 // NewBundleOrigin wraps an origin (normally server.NewOrigin of a
 // catalyst-enabled server, whose X-Etag-Config header provides the static
 // resource list) with bundling of navigation responses under the given
-// policy. Non-HTML requests pass through unchanged.
-func NewBundleOrigin(inner netsim.Origin, policy Policy) netsim.Origin {
-	return &bundleOrigin{inner: inner, policy: policy}
+// policy. Non-HTML requests pass through unchanged. A non-nil memo, shared
+// by the bundling origins of one site's worlds, assembles each distinct
+// bundle once; a nil memo assembles it on every navigation.
+func NewBundleOrigin(inner netsim.Origin, policy Policy, memo *BundleMemo) netsim.Origin {
+	return &bundleOrigin{inner: inner, policy: policy, memo: memo}
 }
 
 type bundleOrigin struct {
 	inner  netsim.Origin
 	policy Policy
+	memo   *BundleMemo
 }
 
 // RoundTrip implements netsim.Origin.
@@ -94,48 +97,154 @@ func (b *bundleOrigin) RoundTrip(req *netsim.Request) *httpcache.Response {
 		paths = staticPaths(resp)
 	}
 
-	// Fetch every part first, then copy them into one buffer of the
-	// bundle's exact size.
-	entries := make([]Entry, 1, 1+len(paths))
-	entries[0] = Entry{
+	// Every navigation fetches its parts; the memo decides whether the
+	// bundle they make has been assembled before.
+	parts := make([]part, 1, 1+len(paths))
+	parts[0] = part{Entry: Entry{
 		Path:        req.Path,
 		Status:      resp.StatusCode,
 		ContentType: resp.Header.Get("Content-Type"),
 		ETag:        resp.Header.Get("Etag"),
 		Len:         len(resp.Body),
-	}
-	parts := make([][]byte, 1, 1+len(paths))
-	parts[0] = resp.Body
-	size := len(resp.Body)
+	}, body: resp.Body}
 	for _, p := range paths {
 		sub := b.inner.RoundTrip(&netsim.Request{Method: "GET", Path: p, Header: make(http.Header)})
 		if sub.StatusCode != http.StatusOK {
 			continue
 		}
-		entries = append(entries, Entry{
+		parts = append(parts, part{Entry: Entry{
 			Path:         p,
 			Status:       sub.StatusCode,
 			ContentType:  sub.Header.Get("Content-Type"),
 			ETag:         sub.Header.Get("Etag"),
 			CacheControl: sub.Header.Get("Cache-Control"),
 			Len:          len(sub.Body),
-		})
-		parts = append(parts, sub.Body)
-		size += len(sub.Body)
+		}, body: sub.Body})
 	}
-	body := make([]byte, 0, size)
-	for _, part := range parts {
-		body = append(body, part...)
-	}
-
-	manifest, err := json.Marshal(entries)
-	if err != nil {
+	bd, ok := b.memo.bundle(parts)
+	if !ok {
 		return resp // bundling is best-effort; fall back to plain HTML
 	}
-	out := &httpcache.Response{StatusCode: resp.StatusCode, Header: resp.Header.Clone(), Body: body}
-	out.Header.Set(BundleHeader, string(manifest))
-	out.Header.Set("Content-Length", strconv.Itoa(len(body)))
+	// The header is the navigation's own: it carries this world's Date
+	// and map.
+	out := &httpcache.Response{StatusCode: resp.StatusCode, Header: resp.Header.Clone(), Body: bd.body}
+	out.Header.Set(BundleHeader, bd.manifest)
+	out.Header.Set("Content-Length", strconv.Itoa(len(bd.body)))
 	return out
+}
+
+// BundleMemo holds every bundle the bundling origins sharing it have
+// assembled: the concatenated body and the marshalled manifest. Both are a
+// pure function of the parts, in order — each part's manifest entry and its
+// body — and a body is never written once it is served (DESIGN.md §3), so a
+// bundle is keyed by the entries and by the identity of each body: a
+// pointer to its first byte and its length. The key holds the bodies, and
+// with them their arrays, alive. A different part body, or a part added or
+// dropped, is a different bundle. A sweep makes one memo per site, hands it
+// to the bundling origins of every world of that site, and drops it with the
+// site, so each bundle is assembled once per site instead of once per world
+// and link condition.
+//
+// A BundleMemo is not safe for concurrent use; it needs no lock because a
+// site's worlds run one after another on one goroutine.
+type BundleMemo struct {
+	// bundles lists the bundles of each page body, found by the page
+	// body's identity and told apart by their parts.
+	bundles map[bodyID][]*bundle
+}
+
+// part is one bundled response: its manifest entry and its body.
+type part struct {
+	Entry
+	body []byte
+}
+
+// bodyID is a body's identity: its first byte and its length.
+type bodyID struct {
+	first *byte
+	n     int
+}
+
+func idOf(body []byte) bodyID {
+	if len(body) == 0 {
+		return bodyID{}
+	}
+	return bodyID{&body[0], len(body)}
+}
+
+// bundle is one assembled bundle and the parts it was assembled from.
+type bundle struct {
+	parts    []part
+	body     []byte
+	manifest string
+}
+
+// NewBundleMemo returns an empty memo.
+func NewBundleMemo() *BundleMemo {
+	return &BundleMemo{bundles: make(map[bodyID][]*bundle)}
+}
+
+// sameParts reports whether a and b are the same entries over the same
+// bodies, in the same order.
+func sameParts(a, b []part) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Entry != b[i].Entry || idOf(a[i].body) != idOf(b[i].body) {
+			return false
+		}
+	}
+	return true
+}
+
+// bundle returns the bundle of parts, parts[0] being the page: the memo's,
+// or, on a miss or without a memo, a new one, which a memo keeps. ok is
+// false if the manifest cannot be marshalled.
+func (m *BundleMemo) bundle(parts []part) (bd *bundle, ok bool) {
+	page := idOf(parts[0].body)
+	if m != nil {
+		for _, have := range m.bundles[page] {
+			if sameParts(have.parts, parts) {
+				return have, true
+			}
+		}
+	}
+	size := 0
+	entries := make([]Entry, len(parts))
+	for i, p := range parts {
+		entries[i] = p.Entry
+		size += len(p.body)
+	}
+	manifest, err := json.Marshal(entries)
+	if err != nil {
+		return nil, false
+	}
+	body := make([]byte, 0, size)
+	for _, p := range parts {
+		body = append(body, p.body...)
+	}
+	bd = &bundle{parts: parts, body: body, manifest: string(manifest)}
+	if m != nil {
+		m.bundles[page] = append(m.bundles[page], bd)
+	}
+	return bd, true
+}
+
+// Each calls fn with every bundle m holds: the manifest entries and bodies
+// of its parts, in order, and the assembled body and manifest. It is the
+// memo's differential test's view; fn must not write what it is handed.
+func (m *BundleMemo) Each(fn func(entries []Entry, parts [][]byte, body []byte, manifest string)) {
+	for _, bds := range m.bundles {
+		for _, bd := range bds {
+			entries := make([]Entry, len(bd.parts))
+			parts := make([][]byte, len(bd.parts))
+			for i, p := range bd.parts {
+				entries[i], parts[i] = p.Entry, p.body
+			}
+			fn(entries, parts, bd.body, bd.manifest)
+		}
+	}
 }
 
 // staticPaths extracts the statically discoverable same-origin resource

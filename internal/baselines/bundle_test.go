@@ -29,7 +29,7 @@ func chainSite() *server.MemContent {
 func newBundleWorld(t *testing.T, policy Policy) (netsim.Origin, *server.Server) {
 	t.Helper()
 	srv := server.New(chainSite(), server.Options{Catalyst: true, Clock: vclock.NewVirtual(vclock.Epoch)})
-	return NewBundleOrigin(server.NewOrigin(srv), policy), srv
+	return NewBundleOrigin(server.NewOrigin(srv), policy, nil), srv
 }
 
 func navigate(t *testing.T, origin netsim.Origin) *httpcache.Response {

@@ -137,9 +137,10 @@ type LoadResult struct {
 	// NegativeHits counts resources answered by a cached 404 with zero
 	// network time (negative caching).
 	NegativeHits int64
-	// Trace is the load's request trace: every cache decision any layer
-	// recorded, in order. LoadContext reuses a trace already carried by
-	// the context; otherwise each load gets a fresh one.
+	// Trace is the trace the caller passed to LoadContext, now holding
+	// every cache decision any layer recorded, in order. It is nil for a
+	// load through Load or through a context carrying no trace: such a
+	// load records nothing.
 	Trace *telemetry.Trace
 }
 
@@ -331,16 +332,17 @@ func (b *Browser) Load(origins Origins, cond netsim.Conditions, host, path strin
 	return b.LoadContext(context.Background(), origins, cond, host, path)
 }
 
-// LoadContext is Load with request tracing: every cache decision the load
-// makes — locally and, via Server-Timing, at the origin — is recorded on the
-// context's telemetry trace (a fresh one is started when ctx carries none)
-// and returned in LoadResult.Trace.
+// LoadContext is Load with request tracing: when ctx carries a telemetry
+// trace, every cache decision the load makes — locally and, via
+// Server-Timing, at the origin — is recorded on it, its ID is sent in
+// X-Request-Id, and it is returned in LoadResult.Trace. A ctx without a
+// trace records nothing; LoadContext starts no trace of its own.
 func (b *Browser) LoadContext(ctx context.Context, origins Origins, cond netsim.Conditions, host, path string) (LoadResult, error) {
 	origin, ok := origins.Lookup(host)
 	if !ok {
 		return LoadResult{}, fmt.Errorf("browser: no origin for host %q", host)
 	}
-	ctx, tr := telemetry.StartTrace(ctx, "")
+	tr, _ := telemetry.TraceFrom(ctx)
 	ctx, endSpan := telemetry.StartSpan(ctx, "load")
 	defer endSpan()
 	l := &loader{
@@ -513,9 +515,12 @@ func (l *loader) fetch(host, path string, kind htmlparse.ResourceKind) {
 	}
 }
 
-// decide records each decision on the load's trace (tagged with the
-// resource key) and returns the slice for the FetchEvent.
+// decide records each decision on the load's trace, if it has one (tagged
+// with the resource key), and returns the slice for the FetchEvent.
 func (l *loader) decide(host, path string, decisions []string) []string {
+	if l.trace == nil {
+		return decisions
+	}
 	for _, d := range decisions {
 		telemetry.Event(l.ctx, d, host+path)
 	}

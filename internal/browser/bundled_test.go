@@ -14,7 +14,7 @@ import (
 func newBundledWorld(policy baselines.Policy) *world {
 	w := &world{clock: vclock.NewVirtual(vclock.Epoch), content: figure1Site()}
 	w.srv = server.New(w.content, server.Options{Catalyst: true, Clock: w.clock})
-	w.origins = OriginMap{"site.example": baselines.NewBundleOrigin(server.NewOrigin(w.srv), policy)}
+	w.origins = OriginMap{"site.example": baselines.NewBundleOrigin(server.NewOrigin(w.srv), policy, nil)}
 	return w
 }
 

@@ -294,7 +294,6 @@ func RunBaselines(cfg Config, cond netsim.Conditions, delay time.Duration) ([]Ba
 		}
 		w.Advance(delay)
 		warm, err := w.Load(cond)
-		cold.Trace, warm.Trace = nil, nil
 		return [2]browser.LoadResult{cold, warm}, err
 	})
 	if err != nil {
@@ -413,7 +412,6 @@ func RunCrossPage(cfg Config, cond netsim.Conditions) ([]CrossPageRow, error) {
 			return browser.LoadResult{}, err
 		}
 		second, err := w.LoadPage(cond, webgen.SecondaryPagePath)
-		second.Trace = nil
 		return second, err
 	})
 	if err != nil {
@@ -462,7 +460,6 @@ func RunCoverage(cfg Config, cond netsim.Conditions) ([]CoverageRow, error) {
 		}
 		w.Advance(time.Minute)
 		warm, err := w.Load(cond)
-		warm.Trace = nil
 		return warm, err
 	})
 	if err != nil {

@@ -116,7 +116,7 @@ type World struct {
 }
 
 // NewWorld builds the world for one (site, scheme) pair on a site of its
-// own, with a parse memo of its own and no render memo.
+// own, with a parse memo of its own and no render or bundle memo.
 func NewWorld(p webgen.Params, siteIndex int, scheme Scheme, transport netsim.TransportOptions) *World {
 	return newWorld(generate(p, siteIndex), siteMemos{parse: browser.NewParseMemo()}, scheme, transport)
 }
@@ -130,22 +130,32 @@ func generate(p webgen.Params, siteIndex int) *webgen.Site {
 }
 
 // siteMemos is the work a site's worlds share because it is a pure function
-// of the site's bodies: the browser's parses and resolved references, and
-// the server's page renders. render is nil for a world of its own.
+// of the site's bodies: the browser's parses and resolved references, the
+// server's page renders, and the bundling origin's push bundles. render and
+// bundle are nil for a world of its own.
 type siteMemos struct {
 	parse  *browser.ParseMemo
 	render *server.RenderMemo
+	bundle *baselines.BundleMemo
 }
 
 // newSiteMemos returns the empty memos of one site.
 func newSiteMemos() siteMemos {
-	return siteMemos{parse: browser.NewParseMemo(), render: server.NewRenderMemo()}
+	memos := siteMemos{parse: browser.NewParseMemo(), render: server.NewRenderMemo(), bundle: baselines.NewBundleMemo()}
+	if testHookNewBundleMemo != nil {
+		testHookNewBundleMemo(memos.bundle)
+	}
+	return memos
 }
+
+// testHookNewBundleMemo, set only by tests before any sweep runs, sees every
+// bundle memo newSiteMemos makes.
+var testHookNewBundleMemo func(*baselines.BundleMemo)
 
 // newWorld builds one world on a view of site: its own clock, server,
 // browser and caches, reading bodies from the site's shared store and
-// parsing and rendering them through memos, which the sweeps share among a
-// site's worlds.
+// parsing, rendering and bundling them through memos, which the sweeps share
+// among a site's worlds.
 func newWorld(site *webgen.Site, memos siteMemos, scheme Scheme, transport netsim.TransportOptions) *World {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	site = site.View(clock)
@@ -186,11 +196,13 @@ func newWorld(site *webgen.Site, memos siteMemos, scheme Scheme, transport netsi
 	case SchemeServerPush:
 		srvOpts.Catalyst = true // the map header doubles as the push manifest
 		mode = browser.Bundled
-		wrap = func(o netsim.Origin) netsim.Origin { return baselines.NewBundleOrigin(o, baselines.PushAll) }
+		wrap = func(o netsim.Origin) netsim.Origin {
+			return baselines.NewBundleOrigin(o, baselines.PushAll, memos.bundle)
+		}
 	case SchemeRDR:
 		srvOpts.Catalyst = true
 		mode = browser.Bundled
-		wrap = func(o netsim.Origin) netsim.Origin { return baselines.NewBundleOrigin(o, baselines.RDR) }
+		wrap = func(o netsim.Origin) netsim.Origin { return baselines.NewBundleOrigin(o, baselines.RDR, memos.bundle) }
 		transport.ServerThink += RDRProxyThink
 	case SchemeEarlyHints:
 		srvOpts.EarlyHints = true

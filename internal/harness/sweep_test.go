@@ -38,6 +38,7 @@ const pltSweepSeed = 1007
 //	go test -run '^$' -bench PLTSweep -cpuprofile cpu.out ./internal/harness/
 func BenchmarkPLTSweep(b *testing.B) {
 	b.Run("headline", func(b *testing.B) {
+		b.ReportAllocs()
 		cfg := DefaultConfig()
 		cfg.Corpus.Sites, cfg.Corpus.Seed, cfg.Parallelism = 4, pltSweepSeed, 1
 		for i := 0; i < b.N; i++ {
@@ -47,6 +48,7 @@ func BenchmarkPLTSweep(b *testing.B) {
 		}
 	})
 	b.Run("matrix", func(b *testing.B) {
+		b.ReportAllocs()
 		cfg := QuickMatrixConfig()
 		cfg.Corpus.Sites, cfg.Corpus.Seed, cfg.Parallelism = 5, pltSweepSeed, 1
 		for i := 0; i < b.N; i++ {

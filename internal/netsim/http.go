@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sort"
 	"time"
 
 	"cachecatalyst/internal/httpcache"
@@ -15,6 +14,8 @@ import (
 type Request struct {
 	Method string
 	Path   string
+	// Header is not written after the request is sent: an origin may read
+	// it in place (server.NewOrigin hands it to the Server uncopied).
 	Header http.Header
 	// Ctx, when non-nil, is the caller's request context. Adapters that
 	// bridge to real handlers (server.NewHandlerOrigin, HandlerFromOrigin)
@@ -401,13 +402,8 @@ func headerWireSize(h http.Header) int64 {
 		return 0
 	}
 	var n int64
-	keys := make([]string, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys) // determinism only; size is order-independent
-	for _, k := range keys {
-		for _, v := range h[k] {
+	for k, vs := range h {
+		for _, v := range vs {
 			n += int64(len(k) + len(": ") + len(v) + len("\r\n"))
 		}
 	}

@@ -16,7 +16,9 @@ type Pipe struct {
 	bytesPerSec float64
 	active      []*transfer
 	lastUpdate  time.Duration
-	completion  *Event
+	// completion fires when the transfer finishing first does. The pipe
+	// keeps the one event and re-arms it whenever the share changes.
+	completion *Event
 
 	// TotalBytes counts all bytes ever accepted, for bytes-on-wire
 	// accounting in experiments.
@@ -69,12 +71,10 @@ func (p *Pipe) advance() {
 }
 
 // reschedule (re)arms the completion event for the transfer that will
-// finish first under the current share.
+// finish first under the current share. With nothing active the event has
+// just fired (only complete empties the pipe), so there is nothing to
+// disarm.
 func (p *Pipe) reschedule() {
-	if p.completion != nil {
-		p.completion.Cancel()
-		p.completion = nil
-	}
 	if len(p.active) == 0 {
 		return
 	}
@@ -92,16 +92,18 @@ func (p *Pipe) reschedule() {
 	// produce a zero-delay completion event that debits nothing and
 	// reschedules itself forever.
 	eta := time.Duration(math.Ceil(minRemaining / share * float64(time.Second)))
-	p.completion = p.sim.After(eta, p.complete)
+	if p.completion == nil {
+		p.completion = &Event{fn: p.complete, index: -1}
+	}
+	p.sim.rearm(p.completion, eta)
 }
 
 // complete retires every transfer that has (within float tolerance)
 // finished, then reschedules.
 func (p *Pipe) complete() {
-	p.completion = nil
 	p.advance()
 	const epsilon = 1e-6 // bytes; absorbs float error
-	var still []*transfer
+	still := p.active[:0]
 	var finished []*transfer
 	for _, t := range p.active {
 		if t.remaining <= epsilon {
@@ -110,6 +112,7 @@ func (p *Pipe) complete() {
 			still = append(still, t)
 		}
 	}
+	clear(p.active[len(still):])
 	p.active = still
 	p.reschedule()
 	for _, t := range finished {

@@ -44,6 +44,20 @@ func (s *Sim) At(t time.Duration, fn func()) *Event {
 	return ev
 }
 
+// rearm reschedules ev, this simulator's event, to run d from now. It
+// orders exactly as cancelling ev and scheduling its callback afresh with
+// After would: ev takes the next sequence number, and moves within the queue
+// if it is still queued or joins it again if it has fired.
+func (s *Sim) rearm(ev *Event, d time.Duration) {
+	ev.at, ev.seq = s.now+d, s.seq
+	s.seq++
+	if ev.index < 0 {
+		heap.Push(&s.queue, ev)
+	} else {
+		heap.Fix(&s.queue, ev.index)
+	}
+}
+
 // After schedules fn to run d from now.
 func (s *Sim) After(d time.Duration, fn func()) *Event {
 	return s.At(s.now+d, fn)
@@ -54,6 +68,7 @@ func (s *Sim) After(d time.Duration, fn func()) *Event {
 func (s *Sim) Run() time.Duration {
 	for s.queue.Len() > 0 {
 		ev := heap.Pop(&s.queue).(*Event)
+		ev.index = -1 // out of the queue
 		if ev.cancelled {
 			continue
 		}
@@ -68,7 +83,7 @@ type Event struct {
 	at        time.Duration
 	seq       int64
 	fn        func()
-	index     int
+	index     int // position in the queue; -1 once popped
 	cancelled bool
 }
 

@@ -19,19 +19,26 @@ import (
 // without a copy. None of them is written after it is served, which is the
 // ownership rule the browser's caches and parsers rely on when they share
 // it in turn (httpcache.Response).
+//
+// The Server reads the simulated request's own header map, uncopied: a
+// Server never writes a request header, and a sender does not write one
+// after the request is sent (netsim.Request).
 func NewOrigin(s *Server) netsim.Origin { return &originAdapter{h: s, share: true} }
 
 // NewHandlerOrigin adapts any http.Handler — for example an existing
 // application wrapped in catalyst.Middleware — to the simulator's Origin
 // interface, so the emulated browser can drive the retrofit path
-// end-to-end. Bodies are copied: an arbitrary handler may write from a
-// buffer it reuses (the middleware streams through pooled copy buffers and
-// sends a plain page out of its pooled sniffing buffer).
+// end-to-end. Bodies and request headers are copied: an arbitrary handler
+// may write from a buffer it reuses (the middleware streams through pooled
+// copy buffers and sends a plain page out of its pooled sniffing buffer),
+// and may write to its request's header.
 func NewHandlerOrigin(h http.Handler) netsim.Origin { return &originAdapter{h: h} }
 
 type originAdapter struct {
-	h     http.Handler
-	share bool // accept decorate.WriteEntity's body hand-off
+	h http.Handler
+	// share accepts decorate.WriteEntity's body hand-off and hands the
+	// handler the simulated request's header map (NewOrigin).
+	share bool
 }
 
 // RoundTrip implements netsim.Origin.
@@ -58,7 +65,7 @@ func (a *originAdapter) RoundTrip(req *netsim.Request) *httpcache.Response {
 		Proto:      "HTTP/1.1",
 		ProtoMajor: 1,
 		ProtoMinor: 1,
-		Header:     make(http.Header, len(req.Header)),
+		Header:     req.Header,
 		Body:       http.NoBody,
 		Host:       host,
 		RequestURI: req.Path,
@@ -70,10 +77,16 @@ func (a *originAdapter) RoundTrip(req *netsim.Request) *httpcache.Response {
 		// budget deadlines) end to end.
 		r = r.WithContext(req.Ctx)
 	}
-	for k, vs := range req.Header {
-		for _, v := range vs {
-			r.Header.Add(k, v)
+	switch {
+	case !a.share:
+		r.Header = make(http.Header, len(req.Header))
+		for k, vs := range req.Header {
+			for _, v := range vs {
+				r.Header.Add(k, v)
+			}
 		}
+	case r.Header == nil:
+		r.Header = make(http.Header)
 	}
 	rec := &recorder{header: make(http.Header), code: http.StatusOK, share: a.share}
 	a.h.ServeHTTP(rec, r)
