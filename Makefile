@@ -67,7 +67,11 @@ vet:
 # internal/baselines, in bundle.go's memo fill (DESIGN.md §3) — or when the
 # emulated browser starts a trace of its own: telemetry.StartTrace( has no
 # caller in non-test internal/browser, because a load records only into the
-# trace its caller passes (DESIGN.md §8).
+# trace its caller passes (DESIGN.md §8) — or when internal/harness grows a
+# second experiment runner or revisit schedule: forEachSite(, newWorld(
+# (besides NewWorld's) and .Advance( (besides World.Advance's) each have
+# exactly one caller in non-test internal/harness, the runner's and
+# World.revisit's (DESIGN.md §3, §4).
 FORK_SRC = $(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' ./... | tr ' ' '\n' | grep -v '/bench/'
 forks:
 	@fail=0; src=$$($(FORK_SRC)); \
@@ -105,6 +109,12 @@ forks:
 		echo "forks: 'json.Marshal(entries)' is called $$(echo "$$bnd" | grep -c .) times in non-test internal/baselines, want once, in bundle.go's memo fill:" >&2; echo "$$bnd" >&2; fail=1; fi; \
 	if grep -Hn 'telemetry\.StartTrace(' $$brw | grep -v ':[0-9]*:[[:space:]]*//' >&2; then \
 		echo "forks: the emulated browser starts a trace of its own; a load records only into its caller's (DESIGN.md §8)" >&2; fail=1; fi; \
+	hrn=$$(echo "$$src" | grep '/internal/harness/'); \
+	for pat in 'forEachSite(' 'newWorld(' '\.Advance('; do \
+		calls=$$(grep -Hn "$$pat" $$hrn | grep -v ':[0-9]*:[[:space:]]*//\|:[0-9]*:func \(([a-z]* \*World) \)\?[A-Za-z]*(\|return newWorld(generate('); \
+		if [ "$$(echo "$$calls" | grep -c .)" -ne 1 ]; then \
+			echo "forks: '$$pat' has $$(echo "$$calls" | grep -c .) callers in non-test internal/harness, want 1, the one runner or revisit schedule:" >&2; echo "$$calls" >&2; fail=1; fi; \
+	done; \
 	dec=$$(grep -Hn 'core\.Decide(' $$src | grep -v ':[0-9]*:[[:space:]]*//'); \
 	if [ "$$(echo "$$dec" | grep -c /internal/sw/)" -ne 1 ] || [ "$$(echo "$$dec" | grep -c .)" -ne 1 ]; then \
 		echo "forks: core.Decide( is called $$(echo "$$dec" | grep -c .) times in non-test code, want once, in internal/sw:" >&2; echo "$$dec" >&2; fail=1; fi; \

@@ -59,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	res, err := harness.RunSchemeMatrixContext(ctx, cfg)
+	res, err := harness.RunSchemeMatrixContext(ctx, cfg, harness.MatrixSchemes)
 	if err != nil {
 		fmt.Fprintf(stderr, "schemes: %v\n", err)
 		return 1

@@ -218,9 +218,6 @@ func New(clock vclock.Clock, mode Mode, transport netsim.TransportOptions) *Brow
 	return b
 }
 
-// Mode returns the browser's caching mode.
-func (b *Browser) Mode() Mode { return b.mode }
-
 // Cache returns the conventional HTTP cache (for inspection in tests).
 func (b *Browser) Cache() *httpcache.Cache { return b.cache }
 
@@ -1016,10 +1013,3 @@ func (l *loader) processJS(host string, resp *httpcache.Response, asSent bool) {
 
 // cacheKey is the conventional cache's key for a resource.
 func cacheKey(host, path string) string { return host + path }
-
-// WarmCatalyst pre-populates a Catalyst browser's Service Worker for host
-// from raw responses — used by tests to construct precise cache states.
-func (b *Browser) WarmCatalyst(host, path string, resp *httpcache.Response) {
-	w := b.registry.Register(host)
-	w.OnSubresourceResponse(path, resp)
-}

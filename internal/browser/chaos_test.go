@@ -211,19 +211,15 @@ func TestChaosTotalOutageDegradesNotCrashes(t *testing.T) {
 // origin that 503s exactly once per resource yields a fully successful load
 // (zero errors) at the cost of retries and backoff time.
 func TestChaosRetryRecoversTransientFailure(t *testing.T) {
-	w := &world{clock: vclock.NewVirtual(vclock.Epoch), content: figure1Site()}
-	w.srv = server.New(w.content, server.Options{Catalyst: false, Clock: w.clock})
-	faulty := &netsim.FaultyOrigin{Inner: server.NewOrigin(w.srv), FailEvery: 2}
-	w.origins = OriginMap{"site.example": faulty}
-
+	w, chaos := newChaosWorld(false, netsim.ChaosConfig{UpFor: 1, DownFor: 1})
 	b := New(w.clock, Conventional, netsim.TransportOptions{})
 	b.MaxFetchRetries = 3
 	res := mustLoad(t, b, w)
 	if res.Errors != 0 {
 		t.Fatalf("retries did not absorb transient 503s: %+v", res)
 	}
-	if res.Retries == 0 || faulty.Failed() == 0 {
-		t.Fatalf("no failures actually injected: %+v, failed=%d", res, faulty.Failed())
+	if res.Retries == 0 || chaos.Stats().FlapFailures == 0 {
+		t.Fatalf("no failures actually injected: %+v, failed=%d", res, chaos.Stats().FlapFailures)
 	}
 	if res.Resources != 5 {
 		t.Fatalf("resources = %d, want 5", res.Resources)

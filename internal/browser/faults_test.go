@@ -6,27 +6,18 @@ import (
 
 	"cachecatalyst/internal/netsim"
 	"cachecatalyst/internal/server"
-	"cachecatalyst/internal/vclock"
 )
 
-// faultWorld wraps the Figure 1 site's origin with failure injection.
-func faultWorld(catalyst bool, failEvery int) (*world, *netsim.FaultyOrigin) {
-	w := &world{clock: vclock.NewVirtual(vclock.Epoch), content: figure1Site()}
-	w.srv = server.New(w.content, server.Options{Catalyst: catalyst, Record: catalyst, Clock: w.clock})
-	faulty := &netsim.FaultyOrigin{Inner: server.NewOrigin(w.srv), FailEvery: failEvery}
-	w.origins = OriginMap{"site.example": faulty}
-	return w, faulty
-}
-
 func TestLoadSurvivesInjectedFailures(t *testing.T) {
-	w, faulty := faultWorld(false, 3) // every 3rd request 503s
+	w, chaos := newChaosWorld(false, netsim.ChaosConfig{UpFor: 2, DownFor: 1}) // every 3rd request 503s
 	b := New(w.clock, Conventional, netsim.TransportOptions{})
 	res := mustLoad(t, b, w)
-	if faulty.Failed() == 0 {
+	failed := chaos.Stats().FlapFailures
+	if failed == 0 {
 		t.Fatal("no failures injected")
 	}
-	if res.Errors != int(faulty.Failed()) {
-		t.Fatalf("errors = %d, injected = %d", res.Errors, faulty.Failed())
+	if res.Errors != int(failed) {
+		t.Fatalf("errors = %d, injected = %d", res.Errors, failed)
 	}
 	// The load terminates with a finite PLT despite failures.
 	if res.PLT <= 0 || res.PLT > time.Minute {
@@ -41,7 +32,7 @@ func TestLoadSurvivesInjectedFailures(t *testing.T) {
 }
 
 func TestCatalystRecoversAfterFailuresStop(t *testing.T) {
-	w, faulty := faultWorld(true, 2) // every 2nd request fails on the first visit
+	w, _ := newChaosWorld(true, netsim.ChaosConfig{UpFor: 1, DownFor: 1}) // every 2nd request fails on the first visit
 	b := New(w.clock, Catalyst, netsim.TransportOptions{})
 	first := mustLoad(t, b, w)
 	if first.Errors == 0 {
@@ -49,7 +40,7 @@ func TestCatalystRecoversAfterFailuresStop(t *testing.T) {
 	}
 
 	// Failures stop; the next visit must fully succeed and warm the SW.
-	faulty.FailEvery = 1 << 30
+	w.origins["site.example"] = server.NewOrigin(w.srv)
 	w.clock.Advance(time.Minute)
 	second := mustLoad(t, b, w)
 	if second.Errors != 0 {
@@ -72,7 +63,7 @@ func TestCatalystRecoversAfterFailuresStop(t *testing.T) {
 func TestNavigationFailureIsTerminal(t *testing.T) {
 	// If the navigation itself 503s, the load ends with one error and no
 	// subresource fetches.
-	w, _ := faultWorld(false, 1) // everything fails
+	w, _ := newChaosWorld(false, netsim.ChaosConfig{FailProb: 1}) // everything fails
 	b := New(w.clock, Conventional, netsim.TransportOptions{})
 	res := mustLoad(t, b, w)
 	if res.Errors != 1 || res.NetworkRequests != 1 {

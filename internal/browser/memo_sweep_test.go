@@ -1,6 +1,7 @@
 package browser_test
 
 import (
+	"context"
 	"testing"
 
 	"cachecatalyst/internal/browser"
@@ -22,7 +23,7 @@ func TestMemoisedParsesAreExact(t *testing.T) {
 	headline.Corpus.Sites, headline.Corpus.Scale = 2, 0.6
 	var matrixErr, headlineErr error
 	memos := browser.CollectMemos(func() {
-		_, matrixErr = harness.RunSchemeMatrix(harness.QuickMatrixConfig())
+		_, matrixErr = harness.RunSchemeMatrixContext(context.Background(), harness.QuickMatrixConfig(), harness.MatrixSchemes)
 		_, headlineErr = harness.RunHeadline(headline)
 	})
 	if matrixErr != nil || headlineErr != nil {

@@ -83,18 +83,6 @@ func (r *Ring) Remove(id string) {
 	r.rebuild()
 }
 
-// Members returns the current membership, sorted.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Len returns the member count.
 func (r *Ring) Len() int {
 	r.mu.RLock()

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"sync"
 	"testing"
@@ -27,7 +28,7 @@ func TestMemoisedBundlesAreExact(t *testing.T) {
 	}
 	defer func() { testHookNewBundleMemo = nil }()
 
-	if _, err := RunSchemeMatrix(QuickMatrixConfig()); err != nil {
+	if _, err := RunSchemeMatrixContext(context.Background(), QuickMatrixConfig(), MatrixSchemes); err != nil {
 		t.Fatal(err)
 	}
 	quick := QuickConfig()

@@ -53,52 +53,86 @@ func RunFig3(cfg Config) (*SweepResult, error) {
 }
 
 // RunPairedSweep measures the PLT reduction of treatment over base for
-// every grid condition. For each (site, condition) pair both schemes load
-// the page cold at the virtual epoch and then reload at each delay; the
+// every grid condition. Every world of both schemes loads the homepage cold
+// at the virtual epoch and then reloads it at each delay (revisits); the
 // virtual clocks advance identically, so both schemes see identical content
-// trajectories and the comparison is paired. Each site is generated once and
-// every world of it runs on a view of that one site (forEachSite). Results
-// do not depend on Parallelism: every trial fills its own (condition, site)
-// slot, and the slots are folded in index order, as RunSchemeMatrix does.
+// trajectories and the comparison is paired.
 func RunPairedSweep(cfg Config, base, treatment Scheme) (*SweepResult, error) {
+	loads, err := revisits(context.Background(), cfg, []Scheme{base, treatment})
+	if err != nil {
+		return nil, err
+	}
+	return foldPaired(cfg, base, treatment, loads), nil
+}
+
+// revisits runs the revisit schedule of cfg.Delays on the homepage of every
+// world: loads[cond][scheme][site] is its cold load, then one per delay.
+func revisits(ctx context.Context, cfg Config, schemes []Scheme) ([][][][]browser.LoadResult, error) {
+	if len(cfg.Delays) == 0 {
+		return nil, fmt.Errorf("harness: no revisit delays")
+	}
+	return run(ctx, cfg, schemes, func(w *World, cond netsim.Conditions) ([]browser.LoadResult, error) {
+		return w.revisit(cond, cfg.Delays, webgen.PagePath)
+	})
+}
+
+// run is the one experiment runner. For every site of the corpus, every
+// grid condition and every scheme, in that order, it builds one world on a
+// view of the site and fills out[cond][scheme][site] with what measure
+// returns for it — the loads of the world's revisit schedule, or what it
+// reads off them. Each site is generated once and every world of it runs on
+// a view of that one site (forEachSite). The slots are preallocated and
+// indexed, never appended: workers write disjoint slots, so a fold that
+// reads them in index order does not depend on Parallelism. Cancelling ctx
+// stops the run promptly and leaves no goroutines behind.
+func run[T any](ctx context.Context, cfg Config, schemes []Scheme, measure func(w *World, cond netsim.Conditions) (T, error)) ([][][]T, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	p := cfg.Corpus.Sites
-	if p == 0 {
-		p = 100
+	if len(schemes) == 0 {
+		return nil, fmt.Errorf("harness: no schemes")
 	}
-
-	trials := make([][][]sampleOut, len(cfg.Grid))
-	for condIdx := range trials {
-		trials[condIdx] = make([][]sampleOut, p)
+	if cfg.Corpus.Sites == 0 {
+		cfg.Corpus.Sites = 100
 	}
-	err := forEachSite(context.Background(), cfg.Corpus, p, cfg.Parallelism, func(siteIdx int, site *webgen.Site, memos siteMemos) error {
-		for condIdx, cond := range cfg.Grid {
-			out, err := runPairedTrial(cfg, cond, newWorld(site, memos, base, cfg.Transport), newWorld(site, memos, treatment, cfg.Transport))
-			if err != nil {
-				return err
+	out := make([][][]T, len(cfg.Grid))
+	for ci := range out {
+		out[ci] = make([][]T, len(schemes))
+		for si := range out[ci] {
+			out[ci][si] = make([]T, cfg.Corpus.Sites)
+		}
+	}
+	err := forEachSite(ctx, cfg.Corpus, cfg.Parallelism, func(siteIdx int, site *webgen.Site, memos siteMemos) error {
+		for ci, cond := range cfg.Grid {
+			for si, scheme := range schemes {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				v, err := measure(newWorld(site, memos, scheme, cfg.Transport), cond)
+				if err != nil {
+					return err
+				}
+				out[ci][si][siteIdx] = v
 			}
-			trials[condIdx][siteIdx] = out
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return foldPaired(cfg, base, treatment, trials), nil
+	return out, nil
 }
 
-// forEachSite calls trial once for every site index below sites, on up to
-// workers goroutines (≤0 means GOMAXPROCS), handing it the site generated
-// once and the memos made for it. trial builds every world of that site on
-// views of it, with those memos, and both are dropped when trial returns,
-// so at most workers sites are resident. A trial's worlds run one after
-// another on its goroutine, which is what lets them share the memos.
-// Trials fill index-ordered slots, so what they produce does not depend on
-// workers. Once ctx is done or a trial has failed no further site starts;
-// the first error is returned.
-func forEachSite(ctx context.Context, p webgen.Params, sites, workers int, trial func(siteIdx int, site *webgen.Site, memos siteMemos) error) error {
+// forEachSite calls trial once for every site of p, on up to workers
+// goroutines (≤0 means GOMAXPROCS), handing it the site generated once and
+// the memos made for it. trial builds every world of that site on views of
+// it, with those memos, and both are dropped when trial returns, so at most
+// workers sites are resident. A trial's worlds run one after another on its
+// goroutine, which is what lets them share the memos. Trials fill
+// index-ordered slots, so what they produce does not depend on workers.
+// Once ctx is done or a trial has failed no further site starts; the first
+// error is returned.
+func forEachSite(ctx context.Context, p webgen.Params, workers int, trial func(siteIdx int, site *webgen.Site, memos siteMemos) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -125,7 +159,7 @@ func forEachSite(ctx context.Context, p webgen.Params, sites, workers int, trial
 			}
 		}()
 	}
-	for siteIdx := 0; siteIdx < sites; siteIdx++ {
+	for siteIdx := 0; siteIdx < p.Sites; siteIdx++ {
 		jobs <- siteIdx
 	}
 	close(jobs)
@@ -133,92 +167,43 @@ func forEachSite(ctx context.Context, p webgen.Params, sites, workers int, trial
 	return firstErr
 }
 
-// foldPaired aggregates the per-(condition, site) trials in index order.
-func foldPaired(cfg Config, base, treatment Scheme, trials [][][]sampleOut) *SweepResult {
-	// reductions[cond][delay] accumulates per-site samples.
-	reductions := make([][][]float64, len(cfg.Grid))
-	fcpReductions := make([][]float64, len(cfg.Grid))
-	basePLTs := make([][]float64, len(cfg.Grid))
-	treatPLTs := make([][]float64, len(cfg.Grid))
-	for condIdx := range trials {
-		reductions[condIdx] = make([][]float64, len(cfg.Delays))
-		for _, out := range trials[condIdx] {
-			for _, s := range out {
-				reductions[condIdx][s.delayIdx] = append(reductions[condIdx][s.delayIdx], s.reduction)
-				fcpReductions[condIdx] = append(fcpReductions[condIdx], s.fcpReduction)
-				basePLTs[condIdx] = append(basePLTs[condIdx], float64(s.basePLT))
-				treatPLTs[condIdx] = append(treatPLTs[condIdx], float64(s.treatPLT))
-			}
-		}
-	}
-
+// foldPaired aggregates the loads[cond][0 = base, 1 = treatment][site] of
+// revisits in index order: every warm load of a base world is paired with
+// the treatment world's load at the same delay.
+func foldPaired(cfg Config, base, treatment Scheme, loads [][][][]browser.LoadResult) *SweepResult {
 	res := &SweepResult{Base: base, Treatment: treatment}
 	var all []float64
-	for condIdx, cond := range cfg.Grid {
+	for ci, cond := range cfg.Grid {
+		// byDelay[delay] accumulates per-site samples.
+		byDelay := make([][]float64, len(cfg.Delays))
+		var fcp, basePLT, treatPLT []float64
+		for site, bs := range loads[ci][0] {
+			for d, t := range loads[ci][1][site][1:] {
+				b := bs[1+d]
+				byDelay[d] = append(byDelay[d], stats.ReductionPercent(float64(b.PLT), float64(t.PLT)))
+				fcp = append(fcp, stats.ReductionPercent(float64(b.FCP), float64(t.FCP)))
+				basePLT = append(basePLT, float64(b.PLT))
+				treatPLT = append(treatPLT, float64(t.PLT))
+			}
+		}
 		cell := Cell{Cond: cond}
 		var condAll []float64
-		for delayIdx, d := range cfg.Delays {
-			xs := reductions[condIdx][delayIdx]
-			cell.ByDelay = append(cell.ByDelay, DelayPoint{Delay: d, MeanReductionPct: stats.Mean(xs)})
-			condAll = append(condAll, xs...)
+		for d, delay := range cfg.Delays {
+			cell.ByDelay = append(cell.ByDelay, DelayPoint{Delay: delay, MeanReductionPct: stats.Mean(byDelay[d])})
+			condAll = append(condAll, byDelay[d]...)
 		}
 		cell.MeanReductionPct = stats.Mean(condAll)
 		cell.P10ReductionPct = stats.Percentile(condAll, 10)
 		cell.P90ReductionPct = stats.Percentile(condAll, 90)
-		cell.FCPReductionPct = stats.Mean(fcpReductions[condIdx])
+		cell.FCPReductionPct = stats.Mean(fcp)
 		cell.Samples = len(condAll)
-		cell.MeanBasePLT = time.Duration(stats.Mean(basePLTs[condIdx]))
-		cell.MeanTreatPLT = time.Duration(stats.Mean(treatPLTs[condIdx]))
+		cell.MeanBasePLT = time.Duration(stats.Mean(basePLT))
+		cell.MeanTreatPLT = time.Duration(stats.Mean(treatPLT))
 		res.Cells = append(res.Cells, cell)
 		all = append(all, condAll...)
 	}
 	res.OverallReduction = stats.Mean(all)
 	return res
-}
-
-// runPairedTrial runs one (condition, site) pair through the base and
-// treatment worlds of that site.
-func runPairedTrial(cfg Config, cond netsim.Conditions, wBase, wTreat *World) ([]sampleOut, error) {
-	// Cold loads at the epoch (not measured for the sweep; they warm the
-	// client state, as in the paper's methodology).
-	if _, err := wBase.Load(cond); err != nil {
-		return nil, err
-	}
-	if _, err := wTreat.Load(cond); err != nil {
-		return nil, err
-	}
-
-	var out []sampleOut
-	prev := time.Duration(0)
-	for delayIdx, d := range cfg.Delays {
-		step := d - prev
-		prev = d
-		wBase.Advance(step)
-		wTreat.Advance(step)
-		rBase, err := wBase.Load(cond)
-		if err != nil {
-			return nil, err
-		}
-		rTreat, err := wTreat.Load(cond)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sampleOut{
-			delayIdx:     delayIdx,
-			reduction:    stats.ReductionPercent(float64(rBase.PLT), float64(rTreat.PLT)),
-			fcpReduction: stats.ReductionPercent(float64(rBase.FCP), float64(rTreat.FCP)),
-			basePLT:      rBase.PLT,
-			treatPLT:     rTreat.PLT,
-		})
-	}
-	return out, nil
-}
-
-type sampleOut struct {
-	delayIdx          int
-	reduction         float64
-	fcpReduction      float64
-	basePLT, treatPLT time.Duration
 }
 
 // HeadlineResult captures the abstract's claims.
@@ -259,50 +244,18 @@ type BaselineRow struct {
 	MeanPushedUnused  float64
 }
 
-// eachWorld runs visit on one world of every (site, scheme) pair, site by
-// site (forEachSite), and returns what it returned as [scheme][site]: a
-// caller folding each scheme's sites in index order sums them as the
-// sequential loops over schemes and then sites did.
-func eachWorld[T any](cfg Config, schemes []Scheme, visit func(w *World) (T, error)) ([][]T, error) {
-	out := make([][]T, len(schemes))
-	for si := range out {
-		out[si] = make([]T, cfg.Corpus.Sites)
-	}
-	err := forEachSite(context.Background(), cfg.Corpus, cfg.Corpus.Sites, cfg.Parallelism, func(siteIdx int, site *webgen.Site, memos siteMemos) error {
-		for si, scheme := range schemes {
-			v, err := visit(newWorld(site, memos, scheme, cfg.Transport))
-			if err != nil {
-				return err
-			}
-			out[si][siteIdx] = v
-		}
-		return nil
-	})
-	return out, err
-}
-
 // RunBaselines compares all schemes at one condition and one revisit delay:
 // the multifaceted comparison the paper defers to future work.
 func RunBaselines(cfg Config, cond netsim.Conditions, delay time.Duration) ([]BaselineRow, error) {
-	if cfg.Corpus.Sites == 0 {
-		cfg.Corpus.Sites = 100
-	}
-	loads, err := eachWorld(cfg, AllSchemes, func(w *World) ([2]browser.LoadResult, error) {
-		cold, err := w.Load(cond)
-		if err != nil {
-			return [2]browser.LoadResult{}, err
-		}
-		w.Advance(delay)
-		warm, err := w.Load(cond)
-		return [2]browser.LoadResult{cold, warm}, err
-	})
+	cfg.Grid, cfg.Delays = []netsim.Conditions{cond}, []time.Duration{delay}
+	loads, err := revisits(context.Background(), cfg, AllSchemes)
 	if err != nil {
 		return nil, err
 	}
 	var rows []BaselineRow
 	for si, scheme := range AllSchemes {
 		var coldPLT, warmPLT, coldBytes, warmBytes, warmReqs, warmHits, unused []float64
-		for _, l := range loads[si] {
+		for _, l := range loads[0][si] {
 			cold, warm := l[0], l[1]
 			coldPLT = append(coldPLT, float64(cold.PLT))
 			warmPLT = append(warmPLT, float64(warm.PLT))
@@ -337,16 +290,14 @@ type OverheadResult struct {
 
 // RunHeaderOverhead measures the ETag-map header cost across the corpus.
 func RunHeaderOverhead(cfg Config) (*OverheadResult, error) {
-	if cfg.Corpus.Sites == 0 {
-		cfg.Corpus.Sites = 100
-	}
 	type siteOverhead struct {
 		mapBytes, navBytes float64
 		entries            float64
 		hasWorker          bool
 	}
-	sites, err := eachWorld(cfg, []Scheme{SchemeCatalyst}, func(w *World) (o siteOverhead, err error) {
-		if _, err := w.Load(Median5G()); err != nil {
+	cfg.Grid, cfg.Delays = []netsim.Conditions{Median5G()}, nil
+	sites, err := run(context.Background(), cfg, []Scheme{SchemeCatalyst}, func(w *World, cond netsim.Conditions) (o siteOverhead, err error) {
+		if _, err := w.revisit(cond, cfg.Delays, webgen.PagePath); err != nil {
 			return o, err
 		}
 		m := w.Server.Metrics.MapBytes.Load()
@@ -367,7 +318,7 @@ func RunHeaderOverhead(cfg Config) (*OverheadResult, error) {
 		return nil, err
 	}
 	var entries, mapBytes, navBytes []float64
-	for _, o := range sites[0] {
+	for _, o := range sites[0][0] {
 		mapBytes = append(mapBytes, o.mapBytes)
 		if o.hasWorker {
 			entries = append(entries, o.entries)
@@ -403,16 +354,10 @@ type CrossPageRow struct {
 // catalyst client reuse every shared asset with zero round trips, even the
 // no-cache ones a conventional client must revalidate.
 func RunCrossPage(cfg Config, cond netsim.Conditions) ([]CrossPageRow, error) {
-	if cfg.Corpus.Sites == 0 {
-		cfg.Corpus.Sites = 100
-	}
 	schemes := []Scheme{SchemeConventional, SchemeCatalyst, SchemeCatalystRecord}
-	seconds, err := eachWorld(cfg, schemes, func(w *World) (browser.LoadResult, error) {
-		if _, err := w.Load(cond); err != nil {
-			return browser.LoadResult{}, err
-		}
-		second, err := w.LoadPage(cond, webgen.SecondaryPagePath)
-		return second, err
+	cfg.Grid, cfg.Delays = []netsim.Conditions{cond}, nil
+	loads, err := run(context.Background(), cfg, schemes, func(w *World, cond netsim.Conditions) ([]browser.LoadResult, error) {
+		return w.revisit(cond, cfg.Delays, webgen.PagePath, webgen.SecondaryPagePath)
 	})
 	if err != nil {
 		return nil, err
@@ -420,7 +365,8 @@ func RunCrossPage(cfg Config, cond netsim.Conditions) ([]CrossPageRow, error) {
 	var rows []CrossPageRow
 	for si, scheme := range schemes {
 		var plt, reqs, hits []float64
-		for _, second := range seconds[si] {
+		for _, l := range loads[0][si] {
+			second := l[1]
 			plt = append(plt, float64(second.PLT))
 			reqs = append(reqs, float64(second.NetworkRequests))
 			hits = append(hits, float64(second.LocalHits))
@@ -450,25 +396,17 @@ type CoverageRow struct {
 // happens after one minute, when essentially nothing has changed, so every
 // network request on the warm load is a coverage miss.
 func RunCoverage(cfg Config, cond netsim.Conditions) ([]CoverageRow, error) {
-	if cfg.Corpus.Sites == 0 {
-		cfg.Corpus.Sites = 100
-	}
 	schemes := []Scheme{SchemeCatalyst, SchemeCatalystRecord, SchemeCatalystFull}
-	warms, err := eachWorld(cfg, schemes, func(w *World) (browser.LoadResult, error) {
-		if _, err := w.Load(cond); err != nil {
-			return browser.LoadResult{}, err
-		}
-		w.Advance(time.Minute)
-		warm, err := w.Load(cond)
-		return warm, err
-	})
+	cfg.Grid, cfg.Delays = []netsim.Conditions{cond}, []time.Duration{time.Minute}
+	loads, err := revisits(context.Background(), cfg, schemes)
 	if err != nil {
 		return nil, err
 	}
 	var rows []CoverageRow
 	for si, scheme := range schemes {
 		var reqs, hits, covered []float64
-		for _, warm := range warms[si] {
+		for _, l := range loads[0][si] {
+			warm := l[1]
 			reqs = append(reqs, float64(warm.NetworkRequests))
 			hits = append(hits, float64(warm.LocalHits))
 			sub := float64(warm.Resources - 1)

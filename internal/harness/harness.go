@@ -255,9 +255,33 @@ func (w *World) LoadPage(cond netsim.Conditions, path string) (browser.LoadResul
 // clock between visits" step of the paper's methodology.
 func (w *World) Advance(d time.Duration) { w.Clock.Advance(d) }
 
+// revisit is the paper's evaluation procedure on one world (§4): a cold
+// visit at the epoch, then one visit at each of delays, which are cumulative
+// from the cold visit (reload after 1 min, again at 1 h, …). Every visit
+// loads pages in order; the loads come back visit-major, the cold visit's
+// first.
+func (w *World) revisit(cond netsim.Conditions, delays []time.Duration, pages ...string) ([]browser.LoadResult, error) {
+	loads := make([]browser.LoadResult, 0, (1+len(delays))*len(pages))
+	var at time.Duration
+	for _, d := range append([]time.Duration{0}, delays...) {
+		w.Advance(d - at)
+		at = d
+		for _, path := range pages {
+			r, err := w.LoadPage(cond, path)
+			if err != nil {
+				return nil, fmt.Errorf("harness: site %s: %w", w.Site.Host, err)
+			}
+			loads = append(loads, r)
+		}
+	}
+	return loads, nil
+}
+
 // Config parameterizes an experiment run.
 type Config struct {
-	// Corpus selects the synthetic site corpus.
+	// Corpus selects the synthetic site corpus; zero Sites means 100. A
+	// positive BrokenFrac gives the negative-caching scheme something to
+	// cache: references deployed before their assets.
 	Corpus webgen.Params
 	// Transport is the browser connection model.
 	Transport netsim.TransportOptions
@@ -324,9 +348,6 @@ func QuickConfig() Config {
 func (c Config) validate() error {
 	if len(c.Grid) == 0 {
 		return fmt.Errorf("harness: empty network grid")
-	}
-	if len(c.Delays) == 0 {
-		return fmt.Errorf("harness: no revisit delays")
 	}
 	for i := 1; i < len(c.Delays); i++ {
 		if c.Delays[i] <= c.Delays[i-1] {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -290,14 +291,14 @@ func TestSweepDeterministic(t *testing.T) {
 		}
 	}
 
-	mcfg := MatrixConfig{Corpus: cfg.Corpus, Grid: cfg.Grid, Delays: cfg.Delays, Parallelism: 1}
-	wantM, err := RunSchemeMatrix(mcfg)
+	cfg.Parallelism = 1
+	wantM, err := RunSchemeMatrixContext(context.Background(), cfg, MatrixSchemes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mcfg.Parallelism = 4
+	cfg.Parallelism = 4
 	for run := 0; run < 2; run++ {
-		got, err := RunSchemeMatrix(mcfg)
+		got, err := RunSchemeMatrixContext(context.Background(), cfg, MatrixSchemes)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // deterministic, so any diff is a behaviour change — regenerate with
 // `go test ./internal/harness/ -run Golden -update` and review the diff.
 func TestSchemeMatrixGolden(t *testing.T) {
-	res, err := RunSchemeMatrix(QuickMatrixConfig())
+	res, err := RunSchemeMatrixContext(context.Background(), QuickMatrixConfig(), MatrixSchemes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSchemeMatrixGolden(t *testing.T) {
 // rests on, independent of exact numbers.
 func TestSchemeMatrixShape(t *testing.T) {
 	cfg := QuickMatrixConfig()
-	res, err := RunSchemeMatrix(cfg)
+	res, err := RunSchemeMatrixContext(context.Background(), cfg, MatrixSchemes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +112,12 @@ func TestSchemeMatrixDeterministic(t *testing.T) {
 	cfg := QuickMatrixConfig()
 	cfg.Corpus.Sites = 2
 	cfg.Grid = cfg.Grid[:2]
-	a, err := RunSchemeMatrix(cfg)
+	a, err := RunSchemeMatrixContext(context.Background(), cfg, MatrixSchemes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Parallelism = 8
-	b, err := RunSchemeMatrix(cfg)
+	b, err := RunSchemeMatrixContext(context.Background(), cfg, MatrixSchemes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSchemeMatrixCancellation(t *testing.T) {
 	// Cancelled before the run starts: nothing must execute.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunSchemeMatrixContext(ctx, QuickMatrixConfig()); err != context.Canceled {
+	if _, err := RunSchemeMatrixContext(ctx, QuickMatrixConfig(), MatrixSchemes); err != context.Canceled {
 		t.Fatalf("pre-cancelled run: err = %v, want context.Canceled", err)
 	}
 
@@ -144,7 +144,7 @@ func TestSchemeMatrixCancellation(t *testing.T) {
 	defer timer.Stop()
 	cfg := QuickMatrixConfig()
 	cfg.Corpus.Sites = 8 // enough work that the cancel lands mid-run
-	if _, err := RunSchemeMatrixContext(ctx, cfg); err != nil && err != context.Canceled {
+	if _, err := RunSchemeMatrixContext(ctx, cfg, MatrixSchemes); err != nil && err != context.Canceled {
 		t.Fatalf("mid-run cancel: unexpected error %v", err)
 	}
 	cancel()
@@ -153,17 +153,17 @@ func TestSchemeMatrixCancellation(t *testing.T) {
 func TestMatrixConfigValidate(t *testing.T) {
 	cfg := QuickMatrixConfig()
 	cfg.Grid = nil
-	if _, err := RunSchemeMatrix(cfg); err == nil {
+	if _, err := RunSchemeMatrixContext(context.Background(), cfg, MatrixSchemes); err == nil {
 		t.Error("empty grid accepted")
 	}
 	cfg = QuickMatrixConfig()
 	cfg.Delays = []time.Duration{time.Hour, time.Hour}
-	if _, err := RunSchemeMatrix(cfg); err == nil {
+	if _, err := RunSchemeMatrixContext(context.Background(), cfg, MatrixSchemes); err == nil {
 		t.Error("non-increasing delays accepted")
 	}
 	cfg = QuickMatrixConfig()
 	cfg.Delays = nil
-	if _, err := RunSchemeMatrix(cfg); err == nil {
+	if _, err := RunSchemeMatrixContext(context.Background(), cfg, MatrixSchemes); err == nil {
 		t.Error("empty delays accepted")
 	}
 }

@@ -6,10 +6,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"cachecatalyst/internal/httpcache"
 	"cachecatalyst/internal/netsim"
+	"cachecatalyst/internal/webgen"
 )
 
 // bodyLedger wraps an origin and fingerprints every body it hands out,
@@ -80,16 +80,8 @@ func TestBodiesAreNeverWritten(t *testing.T) {
 					chaosOrigins = append(chaosOrigins, co)
 					w.Origins[host] = ledger.wrap(worlds, name+" browser", co)
 				}
-				if _, err := w.Load(cond); err != nil {
+				if _, err := w.revisit(cond, cfg.Delays, webgen.PagePath); err != nil {
 					t.Fatal(err)
-				}
-				var prev time.Duration
-				for _, d := range cfg.Delays {
-					w.Advance(d - prev)
-					prev = d
-					if _, err := w.Load(cond); err != nil {
-						t.Fatal(err)
-					}
 				}
 				loads += 1 + len(cfg.Delays)
 				worlds++

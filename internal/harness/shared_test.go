@@ -2,10 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 	"time"
 
+	"cachecatalyst/internal/browser"
 	"cachecatalyst/internal/netsim"
 	"cachecatalyst/internal/vclock"
 	"cachecatalyst/internal/webgen"
@@ -21,7 +23,7 @@ var sharedGrid = []netsim.Conditions{Median5G(), {RTT: 80 * time.Millisecond, Do
 var sharedDelays = []time.Duration{time.Hour, 24 * time.Hour, 7 * 24 * time.Hour}
 
 // TestSweepsMatchPrivateSites is the differential test of the shared site:
-// RunFig3 and RunSchemeMatrix, whose worlds are views of one site per index,
+// RunFig3 and RunSchemeMatrixContext, whose worlds are views of one site per index,
 // must equal bit for bit a reference that builds every world with NewWorld,
 // on a site of its own, and folds the trials the same way.
 func TestSweepsMatchPrivateSites(t *testing.T) {
@@ -41,41 +43,39 @@ func TestSweepsMatchPrivateSites(t *testing.T) {
 	}
 
 	cfg := Config{Corpus: sharedCorpus, Grid: sharedGrid, Delays: sharedDelays, Parallelism: 2}
+	// private[cond][scheme][site] is what revisits returns, from worlds that
+	// are each built with NewWorld, on a site of their own, outside run.
+	private := func(schemes []Scheme) [][][][]browser.LoadResult {
+		loads := make([][][][]browser.LoadResult, len(cfg.Grid))
+		for ci, cond := range cfg.Grid {
+			loads[ci] = make([][][]browser.LoadResult, len(schemes))
+			for si, scheme := range schemes {
+				loads[ci][si] = make([][]browser.LoadResult, cfg.Corpus.Sites)
+				for site := range loads[ci][si] {
+					w := NewWorld(cfg.Corpus, site, scheme, cfg.Transport)
+					var err error
+					if loads[ci][si][site], err = w.revisit(cond, cfg.Delays, webgen.PagePath); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		return loads
+	}
+
 	got, err := RunFig3(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paired := make([][][]sampleOut, len(cfg.Grid))
-	for ci, cond := range cfg.Grid {
-		paired[ci] = make([][]sampleOut, sharedCorpus.Sites)
-		for site := range paired[ci] {
-			wBase := NewWorld(cfg.Corpus, site, SchemeConventional, cfg.Transport)
-			wTreat := NewWorld(cfg.Corpus, site, SchemeCatalyst, cfg.Transport)
-			if paired[ci][site], err = runPairedTrial(cfg, cond, wBase, wTreat); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if want := foldPaired(cfg, SchemeConventional, SchemeCatalyst, paired); !reflect.DeepEqual(got, want) {
+	if want := foldPaired(cfg, SchemeConventional, SchemeCatalyst, private([]Scheme{SchemeConventional, SchemeCatalyst})); !reflect.DeepEqual(got, want) {
 		t.Errorf("RunFig3 over shared sites differs from private sites:\n%+v\n%+v", got, want)
 	}
 
-	mcfg := MatrixConfig{Corpus: sharedCorpus, Grid: sharedGrid, Delays: sharedDelays, Schemes: MatrixSchemes, Parallelism: 2}
-	gotM, err := RunSchemeMatrix(mcfg)
+	gotM, err := RunSchemeMatrixContext(context.Background(), cfg, MatrixSchemes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trials := newMatrixTrials(mcfg, sharedCorpus.Sites)
-	for ci, cond := range mcfg.Grid {
-		for si, scheme := range mcfg.Schemes {
-			for site := 0; site < sharedCorpus.Sites; site++ {
-				if trials[ci][si][site], err = runMatrixTrial(mcfg, cond, NewWorld(mcfg.Corpus, site, scheme, mcfg.Transport)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	if want := foldMatrix(mcfg, trials); !reflect.DeepEqual(gotM, want) {
-		t.Errorf("RunSchemeMatrix over shared sites differs from private sites:\n%+v\n%+v", gotM, want)
+	if want := foldMatrix(cfg, MatrixSchemes, private(MatrixSchemes)); !reflect.DeepEqual(gotM, want) {
+		t.Errorf("RunSchemeMatrixContext over shared sites differs from private sites:\n%+v\n%+v", gotM, want)
 	}
 }

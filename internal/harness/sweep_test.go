@@ -14,7 +14,7 @@ import (
 func TestForEachSiteStopsAtTheFirstError(t *testing.T) {
 	fail := errors.New("trial failed")
 	var ran []int
-	err := forEachSite(context.Background(), webgen.Params{Sites: 3, Seed: 7, Scale: 0.35}, 3, 1, func(siteIdx int, _ *webgen.Site, _ siteMemos) error {
+	err := forEachSite(context.Background(), webgen.Params{Sites: 3, Seed: 7, Scale: 0.35}, 1, func(siteIdx int, _ *webgen.Site, _ siteMemos) error {
 		ran = append(ran, siteIdx)
 		return fail
 	})
@@ -52,7 +52,7 @@ func BenchmarkPLTSweep(b *testing.B) {
 		cfg := QuickMatrixConfig()
 		cfg.Corpus.Sites, cfg.Corpus.Seed, cfg.Parallelism = 5, pltSweepSeed, 1
 		for i := 0; i < b.N; i++ {
-			if _, err := RunSchemeMatrix(cfg); err != nil {
+			if _, err := RunSchemeMatrixContext(context.Background(), cfg, MatrixSchemes); err != nil {
 				b.Fatal(err)
 			}
 		}

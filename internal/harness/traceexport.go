@@ -1,7 +1,7 @@
 package harness
 
 import (
-	"fmt"
+	"context"
 	"sync"
 
 	"cachecatalyst/internal/cachesim"
@@ -10,34 +10,34 @@ import (
 )
 
 // ExportTrace drives catalyst worlds over the configured corpus and
-// revisit schedule and returns every Service-Worker subresource access as
-// a webcachesim-format trace (see internal/cachesim). One recorder spans
-// all sites, so the trace mixes origins the way a shared cache would see
-// them — cold loads contribute the one-hit-wonder tail, revisits the
-// popular core, and both pages of each site the intra-site reuse. Sites
-// run concurrently (eachWorld), each logging its own accesses, and the
-// logs are recorded in site order, so the trace does not depend on
-// Parallelism.
+// revisit schedule (revisit, both pages at every visit, at the first grid
+// condition) and returns every Service-Worker subresource access as a
+// webcachesim-format trace (see internal/cachesim). One recorder spans all
+// sites, so the trace mixes origins the way a shared cache would see them —
+// cold loads contribute the one-hit-wonder tail, revisits the popular core,
+// and both pages of each site the intra-site reuse. Sites run concurrently
+// (run), each logging its own accesses, and the logs are recorded in site
+// order, so the trace does not depend on Parallelism.
 //
 // The export exists to close the measurement loop: cmd/cachesim replays
 // the returned trace through any cachestore policy and scores it against
 // the offline optimal bound, so policy choices for the real stores are
 // grounded in the workload the emulated system actually generates.
 func ExportTrace(cfg Config) ([]cachesim.Request, error) {
-	if len(cfg.Grid) == 0 {
-		return nil, fmt.Errorf("harness: config has no network conditions")
+	if len(cfg.Grid) > 1 {
+		cfg.Grid = cfg.Grid[:1]
 	}
-	cond := cfg.Grid[0]
-	logs, err := eachWorld(cfg, []Scheme{SchemeCatalyst}, func(w *World) (*accessLog, error) {
+	logs, err := run(context.Background(), cfg, []Scheme{SchemeCatalyst}, func(w *World, cond netsim.Conditions) (*accessLog, error) {
 		log := new(accessLog)
 		w.Browser.WithAccessRecorder(log)
-		return log, loadTraceVisits(w, cond, cfg)
+		_, err := w.revisit(cond, cfg.Delays, webgen.PagePath, webgen.SecondaryPagePath)
+		return log, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	rec := cachesim.NewRecorder()
-	for _, log := range logs[0] {
+	for _, log := range logs[0][0] {
 		for _, a := range log.accesses {
 			rec.Record(a.key, a.size)
 		}
@@ -61,29 +61,4 @@ func (l *accessLog) Record(key string, size int64) {
 	l.mu.Lock()
 	l.accesses = append(l.accesses, access{key, size})
 	l.mu.Unlock()
-}
-
-// loadTraceVisits performs the cold visit and every configured revisit,
-// touching both generated pages per visit so the trace carries cross-page
-// reuse (shared assets appear under multiple navigations).
-func loadTraceVisits(w *World, cond netsim.Conditions, cfg Config) error {
-	visit := func() error {
-		if _, err := w.Load(cond); err != nil {
-			return fmt.Errorf("harness: site %s: %w", w.Site.Host, err)
-		}
-		if _, err := w.LoadPage(cond, webgen.SecondaryPagePath); err != nil {
-			return fmt.Errorf("harness: site %s: %w", w.Site.Host, err)
-		}
-		return nil
-	}
-	if err := visit(); err != nil {
-		return err
-	}
-	for _, d := range cfg.Delays {
-		w.Advance(d)
-		if err := visit(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

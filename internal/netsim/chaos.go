@@ -279,3 +279,16 @@ func ownHeader(resp *httpcache.Response) *httpcache.Response {
 	out.Header = resp.Header.Clone()
 	return &out
 }
+
+// injected503 builds the uncacheable error response ChaosOrigin answers
+// with when it fails a request outright.
+func injected503() *httpcache.Response {
+	h := make(http.Header)
+	h.Set("Content-Type", "text/plain")
+	h.Set("Cache-Control", "no-store")
+	return &httpcache.Response{
+		StatusCode: http.StatusServiceUnavailable,
+		Header:     h,
+		Body:       []byte("injected failure"),
+	}
+}

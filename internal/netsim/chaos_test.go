@@ -160,12 +160,12 @@ func TestChaosCleanConfigIsTransparent(t *testing.T) {
 	}
 }
 
-// TestChaosOriginConcurrent drives one ChaosOrigin (and one FaultyOrigin)
-// from many goroutines under -race: the counters the satellite fix made
-// atomic, and the chaos lock discipline, must hold up.
+// TestChaosOriginConcurrent drives two ChaosOrigins, one drawing faults and
+// one flapping, from many goroutines under -race: the atomic counters and
+// the chaos lock discipline must hold up.
 func TestChaosOriginConcurrent(t *testing.T) {
 	chaos := NewChaosOrigin(okOrigin{}, ChaosConfig{Seed: 3, FailProb: 0.2, TruncateProb: 0.2, CorruptMapProb: 0.2, StallProb: 0.2, StallFor: time.Millisecond})
-	faulty := &FaultyOrigin{Inner: okOrigin{}, FailEvery: 3}
+	flap := NewChaosOrigin(okOrigin{}, ChaosConfig{UpFor: 2, DownFor: 1})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -174,7 +174,7 @@ func TestChaosOriginConcurrent(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				chaos.StallFor(&Request{})
 				chaos.RoundTrip(&Request{Method: "GET", Path: "/"})
-				faulty.RoundTrip(&Request{Method: "GET", Path: "/"})
+				flap.RoundTrip(&Request{Method: "GET", Path: "/"})
 			}
 		}()
 	}
@@ -182,7 +182,7 @@ func TestChaosOriginConcurrent(t *testing.T) {
 	if got := chaos.Stats().Requests; got != 400 {
 		t.Fatalf("chaos requests = %d, want 400", got)
 	}
-	if got := faulty.Failed(); got != 400/3 { // counts 3, 6, …, 399
-		t.Fatalf("faulty failures = %d, want %d", got, 400/3)
+	if got := flap.Stats().FlapFailures; got != 400/3 { // requests 3, 6, …, 399
+		t.Fatalf("flap failures = %d, want %d", got, 400/3)
 	}
 }

@@ -52,9 +52,6 @@ func (p *Pipe) Start(size int64, done func()) {
 	p.reschedule()
 }
 
-// InFlight returns the number of active transfers.
-func (p *Pipe) InFlight() int { return len(p.active) }
-
 // advance debits elapsed transmission from all active transfers.
 func (p *Pipe) advance() {
 	now := p.sim.Now()

@@ -33,8 +33,7 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerOptions configures a Breaker (and every breaker a BreakerSet
-// mints).
+// BreakerOptions configures a Breaker.
 type BreakerOptions struct {
 	// FailureThreshold is how many consecutive failures open the
 	// breaker. Zero selects 5; negative disables the breaker (Allow
@@ -47,7 +46,7 @@ type BreakerOptions struct {
 	// cooldown expiry needs no real sleeping.
 	Now func() time.Time
 	// Telemetry, when set with a non-empty Name, indexes trip/probe
-	// counters under Name (BreakerSet adds them once for the whole set).
+	// counters under Name.
 	Telemetry *telemetry.Registry
 	Name      string
 }
@@ -90,7 +89,7 @@ type Breaker struct {
 	fails    int
 	openedAt time.Time
 
-	trips *telemetry.Counter // shared with the owning set; may be nil
+	trips *telemetry.Counter // nil without Telemetry
 }
 
 // NewBreaker returns a closed breaker.
@@ -161,57 +160,6 @@ func (b *Breaker) State() BreakerState {
 	defer b.mu.Unlock()
 	return b.state
 }
-
-// BreakerSet mints and holds one breaker per origin key — the "per-origin
-// circuit breakers" of a multi-origin edge. Get is safe for concurrent
-// use and returns the same breaker for the same key.
-type BreakerSet struct {
-	opts BreakerOptions
-
-	mu sync.Mutex
-	m  map[string]*Breaker
-
-	trips telemetry.Counter
-}
-
-// NewBreakerSet returns an empty set; breakers are created on first Get
-// with the set's options.
-func NewBreakerSet(opts BreakerOptions) *BreakerSet {
-	s := &BreakerSet{opts: opts, m: make(map[string]*Breaker)}
-	if opts.Telemetry != nil && opts.Name != "" {
-		opts.Telemetry.RegisterCounter(opts.Name+".trips", &s.trips)
-	}
-	return s
-}
-
-// Get returns the breaker for key, creating it on first use.
-func (s *BreakerSet) Get(key string) *Breaker {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b, ok := s.m[key]; ok {
-		return b
-	}
-	opts := s.opts
-	opts.Telemetry = nil // counters are the set's, not per-key
-	b := NewBreaker(opts)
-	b.trips = &s.trips
-	s.m[key] = b
-	return b
-}
-
-// Keys returns the origin keys breakers exist for.
-func (s *BreakerSet) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	return keys
-}
-
-// Trips returns the total number of breaker openings across the set.
-func (s *BreakerSet) Trips() int64 { return s.trips.Load() }
 
 // HealthChecker actively probes an origin on an interval and records the
 // outcomes into a breaker, so a brown-out is detected before users pay for

@@ -90,36 +90,6 @@ func TestBreakerDisabled(t *testing.T) {
 	}
 }
 
-func TestBreakerSetPerKeyIsolation(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	clk := &fakeClock{}
-	set := NewBreakerSet(BreakerOptions{FailureThreshold: 1, Cooldown: time.Minute, Now: clk.Now,
-		Telemetry: reg, Name: "test.origin_breaker"})
-	a, b := set.Get("a"), set.Get("b")
-	if a == b {
-		t.Fatal("distinct keys share a breaker")
-	}
-	if set.Get("a") != a {
-		t.Fatal("same key minted a second breaker")
-	}
-	a.Record(false)
-	if a.Allow() {
-		t.Fatal("a did not open")
-	}
-	if !b.Allow() {
-		t.Fatal("a's failures opened b")
-	}
-	if set.Trips() != 1 {
-		t.Fatalf("trips = %d", set.Trips())
-	}
-	if reg.Snapshot().Counters["test.origin_breaker.trips"] != 1 {
-		t.Fatal("trips not indexed in registry")
-	}
-	if len(set.Keys()) != 2 {
-		t.Fatalf("keys = %v", set.Keys())
-	}
-}
-
 func TestHealthCheckerDrivesBreaker(t *testing.T) {
 	leakcheck.Check(t)
 	clk := &fakeClock{}

@@ -70,34 +70,3 @@ func (b *Budget) Remaining() time.Duration {
 
 // Exhausted reports whether the budget is spent.
 func (b *Budget) Exhausted() bool { return b.Remaining() == 0 }
-
-// Remaining returns the time left on the context's budget. Contexts
-// without a budget but with a deadline report time until that deadline;
-// contexts with neither report ok == false.
-func Remaining(ctx context.Context) (time.Duration, bool) {
-	if b, ok := BudgetFrom(ctx); ok {
-		return b.Remaining(), true
-	}
-	if d, ok := ctx.Deadline(); ok {
-		r := time.Until(d)
-		if r < 0 {
-			r = 0
-		}
-		return r, true
-	}
-	return 0, false
-}
-
-// StageContext bounds one stage of work to at most max, never exceeding
-// what remains of the context's budget or deadline — the child a stage
-// hands to a probe fan-out or an origin round-trip so a slow stage cannot
-// overdraw the request's allowance.
-func StageContext(ctx context.Context, max time.Duration) (context.Context, context.CancelFunc) {
-	if max <= 0 {
-		return context.WithCancel(ctx)
-	}
-	if rem, ok := Remaining(ctx); ok && rem < max {
-		max = rem
-	}
-	return context.WithTimeout(ctx, max)
-}

@@ -66,40 +66,3 @@ func TestWithBudgetKeepsEarlierDeadline(t *testing.T) {
 		t.Fatal("budget not recorded for accounting")
 	}
 }
-
-func TestRemainingFallsBackToDeadline(t *testing.T) {
-	if _, ok := Remaining(context.Background()); ok {
-		t.Fatal("bare context reported a budget")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	rem, ok := Remaining(ctx)
-	if !ok || rem <= 0 || rem > time.Minute {
-		t.Fatalf("remaining = %v, %v", rem, ok)
-	}
-}
-
-func TestStageContextNeverExceedsBudget(t *testing.T) {
-	ctx, cancel := WithBudget(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	stage, scancel := StageContext(ctx, time.Hour)
-	defer scancel()
-	d, ok := stage.Deadline()
-	if !ok {
-		t.Fatal("stage has no deadline")
-	}
-	if time.Until(d) > 25*time.Millisecond {
-		t.Fatalf("stage deadline %v away exceeds budget", time.Until(d))
-	}
-}
-
-func TestStageContextTighterThanBudget(t *testing.T) {
-	ctx, cancel := WithBudget(context.Background(), time.Hour)
-	defer cancel()
-	stage, scancel := StageContext(ctx, 10*time.Millisecond)
-	defer scancel()
-	d, _ := stage.Deadline()
-	if time.Until(d) > 15*time.Millisecond {
-		t.Fatalf("stage deadline %v away, want ~10ms", time.Until(d))
-	}
-}

@@ -45,7 +45,7 @@ const queueTimeout = 50 * time.Millisecond
 
 // Gate is a bounded-concurrency admission controller with a short timed
 // queue: the front door of the overload story. Under normal load every
-// Acquire returns a slot immediately; under saturation requests queue
+// AcquireSlot returns a slot immediately; under saturation requests queue
 // briefly, and past that they are refused fast — the caller degrades
 // instead of stacking goroutines until memory or latency collapses.
 type Gate struct {
@@ -92,30 +92,12 @@ func newGate(opts GateOptions, maxQueue int, timeout time.Duration) *Gate {
 	return g
 }
 
-// Acquire claims a concurrency slot, waiting in the timed queue when none
-// is free. On success it returns a release func (idempotent — calling it
-// twice frees one slot); on refusal it returns ErrQueueTimeout or
-// ErrQueueFull. A context already cancelled or expiring mid-wait sheds
-// with ErrQueueTimeout: the caller's budget is gone either way.
-//
-// Hot paths that pair each success with exactly one Release should use
-// AcquireSlot instead: the idempotence guard here costs two allocations
-// per admission.
-func (g *Gate) Acquire(ctx context.Context) (release func(), err error) {
-	if err := g.AcquireSlot(ctx); err != nil {
-		return nil, err
-	}
-	var done atomic.Bool
-	return func() {
-		if done.CompareAndSwap(false, true) {
-			g.Release()
-		}
-	}, nil
-}
-
-// AcquireSlot is Acquire without the release closure: the caller owns the
-// slot on nil return and must free it with exactly one Release. This is
-// the allocation-free form for per-request hot paths.
+// AcquireSlot claims a concurrency slot, waiting in the timed queue when
+// none is free. On nil return the caller owns the slot and must free it with
+// exactly one Release; on refusal it returns ErrQueueTimeout or
+// ErrQueueFull. A context already cancelled or expiring mid-wait sheds with
+// ErrQueueTimeout: the caller's budget is gone either way. It allocates
+// nothing on the admitting path.
 func (g *Gate) AcquireSlot(ctx context.Context) error {
 	select {
 	case g.slots <- struct{}{}:
@@ -149,8 +131,7 @@ func (g *Gate) AcquireSlot(ctx context.Context) error {
 	}
 }
 
-// Release frees one slot claimed by a successful AcquireSlot (or by the
-// release func Acquire returned, which guards its own idempotence).
+// Release frees one slot claimed by a successful AcquireSlot.
 func (g *Gate) Release() {
 	<-g.slots
 	g.inflight.Add(-1)

@@ -13,31 +13,26 @@ import (
 
 func TestGateAdmitsUpToCapacity(t *testing.T) {
 	g := newGate(GateOptions{MaxInflight: 2}, 0, queueTimeout) // no queue: immediate shed
-	r1, err := g.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := g.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := g.AcquireSlot(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if g.Inflight() != 2 {
 		t.Fatalf("inflight = %d", g.Inflight())
 	}
-	if _, err := g.Acquire(context.Background()); !errors.Is(err, ErrQueueFull) {
+	if err := g.AcquireSlot(context.Background()); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third acquire: %v, want ErrQueueFull", err)
 	}
-	r1()
-	r1() // idempotent: must not free a second slot
+	g.Release()
 	if g.Inflight() != 1 {
 		t.Fatalf("inflight after release = %d", g.Inflight())
 	}
-	r3, err := g.Acquire(context.Background())
-	if err != nil {
+	if err := g.AcquireSlot(context.Background()); err != nil {
 		t.Fatalf("acquire after release: %v", err)
 	}
-	r2()
-	r3()
+	g.Release()
+	g.Release()
 	if g.Admitted() != 3 || g.Shed() != 1 {
 		t.Fatalf("admitted=%d shed=%d", g.Admitted(), g.Shed())
 	}
@@ -45,37 +40,35 @@ func TestGateAdmitsUpToCapacity(t *testing.T) {
 
 func TestGateQueueTimesOut(t *testing.T) {
 	g := newGate(GateOptions{MaxInflight: 1}, 4, 5*time.Millisecond)
-	release, err := g.Acquire(context.Background())
-	if err != nil {
+	if err := g.AcquireSlot(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := g.Acquire(context.Background()); !errors.Is(err, ErrQueueTimeout) {
+	if err := g.AcquireSlot(context.Background()); !errors.Is(err, ErrQueueTimeout) {
 		t.Fatalf("queued acquire: %v, want ErrQueueTimeout", err)
 	}
 	if waited := time.Since(start); waited < 5*time.Millisecond || waited > time.Second {
 		t.Fatalf("waited %v, want ~5ms", waited)
 	}
-	release()
+	g.Release()
 }
 
 func TestGateQueueDrainsToWaiter(t *testing.T) {
 	leakcheck.Check(t)
 	g := newGate(GateOptions{MaxInflight: 1}, 4, 2*time.Second)
-	release, err := g.Acquire(context.Background())
-	if err != nil {
+	if err := g.AcquireSlot(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan error, 1)
 	go func() {
-		r, err := g.Acquire(context.Background())
+		err := g.AcquireSlot(context.Background())
 		if err == nil {
-			r()
+			g.Release()
 		}
 		got <- err
 	}()
 	time.Sleep(10 * time.Millisecond) // let the waiter queue
-	release()
+	g.Release()
 	select {
 	case err := <-got:
 		if err != nil {
@@ -88,15 +81,17 @@ func TestGateQueueDrainsToWaiter(t *testing.T) {
 
 func TestGateCancelledContextSheds(t *testing.T) {
 	g := newGate(GateOptions{MaxInflight: 1}, 4, time.Minute)
-	release, _ := g.Acquire(context.Background())
-	defer release()
+	if err := g.AcquireSlot(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer g.Release()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	if _, err := g.Acquire(ctx); !errors.Is(err, ErrQueueTimeout) {
+	if err := g.AcquireSlot(ctx); !errors.Is(err, ErrQueueTimeout) {
 		t.Fatalf("cancelled acquire: %v", err)
 	}
 	if time.Since(start) > time.Second {
@@ -107,9 +102,13 @@ func TestGateCancelledContextSheds(t *testing.T) {
 func TestGateTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	g := newGate(GateOptions{MaxInflight: 1, Telemetry: reg, Name: "test.gate"}, 0, queueTimeout)
-	release, _ := g.Acquire(context.Background())
-	g.Acquire(context.Background()) // shed: no queue
-	release()
+	if err := g.AcquireSlot(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AcquireSlot(context.Background()); err == nil { // shed: no queue
+		t.Fatal("second acquire admitted past the only slot")
+	}
+	g.Release()
 	snap := reg.Snapshot()
 	if snap.Counters["test.gate.admitted"] != 1 || snap.Counters["test.gate.shed_full"] != 1 {
 		t.Fatalf("counters: %+v", snap.Counters)
@@ -128,13 +127,12 @@ func TestGateConcurrentStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			release, err := g.Acquire(context.Background())
-			if err != nil {
+			if err := g.AcquireSlot(context.Background()); err != nil {
 				shed.Add(1)
 				return
 			}
 			time.Sleep(100 * time.Microsecond)
-			release()
+			g.Release()
 			served.Add(1)
 		}()
 	}

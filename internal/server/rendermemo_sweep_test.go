@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"context"
 	"testing"
 
 	"cachecatalyst/internal/harness"
@@ -19,7 +20,7 @@ func TestMemoisedRendersAreExact(t *testing.T) {
 	headline.Corpus.Sites, headline.Corpus.Scale = 2, 0.6
 	var matrixErr, headlineErr error
 	memos := server.CollectRenderMemos(func() {
-		_, matrixErr = harness.RunSchemeMatrix(harness.QuickMatrixConfig())
+		_, matrixErr = harness.RunSchemeMatrixContext(context.Background(), harness.QuickMatrixConfig(), harness.MatrixSchemes)
 		_, headlineErr = harness.RunHeadline(headline)
 	})
 	if matrixErr != nil || headlineErr != nil {

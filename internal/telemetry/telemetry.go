@@ -84,11 +84,6 @@ func (h *Histogram) Observe(v int64) {
 	h.bucket[bucketIndex(v)].Add(1)
 }
 
-// ObserveSince records the elapsed time since start.
-func (h *Histogram) ObserveSince(start time.Time) {
-	h.Observe(int64(time.Since(start)))
-}
-
 // bucketIndex maps a value to its bucket: bucket i covers
 // (firstBound<<(i-1), firstBound<<i], bucket 0 covers (-inf, firstBound],
 // and the final slot collects everything past the last finite bound.
@@ -259,14 +254,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	}
 	h = &Histogram{}
 	r.hists[name] = h
-	return h
-}
-
-// RegisterHistogram indexes an existing histogram under name.
-func (r *Registry) RegisterHistogram(name string, h *Histogram) *Histogram {
-	r.mu.Lock()
-	r.hists[name] = h
-	r.mu.Unlock()
 	return h
 }
 

@@ -149,39 +149,6 @@ func StartTrace(ctx context.Context, id string) (context.Context, *Trace) {
 	return WithTrace(ctx, t), t
 }
 
-// tracePool recycles Trace objects — and, more importantly, their event
-// and span backing arrays — so a server that traces every request settles
-// into steady-state zero allocation for the trace scratch itself.
-var tracePool = sync.Pool{New: func() any { return &Trace{} }}
-
-// AcquireTrace returns a pooled trace, reset and started now (generated ID
-// when id is empty). It is NewTrace for request-rate callers: pair it with
-// Release once the trace has been serialized and no reference survives.
-func AcquireTrace(id string) *Trace {
-	t := tracePool.Get().(*Trace)
-	if id == "" {
-		id = NextRequestID()
-	}
-	t.ID = id
-	t.start = time.Now()
-	return t
-}
-
-// Release resets t and returns it to the pool, keeping the recorded
-// events' and spans' capacity for the next request. The caller must hold
-// the only reference: a released trace is reused concurrently, so copy out
-// (Events/Spans/Decisions already copy) before releasing.
-func (t *Trace) Release() {
-	t.mu.Lock()
-	clear(t.evs) // drop the event strings; keep the array
-	t.evs = t.evs[:0]
-	clear(t.spans)
-	t.spans = t.spans[:0]
-	t.mu.Unlock()
-	t.ID = ""
-	tracePool.Put(t)
-}
-
 // spanPath returns the dotted span path active in ctx.
 func spanPath(ctx context.Context) string {
 	p, _ := ctx.Value(spanKey{}).(string)

@@ -31,10 +31,6 @@ import (
 	"cachecatalyst/internal/telemetry"
 )
 
-// DefaultName is the reserved tenant name single-tenant deployments (and
-// requests matching no rule, when a catch-all tenant exists) resolve to.
-const DefaultName = "default"
-
 // Tenant describes one application served by the edge tier.
 type Tenant struct {
 	// Name identifies the tenant in cache namespaces, telemetry
