@@ -20,12 +20,20 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Fork guard: the HTML decoration pipeline exists once (internal/decorate),
-# and catalyst.Middleware and internal/server are adapters over it. Fails
-# when, in non-test code outside bench/ (which times the leaf functions
-# themselves), snippet injection or delta diffing gains a second call site,
-# the preload-hint cap a second definition, or internal/server a tenant
-# path (DESIGN.md §3) — or when a second reverse proxy is assembled beside
+# Fork guard: the HTML decoration stages exist once (internal/decorate), and
+# one front end runs them: catalyst.Middleware, in front of any handler or of
+# internal/server's content server. Fails when, in non-test code outside
+# bench/ (which times the leaf functions themselves), snippet injection or
+# delta diffing gains a second call site, the preload-hint cap a second
+# definition, or internal/server a tenant path (DESIGN.md §3) — or when
+# pages are rendered in a second package: decorate.NewRender( is called in
+# exactly one non-test package, catalyst, whose render fills (the probe-backed
+# store's and the content-backed one's, through the render memo a sweep
+# shares) are the only ones — or when internal/server decorates again: it
+# names none of decorate.Slot, decorate.Resolve(, decorate.NewResolved(,
+# decorate.DeltaBase( or resilience.NewGate(, because the map slot, the
+# resolve, delta bases and the admission gate are the front end's
+# (DESIGN.md §3, §7) — or when a second reverse proxy is assembled beside
 # catalyst.NewUpstreamProxy, the one upstream leg the daemon and the cluster
 # harness share (DESIGN.md §13) — or when the cache core grows a second
 # eviction order beside GDSF's rank: a recency list, a touch counter, a policy
@@ -58,11 +66,8 @@ vet:
 # parse goes through the memo a sweep shares among a site's worlds — or
 # resolves a reference beside it: url.Parse(, ResolveReference( and
 # resolveRef( have no caller in non-test internal/browser outside memo.go,
-# which keeps each body's references resolved per document URL — or when
-# internal/server renders a page beside its render memo: decorate.NewRender(
-# is called once in non-test internal/server, in rendermemo.go's fill, so
-# every world's server of a site reads renders through the memo the sweep
-# shares — or when a bundling origin assembles a push bundle beside its
+# which keeps each body's references resolved per document URL — or when a
+# bundling origin assembles a push bundle beside its
 # bundle memo: json.Marshal(entries) is called once in non-test
 # internal/baselines, in bundle.go's memo fill (DESIGN.md §3) — or when the
 # emulated browser starts a trace of its own: telemetry.StartTrace( has no
@@ -83,7 +88,8 @@ forks:
 		'/internal/httpcache/\|/catalyst/:range [A-Za-z0-9_.]*\([nN]ot[mM]odified\|304\|httpResp\)[A-Za-z0-9_]*\.Header' \
 		'/catalyst/[^/]*\.go$$:"crypto/sha256"' '/:htmlparse\.Parse(' \
 		'/catalyst/[^/]*\.go$$:probeGen\|minExpires\|encodedMap' '/:GetBytes(\|renderKeyPool' \
-		'/internal/server/:httptest\.'; do \
+		'/internal/server/:httptest\.' \
+		'/internal/server/:decorate\.Slot\|decorate\.Resolve(\|decorate\.NewResolved(\|decorate\.DeltaBase(\|resilience\.NewGate('; do \
 		files=$$(echo "$$src" | tr ' ' '\n' | grep "$${chk%%:*}"); \
 		if grep -Hn "$${chk#*:}" $$files | grep -v ':[0-9]*:[[:space:]]*//' >&2; then \
 			echo "forks: '$${chk#*:}' is back in non-test code under '$${chk%%:*}', want 0" >&2; fail=1; fi; \
@@ -101,9 +107,9 @@ forks:
 	done; \
 	if grep -Hn 'ResolveReference(\|url\.Parse(\|resolveRef(' $$brw | grep -v '/internal/browser/memo\.go:\|:[0-9]*:[[:space:]]*//' >&2; then \
 		echo "forks: the emulated browser resolves a reference outside memo.go, beside the memo that keeps resolved references (DESIGN.md §3)" >&2; fail=1; fi; \
-	rnd=$$(grep -Hn 'decorate\.NewRender(' $$(echo "$$src" | grep '/internal/server/') | grep -v ':[0-9]*:[[:space:]]*//'); \
-	if [ "$$(echo "$$rnd" | grep -c '/internal/server/rendermemo\.go:')" -ne 1 ] || [ "$$(echo "$$rnd" | grep -c .)" -ne 1 ]; then \
-		echo "forks: 'decorate.NewRender(' is called $$(echo "$$rnd" | grep -c .) times in non-test internal/server, want once, in rendermemo.go:" >&2; echo "$$rnd" >&2; fail=1; fi; \
+	rnd=$$(grep -Hn 'decorate\.NewRender(' $$src | grep -v ':[0-9]*:[[:space:]]*//'); \
+	if [ "$$(echo "$$rnd" | sed 's|/[^/]*:[0-9]*:.*||' | sort -u | grep -c .)" -ne 1 ]; then \
+		echo "forks: 'decorate.NewRender(' is called in $$(echo "$$rnd" | sed 's|/[^/]*:[0-9]*:.*||' | sort -u | grep -c .) non-test packages, want one:" >&2; echo "$$rnd" >&2; fail=1; fi; \
 	bnd=$$(grep -Hn 'json\.Marshal(entries)' $$(echo "$$src" | grep '/internal/baselines/') | grep -v ':[0-9]*:[[:space:]]*//'); \
 	if [ "$$(echo "$$bnd" | grep -c '/internal/baselines/bundle\.go:')" -ne 1 ] || [ "$$(echo "$$bnd" | grep -c .)" -ne 1 ]; then \
 		echo "forks: 'json.Marshal(entries)' is called $$(echo "$$bnd" | grep -c .) times in non-test internal/baselines, want once, in bundle.go's memo fill:" >&2; echo "$$bnd" >&2; fail=1; fi; \
@@ -128,9 +134,10 @@ forks:
 # Short fuzz pass over the hostile-input parsers (X-Etag-Config decoding,
 # map building, cache-trace parsing, delta patches, probe targets out of
 # upstream HTML, the HTML parser itself and the streaming extractor checked
-# against it), the render cache's raw-page compare, and the 304 header merge
-# the held page and the browser cache share. The corpus seeds also run as
-# part of plain `go test`.
+# against it), the render cache's raw-page compare, the 304 header merge
+# the held page and the browser cache share, and the two inputs that cross
+# into the daemon from outside: a peer's hot-map announcement and
+# catalystd.json. The corpus seeds also run as part of plain `go test`.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeMap -fuzztime=10s ./internal/core/
 	$(GO) test -run=^$$ -fuzz=FuzzBuildMap -fuzztime=10s ./internal/core/
@@ -142,6 +149,8 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=10s ./internal/htmlparse/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeEntities -fuzztime=10s ./internal/htmlparse/
 	$(GO) test -run=^$$ -fuzz=FuzzExtractPage -fuzztime=10s ./internal/htmlparse/
+	$(GO) test -run=^$$ -fuzz=FuzzHotMapAnnouncement -fuzztime=10s ./internal/cluster/
+	$(GO) test -run=^$$ -fuzz=FuzzParseConfig -fuzztime=10s ./internal/tenant/
 
 # Scheme-matrix smoke: the conformance suite (golden table, shape claims,
 # determinism, cancellation under -race, and the parse, render and bundle memos'

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/browser"
 	"cachecatalyst/internal/harness"
 	"cachecatalyst/internal/netsim"
@@ -38,7 +39,7 @@ func benchCorpus() webgen.Params {
 func BenchmarkFig1(b *testing.B) {
 	const host = "site.example"
 	cond := netsim.Conditions{RTT: 40 * time.Millisecond, DownlinkBps: 60e6}
-	build := func(clock vclock.Clock, catalyst bool) browser.OriginMap {
+	build := func(clock vclock.Clock, decorated bool) browser.OriginMap {
 		c := server.NewMemContent()
 		week := server.CachePolicy{MaxAge: 7 * 24 * time.Hour, HasMaxAge: true}
 		c.SetBody("/index.html", `<html><head><link rel="stylesheet" href="/a.css"><script src="/b.js"></script></head><body></body></html>`, server.CachePolicy{NoCache: true})
@@ -46,8 +47,11 @@ func BenchmarkFig1(b *testing.B) {
 		c.SetBody("/b.js", "//@fetch /c.js\n", server.CachePolicy{NoCache: true})
 		c.SetBody("/c.js", "//@fetch /d.jpg\n", week)
 		c.SetBody("/d.jpg", "JPEG", server.CachePolicy{MaxAge: time.Hour, HasMaxAge: true})
-		srv := server.New(c, server.Options{Catalyst: catalyst, Record: catalyst, Clock: clock})
-		return browser.OriginMap{host: server.NewOrigin(srv)}
+		srv := server.New(c, server.Options{Record: decorated, Clock: clock})
+		if !decorated {
+			return browser.OriginMap{host: server.NewOrigin(srv)}
+		}
+		return browser.OriginMap{host: server.NewOrigin(catalyst.Middleware(srv, catalyst.MiddlewareOptions{}))}
 	}
 
 	var cold, conv, cat time.Duration

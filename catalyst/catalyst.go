@@ -27,6 +27,7 @@ package catalyst
 
 import (
 	"io/fs"
+	"net/http"
 	"time"
 
 	"cachecatalyst/internal/core"
@@ -86,38 +87,39 @@ type ServerOptions struct {
 	// map-built, network, …) back to the client in a Server-Timing
 	// response header.
 	ServerTiming bool
-	// MaxInflight bounds concurrent ETag-map resolutions; a request
-	// refused a slot within 50 ms serves its HTML without a map instead of
-	// queueing behind a saturated resolver. Zero disables the admission
-	// gate.
+	// MaxInflight bounds concurrently decorated HTML responses (the
+	// Middleware's gate); a page refused a slot within 50 ms is served
+	// undecorated, and one refused with the queue full is answered 503.
+	// Zero disables the admission gate.
 	MaxInflight int
-	// RequestBudget, when positive, deadlines each request; map
-	// resolution inherits the remainder and ships partial maps on time
-	// rather than complete maps late.
+	// RequestBudget, when positive, deadlines each page; map resolution
+	// inherits the remainder and ships partial maps on time rather than
+	// complete maps late.
 	RequestBudget time.Duration
 	// MaxRenderBytes bounds the rendered-page cache. Zero selects the
 	// server default (16 MiB); negative disables the cache.
 	MaxRenderBytes int64
 }
 
-// NewServer serves the directory tree fsys with CacheCatalyst enabled: the
-// returned handler attaches X-Etag-Config to every HTML response, injects
-// the registration snippet, serves the worker script, and answers
-// conditional requests with 304s.
-func NewServer(fsys fs.FS, opts ServerOptions) (*server.Server, error) {
+// NewServer serves the directory tree fsys with CacheCatalyst enabled:
+// Middleware in front of a file server. The returned handler attaches
+// X-Etag-Config to every HTML response, injects the registration snippet,
+// serves the worker script, and answers conditional requests with 304s.
+func NewServer(fsys fs.FS, opts ServerOptions) (http.Handler, error) {
 	content, err := server.NewFSContent(fsys, opts.Policy)
 	if err != nil {
 		return nil, err
 	}
-	return server.New(content, server.Options{
-		Catalyst:       true,
-		Record:         opts.Record,
-		AccessLogSize:  opts.AccessLogSize,
-		Telemetry:      opts.Telemetry,
-		ServerTiming:   opts.ServerTiming,
+	srv := server.New(content, server.Options{
+		Record:        opts.Record,
+		AccessLogSize: opts.AccessLogSize,
+		Telemetry:     opts.Telemetry,
+		ServerTiming:  opts.ServerTiming,
+	})
+	return Middleware(srv, MiddlewareOptions{
+		MaxRenderBytes: opts.MaxRenderBytes,
 		MaxInflight:    opts.MaxInflight,
 		RequestBudget:  opts.RequestBudget,
-		MaxRenderBytes: opts.MaxRenderBytes,
 	}), nil
 }
 

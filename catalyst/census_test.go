@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"cachecatalyst/internal/cluster"
 	"cachecatalyst/internal/core"
 	"cachecatalyst/internal/resilience"
 	"cachecatalyst/internal/server"
@@ -20,15 +21,14 @@ func TestOptionCensus(t *testing.T) {
 		fields []string
 	}{
 		{reflect.TypeOf(MiddlewareOptions{}), []string{
-			"MaxRenderBytes", // cmd/catalystd (-cache-budget)
+			"MaxRenderBytes", // cmd/catalystd (-cache-budget), catalyst.NewServer
 			"Telemetry",      // cmd/catalystd, bench
-			"MaxInflight",    // cmd/catalystd (-max-inflight), bench
-			"RequestBudget",  // cmd/catalystd (-request-budget)
+			"MaxInflight",    // cmd/catalystd (-max-inflight), catalyst.NewServer, bench
+			"RequestBudget",  // cmd/catalystd (-request-budget), catalyst.NewServer
 			"OriginBreaker",  // cmd/catalystd (proxy mode's health-checked breaker)
 			"ServerTiming",   // cmd/catalystd (-server-timing)
-			"EarlyHints",     // none yet: waits for ROADMAP item 10's stage 2
 			"Exchange",       // internal/harness (cluster), bench
-			"Delta",          // none yet: waits for ROADMAP item 10's stage 2
+			"Delta",          // internal/harness (catalyst-delta scheme)
 		}},
 		{reflect.TypeOf(ServerOptions{}), []string{
 			"Record",         // cmd/catalystd (-record)
@@ -41,27 +41,27 @@ func TestOptionCensus(t *testing.T) {
 			"MaxRenderBytes", // cmd/catalystd (-cache-budget)
 		}},
 		{reflect.TypeOf(server.Options{}), []string{
-			"Catalyst",        // catalyst.NewServer, internal/harness
 			"Record",          // catalyst.NewServer, internal/harness
 			"CrossOriginETag", // internal/harness (catalyst-full)
 			"Clock",           // internal/harness (virtual clock)
-			"AccessLogSize",   // catalyst.NewServer
-			"MaxRenderBytes",  // catalyst.NewServer
-			"Telemetry",       // catalyst.NewServer
-			"ServerTiming",    // catalyst.NewServer
-			"MaxInflight",     // catalyst.NewServer
-			"RequestBudget",   // catalyst.NewServer
+			"AccessLogSize",   // catalyst.NewServer, cmd/catalystd (-plain)
+			"Telemetry",       // catalyst.NewServer, cmd/catalystd (-plain)
+			"ServerTiming",    // catalyst.NewServer, cmd/catalystd (-plain), cmd/timeline
 			"EarlyHints",      // internal/harness (early-hints scheme)
-			"Delta",           // internal/harness (catalyst-delta scheme)
 		}},
 		{reflect.TypeOf(core.BuildOptions{}), []string{
-			"CrossOriginETag", // internal/server
-			"Concurrency",     // catalyst.Middleware (the probe fan-out), internal/server
+			"CrossOriginETag", // catalyst.Middleware (in front of a server.Server)
+			"Concurrency",     // catalyst.Middleware (the probe fan-out; a server's MapTuning)
 		}},
 		{reflect.TypeOf(resilience.GateOptions{}), []string{
-			"MaxInflight", // catalyst.Middleware, internal/server, bench
-			"Telemetry",   // catalyst.Middleware, internal/server
-			"Name",        // catalyst.Middleware, internal/server
+			"MaxInflight", // catalyst.Middleware, bench
+			"Telemetry",   // catalyst.Middleware
+			"Name",        // catalyst.Middleware
+		}},
+		{reflect.TypeOf(cluster.ExchangeOptions{}), []string{
+			"Instance",  // cmd/catalystd (catalystd.json "cluster"), internal/harness (cluster), bench
+			"Peers",     // cmd/catalystd (catalystd.json "cluster"), internal/harness (cluster), bench
+			"Telemetry", // cmd/catalystd, internal/harness (cluster), bench
 		}},
 	}
 	for _, c := range census {

@@ -24,12 +24,12 @@ func clientWorld(t *testing.T) (string, *server.Server, func()) {
 		"s.css":      {Data: []byte("body{}")},
 		"logo.png":   {Data: []byte("PNG-V1")},
 	}
-	srv, err := NewServer(fsys, ServerOptions{Policy: DefaultPolicy})
+	h, err := NewServer(fsys, ServerOptions{Policy: DefaultPolicy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
-	return ts.URL, srv, ts.Close
+	ts := httptest.NewServer(h)
+	return ts.URL, serverOf(h), ts.Close
 }
 
 func TestClientFirstVisitFetchesAndCaches(t *testing.T) {
@@ -104,12 +104,13 @@ func TestClientFetchesChangedResource(t *testing.T) {
 		"index.html": {Data: []byte(`<img src="/logo.png">`)},
 		"logo.png":   {Data: []byte("PNG-V1")},
 	}
-	srv, err := NewServer(fsys, ServerOptions{Policy: DefaultPolicy})
+	h, err := NewServer(fsys, ServerOptions{Policy: DefaultPolicy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(h)
 	defer ts.Close()
+	srv := serverOf(h)
 
 	c := NewClient(nil)
 	if _, err := c.Get(ts.URL + "/index.html"); err != nil {

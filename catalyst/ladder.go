@@ -64,10 +64,11 @@ func (m *middleware) staleFor(ts *tenantState, pageURL string) (*staleEntry, boo
 // successful instrumented serve. The hot path skips the write while the
 // existing entry still matches and is young; a quarter of the stale TTL
 // bounds how outdated the recorded timestamp may run.
-func (m *middleware) recordStale(ts *tenantState, pageURL string, ent *renderEntry, encoded string, hdr http.Header, now time.Time) {
+func (m *middleware) recordStale(ts *tenantState, pageURL string, ent *renderEntry, encoded string, hdr http.Header) {
 	if ts.stales == nil {
 		return
 	}
+	now := time.Now()
 	if prev, ok := ts.stales.Peek(pageURL); ok &&
 		prev.tag == ent.Tag && prev.enc == encoded && now.Sub(prev.at) < ts.staleTTL/4 {
 		return
@@ -110,17 +111,6 @@ func (m *middleware) serveStale(ts *tenantState, w http.ResponseWriter, r *http.
 	return true
 }
 
-// servePassthrough runs the inner handler once with the original request
-// — conditionals intact, no sniffing, no probing, no instrumentation —
-// the ladder's middle rung.
-func (m *middleware) servePassthrough(w http.ResponseWriter, r *http.Request, reason string) {
-	m.metrics.LadderPassthrough.Add(1)
-	m.decide(r.Context(), w.Header(), "passthrough", reason)
-	if m.serveInner(w, r) {
-		http.Error(w, "internal error", http.StatusInternalServerError)
-	}
-}
-
 // servePlain delivers an already-buffered HTML entity un-instrumented:
 // the raw body, no snippet, no map, no probing. Used when the request's
 // deadline budget ran out after the inner handler finished but before
@@ -154,19 +144,26 @@ func (m *middleware) serveReject(w http.ResponseWriter, r *http.Request, reason 
 	http.Error(w, "overloaded, retry shortly", http.StatusServiceUnavailable)
 }
 
-// shed routes a gate-refused request down the ladder. A timed-out queue
-// wait means the server is busy but moving: an un-instrumented pass is
-// still affordable. A full queue means saturation: only pre-computed
-// answers (stale) or a refusal are.
-func (m *middleware) shed(ts *tenantState, w http.ResponseWriter, r *http.Request, pageURL string, err error) {
-	if r.Method == http.MethodGet || r.Method == http.MethodHead {
-		if m.serveStale(ts, w, r, pageURL, "shed") {
-			return
-		}
+// shed routes a gate-refused request down the ladder and reports whether it
+// answered it. A timed-out queue wait means the server is busy but moving:
+// an un-instrumented pass is still affordable — the inner handler run once
+// with the original request, conditionals intact, or, in front of a
+// *server.Server, the server serving the page undecorated, which shed
+// leaves to it. A full queue means saturation: only pre-computed answers
+// (stale) or a refusal are.
+func (m *middleware) shed(ts *tenantState, w http.ResponseWriter, r *http.Request, pageURL string, err error) bool {
+	m.metrics.MapSheds.Add(1)
+	if (r.Method == http.MethodGet || r.Method == http.MethodHead) && m.serveStale(ts, w, r, pageURL, "shed") {
+		return true
 	}
-	if errors.Is(err, resilience.ErrQueueTimeout) {
-		m.servePassthrough(w, r, "shed")
-		return
+	if !errors.Is(err, resilience.ErrQueueTimeout) {
+		m.serveReject(w, r, "queue-full")
+		return true
 	}
-	m.serveReject(w, r, "queue-full")
+	m.metrics.LadderPassthrough.Add(1)
+	m.decide(r.Context(), w.Header(), "passthrough", "shed")
+	if m.content == nil && m.serveInner(w, r) {
+		http.Error(w, "internal error", http.StatusInternalServerError)
+	}
+	return m.content == nil
 }

@@ -35,12 +35,15 @@ func TestOversizedMapIsBounded(t *testing.T) {
 		t.Fatalf("the full map encodes to %d bytes, not past the %d-byte bound", n, core.MaxEncodedMapBytes)
 	}
 
-	mw := Middleware(server.New(content, server.Options{}), MiddlewareOptions{})
+	// In front of a *server.Server the middleware resolves from Content;
+	// in front of any other handler, through probes.
+	srv := server.New(content, server.Options{})
+	mw := Middleware(http.HandlerFunc(srv.ServeHTTP), MiddlewareOptions{})
 	for _, fe := range []struct {
 		name string
 		h    http.Handler
 	}{
-		{"server", server.New(content, server.Options{Catalyst: true})},
+		{"server", Middleware(srv, MiddlewareOptions{})},
 		{"middleware", mw},
 	} {
 		t.Run(fe.name, func(t *testing.T) {

@@ -1,6 +1,7 @@
 package catalyst
 
 import (
+	"cmp"
 	"encoding/json"
 	"net/http"
 	"net/http/pprof"
@@ -9,8 +10,7 @@ import (
 	"cachecatalyst/internal/telemetry"
 )
 
-// MetricsPath is the path WithMetricsOptions and WithMetricsHandler serve
-// the snapshot at.
+// MetricsPath is the path WithMetricsOptions serves the snapshot at.
 const MetricsPath = "/debug/catalystd"
 
 // MetricsOptions configures WithMetricsOptions.
@@ -30,33 +30,24 @@ type MetricsOptions struct {
 	Config any
 }
 
-// WithMetricsOptions wraps srv so that MetricsPath serves a JSON snapshot —
-// the registry's instruments under "telemetry" and, when
-// ServerOptions.AccessLogSize was set, the recent requests — while every
-// other request reaches the site; MetricsOptions.PProf mounts the pprof
-// handlers. cmd/catalystd uses this behind its -metrics flag.
-func WithMetricsOptions(srv *server.Server, opts MetricsOptions) http.Handler {
-	if opts.Telemetry == nil {
-		opts.Telemetry = srv.Telemetry()
+// WithMetricsOptions wraps next so that MetricsPath serves a JSON snapshot —
+// the registry's instruments under "telemetry" and, when next is a
+// *server.Server or NewServer's handler in front of one built with
+// ServerOptions.AccessLogSize, the recent requests — while every other
+// request reaches next; MetricsOptions.PProf mounts the pprof handlers.
+// cmd/catalystd uses this behind its -metrics flag, in every mode: with a
+// reverse proxy behind the middleware the payload is registry plus config
+// alone.
+func WithMetricsOptions(next http.Handler, opts MetricsOptions) http.Handler {
+	srv, _ := next.(*server.Server)
+	if m, ok := next.(*middleware); ok && m.content != nil {
+		srv = m.content.srv
 	}
-	return metricsMux(srv, srv.RecentRequests, opts)
-}
-
-// WithMetricsHandler is WithMetricsOptions for deployments with no
-// *server.Server behind the middleware — catalystd's proxy modes, where
-// the inner handler is a reverse proxy. The MetricsPath JSON carries the
-// registry snapshot and the echoed config, and PProf mounts the same
-// pprof surface, so a proxy-mode daemon is observable exactly like a
-// file-serving one.
-func WithMetricsHandler(next http.Handler, opts MetricsOptions) http.Handler {
-	return metricsMux(next, nil, opts)
-}
-
-// metricsMux mounts the MetricsPath JSON (and optionally pprof) in front
-// of next. Every counter comes from the registry; recent, when non-nil,
-// adds the server's recent-request ring. Proxy mode passes nil and the
-// payload is registry plus config alone.
-func metricsMux(next http.Handler, recent func() []server.AccessEntry, opts MetricsOptions) http.Handler {
+	var recent func() []server.AccessEntry
+	if srv != nil {
+		recent = srv.RecentRequests
+		opts.Telemetry = cmp.Or(opts.Telemetry, srv.Telemetry())
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc(MetricsPath, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -100,11 +91,19 @@ type middlewareMetrics struct {
 	// MapEntriesDropped counts X-Etag-Config entries removed to keep the
 	// encoded map within core.MaxEncodedMapBytes (decorate.EncodeMap).
 	MapEntriesDropped telemetry.Counter
+	// MapsBuilt counts HTML responses whose X-Etag-Config a resolve
+	// assembled, and MapBytes their encoded wire bytes: MapBytes ÷ MapsBuilt
+	// is the mean header cost the ablation benchmarks quantify.
+	MapsBuilt telemetry.Counter
+	MapBytes  telemetry.Counter
 	// EncodeReuses counts HTML responses that reused the render's slotted
-	// X-Etag-Config encoding because every probe its evidence names is
-	// still held, unexpired and answering the recorded tag
-	// (decorate.Resolved.Verify).
+	// X-Etag-Config encoding because every lookup its evidence names still
+	// answers the recorded tag (decorate.Resolved.Verify). With MapsBuilt
+	// and HotMapHits it adds up to the decorated HTML responses.
 	EncodeReuses telemetry.Counter
+	// MapSheds counts requests the admission gate refused; each also lands
+	// on one ladder rung below.
+	MapSheds telemetry.Counter
 	// LadderStale counts responses served from the stale cache (with a
 	// Warning 110 header) because full service was refused — admission
 	// shed, open origin breaker, inner-handler 5xx, or panic.
@@ -118,9 +117,6 @@ type middlewareMetrics struct {
 	// BudgetExhausted counts HTML responses delivered un-decorated
 	// because the request's deadline budget ran out before map assembly.
 	BudgetExhausted telemetry.Counter
-	// HintsSent counts 103 Early Hints responses emitted ahead of HTML
-	// (MiddlewareOptions.EarlyHints).
-	HintsSent telemetry.Counter
 	// DeltasServed counts HTML responses answered with a CCD1 patch
 	// against the client's named base instead of the full body;
 	// DeltaBytesSaved accumulates body bytes avoided that way.
@@ -143,22 +139,18 @@ type middlewareMetrics struct {
 	PageFetched     telemetry.Counter
 }
 
-// register indexes the counters in reg under "middleware.*".
-func (m *middlewareMetrics) register(reg *telemetry.Registry) {
-	reg.RegisterCounter("middleware.panics_recovered", &m.PanicsRecovered)
-	reg.RegisterCounter("middleware.breaker_trips", &m.BreakerTrips)
-	reg.RegisterCounter("middleware.map_entries_dropped", &m.MapEntriesDropped)
-	reg.RegisterCounter("middleware.encode_reuses", &m.EncodeReuses)
-	reg.RegisterCounter("middleware.ladder_stale", &m.LadderStale)
-	reg.RegisterCounter("middleware.ladder_passthrough", &m.LadderPassthrough)
-	reg.RegisterCounter("middleware.ladder_rejected", &m.LadderRejected)
-	reg.RegisterCounter("middleware.budget_exhausted", &m.BudgetExhausted)
-	reg.RegisterCounter("middleware.hints_sent", &m.HintsSent)
-	reg.RegisterCounter("middleware.deltas_served", &m.DeltasServed)
-	reg.RegisterCounter("middleware.delta_bytes_saved", &m.DeltaBytesSaved)
-	reg.RegisterCounter("middleware.hotmap_hits", &m.HotMapHits)
-	reg.RegisterCounter("middleware.probe_revalidated", &m.ProbeRevalidated)
-	reg.RegisterCounter("middleware.probe_fetched", &m.ProbeFetched)
-	reg.RegisterCounter("middleware.page_revalidated", &m.PageRevalidated)
-	reg.RegisterCounter("middleware.page_fetched", &m.PageFetched)
+// register indexes the counters in reg under prefix: "middleware." in front
+// of a handler, "server." in front of a *server.Server, where EncodeReuses
+// keeps the name the server's own counter had.
+func (m *middlewareMetrics) register(reg *telemetry.Registry, prefix, reuses string) {
+	for name, c := range map[string]*telemetry.Counter{
+		"panics_recovered": &m.PanicsRecovered, "breaker_trips": &m.BreakerTrips, "map_entries_dropped": &m.MapEntriesDropped,
+		"maps_built": &m.MapsBuilt, "map_bytes": &m.MapBytes, reuses: &m.EncodeReuses, "map_sheds": &m.MapSheds,
+		"ladder_stale": &m.LadderStale, "ladder_passthrough": &m.LadderPassthrough, "ladder_rejected": &m.LadderRejected,
+		"budget_exhausted": &m.BudgetExhausted, "deltas_served": &m.DeltasServed, "delta_bytes_saved": &m.DeltaBytesSaved,
+		"hotmap_hits": &m.HotMapHits, "probe_revalidated": &m.ProbeRevalidated, "probe_fetched": &m.ProbeFetched,
+		"page_revalidated": &m.PageRevalidated, "page_fetched": &m.PageFetched,
+	} {
+		reg.RegisterCounter(prefix+name, c)
+	}
 }

@@ -15,6 +15,7 @@ import (
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/headers"
 	"cachecatalyst/internal/resilience"
+	"cachecatalyst/internal/server"
 	"cachecatalyst/internal/telemetry"
 	"cachecatalyst/internal/tenant"
 )
@@ -28,7 +29,8 @@ type MiddlewareOptions struct {
 	// re-parsing and re-hashing, plus what a held page's conditional
 	// re-fetch needs. Zero selects 16 MiB; negative disables the cache (and
 	// with it page revalidation). Freshness is unaffected either way — the
-	// X-Etag-Config header is always assembled from live probes.
+	// X-Etag-Config header is always assembled from live probes (from
+	// Content, in front of a *server.Server).
 	MaxRenderBytes int64
 	// Telemetry, when set, indexes the middleware's counters, both its
 	// caches, and an HTML decoration-latency histogram in the given
@@ -59,14 +61,9 @@ type MiddlewareOptions struct {
 	// ServerTiming mirrors each decorated response's cache decisions
 	// ("map-built", "map-reused", "etag-match") into a Server-Timing header
 	// so clients can annotate their traces with the origin middleware's view.
+	// In front of a *server.Server, the server's own ServerTiming option
+	// turns it on too.
 	ServerTiming bool
-	// EarlyHints sends a 103 Early Hints informational response carrying
-	// preload links for the page's subresources as soon as the HTML has
-	// rendered — before the probe fan-out and map assembly, which are the
-	// slow stages hints let the client overlap. Requires a ResponseWriter
-	// that supports 1xx responses (net/http's does; a bare
-	// httptest.ResponseRecorder does not — test through httptest.Server).
-	EarlyHints bool
 	// Exchange, when set, connects the middleware to a cluster hot-map
 	// exchange (internal/cluster): freshly assembled X-Etag-Config
 	// encodings are published to peers, and a peer-published encoding for
@@ -171,6 +168,11 @@ func frozen() tuning {
 // middleware composes with whatever caching headers the inner handler
 // already emits, at passthrough cost independent of body size.
 //
+// In front of a *server.Server — the paper's arrangement, a DOM-walking
+// handler before a file server — the pipeline is the same from the render on,
+// but its page and its lookups come from the server's Content instead of
+// from running next and probing it (see contentFront).
+//
 // The middleware also hardens the wrapped handler: a panic in the inner
 // handler is recovered and answered 500 (never a crashed connection), and
 // subresource probing is protected by a per-path circuit breaker so a
@@ -182,10 +184,19 @@ func Middleware(next http.Handler, opts MiddlewareOptions) http.Handler {
 }
 
 func newMiddleware(next http.Handler, opts MiddlewareOptions, tune tuning) *middleware {
-	m := &middleware{next: next, opts: opts, tune: tune, metrics: &middlewareMetrics{}}
-	if opts.Telemetry != nil {
-		m.metrics.register(opts.Telemetry)
-		m.htmlNS = opts.Telemetry.Histogram("middleware.html_ns")
+	m := &middleware{next: next, opts: opts, tune: tune, metrics: &middlewareMetrics{}, prefix: "middleware."}
+	reuses := "encode_reuses"
+	if srv, ok := next.(*server.Server); ok {
+		m.content, m.prefix, reuses = newContentFront(srv), "server.", "maps_reused"
+		so := srv.Options()
+		m.opts.ServerTiming = opts.ServerTiming || so.ServerTiming
+		m.opts.Telemetry = cmp.Or(opts.Telemetry, so.Telemetry)
+	}
+	if reg := m.opts.Telemetry; reg != nil {
+		m.metrics.register(reg, m.prefix, reuses)
+		if m.content == nil {
+			m.htmlNS = reg.Histogram("middleware.html_ns")
+		}
 	}
 	m.initState(&m.def, nil)
 	return m
@@ -200,6 +211,10 @@ type middleware struct {
 	next http.Handler
 	opts MiddlewareOptions
 	tune tuning
+	// content is set when next is a *server.Server: pages and lookups come
+	// from its Content, and no probe, stale or breaker state is built.
+	content *contentFront
+	prefix  string // the default state's telemetry names: "middleware." or "server."
 	// metrics is its own allocation, so the counters every request bumps
 	// share no cache line with the fields every request reads.
 	metrics *middlewareMetrics
@@ -263,8 +278,7 @@ func (m *middleware) stateFor(r *http.Request) *tenantState {
 // "tenant.<name>.*" — they inherit size accounting and the registry, and own
 // their bytes, eviction order and budget.
 func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
-	o, def, root := &m.opts, &m.def, t == nil
-	prefix := "middleware."
+	o, def, root, prefix := &m.opts, &m.def, t == nil, m.prefix
 	if root {
 		t = &tenant.Tenant{}
 	} else {
@@ -278,32 +292,10 @@ func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
 		half = -1
 	}
 
-	// A tenant's probe namespace sets no budget of its own (0): it inherits
-	// the root store's, the same maxProbeEntries × probeBaseCost.
-	ts.probes = openCache(m, ts.name, def.probes, ns("probes", 0), cachestore.Options[probe]{
-		// A probe without a retained stylesheet body costs exactly
-		// probeBaseCost, so for ordinary entries MaxBytes stays the entry
-		// count maxProbeEntries promises; cached CSS bodies are charged
-		// their real bytes on top, so large stylesheets consume
-		// proportionally more of the same budget instead of hiding
-		// behind a flat per-entry unit.
-		MaxBytes: int64(m.tune.maxProbeEntries) * probeBaseCost,
-		SizeOf:   func(_ string, p probe) int64 { return probeBaseCost + int64(len(p.cssBody)) },
-	})
 	if o.MaxRenderBytes >= 0 {
 		ts.renders = openCache(m, ts.name, def.renders, ns("renders", t.BudgetBytes), cachestore.Options[*renderEntry]{
 			MaxBytes: cmp.Or(o.MaxRenderBytes, defaultRenderBytes),
 			SizeOf:   renderEntrySize,
-		})
-	}
-	ts.staleTTL = staleFor
-	if t.StaleFor > 0 {
-		ts.staleTTL = t.StaleFor
-	}
-	if t.StaleFor >= 0 {
-		ts.stales = openCache(m, ts.name, def.stales, ns("stales", half), cachestore.Options[*staleEntry]{
-			MaxBytes: decorate.BodyStoreBudget,
-			SizeOf:   staleEntrySize,
 		})
 	}
 	if o.Delta {
@@ -320,15 +312,41 @@ func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
 			Name:        prefix + "gate",
 		})
 	}
+	ts.requestBudget = o.RequestBudget
+	if t.RequestBudget > 0 {
+		ts.requestBudget = t.RequestBudget
+	}
+	if m.content != nil {
+		return // Content answers every lookup, and nothing else is kept
+	}
+
+	// A tenant's probe namespace sets no budget of its own (0): it inherits
+	// the root store's, the same maxProbeEntries × probeBaseCost.
+	ts.probes = openCache(m, ts.name, def.probes, ns("probes", 0), cachestore.Options[probe]{
+		// A probe without a retained stylesheet body costs exactly
+		// probeBaseCost, so for ordinary entries MaxBytes stays the entry
+		// count maxProbeEntries promises; cached CSS bodies are charged
+		// their real bytes on top, so large stylesheets consume
+		// proportionally more of the same budget instead of hiding
+		// behind a flat per-entry unit.
+		MaxBytes: int64(m.tune.maxProbeEntries) * probeBaseCost,
+		SizeOf:   func(_ string, p probe) int64 { return probeBaseCost + int64(len(p.cssBody)) },
+	})
+	ts.staleTTL = staleFor
+	if t.StaleFor > 0 {
+		ts.staleTTL = t.StaleFor
+	}
+	if t.StaleFor >= 0 {
+		ts.stales = openCache(m, ts.name, def.stales, ns("stales", half), cachestore.Options[*staleEntry]{
+			MaxBytes: decorate.BodyStoreBudget,
+			SizeOf:   staleEntrySize,
+		})
+	}
 	// The breaker is wired, never built here: the tenant's own, or
 	// OriginBreaker for the default state — never shared across tenants.
 	ts.breaker = t.Breaker
 	if root {
 		ts.breaker = o.OriginBreaker
-	}
-	ts.requestBudget = o.RequestBudget
-	if t.RequestBudget > 0 {
-		ts.requestBudget = t.RequestBudget
 	}
 }
 
@@ -372,6 +390,10 @@ func (m *middleware) serveInner(w http.ResponseWriter, r *http.Request) (panicke
 }
 
 func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if m.content != nil {
+		m.content.srv.ServeDecorated(w, r, m)
+		return
+	}
 	if r.URL.Path == WorkerPath && (r.Method == http.MethodGet || r.Method == http.MethodHead) {
 		decorate.ServeWorkerScript(w, r)
 		return
@@ -531,13 +553,11 @@ func (m *middleware) fetchPage(ts *tenantState, sw *sniffWriter, r *http.Request
 
 // serveHTML decorates and delivers a page: the buffered 200 HTML entity, or
 // — when held is set — the held render, which the inner handler has just
-// answered 304 for. Then: early hints, delta bases, map assembly or encoding
-// reuse, conditional answer, body. On a fully-warm unchanged page — render
-// hit, cached encoding still valid, no conditionals, no delta — this
-// function acquires no mutex and allocates nothing when the page was
-// downloaded, and only the header merge's one value array when it was
-// revalidated: every header value it writes was precomputed when the render
-// or encoding was cached.
+// answered 304 for. On a fully-warm unchanged page — render hit, cached
+// encoding still valid, no conditionals, no delta — this function acquires
+// no mutex and allocates nothing when the page was downloaded, and only the
+// header merge's one value array when it was revalidated: every header value
+// it writes was precomputed when the render or encoding was cached.
 func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.Request, sw *sniffWriter, pageURL string, held *renderEntry) {
 	ctx, span := telemetry.BeginSpan(r.Context(), "middleware")
 	defer span.End()
@@ -550,17 +570,6 @@ func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.R
 		ent = m.render(ts, pageURL, sw.body(), sw.header)
 	}
 	h := w.Header()
-
-	// Early hints go out the moment the reference list exists: the probe
-	// fan-out below is the serve's slow stage, and the 103 lets the client
-	// start subresource fetches while it runs.
-	if m.opts.EarlyHints && decorate.AddPreloadLinks(h, ent.Refs) {
-		w.WriteHeader(http.StatusEarlyHints)
-		m.metrics.HintsSent.Add(1)
-		telemetry.Event(ctx, "hints", pageURL)
-	}
-	deltaBase, deltaFrom := decorate.DeltaBase(ts.deltaBases, r, pageURL, &ent.Render)
-
 	if held != nil {
 		// The held 200's header, updated from the 304 (RFC 9111 §4.3.4).
 		headers.MergeNotModified(h, held.header, sw.header)
@@ -572,63 +581,63 @@ func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.R
 			h[k] = vs
 		}
 	}
+	m.serveDecorated(ctx, ts, w, r, pageURL, ent, "")
+}
 
-	// decision names how the map was come by: "map-built" only when a
-	// resolve ran.
-	now := time.Now()
-	decision := "map-built"
+// ServePage implements server.Decorator: with the page's content headers
+// written, it goes straight to the render, behind the same gate and ladder
+// (see shed). The budget bounds the resolve alone: there is no inner handler
+// to wait for, and so no stage boundary to check it at first.
+func (m *middleware) ServePage(ctx context.Context, w http.ResponseWriter, r *http.Request, pageURL string, res *server.Resource, session string) (status, n, entries int, served bool) {
+	ts := m.stateFor(r)
+	if ts.requestBudget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = resilience.WithBudget(ctx, ts.requestBudget)
+		defer cancel()
+	}
+	if ts.gate != nil {
+		if err := ts.gate.AcquireSlot(ctx); err != nil {
+			return http.StatusServiceUnavailable, 0, 0, m.shed(ts, w, r, pageURL, err)
+		}
+		defer ts.gate.Release()
+	}
+	status, n, entries = m.serveDecorated(ctx, ts, w, r, pageURL, m.content.render(ts, pageURL, res), session)
+	return status, n, entries, true
+}
+
+// serveDecorated is the pipeline from the render on, whatever the source:
+// delta base, map, Etag, stale copy, decisions, conditional answer and body,
+// under the page's other headers, which w's header carries already. session
+// names the recording session whose extras the map carries ("" for none).
+// It reports the status and body bytes written and the map's entry count.
+func (m *middleware) serveDecorated(ctx context.Context, ts *tenantState, w http.ResponseWriter, r *http.Request, pageURL string, ent *renderEntry, session string) (status, n, entries int) {
+	h := w.Header()
+	deltaBase, deltaFrom := decorate.DeltaBase(ts.deltaBases, r, pageURL, &ent.Render)
 	var hdr []string
-	if rm := ent.Map.Load(); rm != nil && ts.verify(rm, now, nil) {
-		// Every probe the slotted map rests on is held, unexpired and
-		// answers as it did, so resolving again would only re-read them and
-		// re-serialize the identical map.
-		hdr, decision = rm.Hdr, "map-reused"
-		m.metrics.EncodeReuses.Add(1)
-	} else if peerEnc, ok := m.exchangeLookup(ts, pageURL, ent, now); ok {
-		// A cluster peer already rendered this exact entity and gossiped
-		// its encoded map: adopt it instead of re-probing. It has no
-		// evidence behind it here, so it is served for this response only
-		// and never enters the slot.
-		hdr, decision = []string{peerEnc}, "hotmap-adopt"
-		m.metrics.HotMapHits.Add(1)
+	var decision string
+	if m.content != nil {
+		hdr, entries, decision = m.content.attachMap(ctx, m, pageURL, ent, session)
 	} else {
-		etags, seen := decorate.Resolve(ctx, ent.Refs, &probeSource{m: m, ts: ts, req: r, ctx: ctx},
-			core.BuildOptions{Concurrency: m.tune.probeConcurrency})
-		rm, dropped := decorate.NewResolved(etags, seen, m.tune.maxMapBytes)
-		if dropped > 0 {
-			m.metrics.MapEntriesDropped.Add(int64(dropped))
-		}
-		hdr = rm.Hdr
-		// Never slot a map assembled under a cancelled request: a client
-		// that disconnected mid-render stopped the probe fan-out, so the map
-		// may be a prefix of the real one. Nor one whose probes moved while
-		// it was assembled: the next request would only rebuild it.
-		var exp int64
-		if ctx.Err() == nil && ts.verify(rm, time.Now(), &exp) {
-			ent.Map.Store(rm)
-			if ex := m.opts.Exchange; ex != nil {
-				if exp == 0 {
-					// No probe ran (a page with no same-origin refs); the
-					// empty map is still only announced for one TTL.
-					exp = now.Add(m.tune.probeTTL).UnixNano()
-				}
-				// Gossip the fresh encoding so peers serving this page
-				// skip their own probe fan-out entirely.
-				ex.Publish(ts.name, pageURL, ent.TagStr, hdr[0], exp)
-			}
-		}
+		hdr, entries, decision = m.probedMap(ctx, ts, r, pageURL, ent)
+	}
+	switch decision {
+	case "map-built":
+		m.metrics.MapsBuilt.Add(1)
+		m.metrics.MapBytes.Add(int64(core.WireSizeOf(hdr[0])))
+	case "map-reused":
+		m.metrics.EncodeReuses.Add(1)
+	case "hotmap-adopt":
+		m.metrics.HotMapHits.Add(1)
 	}
 	h[HeaderName] = hdr
-	encoded := hdr[0]
-
 	h["Etag"] = ent.EtagHeader
-	m.recordStale(ts, pageURL, ent, encoded, h, now)
+	m.recordStale(ts, pageURL, ent, hdr[0], h)
 	m.decide(ctx, h, decision, pageURL)
 
 	if !etag.NoneMatch(r.Header.Get("If-None-Match"), ent.Tag) {
 		m.decide(ctx, h, "etag-match", pageURL)
 		w.WriteHeader(http.StatusNotModified)
-		return
+		return http.StatusNotModified, 0, entries
 	}
 	// A validator match above wins over a patch (the 304 transfers nothing
 	// at all); here the entity changed, so diff lazily.
@@ -640,7 +649,54 @@ func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.R
 		m.decide(ctx, h, "delta", pageURL)
 		body, clen = patch, nil
 	}
-	decorate.WriteEntity(w, r, body, clen)
+	m.decide(ctx, h, "network", pageURL)
+	return http.StatusOK, decorate.WriteEntity(w, r, body, clen), entries
+}
+
+// probedMap returns the X-Etag-Config value for ent from the probe cache,
+// its entry count, and the decision naming how it was come by: the render's
+// slotted map while every probe it rests on is held, unexpired and answers
+// as it did ("map-reused"); a cluster peer's encoding of this exact entity
+// ("hotmap-adopt"); or a resolve through the probes ("map-built").
+func (m *middleware) probedMap(ctx context.Context, ts *tenantState, r *http.Request, pageURL string, ent *renderEntry) ([]string, int, string) {
+	now := time.Now()
+	if rm := ent.Map.Load(); rm != nil && ts.verify(rm, now, nil) {
+		// Resolving again would only re-read the same probes and
+		// re-serialize the identical map.
+		return rm.Hdr, rm.Entries, "map-reused"
+	}
+	if peerEnc, ok := m.exchangeLookup(ts, pageURL, ent, now); ok {
+		// A cluster peer already rendered this exact entity and gossiped
+		// its encoded map: adopt it instead of re-probing. It has no
+		// evidence behind it here, so it is served for this response only
+		// and never enters the slot.
+		return []string{peerEnc}, 0, "hotmap-adopt"
+	}
+	etags, seen := decorate.Resolve(ctx, ent.Refs, &probeSource{m: m, ts: ts, req: r, ctx: ctx},
+		core.BuildOptions{Concurrency: m.tune.probeConcurrency})
+	rm, dropped := decorate.NewResolved(etags, seen, m.tune.maxMapBytes)
+	if dropped > 0 {
+		m.metrics.MapEntriesDropped.Add(int64(dropped))
+	}
+	// Never slot a map assembled under a cancelled request: a client that
+	// disconnected mid-render stopped the probe fan-out, so the map may be a
+	// prefix of the real one. Nor one whose probes moved while it was
+	// assembled: the next request would only rebuild it.
+	var exp int64
+	if ctx.Err() == nil && ts.verify(rm, time.Now(), &exp) {
+		ent.Map.Store(rm)
+		if ex := m.opts.Exchange; ex != nil {
+			if exp == 0 {
+				// No probe ran (a page with no same-origin refs); the empty
+				// map is still only announced for one TTL.
+				exp = now.Add(m.tune.probeTTL).UnixNano()
+			}
+			// Gossip the fresh encoding so peers serving this page skip
+			// their own probe fan-out entirely.
+			ex.Publish(ts.name, pageURL, ent.TagStr, rm.Hdr[0], exp)
+		}
+	}
+	return rm.Hdr, rm.Entries, "map-built"
 }
 
 // decide records one cache decision on the request trace and, with

@@ -63,7 +63,7 @@ func TestMiddlewareTraceEndToEnd(t *testing.T) {
 	})
 	metrics := metricsOf(h)
 	clock := vclock.NewVirtual(vclock.Epoch)
-	origins := browser.OriginMap{"site.example": server.NewHandlerOrigin(h)}
+	origins := browser.OriginMap{"site.example": server.NewOrigin(h)}
 	cond := netsim.Conditions{RTT: 40 * time.Millisecond, DownlinkBps: 60e6}
 	b := browser.New(clock, browser.Catalyst, netsim.TransportOptions{}).WithTelemetry(reg)
 

@@ -1,12 +1,9 @@
 package catalyst
 
 import (
-	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/http/httptrace"
-	"net/textproto"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -121,77 +118,5 @@ func TestMiddlewareDeltaLosesTo304(t *testing.T) {
 	}
 	if mm.DeltasServed.Load() != 0 {
 		t.Errorf("DeltasServed = %d on an unchanged page", mm.DeltasServed.Load())
-	}
-}
-
-// TestMiddlewareEarlyHints drives the 103 through a real HTTP server:
-// httptest.ResponseRecorder records only the first status line, so the
-// informational response is only observable over a socket, via the
-// client-side Got1xxResponse trace hook.
-func TestMiddlewareEarlyHints(t *testing.T) {
-	h := Middleware(innerSite(), MiddlewareOptions{EarlyHints: true})
-	mm := metricsOf(h)
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	var hintCode int
-	var links []string
-	trace := &httptrace.ClientTrace{
-		Got1xxResponse: func(code int, header textproto.MIMEHeader) error {
-			if code == http.StatusEarlyHints {
-				hintCode = code
-				links = append(links, header["Link"]...)
-			}
-			return nil
-		},
-	}
-	req, err := http.NewRequestWithContext(
-		httptrace.WithClientTrace(context.Background(), trace), "GET", ts.URL+"/", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-
-	if hintCode != http.StatusEarlyHints {
-		t.Fatalf("no 103 observed (code %d)", hintCode)
-	}
-	joined := strings.Join(links, "\n")
-	if !strings.Contains(joined, "</style.css>; rel=preload; as=style") {
-		t.Errorf("hints missing stylesheet preload: %q", joined)
-	}
-	if !strings.Contains(joined, "</logo.png>; rel=preload; as=image") {
-		t.Errorf("hints missing image preload: %q", joined)
-	}
-	if resp.StatusCode != 200 {
-		t.Fatalf("final status = %d", resp.StatusCode)
-	}
-	if !strings.Contains(string(body), RegistrationSnippet) {
-		t.Error("final response not decorated")
-	}
-	if resp.Header.Get(HeaderName) == "" {
-		t.Error("final response missing the map header")
-	}
-	if mm.HintsSent.Load() != 1 {
-		t.Errorf("HintsSent = %d, want 1", mm.HintsSent.Load())
-	}
-
-	// Non-HTML responses pass through un-hinted.
-	req2, err := http.NewRequestWithContext(
-		httptrace.WithClientTrace(context.Background(), trace), "GET", ts.URL+"/api/data", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2, err := ts.Client().Do(req2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if mm.HintsSent.Load() != 1 {
-		t.Errorf("HintsSent = %d after non-HTML request, want still 1", mm.HintsSent.Load())
 	}
 }

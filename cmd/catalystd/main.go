@@ -50,9 +50,11 @@
 //
 // # Overload and lifecycle
 //
-// -max-inflight bounds concurrent instrumented work; excess requests
-// degrade down a ladder (stale copy, un-instrumented passthrough, 503 +
-// Retry-After) instead of queueing without bound. -request-budget puts a
+// -max-inflight bounds concurrent instrumented work — every proxied request,
+// and the HTML pages -dir decorates; excess requests degrade down a ladder
+// (stale copy, un-instrumented passthrough, 503 + Retry-After) instead of
+// queueing without bound. Serving -dir keeps no stale copies, so there the
+// ladder is an undecorated page, then a 503. -request-budget puts a
 // wall-clock deadline on each request's probe fan-out. On SIGTERM or
 // SIGINT the daemon drains: the listener closes, in-flight requests get
 // -shutdown-timeout to finish, and the telemetry snapshot is flushed to
@@ -166,7 +168,7 @@ func parseFlags(args []string, stderr io.Writer) (daemonOptions, error) {
 	fs.BoolVar(&o.Metrics, "metrics", false, "expose counters, telemetry registry and recent requests at "+catalyst.MetricsPath)
 	fs.BoolVar(&o.PProf, "pprof", false, "with -metrics, also mount net/http/pprof under /debug/pprof/")
 	fs.BoolVar(&o.ServerTiming, "server-timing", false, "report per-request cache decisions in Server-Timing response headers")
-	fs.IntVar(&o.MaxInflight, "max-inflight", 256, "max concurrent instrumented requests; excess degrade down the ladder (stale, passthrough, 503). 0 disables admission control")
+	fs.IntVar(&o.MaxInflight, "max-inflight", 256, "max concurrent decorated requests (every proxied GET/HEAD; the HTML pages of -dir); excess degrade down the ladder (stale, passthrough, 503). 0 disables admission control")
 	fs.DurationVar(&o.RequestBudget, "request-budget", 0, "wall-clock budget per request; probe fan-out stops when spent (0 disables)")
 	fs.DurationVar(&o.ShutdownTimeout, "shutdown-timeout", 10*time.Second, "how long in-flight requests get to finish after SIGTERM before being force-closed")
 	fs.Int64Var(&o.CacheBudget, "cache-budget", 0, "byte budget for the rendered-page cache; 0 selects the 16 MiB default, negative disables it")
@@ -207,46 +209,25 @@ func buildHandler(opts daemonOptions, reg *telemetry.Registry) (*builtHandler, e
 	}
 }
 
-// buildServeHandler is the original file-serving mode: -dir with or
-// without the mechanism.
+// buildServeHandler is the original file-serving mode: -dir, behind the
+// middleware unless -plain.
 func buildServeHandler(opts daemonOptions, reg *telemetry.Registry) (*builtHandler, error) {
 	if _, err := os.Stat(opts.Dir); err != nil {
 		return nil, err
 	}
-	var srv *server.Server
-	var info string
+	content, err := server.NewFSContent(os.DirFS(opts.Dir), catalyst.DefaultPolicy)
+	if err != nil {
+		return nil, err
+	}
+	srv := server.New(content, server.Options{
+		Record: opts.Record && !opts.Plain, AccessLogSize: opts.AccessLogSize, Telemetry: reg, ServerTiming: opts.ServerTiming,
+	})
 	if opts.Plain {
-		content, err := server.NewFSContent(os.DirFS(opts.Dir), catalyst.DefaultPolicy)
-		if err != nil {
-			return nil, err
-		}
-		srv = server.New(content, server.Options{AccessLogSize: opts.AccessLogSize, Telemetry: reg, ServerTiming: opts.ServerTiming})
-		info = fmt.Sprintf("serving %s (conventional caching)", opts.Dir)
-	} else {
-		var err error
-		srv, err = catalyst.NewServer(os.DirFS(opts.Dir), catalyst.ServerOptions{
-			Record:         opts.Record,
-			Policy:         catalyst.DefaultPolicy,
-			AccessLogSize:  opts.AccessLogSize,
-			Telemetry:      reg,
-			ServerTiming:   opts.ServerTiming,
-			MaxInflight:    opts.MaxInflight,
-			RequestBudget:  opts.RequestBudget,
-			MaxRenderBytes: opts.CacheBudget,
-		})
-		if err != nil {
-			return nil, err
-		}
-		info = fmt.Sprintf("serving %s (CacheCatalyst%s)", opts.Dir,
-			map[bool]string{true: " + recording", false: ""}[opts.Record])
+		info := fmt.Sprintf("serving %s (conventional caching)", opts.Dir)
+		return &builtHandler{Handler: withMetrics(srv, opts, nil, reg), Info: []string{info}}, nil
 	}
-	var handler http.Handler = srv
-	if opts.Metrics {
-		handler = catalyst.WithMetricsOptions(srv, catalyst.MetricsOptions{
-			Telemetry: reg, PProf: opts.PProf, Config: configEcho(opts, nil),
-		})
-	}
-	return &builtHandler{Handler: handler, Info: []string{info}}, nil
+	info := fmt.Sprintf("serving %s (CacheCatalyst%s)", opts.Dir, map[bool]string{true: " + recording", false: ""}[opts.Record])
+	return &builtHandler{Handler: withMetrics(catalyst.Middleware(srv, middlewareOptions(opts, reg)), opts, nil, reg), Info: []string{info}}, nil
 }
 
 // buildProxyHandler is single-tenant proxy mode: one -origin fronted with
@@ -347,7 +328,7 @@ func buildConfigHandler(cfg *tenant.Config, opts daemonOptions, reg *telemetry.R
 }
 
 // middlewareOptions maps the daemon's flags to the middleware's options, the
-// same for both proxy modes.
+// same in every mode.
 func middlewareOptions(opts daemonOptions, reg *telemetry.Registry) catalyst.MiddlewareOptions {
 	return catalyst.MiddlewareOptions{
 		Telemetry:      reg,
@@ -358,12 +339,12 @@ func middlewareOptions(opts daemonOptions, reg *telemetry.Registry) catalyst.Mid
 	}
 }
 
-// withMetrics mounts the -metrics surface in front of a proxy-mode handler.
+// withMetrics mounts the -metrics surface in front of the daemon's handler.
 func withMetrics(h http.Handler, opts daemonOptions, cfg *tenant.Config, reg *telemetry.Registry) http.Handler {
 	if !opts.Metrics {
 		return h
 	}
-	return catalyst.WithMetricsHandler(h, catalyst.MetricsOptions{
+	return catalyst.WithMetricsOptions(h, catalyst.MetricsOptions{
 		Telemetry: reg, PProf: opts.PProf, Config: configEcho(opts, cfg),
 	})
 }

@@ -15,12 +15,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 
+	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/browser"
 	"cachecatalyst/internal/netsim"
 	"cachecatalyst/internal/server"
@@ -112,7 +114,7 @@ type world struct {
 	origins browser.OriginMap
 }
 
-func makeWorld(clock vclock.Clock, catalyst bool) *world {
+func makeWorld(clock vclock.Clock, decorated bool) *world {
 	c := server.NewMemContent()
 	week := server.CachePolicy{MaxAge: 7 * 24 * time.Hour, HasMaxAge: true}
 	c.SetBody("/index.html",
@@ -122,8 +124,12 @@ func makeWorld(clock vclock.Clock, catalyst bool) *world {
 	c.SetBody("/b.js", "//@fetch /c.js\n", server.CachePolicy{NoCache: true})
 	c.SetBody("/c.js", "//@fetch /d.jpg\n", week)
 	c.SetBody("/d.jpg", "JPEG-VERSION-1", server.CachePolicy{MaxAge: time.Hour, HasMaxAge: true})
-	srv := server.New(c, server.Options{Catalyst: catalyst, Record: catalyst, Clock: clock, ServerTiming: true})
-	return &world{content: c, origins: browser.OriginMap{host: server.NewOrigin(srv)}}
+	srv := server.New(c, server.Options{Record: decorated, Clock: clock, ServerTiming: true})
+	front := http.Handler(srv)
+	if decorated {
+		front = catalyst.Middleware(srv, catalyst.MiddlewareOptions{})
+	}
+	return &world{content: c, origins: browser.OriginMap{host: server.NewOrigin(front)}}
 }
 
 func changeDJPG(c *server.MemContent) {

@@ -23,11 +23,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
+	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/browser"
 	"cachecatalyst/internal/netsim"
 	"cachecatalyst/internal/server"
@@ -81,15 +83,19 @@ type cellResult struct {
 // run loads the site cold, advances two hours, reloads warm — all under the
 // given fault matrix — and reports the warm visit. A non-empty harPath also
 // writes the warm visit's annotated HAR there.
-func run(catalyst bool, cfg netsim.ChaosConfig, harPath string) cellResult {
+func run(decorated bool, cfg netsim.ChaosConfig, harPath string) cellResult {
 	clock := vclock.NewVirtual(vclock.Epoch)
-	srv := server.New(figure1Site(), server.Options{Catalyst: catalyst, Record: catalyst, Clock: clock, ServerTiming: true})
-	chaos := netsim.NewChaosOrigin(server.NewOrigin(srv), cfg)
+	srv := server.New(figure1Site(), server.Options{Record: decorated, Clock: clock, ServerTiming: true})
+	front := http.Handler(srv)
+	if decorated {
+		front = catalyst.Middleware(srv, catalyst.MiddlewareOptions{})
+	}
+	chaos := netsim.NewChaosOrigin(server.NewOrigin(front), cfg)
 	origins := browser.OriginMap{"site.example": chaos}
 	cond := netsim.Conditions{RTT: 40 * time.Millisecond, DownlinkBps: 60e6}
 
 	mode := browser.Conventional
-	if catalyst {
+	if decorated {
 		mode = browser.Catalyst
 	}
 	b := browser.New(clock, mode, netsim.TransportOptions{})

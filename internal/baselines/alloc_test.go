@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/httpcache"
 	"cachecatalyst/internal/netsim"
 	"cachecatalyst/internal/server"
@@ -41,7 +42,7 @@ func TestBundleAllocatesItsBodyOnce(t *testing.T) {
 	page.WriteString("</head><body></body></html>")
 	site.SetBody("/index.html", page.String(), server.CachePolicy{NoCache: true})
 
-	live := server.NewOrigin(server.New(site, server.Options{Catalyst: true, Clock: vclock.NewVirtual(vclock.Epoch)}))
+	live := server.NewOrigin(catalyst.Middleware(server.New(site, server.Options{Clock: vclock.NewVirtual(vclock.Epoch)}), catalyst.MiddlewareOptions{}))
 	rec := recordedOrigin{}
 	for _, p := range append([]string{"/index.html"}, site.Paths()...) {
 		rec[p] = live.RoundTrip(&netsim.Request{Method: "GET", Path: p, Header: make(http.Header)})

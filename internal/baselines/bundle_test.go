@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/httpcache"
 	"cachecatalyst/internal/netsim"
 	"cachecatalyst/internal/server"
@@ -28,8 +29,8 @@ func chainSite() *server.MemContent {
 
 func newBundleWorld(t *testing.T, policy Policy) (netsim.Origin, *server.Server) {
 	t.Helper()
-	srv := server.New(chainSite(), server.Options{Catalyst: true, Clock: vclock.NewVirtual(vclock.Epoch)})
-	return NewBundleOrigin(server.NewOrigin(srv), policy, nil), srv
+	srv := server.New(chainSite(), server.Options{Clock: vclock.NewVirtual(vclock.Epoch)})
+	return NewBundleOrigin(server.NewOrigin(catalyst.Middleware(srv, catalyst.MiddlewareOptions{})), policy, nil), srv
 }
 
 func navigate(t *testing.T, origin netsim.Origin) *httpcache.Response {
@@ -132,8 +133,8 @@ func TestSplitRejectsCorruptManifest(t *testing.T) {
 
 func TestBundleByteSizeCharged(t *testing.T) {
 	// The bundled navigation must be larger on the wire than the plain one.
-	plainSrv := server.New(chainSite(), server.Options{Catalyst: true, Clock: vclock.NewVirtual(vclock.Epoch)})
-	plain := server.NewOrigin(plainSrv)
+	plainSrv := server.New(chainSite(), server.Options{Clock: vclock.NewVirtual(vclock.Epoch)})
+	plain := server.NewOrigin(catalyst.Middleware(plainSrv, catalyst.MiddlewareOptions{}))
 	plainResp := navigate(t, plain)
 	bundled, _ := newBundleWorld(t, RDR)
 	bundledResp := navigate(t, bundled)

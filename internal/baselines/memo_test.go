@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/httpcache"
 	"cachecatalyst/internal/netsim"
 	"cachecatalyst/internal/server"
@@ -23,7 +24,7 @@ func TestBundleMemoKeysByParts(t *testing.T) {
 	site.SetBody("/index.html", `<html><head><link rel="stylesheet" href="/a.css"></head><body></body></html>`,
 		server.CachePolicy{NoCache: true})
 	site.SetBody("/a.css", ".a { color: red; }", server.CachePolicy{MaxAge: time.Hour, HasMaxAge: true})
-	live := server.NewOrigin(server.New(site, server.Options{Catalyst: true, Clock: vclock.NewVirtual(vclock.Epoch)}))
+	live := server.NewOrigin(catalyst.Middleware(server.New(site, server.Options{Clock: vclock.NewVirtual(vclock.Epoch)}), catalyst.MiddlewareOptions{}))
 	get := func(p string) *httpcache.Response {
 		return live.RoundTrip(&netsim.Request{Method: "GET", Path: p, Header: make(http.Header)})
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/headers"
 	"cachecatalyst/internal/httpcache"
 	"cachecatalyst/internal/netsim"
@@ -39,12 +40,21 @@ type world struct {
 	origins OriginMap
 }
 
-func newWorld(catalyst bool) *world {
+// front is srv behind catalyst.Middleware when decorated, srv itself
+// otherwise.
+func front(srv *server.Server, decorated bool, opts catalyst.MiddlewareOptions) nethttp.Handler {
+	if !decorated {
+		return srv
+	}
+	return catalyst.Middleware(srv, opts)
+}
+
+func newWorld(decorated bool) *world {
 	// Catalyst worlds enable recording so JS-discovered resources (c.js,
 	// d.jpg) are covered on revisits — the full Figure 1c configuration.
 	w := &world{clock: vclock.NewVirtual(vclock.Epoch), content: figure1Site()}
-	w.srv = server.New(w.content, server.Options{Catalyst: catalyst, Record: catalyst, Clock: w.clock})
-	w.origins = OriginMap{"site.example": server.NewOrigin(w.srv)}
+	w.srv = server.New(w.content, server.Options{Record: decorated, Clock: w.clock})
+	w.origins = OriginMap{"site.example": server.NewOrigin(front(w.srv, decorated, catalyst.MiddlewareOptions{}))}
 	return w
 }
 
@@ -52,8 +62,8 @@ func newWorld(catalyst bool) *world {
 // discoverable resources are covered by the map.
 func newStaticWorld() *world {
 	w := &world{clock: vclock.NewVirtual(vclock.Epoch), content: figure1Site()}
-	w.srv = server.New(w.content, server.Options{Catalyst: true, Clock: w.clock})
-	w.origins = OriginMap{"site.example": server.NewOrigin(w.srv)}
+	w.srv = server.New(w.content, server.Options{Clock: w.clock})
+	w.origins = OriginMap{"site.example": server.NewOrigin(front(w.srv, true, catalyst.MiddlewareOptions{}))}
 	return w
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/baselines"
 	"cachecatalyst/internal/netsim"
 	"cachecatalyst/internal/server"
@@ -13,8 +14,8 @@ import (
 // newBundledWorld wires the Figure 1 site behind a bundling origin.
 func newBundledWorld(policy baselines.Policy) *world {
 	w := &world{clock: vclock.NewVirtual(vclock.Epoch), content: figure1Site()}
-	w.srv = server.New(w.content, server.Options{Catalyst: true, Clock: w.clock})
-	w.origins = OriginMap{"site.example": baselines.NewBundleOrigin(server.NewOrigin(w.srv), policy, nil)}
+	w.srv = server.New(w.content, server.Options{Clock: w.clock})
+	w.origins = OriginMap{"site.example": baselines.NewBundleOrigin(server.NewOrigin(front(w.srv, true, catalyst.MiddlewareOptions{})), policy, nil)}
 	return w
 }
 

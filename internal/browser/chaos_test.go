@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/netsim"
 	"cachecatalyst/internal/server"
 	"cachecatalyst/internal/vclock"
@@ -37,10 +38,10 @@ var chaosGrid = []struct {
 }
 
 // newChaosWorld is newWorld with the origin wrapped in the fault matrix.
-func newChaosWorld(catalyst bool, cfg netsim.ChaosConfig) (*world, *netsim.ChaosOrigin) {
+func newChaosWorld(decorated bool, cfg netsim.ChaosConfig) (*world, *netsim.ChaosOrigin) {
 	w := &world{clock: vclock.NewVirtual(vclock.Epoch), content: figure1Site()}
-	w.srv = server.New(w.content, server.Options{Catalyst: catalyst, Record: catalyst, Clock: w.clock})
-	chaos := netsim.NewChaosOrigin(server.NewOrigin(w.srv), cfg)
+	w.srv = server.New(w.content, server.Options{Record: decorated, Clock: w.clock})
+	chaos := netsim.NewChaosOrigin(server.NewOrigin(front(w.srv, decorated, catalyst.MiddlewareOptions{})), cfg)
 	w.origins = OriginMap{"site.example": chaos}
 	return w, chaos
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/core"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/netsim"
@@ -26,7 +27,7 @@ func xoWorld() (*world, *server.MemContent) {
 	cdn := server.NewMemContent()
 	cdn.SetBody("/logo.png", "CDN-PNG-V1", server.CachePolicy{NoCache: true})
 
-	opts := server.Options{Catalyst: true, Clock: w.clock}
+	opts := server.Options{Clock: w.clock}
 	opts.CrossOriginETag = func(absURL string) (etag.Tag, bool) {
 		u, err := url.Parse(absURL)
 		if err != nil || u.Host != "cdn.example" {
@@ -41,7 +42,7 @@ func xoWorld() (*world, *server.MemContent) {
 	w.srv = server.New(w.content, opts)
 	cdnSrv := server.New(cdn, server.Options{Clock: w.clock})
 	w.origins = OriginMap{
-		"site.example": server.NewOrigin(w.srv),
+		"site.example": server.NewOrigin(front(w.srv, true, catalyst.MiddlewareOptions{})),
 		"cdn.example":  server.NewOrigin(cdnSrv),
 	}
 	return w, cdn

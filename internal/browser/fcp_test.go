@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/netsim"
 	"cachecatalyst/internal/server"
 	"cachecatalyst/internal/vclock"
@@ -27,10 +28,10 @@ func fcpSite() *server.MemContent {
 	return c
 }
 
-func fcpWorld(catalyst bool) *world {
+func fcpWorld(decorated bool) *world {
 	w := &world{clock: vclock.NewVirtual(vclock.Epoch), content: fcpSite()}
-	w.srv = server.New(w.content, server.Options{Catalyst: catalyst, Record: catalyst, Clock: w.clock})
-	w.origins = OriginMap{"site.example": server.NewOrigin(w.srv)}
+	w.srv = server.New(w.content, server.Options{Record: decorated, Clock: w.clock})
+	w.origins = OriginMap{"site.example": server.NewOrigin(front(w.srv, decorated, catalyst.MiddlewareOptions{}))}
 	return w
 }
 

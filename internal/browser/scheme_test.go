@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/delta"
 	"cachecatalyst/internal/httpcache"
 	"cachecatalyst/internal/netsim"
@@ -130,8 +131,8 @@ func TestEarlyHintsUnusedCounted(t *testing.T) {
 // deltaWorld is the full catalyst configuration plus delta encoding.
 func deltaWorld() *world {
 	w := &world{clock: vclock.NewVirtual(vclock.Epoch), content: figure1Site()}
-	w.srv = server.New(w.content, server.Options{Catalyst: true, Record: true, Delta: true, Clock: w.clock})
-	w.origins = OriginMap{"site.example": server.NewOrigin(w.srv)}
+	w.srv = server.New(w.content, server.Options{Record: true, Clock: w.clock})
+	w.origins = OriginMap{"site.example": server.NewOrigin(front(w.srv, true, catalyst.MiddlewareOptions{Delta: true}))}
 	return w
 }
 
@@ -272,8 +273,8 @@ func TestNegativeCacheConventional(t *testing.T) {
 
 func TestNegativeCacheCatalystFlipViaMap(t *testing.T) {
 	w := &world{clock: vclock.NewVirtual(vclock.Epoch), content: brokenSite()}
-	w.srv = server.New(w.content, server.Options{Catalyst: true, Record: true, Clock: w.clock})
-	w.origins = OriginMap{"site.example": server.NewOrigin(w.srv)}
+	w.srv = server.New(w.content, server.Options{Record: true, Clock: w.clock})
+	w.origins = OriginMap{"site.example": server.NewOrigin(front(w.srv, true, catalyst.MiddlewareOptions{}))}
 	b := New(w.clock, Catalyst, netsim.TransportOptions{}).WithNegativeCache(time.Hour)
 
 	first := mustLoad(t, b, w)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/httpcache"
 	"cachecatalyst/internal/netsim"
 	"cachecatalyst/internal/server"
@@ -17,12 +18,10 @@ import (
 
 // timedWorld is newWorld with Server-Timing enabled, so the origin mirrors
 // its cache decisions back to the client.
-func timedWorld(catalyst bool) *world {
+func timedWorld(decorated bool) *world {
 	w := &world{clock: vclock.NewVirtual(vclock.Epoch), content: figure1Site()}
-	w.srv = server.New(w.content, server.Options{
-		Catalyst: catalyst, Record: catalyst, Clock: w.clock, ServerTiming: true,
-	})
-	w.origins = OriginMap{"site.example": server.NewOrigin(w.srv)}
+	w.srv = server.New(w.content, server.Options{Record: decorated, Clock: w.clock, ServerTiming: true})
+	w.origins = OriginMap{"site.example": server.NewOrigin(front(w.srv, decorated, catalyst.MiddlewareOptions{}))}
 	return w
 }
 

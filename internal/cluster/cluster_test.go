@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"cachecatalyst/internal/core"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/telemetry"
 )
@@ -117,14 +119,18 @@ func TestExchangeRoundTrip(t *testing.T) {
 	defer send.Close()
 
 	enc := validEnc(t)
-	exp := time.Now().Add(5 * time.Second).UnixNano()
+	published := time.Now()
+	exp := published.Add(5 * time.Second).UnixNano()
 	send.Publish("shop", "/index.html", "W/\"abc\"", enc, exp)
 
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if got, gotExp, ok := recv.Lookup("shop", "/index.html", "W/\"abc\""); ok {
-			if got != enc || gotExp != exp {
-				t.Fatalf("Lookup = (%q, %d), want (%q, %d)", got, gotExp, enc, exp)
+			// The receiver trusts the lifetime left when it was sent, from
+			// when it arrived: past the sender's own expiry by at most the
+			// time in flight.
+			if got != enc || gotExp-exp > int64(time.Since(published)) || gotExp <= time.Now().UnixNano() {
+				t.Fatalf("Lookup = (%q, %d), want (%q, at most %v past %d and unexpired)", got, gotExp, enc, time.Since(published), exp)
 			}
 			break
 		}
@@ -148,7 +154,6 @@ func TestExchangeRejects(t *testing.T) {
 	e := NewExchange(ExchangeOptions{Instance: "x", Telemetry: reg})
 	defer e.Close()
 	h := e.Handler()
-	futureNs := time.Now().Add(time.Minute).UnixNano()
 	m := &e.Metrics
 
 	cases := []struct {
@@ -158,8 +163,8 @@ func TestExchangeRejects(t *testing.T) {
 	}{
 		{"not json", "{", 400, &m.RejectedMalformed},
 		{"missing fields", `{"tenant":"t"}`, 400, &m.RejectedMalformed},
-		{"bad encoding", fmt.Sprintf(`{"tenant":"t","page":"/","tag":"x","enc":"not a map","expires":%d}`, futureNs), 400, &m.RejectedBadEncoding},
-		{"expired", `{"tenant":"t","page":"/","tag":"x","enc":"{}","expires":1}`, 400, &m.RejectedExpired},
+		{"bad encoding", fmt.Sprintf(`{"tenant":"t","page":"/","tag":"x","enc":"not a map","ttl":%d}`, time.Minute), 400, &m.RejectedBadEncoding},
+		{"expired", `{"tenant":"t","page":"/","tag":"x","enc":"{}","ttl":0}`, 400, &m.RejectedExpired},
 		{"too large", strings.Repeat(" ", maxAnnouncementBytes+1), 413, &m.RejectedTooLarge},
 	}
 	for _, c := range cases {
@@ -218,7 +223,7 @@ func TestExchangeDrops(t *testing.T) {
 		{"status", "http://peer", answer(500), func(m *ExchangeMetrics) *telemetry.Counter { return &m.DroppedStatus }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			e := NewExchange(ExchangeOptions{Instance: "a", Peers: []string{c.peer}, Client: &http.Client{Transport: c.rt}})
+			e := tunedExchange(ExchangeOptions{Instance: "a", Peers: []string{c.peer}}, &http.Client{Transport: c.rt}, queueLen)
 			defer e.Close()
 			e.Publish("t", "/", `"v"`, "{}", time.Now().Add(time.Minute).UnixNano())
 			waitFor(t, c.reason(&e.Metrics), 1)
@@ -235,7 +240,7 @@ func TestExchangeDrops(t *testing.T) {
 			<-release
 			return answer(200)(nil)
 		})
-		e := NewExchange(ExchangeOptions{Instance: "a", Peers: []string{"http://peer"}, QueueLen: 1, Client: &http.Client{Transport: stall}})
+		e := tunedExchange(ExchangeOptions{Instance: "a", Peers: []string{"http://peer"}}, &http.Client{Transport: stall}, 1)
 		defer e.Close()
 		exp := time.Now().Add(time.Minute).UnixNano()
 		e.Publish("t", "/1", `"v"`, "{}", exp)
@@ -263,13 +268,13 @@ func waitFor(t *testing.T, c *telemetry.Counter, want int64) {
 	}
 }
 
-// TestExchangeTTLCap pins that a sender's extravagant expiry is clamped to
-// the receiver's MaxTTL.
+// TestExchangeTTLCap pins that a sender's extravagant lifetime is clamped
+// to the receiver's maxTTL.
 func TestExchangeTTLCap(t *testing.T) {
-	e := NewExchange(ExchangeOptions{Instance: "x", MaxTTL: 50 * time.Millisecond})
+	e := NewExchange(ExchangeOptions{Instance: "x"})
+	e.maxTTL = 50 * time.Millisecond
 	defer e.Close()
-	body := fmt.Sprintf(`{"tenant":"t","page":"/","tag":"v","enc":"{}","expires":%d}`,
-		time.Now().Add(time.Hour).UnixNano())
+	body := fmt.Sprintf(`{"tenant":"t","page":"/","tag":"v","enc":"{}","ttl":%d}`, time.Hour)
 	rec := httptest.NewRecorder()
 	e.Handler().ServeHTTP(rec, httptest.NewRequest("POST", HotMapPath, strings.NewReader(body)))
 	if rec.Code != 200 {
@@ -284,4 +289,81 @@ func TestExchangeTTLCap(t *testing.T) {
 	if _, _, ok := e.Lookup("t", "/", "v"); ok {
 		t.Fatal("expired announcement still served")
 	}
+}
+
+// TestExchangeTrustsRemainingLifetime: an announcement carries the lifetime
+// its map has left, and the receiver counts it from its own receive time, so
+// a sender whose clock runs ahead buys its peers no more trust than its
+// probes' one second; an absolute deadline on the wire would have been
+// trusted for as long as the skew, up to the receiver's whole cap.
+func TestExchangeTrustsRemainingLifetime(t *testing.T) {
+	body := fmt.Sprintf(`{"tenant":"t","page":"/","tag":"v","enc":"{}","ttl":%d}`, time.Second)
+	e := NewExchange(ExchangeOptions{Instance: "x"})
+	defer e.Close()
+	before := time.Now()
+	rec := httptest.NewRecorder()
+	e.Handler().ServeHTTP(rec, httptest.NewRequest("POST", HotMapPath, strings.NewReader(body)))
+	if rec.Code != 200 {
+		t.Fatalf("announcement with a lifetime refused: %d %s", rec.Code, rec.Body.String())
+	}
+	if _, exp, ok := e.Lookup("t", "/", "v"); !ok {
+		t.Fatal("announcement not stored")
+	} else if lo, hi := before.Add(time.Second).UnixNano(), time.Now().Add(time.Second).UnixNano(); exp < lo || exp > hi {
+		t.Fatalf("expiry %v after the receipt, want its 1s lifetime", time.Unix(0, exp).Sub(before))
+	}
+
+	// The sender turns its own deadline into the lifetime left.
+	recv := NewExchange(ExchangeOptions{Instance: "b"})
+	defer recv.Close()
+	srv := httptest.NewServer(recv.Handler())
+	defer srv.Close()
+	send := NewExchange(ExchangeOptions{Instance: "a", Peers: []string{srv.URL}})
+	defer send.Close()
+	published := time.Now()
+	send.Publish("t", "/", "v", "{}", published.Add(time.Second).UnixNano())
+	waitFor(t, &recv.Metrics.Received, 1)
+	if _, exp, ok := recv.Lookup("t", "/", "v"); !ok {
+		t.Fatal("announcement not stored")
+	} else if over := time.Unix(0, exp).Sub(published); over > time.Second+time.Since(published) {
+		t.Fatalf("trusted for %v after publishing, want at most the 1s lifetime plus the time in flight", over)
+	}
+}
+
+// FuzzHotMapAnnouncement throws arbitrary bodies at the hot-map endpoint, a
+// trust boundary: it must never panic, must store only encodings
+// core.DecodeMap accepts, and must never hold one past its receipt plus
+// maxTTL.
+func FuzzHotMapAnnouncement(f *testing.F) {
+	f.Add([]byte(`{"tenant":"t","page":"/","tag":"v","enc":"{}","ttl":1000000000}`))
+	f.Add([]byte(`{"tenant":"t","page":"/","tag":"v","enc":"{\"/a.css\":\"\\\"x\\\"\"}","ttl":9223372036854775807}`))
+	f.Add([]byte(`{"tenant":"t","page":"/","tag":"v","enc":"not a map","ttl":5}`))
+	f.Add([]byte(`{"tenant":"t","page":"/","tag":"v","enc":"{}","ttl":-1}`))
+	f.Add([]byte(`{"tenant":"t","page":"/","tag":"v","enc":"{}","expires":1}`))
+	f.Add([]byte(`[1,2,3]`))
+	f.Add([]byte(`{`))
+	e := NewExchange(ExchangeOptions{Instance: "x"})
+	defer e.Close()
+	h := e.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		before := time.Now()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", HotMapPath, bytes.NewReader(body)))
+		var msg hotMapMsg
+		if rec.Code != http.StatusOK {
+			return
+		}
+		if err := json.Unmarshal(body, &msg); err != nil {
+			t.Fatalf("accepted a body that is not an announcement: %v", err)
+		}
+		a, ok := e.local.Peek(hotMapKey(msg.Tenant, msg.Page, msg.Tag))
+		if !ok {
+			t.Fatal("accepted announcement not stored")
+		}
+		if _, err := core.DecodeMap(a.Enc); err != nil {
+			t.Fatalf("stored an encoding DecodeMap refuses: %q: %v", a.Enc, err)
+		}
+		if limit := time.Now().Add(maxTTL).UnixNano(); a.expires > limit {
+			t.Fatalf("held until %v past receipt, beyond maxTTL %v", time.Unix(0, a.expires).Sub(before), maxTTL)
+		}
+	})
 }

@@ -18,15 +18,19 @@ import (
 // cluster mode).
 const HotMapPath = "/_cluster/hotmap"
 
-// hotMapMsg is one gossiped binding on the wire and in the local store:
-// this exact entity of this tenant's page, decorated, encodes to Enc until
-// Expires.
+// hotMapMsg is one gossiped binding: this exact entity of this tenant's
+// page, decorated, encodes to Enc. On the wire its lifetime is TTL, the
+// nanoseconds it has left when sent, not a deadline, so a receiver whose
+// clock runs behind the sender's trusts it no longer than the sender would:
+// the receiver measures it from its own receive time. In the publish queue
+// and the local store it is expires, on this instance's clock.
 type hotMapMsg struct {
 	Tenant  string `json:"tenant"`
 	Page    string `json:"page"`
 	Tag     string `json:"tag"`
 	Enc     string `json:"enc"`
-	Expires int64  `json:"expires"` // unix nanoseconds
+	TTL     int64  `json:"ttl"`
+	expires int64  // unix nanoseconds
 }
 
 // ExchangeOptions configures an Exchange.
@@ -37,23 +41,28 @@ type ExchangeOptions struct {
 	// Peers are the other instances' base URLs ("http://host:port");
 	// announcements POST to each peer's HotMapPath.
 	Peers []string
-	// Client performs the peer POSTs. Nil selects a client with a 2s
-	// timeout — gossip must never hold a goroutine hostage to a dead peer.
-	Client *http.Client
-	// MaxBytes bounds the store of received announcements. Zero selects
-	// 4 MiB.
-	MaxBytes int64
-	// MaxTTL caps how long a received announcement is trusted, whatever
-	// expiry the sender claims — a peer with a huge probe TTL must not
-	// pin this instance to its staleness budget. Zero selects 30 seconds.
-	MaxTTL time.Duration
-	// QueueLen bounds the async publish queue; when full, announcements
-	// are dropped (and counted), never blocked on. Zero selects 256.
-	QueueLen int
 	// Telemetry, when set, registers the exchange's counters under
 	// "cluster.*".
 	Telemetry *telemetry.Registry
 }
+
+// No program sets the values below, so they are constants rather than
+// options (DESIGN.md, "Frozen values"); a test reaches others through
+// newExchange and the maxTTL field (export_test.go).
+const (
+	// sendTimeout bounds one peer POST: gossip must never hold the sender
+	// hostage to a dead peer.
+	sendTimeout = 2 * time.Second
+	// maxStoreBytes bounds the store of received announcements.
+	maxStoreBytes = 4 << 20
+	// maxTTL caps how long a received announcement is trusted, whatever
+	// lifetime the sender claims: a peer with a huge probe TTL must not pin
+	// this instance to its staleness budget.
+	maxTTL = 30 * time.Second
+	// queueLen bounds the async publish queue; when full, announcements are
+	// dropped (and counted), never blocked on.
+	queueLen = 256
+)
 
 // ExchangeMetrics counts exchange activity.
 type ExchangeMetrics struct {
@@ -66,8 +75,8 @@ type ExchangeMetrics struct {
 	Rejected telemetry.Counter
 	// A body over maxAnnouncementBytes (RejectedTooLarge), JSON that does
 	// not parse or lacks tenant, page or tag (RejectedMalformed), an
-	// encoding DecodeMap won't parse (RejectedBadEncoding), an expiry
-	// already past on arrival (RejectedExpired).
+	// encoding DecodeMap won't parse (RejectedBadEncoding), or no lifetime
+	// left on arrival (RejectedExpired).
 	RejectedTooLarge, RejectedMalformed, RejectedBadEncoding, RejectedExpired telemetry.Counter
 	// Adopted counts Lookup hits — probe fan-outs avoided.
 	Adopted telemetry.Counter
@@ -94,6 +103,7 @@ func count(total, reason *telemetry.Counter) {
 type Exchange struct {
 	opts    ExchangeOptions
 	client  *http.Client
+	maxTTL  time.Duration
 	local   *cachestore.Store[hotMapMsg]
 	queue   chan hotMapMsg
 	done    chan struct{}
@@ -103,26 +113,19 @@ type Exchange struct {
 
 // NewExchange starts an exchange; Close releases its sender goroutine.
 func NewExchange(opts ExchangeOptions) *Exchange {
-	if opts.MaxBytes == 0 {
-		opts.MaxBytes = 4 << 20
-	}
-	if opts.MaxTTL <= 0 {
-		opts.MaxTTL = 30 * time.Second
-	}
-	if opts.QueueLen <= 0 {
-		opts.QueueLen = 256
-	}
+	return newExchange(opts, &http.Client{Timeout: sendTimeout}, queueLen)
+}
+
+func newExchange(opts ExchangeOptions, client *http.Client, queueLen int) *Exchange {
 	e := &Exchange{
 		opts:   opts,
-		client: opts.Client,
-		queue:  make(chan hotMapMsg, opts.QueueLen),
+		client: client,
+		maxTTL: maxTTL,
+		queue:  make(chan hotMapMsg, queueLen),
 		done:   make(chan struct{}),
 	}
-	if e.client == nil {
-		e.client = &http.Client{Timeout: 2 * time.Second}
-	}
 	e.local = cachestore.New[hotMapMsg](cachestore.Options[hotMapMsg]{
-		MaxBytes: opts.MaxBytes,
+		MaxBytes: maxStoreBytes,
 		SizeOf: func(key string, m hotMapMsg) int64 {
 			return int64(len(key) + len(m.Enc) + 64)
 		},
@@ -160,24 +163,24 @@ func hotMapKey(tenant, page, tag string) string {
 // held and unexpired. Implements catalyst.MapExchange.
 func (e *Exchange) Lookup(tenant, page, tag string) (string, int64, bool) {
 	m, ok := e.local.Get(hotMapKey(tenant, page, tag))
-	if !ok || time.Now().UnixNano() >= m.Expires {
+	if !ok || time.Now().UnixNano() >= m.expires {
 		return "", 0, false
 	}
 	e.Metrics.Adopted.Add(1)
-	return m.Enc, m.Expires, true
+	return m.Enc, m.expires, true
 }
 
 // Publish hands an encoding to the gossip queue. Never blocks: when the
 // queue is full the announcement is dropped — a peer will pay one probe
 // fan-out it could have skipped, nothing more. Implements
-// catalyst.MapExchange.
+// catalyst.MapExchange. expires is on this instance's clock; what a peer
+// receives is the lifetime left when the announcement is sent.
 func (e *Exchange) Publish(tenant, page, tag, enc string, expires int64) {
 	if len(e.opts.Peers) == 0 {
 		return
 	}
-	msg := hotMapMsg{Tenant: tenant, Page: page, Tag: tag, Enc: enc, Expires: expires}
 	select {
-	case e.queue <- msg:
+	case e.queue <- hotMapMsg{Tenant: tenant, Page: page, Tag: tag, Enc: enc, expires: expires}:
 		e.Metrics.Published.Add(1)
 	default:
 		count(&e.Metrics.Dropped, &e.Metrics.DroppedQueueFull)
@@ -195,6 +198,9 @@ func (e *Exchange) sender() {
 		case <-e.done:
 			return
 		case msg := <-e.queue:
+			// The lifetime is read off the clock as late as possible, so time
+			// spent queued is not trusted on the receiving end.
+			msg.TTL = msg.expires - time.Now().UnixNano()
 			body, err := json.Marshal(msg)
 			if err != nil {
 				continue
@@ -228,10 +234,12 @@ const maxAnnouncementBytes = core.MaxEncodedMapBytes + 64<<10
 
 // Handler accepts peer announcements: POST HotMapPath with one hotMapMsg.
 // Announcements are validated before they are trusted — the encoding must
-// parse as an ETag map and must not be expired — so a confused or hostile
-// peer cannot plant garbage a client would then be served.
+// parse as an ETag map and must have lifetime left — so a confused or
+// hostile peer cannot plant garbage a client would then be served. The
+// lifetime runs from the receive time, capped at maxTTL.
 func (e *Exchange) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		receipt := time.Now()
 		if r.Method != http.MethodPost {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
@@ -253,16 +261,13 @@ func (e *Exchange) Handler() http.Handler {
 			http.Error(w, "malformed encoding", http.StatusBadRequest)
 			return
 		}
-		now := time.Now()
-		if msg.Expires <= now.UnixNano() {
+		if msg.TTL <= 0 {
 			count(&e.Metrics.Rejected, &e.Metrics.RejectedExpired)
 			http.Error(w, "expired announcement", http.StatusBadRequest)
 			return
 		}
 		// Cap the trust window to this instance's own tolerance.
-		if cap := now.Add(e.opts.MaxTTL).UnixNano(); msg.Expires > cap {
-			msg.Expires = cap
-		}
+		msg.expires = receipt.Add(min(time.Duration(msg.TTL), e.maxTTL)).UnixNano()
 		e.local.Put(hotMapKey(msg.Tenant, msg.Page, msg.Tag), msg)
 		e.Metrics.Received.Add(1)
 		w.WriteHeader(http.StatusOK)

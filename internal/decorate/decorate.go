@@ -1,12 +1,13 @@
 // Package decorate is the paper's one server-side customization — traverse
 // the HTML, attach X-Etag-Config, inject the registration snippet — written
-// once. catalyst.Middleware and internal/server are adapters over it: they
-// differ in how the raw HTML is obtained (a sniffing writer vs Content.Get),
-// which Source answers the resolve's lookups (the probe cache vs Content)
-// and what happens under overload, and share everything here: the render
-// product, the map slot and its one reuse rule (Resolved.Verify), preload
-// links, delta bases, the worker script, the page URL and decision
-// reporting.
+// once, as the stages of catalyst.Middleware, the one front end that runs
+// them. Its two sources differ in how the raw HTML is obtained (a sniffing
+// writer in front of any handler, a server.Resource in front of
+// internal/server) and which Source answers the resolve's lookups (the
+// probe cache vs Content), and share everything here: the render product,
+// the map slot and its one reuse rule (Resolved.Verify), preload links,
+// delta bases, the worker script, the page URL and decision reporting;
+// internal/server, which serves content only, uses the plain-response parts.
 package decorate
 
 import (

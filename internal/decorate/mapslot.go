@@ -28,8 +28,8 @@ type Resolved struct {
 	// shared across responses and never mutated; Entries is its size.
 	Hdr     []string
 	Entries int
-	// Base is the map itself, kept only by a front end that folds
-	// per-request extras on top of it (internal/server's recording mode).
+	// Base is the map itself, kept only where per-request extras ride on
+	// top of it (a recording session's, in front of internal/server).
 	// Read-only.
 	Base core.ETagMap
 	seen []Evidence
@@ -66,13 +66,13 @@ func (rm *Resolved) Verify(recheck Recheck) bool {
 	return true
 }
 
-// Slot is the one mutable field a cached render carries in either front
-// end: the last map resolved for it, reused only while Verify holds. A
-// Resolved is swapped in whole, so a reader never sees a torn one.
+// Slot is the one mutable field a cached render carries: the last map
+// resolved for it, reused only while Verify holds. A Resolved is swapped in
+// whole, so a reader never sees a torn one.
 type Slot struct{ atomic.Pointer[Resolved] }
 
-// Source is where a front end's resolve looks a same-origin reference up:
-// Content for internal/server, the probe cache for catalyst.Middleware.
+// Source is where a resolve looks a same-origin reference up: Content in
+// front of internal/server, the probe cache in front of any other handler.
 // Lookup reports path's validator and whether the resource exists and, for
 // an existing stylesheet, its text. A Source that also has a
 // Cached(path string) bool method is a core.CachingResolver's other half:

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/browser"
 	"cachecatalyst/internal/netsim"
 	"cachecatalyst/internal/stats"
@@ -300,8 +301,7 @@ func RunHeaderOverhead(cfg Config) (*OverheadResult, error) {
 		if _, err := w.revisit(cond, cfg.Delays, webgen.PagePath); err != nil {
 			return o, err
 		}
-		m := w.Server.Metrics.MapBytes.Load()
-		built := w.Server.Metrics.MapsBuilt.Load()
+		built, m := catalyst.MapsBuilt(w.Front)
 		if built == 0 {
 			return o, fmt.Errorf("harness: no maps built for site %s", w.Site.Host)
 		}

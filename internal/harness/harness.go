@@ -7,9 +7,11 @@ package harness
 
 import (
 	"fmt"
+	"net/http"
 	"net/url"
 	"time"
 
+	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/baselines"
 	"cachecatalyst/internal/browser"
 	"cachecatalyst/internal/etag"
@@ -112,7 +114,9 @@ type World struct {
 	Clock   *vclock.Virtual
 	Browser *browser.Browser
 	Origins browser.OriginMap
-	Server  *server.Server
+	// Front is the site's handler: its *server.Server, with
+	// catalyst.Middleware in front under a decorating scheme.
+	Front http.Handler
 }
 
 // NewWorld builds the world for one (site, scheme) pair on a site of its
@@ -135,13 +139,13 @@ func generate(p webgen.Params, siteIndex int) *webgen.Site {
 // bundle are nil for a world of its own.
 type siteMemos struct {
 	parse  *browser.ParseMemo
-	render *server.RenderMemo
+	render *catalyst.RenderMemo
 	bundle *baselines.BundleMemo
 }
 
 // newSiteMemos returns the empty memos of one site.
 func newSiteMemos() siteMemos {
-	memos := siteMemos{parse: browser.NewParseMemo(), render: server.NewRenderMemo(), bundle: baselines.NewBundleMemo()}
+	memos := siteMemos{parse: browser.NewParseMemo(), render: catalyst.NewRenderMemo(), bundle: baselines.NewBundleMemo()}
 	if testHookNewBundleMemo != nil {
 		testHookNewBundleMemo(memos.bundle)
 	}
@@ -165,14 +169,11 @@ func newWorld(site *webgen.Site, memos siteMemos, scheme Scheme, transport netsi
 	wrap := func(o netsim.Origin) netsim.Origin { return o }
 	switch scheme {
 	case SchemeCatalyst:
-		srvOpts.Catalyst = true
 		mode = browser.Catalyst
 	case SchemeCatalystRecord:
-		srvOpts.Catalyst = true
 		srvOpts.Record = true
 		mode = browser.Catalyst
 	case SchemeCatalystFull:
-		srvOpts.Catalyst = true
 		srvOpts.Record = true
 		mode = browser.Catalyst
 		// The main server resolves third-party ETags by consulting the
@@ -194,13 +195,12 @@ func newWorld(site *webgen.Site, memos siteMemos, scheme Scheme, transport netsi
 			return res.ETag, true
 		}
 	case SchemeServerPush:
-		srvOpts.Catalyst = true // the map header doubles as the push manifest
+		// The map header doubles as the push manifest.
 		mode = browser.Bundled
 		wrap = func(o netsim.Origin) netsim.Origin {
 			return baselines.NewBundleOrigin(o, baselines.PushAll, memos.bundle)
 		}
 	case SchemeRDR:
-		srvOpts.Catalyst = true
 		mode = browser.Bundled
 		wrap = func(o netsim.Origin) netsim.Origin { return baselines.NewBundleOrigin(o, baselines.RDR, memos.bundle) }
 		transport.ServerThink += RDRProxyThink
@@ -208,12 +208,9 @@ func newWorld(site *webgen.Site, memos siteMemos, scheme Scheme, transport netsi
 		srvOpts.EarlyHints = true
 		mode = browser.EarlyHints
 	case SchemeCatalystDelta:
-		srvOpts.Catalyst = true
 		srvOpts.Record = true
-		srvOpts.Delta = true
 		mode = browser.Catalyst
 	case SchemeNegativeCache:
-		srvOpts.Catalyst = true
 		srvOpts.Record = true
 		mode = browser.Catalyst
 	}
@@ -226,7 +223,14 @@ func newWorld(site *webgen.Site, memos siteMemos, scheme Scheme, transport netsi
 		b.WithNegativeCache(NegativeTTL)
 	}
 
-	srv := server.New(site.Content(), srvOpts).WithRenderMemo(memos.render)
+	// Every scheme that ships the map has catalyst.Middleware in front of
+	// the server.
+	srv := server.New(site.Content(), srvOpts)
+	front := http.Handler(srv)
+	if mode == browser.Catalyst || mode == browser.Bundled {
+		opts := catalyst.MiddlewareOptions{Delta: scheme == SchemeCatalystDelta}
+		front = catalyst.ShareRenders(catalyst.Middleware(srv, opts), memos.render)
+	}
 	cdn := server.New(site.CDNContent(), server.Options{Clock: clock})
 	return &World{
 		Scheme:  scheme,
@@ -234,10 +238,10 @@ func newWorld(site *webgen.Site, memos siteMemos, scheme Scheme, transport netsi
 		Clock:   clock,
 		Browser: b,
 		Origins: browser.OriginMap{
-			site.Host:    wrap(server.NewOrigin(srv)),
+			site.Host:    wrap(server.NewOrigin(front)),
 			site.CDNHost: server.NewOrigin(cdn),
 		},
-		Server: srv,
+		Front: front,
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // HandlerFromOrigin adapts a simulator Origin to a real http.Handler, the
-// inverse of server.NewHandlerOrigin. It is how the chaos matrix runs
+// inverse of server.NewOrigin. It is how the chaos matrix runs
 // against real net/http serving: wrap a ChaosOrigin and every fault mode
 // — 503s, truncations, stalls, brown-outs — happens on a live connection.
 //

@@ -18,7 +18,7 @@ type Request struct {
 	// it in place (server.NewOrigin hands it to the Server uncopied).
 	Header http.Header
 	// Ctx, when non-nil, is the caller's request context. Adapters that
-	// bridge to real handlers (server.NewHandlerOrigin, HandlerFromOrigin)
+	// bridge to real handlers (server.NewOrigin, HandlerFromOrigin)
 	// attach it to the inner http.Request, so cancelling the caller
 	// cancels probe fan-outs and origin work end to end.
 	Ctx context.Context

@@ -2,43 +2,10 @@ package server
 
 import (
 	"fmt"
-	"net/http"
 	"testing"
 
 	"cachecatalyst/internal/telemetry"
-	"cachecatalyst/internal/vclock"
 )
-
-func TestAccessLogRecordsRequests(t *testing.T) {
-	s := New(buildSite(), Options{Catalyst: true, AccessLogSize: 16, Clock: vclock.NewVirtual(vclock.Epoch)})
-	get(t, s, "/index.html", nil)
-	first := get(t, s, "/a.css", nil)
-	get(t, s, "/a.css", map[string]string{"If-None-Match": first.Header().Get("Etag")})
-	get(t, s, "/ghost.png", nil)
-
-	entries := s.RecentRequests()
-	if len(entries) != 4 {
-		t.Fatalf("entries = %d", len(entries))
-	}
-	if entries[0].Path != "/index.html" || entries[0].Status != 200 {
-		t.Fatalf("entry 0 = %+v", entries[0])
-	}
-	if entries[0].MapEntries == 0 {
-		t.Fatal("HTML entry missing map count")
-	}
-	if entries[1].MapEntries != 0 {
-		t.Fatal("CSS entry has map count")
-	}
-	if entries[2].Status != http.StatusNotModified || !entries[2].Conditional {
-		t.Fatalf("conditional entry = %+v", entries[2])
-	}
-	if entries[2].BodyBytes != 0 {
-		t.Fatal("304 recorded body bytes")
-	}
-	if entries[3].Status != 404 {
-		t.Fatalf("404 entry = %+v", entries[3])
-	}
-}
 
 func TestAccessLogRingWraps(t *testing.T) {
 	s := New(buildSite(), Options{AccessLogSize: 3})
@@ -65,26 +32,5 @@ func TestAccessLogDisabled(t *testing.T) {
 	}
 	if n := reg.Snapshot().Counters["server.requests"]; n != 1 {
 		t.Fatalf("server.requests = %d", n)
-	}
-}
-
-// TestSnapshotCounters reads the server's counters where /debug/catalystd
-// does: the registry, with the recent-request ring beside it.
-func TestSnapshotCounters(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	s := New(buildSite(), Options{Catalyst: true, AccessLogSize: 8, Telemetry: reg})
-	get(t, s, "/index.html", nil)
-	first := get(t, s, "/d.jpg", nil)
-	get(t, s, "/d.jpg", map[string]string{"If-None-Match": first.Header().Get("Etag")})
-
-	c := reg.Snapshot().Counters
-	if c["server.requests"] != 3 || c["server.not_modified"] != 1 || c["server.maps_built"] != 1 {
-		t.Fatalf("counters = %v", c)
-	}
-	if c["server.body_bytes"] == 0 || c["server.map_bytes"] == 0 {
-		t.Fatalf("byte counters empty: %v", c)
-	}
-	if recent := s.RecentRequests(); len(recent) != 3 {
-		t.Fatalf("recent = %d", len(recent))
 	}
 }

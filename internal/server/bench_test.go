@@ -1,4 +1,4 @@
-package server
+package server_test
 
 import (
 	"fmt"
@@ -6,6 +6,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"cachecatalyst/catalyst"
+	"cachecatalyst/internal/server"
 )
 
 // nullWriter is the cheapest possible ResponseWriter, so benchmarks measure
@@ -19,14 +22,35 @@ func (d *nullWriter) Header() http.Header         { return d.h }
 func (d *nullWriter) WriteHeader(int)             {}
 func (d *nullWriter) Write(b []byte) (int, error) { return len(b), nil }
 
-func benchContent() *MemContent {
-	c := NewMemContent()
+// decorated is the file server the way catalystd -dir serves it:
+// catalyst.Middleware in front of a Server over c.
+func decorated(c server.Content) http.Handler { return decoratedWith(c, catalyst.MiddlewareOptions{}) }
+
+// decoratedWith is decorated with the middleware's options.
+func decoratedWith(c server.Content, opts catalyst.MiddlewareOptions) http.Handler {
+	return catalyst.Middleware(server.New(c, server.Options{}), opts)
+}
+
+// get serves one GET of path through h, with the given request headers.
+func get(t *testing.T, h http.Handler, path string, hdr map[string]string) *httptest.ResponseRecorder {
+	t.Helper()
+	req := httptest.NewRequest("GET", path, nil)
+	for k, v := range hdr {
+		req.Header.Set(k, v)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+func benchContent() *server.MemContent {
+	c := server.NewMemContent()
 	c.SetBody("/", `<html><head><link rel="stylesheet" href="/s.css"></head>`+
 		`<body><img src="/a.png"><img src="/b.png"></body></html>`,
-		CachePolicy{NoCache: true})
-	c.SetBody("/s.css", ".x { background: url(/bg.png) }", CachePolicy{HasMaxAge: true, MaxAge: 3600e9})
+		server.CachePolicy{NoCache: true})
+	c.SetBody("/s.css", ".x { background: url(/bg.png) }", server.CachePolicy{HasMaxAge: true, MaxAge: 3600e9})
 	for _, p := range []string{"/a.png", "/b.png", "/bg.png"} {
-		c.SetBody(p, "png-bytes-"+p, CachePolicy{HasMaxAge: true, MaxAge: 3600e9})
+		c.SetBody(p, "png-bytes-"+p, server.CachePolicy{HasMaxAge: true, MaxAge: 3600e9})
 	}
 	return c
 }
@@ -35,9 +59,9 @@ func benchContent() *MemContent {
 // — 4 stylesheets of 5–40 KB with two url()s each, 12 scripts, 24 images —
 // so a resolve is ≈ 50 Content lookups and four CSS parses, not the three
 // lookups benchContent's page costs.
-func siteContent() *MemContent {
-	c := NewMemContent()
-	static := CachePolicy{HasMaxAge: true, MaxAge: 3600e9}
+func siteContent() *server.MemContent {
+	c := server.NewMemContent()
+	static := server.CachePolicy{HasMaxAge: true, MaxAge: 3600e9}
 	var page strings.Builder
 	page.WriteString("<html><head>")
 	for i, kb := range []int{5, 10, 20, 40} {
@@ -61,7 +85,7 @@ func siteContent() *MemContent {
 		c.SetBody(fmt.Sprintf("/img/i%d.png", i), fmt.Sprint("png", i), static)
 	}
 	page.WriteString("</body></html>")
-	c.SetBody("/", page.String(), CachePolicy{NoCache: true})
+	c.SetBody("/", page.String(), server.CachePolicy{NoCache: true})
 	return c
 }
 
@@ -71,9 +95,9 @@ func siteContent() *MemContent {
 // flips one image's validator before every request (resolve, re-parse the
 // stylesheets, encode). The render cache hits in both.
 func BenchmarkServeHTMLSite(b *testing.B) {
-	run := func(b *testing.B, mutate func(c *MemContent, i int)) {
+	run := func(b *testing.B, mutate func(c *server.MemContent, i int)) {
 		c := siteContent()
-		s := New(c, Options{Catalyst: true})
+		s := decorated(c)
 		req := httptest.NewRequest("GET", "/", nil)
 		w := &nullWriter{h: make(http.Header)}
 		s.ServeHTTP(w, req)
@@ -84,13 +108,13 @@ func BenchmarkServeHTMLSite(b *testing.B) {
 			s.ServeHTTP(w, req)
 		}
 	}
-	b.Run("Reuse", func(b *testing.B) { run(b, func(*MemContent, int) {}) })
+	b.Run("Reuse", func(b *testing.B) { run(b, func(*server.MemContent, int) {}) })
 	b.Run("Rebuild", func(b *testing.B) {
-		var alt [2]*Resource
+		var alt [2]*server.Resource
 		for i := range alt {
-			alt[i] = &Resource{Body: []byte(fmt.Sprint("png-v", i)), ContentType: "image/png"}
+			alt[i] = &server.Resource{Body: []byte(fmt.Sprint("png-v", i)), ContentType: "image/png"}
 		}
-		run(b, func(c *MemContent, i int) { c.Set("/img/i0.png", alt[i&1]) })
+		run(b, func(c *server.MemContent, i int) { c.Set("/img/i0.png", alt[i&1]) })
 	})
 }
 
@@ -98,7 +122,7 @@ func BenchmarkServeHTMLSite(b *testing.B) {
 // value comes from the per-Resource cache and the per-second Date cache, so
 // the steady state is allocation-free.
 func BenchmarkServeStatic(b *testing.B) {
-	s := New(benchContent(), Options{Catalyst: true})
+	s := decorated(benchContent())
 	req := httptest.NewRequest("GET", "/a.png", nil)
 	w := &nullWriter{h: make(http.Header)}
 	s.ServeHTTP(w, req) // warm the Resource header cache
@@ -114,7 +138,7 @@ func BenchmarkServeStatic(b *testing.B) {
 // render's ETag map re-verified and reused, and precomputed entity headers.
 // BenchmarkServeHTMLSite is the same on a page of realistic fan-out.
 func BenchmarkServeHTML(b *testing.B) {
-	s := New(benchContent(), Options{Catalyst: true})
+	s := decorated(benchContent())
 	req := httptest.NewRequest("GET", "/", nil)
 	w := &nullWriter{h: make(http.Header)}
 	s.ServeHTTP(w, req)
@@ -128,7 +152,7 @@ func BenchmarkServeHTML(b *testing.B) {
 // BenchmarkServeNotModified measures the conditional revalidation answer, the
 // request class a catalyst deployment should make nearly free.
 func BenchmarkServeNotModified(b *testing.B) {
-	s := New(benchContent(), Options{Catalyst: true})
+	s := decorated(benchContent())
 	warm := httptest.NewRequest("GET", "/a.png", nil)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, warm)

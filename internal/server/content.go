@@ -1,8 +1,9 @@
-// Package server implements the paper's server side: a static web server
-// (standing in for the authors' modified Caddy) that serves site content
-// with configurable cache-header policies, answers conditional requests
-// with 304s, and — in catalyst mode — attaches the X-Etag-Config map to
-// every HTML response and injects the Service-Worker registration snippet.
+// Package server implements the content half of the paper's server side: a
+// static web server (the file server behind the authors' modified Caddy)
+// that serves site content with configurable cache-header policies and
+// answers conditional requests with 304s. Decoration — the X-Etag-Config map
+// and the Service-Worker registration snippet on every HTML response — is
+// catalyst.Middleware's, placed in front of a Server (see Decorator).
 //
 // The same handler serves both worlds: real sockets via net/http (examples,
 // integration tests, cmd/catalystd) and the discrete-event simulator via
@@ -14,6 +15,7 @@ import (
 	"mime"
 	"path"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -43,31 +45,9 @@ func (p CachePolicy) CacheControl() string {
 	case p.NoCache:
 		return "no-cache"
 	case p.HasMaxAge:
-		return "max-age=" + itoa(int64(p.MaxAge/time.Second))
+		return "max-age=" + strconv.FormatInt(int64(p.MaxAge/time.Second), 10)
 	}
 	return ""
-}
-
-func itoa(n int64) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 // Resource is one servable entity at a point in time. Content
@@ -97,9 +77,9 @@ type Resource struct {
 	str atomic.Pointer[string]
 }
 
-// text returns the body as a string, converting once per Resource rather
+// Text returns the body as a string, converting once per Resource rather
 // than once per resolve.
-func (r *Resource) text() string {
+func (r *Resource) Text() string {
 	if s := r.str.Load(); s != nil {
 		return *s
 	}

@@ -8,38 +8,27 @@ import (
 	"cachecatalyst/internal/netsim"
 )
 
-// NewOrigin adapts a *Server to the simulator's Origin interface, so
+// NewOrigin adapts h — a *Server, catalyst.Middleware in front of one or of
+// any other handler — to the simulator's Origin interface, so
 // discrete-event experiments exercise the same header logic as real
 // deployments. The handler runs synchronously in zero simulated time;
 // network costs are the transport model's job (TransportOptions.ServerThink
 // charges processing time if desired).
 //
-// The response body is the one the server holds — the Resource's body, the
-// render's, or a freshly computed patch — handed over by decorate.WriteEntity
-// without a copy. None of them is written after it is served, which is the
-// ownership rule the browser's caches and parsers rely on when they share
-// it in turn (httpcache.Response).
+// A body handed over by decorate.WriteEntity — a Resource's, a render's, or
+// a freshly computed patch — becomes the response body without a copy, and
+// what Write is handed is copied, since it may be a reused buffer. A body
+// is never written after it is handed over, which is the ownership rule the
+// browser's caches and parsers rely on when they share it in turn
+// (httpcache.Response).
 //
-// The Server reads the simulated request's own header map, uncopied: a
-// Server never writes a request header, and a sender does not write one
-// after the request is sent (netsim.Request).
-func NewOrigin(s *Server) netsim.Origin { return &originAdapter{h: s, share: true} }
+// The handler reads the simulated request's own header map, uncopied: a
+// sender does not write one after the request is sent (netsim.Request),
+// and neither a Server nor the middleware writes a request header, nor may
+// a handler behind the middleware.
+func NewOrigin(h http.Handler) netsim.Origin { return &originAdapter{h: h} }
 
-// NewHandlerOrigin adapts any http.Handler — for example an existing
-// application wrapped in catalyst.Middleware — to the simulator's Origin
-// interface, so the emulated browser can drive the retrofit path
-// end-to-end. Bodies and request headers are copied: an arbitrary handler
-// may write from a buffer it reuses (the middleware streams through pooled
-// copy buffers and sends a plain page out of its pooled sniffing buffer),
-// and may write to its request's header.
-func NewHandlerOrigin(h http.Handler) netsim.Origin { return &originAdapter{h: h} }
-
-type originAdapter struct {
-	h http.Handler
-	// share accepts decorate.WriteEntity's body hand-off and hands the
-	// handler the simulated request's header map (NewOrigin).
-	share bool
-}
+type originAdapter struct{ h http.Handler }
 
 // RoundTrip implements netsim.Origin.
 func (a *originAdapter) RoundTrip(req *netsim.Request) *httpcache.Response {
@@ -77,18 +66,10 @@ func (a *originAdapter) RoundTrip(req *netsim.Request) *httpcache.Response {
 		// budget deadlines) end to end.
 		r = r.WithContext(req.Ctx)
 	}
-	switch {
-	case !a.share:
-		r.Header = make(http.Header, len(req.Header))
-		for k, vs := range req.Header {
-			for _, v := range vs {
-				r.Header.Add(k, v)
-			}
-		}
-	case r.Header == nil:
+	if r.Header == nil {
 		r.Header = make(http.Header)
 	}
-	rec := &recorder{header: make(http.Header), code: http.StatusOK, share: a.share}
+	rec := &recorder{header: make(http.Header), code: http.StatusOK}
 	a.h.ServeHTTP(rec, r)
 	return &httpcache.Response{StatusCode: rec.code, Header: rec.header, Body: rec.body}
 }
@@ -103,7 +84,6 @@ type recorder struct {
 	code   int
 	wrote  bool
 	body   []byte
-	share  bool // keep what WriteShared is handed (NewOrigin)
 }
 
 func (w *recorder) Header() http.Header { return w.header }
@@ -123,11 +103,11 @@ func (w *recorder) Write(p []byte) (int, error) {
 // Flush implements http.Flusher; like net/http, it commits the status.
 func (w *recorder) Flush() { w.wrote = true }
 
-// WriteShared is decorate.WriteEntity's hand-off. Under NewOrigin it keeps
-// body as the response body; the full slice expression makes a later Write
-// append to a copy rather than into body's array.
+// WriteShared is decorate.WriteEntity's hand-off: it keeps body as the
+// response body; the full slice expression makes a later Write append to a
+// copy rather than into body's array.
 func (w *recorder) WriteShared(body []byte) int {
-	if !w.share || len(w.body) > 0 {
+	if len(w.body) > 0 {
 		n, _ := w.Write(body)
 		return n
 	}

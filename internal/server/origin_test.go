@@ -1,4 +1,4 @@
-package server
+package server_test
 
 import (
 	"fmt"
@@ -8,9 +8,11 @@ import (
 	"strings"
 	"testing"
 
+	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/core"
 	"cachecatalyst/internal/delta"
 	"cachecatalyst/internal/netsim"
+	"cachecatalyst/internal/server"
 	"cachecatalyst/internal/vclock"
 )
 
@@ -31,17 +33,18 @@ func fingerprint(h http.Header) string {
 // If-None-Match), a stylesheet, a 404 and the worker script — the Server
 // must see the caller's map itself and leave it as it was sent.
 func TestOriginLeavesRequestHeaderAlone(t *testing.T) {
-	srv := New(buildSite(), Options{Catalyst: true, Record: true, Delta: true, Clock: vclock.NewVirtual(vclock.Epoch)})
-	adapter := NewOrigin(srv).(*originAdapter)
+	srv := catalyst.Middleware(server.New(server.BuildSite(), server.Options{Record: true, Clock: vclock.NewVirtual(vclock.Epoch)}), catalyst.MiddlewareOptions{Delta: true})
+	origin := server.NewOrigin(srv)
 	var seen http.Header
-	adapter.h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	*server.OriginHandler(origin) = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		seen = r.Header
 		srv.ServeHTTP(w, r)
 	})
+	adapter := origin
 
 	send := func(path string, status int, hdr map[string]string) {
 		t.Helper()
-		h := http.Header{"Referer": {"https://example.com/index.html"}, "Cookie": {SessionCookie + "=s1"}}
+		h := http.Header{"Referer": {"https://example.com/index.html"}, "Cookie": {server.SessionCookie + "=s1"}}
 		for k, v := range hdr {
 			h.Set(k, v)
 		}

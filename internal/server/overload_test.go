@@ -1,12 +1,14 @@
-package server
+package server_test
 
 import (
 	"sync"
 	"testing"
 	"time"
 
+	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/core"
 	"cachecatalyst/internal/leakcheck"
+	"cachecatalyst/internal/server"
 	"cachecatalyst/internal/telemetry"
 )
 
@@ -14,13 +16,13 @@ import (
 // released, pinning a map resolution inside the gate for as long as the
 // test wants.
 type slowContent struct {
-	Content
+	server.Content
 	mu      sync.Mutex
 	block   chan struct{} // nil: no blocking
 	entered chan struct{}
 }
 
-func (c *slowContent) Get(p string) (*Resource, bool) {
+func (c *slowContent) Get(p string) (*server.Resource, bool) {
 	c.mu.Lock()
 	block := c.block
 	c.mu.Unlock()
@@ -31,18 +33,16 @@ func (c *slowContent) Get(p string) (*Resource, bool) {
 	return c.Content.Get(p)
 }
 
-// TestServerShedsMapUnderGate: with one resolution slot occupied, the
-// next HTML request ships without a map (and counts as a shed) instead
-// of queueing — a degraded-but-valid 200, never an error.
+// TestServerShedsMapUnderGate: with the one decoration slot occupied, the
+// next HTML request waits its 50 ms, then goes down the ladder to the
+// passthrough rung — the page served undecorated, without a map (and
+// counted as a shed) — instead of queueing: a degraded-but-valid 200,
+// never an error.
 func TestServerShedsMapUnderGate(t *testing.T) {
 	leakcheck.Check(t)
-	content := &slowContent{Content: buildSite(), entered: make(chan struct{}, 8)}
+	content := &slowContent{Content: server.BuildSite(), entered: make(chan struct{}, 8)}
 	reg := telemetry.NewRegistry()
-	s := New(content, Options{
-		Catalyst:    true,
-		MaxInflight: 1,
-		Telemetry:   reg,
-	})
+	s := catalyst.Middleware(server.New(content, server.Options{Telemetry: reg}), catalyst.MiddlewareOptions{MaxInflight: 1})
 
 	block := make(chan struct{})
 	content.mu.Lock()
@@ -60,7 +60,7 @@ func TestServerShedsMapUnderGate(t *testing.T) {
 	if rec.Header().Get(core.HeaderName) != "" {
 		t.Fatal("shed request still carries a map")
 	}
-	if got := s.Metrics.MapSheds.Load(); got != 1 {
+	if got := reg.Snapshot().Counters["server.map_sheds"]; got != 1 {
 		t.Fatalf("MapSheds = %d", got)
 	}
 	if rec.Header().Get("Etag") == "" {
@@ -87,7 +87,7 @@ func TestServerShedsMapUnderGate(t *testing.T) {
 // probe fan-out — the page still serves 200, with whatever map (possibly
 // none) was affordable.
 func TestServerBudgetBoundsResolution(t *testing.T) {
-	s := New(buildSite(), Options{Catalyst: true, RequestBudget: time.Nanosecond})
+	s := decoratedWith(server.BuildSite(), catalyst.MiddlewareOptions{RequestBudget: time.Nanosecond})
 	rec := get(t, s, "/index.html", nil)
 	if rec.Code != 200 {
 		t.Fatalf("status = %d", rec.Code)
@@ -100,7 +100,7 @@ func TestServerBudgetBoundsResolution(t *testing.T) {
 		t.Fatalf("exhausted budget still resolved %d entries", len(m))
 	}
 	// A generous budget resolves the full map.
-	s2 := New(buildSite(), Options{Catalyst: true, RequestBudget: time.Minute})
+	s2 := decoratedWith(server.BuildSite(), catalyst.MiddlewareOptions{RequestBudget: time.Minute})
 	rec = get(t, s2, "/index.html", nil)
 	m, err = core.DecodeMap(rec.Header().Get(core.HeaderName))
 	if err != nil || len(m) == 0 {

@@ -18,19 +18,26 @@ const SessionCookie = "cc-sid"
 // executing JavaScript.
 //
 // Memory is bounded per the §6 concern: each (session, page) retains at
-// most MaxURLsPerPage URLs and the recorder holds at most MaxSessions
+// most maxURLsPerPage URLs and the recorder holds at most maxSessions
 // sessions, evicting the oldest wholesale.
 type Recorder struct {
 	mu       sync.Mutex
 	sessions map[string]*sessionRecord
 	order    []string // session IDs in creation order, for eviction
 	nextID   int64
-
-	// MaxSessions bounds retained sessions (0 = default 10000).
-	MaxSessions int
-	// MaxURLsPerPage bounds per-page recordings (0 = default 500).
-	MaxURLsPerPage int
+	// maxSessions and maxURLs are the constants below; only a test
+	// reaches other values (export_test.go).
+	maxSessions, maxURLs int
 }
+
+// No program sets the recorder's bounds, so they are constants rather than
+// options (DESIGN.md, "Frozen values").
+const (
+	// maxSessions bounds retained sessions.
+	maxSessions = 10000
+	// maxURLsPerPage bounds one session's recording of one page.
+	maxURLsPerPage = 500
+)
 
 type sessionRecord struct {
 	// pages maps a page URL to the set of subresource paths its loads
@@ -40,21 +47,7 @@ type sessionRecord struct {
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{sessions: make(map[string]*sessionRecord)}
-}
-
-func (r *Recorder) maxSessions() int {
-	if r.MaxSessions <= 0 {
-		return 10000
-	}
-	return r.MaxSessions
-}
-
-func (r *Recorder) maxURLs() int {
-	if r.MaxURLsPerPage <= 0 {
-		return 500
-	}
-	return r.MaxURLsPerPage
+	return &Recorder{sessions: make(map[string]*sessionRecord), maxSessions: maxSessions, maxURLs: maxURLsPerPage}
 }
 
 // SessionID returns the request's session ID, minting one (and setting the
@@ -86,7 +79,7 @@ func (r *Recorder) RecordFetch(sessionID, referer, path string) {
 	defer r.mu.Unlock()
 	rec, ok := r.sessions[sessionID]
 	if !ok {
-		if len(r.order) >= r.maxSessions() {
+		if len(r.order) >= r.maxSessions {
 			oldest := r.order[0]
 			r.order = r.order[1:]
 			delete(r.sessions, oldest)
@@ -100,7 +93,7 @@ func (r *Recorder) RecordFetch(sessionID, referer, path string) {
 		set = make(map[string]bool)
 		rec.pages[page] = set
 	}
-	if len(set) >= r.maxURLs() {
+	if len(set) >= r.maxURLs {
 		return
 	}
 	set[path] = true

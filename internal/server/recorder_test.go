@@ -6,8 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"cachecatalyst/internal/core"
 )
 
 func TestSessionIDMintedAndStable(t *testing.T) {
@@ -73,7 +71,7 @@ func TestRecorderPageWithQuery(t *testing.T) {
 
 func TestRecorderSessionEviction(t *testing.T) {
 	r := NewRecorder()
-	r.MaxSessions = 3
+	r.maxSessions = 3
 	for i := 0; i < 5; i++ {
 		r.RecordFetch(fmt.Sprintf("s%d", i), "https://x/p.html", "/a")
 	}
@@ -90,61 +88,11 @@ func TestRecorderSessionEviction(t *testing.T) {
 
 func TestRecorderURLCap(t *testing.T) {
 	r := NewRecorder()
-	r.MaxURLsPerPage = 2
+	r.maxURLs = 2
 	for i := 0; i < 5; i++ {
 		r.RecordFetch("s1", "https://x/p.html", fmt.Sprintf("/r%d", i))
 	}
 	if got := r.Recorded("s1", "/p.html"); len(got) != 2 {
 		t.Fatalf("recorded = %v", got)
-	}
-}
-
-// End-to-end recording: a session's first visit records JS-discovered
-// resources; the second visit's map covers them.
-func TestRecordingModeFoldsIntoMap(t *testing.T) {
-	c := NewMemContent()
-	// page.html references only a.css statically; dyn.js is discovered at
-	// "runtime" (the client just requests it).
-	c.SetBody("/page.html", `<link rel="stylesheet" href="/a.css">`, CachePolicy{NoCache: true})
-	c.SetBody("/a.css", "body{}", CachePolicy{NoCache: true})
-	c.SetBody("/dyn.js", "dynamic()", CachePolicy{NoCache: true})
-	s := New(c, Options{Catalyst: true, Record: true})
-
-	// First navigation mints a session.
-	nav1 := get(t, s, "/page.html", nil)
-	m1, _ := core.DecodeMap(nav1.Header().Get(core.HeaderName))
-	if _, ok := m1["/dyn.js"]; ok {
-		t.Fatal("first visit cannot know about dyn.js")
-	}
-	cookie := nav1.Header().Get("Set-Cookie")
-	sid := strings.TrimPrefix(strings.Split(cookie, ";")[0], SessionCookie+"=")
-
-	// The client, executing JS, fetches dyn.js with the page as referer.
-	req := httptest.NewRequest("GET", "/dyn.js", nil)
-	req.Header.Set("Referer", "https://site.example/page.html")
-	req.AddCookie(&http.Cookie{Name: SessionCookie, Value: sid})
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != 200 {
-		t.Fatalf("dyn fetch status = %d", rec.Code)
-	}
-
-	// Second navigation: the map now covers the recorded resource.
-	req2 := httptest.NewRequest("GET", "/page.html", nil)
-	req2.AddCookie(&http.Cookie{Name: SessionCookie, Value: sid})
-	rec2 := httptest.NewRecorder()
-	s.ServeHTTP(rec2, req2)
-	m2, _ := core.DecodeMap(rec2.Header().Get(core.HeaderName))
-	if _, ok := m2["/dyn.js"]; !ok {
-		t.Fatalf("recorded resource missing from second map: %v", m2)
-	}
-	if _, ok := m2["/a.css"]; !ok {
-		t.Fatal("static resource lost from second map")
-	}
-	// A different session's map is unaffected.
-	navOther := get(t, s, "/page.html", nil)
-	mOther, _ := core.DecodeMap(navOther.Header().Get(core.HeaderName))
-	if _, ok := mOther["/dyn.js"]; ok {
-		t.Fatal("recording leaked across sessions")
 	}
 }

@@ -13,10 +13,12 @@ import (
 	"testing"
 	"time"
 
+	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/core"
 	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/server"
+	"cachecatalyst/internal/telemetry"
 	"cachecatalyst/internal/vclock"
 	"cachecatalyst/internal/webgen"
 )
@@ -26,7 +28,8 @@ import (
 // bytes a from-scratch build over the content of that instant produces. The
 // tests here hold it to that differentially, against core.BuildMap run
 // through the test's own resolver, under every map option the server has and
-// every value its test hook reaches (server.NewTuned).
+// every value its test hook reaches (server.NewTuned), with catalyst.Middleware
+// in front of it doing the decorating.
 
 // freshResolver is the reference Content→core.Resolver adapter: no memo, no
 // log, nothing shared with the server under test.
@@ -84,7 +87,7 @@ const (
 // differ drives one server and checks every response against the reference.
 type differ struct {
 	t       *testing.T
-	s       *server.Server
+	s       *front
 	content server.Content
 	page    string
 	opts    core.BuildOptions // reference options: the server's, sequential
@@ -98,7 +101,7 @@ type differ struct {
 }
 
 func newDiffer(t *testing.T, content server.Content, page string, cfg mapConfig, cross func(string) (etag.Tag, bool), extras []string) *differ {
-	opts := server.Options{Catalyst: true, Record: cfg.record}
+	opts := server.Options{Record: cfg.record, Telemetry: telemetry.NewRegistry()}
 	if cfg.cross {
 		opts.CrossOriginETag = cross
 	}
@@ -106,7 +109,8 @@ func newDiffer(t *testing.T, content server.Content, page string, cfg mapConfig,
 	if cfg.max > 0 {
 		bound = cfg.max * boundUnit
 	}
-	s := server.NewTuned(content, opts, cfg.concurrency, bound)
+	srv := server.NewTuned(content, opts, cfg.concurrency, bound)
+	s := &front{catalyst.Middleware(srv, catalyst.MiddlewareOptions{}), srv, opts.Telemetry}
 	// The reference resolves sequentially: the assembled map does not
 	// depend on the fan-out width, and webgen sites tolerate concurrent
 	// readers only once a sequential pass has materialized the instant.
@@ -114,7 +118,7 @@ func newDiffer(t *testing.T, content server.Content, page string, cfg mapConfig,
 	if cfg.record {
 		d.extras = extras
 		for _, p := range extras {
-			s.Recorder().RecordFetch(extrasSession, "http://site.example"+page, p)
+			srv.Recorder().RecordFetch(extrasSession, "http://site.example"+page, p)
 		}
 	}
 	return d
@@ -149,7 +153,7 @@ func (d *differ) want() (plain, withExtras string) {
 func (d *differ) check(step string) (built int64) {
 	d.t.Helper()
 	plain, withExtras := d.want()
-	before := d.s.Metrics.MapsBuilt.Load()
+	before := d.s.counter("server.maps_built")
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		want := plain
@@ -174,15 +178,14 @@ func (d *differ) check(step string) (built int64) {
 	}
 	wg.Wait()
 	d.served += clients
-	return d.s.Metrics.MapsBuilt.Load() - before
+	return d.s.counter("server.maps_built") - before
 }
 
 // finish checks the counter identity: every HTML response was a build, a
 // reuse or a shed, and the reuse was actually exercised.
 func (d *differ) finish() {
 	d.t.Helper()
-	m := &d.s.Metrics
-	built, reused, shed := m.MapsBuilt.Load(), m.MapsReused.Load(), m.MapSheds.Load()
+	built, reused, shed := d.s.counter("server.maps_built"), d.s.counter("server.maps_reused"), d.s.counter("server.map_sheds")
 	if built+reused+shed != d.served {
 		d.t.Errorf("maps_built %d + maps_reused %d + map_sheds %d != %d HTML requests", built, reused, shed, d.served)
 	}
@@ -413,7 +416,7 @@ func TestDoneContextNeverPopulatesSlot(t *testing.T) {
 	site := newMemSite(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	content := &cancellingContent{Content: site.c, on: "/css/b.css", cancel: cancel}
-	s := server.New(content, server.Options{Catalyst: true})
+	s := newFront(content, server.Options{}, catalyst.MiddlewareOptions{})
 	serve := func(ctx context.Context) core.ETagMap {
 		t.Helper()
 		rec := httptest.NewRecorder()
@@ -433,7 +436,7 @@ func TestDoneContextNeverPopulatesSlot(t *testing.T) {
 	if got := serve(context.Background()); !maps.Equal(got, full) {
 		t.Errorf("request after a cancelled one got %d entries, want the full %d: the partial map was kept", len(got), len(full))
 	}
-	if built, reused := s.Metrics.MapsBuilt.Load(), s.Metrics.MapsReused.Load(); built != 2 || reused != 0 {
+	if built, reused := s.counter("server.maps_built"), s.counter("server.maps_reused"); built != 2 || reused != 0 {
 		t.Errorf("built %d reused %d, want 2 and 0", built, reused)
 	}
 	// The slot now holds a complete map; a request that is already done
@@ -441,17 +444,17 @@ func TestDoneContextNeverPopulatesSlot(t *testing.T) {
 	if got := serve(ctx); !maps.Equal(got, full) {
 		t.Errorf("done request got %d entries, want the verified %d", len(got), len(full))
 	}
-	if reused := s.Metrics.MapsReused.Load(); reused != 1 {
+	if reused := s.counter("server.maps_reused"); reused != 1 {
 		t.Errorf("reused %d, want 1", reused)
 	}
 
 	// An exhausted budget is a done context like any other: every request
 	// resolves, none populates the slot.
-	sb := server.New(site.c, server.Options{Catalyst: true, RequestBudget: time.Nanosecond})
+	sb := newFront(site.c, server.Options{}, catalyst.MiddlewareOptions{RequestBudget: time.Nanosecond})
 	for i := 0; i < 3; i++ {
 		sb.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", memPage, nil))
 	}
-	if built, reused := sb.Metrics.MapsBuilt.Load(), sb.Metrics.MapsReused.Load(); built != 3 || reused != 0 {
+	if built, reused := sb.counter("server.maps_built"), sb.counter("server.maps_reused"); built != 3 || reused != 0 {
 		t.Errorf("exhausted budget: built %d reused %d, want 3 and 0", built, reused)
 	}
 }

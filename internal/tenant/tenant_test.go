@@ -208,3 +208,26 @@ func TestParseConfigRejects(t *testing.T) {
 		})
 	}
 }
+
+// FuzzParseConfig feeds catalystd.json, a trust boundary an operator's file
+// crosses at start-up, to ParseConfig, and every config it accepts to
+// Config.Resolver: neither may panic on any input.
+func FuzzParseConfig(f *testing.F) {
+	f.Add([]byte(`{"tenants":[{"name":"shop","upstream":"http://127.0.0.1:9001","hosts":["shop.example.com"],
+		"cacheBudget":1048576,"maxInflight":64,"requestBudget":"150ms","staleFor":"5m","healthInterval":"500ms"},
+		{"name":"blog","upstream":"http://127.0.0.1:9002","pathPrefix":"/blog/"}],
+		"cluster":{"instance":"http://127.0.0.1:8001","peers":["http://127.0.0.1:8002"]}}`))
+	f.Add([]byte(`{"tenants":[{"name":"a","upstream":"http://x","hosts":["a.test:8080","A.TEST"]}]}`))
+	f.Add([]byte(`{"tenants":[{"name":"a","upstream":"::bad","pathPrefix":""},{"name":"b","upstream":"http://y"}]}`))
+	f.Add([]byte(`{"tenants":[{"name":"a","upstream":"http://x","staleFor":"-5m","cacheBudget":-1}]}`))
+	f.Add([]byte(`{"tenants":[{"name":"a","upstream":"http://x","requestBudget":1e300}]}`))
+	f.Add([]byte(`{"tenants":[]}`))
+	f.Add([]byte(`{`))
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		c, err := ParseConfig(doc)
+		if err != nil {
+			return
+		}
+		_, _ = c.Resolver()
+	})
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/core"
 	"cachecatalyst/internal/htmlparse"
 	"cachecatalyst/internal/jsexec"
@@ -256,8 +257,8 @@ func TestCrossOriginDisabled(t *testing.T) {
 func TestServableThroughServerWithCatalyst(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	site := smallCorpus(clock).Sites[0]
-	s := server.New(site.Content(), server.Options{Catalyst: true, Clock: clock})
-	origin := server.NewOrigin(s)
+	s := server.New(site.Content(), server.Options{Clock: clock})
+	origin := server.NewOrigin(catalyst.Middleware(s, catalyst.MiddlewareOptions{}))
 	resp := origin.RoundTrip(newGet(PagePath))
 	if resp.StatusCode != 200 {
 		t.Fatalf("status = %d", resp.StatusCode)
