@@ -20,22 +20,18 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Fork guard: the HTML decoration stages exist once (internal/decorate), and
-# one front end runs them: catalyst.Middleware, in front of any handler or of
-# internal/server's content server. Fails when, in non-test code outside
-# bench/ (which times the leaf functions themselves), snippet injection or
-# delta diffing gains a second call site, the preload-hint cap a second
-# definition, or internal/server a tenant path (DESIGN.md §3) — or when
-# pages are rendered in a second package: decorate.NewRender( is called in
-# exactly one non-test package, catalyst, whose render fills (the probe-backed
-# store's and the content-backed one's, through the render memo a sweep
-# shares) are the only ones — or when internal/server decorates again: it
-# names none of decorate.Slot, decorate.Resolve(, decorate.NewResolved(,
-# decorate.DeltaBase( or resilience.NewGate(, because the map slot, the
-# resolve, delta bases and the admission gate are the front end's
-# (DESIGN.md §3, §7) — or when a second reverse proxy is assembled beside
-# catalyst.NewUpstreamProxy, the one upstream leg the daemon and the cluster
-# harness share (DESIGN.md §13) — or when the cache core grows a second
+# Fork guard: the HTML decoration stages exist once, unexported in catalyst,
+# where one front end runs them: catalyst.Middleware, in front of any handler
+# or of internal/server's content server; the compiler keeps renders, map
+# slots, resolves and delta bases out of every other package. Fails when, in
+# non-test code outside bench/ (which times the leaf functions themselves),
+# snippet injection or delta diffing gains a second call site, the
+# preload-hint cap a second definition, or internal/server a tenant path
+# (DESIGN.md §3) — or when internal/server builds an admission gate:
+# resilience.NewGate( is the front end's (DESIGN.md §3, §7) — or when a
+# second reverse proxy is assembled beside catalyst.NewUpstreamProxy, the one
+# upstream leg the daemon and the cluster harness share (DESIGN.md §13) — or
+# when the cache core grows a second
 # eviction order beside GDSF's rank: a recency list, a touch counter, a policy
 # parser or a ranker type (DESIGN.md §10) — or when the RFC 9111 §4.3.4 304
 # merge gains a second definition beside headers.MergeNotModified, or a
@@ -50,8 +46,7 @@ vet:
 # defined once, for the tree walk and the stream alike (DESIGN.md §3) — or
 # when the ETag map's reuse rule forks again: probeGen, minExpires or
 # encodedMap back in non-test catalyst/, GetBytes( or renderKeyPool in any
-# non-test code, or the evidence type defined anywhere but once, in
-# internal/decorate (DESIGN.md §7, §12) — or when a simulated load copies a
+# non-test code (DESIGN.md §7, §12) — or when a simulated load copies a
 # response body again: append([]byte(nil), / bytes.Clone( / a non-header
 # .Clone() in non-test httpcache, sw, browser, netsim or baselines,
 # httptest anything (NewRecorder, NewRequest) back in non-test
@@ -89,7 +84,7 @@ forks:
 		'/catalyst/[^/]*\.go$$:"crypto/sha256"' '/:htmlparse\.Parse(' \
 		'/catalyst/[^/]*\.go$$:probeGen\|minExpires\|encodedMap' '/:GetBytes(\|renderKeyPool' \
 		'/internal/server/:httptest\.' \
-		'/internal/server/:decorate\.Slot\|decorate\.Resolve(\|decorate\.NewResolved(\|decorate\.DeltaBase(\|resilience\.NewGate('; do \
+		'/internal/server/:resilience\.NewGate('; do \
 		files=$$(echo "$$src" | tr ' ' '\n' | grep "$${chk%%:*}"); \
 		if grep -Hn "$${chk#*:}" $$files | grep -v ':[0-9]*:[[:space:]]*//' >&2; then \
 			echo "forks: '$${chk#*:}' is back in non-test code under '$${chk%%:*}', want 0" >&2; fail=1; fi; \
@@ -107,9 +102,6 @@ forks:
 	done; \
 	if grep -Hn 'ResolveReference(\|url\.Parse(\|resolveRef(' $$brw | grep -v '/internal/browser/memo\.go:\|:[0-9]*:[[:space:]]*//' >&2; then \
 		echo "forks: the emulated browser resolves a reference outside memo.go, beside the memo that keeps resolved references (DESIGN.md §3)" >&2; fail=1; fi; \
-	rnd=$$(grep -Hn 'decorate\.NewRender(' $$src | grep -v ':[0-9]*:[[:space:]]*//'); \
-	if [ "$$(echo "$$rnd" | sed 's|/[^/]*:[0-9]*:.*||' | sort -u | grep -c .)" -ne 1 ]; then \
-		echo "forks: 'decorate.NewRender(' is called in $$(echo "$$rnd" | sed 's|/[^/]*:[0-9]*:.*||' | sort -u | grep -c .) non-test packages, want one:" >&2; echo "$$rnd" >&2; fail=1; fi; \
 	bnd=$$(grep -Hn 'json\.Marshal(entries)' $$(echo "$$src" | grep '/internal/baselines/') | grep -v ':[0-9]*:[[:space:]]*//'); \
 	if [ "$$(echo "$$bnd" | grep -c '/internal/baselines/bundle\.go:')" -ne 1 ] || [ "$$(echo "$$bnd" | grep -c .)" -ne 1 ]; then \
 		echo "forks: 'json.Marshal(entries)' is called $$(echo "$$bnd" | grep -c .) times in non-test internal/baselines, want once, in bundle.go's memo fill:" >&2; echo "$$bnd" >&2; fail=1; fi; \
@@ -124,9 +116,6 @@ forks:
 	dec=$$(grep -Hn 'core\.Decide(' $$src | grep -v ':[0-9]*:[[:space:]]*//'); \
 	if [ "$$(echo "$$dec" | grep -c /internal/sw/)" -ne 1 ] || [ "$$(echo "$$dec" | grep -c .)" -ne 1 ]; then \
 		echo "forks: core.Decide( is called $$(echo "$$dec" | grep -c .) times in non-test code, want once, in internal/sw:" >&2; echo "$$dec" >&2; fail=1; fi; \
-	ev=$$(grep -Hn 'type [A-Za-z]*[eE]vidence struct' $$src); \
-	if [ "$$(echo "$$ev" | grep -c /internal/decorate/)" -ne 1 ] || [ "$$(echo "$$ev" | grep -c .)" -ne 1 ]; then \
-		echo "forks: the evidence type is defined $$(echo "$$ev" | grep -c .) times in non-test code, want once, in internal/decorate:" >&2; echo "$$ev" >&2; fail=1; fi; \
 	if $(GO) list -f '{{join .Imports "\n"}}' ./internal/server | grep -q 'internal/tenant$$'; then \
 		echo "forks: internal/server imports internal/tenant; the tenant path belongs to catalyst.Middleware" >&2; fail=1; fi; \
 	exit $$fail

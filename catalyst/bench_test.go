@@ -301,7 +301,7 @@ func BenchmarkMiddlewareWarmResolve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ent.Map.Store(nil)
+		ent.slot.Store(nil)
 		h.ServeHTTP(w, req)
 	}
 }

@@ -51,7 +51,7 @@ func TestOptionCensus(t *testing.T) {
 		}},
 		{reflect.TypeOf(core.BuildOptions{}), []string{
 			"CrossOriginETag", // catalyst.Middleware (in front of a server.Server)
-			"Concurrency",     // catalyst.Middleware (the probe fan-out; a server's MapTuning)
+			"Concurrency",     // catalyst.Middleware (the probe fan-out; a server's content resolve)
 		}},
 		{reflect.TypeOf(resilience.GateOptions{}), []string{
 			"MaxInflight", // catalyst.Middleware, bench

@@ -4,9 +4,9 @@ import (
 	"context"
 	"maps"
 	"net/http"
+	"time"
 
 	"cachecatalyst/internal/core"
-	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/server"
 )
@@ -15,111 +15,64 @@ import (
 // a *server.Server, chosen at construction by next's type. The server hands
 // ServePage each HTML page's Resource, whose validator keys the render; its
 // Content and CrossOriginETag answer every lookup, held and never expiring,
-// so nothing is probed, kept stale or broken out; the map is resolved with
-// the server's MapTuning; and renders are read through memo, when set
-// (ShareRenders).
+// so nothing is probed, kept stale or broken out; and renders are read
+// through memo, when set (ShareRenders).
 type contentFront struct {
-	srv                      *server.Server
-	content                  server.Content
-	cross                    func(absURL string) (etag.Tag, bool)
-	rec                      *server.Recorder // nil with recording off
-	concurrency, maxMapBytes int
-	memo                     *RenderMemo
+	srv     *server.Server
+	content server.Content
+	cross   func(absURL string) (etag.Tag, bool)
+	rec     *server.Recorder // nil with recording off
+	memo    *RenderMemo
 }
 
 func newContentFront(srv *server.Server) *contentFront {
-	c := &contentFront{srv: srv, content: srv.Content(), cross: srv.Options().CrossOriginETag, rec: srv.Recorder()}
-	c.concurrency, c.maxMapBytes = srv.MapTuning()
-	return c
+	return &contentFront{srv: srv, content: srv.Content(), cross: srv.Options().CrossOriginETag, rec: srv.Recorder()}
 }
 
 // render returns the entry for res, the page at pageURL, from the render
-// store's one entry per URL: the stored entry while it was rendered from
-// res's validator — one lookup and one tag compare, allocating nothing —
-// else a render made under the store's singleflight for the URL, which
-// replaces it. With the store disabled every request renders.
+// store's one entry per URL (fill): the stored entry while it was rendered
+// from res's validator, a tag compare, else a fresh render through the memo.
 func (c *contentFront) render(ts *tenantState, pageURL string, res *server.Resource) *renderEntry {
-	if ts.renders == nil {
-		return &renderEntry{Render: c.memo.render(pageURL, res), tag: res.ETag}
-	}
-	ent, ok := ts.renders.Get(pageURL)
-	for !ok || ent.tag != res.ETag {
-		ent, _, _ = ts.renders.Do(pageURL, func() (*renderEntry, error) {
-			// A flight that landed between the lookup and this one may have
-			// stored this version's render already.
-			if cur, ok := ts.renders.Peek(pageURL); ok && cur.tag == res.ETag {
-				return cur, nil
-			}
-			e := &renderEntry{Render: c.memo.render(pageURL, res), tag: res.ETag}
-			ts.renders.Put(pageURL, e)
-			return e, nil
-		})
-		ok = true
-	}
-	return ent
+	return fill(ts, pageURL, func(e *renderEntry) bool { return e.tag == res.ETag }, func() *renderEntry {
+		return &renderEntry{render: c.memo.render(pageURL, res), tag: res.ETag}
+	})
 }
 
-// Lookup makes c the decorate.Source of its resolves.
-func (c *contentFront) Lookup(path string) (etag.Tag, bool, string, bool) {
+// never is when a Content answer stops holding: it is re-asked, never
+// expired.
+var never = time.Date(9999, time.December, 31, 0, 0, 0, 0, time.UTC)
+
+// lookup makes c a mapSource.
+func (c *contentFront) lookup(_ context.Context, _ *http.Request, path string) (etag.Tag, bool, string, bool) {
 	r, ok := c.content.Get(path)
 	if !ok {
 		return etag.Tag{}, false, "", false
 	}
-	if !decorate.IsCSS(r.ContentType) {
+	if !isCSS(r.ContentType) {
 		return r.ETag, true, "", false
 	}
 	return r.ETag, true, r.Text(), true
 }
 
-// recheck answers a slotted map's recorded lookup afresh; every lookup is
-// held.
-func (c *contentFront) recheck(key string, cross bool) (etag.Tag, bool, bool) {
+// cached is false: at contentConcurrency a resolve makes every lookup
+// inline anyway, and a wider one (a test's) fans them all out.
+func (c *contentFront) cached(string) bool { return false }
+
+func (c *contentFront) recheck(key string, cross bool) (etag.Tag, bool, time.Time) {
 	if cross {
 		tag, ok := c.cross(key)
-		return tag, ok, true
+		return tag, ok, never
 	}
 	r, ok := c.content.Get(key)
 	if !ok {
-		return etag.Tag{}, false, true
+		return etag.Tag{}, false, never
 	}
-	return r.ETag, true, true
-}
-
-// attachMap returns the X-Etag-Config value for ent, its entry count, and
-// the decision: the render's slotted map while its evidence holds
-// ("map-reused"), else a resolve under the request's context ("map-built"),
-// slotted only if the context is not done — a cancelled or out-of-budget
-// resolve may be a prefix of the real map. A done request may still reuse.
-func (c *contentFront) attachMap(ctx context.Context, m *middleware, pageURL string, ent *renderEntry, session string) ([]string, int, string) {
-	rm, decision := ent.Map.Load(), "map-reused"
-	if rm == nil || !rm.Verify(c.recheck) {
-		etags, seen := decorate.Resolve(ctx, ent.Refs, c, core.BuildOptions{CrossOriginETag: c.cross, Concurrency: c.concurrency})
-		var dropped int
-		rm, dropped = decorate.NewResolved(etags, seen, c.maxMapBytes)
-		m.metrics.MapEntriesDropped.Add(int64(dropped))
-		if c.rec != nil {
-			rm.Base = etags
-		}
-		if ctx.Err() == nil {
-			ent.Map.Store(rm)
-		}
-		decision = "map-built"
-	}
-	// Recorded extras are per session, so they ride on top of the shared
-	// map for this response only and never enter the slot.
-	if extra := c.withRecorded(rm.Base, session, pageURL); extra != nil {
-		enc, _ := decorate.EncodeMap(extra, c.maxMapBytes)
-		return []string{enc}, len(extra), decision
-	}
-	return rm.Hdr, rm.Entries, decision
+	return r.ETag, true, never
 }
 
 // withRecorded returns base plus what the session's earlier loads of the
 // page requested beyond it, or nil when there is nothing to add.
 func (c *contentFront) withRecorded(base core.ETagMap, session, pageURL string) core.ETagMap {
-	if c.rec == nil || session == "" {
-		return nil
-	}
 	var m core.ETagMap
 	for _, extra := range c.rec.Recorded(session, pageURL) {
 		if _, covered := base[extra]; covered {
@@ -135,7 +88,7 @@ func (c *contentFront) withRecorded(base core.ETagMap, session, pageURL string) 
 	return m
 }
 
-// RenderMemo holds the renders (decorate.NewRender) of every page version
+// RenderMemo holds the renders (newRender) of every page version
 // the Middlewares sharing it have served from Content, keyed by the page's
 // *server.Resource and URL, of which a render is a pure function (a body is
 // never written; references resolve against the URL). A sweep makes one per
@@ -147,7 +100,7 @@ func (c *contentFront) withRecorded(base core.ETagMap, session, pageURL string) 
 // budget. It is not safe for concurrent use: a site's worlds run one after
 // another on one goroutine.
 type RenderMemo struct {
-	renders map[renderKey]decorate.Render
+	renders map[renderKey]render
 }
 
 // renderKey names one page version at one URL.
@@ -158,7 +111,7 @@ type renderKey struct {
 
 // NewRenderMemo returns an empty memo.
 func NewRenderMemo() *RenderMemo {
-	m := &RenderMemo{renders: make(map[renderKey]decorate.Render)}
+	m := &RenderMemo{renders: make(map[renderKey]render)}
 	if testHookNewRenderMemo != nil {
 		testHookNewRenderMemo(m)
 	}
@@ -178,14 +131,14 @@ func ShareRenders(h http.Handler, memo *RenderMemo) http.Handler {
 
 // render returns the render of res served at p: the memo's, or a new one,
 // which a memo keeps.
-func (m *RenderMemo) render(p string, res *server.Resource) decorate.Render {
+func (m *RenderMemo) render(p string, res *server.Resource) render {
 	key := renderKey{res, p}
 	if m != nil {
 		if rd, ok := m.renders[key]; ok {
 			return rd
 		}
 	}
-	rd := decorate.NewRender(p, string(res.Body))
+	rd := newRender(p, string(res.Body))
 	if m != nil {
 		m.renders[key] = rd
 	}

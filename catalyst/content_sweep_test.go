@@ -11,7 +11,7 @@ import (
 // TestMemoisedRendersAreExact is the differential test of the render memo,
 // the server half of internal/browser's TestMemoisedParsesAreExact: after
 // the quick scheme matrix and a two-site headline sweep, every render every
-// site's memo holds must equal a fresh decorate.NewRender of its page's
+// site's memo holds must equal a fresh render (newRender) of its page's
 // Resource at its URL. A memo keyed by anything that does not commit to the
 // page's bytes and URL, or a front end that writes into a render it shares,
 // leaves a render that differs.

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/server"
 )
 
@@ -39,6 +38,8 @@ func withMaxProbeEntries(n int) func(*tuning) { return func(t *tuning) { t.maxPr
 func withProbeConcurrency(n int) func(*tuning) { return func(t *tuning) { t.probeConcurrency = n } }
 
 func withMaxMapBytes(n int) func(*tuning) { return func(t *tuning) { t.maxMapBytes = n } }
+
+func withContentConcurrency(n int) func(*tuning) { return func(t *tuning) { t.contentConcurrency = n } }
 
 // serverOf returns the server h, a Middleware in front of one, serves.
 func serverOf(h http.Handler) *server.Server { return h.(*middleware).content.srv }
@@ -95,7 +96,7 @@ func CollectRenderMemos(f func()) []*RenderMemo {
 func (m *RenderMemo) Recheck() (int, error) {
 	var bad []string
 	for key, got := range m.renders {
-		if want := decorate.NewRender(key.page, string(key.res.Body)); !reflect.DeepEqual(got, want) {
+		if want := newRender(key.page, string(key.res.Body)); !reflect.DeepEqual(got, want) {
 			bad = append(bad, fmt.Sprintf("%s, version %s: the stored render differs from a fresh one", key.page, key.res.ETag))
 		}
 	}

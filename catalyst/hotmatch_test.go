@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"cachecatalyst/internal/core"
-	"cachecatalyst/internal/decorate"
 )
 
 // hotMatchDocs are the document shapes the snippet injector distinguishes —
@@ -40,7 +39,7 @@ func hotMatchPositions(n, at int) []int {
 }
 
 // TestHotMatchIsEquality holds the warm fast lane's compare to what it
-// replaced: for the render of raw, IsRenderOf(x) ⇔ bytes.Equal(raw, x), over
+// replaced: for the render of raw, isRenderOf(x) ⇔ bytes.Equal(raw, x), over
 // byte flips, insertions, deletions and truncations before, at and after the
 // snippet's offset. The lane itself is driven with the same inputs: whatever
 // sequence of bodies one URL serves, the entry render returns is the
@@ -49,12 +48,12 @@ func TestHotMatchIsEquality(t *testing.T) {
 	m := Middleware(http.NotFoundHandler(), MiddlewareOptions{}).(*middleware)
 	for di, doc := range hotMatchDocs {
 		raw := []byte(doc)
-		rd := decorate.NewRender("/", doc)
+		rd := newRender("/", doc)
 		at, _ := core.RegistrationOffset(doc)
 		check := func(what string, x []byte) {
 			t.Helper()
-			if got, want := rd.IsRenderOf(x), bytes.Equal(raw, x); got != want {
-				t.Fatalf("doc %d, %s: IsRenderOf(%q) = %v, bytes.Equal(raw, x) = %v", di, what, x, got, want)
+			if got, want := rd.isRenderOf(x), bytes.Equal(raw, x); got != want {
+				t.Fatalf("doc %d, %s: isRenderOf(%q) = %v, bytes.Equal(raw, x) = %v", di, what, x, got, want)
 			}
 			if ent := m.render(&m.def, "/", x, nil); string(ent.Body) != core.InjectRegistration(string(x)) {
 				t.Fatalf("doc %d, %s: hot lane served the render of another body for %q", di, what, x)
@@ -96,8 +95,8 @@ func TestHotMatchIsEquality(t *testing.T) {
 					x = x[:p]
 				}
 			}
-			if got, want := rd.IsRenderOf(x), bytes.Equal(raw, x); got != want {
-				t.Fatalf("doc %d, mutation %d: IsRenderOf(%q) = %v, bytes.Equal = %v", di, i, x, got, want)
+			if got, want := rd.isRenderOf(x), bytes.Equal(raw, x); got != want {
+				t.Fatalf("doc %d, mutation %d: isRenderOf(%q) = %v, bytes.Equal = %v", di, i, x, got, want)
 			}
 		}
 	}
@@ -116,15 +115,15 @@ func FuzzHotMatch(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, raw, other string) {
-		rd := decorate.NewRender("/", raw)
+		rd := newRender("/", raw)
 		if string(rd.Body) != core.InjectRegistration(raw) {
 			t.Fatalf("render body of %q is not its injection", raw)
 		}
-		if !rd.IsRenderOf([]byte(raw)) {
+		if !rd.isRenderOf([]byte(raw)) {
 			t.Fatalf("render of %q does not match its own page", raw)
 		}
-		if got, want := rd.IsRenderOf([]byte(other)), raw == other; got != want {
-			t.Fatalf("IsRenderOf = %v for raw %q, other %q", got, raw, other)
+		if got, want := rd.isRenderOf([]byte(other)), raw == other; got != want {
+			t.Fatalf("isRenderOf = %v for raw %q, other %q", got, raw, other)
 		}
 	})
 }

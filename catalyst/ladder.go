@@ -7,10 +7,10 @@ import (
 	"strconv"
 	"time"
 
-	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/headers"
 	"cachecatalyst/internal/resilience"
+	"cachecatalyst/internal/server"
 	"cachecatalyst/internal/telemetry"
 )
 
@@ -107,7 +107,7 @@ func (m *middleware) serveStale(ts *tenantState, w http.ResponseWriter, r *http.
 		w.WriteHeader(http.StatusNotModified)
 		return true
 	}
-	decorate.WriteEntity(w, r, e.body, nil)
+	server.WriteEntity(w, r, e.body, nil)
 	return true
 }
 
@@ -123,7 +123,7 @@ func (m *middleware) servePlain(w http.ResponseWriter, r *http.Request, sw *snif
 	var body []byte
 	if held != nil {
 		headers.MergeNotModified(h, held.header, sw.header)
-		h["Etag"], body = held.inm, held.Raw()
+		h["Etag"], body = held.inm, held.raw()
 	} else {
 		copyHeader(h, sw.header)
 		// sw's buffer is reused once this request ends, and WriteEntity
@@ -131,7 +131,7 @@ func (m *middleware) servePlain(w http.ResponseWriter, r *http.Request, sw *snif
 		body = bytes.Clone(sw.body())
 	}
 	m.decide(r.Context(), h, "budget-exhausted", pageURL)
-	decorate.WriteEntity(w, r, body, nil)
+	server.WriteEntity(w, r, body, nil)
 }
 
 // serveReject answers 503 + Retry-After, the ladder's bottom rung.

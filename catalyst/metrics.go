@@ -89,7 +89,7 @@ type middlewareMetrics struct {
 	// repeated probe failures.
 	BreakerTrips telemetry.Counter
 	// MapEntriesDropped counts X-Etag-Config entries removed to keep the
-	// encoded map within core.MaxEncodedMapBytes (decorate.EncodeMap).
+	// encoded map within core.MaxEncodedMapBytes (encodeMap).
 	MapEntriesDropped telemetry.Counter
 	// MapsBuilt counts HTML responses whose X-Etag-Config a resolve
 	// assembled, and MapBytes their encoded wire bytes: MapBytes ÷ MapsBuilt
@@ -98,7 +98,7 @@ type middlewareMetrics struct {
 	MapBytes  telemetry.Counter
 	// EncodeReuses counts HTML responses that reused the render's slotted
 	// X-Etag-Config encoding because every lookup its evidence names still
-	// answers the recorded tag (decorate.Resolved.Verify). With MapsBuilt
+	// answers the recorded tag (resolved.verify). With MapsBuilt
 	// and HotMapHits it adds up to the decorated HTML responses.
 	EncodeReuses telemetry.Counter
 	// MapSheds counts requests the admission gate refused; each also lands

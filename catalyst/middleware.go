@@ -10,7 +10,6 @@ import (
 
 	"cachecatalyst/internal/cachestore"
 	"cachecatalyst/internal/core"
-	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/delta"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/headers"
@@ -68,14 +67,15 @@ type MiddlewareOptions struct {
 	// exchange (internal/cluster): freshly assembled X-Etag-Config
 	// encodings are published to peers, and a peer-published encoding for
 	// the exact entity being served is adopted instead of running the
-	// local probe fan-out. Nil disables the exchange.
+	// local probe fan-out. Nil disables the exchange. In front of a
+	// *server.Server, which probes nothing, it is unused.
 	Exchange MapExchange
 	// Delta enables delta-encoded HTML: recently served page bodies are
 	// retained keyed by their validator, and a request naming one in
 	// X-Delta-Base is answered with a CCD1 patch (internal/delta) against
 	// that base — marked X-Delta-From — whenever the patch is smaller
 	// than the full body. The Etag is always the current entity's. The
-	// retained-base cache holds decorate.BodyStoreBudget bytes.
+	// retained-base cache holds bodyStoreBudget bytes.
 	Delta bool
 }
 
@@ -115,10 +115,14 @@ const (
 	// GOMAXPROCS. Concurrent renders still probe each path once: the
 	// fan-out dedups through the probe cache's singleflight.
 	probeConcurrency = 8
+	// contentConcurrency is the width a resolve from a server's Content
+	// runs at: a Content lookup is a map read, not worth a goroutine, and a
+	// sequential resolve keeps the simulator's content deterministic.
+	contentConcurrency = 1
 	// staleFor is how long a successfully served page may be re-served from
 	// the stale cache (with a Warning 110 header) when the inner handler is
 	// saturated, erroring, or broken; a tenant's StaleFor overrides it. The
-	// stale cache holds decorate.BodyStoreBudget bytes.
+	// stale cache holds bodyStoreBudget bytes.
 	staleFor = 5 * time.Minute
 	// retryAfter is the Retry-After hint on ladder-bottom 503 responses.
 	retryAfter = 5 * time.Second
@@ -132,25 +136,27 @@ const defaultRenderBytes = 16 << 20
 // serves with frozen(), the one place they are read; only a test reaches
 // other values (export_test.go).
 type tuning struct {
-	probeTTL         time.Duration
-	breakerThreshold int
-	breakerCooldown  time.Duration
-	maxProbeEntries  int
-	probeConcurrency int
+	probeTTL           time.Duration
+	breakerThreshold   int
+	breakerCooldown    time.Duration
+	maxProbeEntries    int
+	probeConcurrency   int
+	contentConcurrency int
 	// maxMapBytes bounds every X-Etag-Config value the middleware writes
-	// (decorate.EncodeMap).
+	// (encodeMap).
 	maxMapBytes int
 }
 
 // frozen returns the tuning Middleware serves with.
 func frozen() tuning {
 	return tuning{
-		probeTTL:         probeTTL,
-		breakerThreshold: breakerThreshold,
-		breakerCooldown:  breakerCooldown,
-		maxProbeEntries:  maxProbeEntries,
-		probeConcurrency: probeConcurrency,
-		maxMapBytes:      core.MaxEncodedMapBytes,
+		probeTTL:           probeTTL,
+		breakerThreshold:   breakerThreshold,
+		breakerCooldown:    breakerCooldown,
+		maxProbeEntries:    maxProbeEntries,
+		probeConcurrency:   probeConcurrency,
+		contentConcurrency: contentConcurrency,
+		maxMapBytes:        core.MaxEncodedMapBytes,
 	}
 }
 
@@ -185,12 +191,15 @@ func Middleware(next http.Handler, opts MiddlewareOptions) http.Handler {
 
 func newMiddleware(next http.Handler, opts MiddlewareOptions, tune tuning) *middleware {
 	m := &middleware{next: next, opts: opts, tune: tune, metrics: &middlewareMetrics{}, prefix: "middleware."}
+	m.build.Concurrency = tune.probeConcurrency
 	reuses := "encode_reuses"
 	if srv, ok := next.(*server.Server); ok {
 		m.content, m.prefix, reuses = newContentFront(srv), "server.", "maps_reused"
+		m.build = core.BuildOptions{CrossOriginETag: m.content.cross, Concurrency: tune.contentConcurrency}
 		so := srv.Options()
 		m.opts.ServerTiming = opts.ServerTiming || so.ServerTiming
 		m.opts.Telemetry = cmp.Or(opts.Telemetry, so.Telemetry)
+		m.opts.Exchange = nil
 	}
 	if reg := m.opts.Telemetry; reg != nil {
 		m.metrics.register(reg, m.prefix, reuses)
@@ -214,7 +223,10 @@ type middleware struct {
 	// content is set when next is a *server.Server: pages and lookups come
 	// from its Content, and no probe, stale or breaker state is built.
 	content *contentFront
-	prefix  string // the default state's telemetry names: "middleware." or "server."
+	// build is every resolve's options: the source's width and, in front of
+	// a *server.Server, its CrossOriginETag.
+	build  core.BuildOptions
+	prefix string // the default state's telemetry names: "middleware." or "server."
 	// metrics is its own allocation, so the counters every request bumps
 	// share no cache line with the fields every request reads.
 	metrics *middlewareMetrics
@@ -235,13 +247,15 @@ type middleware struct {
 // saturated or flapping upstream trips its own gate and breaker while its
 // neighbours serve undisturbed.
 type tenantState struct {
-	name   string // "" for the default state
+	name string // "" for the default state
+	// src answers the lookups of the state's maps: content, or the probes.
+	src    mapSource
 	probes *cachestore.Store[probe]
 	// renders maps page URL → the render of its most recent body, held or
 	// not (see renderEntry); nil when disabled.
 	renders *cachestore.Store[*renderEntry]
 	stales  *cachestore.Store[*staleEntry] // last-known-good serves; nil when disabled
-	// deltaBases retains recently served page bodies (decorate.DeltaBase);
+	// deltaBases retains recently served page bodies (deltaBase);
 	// nil when Options.Delta is off.
 	deltaBases *cachestore.Store[[]byte]
 	gate       *resilience.Gate    // admission control; nil when disabled
@@ -299,7 +313,10 @@ func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
 		})
 	}
 	if o.Delta {
-		ts.deltaBases = openCache(m, ts.name, def.deltaBases, ns("delta_bases", half), decorate.BaseStoreOptions())
+		ts.deltaBases = openCache(m, ts.name, def.deltaBases, ns("delta_bases", half), cachestore.Options[[]byte]{
+			MaxBytes: bodyStoreBudget,
+			SizeOf:   func(key string, body []byte) int64 { return int64(len(key) + len(body)) },
+		})
 	}
 	maxInflight := o.MaxInflight
 	if t.MaxInflight != 0 {
@@ -317,8 +334,10 @@ func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
 		ts.requestBudget = t.RequestBudget
 	}
 	if m.content != nil {
+		ts.src = m.content
 		return // Content answers every lookup, and nothing else is kept
 	}
+	ts.src = &probeSource{m: m, ts: ts}
 
 	// A tenant's probe namespace sets no budget of its own (0): it inherits
 	// the root store's, the same maxProbeEntries × probeBaseCost.
@@ -338,7 +357,7 @@ func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
 	}
 	if t.StaleFor >= 0 {
 		ts.stales = openCache(m, ts.name, def.stales, ns("stales", half), cachestore.Options[*staleEntry]{
-			MaxBytes: decorate.BodyStoreBudget,
+			MaxBytes: bodyStoreBudget,
 			SizeOf:   staleEntrySize,
 		})
 	}
@@ -395,7 +414,7 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Path == WorkerPath && (r.Method == http.MethodGet || r.Method == http.MethodHead) {
-		decorate.ServeWorkerScript(w, r)
+		server.ServeWorkerScript(w, r)
 		return
 	}
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
@@ -405,29 +424,16 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	pageURL := decorate.PageURL(r)
+	pageURL := server.PageURL(r)
 	ts := m.stateFor(r)
-
-	// Deadline budget: the whole instrumented serve — inner handler,
-	// probe fan-out, map assembly — happens inside one wall-clock
-	// allowance. Stages read the remainder off the context; the fan-out
-	// stops issuing probes once it is spent.
-	if ts.requestBudget > 0 {
-		ctx, cancel := resilience.WithBudget(r.Context(), ts.requestBudget)
-		defer cancel()
-		r = r.WithContext(ctx)
+	ctx, adm, err := ts.admit(r.Context())
+	defer adm.end()
+	if adm.cancel != nil {
+		r = r.WithContext(ctx) // the inner handler and the probes see the budget
 	}
-
-	// Admission control: only instrumented GET/HEAD traffic is gated —
-	// it is the traffic with probe amplification (one page fanning out
-	// to N subresource probes), which is what melts a saturated inner
-	// handler. A refused request falls down the degradation ladder.
-	if ts.gate != nil {
-		if err := ts.gate.AcquireSlot(r.Context()); err != nil {
-			m.shed(ts, w, r, pageURL, err)
-			return
-		}
-		defer ts.gate.Release()
+	if err != nil {
+		m.shed(ts, w, r, pageURL, err)
+		return
 	}
 
 	// Inner-handler circuit breaker: while open, don't error-proxy —
@@ -585,24 +591,58 @@ func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.R
 }
 
 // ServePage implements server.Decorator: with the page's content headers
-// written, it goes straight to the render, behind the same gate and ladder
-// (see shed). The budget bounds the resolve alone: there is no inner handler
-// to wait for, and so no stage boundary to check it at first.
+// written, it goes straight to the render, behind the same admission and
+// ladder (see shed). The budget bounds the resolve alone: there is no inner
+// handler to wait for, and so no stage boundary to check it at first.
 func (m *middleware) ServePage(ctx context.Context, w http.ResponseWriter, r *http.Request, pageURL string, res *server.Resource, session string) (status, n, entries int, served bool) {
 	ts := m.stateFor(r)
-	if ts.requestBudget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = resilience.WithBudget(ctx, ts.requestBudget)
-		defer cancel()
-	}
-	if ts.gate != nil {
-		if err := ts.gate.AcquireSlot(ctx); err != nil {
-			return http.StatusServiceUnavailable, 0, 0, m.shed(ts, w, r, pageURL, err)
-		}
-		defer ts.gate.Release()
+	ctx, adm, err := ts.admit(ctx)
+	defer adm.end()
+	if err != nil {
+		return http.StatusServiceUnavailable, 0, 0, m.shed(ts, w, r, pageURL, err)
 	}
 	status, n, entries = m.serveDecorated(ctx, ts, w, r, pageURL, m.content.render(ts, pageURL, res), session)
 	return status, n, entries, true
+}
+
+// admission is what admit holds for one request until its end.
+type admission struct {
+	gate   *resilience.Gate   // the slot to release; nil when none was taken
+	cancel context.CancelFunc // the budget's; nil without one
+}
+
+// admit is the one admission step of a decorated page. The request budget
+// comes first: the whole instrumented serve — inner handler, probe fan-out,
+// map assembly — happens inside one wall-clock allowance, and stages read the
+// remainder off the returned context (the fan-out stops issuing probes once
+// it is spent). Then the gate: only instrumented GET/HEAD traffic is gated —
+// it is the traffic with probe amplification (one page fanning out to N
+// subresource probes), which is what melts a saturated inner handler. A
+// non-nil error is the gate's refusal, which the caller routes down the
+// degradation ladder (shed); the caller defers the admission's end either
+// way.
+func (ts *tenantState) admit(ctx context.Context) (context.Context, admission, error) {
+	var a admission
+	if ts.requestBudget > 0 {
+		ctx, a.cancel = resilience.WithBudget(ctx, ts.requestBudget)
+	}
+	if ts.gate != nil {
+		if err := ts.gate.AcquireSlot(ctx); err != nil {
+			return ctx, a, err
+		}
+		a.gate = ts.gate
+	}
+	return ctx, a, nil
+}
+
+// end releases the slot and the budget.
+func (a admission) end() {
+	if a.gate != nil {
+		a.gate.Release()
+	}
+	if a.cancel != nil {
+		a.cancel()
+	}
 }
 
 // serveDecorated is the pipeline from the render on, whatever the source:
@@ -612,14 +652,8 @@ func (m *middleware) ServePage(ctx context.Context, w http.ResponseWriter, r *ht
 // It reports the status and body bytes written and the map's entry count.
 func (m *middleware) serveDecorated(ctx context.Context, ts *tenantState, w http.ResponseWriter, r *http.Request, pageURL string, ent *renderEntry, session string) (status, n, entries int) {
 	h := w.Header()
-	deltaBase, deltaFrom := decorate.DeltaBase(ts.deltaBases, r, pageURL, &ent.Render)
-	var hdr []string
-	var decision string
-	if m.content != nil {
-		hdr, entries, decision = m.content.attachMap(ctx, m, pageURL, ent, session)
-	} else {
-		hdr, entries, decision = m.probedMap(ctx, ts, r, pageURL, ent)
-	}
+	base, from := deltaBase(ts.deltaBases, r, pageURL, &ent.render)
+	hdr, entries, decision := m.mapFor(ctx, ts, r, pageURL, ent, session)
 	switch decision {
 	case "map-built":
 		m.metrics.MapsBuilt.Add(1)
@@ -642,108 +676,119 @@ func (m *middleware) serveDecorated(ctx context.Context, ts *tenantState, w http
 	// A validator match above wins over a patch (the 304 transfers nothing
 	// at all); here the entity changed, so diff lazily.
 	body, clen := ent.Body, ent.ClenHeader
-	if patch, ok := decorate.Patch(deltaBase, body); ok {
+	if p, ok := patch(base, body); ok {
 		m.metrics.DeltasServed.Add(1)
-		m.metrics.DeltaBytesSaved.Add(int64(len(body) - len(patch)))
-		h.Set(delta.FromHeader, deltaFrom)
+		m.metrics.DeltaBytesSaved.Add(int64(len(body) - len(p)))
+		h.Set(delta.FromHeader, from)
 		m.decide(ctx, h, "delta", pageURL)
-		body, clen = patch, nil
+		body, clen = p, nil
 	}
 	m.decide(ctx, h, "network", pageURL)
-	return http.StatusOK, decorate.WriteEntity(w, r, body, clen), entries
+	return http.StatusOK, server.WriteEntity(w, r, body, clen), entries
 }
 
-// probedMap returns the X-Etag-Config value for ent from the probe cache,
-// its entry count, and the decision naming how it was come by: the render's
-// slotted map while every probe it rests on is held, unexpired and answers
-// as it did ("map-reused"); a cluster peer's encoding of this exact entity
-// ("hotmap-adopt"); or a resolve through the probes ("map-built").
-func (m *middleware) probedMap(ctx context.Context, ts *tenantState, r *http.Request, pageURL string, ent *renderEntry) ([]string, int, string) {
+// mapFor is the one map path, whatever the source: it returns ent's
+// X-Etag-Config value, its entry count, and the decision naming how it was
+// come by. The render's slotted map is reused while every lookup it rests on
+// still answers as it did ("map-reused"). Else a probe source may adopt a
+// cluster peer's encoding of this exact entity ("hotmap-adopt"), which has no
+// evidence behind it here, so it serves this response only and never enters
+// the slot; and otherwise the references are resolved through the source
+// ("map-built"), bounded and encoded, and slotted unless the request is
+// done — a cancelled or out-of-budget resolve may be a prefix of the real map
+// — or the lookups moved while it was resolved, when the next request would
+// only rebuild it. A freshly slotted map is published to the cluster. A
+// recording session's extras ride on top of a reused or built map.
+func (m *middleware) mapFor(ctx context.Context, ts *tenantState, r *http.Request, pageURL string, ent *renderEntry, session string) ([]string, int, string) {
 	now := time.Now()
-	if rm := ent.Map.Load(); rm != nil && ts.verify(rm, now, nil) {
-		// Resolving again would only re-read the same probes and
-		// re-serialize the identical map.
-		return rm.Hdr, rm.Entries, "map-reused"
+	rm, decision := ent.slot.Load(), "map-reused"
+	if rm == nil || !rm.verify(ts.src, now, nil) {
+		if peerEnc, ok := m.exchangeLookup(ts, pageURL, ent, now); ok {
+			return []string{peerEnc}, 0, "hotmap-adopt"
+		}
+		etags, seen := resolve(ctx, r, ent.Refs, ts.src, m.build)
+		enc := m.encode(etags) // trims etags to what it encodes
+		rm = &resolved{hdr: []string{enc}, entries: len(etags), seen: seen}
+		if m.content != nil && m.content.rec != nil {
+			rm.base = etags
+		}
+		var until time.Time
+		if ctx.Err() == nil && rm.verify(ts.src, time.Now(), &until) {
+			ent.slot.Store(rm)
+			m.publish(ts, pageURL, ent, rm, until, now)
+		}
+		decision = "map-built"
 	}
-	if peerEnc, ok := m.exchangeLookup(ts, pageURL, ent, now); ok {
-		// A cluster peer already rendered this exact entity and gossiped
-		// its encoded map: adopt it instead of re-probing. It has no
-		// evidence behind it here, so it is served for this response only
-		// and never enters the slot.
-		return []string{peerEnc}, 0, "hotmap-adopt"
+	// Recorded extras are per session, so they ride on top of the shared
+	// map for this response only and never enter the slot. Only a server's
+	// recorder names a session.
+	if session != "" {
+		if extra := m.content.withRecorded(rm.base, session, pageURL); extra != nil {
+			enc := m.encode(extra)
+			return []string{enc}, len(extra), decision
+		}
 	}
-	etags, seen := decorate.Resolve(ctx, ent.Refs, &probeSource{m: m, ts: ts, req: r, ctx: ctx},
-		core.BuildOptions{Concurrency: m.tune.probeConcurrency})
-	rm, dropped := decorate.NewResolved(etags, seen, m.tune.maxMapBytes)
+	return rm.hdr, rm.entries, decision
+}
+
+// encode is every map's encoding within the map bound (encodeMap), counting
+// the entries the bound drops.
+func (m *middleware) encode(etags core.ETagMap) string {
+	enc, dropped := encodeMap(etags, m.tune.maxMapBytes)
 	if dropped > 0 {
 		m.metrics.MapEntriesDropped.Add(int64(dropped))
 	}
-	// Never slot a map assembled under a cancelled request: a client that
-	// disconnected mid-render stopped the probe fan-out, so the map may be a
-	// prefix of the real one. Nor one whose probes moved while it was
-	// assembled: the next request would only rebuild it.
-	var exp int64
-	if ctx.Err() == nil && ts.verify(rm, time.Now(), &exp) {
-		ent.Map.Store(rm)
-		if ex := m.opts.Exchange; ex != nil {
-			if exp == 0 {
-				// No probe ran (a page with no same-origin refs); the empty
-				// map is still only announced for one TTL.
-				exp = now.Add(m.tune.probeTTL).UnixNano()
-			}
-			// Gossip the fresh encoding so peers serving this page skip
-			// their own probe fan-out entirely.
-			ex.Publish(ts.name, pageURL, ent.TagStr, rm.Hdr[0], exp)
-		}
+	return enc
+}
+
+// publish gossips a freshly slotted map to the cluster, so peers serving
+// this page skip their own probe fan-out entirely, announced until the
+// earliest expiry among the probes it rests on: one probe TTL from now when
+// it rests on none (a page with no same-origin refs).
+func (m *middleware) publish(ts *tenantState, pageURL string, ent *renderEntry, rm *resolved, until, now time.Time) {
+	ex := m.opts.Exchange
+	if ex == nil {
+		return
 	}
-	return rm.Hdr, rm.Entries, "map-built"
+	if until.IsZero() {
+		until = now.Add(m.tune.probeTTL)
+	}
+	ex.Publish(ts.name, pageURL, ent.TagStr, rm.hdr[0], until.UnixNano())
 }
 
 // decide records one cache decision on the request trace and, with
 // MiddlewareOptions.ServerTiming, in the response's Server-Timing header.
 func (m *middleware) decide(ctx context.Context, h http.Header, name, detail string) {
-	decorate.Decide(ctx, h, m.opts.ServerTiming, name, detail)
+	server.Decide(ctx, h, m.opts.ServerTiming, name, detail)
 }
 
-// verify is the middleware's side of decorate.Resolved.Verify: a recorded
-// lookup is re-asked of the probe cache as of now, and only a probe that is
-// held and unexpired answers it — anything else needs a resolve. When
-// expires is set it receives the earliest expiry among those probes (unix
-// nanoseconds; 0 when rm rests on none), the moment rm stops verifying.
-func (ts *tenantState) verify(rm *decorate.Resolved, now time.Time, expires *int64) bool {
-	return rm.Verify(func(path string, _ bool) (etag.Tag, bool, bool) {
-		pr, held := ts.probes.Peek(path)
-		if !held || !now.Before(pr.expires) {
-			return etag.Tag{}, false, false
-		}
-		if e := pr.expires.UnixNano(); expires != nil && (*expires == 0 || e < *expires) {
-			*expires = e
-		}
-		return pr.tag, pr.ok, true
-	})
-}
-
-// probeSource is the decorate.Source a resolve runs through: every lookup is
-// a probe, fetched when the cache does not hold it unexpired.
+// probeSource is the mapSource in front of any handler: every lookup is a
+// probe, fetched when the cache does not hold it unexpired, and a recorded
+// lookup is answered only by a probe that is held, until it expires.
 type probeSource struct {
-	m   *middleware
-	ts  *tenantState
-	req *http.Request
-	// ctx carries the request trace probe decisions are recorded on.
-	ctx context.Context
+	m  *middleware
+	ts *tenantState
 }
 
-// Cached makes the resolve a core.CachingResolver: a path whose probe is
+// cached makes the resolve a core.CachingResolver: a path whose probe is
 // cached and unexpired is answered without a flight, so the resolve looks
 // it up inline instead of on a fan-out goroutine.
-func (p *probeSource) Cached(path string) bool {
+func (p *probeSource) cached(path string) bool {
 	pr, ok := p.ts.probes.Peek(path)
 	return ok && time.Now().Before(pr.expires)
 }
 
-func (p *probeSource) Lookup(path string) (etag.Tag, bool, string, bool) {
-	pr := p.m.probe(p.ts, path, p.req, p.ctx)
+func (p *probeSource) lookup(ctx context.Context, r *http.Request, path string) (etag.Tag, bool, string, bool) {
+	pr := p.m.probe(p.ts, path, r, ctx)
 	return pr.tag, pr.ok, pr.cssBody, pr.ok && pr.isCSS
+}
+
+func (p *probeSource) recheck(path string, _ bool) (etag.Tag, bool, time.Time) {
+	pr, held := p.ts.probes.Peek(path)
+	if !held {
+		return etag.Tag{}, false, time.Time{}
+	}
+	return pr.tag, pr.ok, pr.expires
 }
 
 // probe returns the cached probe result for path, or asks the inner handler

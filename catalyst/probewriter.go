@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"sync"
 
-	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/etag"
 )
 
@@ -70,7 +69,7 @@ func (w *probeWriter) WriteHeader(code int) {
 		w.tag, w.tagOK = etag.Parse(v)
 	}
 	if code == http.StatusOK {
-		w.isCSS = decorate.IsCSS(w.header.Get("Content-Type"))
+		w.isCSS = isCSS(w.header.Get("Content-Type"))
 		w.keepBody = w.isCSS || !w.tagOK
 	}
 }

@@ -265,7 +265,7 @@ func TestRenderCacheHoldsOneEntryPerPage(t *testing.T) {
 // TestJSONStringLenMatchesMarshal pins the map encoder's keys to
 // json.Marshal's bytes for every string, including the escaping edge cases
 // the default HTML-escaping encoder has: the JSON a Service Worker parses,
-// and the unit the map bound cuts an encoding at (decorate.EncodeMap).
+// and the unit the map bound cuts an encoding at (encodeMap).
 func TestJSONStringLenMatchesMarshal(t *testing.T) {
 	check := func(s string) bool {
 		b, err := json.Marshal(s)

@@ -1,4 +1,4 @@
-package server_test
+package catalyst
 
 import (
 	"context"
@@ -13,9 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/core"
-	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/server"
 	"cachecatalyst/internal/telemetry"
@@ -23,13 +21,29 @@ import (
 	"cachecatalyst/internal/webgen"
 )
 
-// The resolved-map slot's contract is exactness: whatever the server ships
-// in X-Etag-Config — resolved now or reused from an earlier request — is the
-// bytes a from-scratch build over the content of that instant produces. The
-// tests here hold it to that differentially, against core.BuildMap run
-// through the test's own resolver, under every map option the server has and
-// every value its test hook reaches (server.NewTuned), with catalyst.Middleware
-// in front of it doing the decorating.
+// The resolved-map slot's contract is exactness: whatever the middleware in
+// front of a server ships in X-Etag-Config — resolved now or reused from an
+// earlier request — is the bytes a from-scratch build over the content of
+// that instant produces. The tests here hold it to that differentially,
+// against core.BuildMap run through the test's own resolver, under every map
+// option the server has and every resolve width and map bound tuned reaches.
+
+// front is a Server with the middleware in front of it, and the registry
+// both index their counters in.
+type front struct {
+	http.Handler
+	srv *server.Server
+	reg *telemetry.Registry
+}
+
+func newFront(c server.Content, so server.Options, mo MiddlewareOptions, edits ...func(*tuning)) *front {
+	so.Telemetry = telemetry.NewRegistry()
+	srv := server.New(c, so)
+	return &front{tuned(srv, mo, edits...), srv, so.Telemetry}
+}
+
+// counter reads one of the pair's counters by its registry name.
+func (f *front) counter(name string) int64 { return f.reg.Snapshot().Counters[name] }
 
 // freshResolver is the reference Content→core.Resolver adapter: no memo, no
 // log, nothing shared with the server under test.
@@ -101,7 +115,7 @@ type differ struct {
 }
 
 func newDiffer(t *testing.T, content server.Content, page string, cfg mapConfig, cross func(string) (etag.Tag, bool), extras []string) *differ {
-	opts := server.Options{Record: cfg.record, Telemetry: telemetry.NewRegistry()}
+	opts := server.Options{Record: cfg.record}
 	if cfg.cross {
 		opts.CrossOriginETag = cross
 	}
@@ -109,8 +123,7 @@ func newDiffer(t *testing.T, content server.Content, page string, cfg mapConfig,
 	if cfg.max > 0 {
 		bound = cfg.max * boundUnit
 	}
-	srv := server.NewTuned(content, opts, cfg.concurrency, bound)
-	s := &front{catalyst.Middleware(srv, catalyst.MiddlewareOptions{}), srv, opts.Telemetry}
+	s := newFront(content, opts, MiddlewareOptions{}, withContentConcurrency(cfg.concurrency), withMaxMapBytes(bound))
 	// The reference resolves sequentially: the assembled map does not
 	// depend on the fan-out width, and webgen sites tolerate concurrent
 	// readers only once a sequential pass has materialized the instant.
@@ -118,7 +131,7 @@ func newDiffer(t *testing.T, content server.Content, page string, cfg mapConfig,
 	if cfg.record {
 		d.extras = extras
 		for _, p := range extras {
-			srv.Recorder().RecordFetch(extrasSession, "http://site.example"+page, p)
+			s.srv.Recorder().RecordFetch(extrasSession, "http://site.example"+page, p)
 		}
 	}
 	return d
@@ -132,7 +145,7 @@ func (d *differ) want() (plain, withExtras string) {
 		d.t.Fatalf("page %s missing", d.page)
 	}
 	m := core.BuildMap(d.page, string(res.Body), freshResolver{d.content}, d.opts)
-	plain, dropped := decorate.EncodeMap(m, d.bound)
+	plain, dropped := encodeMap(m, d.bound)
 	d.trimmed += dropped
 	m = maps.Clone(m)
 	for _, p := range d.extras {
@@ -143,7 +156,7 @@ func (d *differ) want() (plain, withExtras string) {
 			m[p] = r.ETag
 		}
 	}
-	withExtras, _ = decorate.EncodeMap(m, d.bound)
+	withExtras, _ = encodeMap(m, d.bound)
 	return plain, withExtras
 }
 
@@ -416,7 +429,7 @@ func TestDoneContextNeverPopulatesSlot(t *testing.T) {
 	site := newMemSite(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	content := &cancellingContent{Content: site.c, on: "/css/b.css", cancel: cancel}
-	s := newFront(content, server.Options{}, catalyst.MiddlewareOptions{})
+	s := newFront(content, server.Options{}, MiddlewareOptions{})
 	serve := func(ctx context.Context) core.ETagMap {
 		t.Helper()
 		rec := httptest.NewRecorder()
@@ -450,7 +463,7 @@ func TestDoneContextNeverPopulatesSlot(t *testing.T) {
 
 	// An exhausted budget is a done context like any other: every request
 	// resolves, none populates the slot.
-	sb := newFront(site.c, server.Options{}, catalyst.MiddlewareOptions{RequestBudget: time.Nanosecond})
+	sb := newFront(site.c, server.Options{}, MiddlewareOptions{RequestBudget: time.Nanosecond})
 	for i := 0; i < 3; i++ {
 		sb.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", memPage, nil))
 	}

@@ -210,7 +210,7 @@ func TestExchangePublishesAndAdopts(t *testing.T) {
 	if st, got := s.serve("/c.html"); !strings.Contains(st, "hotmap-adopt") || got != peer {
 		t.Fatalf("with a peer encoding on offer: decided %q, served %s", st, got)
 	}
-	if ent, _ := s.m.def.renders.Peek("/c.html"); ent.Map.Load() != nil {
+	if ent, _ := s.m.def.renders.Peek("/c.html"); ent.slot.Load() != nil {
 		t.Fatal("the adopted encoding entered the slot")
 	}
 	if n := s.m.metrics.HotMapHits.Load(); n != 1 {
@@ -223,7 +223,7 @@ func TestExchangePublishesAndAdopts(t *testing.T) {
 	if !strings.Contains(st, "map-built") || s.tag(got, "/c1.png") != assetTag("/c1.png", 0) {
 		t.Fatalf("with no peer encoding: decided %q, served %s", st, got)
 	}
-	if ent, _ := s.m.def.renders.Peek("/c.html"); ent.Map.Load() == nil {
+	if ent, _ := s.m.def.renders.Peek("/c.html"); ent.slot.Load() == nil {
 		t.Fatal("the local build was not slotted")
 	}
 	if n := len(ex.announcements()); n != 3 {

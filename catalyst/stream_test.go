@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/etag"
 )
 
@@ -264,7 +263,7 @@ func TestProbeSingleflight(t *testing.T) {
 }
 
 // TestCapMapBytesMatchesNaive cross-checks the map bound every X-Etag-Config
-// the middleware writes goes through (decorate.EncodeMap), which cuts the
+// the middleware writes goes through (encodeMap), which cuts the
 // full encoding at an entry boundary, against the obvious
 // re-encode-per-drop reference over a large map with escape-heavy and
 // multi-byte paths.
@@ -295,7 +294,7 @@ func TestCapMapBytesMatchesNaive(t *testing.T) {
 	full := len(build().Encode())
 	for _, max := range []int{full, full - 1, full / 2, 512, 64, 10} {
 		got := build()
-		enc, dropped := decorate.EncodeMap(got, max)
+		enc, dropped := encodeMap(got, max)
 		want := naive(build(), max)
 		if enc != got.Encode() || dropped != len(build())-len(got) {
 			t.Fatalf("max=%d: returned %d bytes and %d dropped, the kept map encodes to %d bytes and lost %d",

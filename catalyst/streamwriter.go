@@ -10,9 +10,9 @@ import (
 	"strconv"
 	"sync"
 
-	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/headers"
+	"cachecatalyst/internal/server"
 )
 
 // sniffWriter is the middleware's hot-path http.ResponseWriter: it holds
@@ -165,7 +165,7 @@ func (w *sniffWriter) WriteHeader(code int) {
 	w.committed = true
 	w.status = code
 
-	html := code == http.StatusOK && decorate.IsHTML(w.header.Get("Content-Type"))
+	html := code == http.StatusOK && server.IsHTML(w.header.Get("Content-Type"))
 	if code == http.StatusNotModified && w.revalidating || html && w.headOnly {
 		w.captured, w.discard = true, true
 		return

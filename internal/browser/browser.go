@@ -552,7 +552,7 @@ func (l *loader) deliverLocal(host, path string, kind htmlparse.ResourceKind, so
 // --- Conventional mode -----------------------------------------------
 
 func (l *loader) fetchConventional(host, path string, kind htmlparse.ResourceKind, isNav bool) {
-	l.fetchViaHTTPCache(host, path, kind, nil)
+	l.fetchViaHTTPCache(host, path, kind, false, nil)
 }
 
 // fetchViaHTTPCache implements the RFC 9111 client path: fresh entries are
@@ -561,54 +561,78 @@ func (l *loader) fetchConventional(host, path string, kind htmlparse.ResourceKin
 // the delivered response — the Catalyst mode uses it to mirror deliveries
 // into the Service-Worker cache, because a real SW's fetch() also flows
 // through the browser's HTTP cache.
-func (l *loader) fetchViaHTTPCache(host, path string, kind htmlparse.ResourceKind, after func(*httpcache.Response)) {
+//
+// With offerBase set (the catalyst-delta navigation), a stale entry's
+// validator also names the cached copy as a patch base (X-Delta-Base): the
+// server may answer with a CCD1 patch (X-Delta-From) instead of the full
+// body, which is applied to the cached copy. A patch that fails
+// verification falls back to a plain full fetch.
+func (l *loader) fetchViaHTTPCache(host, path string, kind htmlparse.ResourceKind, offerBase bool, after func(*httpcache.Response)) {
 	key := cacheKey(host, path)
+	deliver := func(resp *httpcache.Response) *httpcache.Response {
+		if after != nil {
+			after(resp)
+		}
+		return resp
+	}
+	full := func(resp *httpcache.Response, reqAt, respAt time.Duration) *httpcache.Response {
+		l.b.cache.Put(key, resp, l.absTime(reqAt), l.absTime(respAt))
+		return deliver(resp)
+	}
 	entry, state := l.b.cache.Get(key)
 	switch state {
 	case httpcache.Fresh:
-		if after != nil {
-			after(entry.Response)
-		}
+		deliver(entry.Response)
 		l.deliverLocal(host, path, kind, "cache", entry.Response, "cache")
 		return
 	case httpcache.Stale:
 		hdr := make(http.Header)
-		if tag, ok := entry.ETag(); ok {
+		tag, hasTag := entry.ETag()
+		if hasTag {
 			hdr.Set("If-None-Match", tag.String())
 		} else if lm := entry.Response.Header.Get("Last-Modified"); lm != "" {
 			// No entity tag; fall back to timestamp validation
 			// (If-Modified-Since), as browsers do.
 			hdr.Set("If-Modified-Since", lm)
 		}
+		offerBase = offerBase && hasTag
+		base := entry.Response.Body
+		if offerBase {
+			hdr.Set(delta.RequestHeader, tag.String())
+		}
 		if len(hdr) > 0 {
 			l.networkFetch(host, path, kind, hdr, func(resp *httpcache.Response, reqAt, respAt time.Duration) *httpcache.Response {
-				var delivered *httpcache.Response
 				if resp.StatusCode == http.StatusNotModified {
 					l.result.Validations304++
 					l.b.cache.Refresh(key, resp, l.absTime(reqAt), l.absTime(respAt))
 					fresh, _ := l.b.cache.Peek(key)
-					delivered = fresh.Response
-				} else {
-					l.result.Validations200++
-					l.b.cache.Put(key, resp, l.absTime(reqAt), l.absTime(respAt))
-					delivered = resp
+					return deliver(fresh.Response)
 				}
-				if after != nil {
-					after(delivered)
+				if offerBase && resp.Header.Get(delta.FromHeader) != "" {
+					recon, err := delta.Apply(base, resp.Body)
+					if err != nil {
+						// Corrupt or mismatched patch: refetch in full,
+						// without offering a base.
+						l.result.DeltaFallbacks++
+						l.decide(host, path, []string{"delta-fallback"})
+						l.networkFetch(host, path, kind, make(http.Header), full)
+						return nil // consumed: the fallback fetch delivers
+					}
+					patched := &httpcache.Response{StatusCode: http.StatusOK, Header: resp.Header.Clone(), Body: recon}
+					patched.Header.Del(delta.FromHeader)
+					patched.Header.Set("Content-Length", fmt.Sprint(len(recon)))
+					l.result.DeltaApplied++
+					l.decide(host, path, []string{"delta-applied"})
+					resp = patched
 				}
-				return delivered
+				l.result.Validations200++
+				return full(resp, reqAt, respAt)
 			})
 			return
 		}
 		// No validator at all: fall through to a full fetch.
 	}
-	l.networkFetch(host, path, kind, make(http.Header), func(resp *httpcache.Response, reqAt, respAt time.Duration) *httpcache.Response {
-		l.b.cache.Put(key, resp, l.absTime(reqAt), l.absTime(respAt))
-		if after != nil {
-			after(resp)
-		}
-		return resp
-	})
+	l.networkFetch(host, path, kind, make(http.Header), full)
 }
 
 // --- Catalyst mode ----------------------------------------------------
@@ -628,19 +652,14 @@ func (l *loader) fetchCatalyst(host, path string, kind htmlparse.ResourceKind, i
 		// HTML is typically no-cache, so this costs a conditional request
 		// whose 304 still carries the refreshed X-Etag-Config header —
 		// the client gets fresh tokens without re-downloading the page.
-		navAfter := func(resp *httpcache.Response) {
+		l.fetchViaHTTPCache(host, path, kind, l.b.delta, func(resp *httpcache.Response) {
 			if !registered && strings.Contains(resp.Text(), `serviceWorker`) {
 				l.b.registry.Register(host)
 			}
 			if w, ok := l.b.registry.Lookup(host); ok {
 				w.OnNavigationResponse(resp)
 			}
-		}
-		if l.b.delta {
-			l.fetchDeltaNav(host, path, kind, navAfter)
-			return
-		}
-		l.fetchViaHTTPCache(host, path, kind, navAfter)
+		})
 		return
 	}
 	if registered {
@@ -653,91 +672,10 @@ func (l *loader) fetchCatalyst(host, path string, kind htmlparse.ResourceKind, i
 	// through the HTTP cache, so conditional revalidation still applies to
 	// resources the map does not cover. The delivered response is mirrored
 	// into the SW cache for future zero-RTT hits.
-	l.fetchViaHTTPCache(host, path, kind, func(resp *httpcache.Response) {
+	l.fetchViaHTTPCache(host, path, kind, false, func(resp *httpcache.Response) {
 		if w, ok := l.b.registry.Lookup(l.pageHost); ok {
 			w.OnSubresourceResponse(swKey, resp)
 		}
-	})
-}
-
-// fetchDeltaNav is the catalyst-delta navigation path: a stale cached page
-// with a validator offers that validator as a patch base (X-Delta-Base);
-// the server may answer with a CCD1 patch (X-Delta-From) instead of the
-// full body, which the client applies to its cached copy. A patch that
-// fails verification falls back to a plain full fetch.
-func (l *loader) fetchDeltaNav(host, path string, kind htmlparse.ResourceKind, after func(*httpcache.Response)) {
-	key := cacheKey(host, path)
-	entry, state := l.b.cache.Get(key)
-	if state == httpcache.Fresh {
-		if after != nil {
-			after(entry.Response)
-		}
-		l.deliverLocal(host, path, kind, "cache", entry.Response, "cache")
-		return
-	}
-	var tagStr string
-	if state == httpcache.Stale {
-		if tag, ok := entry.ETag(); ok {
-			tagStr = tag.String()
-		}
-	}
-	if tagStr == "" {
-		// No validator to name a base: plain path.
-		l.fetchViaHTTPCache(host, path, kind, after)
-		return
-	}
-	baseBody := entry.Response.Body
-	hdr := make(http.Header)
-	hdr.Set("If-None-Match", tagStr)
-	hdr.Set(delta.RequestHeader, tagStr)
-	l.networkFetch(host, path, kind, hdr, func(resp *httpcache.Response, reqAt, respAt time.Duration) *httpcache.Response {
-		if resp.StatusCode == http.StatusNotModified {
-			l.result.Validations304++
-			l.b.cache.Refresh(key, resp, l.absTime(reqAt), l.absTime(respAt))
-			fresh, _ := l.b.cache.Peek(key)
-			if after != nil {
-				after(fresh.Response)
-			}
-			return fresh.Response
-		}
-		if from := resp.Header.Get(delta.FromHeader); from != "" && !resp.Truncated {
-			recon, err := delta.Apply(baseBody, resp.Body)
-			if err == nil {
-				full := &httpcache.Response{
-					StatusCode: http.StatusOK,
-					Header:     resp.Header.Clone(),
-					Body:       recon,
-				}
-				full.Header.Del(delta.FromHeader)
-				full.Header.Set("Content-Length", fmt.Sprint(len(recon)))
-				l.result.DeltaApplied++
-				l.decide(host, path, []string{"delta-applied"})
-				l.result.Validations200++
-				l.b.cache.Put(key, full, l.absTime(reqAt), l.absTime(respAt))
-				if after != nil {
-					after(full)
-				}
-				return full
-			}
-			// Corrupt or mismatched patch: refetch in full, without
-			// offering a base.
-			l.result.DeltaFallbacks++
-			l.decide(host, path, []string{"delta-fallback"})
-			l.networkFetch(host, path, kind, make(http.Header), func(resp2 *httpcache.Response, reqAt2, respAt2 time.Duration) *httpcache.Response {
-				l.b.cache.Put(key, resp2, l.absTime(reqAt2), l.absTime(respAt2))
-				if after != nil {
-					after(resp2)
-				}
-				return resp2
-			})
-			return nil // consumed: the fallback fetch delivers
-		}
-		l.result.Validations200++
-		l.b.cache.Put(key, resp, l.absTime(reqAt), l.absTime(respAt))
-		if after != nil {
-			after(resp)
-		}
-		return resp
 	})
 }
 
@@ -783,7 +721,7 @@ func (l *loader) fetchEarlyHints(host, path string, kind htmlparse.ResourceKind,
 		l.hintKey = host + path
 		l.onHints = func(h http.Header) { l.consumeHints(host, path, h) }
 	}
-	l.fetchViaHTTPCache(host, path, kind, nil)
+	l.fetchViaHTTPCache(host, path, kind, false, nil)
 }
 
 // consumeHints starts a fetch for every preload link in an early-hints

@@ -59,17 +59,3 @@ func BenchmarkStoreGetHit(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkStoreGetOrLoad measures the singleflight wrapper when the value
-// is always cached — the overhead a hit pays for collapse protection.
-func BenchmarkStoreGetOrLoad(b *testing.B) {
-	s := New[string](Options[string]{})
-	load := func() (string, error) { return "v", nil }
-	_, _ = s.GetOrLoad("k", load)
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			_, _ = s.GetOrLoad("k", load)
-		}
-	})
-}

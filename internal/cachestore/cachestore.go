@@ -89,7 +89,7 @@ type Counters struct {
 	// Puts counts insertions and replacements; Evictions counts entries
 	// removed to respect the byte budget.
 	Puts, Evictions int64
-	// Loads counts loader executions by Do/GetOrLoad; LoadsShared counts
+	// Loads counts loader executions by Do; LoadsShared counts
 	// callers that piggybacked on another goroutine's in-flight load
 	// instead of running their own.
 	Loads, LoadsShared int64

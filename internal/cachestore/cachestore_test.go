@@ -243,27 +243,12 @@ func TestDoPanicDoesNotStrandWaiters(t *testing.T) {
 	}
 }
 
-func TestGetOrLoad(t *testing.T) {
+// TestDoNeverCachesAFailedLoad: Do neither reads nor writes the store, so
+// a caller caches a load by Putting it inside the flight, and a failed load,
+// which it does not Put, is not cached.
+func TestDoNeverCachesAFailedLoad(t *testing.T) {
 	s := New[string](Options[string]{})
-	var calls atomic.Int64
-	load := func() (string, error) {
-		calls.Add(1)
-		return "v", nil
-	}
-	for i := 0; i < 3; i++ {
-		v, err := s.GetOrLoad("k", load)
-		if err != nil || v != "v" {
-			t.Fatalf("GetOrLoad = %q, %v", v, err)
-		}
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("loader ran %d times", calls.Load())
-	}
-	if _, ok := s.Peek("k"); !ok {
-		t.Fatal("loaded value not stored")
-	}
-	// Errors are not cached.
-	_, err := s.GetOrLoad("bad", func() (string, error) { return "", fmt.Errorf("nope") })
+	_, _, err := s.Do("bad", func() (string, error) { return "", fmt.Errorf("nope") })
 	if err == nil {
 		t.Fatal("error swallowed")
 	}
@@ -303,7 +288,10 @@ func TestConcurrentStress(t *testing.T) {
 					if i%20 == 4 {
 						s.Delete(key)
 					} else {
-						s.GetOrLoad(key, func() (string, error) { return val, nil })
+						s.Do(key, func() (string, error) {
+							s.Put(key, val)
+							return val, nil
+						})
 					}
 				}
 			}

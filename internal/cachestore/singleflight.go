@@ -22,8 +22,7 @@ type flightGroup[V any] struct {
 // flight, concurrent callers for the same key wait and share its result
 // instead of running their own. shared reports whether the result came from
 // another caller's execution. Do itself never reads or writes the store —
-// callers compose it with Get/Put (or use GetOrLoad) when the result should
-// be cached.
+// callers compose it with Get/Peek/Put when the result should be cached.
 func (s *Store[V]) Do(key string, fn func() (V, error)) (v V, shared bool, err error) {
 	s.flight.mu.Lock()
 	if c, ok := s.flight.calls[key]; ok {
@@ -56,27 +55,4 @@ func (s *Store[V]) Do(key string, fn func() (V, error)) (v V, shared bool, err e
 	s.loads.Add(1)
 	c.val, c.err = fn()
 	return c.val, false, c.err
-}
-
-// GetOrLoad returns the cached value for key, or runs load — exactly once
-// across concurrent callers of the same key — and stores the result on
-// success. Callers that need finer control (TTLs, negative caching) use
-// Get/Peek/Put and Do directly.
-func (s *Store[V]) GetOrLoad(key string, load func() (V, error)) (V, error) {
-	if v, ok := s.Get(key); ok {
-		return v, nil
-	}
-	v, _, err := s.Do(key, func() (V, error) {
-		// Re-check inside the flight: a previous flight may have stored
-		// the value between our miss and our turn.
-		if v, ok := s.Get(key); ok {
-			return v, nil
-		}
-		v, err := load()
-		if err == nil {
-			s.Put(key, v)
-		}
-		return v, err
-	})
-	return v, err
 }

@@ -228,7 +228,7 @@ func (e *Exchange) sender() {
 }
 
 // maxAnnouncementBytes bounds a POST body: a map encoding, which the
-// middleware encodes within core.MaxEncodedMapBytes (decorate.EncodeMap),
+// middleware encodes within core.MaxEncodedMapBytes (catalyst's encodeMap),
 // plus key fields and JSON overhead.
 const maxAnnouncementBytes = core.MaxEncodedMapBytes + 64<<10
 

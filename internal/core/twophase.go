@@ -142,7 +142,7 @@ func resolveCrossOrigin(base *url.URL, ref string) (string, bool) {
 // holds, which are made inline. The Resolver must be safe for
 // concurrent use when Concurrency > 1. Whatever the fan-out, the assembled
 // map is deterministic: it holds every reference that resolved. The map's
-// size is bounded where it is encoded (decorate.EncodeMap), not here.
+// size is bounded where it is encoded (catalyst's encodeMap), not here.
 func ResolveRefs(refs []Ref, res Resolver, opts BuildOptions) ETagMap {
 	return ResolveRefsContext(context.Background(), refs, res, opts)
 }

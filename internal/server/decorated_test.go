@@ -13,7 +13,6 @@ import (
 
 	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/core"
-	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/delta"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/netsim"
@@ -157,7 +156,7 @@ func TestFSContent(t *testing.T) {
 		t.Fatal("file not loaded")
 	}
 	// index.html is also served at the directory root.
-	if r, ok := content.Get("/"); !ok || !decorate.IsHTML(r.ContentType) {
+	if r, ok := content.Get("/"); !ok || !server.IsHTML(r.ContentType) {
 		t.Fatalf("directory index: %v %v", r, ok)
 	}
 	s := decorated(content)

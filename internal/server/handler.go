@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"cachecatalyst/internal/core"
-	"cachecatalyst/internal/decorate"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/headers"
 	"cachecatalyst/internal/telemetry"
@@ -67,12 +66,7 @@ type Server struct {
 	access   *accessLog
 	serveNS  *telemetry.Histogram       // nil without telemetry
 	dateHdr  atomic.Pointer[dateHeader] // per-second Date value cache
-	// mapConcurrency and maxMapBytes are MapTuning's values, which no
-	// program sets: a sequential resolve, and core.MaxEncodedMapBytes, the
-	// bound core.DecodeMap enforces. Only a test reaches others
-	// (export_test.go).
-	mapConcurrency, maxMapBytes int
-	Metrics                     Metrics
+	Metrics  Metrics
 }
 
 // Decorator is a decorating front end in front of a Server
@@ -116,7 +110,7 @@ func New(content Content, opts Options) *Server {
 	if opts.Clock == nil {
 		opts.Clock = vclock.System{}
 	}
-	s := &Server{content: content, opts: opts, mapConcurrency: 1, maxMapBytes: core.MaxEncodedMapBytes}
+	s := &Server{content: content, opts: opts}
 	if opts.Record {
 		s.recorder = NewRecorder()
 	}
@@ -136,10 +130,6 @@ func New(content Content, opts Options) *Server {
 
 // Options returns the options the server was built with.
 func (s *Server) Options() Options { return s.opts }
-
-// MapTuning returns the resolve width and the map bound, in encoded bytes, a
-// Decorator resolves this server's pages' maps with.
-func (s *Server) MapTuning() (concurrency, maxMapBytes int) { return s.mapConcurrency, s.maxMapBytes }
 
 // Telemetry returns the registry the server was wired into, or nil.
 func (s *Server) Telemetry() *telemetry.Registry { return s.opts.Telemetry }
@@ -177,7 +167,7 @@ func (s *Server) ServeDecorated(w http.ResponseWriter, r *http.Request, d Decora
 // response's Server-Timing header. A method rather than a per-request
 // closure; the closure allocated on every serve.
 func (s *Server) decide(ctx context.Context, h http.Header, name, detail string) {
-	decorate.Decide(ctx, h, s.opts.ServerTiming, name, detail)
+	Decide(ctx, h, s.opts.ServerTiming, name, detail)
 }
 
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, d Decorator) {
@@ -192,12 +182,12 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, d Decorator) {
 		s.logAccess(r, http.StatusMethodNotAllowed, 0, 0)
 		return
 	}
-	p := decorate.PageURL(r)
+	p := PageURL(r)
 
 	if d != nil && p == core.ServiceWorkerPath {
 		s.decide(ctx, h, "sw-script", p)
 		h["Date"] = s.dateHeaderValue()
-		status, n := decorate.ServeWorkerScript(w, r)
+		status, n := ServeWorkerScript(w, r)
 		s.logAccess(r, status, n, 0)
 		return
 	}
@@ -229,7 +219,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, d Decorator) {
 		sessionID = s.recorder.SessionID(w, r)
 	}
 
-	isHTML := decorate.IsHTML(res.ContentType)
+	isHTML := IsHTML(res.ContentType)
 	if d != nil && isHTML {
 		if status, n, entries, served := d.ServePage(ctx, w, r, p, res, sessionID); served {
 			s.count(status, n)
@@ -238,7 +228,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, d Decorator) {
 		}
 	}
 
-	if s.opts.EarlyHints && isHTML && decorate.AddPreloadLinks(h, core.ExtractPageRefs(p, string(res.Body))) {
+	if s.opts.EarlyHints && isHTML && AddPreloadLinks(h, core.ExtractPageRefs(p, string(res.Body))) {
 		s.Metrics.HintsSent.Add(1)
 		s.decide(ctx, h, "hints", p)
 	}
@@ -257,7 +247,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, d Decorator) {
 		return
 	}
 	s.decide(ctx, h, "network", p)
-	n := decorate.WriteEntity(w, r, res.Body, rh.clen)
+	n := WriteEntity(w, r, res.Body, rh.clen)
 	s.count(http.StatusOK, n)
 	s.logAccess(r, http.StatusOK, n, 0)
 }

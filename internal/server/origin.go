@@ -15,7 +15,7 @@ import (
 // network costs are the transport model's job (TransportOptions.ServerThink
 // charges processing time if desired).
 //
-// A body handed over by decorate.WriteEntity — a Resource's, a render's, or
+// A body handed over by WriteEntity — a Resource's, a render's, or
 // a freshly computed patch — becomes the response body without a copy, and
 // what Write is handed is copied, since it may be a reused buffer. A body
 // is never written after it is handed over, which is the ownership rule the
@@ -103,7 +103,7 @@ func (w *recorder) Write(p []byte) (int, error) {
 // Flush implements http.Flusher; like net/http, it commits the status.
 func (w *recorder) Flush() { w.wrote = true }
 
-// WriteShared is decorate.WriteEntity's hand-off: it keeps body as the
+// WriteShared is WriteEntity's hand-off: it keeps body as the
 // response body; the full slice expression makes a later Write append to a
 // copy rather than into body's array.
 func (w *recorder) WriteShared(body []byte) int {
