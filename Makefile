@@ -29,8 +29,10 @@ vet:
 # preload-hint cap a second definition, or internal/server a tenant path
 # (DESIGN.md §3) — or when internal/server builds an admission gate:
 # resilience.NewGate( is the front end's (DESIGN.md §3, §7) — or when a
-# second reverse proxy is assembled beside catalyst.NewUpstreamProxy, the one
-# upstream leg the daemon and the cluster harness share (DESIGN.md §13) — or
+# second reverse proxy is assembled beside catalyst.NewUpstream's, the one
+# upstream leg, or a second edge assembly beside catalyst.NewEdge, the one
+# -config stack the daemon and the cluster harness share: tenant.Handler( and
+# cluster.NewExchange( are each called once, there (DESIGN.md §13) — or
 # when the cache core grows a second
 # eviction order beside GDSF's rank: a recency list, a touch counter, a policy
 # parser or a ranker type (DESIGN.md §10) — or when the RFC 9111 §4.3.4 304
@@ -75,7 +77,7 @@ vet:
 FORK_SRC = $(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' ./... | tr ' ' '\n' | grep -v '/bench/'
 forks:
 	@fail=0; src=$$($(FORK_SRC)); \
-	for pat in 'core\.\(InjectRegistration\|RegistrationOffset\)(' 'delta\.Diff(' 'maxPreloadHints *=' 'httputil\.NewSingleHostReverseProxy(' 'func MergeNotModified(' 'case "iframe":'; do \
+	for pat in 'core\.\(InjectRegistration\|RegistrationOffset\)(' 'delta\.Diff(' 'maxPreloadHints *=' 'httputil\.NewSingleHostReverseProxy(' 'tenant\.Handler(' 'cluster\.NewExchange(' 'func MergeNotModified(' 'case "iframe":'; do \
 		n=$$(grep -h "$$pat" $$src | grep -vc '^[[:space:]]*//'); \
 		if [ "$$n" -ne 1 ]; then echo "forks: '$$pat' appears $$n times in non-test code, want 1:" >&2; grep -n "$$pat" $$src >&2; fail=1; fi; \
 	done; \
@@ -242,15 +244,14 @@ cover:
 		echo "cover: library coverage $$total% fell below the $(COVERAGE_FLOOR)% floor" >&2; exit 1; }
 
 # Cluster smoke: the multi-instance edge-tier cell under -race — three
-# in-process catalystd instances serving two tenants through the
-# consistent-hash ring, telemetry-verified per-tenant hit ratios, hot-map
-# adoption on a non-owner, and a kill-one-node assertion — plus the
-# tenant/cluster unit suites and one live run via the example. See
-# DESIGN.md §13, "Tenant-aware edge tier".
+# in-process instances of the daemon's -config stack (catalyst.NewEdge)
+# serving two tenants through the consistent-hash ring, telemetry-verified
+# per-tenant hit ratios and health checkers, hot-map adoption on a
+# non-owner, and a kill-one-node assertion — plus the tenant/cluster unit
+# suites. See DESIGN.md §13, "Tenant-aware edge tier".
 cluster:
 	$(GO) test -race -count=1 -run 'ClusterCell|Ring|Exchange|Tenant|Resolver|Context|Handler|ParseConfig' \
 		./internal/harness/ ./internal/cluster/ ./internal/tenant/ ./catalyst/ ./cmd/catalystd/
-	$(GO) run ./examples/cluster
 
 # Chaos gate: the fault-injection and overload suites under the race
 # detector — the browser-level chaos matrix, the middleware degradation

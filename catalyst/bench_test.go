@@ -227,7 +227,7 @@ func churnPage(pageBytes int) http.Handler {
 // probe expired: the page is unchanged (render cache hit), so what an
 // iteration costs is one page fetch plus a re-probe of all 40 references.
 // InProcess calls the handler directly; Upstream reaches the same handler
-// the way catalystd -origin does, through NewUpstreamProxy over loopback —
+// the way catalystd -origin does, through NewUpstream over loopback —
 // where a probe also costs a round trip, and before revalidation and the
 // connection pool a body copy and, mostly, a connect.
 func BenchmarkMiddlewareProbeRefresh(b *testing.B) {
@@ -248,7 +248,7 @@ func BenchmarkMiddlewareProbeRefresh(b *testing.B) {
 }
 
 // benchUpstream runs bench against site served over loopback behind
-// NewUpstreamProxy, the way catalystd -origin reaches its origin.
+// NewUpstream, the way catalystd -origin reaches its origin.
 func benchUpstream(b *testing.B, site http.Handler, bench func(*testing.B, http.Handler)) {
 	origin := httptest.NewServer(site)
 	defer origin.Close()
@@ -256,8 +256,8 @@ func benchUpstream(b *testing.B, site http.Handler, bench func(*testing.B, http.
 	if err != nil {
 		b.Fatal(err)
 	}
-	proxy, closeIdle := NewUpstreamProxy(u)
-	defer closeIdle()
+	proxy, _, stop := NewUpstream(u, "bench.", 0, nil)
+	defer stop()
 	bench(b, proxy)
 }
 

@@ -19,6 +19,11 @@
 //   - Or serve a directory with NewServer (the "modified Caddy" of the
 //     paper), which also supports the first-visit recording extension that
 //     covers JavaScript-discovered resources.
+//   - Or front origins over HTTP: NewUpstream builds one origin's
+//     health-checked reverse proxy to wrap with Middleware (catalystd
+//     -origin), and NewEdge the whole multi-tenant edge a catalystd.json
+//     describes (catalystd -config, and every instance of the cluster
+//     harness).
 //
 // The internal packages additionally provide the emulated browser, network
 // simulator and experiment harness that reproduce the paper's evaluation;

@@ -27,7 +27,7 @@ func TestOptionCensus(t *testing.T) {
 			"RequestBudget",  // cmd/catalystd (-request-budget), catalyst.NewServer
 			"OriginBreaker",  // cmd/catalystd (proxy mode's health-checked breaker)
 			"ServerTiming",   // cmd/catalystd (-server-timing)
-			"Exchange",       // internal/harness (cluster), bench
+			"Exchange",       // catalyst.NewEdge (its config's "cluster"), bench
 			"Delta",          // internal/harness (catalyst-delta scheme)
 		}},
 		{reflect.TypeOf(ServerOptions{}), []string{
@@ -59,9 +59,14 @@ func TestOptionCensus(t *testing.T) {
 			"Name",        // catalyst.Middleware
 		}},
 		{reflect.TypeOf(cluster.ExchangeOptions{}), []string{
-			"Instance",  // cmd/catalystd (catalystd.json "cluster"), internal/harness (cluster), bench
-			"Peers",     // cmd/catalystd (catalystd.json "cluster"), internal/harness (cluster), bench
-			"Telemetry", // cmd/catalystd, internal/harness (cluster), bench
+			"Instance",  // catalyst.NewEdge (its config's "cluster"), bench
+			"Peers",     // catalyst.NewEdge (its config's "cluster"), bench
+			"Telemetry", // catalyst.NewEdge, bench
+		}},
+		{reflect.TypeOf(resilience.HealthOptions{}), []string{
+			"Interval",  // catalyst.NewUpstream (a tenant's healthInterval)
+			"Telemetry", // catalyst.NewUpstream
+			"Name",      // catalyst.NewUpstream
 		}},
 	}
 	for _, c := range census {

@@ -52,8 +52,8 @@ func (c *Client) Get(rawURL string) (*ClientResponse, error) {
 // decision ("sw-hit" or "network", plus "revalidate" for a conditional
 // request) inside a "client.get" span.
 func (c *Client) GetContext(ctx context.Context, rawURL string) (*ClientResponse, error) {
-	ctx, endSpan := telemetry.StartSpan(ctx, "client.get")
-	defer endSpan()
+	ctx, span := telemetry.BeginSpan(ctx, "client.get")
+	defer span.End()
 
 	u, err := url.Parse(rawURL)
 	if err != nil {

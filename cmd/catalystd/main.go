@@ -78,7 +78,6 @@ import (
 	"time"
 
 	"cachecatalyst/catalyst"
-	"cachecatalyst/internal/cluster"
 	"cachecatalyst/internal/resilience"
 	"cachecatalyst/internal/server"
 	"cachecatalyst/internal/telemetry"
@@ -210,28 +209,33 @@ func buildHandler(opts daemonOptions, reg *telemetry.Registry) (*builtHandler, e
 }
 
 // buildServeHandler is the original file-serving mode: -dir, behind the
-// middleware unless -plain.
+// middleware (catalyst.NewServer) unless -plain.
 func buildServeHandler(opts daemonOptions, reg *telemetry.Registry) (*builtHandler, error) {
 	if _, err := os.Stat(opts.Dir); err != nil {
 		return nil, err
 	}
-	content, err := server.NewFSContent(os.DirFS(opts.Dir), catalyst.DefaultPolicy)
-	if err != nil {
-		return nil, err
-	}
-	srv := server.New(content, server.Options{
-		Record: opts.Record && !opts.Plain, AccessLogSize: opts.AccessLogSize, Telemetry: reg, ServerTiming: opts.ServerTiming,
-	})
 	if opts.Plain {
+		content, err := server.NewFSContent(os.DirFS(opts.Dir), catalyst.DefaultPolicy)
+		if err != nil {
+			return nil, err
+		}
+		srv := server.New(content, server.Options{AccessLogSize: opts.AccessLogSize, Telemetry: reg, ServerTiming: opts.ServerTiming})
 		info := fmt.Sprintf("serving %s (conventional caching)", opts.Dir)
 		return &builtHandler{Handler: withMetrics(srv, opts, nil, reg), Info: []string{info}}, nil
 	}
+	h, err := catalyst.NewServer(os.DirFS(opts.Dir), catalyst.ServerOptions{
+		Record: opts.Record, Policy: catalyst.DefaultPolicy, AccessLogSize: opts.AccessLogSize, Telemetry: reg,
+		ServerTiming: opts.ServerTiming, MaxInflight: opts.MaxInflight, RequestBudget: opts.RequestBudget, MaxRenderBytes: opts.CacheBudget,
+	})
+	if err != nil {
+		return nil, err
+	}
 	info := fmt.Sprintf("serving %s (CacheCatalyst%s)", opts.Dir, map[bool]string{true: " + recording", false: ""}[opts.Record])
-	return &builtHandler{Handler: withMetrics(catalyst.Middleware(srv, middlewareOptions(opts, reg)), opts, nil, reg), Info: []string{info}}, nil
+	return &builtHandler{Handler: withMetrics(h, opts, nil, reg), Info: []string{info}}, nil
 }
 
 // buildProxyHandler is single-tenant proxy mode: one -origin fronted with
-// the middleware, an active health checker, and a circuit breaker. While
+// the middleware over catalyst.NewUpstream's health-checked breaker. While
 // the upstream flaps, the daemon serves the last good copy of each page
 // instead of proxying errors.
 func buildProxyHandler(opts daemonOptions, reg *telemetry.Registry) (*builtHandler, error) {
@@ -242,7 +246,7 @@ func buildProxyHandler(opts daemonOptions, reg *telemetry.Registry) (*builtHandl
 	if u.Scheme == "" || u.Host == "" {
 		return nil, fmt.Errorf("-origin %q: need an absolute URL (http://host:port)", opts.Origin)
 	}
-	proxy, breaker, stopHealth := newUpstream(u, "catalystd.", 0, reg)
+	proxy, breaker, stopHealth := catalyst.NewUpstream(u, "catalystd.", 0, reg)
 
 	mwOpts := middlewareOptions(opts, reg)
 	mwOpts.OriginBreaker = breaker
@@ -251,80 +255,22 @@ func buildProxyHandler(opts daemonOptions, reg *telemetry.Registry) (*builtHandl
 	return &builtHandler{Handler: handler, Info: []string{info}, OnDrain: stopHealth}, nil
 }
 
-// buildConfigHandler is multi-tenant proxy mode: each configured tenant
-// gets its own upstream assembly (newUpstream), and the tenant resolved
-// from Host/path rides the request context so the middleware and cachestore
-// dimension their state per tenant. A cluster stanza additionally wires the
-// hot-map exchange.
+// buildConfigHandler is multi-tenant proxy mode: catalyst.NewEdge over the
+// config's tenants (and its cluster stanza, if any), behind -metrics.
 func buildConfigHandler(cfg *tenant.Config, opts daemonOptions, reg *telemetry.Registry) (*builtHandler, error) {
-	resolver, err := cfg.Resolver()
+	handler, drain, err := catalyst.NewEdge(cfg, middlewareOptions(opts, reg))
 	if err != nil {
 		return nil, err
 	}
-	tenants := resolver.Tenants()
-
-	proxies := make(map[string]http.Handler, len(tenants))
-	stops := make([]func(), 0, len(tenants))
-	for _, t := range tenants {
-		u, err := url.Parse(t.Upstream)
-		if err != nil {
-			return nil, fmt.Errorf("tenant %q: upstream %q: %w", t.Name, t.Upstream, err)
-		}
-		// One tenant's flapping origin trips only that tenant's degradation
-		// ladder: the breaker pointer rides the descriptor so the middleware
-		// consults it for this tenant's requests.
-		var stopHealth func()
-		proxies[t.Name], t.Breaker, stopHealth = newUpstream(u, "tenant."+t.Name+".", t.HealthInterval, reg)
-		stops = append(stops, stopHealth)
-	}
-
-	// The inner handler routes on the tenant the resolver attached to the
-	// context. No tenant means no routing rule matched the request's Host
-	// or path — 421 tells the client (or a misconfigured front tier) it
-	// reached an edge that does not serve that site.
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t, ok := tenant.FromContext(r.Context())
-		if !ok {
-			http.Error(w, "no tenant serves this host", http.StatusMisdirectedRequest)
-			return
-		}
-		proxies[t.Name].ServeHTTP(w, r)
-	})
-
-	mwOpts := middlewareOptions(opts, reg)
-	var exch *cluster.Exchange
-	if cfg.Cluster.Enabled() {
-		exch = cluster.NewExchange(cluster.ExchangeOptions{
-			Instance:  cfg.Cluster.Instance,
-			Peers:     cfg.Cluster.Peers,
-			Telemetry: reg,
-		})
-		mwOpts.Exchange = exch
-	}
-
-	handler := tenant.Handler(resolver, reg, catalyst.Middleware(inner, mwOpts))
-	if exch != nil {
-		handler = exch.Mount(handler)
-	}
-	handler = withMetrics(handler, opts, cfg, reg)
-
-	onDrain := func() {
-		for _, stop := range stops {
-			stop()
-		}
-		if exch != nil {
-			exch.Close()
-		}
-	}
-	names := make([]string, len(tenants))
-	for i, t := range tenants {
+	names := make([]string, len(cfg.Tenants))
+	for i, t := range cfg.Tenants {
 		names[i] = t.Name
 	}
-	info := []string{fmt.Sprintf("fronting %d tenants (%s)", len(tenants), strings.Join(names, ", "))}
-	if exch != nil {
+	info := []string{fmt.Sprintf("fronting %d tenants (%s)", len(names), strings.Join(names, ", "))}
+	if cfg.Cluster.Enabled() {
 		info = append(info, fmt.Sprintf("cluster instance %q gossiping to %d peers", cfg.Cluster.Instance, len(cfg.Cluster.Peers)))
 	}
-	return &builtHandler{Handler: handler, Info: info, OnDrain: onDrain}, nil
+	return &builtHandler{Handler: withMetrics(handler, opts, cfg, reg), Info: info, OnDrain: drain}, nil
 }
 
 // middlewareOptions maps the daemon's flags to the middleware's options, the
@@ -347,61 +293,6 @@ func withMetrics(h http.Handler, opts daemonOptions, cfg *tenant.Config, reg *te
 	return catalyst.WithMetricsOptions(h, catalyst.MetricsOptions{
 		Telemetry: reg, PProf: opts.PProf, Config: configEcho(opts, cfg),
 	})
-}
-
-// newUpstream assembles what fronts one origin, the same for -origin and
-// for every -config tenant: the reverse proxy (catalyst.NewUpstreamProxy), a
-// circuit breaker (5 failures, 5 s cooldown) and a running health checker
-// sharing that breaker, so recovery is probe-driven. The checker's requests
-// ride the proxy's transport, so every socket this upstream holds is in one
-// pool; stop ends the checker and closes that pool's idle connections. The
-// instruments are "<prefix>origin" and "<prefix>health"; a non-positive
-// interval selects 2 seconds.
-func newUpstream(u *url.URL, prefix string, interval time.Duration, reg *telemetry.Registry) (proxy http.Handler, breaker *resilience.Breaker, stop func()) {
-	rp, closeIdle := catalyst.NewUpstreamProxy(u)
-	breaker = resilience.NewBreaker(resilience.BreakerOptions{
-		FailureThreshold: 5,
-		Cooldown:         5 * time.Second,
-		Telemetry:        reg,
-		Name:             prefix + "origin",
-	})
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	health := resilience.NewHealthChecker(breaker, healthProbe(u, interval, rp.Transport), resilience.HealthOptions{
-		Interval:  interval,
-		Telemetry: reg,
-		Name:      prefix + "health",
-	})
-	health.Start()
-	return rp, breaker, func() {
-		health.Stop()
-		closeIdle()
-	}
-}
-
-// healthProbe builds the upstream liveness probe for a health checker
-// running at the given interval. The probe client's timeout derives from
-// the interval — never exceeds it — so one slow upstream answer cannot
-// overlap the next probe, whatever the checker's context deadline does.
-func healthProbe(u *url.URL, interval time.Duration, transport http.RoundTripper) func(ctx context.Context) error {
-	client := &http.Client{Timeout: interval, Transport: transport}
-	target := u.String()
-	return func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return err
-		}
-		resp.Body.Close()
-		if resp.StatusCode >= http.StatusInternalServerError {
-			return fmt.Errorf("upstream %s: %s", u.Host, resp.Status)
-		}
-		return nil
-	}
 }
 
 // configEcho is the effective configuration echoed under "config" at the

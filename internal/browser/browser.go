@@ -340,8 +340,8 @@ func (b *Browser) LoadContext(ctx context.Context, origins Origins, cond netsim.
 		return LoadResult{}, fmt.Errorf("browser: no origin for host %q", host)
 	}
 	tr, _ := telemetry.TraceFrom(ctx)
-	ctx, endSpan := telemetry.StartSpan(ctx, "load")
-	defer endSpan()
+	ctx, span := telemetry.BeginSpan(ctx, "load")
+	defer span.End()
 	l := &loader{
 		b:         b,
 		ctx:       ctx,

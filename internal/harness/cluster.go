@@ -5,25 +5,24 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"sync/atomic"
 	"time"
 
 	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/cluster"
-	"cachecatalyst/internal/resilience"
 	"cachecatalyst/internal/telemetry"
 	"cachecatalyst/internal/tenant"
 )
 
-// ClusterCell is a real-socket multi-instance cell: N edge instances —
-// each the full catalystd serving stack (tenant resolver, middleware,
-// per-tenant breakers, hot-map exchange) — fronting shared tenant
-// origins, with a consistent-hash ring deciding which instance owns each
-// page. It is the cluster counterpart of the single-process measurement
-// worlds: where World drives one server on a virtual clock, ClusterCell
-// drives several daemons over real HTTP so ring routing, gossip and
-// node-death behavior are exercised for real.
+// ClusterCell is a real-socket multi-instance cell: cellInstances edge
+// instances — each the daemon's own -config stack, catalyst.NewEdge (tenant
+// resolver, middleware, per-tenant health-checked breakers, hot-map
+// exchange) — fronting cellTenants shared tenant origins, with a
+// consistent-hash ring deciding which instance owns each page. It is the
+// cluster counterpart of the single-process measurement worlds: where World
+// drives one server on a virtual clock, ClusterCell drives several daemons
+// over real HTTP so ring routing, gossip and node-death behavior are
+// exercised for real.
 type ClusterCell struct {
 	// Instances are the edge nodes, alive or killed.
 	Instances []*EdgeInstance
@@ -54,25 +53,35 @@ type EdgeInstance struct {
 	// exchange activity, middleware metrics.
 	Registry *telemetry.Registry
 
-	handler  atomic.Pointer[http.Handler]
-	server   *httptest.Server
-	exchange *cluster.Exchange
-	stops    []func()
-	dead     atomic.Bool
+	handler atomic.Pointer[http.Handler]
+	server  *httptest.Server
+	drain   func() // NewEdge's; nil until the stack is built
+	dead    atomic.Bool
 }
 
 // Alive reports whether the instance still accepts connections.
 func (e *EdgeInstance) Alive() bool { return !e.dead.Load() }
 
-// ClusterCellOptions sizes the cell.
-type ClusterCellOptions struct {
-	// Instances is the edge node count. Zero selects 3, the smallest
-	// cell where a node death leaves a quorum of distinct survivors.
-	Instances int
-	// Tenants is the tenant count. Zero selects 2 — the minimum that
-	// exercises isolation.
-	Tenants int
+// stop closes the instance's listener (in-flight connections reset, like a
+// crash) and drains its stack. Only the first call acts.
+func (e *EdgeInstance) stop() {
+	if e.dead.Swap(true) {
+		return
+	}
+	e.server.Close()
+	if e.drain != nil {
+		e.drain()
+	}
 }
+
+const (
+	// cellInstances is the edge node count: 3, the smallest cell where a
+	// node death leaves a quorum of distinct survivors.
+	cellInstances = 3
+	// cellTenants is the tenant count: 2, the minimum that exercises
+	// isolation.
+	cellTenants = 2
+)
 
 // cellOrigin serves one tenant's site: a set of HTML pages referencing a
 // shared stylesheet, bodies tagged with the tenant name so cross-tenant
@@ -93,18 +102,9 @@ func cellOrigin(name string) http.Handler {
 
 // NewClusterCell starts the origins and edge instances and wires the
 // exchanges peer-to-peer. Close releases everything.
-func NewClusterCell(opts ClusterCellOptions) (*ClusterCell, error) {
-	nInst := opts.Instances
-	if nInst <= 0 {
-		nInst = 3
-	}
-	nTen := opts.Tenants
-	if nTen <= 0 {
-		nTen = 2
-	}
-
+func NewClusterCell() (*ClusterCell, error) {
 	cell := &ClusterCell{client: &http.Client{Timeout: 5 * time.Second}}
-	for i := 0; i < nTen; i++ {
+	for i := 0; i < cellTenants; i++ {
 		name := fmt.Sprintf("t%d", i)
 		cell.Tenants = append(cell.Tenants, name)
 		cell.origins = append(cell.origins, httptest.NewServer(cellOrigin(name)))
@@ -113,8 +113,8 @@ func NewClusterCell(opts ClusterCellOptions) (*ClusterCell, error) {
 	// Listeners first: every instance's exchange needs the others' URLs,
 	// so the servers start on a swappable handler and the stacks are
 	// installed once all addresses exist.
-	ids := make([]string, nInst)
-	for i := 0; i < nInst; i++ {
+	ids := make([]string, cellInstances)
+	for i := range ids {
 		inst := &EdgeInstance{ID: fmt.Sprintf("edge%d", i)}
 		ids[i] = inst.ID
 		inst.server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -141,65 +141,27 @@ func NewClusterCell(opts ClusterCellOptions) (*ClusterCell, error) {
 		}
 	}
 
-	cell.Ring = &EdgeRing{Ring: cluster.NewRing(ids...), byID: make(map[string]*EdgeInstance, nInst)}
+	cell.Ring = &EdgeRing{Ring: cluster.NewRing(ids...), byID: make(map[string]*EdgeInstance, cellInstances)}
 	for _, inst := range cell.Instances {
 		cell.Ring.byID[inst.ID] = inst
 	}
 	return cell, nil
 }
 
-// buildInstance assembles one node's serving stack — the layering
-// cmd/catalystd's buildConfigHandler gives the daemon, over the same
-// per-tenant upstream proxy (catalyst.NewUpstreamProxy). What differs from
-// newUpstream: the breaker is tuned to trip within a test (3 failures, 50 ms)
-// and there is no health checker, so recovery here is cooldown-driven.
+// buildInstance writes the node's tenant.Config — every tenant routed by
+// Host to its origin, and the node's place in the cluster — and serves
+// catalyst.NewEdge over it, as catalystd -config would.
 func (c *ClusterCell) buildInstance(inst *EdgeInstance, peers []string) error {
-	reg := telemetry.NewRegistry()
-	inst.Registry = reg
-
-	tenants := make([]*tenant.Tenant, len(c.Tenants))
-	proxies := make(map[string]http.Handler, len(c.Tenants))
+	cfg := &tenant.Config{Cluster: tenant.ClusterConfig{Instance: inst.ID, Peers: peers}}
 	for i, name := range c.Tenants {
-		u, err := url.Parse(c.origins[i].URL)
-		if err != nil {
-			return err
-		}
-		t := &tenant.Tenant{Name: name, Hosts: []string{name + ".cell"}}
-		t.Breaker = resilience.NewBreaker(resilience.BreakerOptions{
-			FailureThreshold: 3,
-			Cooldown:         50 * time.Millisecond,
-			Telemetry:        reg,
-			Name:             "tenant." + name + ".origin",
-		})
-		tenants[i] = t
-		proxy, closeIdle := catalyst.NewUpstreamProxy(u)
-		proxies[name] = proxy
-		inst.stops = append(inst.stops, closeIdle)
+		cfg.Tenants = append(cfg.Tenants, tenant.TenantConfig{Name: name, Upstream: c.origins[i].URL, Hosts: []string{name + ".cell"}})
 	}
-	resolver, err := tenant.NewResolver(tenants)
+	inst.Registry = telemetry.NewRegistry()
+	handler, drain, err := catalyst.NewEdge(cfg, catalyst.MiddlewareOptions{Telemetry: inst.Registry})
 	if err != nil {
 		return err
 	}
-
-	inst.exchange = cluster.NewExchange(cluster.ExchangeOptions{
-		Instance:  inst.ID,
-		Peers:     peers,
-		Telemetry: reg,
-	})
-
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t, ok := tenant.FromContext(r.Context())
-		if !ok {
-			http.Error(w, "no tenant serves this host", http.StatusMisdirectedRequest)
-			return
-		}
-		proxies[t.Name].ServeHTTP(w, r)
-	})
-	mw := catalyst.Middleware(inner, catalyst.MiddlewareOptions{
-		Telemetry: reg,
-		Exchange:  inst.exchange,
-	})
-	handler := inst.exchange.Mount(tenant.Handler(resolver, reg, mw))
+	inst.drain = drain
 	inst.handler.Store(&handler)
 	return nil
 }
@@ -267,12 +229,7 @@ func (c *ClusterCell) Kill(id string) {
 	if inst == nil || !inst.Alive() {
 		return
 	}
-	inst.dead.Store(true)
-	inst.server.Close()
-	inst.exchange.Close()
-	for _, stop := range inst.stops {
-		stop()
-	}
+	inst.stop()
 	c.Ring.Remove(id)
 }
 
@@ -306,16 +263,7 @@ func (c *ClusterCell) HitRatio(tenantName string) float64 {
 // gossiping), then the shared origins.
 func (c *ClusterCell) Close() {
 	for _, inst := range c.Instances {
-		if inst.Alive() {
-			inst.dead.Store(true)
-			inst.server.Close()
-			if inst.exchange != nil {
-				inst.exchange.Close()
-			}
-			for _, stop := range inst.stops {
-				stop()
-			}
-		}
+		inst.stop()
 	}
 	for _, o := range c.origins {
 		o.Close()

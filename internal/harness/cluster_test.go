@@ -11,13 +11,22 @@ import (
 // instances serving two tenants through the consistent-hash ring, with
 // telemetry-verified per-tenant hit ratios, a hot-map adoption on a
 // non-owner, and a kill-one-node chaos step that re-shards and re-probes
-// instead of erroring. `make cluster` runs exactly this under -race.
+// instead of erroring. Every instance runs the daemon's -config stack, so
+// each tenant's upstream has a health checker. `make cluster` runs exactly
+// this under -race.
 func TestClusterCell(t *testing.T) {
-	cell, err := NewClusterCell(ClusterCellOptions{Instances: 3, Tenants: 2})
+	cell, err := NewClusterCell()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cell.Close()
+	for _, inst := range cell.Instances {
+		for _, tn := range cell.Tenants {
+			if _, ok := inst.Registry.Snapshot().Counters["tenant."+tn+".health.checks"]; !ok {
+				t.Fatalf("%s runs no health checker for tenant %s: the cell is not the daemon's edge", inst.ID, tn)
+			}
+		}
+	}
 
 	const pages = 12
 	paths := make([]string, pages)

@@ -168,7 +168,6 @@ type HealthChecker struct {
 	probe    func(ctx context.Context) error
 	breaker  *Breaker
 	interval time.Duration
-	timeout  time.Duration
 
 	checks, failures telemetry.Counter
 
@@ -178,10 +177,9 @@ type HealthChecker struct {
 
 // HealthOptions configures a HealthChecker.
 type HealthOptions struct {
-	// Interval between probes. Zero selects 2 seconds.
+	// Interval between probes; half of it bounds one probe. Zero selects
+	// 2 seconds.
 	Interval time.Duration
-	// Timeout bounds one probe. Zero selects Interval/2.
-	Timeout time.Duration
 	// Telemetry, with Name, indexes check/failure counters.
 	Telemetry *telemetry.Registry
 	Name      string
@@ -194,14 +192,10 @@ func NewHealthChecker(breaker *Breaker, probe func(ctx context.Context) error, o
 	if opts.Interval <= 0 {
 		opts.Interval = 2 * time.Second
 	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = opts.Interval / 2
-	}
 	h := &HealthChecker{
 		probe:    probe,
 		breaker:  breaker,
 		interval: opts.Interval,
-		timeout:  opts.Timeout,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -243,7 +237,7 @@ func (h *HealthChecker) loop() {
 }
 
 func (h *HealthChecker) check() {
-	ctx, cancel := context.WithTimeout(context.Background(), h.timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), h.interval/2)
 	defer cancel()
 	err := h.probe(ctx)
 	h.checks.Add(1)

@@ -155,30 +155,7 @@ func spanPath(ctx context.Context) string {
 	return p
 }
 
-// StartSpan pushes a named span onto ctx's span stack and returns the new
-// context plus an end function that records the completed span. Without a
-// trace in ctx it is free: the same context and a no-op end come back.
-func StartSpan(ctx context.Context, name string) (context.Context, func()) {
-	t, ok := TraceFrom(ctx)
-	if !ok {
-		return ctx, func() {}
-	}
-	path := name
-	if parent := spanPath(ctx); parent != "" {
-		path = parent + "." + name
-	}
-	start := time.Since(t.start)
-	ctx = context.WithValue(ctx, spanKey{}, path)
-	return ctx, func() {
-		end := time.Since(t.start)
-		t.mu.Lock()
-		t.spans = append(t.spans, TraceSpan{Path: path, Start: start, End: end})
-		t.mu.Unlock()
-	}
-}
-
-// Span is an in-flight span handle, the allocation-free alternative to
-// StartSpan's end closure: the handle is a plain value, so
+// Span is an in-flight span handle: a plain value, so
 //
 //	ctx, sp := telemetry.BeginSpan(ctx, "middleware")
 //	defer sp.End()
@@ -191,9 +168,10 @@ type Span struct {
 	start time.Duration
 }
 
-// BeginSpan pushes a named span onto ctx's span stack, like StartSpan, but
-// returns a value handle instead of a closure. Without a trace in ctx it
-// returns ctx unchanged and a no-op handle, touching nothing.
+// BeginSpan pushes a named span onto ctx's span stack and returns the new
+// context plus a handle whose End records the completed span. Without a
+// trace in ctx it returns ctx unchanged and a no-op handle, touching
+// nothing.
 func BeginSpan(ctx context.Context, name string) (context.Context, Span) {
 	t, ok := TraceFrom(ctx)
 	if !ok {

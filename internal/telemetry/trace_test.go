@@ -11,10 +11,10 @@ import (
 func TestEventWithoutTraceIsNoOp(t *testing.T) {
 	// Must not panic, must not allocate a trace.
 	Event(context.Background(), "network", "/x")
-	ctx, end := StartSpan(context.Background(), "load")
-	end()
+	ctx, span := BeginSpan(context.Background(), "load")
+	span.End()
 	if _, ok := TraceFrom(ctx); ok {
-		t.Fatal("StartSpan invented a trace")
+		t.Fatal("BeginSpan invented a trace")
 	}
 }
 
@@ -23,12 +23,12 @@ func TestTraceRecordsEventsAndSpans(t *testing.T) {
 	if tr.ID != "req-1" {
 		t.Fatalf("id = %q", tr.ID)
 	}
-	ctx2, endLoad := StartSpan(ctx, "load")
+	ctx2, load := BeginSpan(ctx, "load")
 	Event(ctx2, "network", "/index.html")
-	ctx3, endFetch := StartSpan(ctx2, "fetch")
+	ctx3, fetch := BeginSpan(ctx2, "fetch")
 	Event(ctx3, "sw-hit", "/a.css")
-	endFetch()
-	endLoad()
+	fetch.End()
+	load.End()
 
 	evs := tr.Events()
 	if len(evs) != 2 {
@@ -82,8 +82,8 @@ func TestTraceConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				Event(ctx, "probe", "/x")
-				_, end := StartSpan(ctx, "s")
-				end()
+				_, span := BeginSpan(ctx, "s")
+				span.End()
 			}
 		}()
 	}
