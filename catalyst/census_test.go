@@ -5,16 +5,18 @@ import (
 	"slices"
 	"testing"
 
+	"cachecatalyst/internal/cachestore"
 	"cachecatalyst/internal/cluster"
 	"cachecatalyst/internal/core"
+	"cachecatalyst/internal/httpcache"
 	"cachecatalyst/internal/resilience"
 	"cachecatalyst/internal/server"
 )
 
 // TestOptionCensus pins the exported fields of every options struct on the
-// serving path, each beside the non-test program that sets it. A value no
-// program sets is a constant instead (DESIGN.md, "Frozen values"), so a new
-// field fails here until it is listed with its setter.
+// serving path and in the cache layer, each beside the non-test program that
+// sets it. A value no program sets is a constant instead (DESIGN.md, "Frozen
+// values"), so a new field fails here until it is listed with its setter.
 func TestOptionCensus(t *testing.T) {
 	census := []struct {
 		typ    reflect.Type
@@ -67,6 +69,16 @@ func TestOptionCensus(t *testing.T) {
 			"Interval",  // catalyst.NewUpstream (a tenant's healthInterval)
 			"Telemetry", // catalyst.NewUpstream
 			"Name",      // catalyst.NewUpstream
+		}},
+		{reflect.TypeOf(cachestore.Options[int]{}), []string{
+			"Shards",    // internal/httpcache
+			"MaxBytes",  // catalyst.Middleware, internal/cluster, internal/cachesim, bench
+			"SizeOf",    // catalyst.Middleware, internal/cluster, internal/cachesim, internal/httpcache, internal/sw, bench
+			"Telemetry", // catalyst.Middleware, internal/cluster
+			"Name",      // catalyst.Middleware, internal/cluster
+		}},
+		{reflect.TypeOf(httpcache.Options{}), []string{
+			"NegativeTTL", // internal/browser (negative-cache scheme)
 		}},
 	}
 	for _, c := range census {

@@ -232,12 +232,12 @@ type middleware struct {
 	metrics *middlewareMetrics
 	htmlNS  *telemetry.Histogram // nil without telemetry
 	// def is the default serving state — initState called with no tenant:
-	// the only state a single-tenant deployment ever touches, and the
-	// parent every tenant's namespaced state derives from.
+	// the only state a single-tenant deployment ever touches.
 	def tenantState
 	// tenants memoizes per-tenant serving state by tenant name, built
-	// lazily on a tenant's first request (see stateFor).
-	tenants sync.Map // string → *tenantState
+	// once, on a tenant's first request, under tenantsMu (see stateFor).
+	tenants   sync.Map // string → *tenantState
+	tenantsMu sync.Mutex
 }
 
 // tenantState is one tenant's slice of the middleware: its caches (probe
@@ -268,9 +268,11 @@ type tenantState struct {
 
 // stateFor resolves the serving state for a request: the tenant's when the
 // context carries one, the default otherwise. The no-tenant path costs one
-// context lookup and no allocation — the warm-path budgets pin that. Racing
-// first requests of one tenant converge on the same caches (namespaces are
-// memoized by name); at worst a loser's gate and breaker are discarded.
+// context lookup and no allocation — the warm-path budgets pin that — and a
+// built tenant's costs one lock-free map load more. A tenant's first
+// requests build its state once, under tenantsMu: a racing loser would
+// register a gate whose counters the registry then reads in place of the
+// winner's.
 func (m *middleware) stateFor(r *http.Request) *tenantState {
 	t, ok := tenant.FromContext(r.Context())
 	if !ok {
@@ -279,43 +281,63 @@ func (m *middleware) stateFor(r *http.Request) *tenantState {
 	if v, ok := m.tenants.Load(t.Name); ok {
 		return v.(*tenantState)
 	}
+	m.tenantsMu.Lock()
+	defer m.tenantsMu.Unlock()
+	if v, ok := m.tenants.Load(t.Name); ok {
+		return v.(*tenantState)
+	}
 	ts := &tenantState{}
 	m.initState(ts, t)
-	v, _ := m.tenants.LoadOrStore(t.Name, ts)
-	return v.(*tenantState)
+	m.tenants.Store(t.Name, ts)
+	return ts
+}
+
+// budget resolves a tenant cache's byte budget, "tenant value, else
+// option": zero keeps def, the default state's budget, and a negative value
+// means unbounded (0 in cachestore terms).
+func budget(tenantBytes, def int64) int64 {
+	switch {
+	case tenantBytes == 0:
+		return def
+	case tenantBytes < 0:
+		return 0
+	}
+	return tenantBytes
 }
 
 // initState is the one constructor of serving state. Every knob resolves
 // "tenant value, else option", and the default state is the tenant with
-// nothing set (t == nil): its caches are the root stores, instrumented as
-// "middleware.*". A tenant's caches are namespaces of those, instrumented as
-// "tenant.<name>.*" — they inherit size accounting and the registry, and own
-// their bytes, eviction order and budget.
+// nothing set (t == nil), instrumented as "middleware.*" (or "server.*").
+// A tenant's state is instrumented as "tenant.<name>.*". Every state owns
+// its stores outright — their bytes, eviction order and budget — so one
+// tenant filling its caches cannot evict a neighbour's entries.
 func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
-	o, def, root, prefix := &m.opts, &m.def, t == nil, m.prefix
+	o, root, prefix := &m.opts, t == nil, m.prefix
 	if root {
 		t = &tenant.Tenant{}
 	} else {
 		ts.name, prefix = t.Name, "tenant."+t.Name+"."
 	}
-	ns := func(kind string, budget int64) cachestore.NamespaceOptions {
-		return cachestore.NamespaceOptions{MaxBytes: budget, TelemetryName: prefix + kind}
-	}
+	// Stale copies and delta bases get half the tenant's budget.
 	half := t.BudgetBytes / 2
 	if t.BudgetBytes < 0 {
 		half = -1
 	}
 
 	if o.MaxRenderBytes >= 0 {
-		ts.renders = openCache(m, ts.name, def.renders, ns("renders", t.BudgetBytes), cachestore.Options[*renderEntry]{
-			MaxBytes: cmp.Or(o.MaxRenderBytes, defaultRenderBytes),
-			SizeOf:   renderEntrySize,
+		ts.renders = cachestore.New(cachestore.Options[*renderEntry]{
+			MaxBytes:  budget(t.BudgetBytes, cmp.Or(o.MaxRenderBytes, defaultRenderBytes)),
+			SizeOf:    renderEntrySize,
+			Telemetry: o.Telemetry,
+			Name:      prefix + "renders",
 		})
 	}
 	if o.Delta {
-		ts.deltaBases = openCache(m, ts.name, def.deltaBases, ns("delta_bases", half), cachestore.Options[[]byte]{
-			MaxBytes: bodyStoreBudget,
-			SizeOf:   func(key string, body []byte) int64 { return int64(len(key) + len(body)) },
+		ts.deltaBases = cachestore.New(cachestore.Options[[]byte]{
+			MaxBytes:  budget(half, bodyStoreBudget),
+			SizeOf:    func(key string, body []byte) int64 { return int64(len(key) + len(body)) },
+			Telemetry: o.Telemetry,
+			Name:      prefix + "delta_bases",
 		})
 	}
 	maxInflight := o.MaxInflight
@@ -339,26 +361,30 @@ func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
 	}
 	ts.src = &probeSource{m: m, ts: ts}
 
-	// A tenant's probe namespace sets no budget of its own (0): it inherits
-	// the root store's, the same maxProbeEntries × probeBaseCost.
-	ts.probes = openCache(m, ts.name, def.probes, ns("probes", 0), cachestore.Options[probe]{
+	// A tenant's budget does not reach its probe cache: every state's holds
+	// maxProbeEntries × probeBaseCost.
+	ts.probes = cachestore.New(cachestore.Options[probe]{
 		// A probe without a retained stylesheet body costs exactly
 		// probeBaseCost, so for ordinary entries MaxBytes stays the entry
 		// count maxProbeEntries promises; cached CSS bodies are charged
 		// their real bytes on top, so large stylesheets consume
 		// proportionally more of the same budget instead of hiding
 		// behind a flat per-entry unit.
-		MaxBytes: int64(m.tune.maxProbeEntries) * probeBaseCost,
-		SizeOf:   func(_ string, p probe) int64 { return probeBaseCost + int64(len(p.cssBody)) },
+		MaxBytes:  int64(m.tune.maxProbeEntries) * probeBaseCost,
+		SizeOf:    func(_ string, p probe) int64 { return probeBaseCost + int64(len(p.cssBody)) },
+		Telemetry: o.Telemetry,
+		Name:      prefix + "probes",
 	})
 	ts.staleTTL = staleFor
 	if t.StaleFor > 0 {
 		ts.staleTTL = t.StaleFor
 	}
 	if t.StaleFor >= 0 {
-		ts.stales = openCache(m, ts.name, def.stales, ns("stales", half), cachestore.Options[*staleEntry]{
-			MaxBytes: bodyStoreBudget,
-			SizeOf:   staleEntrySize,
+		ts.stales = cachestore.New(cachestore.Options[*staleEntry]{
+			MaxBytes:  budget(half, bodyStoreBudget),
+			SizeOf:    staleEntrySize,
+			Telemetry: o.Telemetry,
+			Name:      prefix + "stales",
 		})
 	}
 	// The breaker is wired, never built here: the tenant's own, or
@@ -367,17 +393,6 @@ func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
 	if root {
 		ts.breaker = o.OriginBreaker
 	}
-}
-
-// openCache is the one construction site of a state's caches. With no
-// parent it builds the root store from root, adding the middleware-wide
-// registry; otherwise it opens the tenant's namespace of parent.
-func openCache[V any](m *middleware, name string, parent *cachestore.Store[V], ns cachestore.NamespaceOptions, root cachestore.Options[V]) *cachestore.Store[V] {
-	if parent == nil {
-		root.Telemetry, root.Name = m.opts.Telemetry, ns.TelemetryName
-		return cachestore.New(root)
-	}
-	return parent.NamespaceWith(name, ns)
 }
 
 type probe struct {

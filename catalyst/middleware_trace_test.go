@@ -65,7 +65,7 @@ func TestMiddlewareTraceEndToEnd(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	origins := browser.OriginMap{"site.example": server.NewOrigin(h)}
 	cond := netsim.Conditions{RTT: 40 * time.Millisecond, DownlinkBps: 60e6}
-	b := browser.New(clock, browser.Catalyst, netsim.TransportOptions{}).WithTelemetry(reg)
+	b := browser.New(clock, browser.Catalyst, netsim.TransportOptions{})
 
 	byPath := make(map[string][]string)
 	b.OnFetch = func(ev browser.FetchEvent) { byPath[ev.Path] = ev.Decisions }
@@ -112,10 +112,7 @@ func TestMiddlewareTraceEndToEnd(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	for _, name := range []string{
-		"middleware.probes.hits", "middleware.panics_recovered",
-		"browser.httpcache.hits", "sw.site.example.local_hits",
-	} {
+	for _, name := range []string{"middleware.probes.hits", "middleware.panics_recovered"} {
 		if _, ok := snap.Counters[name]; !ok {
 			t.Errorf("registry snapshot missing %q (have %d counters)", name, len(snap.Counters))
 		}
@@ -123,8 +120,18 @@ func TestMiddlewareTraceEndToEnd(t *testing.T) {
 	if _, ok := snap.Histograms["middleware.html_ns"]; !ok {
 		t.Error("registry snapshot missing middleware.html_ns histogram")
 	}
-	if snap.Counters["sw.site.example.local_hits"] == 0 {
-		t.Error("sw local_hits counter did not move on the warm revisit")
+	worker, ok := b.Workers().Lookup("site.example")
+	if !ok {
+		t.Fatal("no Service Worker installed for site.example")
+	}
+	if worker.Stats().LocalHits == 0 {
+		t.Error("the worker's LocalHits did not move on the warm revisit")
+	}
+	// The revisit's navigation revalidated through the browser's HTTP
+	// cache; its subresources never reached that cache, because the worker
+	// answered them.
+	if st := b.Cache().Stats(); st.Validations == 0 || st.Hits != 0 {
+		t.Errorf("browser HTTP cache %+v, want the navigation validated and no hits", st)
 	}
 }
 

@@ -220,24 +220,15 @@ func (w *sniffWriter) WriteHeader(code int) {
 }
 
 // notModified evaluates the original request's conditionals against the
-// response headers the inner handler produced, per RFC 9110 §13:
-// If-None-Match against the ETag (weak comparison), else If-Modified-Since
-// against Last-Modified.
+// validators in the response headers the inner handler produced
+// (headers.NotModified). An unconditional request parses neither.
 func (w *sniffWriter) notModified() bool {
-	if inm := w.req.Header.Get("If-None-Match"); inm != "" {
-		t, ok := etag.Parse(w.header.Get("Etag"))
-		return ok && !etag.NoneMatch(inm, t)
-	}
-	ims := w.req.Header.Get("If-Modified-Since")
-	if ims == "" {
+	if w.req.Header.Get("If-None-Match") == "" && w.req.Header.Get("If-Modified-Since") == "" {
 		return false
 	}
-	since, ok := headers.ParseHTTPDate(ims)
-	if !ok {
-		return false
-	}
-	lm, ok := headers.ParseHTTPDate(w.header.Get("Last-Modified"))
-	return ok && !lm.After(since)
+	tag, hasTag := etag.Parse(w.header.Get("Etag"))
+	lm, _ := headers.ParseHTTPDate(w.header.Get("Last-Modified"))
+	return headers.NotModified(w.req.Header, tag, hasTag, lm)
 }
 
 func (w *sniffWriter) Write(b []byte) (int, error) {

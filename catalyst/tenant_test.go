@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -97,10 +98,10 @@ func TestTenantIsolatedServing(t *testing.T) {
 	tenantGet(h, "alpha.test", "/")
 	snap := reg.Snapshot()
 	if snap.Counters["tenant.alpha.renders.hits"] == 0 {
-		t.Fatalf("no warm hit recorded in alpha's renders namespace: %v", snap.Counters)
+		t.Fatalf("no warm hit recorded in alpha's render cache: %v", snap.Counters)
 	}
 	if snap.Counters["tenant.beta.renders.hits"] != 0 {
-		t.Fatalf("alpha's warm hit leaked into beta's namespace: %v", snap.Counters)
+		t.Fatalf("alpha's warm hit leaked into beta's render cache: %v", snap.Counters)
 	}
 	if snap.Counters["tenant.alpha.requests"] != 2 || snap.Counters["tenant.beta.requests"] != 1 {
 		t.Fatalf("per-tenant request counters wrong: %v", snap.Counters)
@@ -230,5 +231,93 @@ func TestTenantDefaultPathUntouched(t *testing.T) {
 		if strings.Contains(name, ".hot.") || name == "middleware.renders_evicted" || name == "middleware.probes_swept" {
 			t.Errorf("retired instrument %q registered", name)
 		}
+	}
+}
+
+// TestTenantStateBuiltOnceUnderConcurrentFirstRequests releases the first
+// requests of many fresh tenants at once. Each tenant's state — its gate
+// included — must be built once: were a racing request to build a second
+// one, the registry would read that discarded gate's counters, and the
+// tenant's "gate.admitted" would miss requests its live gate admitted.
+func TestTenantStateBuiltOnceUnderConcurrentFirstRequests(t *testing.T) {
+	const tenants, perTenant = 120, 8
+	reg := telemetry.NewRegistry()
+	tr := &tenantRouter{}
+	tr.failing.Store("")
+	mw := Middleware(tr, MiddlewareOptions{Telemetry: reg, MaxInflight: perTenant})
+
+	var served [tenants]atomic.Int64
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < tenants; i++ {
+		tn := &tenant.Tenant{Name: fmt.Sprintf("t%03d", i)}
+		for g := 0; g < perTenant; g++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				req := httptest.NewRequest(http.MethodGet, "/index.html", nil)
+				req = req.WithContext(tenant.NewContext(req.Context(), tn))
+				rec := httptest.NewRecorder()
+				<-release
+				mw.ServeHTTP(rec, req)
+				if rec.Code == http.StatusOK {
+					served[i].Add(1)
+				}
+			}(i)
+		}
+	}
+	close(release)
+	wg.Wait()
+
+	counters := reg.Snapshot().Counters
+	split := 0
+	for i := range served {
+		name := fmt.Sprintf("tenant.t%03d.gate.admitted", i)
+		if got, want := counters[name], served[i].Load(); got != want {
+			if split++; split <= 3 {
+				t.Errorf("%s = %d, but the tenant served %d requests", name, got, want)
+			}
+		}
+	}
+	if split > 0 {
+		t.Errorf("%d of %d tenants report a gate other than the one that admitted their requests", split, tenants)
+	}
+}
+
+// TestTenantStoreBudgets pins the byte budget of every store a tenant's
+// state opens: the render cache takes the tenant's budget, stale copies and
+// delta bases half of it; zero keeps the default state's budgets, a
+// negative budget means unbounded (MaxBytes 0), and the probe cache keeps
+// the default's whatever the tenant bought. A disabled render cache stays
+// disabled for every tenant.
+func TestTenantStoreBudgets(t *testing.T) {
+	probeBudget := int64(maxProbeEntries) * probeBaseCost
+	type budgets struct{ renders, stales, deltaBases, probes int64 }
+	for _, c := range []struct {
+		name           string
+		maxRenderBytes int64
+		budgetBytes    int64
+		want           budgets
+	}{
+		{"inherit", 0, 0, budgets{defaultRenderBytes, bodyStoreBudget, bodyStoreBudget, probeBudget}},
+		{"inherit-option", 4 << 20, 0, budgets{4 << 20, bodyStoreBudget, bodyStoreBudget, probeBudget}},
+		{"own", 0, 2 << 20, budgets{2 << 20, 1 << 20, 1 << 20, probeBudget}},
+		{"unbounded", 0, -1, budgets{0, 0, 0, probeBudget}},
+		{"renders-off", -1, 2 << 20, budgets{-1, 1 << 20, 1 << 20, probeBudget}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr := &tenantRouter{}
+			tr.failing.Store("")
+			m := Middleware(tr, MiddlewareOptions{MaxRenderBytes: c.maxRenderBytes, Delta: true}).(*middleware)
+			req := httptest.NewRequest(http.MethodGet, "/", nil)
+			ts := m.stateFor(req.WithContext(tenant.NewContext(req.Context(), &tenant.Tenant{Name: "acme", BudgetBytes: c.budgetBytes})))
+			got := budgets{-1, ts.stales.MaxBytes(), ts.deltaBases.MaxBytes(), ts.probes.MaxBytes()}
+			if ts.renders != nil {
+				got.renders = ts.renders.MaxBytes()
+			}
+			if got != c.want {
+				t.Errorf("tenant budgets %+v, want %+v (-1: no render cache)", got, c.want)
+			}
+		})
 	}
 }

@@ -49,8 +49,8 @@ func TestNewEdge(t *testing.T) {
 
 	cfg := &tenant.Config{
 		Tenants: []tenant.TenantConfig{
-			{Name: "alpha", Upstream: origin("alpha", true).URL, Hosts: []string{"alpha.test"}, HealthInterval: tenant.Duration(20 * time.Millisecond)},
-			{Name: "beta", Upstream: origin("beta", false).URL, Hosts: []string{"beta.test"}, HealthInterval: tenant.Duration(20 * time.Millisecond)},
+			{Name: "alpha", Upstream: origin("alpha", true).URL, Hosts: []string{"alpha.test"}, HealthInterval: tenant.Duration(100 * time.Millisecond)},
+			{Name: "beta", Upstream: origin("beta", false).URL, Hosts: []string{"beta.test"}, HealthInterval: tenant.Duration(100 * time.Millisecond)},
 		},
 		Cluster: tenant.ClusterConfig{Instance: "edge0", Peers: []string{peer.URL}},
 	}
@@ -68,7 +68,7 @@ func TestNewEdge(t *testing.T) {
 	// alpha's origin fails its health probes: its breaker opens, beta's
 	// stays shut, and the page's first build has been gossiped.
 	failing.Store(true)
-	deadline := time.Now().Add(2 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		c := reg.Snapshot().Counters
 		if c["tenant.alpha.origin.trips"] > 0 && c["tenant.beta.health.checks"] > 0 && announced.Load() > 0 {

@@ -29,8 +29,8 @@
 //
 // With -config, catalystd fronts several upstreams from one process: the
 // file names each tenant (its upstream, Host/path routing rule, cache byte
-// budget, degradation knobs), and the daemon gives each one isolated cache
-// namespaces, its own circuit breaker and health checker, and per-tenant
+// budget, degradation knobs), and the daemon gives each one caches of its
+// own, its own circuit breaker and health checker, and per-tenant
 // "tenant.<name>.*" telemetry. A "cluster" stanza additionally joins the
 // instance to a peer group: hot X-Etag-Config encodings gossip between
 // instances so a page rendered on one node serves from a peer without

@@ -190,7 +190,7 @@ func TestBuildHandlerMultiTenant(t *testing.T) {
 	cfgPath := filepath.Join(t.TempDir(), "catalystd.json")
 	cfg := fmt.Sprintf(`{
 		"tenants": [
-			{"name": "alpha", "upstream": %q, "hosts": ["alpha.test"], "healthInterval": "50ms"},
+			{"name": "alpha", "upstream": %q, "hosts": ["alpha.test"], "healthInterval": "100ms"},
 			{"name": "beta", "upstream": %q, "hosts": ["beta.test"], "cacheBudget": 1048576}
 		]
 	}`, upA.URL, upB.URL)

@@ -155,8 +155,7 @@ type Browser struct {
 	transport netsim.TransportOptions
 	cache     *httpcache.Cache
 	registry  *sw.Registry
-	telemetry *telemetry.Registry // nil unless WithTelemetry was called
-	recorder  sw.AccessRecorder   // nil unless WithAccessRecorder was called
+	recorder  sw.AccessRecorder // nil unless WithAccessRecorder was called
 	// delta enables the catalyst-delta scheme: stale navigations name
 	// their cached validator in X-Delta-Base and patch the cached body
 	// with the server's CCD1 response (internal/delta).
@@ -224,24 +223,10 @@ func (b *Browser) Cache() *httpcache.Cache { return b.cache }
 // Workers returns the Service-Worker registry.
 func (b *Browser) Workers() *sw.Registry { return b.registry }
 
-// WithTelemetry indexes the browser's caches in reg: the HTTP cache's
-// counters under "browser.httpcache.*" and each Service Worker's under
-// "sw.<origin>.*". The wiring survives ClearState (fresh caches re-register
-// over the old names). Returns b for chaining at construction.
-func (b *Browser) WithTelemetry(reg *telemetry.Registry) *Browser {
-	b.telemetry = reg
-	b.ClearState()
-	return b
-}
-
-// Telemetry returns the registry passed to WithTelemetry, or nil.
-func (b *Browser) Telemetry() *telemetry.Registry { return b.telemetry }
-
 // WithAccessRecorder makes every Service Worker this browser installs
 // report its subresource accesses (key and byte size) to rec — the hook
 // harness runs use to export the workload as a replayable cache trace.
-// Survives ClearState, like telemetry wiring. Returns b for chaining at
-// construction.
+// Survives ClearState. Returns b for chaining at construction.
 func (b *Browser) WithAccessRecorder(rec sw.AccessRecorder) *Browser {
 	b.recorder = rec
 	b.ClearState()
@@ -270,10 +255,6 @@ func (b *Browser) WithNegativeCache(ttl time.Duration) *Browser {
 // ClearState discards all client state — the paper's "cold cache" setup.
 func (b *Browser) ClearState() {
 	opts := httpcache.Options{}
-	if b.telemetry != nil {
-		opts.Telemetry = b.telemetry
-		opts.Name = "browser.httpcache"
-	}
 	if b.negTTL > 0 && b.mode != Catalyst {
 		// In Catalyst mode the Service Worker owns negative entries —
 		// its map-driven flip-to-200 invalidation is stronger than TTL
@@ -281,7 +262,7 @@ func (b *Browser) ClearState() {
 		opts.NegativeTTL = b.negTTL
 	}
 	b.cache = httpcache.New(b.clock, opts)
-	b.registry = sw.NewRegistry().WithTelemetry(b.telemetry).WithRecorder(b.recorder)
+	b.registry = sw.NewRegistry().WithRecorder(b.recorder)
 	if b.negTTL > 0 {
 		b.registry.WithNegativeCache(b.negTTL, b.clock)
 	}

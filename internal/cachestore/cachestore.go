@@ -10,6 +10,12 @@
 // middleware's probe cache), each with its own eviction bugs and none safe
 // to share between goroutines. They now all store through a Store.
 //
+// A store's byte budget is fixed when it is built, and a cache that needs
+// its own budget — a tenant's render cache, say — is its own Store: there
+// are no sub-stores, and nothing resizes or empties a store while it
+// serves. The client caches (the browser's HTTP cache and Service-Worker
+// storage) set no budget at all.
+//
 // # Warm-path fast lane
 //
 // A fully-warm Get touches no mutex. Each shard keeps its key→entry index
@@ -66,10 +72,6 @@ type Options[V any] struct {
 	// SizeOf reports an entry's accounting size. Nil charges 1 per
 	// entry, turning MaxBytes into a maximum entry count.
 	SizeOf func(key string, v V) int64
-	// OnEvict, when set, observes budget evictions — not Delete, Clear
-	// or replacement. It is called with no shard lock held, so it may
-	// call back into the store.
-	OnEvict func(key string, v V)
 	// Telemetry, when set together with Name, registers the store's
 	// counters in the given registry as "<Name>.hits", "<Name>.misses",
 	// "<Name>.puts", "<Name>.evictions", "<Name>.loads",
@@ -135,13 +137,12 @@ type shard[V any] struct {
 // Store is a sharded store with lock-free reads. The zero value is not
 // usable; construct with New. A Store is safe for concurrent use.
 type Store[V any] struct {
-	shards  []shard[V]
-	mask    uint64
-	sizeOf  func(string, V) int64
-	onEvict func(string, V)
+	shards   []shard[V]
+	mask     uint64
+	sizeOf   func(string, V) int64
+	maxBytes int64 // 0 = unbounded
 
-	maxBytes atomic.Int64 // live-adjustable via Resize
-	bytes    atomic.Int64
+	bytes atomic.Int64
 	// inflation is GDSF's L as float64 bits: raised to each victim's rank,
 	// never lowered (see policy.go).
 	inflation atomic.Uint64
@@ -151,13 +152,6 @@ type Store[V any] struct {
 	victimScans                   telemetry.Counter
 
 	flight flightGroup[V]
-
-	// opts is the construction configuration, retained so Namespace can
-	// spawn children that inherit it; children maps namespace name → child
-	// store (see namespace.go). Guarded by nsMu.
-	opts     Options[V]
-	nsMu     sync.Mutex
-	children map[string]*Store[V]
 }
 
 // New returns an empty store.
@@ -171,13 +165,11 @@ func New[V any](opts Options[V]) *Store[V] {
 		pow <<= 1
 	}
 	s := &Store[V]{
-		shards:  make([]shard[V], pow),
-		mask:    uint64(pow - 1),
-		sizeOf:  opts.SizeOf,
-		onEvict: opts.OnEvict,
-		opts:    opts,
+		shards:   make([]shard[V], pow),
+		mask:     uint64(pow - 1),
+		sizeOf:   opts.SizeOf,
+		maxBytes: opts.MaxBytes,
 	}
-	s.maxBytes.Store(opts.MaxBytes)
 	if s.sizeOf == nil {
 		s.sizeOf = func(string, V) int64 { return 1 }
 	}
@@ -295,20 +287,11 @@ func (s *Store[V]) Put(key string, v V) {
 // still evicts some near-minimal entry and the loop re-checks the budget, so
 // the store converges. Single-threaded use is exactly GDSF's order.
 func (s *Store[V]) enforceBudget() {
-	max := s.maxBytes.Load()
-	if max <= 0 {
+	if s.maxBytes <= 0 {
 		return
 	}
-	for s.bytes.Load() > max {
-		key, val, ok := s.evictOne()
-		if !ok {
-			return
-		}
+	for s.bytes.Load() > s.maxBytes && s.evictOne() {
 		s.evictions.Add(1)
-		if s.onEvict != nil {
-			s.onEvict(key, val)
-		}
-		max = s.maxBytes.Load()
 	}
 }
 
@@ -359,13 +342,12 @@ func (s *Store[V]) findVictimShard() int {
 	return best
 }
 
-// evictOne removes and returns the entry with the smallest rank, raising L
-// to that rank (GDSF aging).
-func (s *Store[V]) evictOne() (string, V, bool) {
-	var zero V
+// evictOne removes the entry with the smallest rank, raising L to that rank
+// (GDSF aging), and reports whether it found one.
+func (s *Store[V]) evictOne() bool {
 	best := s.findVictimShard()
 	if best < 0 {
-		return "", zero, false
+		return false
 	}
 	sh := &s.shards[best]
 	sh.mu.Lock()
@@ -374,7 +356,7 @@ func (s *Store[V]) evictOne() (string, V, bool) {
 		// A concurrent evictor drained this shard between the scan and
 		// the re-lock; it is making progress, so stop here.
 		sh.mu.Unlock()
-		return "", zero, false
+		return false
 	}
 	s.remove(sh, n)
 	sh.mu.Unlock()
@@ -383,7 +365,7 @@ func (s *Store[V]) evictOne() (string, V, bool) {
 			break
 		}
 	}
-	return n.key, n.val, true
+	return true
 }
 
 // remove unhooks a resident entry from its shard's bookkeeping. Requires
@@ -407,35 +389,8 @@ func (s *Store[V]) Delete(key string) bool {
 	return ok
 }
 
-// Clear empties the store. Counters are not reset. Readers that already
-// hold an entry keep reading it consistently — entries are immutable and
-// reclaimed by the garbage collector once the last reader drops them.
-func (s *Store[V]) Clear() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.index.Range(func(k, e any) bool {
-			s.bytes.Add(-e.(*node[V]).size)
-			sh.index.Delete(k)
-			return true
-		})
-		sh.count.Store(0)
-		sh.heap = nil
-		sh.mu.Unlock()
-	}
-}
-
-// Resize changes the byte budget while the store serves traffic, evicting
-// down in rank order when the new budget is smaller. A budget of
-// 0 or less removes the bound. Concurrent Puts observe the new budget as
-// soon as it is stored.
-func (s *Store[V]) Resize(maxBytes int64) {
-	s.maxBytes.Store(maxBytes)
-	s.enforceBudget()
-}
-
-// MaxBytes returns the current byte budget (0 = unbounded).
-func (s *Store[V]) MaxBytes() int64 { return s.maxBytes.Load() }
+// MaxBytes returns the byte budget (0 = unbounded).
+func (s *Store[V]) MaxBytes() int64 { return s.maxBytes }
 
 // Len returns the number of stored entries.
 func (s *Store[V]) Len() int {

@@ -37,9 +37,9 @@ func TestPutGetPeekDelete(t *testing.T) {
 	if s.Len() != 1 || s.Bytes() != 1 {
 		t.Fatalf("after delete: Len=%d Bytes=%d", s.Len(), s.Bytes())
 	}
-	s.Clear()
+	s.Delete("b")
 	if s.Len() != 0 || s.Bytes() != 0 {
-		t.Fatalf("after clear: Len=%d Bytes=%d", s.Len(), s.Bytes())
+		t.Fatalf("after deleting all: Len=%d Bytes=%d", s.Len(), s.Bytes())
 	}
 	c := s.Counters()
 	if c.Hits != 1 || c.Misses != 1 || c.Puts != 2 {
@@ -108,21 +108,25 @@ func TestOverBudgetEntryEvictedEntirely(t *testing.T) {
 	}
 }
 
-func TestOnEvictObservesOnlyBudgetEvictions(t *testing.T) {
-	var evicted []string
+func TestEvictionsCountOnlyBudgetEvictions(t *testing.T) {
 	s := New[string](Options[string]{
 		MaxBytes: 3,
 		SizeOf:   func(_ string, v string) int64 { return int64(len(v)) },
-		OnEvict:  func(k string, _ string) { evicted = append(evicted, k) },
 	})
 	s.Put("a", "1")
-	s.Put("a", "2") // replacement: no callback (a's rank 2/1)
+	s.Put("a", "2") // replacement: not an eviction (a's rank 2/1)
 	s.Put("b", "11")
-	s.Delete("b")    // delete: no callback
+	s.Delete("b")    // delete: not an eviction
 	s.Put("b", "11") // rank 1/2
 	s.Put("c", "1")  // budget: evicts b, the smallest rank
-	if len(evicted) != 1 || evicted[0] != "b" {
-		t.Fatalf("evicted = %v", evicted)
+	if n := s.Counters().Evictions; n != 1 {
+		t.Fatalf("evictions = %d, want 1", n)
+	}
+	if _, ok := s.Peek("b"); ok {
+		t.Fatal("b, the smallest rank, survived the budget")
+	}
+	if _, ok := s.Peek("a"); !ok {
+		t.Fatal("a was evicted instead of b")
 	}
 }
 
@@ -341,7 +345,7 @@ func TestAuditDetectsDrift(t *testing.T) {
 	}
 	s.bytes.Add(-3)
 	s.Delete("/a")
-	s.Clear()
+	s.Delete("/b")
 	if err := s.Audit(); err != nil {
 		t.Fatalf("empty store failed audit: %v", err)
 	}

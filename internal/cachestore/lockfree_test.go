@@ -65,17 +65,13 @@ func TestGetAllocsZero(t *testing.T) {
 // TestDeferredPromotionEvictsExactly exercises the lazy-promotion design
 // directly: a burst of lock-free Gets reorders the live ranks without
 // touching the shards' heaps, and the subsequent evictions (forced one at a
-// time through Resize) must still come out in exact rank order — proving
+// time through evictOne) must still come out in exact rank order — proving
 // victim validation pays off every deferred promotion before trusting a
 // candidate.
 func TestDeferredPromotionEvictsExactly(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			var evicted []string
-			s := New[int](Options[int]{
-				Shards:  shards,
-				OnEvict: func(key string, _ int) { evicted = append(evicted, key) },
-			})
+			s := New[int](Options[int]{Shards: shards})
 			const n = 40
 			for i := 0; i < n; i++ {
 				s.Put(fmt.Sprintf("/k%02d", i), i)
@@ -93,18 +89,16 @@ func TestDeferredPromotionEvictsExactly(t *testing.T) {
 					}
 				}
 			}
-			// Shrink one entry at a time: each Resize must evict exactly
-			// the least touched survivor. (Resize(0) would lift the bound,
-			// so stop at one resident entry.)
-			for remaining := n; remaining > 1; remaining-- {
-				s.Resize(int64(remaining - 1))
-			}
-			if len(evicted) != n-1 {
-				t.Fatalf("evicted %d of %d entries", len(evicted), n-1)
-			}
-			for pos, i := range order[:n-1] {
-				if want := fmt.Sprintf("/k%02d", i); evicted[pos] != want {
-					t.Fatalf("eviction %d: got %q, want %q (exact rank order violated)", pos, evicted[pos], want)
+			// Evict one entry at a time: each eviction must remove exactly
+			// the least touched survivor.
+			for pos, i := range order {
+				if !s.evictOne() {
+					t.Fatalf("eviction %d found no victim", pos)
+				}
+				if want := fmt.Sprintf("/k%02d", i); s.Len() != n-pos-1 {
+					t.Fatalf("eviction %d left %d entries, want %d", pos, s.Len(), n-pos-1)
+				} else if _, ok := s.Peek(want); ok {
+					t.Fatalf("eviction %d kept %q, the smallest rank (exact rank order violated)", pos, want)
 				}
 			}
 			if err := s.Audit(); err != nil {
@@ -115,7 +109,7 @@ func TestDeferredPromotionEvictsExactly(t *testing.T) {
 }
 
 // TestLockFreeStressAgainstBudget hammers every mutating operation —
-// Get, Put, Delete, Resize, Clear, eviction — from many goroutines, then
+// Get, Put, Delete, eviction — from many goroutines, then
 // quiesces and audits. Run under -race this is the memory-safety half of
 // the differential argument (the sequential half is
 // TestStoreMatchesReferenceGDSF and TestDeferredPromotionEvictsExactly).
@@ -146,13 +140,7 @@ func testLockFreeStressAgainstBudget(t *testing.T) {
 				case 3:
 					s.Delete(key)
 				case 4:
-					if i%200 == 0 {
-						s.Resize(int64(2<<10 + rng.Intn(4<<10)))
-					} else if i%399 == 0 {
-						s.Clear()
-					} else {
-						s.Peek(key)
-					}
+					s.Peek(key)
 				default:
 					s.Get(key)
 				}
@@ -160,7 +148,6 @@ func testLockFreeStressAgainstBudget(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	s.Resize(4 << 10)
 	if s.Bytes() > 4<<10 {
 		t.Fatalf("over budget after quiesce: %d", s.Bytes())
 	}
@@ -176,7 +163,7 @@ func testLockFreeStressAgainstBudget(t *testing.T) {
 
 // TestEpochReclamationNoTornReads proves the publication protocol: entries
 // are immutable after publication and replacement installs a whole new
-// entry, so a reader that raced a replacement, eviction or Clear must see
+// entry, so a reader that raced a replacement, eviction or Delete must see
 // either the complete old value or the complete new one — never a mix.
 // Values carry a self-check (two halves that must agree, tied to the key),
 // and leakcheck verifies the readers actually wind down.
@@ -228,8 +215,8 @@ func TestEpochReclamationNoTornReads(t *testing.T) {
 				key := keys[rng.Intn(len(keys))]
 				n := seq.Add(1)
 				s.Put(key, &sealed{key: key, a: n, b: n})
-				if i%500 == 0 {
-					s.Clear()
+				if i%50 == 0 {
+					s.Delete(key)
 				}
 				if i%97 == 0 {
 					runtime.GC() // reclaim retired entries while readers hold some

@@ -1,8 +1,10 @@
 package cachestore
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -72,6 +74,24 @@ func (r *refGDSF) delete(key string) {
 	}
 }
 
+// evictedFrom returns the keys the reference holds and s no longer does —
+// the victims of the last operation — smallest rank first, which is the
+// order a single-threaded store evicts them in.
+func (r *refGDSF) evictedFrom(s *Store[int64]) []string {
+	var gone []refEntry
+	for _, e := range r.entries {
+		if _, ok := s.Peek(e.key); !ok {
+			gone = append(gone, e)
+		}
+	}
+	slices.SortFunc(gone, func(a, b refEntry) int { return cmp.Compare(a.rank, b.rank) })
+	keys := make([]string, len(gone))
+	for i, e := range gone {
+		keys[i] = e.key
+	}
+	return keys
+}
+
 // evict removes the store's victim after checking no resident entry ranks
 // below it, and raises L to its rank.
 func (r *refGDSF) evict(key string) error {
@@ -98,19 +118,16 @@ func (r *refGDSF) evict(key string) error {
 func TestStoreMatchesReferenceGDSF(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			var evicted []string
 			s := New[int64](Options[int64]{
 				Shards:   shards,
 				MaxBytes: 100,
 				SizeOf:   func(_ string, v int64) int64 { return v },
-				OnEvict:  func(k string, _ int64) { evicted = append(evicted, k) },
 			})
 			ref := &refGDSF{}
 			rng := rand.New(rand.NewSource(42))
 			total := 0
 			for op := 0; op < 20000; op++ {
 				key := fmt.Sprintf("k%02d", rng.Intn(40))
-				evicted = evicted[:0]
 				switch rng.Intn(10) {
 				case 0:
 					s.Delete(key)
@@ -126,6 +143,7 @@ func TestStoreMatchesReferenceGDSF(t *testing.T) {
 						t.Fatalf("op %d: Get(%q) = %v, reference says %v", op, key, got, want)
 					}
 				}
+				evicted := ref.evictedFrom(s)
 				for _, k := range evicted {
 					if err := ref.evict(k); err != nil {
 						t.Fatalf("op %d: %v", op, err)
@@ -204,89 +222,6 @@ func TestGDSFAging(t *testing.T) {
 	}
 	if _, ok := s.Peek("pop"); ok {
 		t.Error("stale popular object survived 30 arrivals; L should have aged it out")
-	}
-	if err := s.Audit(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestResizeEvictsDown: shrinking the budget evicts in rank order
-// immediately; growing it stops evictions.
-func TestResizeEvictsDown(t *testing.T) { t.Run("gdsf", testResizeEvictsDown) }
-
-func testResizeEvictsDown(t *testing.T) {
-	s := New[int64](Options[int64]{
-		Shards:   4,
-		MaxBytes: 100,
-		SizeOf:   func(_ string, v int64) int64 { return v },
-	})
-	for i := 0; i < 10; i++ {
-		s.Put(fmt.Sprintf("k%d", i), 10)
-	}
-	if s.Bytes() != 100 {
-		t.Fatalf("Bytes = %d, want 100", s.Bytes())
-	}
-	s.Resize(35)
-	if s.Bytes() > 35 {
-		t.Fatalf("Bytes = %d after Resize(35)", s.Bytes())
-	}
-	if s.MaxBytes() != 35 {
-		t.Fatalf("MaxBytes = %d, want 35", s.MaxBytes())
-	}
-	s.Resize(1000)
-	for i := 0; i < 10; i++ {
-		s.Put(fmt.Sprintf("g%d", i), 10)
-	}
-	if got := s.Counters().Evictions; got != 7 {
-		t.Fatalf("evictions = %d after growing the budget, want 7", got)
-	}
-	if err := s.Audit(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestResizeConcurrent stresses live budget changes against a full
-// Get/Put/Delete load; the store must end within budget with intact
-// bookkeeping.
-func TestResizeConcurrent(t *testing.T) { t.Run("gdsf", testResizeConcurrent) }
-
-func testResizeConcurrent(t *testing.T) {
-	s := New[int64](Options[int64]{
-		Shards:   8,
-		MaxBytes: 1 << 20,
-		SizeOf:   func(_ string, v int64) int64 { return v },
-	})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 5000; i++ {
-				key := fmt.Sprintf("k%03d", rng.Intn(500))
-				switch rng.Intn(10) {
-				case 0:
-					s.Delete(key)
-				case 1, 2, 3, 4:
-					s.Put(key, int64(1+rng.Intn(4096)))
-				default:
-					s.Get(key)
-				}
-			}
-		}(int64(g))
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(99))
-		for i := 0; i < 200; i++ {
-			s.Resize(int64(4096 + rng.Intn(1<<20)))
-		}
-	}()
-	wg.Wait()
-	s.Resize(4096)
-	if s.Bytes() > 4096 {
-		t.Fatalf("Bytes = %d after final Resize(4096)", s.Bytes())
 	}
 	if err := s.Audit(); err != nil {
 		t.Fatal(err)

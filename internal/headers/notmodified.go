@@ -3,7 +3,29 @@ package headers
 import (
 	"net/http"
 	"net/textproto"
+	"time"
+
+	"cachecatalyst/internal/etag"
 )
+
+// NotModified evaluates a GET or HEAD request's preconditions against the
+// selected representation with RFC 9110 §13.2.2's precedence, reporting
+// whether the answer is 304 Not Modified. If-None-Match, when present,
+// decides alone, by weak comparison (§13.1.2); a representation without a
+// tag (hasTag false) matches no listed tag. Otherwise If-Modified-Since is
+// compared with lastModified at the one-second granularity of HTTP dates;
+// an unparsable date, or a zero lastModified, means no 304.
+func NotModified(req http.Header, tag etag.Tag, hasTag bool, lastModified time.Time) bool {
+	if inm := req.Get("If-None-Match"); inm != "" {
+		return hasTag && !etag.NoneMatch(inm, tag)
+	}
+	ims := req.Get("If-Modified-Since")
+	if ims == "" || lastModified.IsZero() {
+		return false
+	}
+	since, ok := ParseHTTPDate(ims)
+	return ok && !lastModified.Truncate(time.Second).After(since)
+}
 
 // MergeNotModified is the header update RFC 9111 §4.3.4 prescribes when a 304
 // Not Modified freshens a stored response: every field the 304 carries

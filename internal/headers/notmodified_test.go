@@ -4,6 +4,9 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
+
+	"cachecatalyst/internal/etag"
 )
 
 // notTakenFrom304 is the reference list of 304 fields the merge must ignore,
@@ -145,4 +148,53 @@ func FuzzMergeNotModified(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stored, notModified string) {
 		checkMerge(t, parseFields(stored), parseFields(notModified))
 	})
+}
+
+// TestNotModifiedPrecedence pins RFC 9110 §13.2.2's order: If-None-Match
+// decides alone when present, by weak comparison; If-Modified-Since is read
+// only without it, at one-second granularity, and an unparsable date or an
+// unknown Last-Modified is never a 304.
+func TestNotModifiedPrecedence(t *testing.T) {
+	lm := time.Date(2024, 5, 1, 12, 0, 0, 500e6, time.UTC) // half a second past the date it is sent as
+	at, before, after := FormatHTTPDate(lm), FormatHTTPDate(lm.Add(-time.Hour)), FormatHTTPDate(lm.Add(time.Hour))
+	strong, weak := etag.Tag{Opaque: "v1"}, etag.Tag{Opaque: "v1", Weak: true}
+	cases := []struct {
+		name     string
+		inm, ims string
+		tag      etag.Tag
+		hasTag   bool
+		modified time.Time
+		want     bool
+	}{
+		{"unconditional", "", "", strong, true, lm, false},
+		{"tag matches", `"v1"`, "", strong, true, lm, true},
+		{"tag differs", `"v2"`, "", strong, true, lm, false},
+		{"weak tag matches weakly", `"v1"`, "", weak, true, lm, true},
+		{"weak request tag matches", `W/"v1"`, "", strong, true, lm, true},
+		{"tag in a list", `"v0", W/"v1"`, "", strong, true, lm, true},
+		{"star matches a tag", "*", "", strong, true, lm, true},
+		{"no tag matches nothing", `"v1"`, "", etag.Tag{}, false, lm, false},
+		{"no tag, star", "*", "", etag.Tag{}, false, lm, false},
+		{"tag wins over a later date", `"v2"`, after, strong, true, lm, false},
+		{"tag wins over an earlier date", `"v1"`, before, strong, true, lm, true},
+		{"date equal to the second", "", at, strong, true, lm, true},
+		{"date after", "", after, strong, true, lm, true},
+		{"date before", "", before, strong, true, lm, false},
+		{"unparsable date", "", "yesterday", strong, true, lm, false},
+		{"no Last-Modified", "", after, strong, true, time.Time{}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			req := http.Header{}
+			if c.inm != "" {
+				req.Set("If-None-Match", c.inm)
+			}
+			if c.ims != "" {
+				req.Set("If-Modified-Since", c.ims)
+			}
+			if got := NotModified(req, c.tag, c.hasTag, c.modified); got != c.want {
+				t.Errorf("NotModified(%v, %v, %v, %v) = %v, want %v", req, c.tag, c.hasTag, c.modified, got, c.want)
+			}
+		})
+	}
 }

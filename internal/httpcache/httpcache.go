@@ -9,20 +9,20 @@
 // reuses this package's storage but bypasses freshness entirely, deciding
 // reuse from proactively delivered ETags instead.
 //
-// Storage and eviction sit on internal/cachestore; this package keeps
-// only the RFC 9111 policy layer (freshness math, Vary secondary keys, the
+// Storage sits on internal/cachestore; this package keeps only the
+// RFC 9111 policy layer (freshness math, Vary secondary keys, the
 // 304 refresh procedure).
 package httpcache
 
 import (
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"cachecatalyst/internal/cachestore"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/headers"
-	"cachecatalyst/internal/telemetry"
 	"cachecatalyst/internal/vclock"
 )
 
@@ -120,11 +120,9 @@ func (e *Entry) Size() int64 {
 	return n
 }
 
-// Options configures a Cache.
+// Options configures a Cache. The cache is unbounded: no program here sets
+// a size bound.
 type Options struct {
-	// MaxBytes bounds the cache size; 0 means unlimited. Victims are chosen
-	// in the cache core's greedy-dual size-frequency order.
-	MaxBytes int64
 	// NegativeTTL, when positive, enables negative caching: complete,
 	// storable 404 responses are kept and served Fresh for this long,
 	// saving the round trip that repeatedly re-discovers a missing
@@ -132,34 +130,21 @@ type Options struct {
 	// validated, so a resource that has since appeared ("flip to 200")
 	// is fetched in full.
 	NegativeTTL time.Duration
-	// HeuristicFraction is the fraction of (Date − Last-Modified) used as
-	// the freshness lifetime when the response carries no explicit
-	// expiration (RFC 9111 §4.2.2 suggests 10%). Zero selects the default.
-	HeuristicFraction float64
-	// Telemetry, when set, registers the cache's counters in the given
-	// registry as "<Name>.hits", "<Name>.misses", "<Name>.validations"
-	// and "<Name>.evictions". The registry indexes the cache's own
-	// counters: Stats() and the registry snapshot read the same storage.
-	Telemetry *telemetry.Registry
-	// Name qualifies the cache's instruments in Telemetry; empty selects
-	// "httpcache".
-	Name string
 }
 
-// DefaultHeuristicFraction is the RFC-suggested 10%.
-const DefaultHeuristicFraction = 0.1
+// heuristicFraction is the fraction of (Date − Last-Modified) used as the
+// freshness lifetime when a response carries no explicit expiration: the
+// 10% RFC 9111 §4.2.2 suggests.
+const heuristicFraction = 0.1
 
 // Cache is a private HTTP cache backed by internal/cachestore, and safe
-// for concurrent use. Counters live in telemetry instruments; read them
-// through Stats().
+// for concurrent use. Read its counters through Stats().
 type Cache struct {
 	clock vclock.Clock
 	opts  Options
 	store *cachestore.Store[*Entry]
 
-	// Counters for experiment reporting — shared storage with any
-	// registry passed in Options.Telemetry.
-	hits, misses, validations, evictions, negativeHits telemetry.Counter
+	hits, misses, validations, negativeHits atomic.Int64
 }
 
 // CacheStats is a snapshot of a Cache's counters.
@@ -168,8 +153,8 @@ type CacheStats struct {
 	// Misses counts lookups with nothing usable stored.
 	Hits, Misses int64
 	// Validations counts stale lookups that required a conditional
-	// request; Evictions counts entries removed by the byte budget.
-	Validations, Evictions int64
+	// request.
+	Validations int64
 	// NegativeHits counts Fresh lookups answered by a cached 404
 	// (a subset of Hits).
 	NegativeHits int64
@@ -181,38 +166,19 @@ func (c *Cache) Stats() CacheStats {
 		Hits:         c.hits.Load(),
 		Misses:       c.misses.Load(),
 		Validations:  c.validations.Load(),
-		Evictions:    c.evictions.Load(),
 		NegativeHits: c.negativeHits.Load(),
 	}
 }
 
 // New returns an empty cache driven by the given clock.
 func New(clock vclock.Clock, opts Options) *Cache {
-	if opts.HeuristicFraction == 0 {
-		opts.HeuristicFraction = DefaultHeuristicFraction
-	}
-	c := &Cache{clock: clock, opts: opts}
-	c.store = cachestore.New[*Entry](cachestore.Options[*Entry]{
+	return &Cache{clock: clock, opts: opts, store: cachestore.New(cachestore.Options[*Entry]{
 		// One shard keeps this a faithful single-browser cache: the
 		// store's locking still makes it race-free when experiments
 		// drive one browser from several goroutines.
-		Shards:   1,
-		MaxBytes: opts.MaxBytes,
-		SizeOf:   func(_ string, e *Entry) int64 { return e.Size() },
-		OnEvict:  func(string, *Entry) { c.evictions.Add(1) },
-	})
-	if opts.Telemetry != nil {
-		name := opts.Name
-		if name == "" {
-			name = "httpcache"
-		}
-		opts.Telemetry.RegisterCounter(name+".hits", &c.hits)
-		opts.Telemetry.RegisterCounter(name+".misses", &c.misses)
-		opts.Telemetry.RegisterCounter(name+".validations", &c.validations)
-		opts.Telemetry.RegisterCounter(name+".evictions", &c.evictions)
-		opts.Telemetry.RegisterCounter(name+".negative_hits", &c.negativeHits)
-	}
-	return c
+		Shards: 1,
+		SizeOf: func(_ string, e *Entry) int64 { return e.Size() },
+	})}
 }
 
 // Len returns the number of stored entries.
@@ -391,7 +357,7 @@ func (c *Cache) freshnessLifetime(e *Entry) time.Duration {
 	}
 	if lm := e.Response.Header.Get("Last-Modified"); lm != "" {
 		if t, ok := headers.ParseHTTPDate(lm); ok && date.After(t) {
-			return time.Duration(float64(date.Sub(t)) * c.opts.HeuristicFraction)
+			return time.Duration(float64(date.Sub(t)) * heuristicFraction)
 		}
 	}
 	return 0
@@ -456,9 +422,3 @@ func (c *Cache) Refresh(url string, notModified *Response, requestTime, response
 		varyValues:   vary,
 	})
 }
-
-// Delete removes a stored entry.
-func (c *Cache) Delete(url string) { c.store.Delete(url) }
-
-// Clear empties the cache (a "cold cache" load in the paper's methodology).
-func (c *Cache) Clear() { c.store.Clear() }

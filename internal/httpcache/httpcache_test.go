@@ -221,58 +221,6 @@ func TestPutReplacesEntry(t *testing.T) {
 	}
 }
 
-// TestLRUEviction pins that a bounded cache evicts the entry the cache core
-// ranks lowest: the one neither touched nor small.
-func TestLRUEviction(t *testing.T) {
-	clk := vclock.NewVirtual(vclock.Epoch)
-	var entrySize int64
-	{
-		probe := New(clk, Options{})
-		put(probe, clk, "/r0", respWith(map[string]string{"Cache-Control": "max-age=600"}, "0123456789"))
-		e, _ := probe.Peek("/r0")
-		entrySize = e.Size()
-	}
-	c := New(clk, Options{MaxBytes: 3 * entrySize})
-	for i := 0; i < 3; i++ {
-		put(c, clk, fmt.Sprintf("/r%d", i), respWith(map[string]string{"Cache-Control": "max-age=600"}, "0123456789"))
-	}
-	// Touch r0 and r2, and make the arriving r3 smaller than the rest, so
-	// r1 holds the one smallest rank.
-	c.Get("/r0")
-	c.Get("/r2")
-	put(c, clk, "/r3", respWith(map[string]string{"Cache-Control": "max-age=600"}, "01234"))
-	if _, ok := c.Peek("/r1"); ok {
-		t.Fatal("lowest-ranked entry survived eviction")
-	}
-	for _, u := range []string{"/r0", "/r2", "/r3"} {
-		if _, ok := c.Peek(u); !ok {
-			t.Fatalf("higher-ranked %s evicted", u)
-		}
-	}
-	if c.Stats().Evictions == 0 {
-		t.Fatal("eviction counter not bumped")
-	}
-}
-
-func TestClear(t *testing.T) {
-	c, clk := newTestCache()
-	put(c, clk, "/x", respWith(map[string]string{"Cache-Control": "max-age=60"}, "x"))
-	c.Clear()
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Fatalf("Clear left %d entries, %d bytes", c.Len(), c.Bytes())
-	}
-}
-
-func TestDelete(t *testing.T) {
-	c, clk := newTestCache()
-	put(c, clk, "/x", respWith(map[string]string{"Cache-Control": "max-age=60"}, "x"))
-	c.Delete("/x")
-	if _, s := c.Get("/x"); s != Miss {
-		t.Fatal("entry survived Delete")
-	}
-	c.Delete("/ghost") // must not panic
-}
-
 // TestPutClonesHeader: a stored entry owns its header, so a caller editing
 // its own header after Put or Refresh does not reach the cache, and shares
 // the body, which no one writes after it enters a Response.
@@ -338,19 +286,23 @@ func TestFreshnessMonotoneQuick(t *testing.T) {
 	}
 }
 
-// Property: byte accounting is exact under arbitrary put/delete sequences.
+// Property: byte accounting is exact under arbitrary put/refresh sequences
+// (a 304's headers change an entry's size).
 func TestByteAccountingQuick(t *testing.T) {
 	f := func(ops []struct {
-		URL  uint8
-		Del  bool
-		Size uint8
+		URL     uint8
+		Refresh bool
+		Size    uint8
 	}) bool {
 		clk := vclock.NewVirtual(vclock.Epoch)
 		c := New(clk, Options{})
 		for _, op := range ops {
 			url := fmt.Sprintf("/r%d", op.URL%8)
-			if op.Del {
-				c.Delete(url)
+			if op.Refresh {
+				nm := &Response{StatusCode: http.StatusNotModified, Header: make(http.Header)}
+				nm.Header.Set("X-Pad", string(make([]byte, op.Size)))
+				now := clk.Now()
+				c.Refresh(url, nm, now, now)
 			} else {
 				put(c, clk, url, respWith(map[string]string{"Cache-Control": "max-age=60"},
 					string(make([]byte, op.Size))))

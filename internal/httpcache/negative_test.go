@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"cachecatalyst/internal/telemetry"
 	"cachecatalyst/internal/vclock"
 )
 
@@ -165,19 +164,5 @@ func TestNegativeStaleIfErrorInteraction(t *testing.T) {
 	}
 	if _, ok := c.Peek("/ghost.png"); ok {
 		t.Fatal("expired negative entry still peekable for stale-if-error")
-	}
-}
-
-func TestNegativeTelemetryRegistration(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	clk := vclock.NewVirtual(vclock.Epoch)
-	c := New(clk, Options{NegativeTTL: time.Hour, Telemetry: reg, Name: "neg"})
-	now := clk.Now()
-	c.Put("/x", resp404(), now, now)
-	c.Get("/x")
-
-	snap := reg.Snapshot()
-	if got := snap.Counters["neg.negative_hits"]; got != 1 {
-		t.Fatalf("neg.negative_hits = %d, want 1", got)
 	}
 }

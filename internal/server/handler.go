@@ -239,7 +239,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, d Decorator) {
 	}
 	h["Etag"] = rh.etag
 
-	if s.notModified(r, res.ETag, res.LastModified) {
+	if headers.NotModified(r.Header, res.ETag, true, res.LastModified) {
 		s.count(http.StatusNotModified, 0)
 		s.decide(ctx, h, "etag-match", p)
 		w.WriteHeader(http.StatusNotModified)
@@ -260,25 +260,6 @@ func (s *Server) count(status, n int) {
 		return
 	}
 	s.Metrics.BodyBytes.Add(int64(n))
-}
-
-// notModified evaluates the request's conditional headers per RFC 9110
-// §13.2.2 precedence: If-None-Match wins when present; If-Modified-Since is
-// only consulted otherwise.
-func (s *Server) notModified(r *http.Request, tag etag.Tag, lastModified time.Time) bool {
-	if inm := r.Header.Get("If-None-Match"); inm != "" {
-		return !etag.NoneMatch(inm, tag)
-	}
-	ims := r.Header.Get("If-Modified-Since")
-	if ims == "" || lastModified.IsZero() {
-		return false
-	}
-	t, ok := headers.ParseHTTPDate(ims)
-	if !ok {
-		return false
-	}
-	// HTTP dates have second granularity; truncate before comparing.
-	return !lastModified.Truncate(time.Second).After(t)
 }
 
 // resourceHeaders is the wire-format rendering of a Resource's header

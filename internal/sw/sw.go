@@ -27,41 +27,21 @@ import (
 
 // CacheStorage emulates the Cache interface available to Service Workers:
 // a URL-keyed response store with none of the RFC 9111 freshness machinery
-// (Service Worker caches never expire entries on their own). Browsers do
-// impose storage quotas, so the store supports an optional byte bound,
-// evicting in the cache core's greedy-dual size-frequency order.
+// (Service Worker caches never expire entries on their own). It is
+// unbounded: no program here sets a storage quota.
 //
 // Storage sits on internal/cachestore's sharded store, so a
 // CacheStorage is safe for concurrent workers (real browsers share one
 // Cache across worker contexts the same way).
 type CacheStorage struct {
 	store *cachestore.Store[*httpcache.Response]
-
-	// evictions counts quota evictions, for experiments on storage
-	// pressure. Read it through Evictions(); shared with any registry the
-	// owning worker is wired into.
-	evictions telemetry.Counter
 }
 
-// Evictions returns the number of entries removed by the storage quota.
-func (c *CacheStorage) Evictions() int64 { return c.evictions.Load() }
-
-// NewCacheStorage returns an empty, unbounded store.
+// NewCacheStorage returns an empty store.
 func NewCacheStorage() *CacheStorage {
-	return NewBoundedCacheStorage(0)
-}
-
-// NewBoundedCacheStorage returns an empty store evicting lowest-ranked
-// entries beyond maxBytes of body data (0 = unbounded; real browsers
-// impose an origin quota, experiments pick one explicitly).
-func NewBoundedCacheStorage(maxBytes int64) *CacheStorage {
-	c := &CacheStorage{}
-	c.store = cachestore.New[*httpcache.Response](cachestore.Options[*httpcache.Response]{
-		MaxBytes: maxBytes,
-		SizeOf:   func(_ string, r *httpcache.Response) int64 { return int64(len(r.Body)) },
-		OnEvict:  func(string, *httpcache.Response) { c.evictions.Add(1) },
-	})
-	return c
+	return &CacheStorage{store: cachestore.New(cachestore.Options[*httpcache.Response]{
+		SizeOf: func(_ string, r *httpcache.Response) int64 { return int64(len(r.Body)) },
+	})}
 }
 
 // Match returns the stored response for path, if any.
@@ -86,16 +66,6 @@ func (c *CacheStorage) Put(path string, resp *httpcache.Response) {
 		return
 	}
 	c.store.Put(path, &httpcache.Response{StatusCode: resp.StatusCode, Header: resp.Header.Clone(), Body: resp.Body})
-}
-
-// Delete removes the entry for path.
-func (c *CacheStorage) Delete(path string) {
-	c.store.Delete(path)
-}
-
-// Clear empties the store.
-func (c *CacheStorage) Clear() {
-	c.store.Clear()
 }
 
 // Len returns the number of stored responses.
@@ -151,10 +121,9 @@ type Stats struct {
 	NegativeEvictions int64
 }
 
-// Worker is the CacheCatalyst Service Worker for one origin. Its counters
-// are telemetry instruments so a registry can index them (RegisterTelemetry)
-// while Stats() keeps serving the legacy snapshot. A Worker is safe for
-// concurrent use: catalyst.Client shares one per origin across goroutines.
+// Worker is the CacheCatalyst Service Worker for one origin; Stats()
+// snapshots its counters. A Worker is safe for concurrent use:
+// catalyst.Client shares one per origin across goroutines.
 type Worker struct {
 	cache    *CacheStorage
 	etags    atomic.Pointer[core.ETagMap] // the last delivered map, never nil
@@ -170,10 +139,10 @@ type Worker struct {
 	negMu    sync.Mutex
 	negative map[string]time.Time
 
-	localHits, networkFetches       telemetry.Counter
-	mapUpdates, mapDecodeFails      telemetry.Counter
-	delegatedFetches                telemetry.Counter
-	negativeHits, negativeEvictions telemetry.Counter
+	localHits, networkFetches       atomic.Int64
+	mapUpdates, mapDecodeFails      atomic.Int64
+	delegatedFetches                atomic.Int64
+	negativeHits, negativeEvictions atomic.Int64
 }
 
 // NewWorker returns a freshly installed worker with an empty cache and no
@@ -228,20 +197,6 @@ func (w *Worker) Stats() Stats {
 		NegativeHits:      w.negativeHits.Load(),
 		NegativeEvictions: w.negativeEvictions.Load(),
 	}
-}
-
-// RegisterTelemetry indexes the worker's counters — and its cache storage's
-// eviction counter — in reg, qualified by name (e.g. "sw.site.example").
-// The registry reads the same storage Stats() snapshots.
-func (w *Worker) RegisterTelemetry(reg *telemetry.Registry, name string) {
-	reg.RegisterCounter(name+".local_hits", &w.localHits)
-	reg.RegisterCounter(name+".network_fetches", &w.networkFetches)
-	reg.RegisterCounter(name+".map_updates", &w.mapUpdates)
-	reg.RegisterCounter(name+".map_decode_failures", &w.mapDecodeFails)
-	reg.RegisterCounter(name+".delegated_fetches", &w.delegatedFetches)
-	reg.RegisterCounter(name+".negative_hits", &w.negativeHits)
-	reg.RegisterCounter(name+".negative_evictions", &w.negativeEvictions)
-	reg.RegisterCounter(name+".cache.evictions", &w.cache.evictions)
 }
 
 // ETagMap returns the most recently delivered map.
@@ -379,24 +334,16 @@ func (w *Worker) OnSubresourceResponse(path string, resp *httpcache.Response) {
 // domain-specificity of real Service Workers: a worker only ever intercepts
 // requests for the origin that registered it.
 type Registry struct {
-	workers   map[string]*Worker
-	telemetry *telemetry.Registry
-	recorder  AccessRecorder
-	negTTL    time.Duration
-	negClock  vclock.Clock
+	workers  map[string]*Worker
+	recorder AccessRecorder
+	negTTL   time.Duration
+	negClock vclock.Clock
 }
 
 // NewRegistry returns an empty registry (a browser profile with no
 // installed workers).
 func NewRegistry() *Registry {
 	return &Registry{workers: make(map[string]*Worker)}
-}
-
-// WithTelemetry makes Register wire every newly installed worker's counters
-// into reg under "sw.<origin>". Already-installed workers are unaffected.
-func (r *Registry) WithTelemetry(reg *telemetry.Registry) *Registry {
-	r.telemetry = reg
-	return r
 }
 
 // WithRecorder makes Register attach rec to every newly installed worker.
@@ -429,9 +376,6 @@ func (r *Registry) Register(origin string) *Worker {
 		return w
 	}
 	w := NewWorker()
-	if r.telemetry != nil {
-		w.RegisterTelemetry(r.telemetry, "sw."+origin)
-	}
 	if r.recorder != nil {
 		w.WithRecorder(r.recorder)
 	}
@@ -440,11 +384,6 @@ func (r *Registry) Register(origin string) *Worker {
 	}
 	r.workers[origin] = w
 	return w
-}
-
-// Unregister removes origin's worker and its cache.
-func (r *Registry) Unregister(origin string) {
-	delete(r.workers, origin)
 }
 
 // Len returns the number of installed workers.

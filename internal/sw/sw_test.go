@@ -83,21 +83,6 @@ func TestCacheStorageReplaceAccountsBytes(t *testing.T) {
 	}
 }
 
-func TestCacheStorageDeleteAndClear(t *testing.T) {
-	c := NewCacheStorage()
-	c.Put("/a", resp("v1", "aa", nil))
-	c.Put("/b", resp("v1", "bb", nil))
-	c.Delete("/a")
-	if _, ok := c.Match("/a"); ok || c.Bytes() != 2 {
-		t.Fatalf("delete failed: bytes=%d", c.Bytes())
-	}
-	c.Delete("/ghost")
-	c.Clear()
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Fatal("clear failed")
-	}
-}
-
 // TestCacheStoragePutClonesHeader: the stored response owns its header, so
 // a caller editing its own header after Put does not reach the store, and
 // shares the body, which no one writes after it enters a Response.
@@ -227,58 +212,6 @@ func TestWorkerCachedResponseWithoutETagNotServed(t *testing.T) {
 	}
 }
 
-// TestBoundedCacheStorageEvictsLRU pins that the quota evicts the entry the
-// cache core ranks lowest: the one neither touched nor small.
-func TestBoundedCacheStorageEvictsLRU(t *testing.T) {
-	c := NewBoundedCacheStorage(25)
-	c.Put("/a", resp("v1", "0123456789", nil)) // 10 bytes
-	c.Put("/b", resp("v1", "0123456789", nil)) // 20 bytes
-	// Touch /a, so untouched /b ranks below it.
-	if _, ok := c.Match("/a"); !ok {
-		t.Fatal("miss")
-	}
-	c.Put("/c", resp("v1", "012345", nil)) // 26 > 25 → evict /b, below smaller /c too
-	if _, ok := c.Match("/b"); ok {
-		t.Fatal("lowest-ranked entry survived quota eviction")
-	}
-	if _, ok := c.Match("/a"); !ok {
-		t.Fatal("touched entry evicted")
-	}
-	if c.Evictions() != 1 {
-		t.Fatalf("evictions = %d", c.Evictions())
-	}
-	if c.Bytes() > 25 {
-		t.Fatalf("bytes = %d over quota", c.Bytes())
-	}
-}
-
-func TestBoundedCacheStorageReplaceWithinQuota(t *testing.T) {
-	c := NewBoundedCacheStorage(15)
-	c.Put("/a", resp("v1", "0123456789", nil))
-	c.Put("/a", resp("v2", "01234", nil)) // replacement shrinks usage
-	if c.Bytes() != 5 || c.Len() != 1 || c.Evictions() != 0 {
-		t.Fatalf("bytes=%d len=%d evictions=%d", c.Bytes(), c.Len(), c.Evictions())
-	}
-}
-
-func TestBoundedCacheStorageSingleHugeEntry(t *testing.T) {
-	c := NewBoundedCacheStorage(5)
-	c.Put("/big", resp("v1", "0123456789", nil))
-	// The entry exceeds the quota on its own; it must be evicted (the
-	// store never sits above quota) without corrupting accounting.
-	if c.Bytes() > 5 {
-		t.Fatalf("bytes = %d over quota", c.Bytes())
-	}
-	if c.Len() != 0 {
-		t.Fatalf("len = %d", c.Len())
-	}
-	// Store still usable afterwards.
-	c.Put("/ok", resp("v1", "abc", nil))
-	if _, ok := c.Match("/ok"); !ok {
-		t.Fatal("store broken after over-quota put")
-	}
-}
-
 type fakeSiteWorker struct {
 	claims map[string]*httpcache.Response
 }
@@ -327,12 +260,8 @@ func TestRegistryDomainScoping(t *testing.T) {
 	if _, ok := r.Lookup("a.example"); !ok {
 		t.Fatal("lookup failed")
 	}
-	if _, ok := r.Lookup("nope.example"); ok {
+	if _, ok := r.Lookup("nope.example"); ok || r.Len() != 2 {
 		t.Fatal("lookup invented a worker")
-	}
-	r.Unregister("a.example")
-	if _, ok := r.Lookup("a.example"); ok || r.Len() != 1 {
-		t.Fatal("unregister failed")
 	}
 }
 

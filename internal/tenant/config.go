@@ -32,9 +32,9 @@ type TenantConfig struct {
 	MaxInflight   int      `json:"maxInflight,omitempty"`
 	RequestBudget Duration `json:"requestBudget,omitempty"`
 	StaleFor      Duration `json:"staleFor,omitempty"`
-	// HealthInterval is the upstream health-probe cadence; the probe's
-	// request timeout derives from it so one slow upstream answer can
-	// never overlap the next probe.
+	// HealthInterval is the upstream health-probe cadence, at least
+	// 100ms; the probe's request timeout derives from it so one slow
+	// upstream answer can never overlap the next probe.
 	HealthInterval Duration `json:"healthInterval,omitempty"`
 }
 

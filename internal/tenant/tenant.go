@@ -33,7 +33,7 @@ import (
 
 // Tenant describes one application served by the edge tier.
 type Tenant struct {
-	// Name identifies the tenant in cache namespaces, telemetry
+	// Name identifies the tenant's serving state, its telemetry
 	// instruments ("tenant.<name>.*") and the hot-map exchange. Must be
 	// non-empty and unique within a Resolver.
 	Name string
@@ -48,7 +48,7 @@ type Tenant struct {
 	// longest prefix wins across tenants. Empty disables prefix routing
 	// for this tenant.
 	PathPrefix string
-	// BudgetBytes bounds the tenant's derived-cache namespaces (rendered
+	// BudgetBytes bounds the tenant's own derived caches (rendered
 	// pages; stale copies and delta bases at half scale). Zero inherits
 	// the process default; negative means unbounded.
 	BudgetBytes int64
@@ -64,8 +64,9 @@ type Tenant struct {
 	// minutes; negative disables stale serving.
 	StaleFor time.Duration
 	// HealthInterval is the cadence of the tenant's upstream health
-	// probe (and, derived from it, the probe's request timeout). Zero
-	// selects 2 seconds.
+	// probe (and, derived from it, the probe's request timeout: half the
+	// interval). Zero selects 2 seconds; a positive value below 100 ms
+	// (minHealthInterval) is refused.
 	HealthInterval time.Duration
 	// Breaker, when set by the daemon, is the tenant's upstream circuit
 	// breaker — shared with its health checker so recovery is
@@ -74,13 +75,20 @@ type Tenant struct {
 	Breaker *resilience.Breaker
 }
 
+// minHealthInterval is the shortest health-probe cadence a tenant may set.
+// A probe may take half the interval: at a 5 ms cadence a healthy loopback
+// origin was seen to miss that deadline under the race detector, and five
+// misses in a row open the tenant's breaker and send a healthy tenant down
+// the stale ladder.
+const minHealthInterval = 100 * time.Millisecond
+
 // Validate reports the first problem with the descriptor.
 func (t *Tenant) Validate() error {
 	if t.Name == "" {
 		return fmt.Errorf("tenant: empty name")
 	}
 	if strings.ContainsAny(t.Name, " \x00/.") {
-		return fmt.Errorf("tenant %q: name must not contain spaces, dots, slashes or NUL (it keys cache namespaces and telemetry)", t.Name)
+		return fmt.Errorf("tenant %q: name must not contain spaces, dots, slashes or NUL (it keys serving state and telemetry)", t.Name)
 	}
 	if t.Upstream != "" {
 		u, err := url.Parse(t.Upstream)
@@ -93,6 +101,9 @@ func (t *Tenant) Validate() error {
 	}
 	if t.PathPrefix != "" && !strings.HasPrefix(t.PathPrefix, "/") {
 		return fmt.Errorf("tenant %q: path prefix %q must start with /", t.Name, t.PathPrefix)
+	}
+	if t.HealthInterval > 0 && t.HealthInterval < minHealthInterval {
+		return fmt.Errorf("tenant %q: healthInterval %v is below the %v floor", t.Name, t.HealthInterval, minHealthInterval)
 	}
 	return nil
 }

@@ -195,6 +195,8 @@ func TestParseConfigRejects(t *testing.T) {
 		{"retired policy", `{"tenants":[{"name":"a","upstream":"http://x","cachePolicy":"lru"}]}`, `unknown field "cachePolicy"`},
 		{"retired policy pair", `{"tenants":[{"name":"a","upstream":"http://x","cachePolicy":"gdsf"}]}`, `unknown field "cachePolicy"`},
 		{"bad duration", `{"tenants":[{"name":"a","upstream":"http://x","staleFor":"fast"}]}`, "duration"},
+		// Each probe may take half the interval; 5 ms fails healthy origins.
+		{"fast health", `{"tenants":[{"name":"a","upstream":"http://x","healthInterval":"99ms"}]}`, `tenant "a": healthInterval 99ms is below the 100ms floor`},
 		{"dup names", `{"tenants":[
 			{"name":"a","upstream":"http://x","hosts":["a.test"]},
 			{"name":"a","upstream":"http://y","hosts":["b.test"]}]}`, "duplicate"},
@@ -221,6 +223,7 @@ func FuzzParseConfig(f *testing.F) {
 	f.Add([]byte(`{"tenants":[{"name":"a","upstream":"::bad","pathPrefix":""},{"name":"b","upstream":"http://y"}]}`))
 	f.Add([]byte(`{"tenants":[{"name":"a","upstream":"http://x","staleFor":"-5m","cacheBudget":-1}]}`))
 	f.Add([]byte(`{"tenants":[{"name":"a","upstream":"http://x","requestBudget":1e300}]}`))
+	f.Add([]byte(`{"tenants":[{"name":"a","upstream":"http://x","healthInterval":"5ms"}]}`))
 	f.Add([]byte(`{"tenants":[]}`))
 	f.Add([]byte(`{`))
 	f.Fuzz(func(t *testing.T, doc []byte) {
