@@ -151,7 +151,7 @@ fuzz:
 # prints the same bytes at -parallel 1 and -parallel 4. See EXPERIMENTS.md,
 # "Scheme matrix".
 schemes:
-	$(GO) test -race -count=1 -run 'SchemeMatrix|Scheme|Delta|EarlyHints|Negative|Memo' \
+	$(GO) test -race -count=1 -run 'SchemeMatrix|Scheme|Delta|EarlyHints|Broken|Memo' \
 		./internal/harness/ ./internal/browser/ ./internal/server/ ./internal/delta/ ./catalyst/
 	$(GO) run ./cmd/schemes -sites 8
 	$(GO) run ./cmd/pltbench -experiment headline -sites 3 -json -parallel 1 > headline.p1.json

@@ -8,7 +8,6 @@ import (
 	"cachecatalyst/internal/cachestore"
 	"cachecatalyst/internal/cluster"
 	"cachecatalyst/internal/core"
-	"cachecatalyst/internal/httpcache"
 	"cachecatalyst/internal/resilience"
 	"cachecatalyst/internal/server"
 )
@@ -76,9 +75,6 @@ func TestOptionCensus(t *testing.T) {
 			"SizeOf",    // catalyst.Middleware, internal/cluster, internal/cachesim, internal/httpcache, internal/sw, bench
 			"Telemetry", // catalyst.Middleware, internal/cluster
 			"Name",      // catalyst.Middleware, internal/cluster
-		}},
-		{reflect.TypeOf(httpcache.Options{}), []string{
-			"NegativeTTL", // internal/browser (negative-cache scheme)
 		}},
 	}
 	for _, c := range census {

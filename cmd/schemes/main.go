@@ -1,7 +1,7 @@
-// Command schemes prints the scheme-matrix conformance table: every
-// acceleration scheme — conventional caching, CacheCatalyst, HTTP/2 Server
-// Push, 103 Early Hints, delta-encoded HTML, and negative caching — crossed
-// with a grid of network conditions.
+// Command schemes prints the scheme-matrix conformance table: six
+// acceleration schemes — conventional caching, CacheCatalyst with and
+// without recording, HTTP/2 Server Push, 103 Early Hints and delta-encoded
+// HTML — crossed with a grid of network conditions.
 //
 //	schemes                  # the quick matrix behind EXPERIMENTS.md
 //	schemes -sites 20        # more sites per cell

@@ -134,9 +134,6 @@ type LoadResult struct {
 	// that failed verification and forced a full refetch.
 	DeltaApplied   int64
 	DeltaFallbacks int64
-	// NegativeHits counts resources answered by a cached 404 with zero
-	// network time (negative caching).
-	NegativeHits int64
 	// Trace is the trace the caller passed to LoadContext, now holding
 	// every cache decision any layer recorded, in order. It is nil for a
 	// load through Load or through a context carrying no trace: such a
@@ -160,10 +157,6 @@ type Browser struct {
 	// their cached validator in X-Delta-Base and patch the cached body
 	// with the server's CCD1 response (internal/delta).
 	delta bool
-	// negTTL, when positive, enables negative caching in the mode's
-	// fetch-intercepting layer: the Service Worker in Catalyst mode, the
-	// HTTP cache otherwise.
-	negTTL time.Duration
 	// cookies holds name→value per host; enough for the session cookie
 	// the recording extension depends on.
 	cookies map[string]map[string]string
@@ -242,30 +235,10 @@ func (b *Browser) WithDelta() *Browser {
 	return b
 }
 
-// WithNegativeCache enables negative caching with the given TTL in the
-// mode's fetch-intercepting layer: the Service Worker for Catalyst mode,
-// the HTTP cache otherwise. Resets client state. Returns b for chaining
-// at construction.
-func (b *Browser) WithNegativeCache(ttl time.Duration) *Browser {
-	b.negTTL = ttl
-	b.ClearState()
-	return b
-}
-
 // ClearState discards all client state — the paper's "cold cache" setup.
 func (b *Browser) ClearState() {
-	opts := httpcache.Options{}
-	if b.negTTL > 0 && b.mode != Catalyst {
-		// In Catalyst mode the Service Worker owns negative entries —
-		// its map-driven flip-to-200 invalidation is stronger than TTL
-		// expiry, and a second copy in the HTTP cache would outlive it.
-		opts.NegativeTTL = b.negTTL
-	}
-	b.cache = httpcache.New(b.clock, opts)
+	b.cache = httpcache.New(b.clock)
 	b.registry = sw.NewRegistry().WithRecorder(b.recorder)
-	if b.negTTL > 0 {
-		b.registry.WithNegativeCache(b.negTTL, b.clock)
-	}
 	b.cookies = make(map[string]map[string]string)
 }
 
@@ -517,14 +490,6 @@ func (l *loader) deliverLocal(host, path string, kind htmlparse.ResourceKind, so
 				Source: source, Status: resp.StatusCode,
 				Decisions: dec,
 			})
-		}
-		if resp.StatusCode != http.StatusOK {
-			// A cached negative entry (404) delivered locally: the
-			// resource fails without a network request.
-			l.result.NegativeHits++
-			l.result.Errors++
-			l.finish(host, path)
-			return
 		}
 		l.process(host, path, kind, resp, false)
 	})

@@ -233,71 +233,51 @@ func brokenSite() *server.MemContent {
 	return c
 }
 
-func TestNegativeCacheConventional(t *testing.T) {
-	w := &world{clock: vclock.NewVirtual(vclock.Epoch), content: brokenSite()}
-	w.srv = server.New(w.content, server.Options{Clock: w.clock})
-	w.origins = OriginMap{"site.example": server.NewOrigin(w.srv)}
-	b := New(w.clock, Conventional, netsim.TransportOptions{}).WithNegativeCache(time.Hour)
+// TestBrokenReferenceFailsUntilDeployed: a reference deployed before its
+// asset fails on every load, and every failure is a network fetch — no
+// client layer keeps a 404 — until the asset deploys, when the next load
+// fetches and stores it. Conventional mode reads the HTTP cache, Catalyst
+// mode the Service Worker's map and storage.
+func TestBrokenReferenceFailsUntilDeployed(t *testing.T) {
+	for _, mode := range []Mode{Conventional, Catalyst} {
+		t.Run(mode.String(), func(t *testing.T) {
+			w := &world{clock: vclock.NewVirtual(vclock.Epoch), content: brokenSite()}
+			w.srv = server.New(w.content, server.Options{Record: true, Clock: w.clock})
+			w.origins = OriginMap{"site.example": server.NewOrigin(front(w.srv, mode == Catalyst, catalyst.MiddlewareOptions{}))}
+			b := New(w.clock, mode, netsim.TransportOptions{})
+			var missing []FetchEvent
+			b.OnFetch = func(ev FetchEvent) {
+				if ev.Path == "/missing.png" {
+					missing = append(missing, ev)
+				}
+			}
 
-	first := mustLoad(t, b, w)
-	if first.Errors != 1 || first.NegativeHits != 0 {
-		t.Fatalf("first load: %+v", first)
-	}
+			for i := 0; i < 2; i++ {
+				missing = nil
+				res := mustLoad(t, b, w)
+				if res.Errors != 1 {
+					t.Fatalf("load %d: errors = %d, want 1 (%+v)", i, res.Errors, res)
+				}
+				if len(missing) != 1 || missing[0].Source != "network" || missing[0].Status != nethttp.StatusNotFound {
+					t.Fatalf("load %d: /missing.png fetches = %+v, want one network 404", i, missing)
+				}
+				w.clock.Advance(10 * time.Minute)
+			}
 
-	// Within the TTL the 404 answers locally: no repeat request.
-	w.clock.Advance(10 * time.Minute)
-	second := mustLoad(t, b, w)
-	if second.NegativeHits != 1 {
-		t.Fatalf("negative hits = %d, want 1 (%+v)", second.NegativeHits, second)
-	}
-	if second.Errors != 1 {
-		t.Fatalf("second load errors = %d, want 1", second.Errors)
-	}
-	if second.NetworkRequests >= first.NetworkRequests {
-		t.Fatalf("negative hit did not save a request: %d vs %d", second.NetworkRequests, first.NetworkRequests)
-	}
-
-	// The asset deploys; past the TTL the cached 404 expires and the
-	// resource flips to 200.
-	w.content.SetBody("/missing.png", "PNG-FINALLY-HERE", server.CachePolicy{MaxAge: time.Hour, HasMaxAge: true})
-	w.clock.Advance(2 * time.Hour)
-	third := mustLoad(t, b, w)
-	if third.Errors != 0 || third.NegativeHits != 0 {
-		t.Fatalf("post-deploy load: %+v", third)
-	}
-	e, ok := b.Cache().Peek("site.example/missing.png")
-	if !ok || string(e.Response.Body) != "PNG-FINALLY-HERE" {
-		t.Fatal("deployed resource not cached as 200")
-	}
-}
-
-func TestNegativeCacheCatalystFlipViaMap(t *testing.T) {
-	w := &world{clock: vclock.NewVirtual(vclock.Epoch), content: brokenSite()}
-	w.srv = server.New(w.content, server.Options{Record: true, Clock: w.clock})
-	w.origins = OriginMap{"site.example": server.NewOrigin(front(w.srv, true, catalyst.MiddlewareOptions{}))}
-	b := New(w.clock, Catalyst, netsim.TransportOptions{}).WithNegativeCache(time.Hour)
-
-	first := mustLoad(t, b, w)
-	if first.Errors != 1 {
-		t.Fatalf("first load: %+v", first)
-	}
-
-	w.clock.Advance(10 * time.Minute)
-	second := mustLoad(t, b, w)
-	if second.NegativeHits != 1 {
-		t.Fatalf("negative hits = %d, want 1 (%+v)", second.NegativeHits, second)
-	}
-
-	// The asset deploys. Still well inside the TTL, but the next
-	// navigation's X-Etag-Config now covers the path — the map evicts the
-	// negative entry immediately, beating TTL expiry.
-	w.content.SetBody("/missing.png", "PNG-DEPLOYED", server.CachePolicy{MaxAge: time.Hour, HasMaxAge: true})
-	w.clock.Advance(10 * time.Minute)
-	third := mustLoad(t, b, w)
-	if third.NegativeHits != 0 {
-		t.Fatalf("negative entry survived a map covering the path (%+v)", third)
-	}
-	if third.Errors != 0 {
-		t.Fatalf("post-deploy load: %+v", third)
+			w.content.SetBody("/missing.png", "PNG-DEPLOYED", server.CachePolicy{MaxAge: time.Hour, HasMaxAge: true})
+			if res := mustLoad(t, b, w); res.Errors != 0 {
+				t.Fatalf("post-deploy load: %+v", res)
+			}
+			stored := false
+			if mode == Catalyst {
+				worker, _ := b.Workers().Lookup("site.example")
+				_, stored = worker.Cache().Match("/missing.png")
+			} else {
+				_, stored = b.Cache().Peek("site.example/missing.png")
+			}
+			if !stored {
+				t.Fatal("deployed resource not stored")
+			}
+		})
 	}
 }

@@ -50,11 +50,6 @@ const (
 	// navigations: stale page revisits transfer a CCD1 patch against the
 	// client's cached copy instead of the full document.
 	SchemeCatalystDelta
-	// SchemeNegativeCache is catalyst+record plus client-side negative
-	// caching: complete 404s are answered locally within NegativeTTL, and
-	// the X-Etag-Config map evicts a cached 404 the moment the resource
-	// appears.
-	SchemeNegativeCache
 )
 
 func (s Scheme) String() string {
@@ -75,8 +70,6 @@ func (s Scheme) String() string {
 		return "early-hints"
 	case SchemeCatalystDelta:
 		return "catalyst-delta"
-	case SchemeNegativeCache:
-		return "negative-cache"
 	}
 	return "unknown"
 }
@@ -85,19 +78,16 @@ func (s Scheme) String() string {
 var AllSchemes = []Scheme{
 	SchemeConventional, SchemeCatalyst, SchemeCatalystRecord,
 	SchemeCatalystFull, SchemeServerPush, SchemeRDR,
-	SchemeEarlyHints, SchemeCatalystDelta, SchemeNegativeCache,
+	SchemeEarlyHints, SchemeCatalystDelta,
 }
 
 // MatrixSchemes are the six schemes of the conformance matrix, in
-// reporting order.
+// reporting order. Each extension has the scheme it extends as a row of
+// its own, so each row is credited with its own mechanism.
 var MatrixSchemes = []Scheme{
-	SchemeConventional, SchemeCatalyst, SchemeServerPush,
-	SchemeEarlyHints, SchemeCatalystDelta, SchemeNegativeCache,
+	SchemeConventional, SchemeCatalyst, SchemeCatalystRecord,
+	SchemeServerPush, SchemeEarlyHints, SchemeCatalystDelta,
 }
-
-// NegativeTTL is the client-side negative-caching lifetime used by
-// SchemeNegativeCache.
-const NegativeTTL = time.Hour
 
 // RDRProxyThink is the per-request origin-side processing charged under
 // SchemeRDR, standing in for the proxy's dependency resolution over its
@@ -210,17 +200,11 @@ func newWorld(site *webgen.Site, memos siteMemos, scheme Scheme, transport netsi
 	case SchemeCatalystDelta:
 		srvOpts.Record = true
 		mode = browser.Catalyst
-	case SchemeNegativeCache:
-		srvOpts.Record = true
-		mode = browser.Catalyst
 	}
 
 	b := browser.New(clock, mode, transport).WithParseMemo(memos.parse)
-	switch scheme {
-	case SchemeCatalystDelta:
+	if scheme == SchemeCatalystDelta {
 		b.WithDelta()
-	case SchemeNegativeCache:
-		b.WithNegativeCache(NegativeTTL)
 	}
 
 	// Every scheme that ships the map has catalyst.Middleware in front of
@@ -284,8 +268,8 @@ func (w *World) revisit(cond netsim.Conditions, delays []time.Duration, pages ..
 // Config parameterizes an experiment run.
 type Config struct {
 	// Corpus selects the synthetic site corpus; zero Sites means 100. A
-	// positive BrokenFrac gives the negative-caching scheme something to
-	// cache: references deployed before their assets.
+	// positive BrokenFrac adds references deployed before their assets,
+	// which fail under every scheme.
 	Corpus webgen.Params
 	// Transport is the browser connection model.
 	Transport netsim.TransportOptions

@@ -64,24 +64,32 @@ func TestSchemeMatrixShape(t *testing.T) {
 		}
 		conv := byScheme[SchemeConventional]
 		cat := byScheme[SchemeCatalyst]
-		neg := byScheme[SchemeNegativeCache]
+		rec := byScheme[SchemeCatalystRecord]
+		delta := byScheme[SchemeCatalystDelta]
 		push := byScheme[SchemeServerPush]
 		// Catalyst needs fewer warm requests than conventional.
 		if cat.MeanWarmRequests >= conv.MeanWarmRequests {
 			t.Errorf("%s: catalyst warm reqs %.1f not below conventional %.1f",
 				conv.Cond, cat.MeanWarmRequests, conv.MeanWarmRequests)
 		}
-		// Negative caching saves the repeat requests for broken references
-		// (the corpus has BrokenFrac > 0).
-		if neg.MeanWarmRequests >= cat.MeanWarmRequests {
-			t.Errorf("%s: negative-cache warm reqs %.1f not below catalyst %.1f",
-				conv.Cond, neg.MeanWarmRequests, cat.MeanWarmRequests)
+		// Recording puts the JS-discovered resources in the map, so they
+		// stop going to the network too.
+		if rec.MeanWarmRequests >= cat.MeanWarmRequests {
+			t.Errorf("%s: catalyst+record warm reqs %.1f not below catalyst %.1f",
+				conv.Cond, rec.MeanWarmRequests, cat.MeanWarmRequests)
 		}
-		// The broken references fail under every scheme: negative caching
-		// changes where the failure is answered, not whether it happens.
-		if neg.MeanErrors != conv.MeanErrors {
-			t.Errorf("%s: negative-cache errors %.1f != conventional %.1f",
-				conv.Cond, neg.MeanErrors, conv.MeanErrors)
+		// Delta encoding ships a patch instead of the changed page.
+		if delta.MeanWarmBytes >= rec.MeanWarmBytes {
+			t.Errorf("%s: catalyst-delta warm bytes %.0f not below catalyst+record %.0f",
+				conv.Cond, delta.MeanWarmBytes, rec.MeanWarmBytes)
+		}
+		// The broken references (the corpus has BrokenFrac > 0) fail
+		// under every scheme: no scheme answers a missing resource.
+		for _, c := range row {
+			if c.MeanErrors != conv.MeanErrors {
+				t.Errorf("%s: %s errors %.1f != conventional %.1f",
+					conv.Cond, c.Scheme, c.MeanErrors, conv.MeanErrors)
+			}
 		}
 		// Push-all re-pushes the whole page on revisits: far more bytes.
 		if push.MeanWarmBytes <= 2*conv.MeanWarmBytes {

@@ -18,7 +18,7 @@ import (
 func TestCacheConcurrentStress(t *testing.T) {
 	t.Parallel()
 	clock := vclock.NewVirtual(time.Unix(1_700_000_000, 0))
-	c := New(clock, Options{})
+	c := New(clock)
 
 	mkResp := func(i int) *Response {
 		h := make(http.Header)
@@ -80,7 +80,7 @@ func TestCacheConcurrentStress(t *testing.T) {
 // holder.
 func TestRefreshDoesNotMutateSharedEntry(t *testing.T) {
 	clock := vclock.NewVirtual(time.Unix(1_700_000_000, 0))
-	c := New(clock, Options{})
+	c := New(clock)
 	h := make(http.Header)
 	h.Set("Cache-Control", "max-age=10")
 	h.Set("X-Version", "one")

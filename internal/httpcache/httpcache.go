@@ -92,12 +92,6 @@ type Entry struct {
 	ResponseTime time.Time
 	// CC is the parsed Cache-Control of the stored response.
 	CC headers.CacheControl
-	// Negative marks a cached error response (a 404) stored under the
-	// negative-caching scheme. Negative entries are served Fresh within
-	// Options.NegativeTTL and then deleted outright — they are never
-	// Stale, so they carry no validator and cannot be resurrected by a
-	// conditional request or stale-if-error once expired.
-	Negative bool
 	// varyValues captures the request header values named by the
 	// response's Vary field at store time (lowercased name → value), for
 	// the RFC 9111 §4.1 secondary-key match. This cache stores one
@@ -120,31 +114,19 @@ func (e *Entry) Size() int64 {
 	return n
 }
 
-// Options configures a Cache. The cache is unbounded: no program here sets
-// a size bound.
-type Options struct {
-	// NegativeTTL, when positive, enables negative caching: complete,
-	// storable 404 responses are kept and served Fresh for this long,
-	// saving the round trip that repeatedly re-discovers a missing
-	// resource. Expired negative entries are deleted (Miss), never
-	// validated, so a resource that has since appeared ("flip to 200")
-	// is fetched in full.
-	NegativeTTL time.Duration
-}
-
 // heuristicFraction is the fraction of (Date − Last-Modified) used as the
 // freshness lifetime when a response carries no explicit expiration: the
 // 10% RFC 9111 §4.2.2 suggests.
 const heuristicFraction = 0.1
 
 // Cache is a private HTTP cache backed by internal/cachestore, and safe
-// for concurrent use. Read its counters through Stats().
+// for concurrent use. It is unbounded: no program here sets a size bound.
+// Read its counters through Stats().
 type Cache struct {
 	clock vclock.Clock
-	opts  Options
 	store *cachestore.Store[*Entry]
 
-	hits, misses, validations, negativeHits atomic.Int64
+	hits, misses, validations atomic.Int64
 }
 
 // CacheStats is a snapshot of a Cache's counters.
@@ -155,24 +137,20 @@ type CacheStats struct {
 	// Validations counts stale lookups that required a conditional
 	// request.
 	Validations int64
-	// NegativeHits counts Fresh lookups answered by a cached 404
-	// (a subset of Hits).
-	NegativeHits int64
 }
 
 // Stats returns a snapshot of the cache's counters.
 func (c *Cache) Stats() CacheStats {
 	return CacheStats{
-		Hits:         c.hits.Load(),
-		Misses:       c.misses.Load(),
-		Validations:  c.validations.Load(),
-		NegativeHits: c.negativeHits.Load(),
+		Hits:        c.hits.Load(),
+		Misses:      c.misses.Load(),
+		Validations: c.validations.Load(),
 	}
 }
 
 // New returns an empty cache driven by the given clock.
-func New(clock vclock.Clock, opts Options) *Cache {
-	return &Cache{clock: clock, opts: opts, store: cachestore.New(cachestore.Options[*Entry]{
+func New(clock vclock.Clock) *Cache {
+	return &Cache{clock: clock, store: cachestore.New(cachestore.Options[*Entry]{
 		// One shard keeps this a faithful single-browser cache: the
 		// store's locking still makes it race-free when experiments
 		// drive one browser from several goroutines.
@@ -188,13 +166,15 @@ func (c *Cache) Len() int { return c.store.Len() }
 func (c *Cache) Bytes() int64 { return c.store.Bytes() }
 
 // Storable reports whether a response may be stored at all
-// (RFC 9111 §3): 2xx status, complete body, no no-store directive.
+// (RFC 9111 §3): a 200, 203 or 204 status, complete body, no no-store
+// directive. A 206 is refused: this cache has no Range support, and a
+// stored partial body must not answer a full GET (RFC 9111 §3.3–3.4).
 func Storable(resp *Response) bool {
 	if resp.Truncated {
 		return false
 	}
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNonAuthoritativeInfo &&
-		resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusPartialContent {
+		resp.StatusCode != http.StatusNoContent {
 		return false
 	}
 	cc := headers.ParseCacheControl(resp.Header.Get("Cache-Control"))
@@ -211,12 +191,8 @@ func (c *Cache) Put(url string, resp *Response, requestTime, responseTime time.T
 // Vary field names, enabling the secondary-key check on later lookups. The
 // stored entry keeps a clone of resp's header and shares its body.
 func (c *Cache) PutWithRequest(url string, reqHeader http.Header, resp *Response, requestTime, responseTime time.Time) {
-	negative := false
 	if !Storable(resp) {
-		if !c.storableNegative(resp) {
-			return
-		}
-		negative = true
+		return
 	}
 	e := &Entry{
 		URL:          url,
@@ -224,21 +200,9 @@ func (c *Cache) PutWithRequest(url string, reqHeader http.Header, resp *Response
 		RequestTime:  requestTime,
 		ResponseTime: responseTime,
 		CC:           headers.ParseCacheControl(resp.Header.Get("Cache-Control")),
-		Negative:     negative,
 		varyValues:   varyValues(resp.Header.Get("Vary"), reqHeader),
 	}
 	c.store.Put(url, e)
-}
-
-// storableNegative reports whether a non-storable response qualifies for
-// negative caching: the feature is enabled, the status is exactly 404,
-// the body is complete, and the origin did not forbid storage.
-func (c *Cache) storableNegative(resp *Response) bool {
-	if c.opts.NegativeTTL <= 0 || resp.StatusCode != http.StatusNotFound || resp.Truncated {
-		return false
-	}
-	cc := headers.ParseCacheControl(resp.Header.Get("Cache-Control"))
-	return !cc.NoStore
 }
 
 // varyValues snapshots the request header values named by a Vary field.
@@ -281,20 +245,6 @@ func (c *Cache) Get(url string) (*Entry, State) {
 func (c *Cache) GetWithRequest(url string, reqHeader http.Header) (*Entry, State) {
 	e, ok := c.store.Get(url)
 	if !ok {
-		c.misses.Add(1)
-		return nil, Miss
-	}
-	if e.Negative {
-		// Negative entries are either Fresh (within the TTL) or gone:
-		// they never become Stale, because a 404 carries no validator
-		// worth revalidating and must not be resurrected by
-		// stale-if-error once it may have flipped to 200.
-		if c.clock.Now().Sub(e.ResponseTime) < c.opts.NegativeTTL {
-			c.hits.Add(1)
-			c.negativeHits.Add(1)
-			return e, Fresh
-		}
-		c.store.Delete(url)
 		c.misses.Add(1)
 		return nil, Miss
 	}

@@ -21,7 +21,7 @@ func respWith(h map[string]string, body string) *Response {
 
 func newTestCache() (*Cache, *vclock.Virtual) {
 	clk := vclock.NewVirtual(vclock.Epoch)
-	return New(clk, Options{}), clk
+	return New(clk), clk
 }
 
 func put(c *Cache, clk *vclock.Virtual, url string, resp *Response) {
@@ -89,6 +89,42 @@ func TestNon200NotStored(t *testing.T) {
 	put(c, clk, "/missing", resp)
 	if _, s := c.Get("/missing"); s != Miss {
 		t.Fatal("404 was stored")
+	}
+}
+
+// TestStorable pins RFC 9111 §3's storage rule as this cache applies it:
+// 200, 203 and 204 are kept; a 206 is refused, because without Range
+// support a stored partial body would answer a full GET (§3.3–3.4); error
+// statuses, truncated bodies and no-store responses are never kept.
+func TestStorable(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		status    int
+		cc        string
+		truncated bool
+		want      bool
+	}{
+		{"200", http.StatusOK, "", false, true},
+		{"203", http.StatusNonAuthoritativeInfo, "", false, true},
+		{"204", http.StatusNoContent, "", false, true},
+		{"206", http.StatusPartialContent, "max-age=60", false, false},
+		{"404", http.StatusNotFound, "max-age=60", false, false},
+		{"truncated", http.StatusOK, "max-age=60", true, false},
+		{"no-store", http.StatusOK, "max-age=60, no-store", false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp := respWith(map[string]string{"Cache-Control": tc.cc}, "body")
+			resp.StatusCode = tc.status
+			resp.Truncated = tc.truncated
+			if got := Storable(resp); got != tc.want {
+				t.Fatalf("Storable = %v, want %v", got, tc.want)
+			}
+			c, clk := newTestCache()
+			put(c, clk, "/r", resp)
+			if stored := c.Len() == 1; stored != tc.want {
+				t.Fatalf("Put stored = %v, want %v", stored, tc.want)
+			}
+		})
 	}
 }
 
@@ -263,7 +299,7 @@ func TestStateString(t *testing.T) {
 func TestFreshnessMonotoneQuick(t *testing.T) {
 	f := func(maxAgeSecs uint16, steps []uint16) bool {
 		clk := vclock.NewVirtual(vclock.Epoch)
-		c := New(clk, Options{})
+		c := New(clk)
 		resp := respWith(map[string]string{
 			"Cache-Control": fmt.Sprintf("max-age=%d", maxAgeSecs),
 		}, "x")
@@ -295,7 +331,7 @@ func TestByteAccountingQuick(t *testing.T) {
 		Size    uint8
 	}) bool {
 		clk := vclock.NewVirtual(vclock.Epoch)
-		c := New(clk, Options{})
+		c := New(clk)
 		for _, op := range ops {
 			url := fmt.Sprintf("/r%d", op.URL%8)
 			if op.Refresh {

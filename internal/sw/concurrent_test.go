@@ -2,12 +2,13 @@ package sw
 
 import (
 	"fmt"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"cachecatalyst/internal/core"
+	"cachecatalyst/internal/httpcache"
 )
 
 // TestCacheStorageConcurrentWorkers drives one CacheStorage from many
@@ -54,14 +55,14 @@ func TestCacheStorageConcurrentWorkers(t *testing.T) {
 }
 
 // TestWorkerMapSwapRacesFetches runs navigations, alternating two maps,
-// against subresource fetches on one worker — the shape of one
-// catalyst.Client shared across goroutines, with remembered 404s landing
-// meanwhile. Under -race this pins the map's publication and the negative
-// cache's lock; functionally, a resource both maps prove current is always
-// served locally, whichever map a fetch reads.
+// against subresource fetches and stores on one worker — the shape of one
+// catalyst.Client shared across goroutines, with responses landing in its
+// CacheStorage meanwhile. Under -race this pins the map's publication;
+// functionally, a resource both maps prove current is always served
+// locally, whichever map a fetch reads, and a 404 is never served locally.
 func TestWorkerMapSwapRacesFetches(t *testing.T) {
 	t.Parallel()
-	w, _ := newNegativeWorker(time.Hour)
+	w := NewWorker()
 	both := core.ETagMap{"/a.css": {Opaque: "v1"}}
 	second := core.ETagMap{"/a.css": {Opaque: "v1"}, "/b.js": {Opaque: "v2"}}
 	w.OnSubresourceResponse("/a.css", resp("v1", "a", nil))
@@ -84,7 +85,12 @@ func TestWorkerMapSwapRacesFetches(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				w.OnSubresourceResponse(fmt.Sprintf("/gone-%d", i%8), swResp404())
+				gone := fmt.Sprintf("/gone-%d", i%8)
+				w.OnSubresourceResponse(gone, &httpcache.Response{StatusCode: http.StatusNotFound, Header: http.Header{}})
+				if _, ok := w.HandleFetch(gone); ok {
+					t.Errorf("%s, a 404, was served locally", gone)
+					return
+				}
 				if _, ok := w.HandleFetch("/a.css"); !ok {
 					t.Error("/a.css, current under both maps, was not served locally")
 					return

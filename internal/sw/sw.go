@@ -12,9 +12,7 @@ package sw
 import (
 	"context"
 	"net/http"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"cachecatalyst/internal/cachestore"
 	"cachecatalyst/internal/core"
@@ -22,7 +20,6 @@ import (
 	"cachecatalyst/internal/headers"
 	"cachecatalyst/internal/httpcache"
 	"cachecatalyst/internal/telemetry"
-	"cachecatalyst/internal/vclock"
 )
 
 // CacheStorage emulates the Cache interface available to Service Workers:
@@ -112,37 +109,22 @@ type Stats struct {
 	MapDecodeFailures int64
 	// DelegatedFetches were answered by a coexisting site worker.
 	DelegatedFetches int64
-	// NegativeHits counts requests answered by a cached 404 (negative
-	// caching enabled via WithNegativeCache).
-	NegativeHits int64
-	// NegativeEvictions counts cached 404s invalidated because the
-	// resource appeared — either a 200 response arrived or a delivered
-	// ETag map listed the path ("flip to 200").
-	NegativeEvictions int64
 }
 
 // Worker is the CacheCatalyst Service Worker for one origin; Stats()
-// snapshots its counters. A Worker is safe for concurrent use:
-// catalyst.Client shares one per origin across goroutines.
+// snapshots its counters. A Worker is safe for concurrent use, and
+// catalyst.Client shares one per origin across goroutines: its mutable
+// state is the atomically published map, its atomic counters and its
+// CacheStorage, which locks for itself. It takes no lock of its own.
 type Worker struct {
 	cache    *CacheStorage
 	etags    atomic.Pointer[core.ETagMap] // the last delivered map, never nil
 	site     SiteWorker
 	recorder AccessRecorder
 
-	// Negative cache: path → expiry time of a remembered 404. Guarded by
-	// negMu — the worker itself is driven by one browser goroutine, but
-	// stress tests hit workers concurrently and the map is the only
-	// mutable aggregate state beyond cachestore-backed storage.
-	negTTL   time.Duration
-	negClock vclock.Clock
-	negMu    sync.Mutex
-	negative map[string]time.Time
-
-	localHits, networkFetches       atomic.Int64
-	mapUpdates, mapDecodeFails      atomic.Int64
-	delegatedFetches                atomic.Int64
-	negativeHits, negativeEvictions atomic.Int64
+	localHits, networkFetches  atomic.Int64
+	mapUpdates, mapDecodeFails atomic.Int64
+	delegatedFetches           atomic.Int64
 }
 
 // NewWorker returns a freshly installed worker with an empty cache and no
@@ -158,19 +140,6 @@ func NewWorker() *Worker {
 // composition the paper's future work calls for.
 func (w *Worker) WithSiteWorker(s SiteWorker) *Worker {
 	w.site = s
-	return w
-}
-
-// WithNegativeCache enables negative caching: complete 404 responses are
-// remembered for ttl (judged against clock) and answered locally, saving
-// the round trip that repeatedly re-discovers a missing resource. The
-// entry is invalidated the moment evidence arrives that the resource
-// exists — a 200 response, or a navigation map listing the path.
-// Returns w for chaining.
-func (w *Worker) WithNegativeCache(ttl time.Duration, clock vclock.Clock) *Worker {
-	w.negTTL = ttl
-	w.negClock = clock
-	w.negative = make(map[string]time.Time)
 	return w
 }
 
@@ -194,8 +163,6 @@ func (w *Worker) Stats() Stats {
 		MapUpdates:        w.mapUpdates.Load(),
 		MapDecodeFailures: w.mapDecodeFails.Load(),
 		DelegatedFetches:  w.delegatedFetches.Load(),
-		NegativeHits:      w.negativeHits.Load(),
-		NegativeEvictions: w.negativeEvictions.Load(),
 	}
 }
 
@@ -221,21 +188,6 @@ func (w *Worker) OnNavigationResponse(resp *httpcache.Response) {
 	}
 	w.etags.Store(&m)
 	w.mapUpdates.Add(1)
-
-	// Flip-to-200 invalidation: the proactive map names every resource
-	// the current page version references, so a remembered 404 whose path
-	// now appears in the map is provably wrong — drop it immediately
-	// rather than waiting out the TTL.
-	if w.negative != nil {
-		w.negMu.Lock()
-		for path := range w.negative {
-			if _, ok := m[path]; ok {
-				delete(w.negative, path)
-				w.negativeEvictions.Add(1)
-			}
-		}
-		w.negMu.Unlock()
-	}
 }
 
 // HandleFetch answers a subresource request locally when possible.
@@ -258,11 +210,6 @@ func (w *Worker) HandleFetchContext(ctx context.Context, path string) (*httpcach
 			return resp, true
 		}
 	}
-	if resp, ok := w.negativeLookup(path); ok {
-		w.negativeHits.Add(1)
-		telemetry.Event(ctx, "sw-negative", path)
-		return resp, true
-	}
 	cached, ok := w.cache.Match(path)
 	if ok {
 		var cachedTag etag.Tag
@@ -283,49 +230,11 @@ func (w *Worker) HandleFetchContext(ctx context.Context, path string) (*httpcach
 	return nil, false
 }
 
-// negativeLookup answers path from the negative cache if an unexpired 404
-// is remembered; an expired entry is deleted and the lookup falls through.
-func (w *Worker) negativeLookup(path string) (*httpcache.Response, bool) {
-	if w.negative == nil {
-		return nil, false
-	}
-	w.negMu.Lock()
-	defer w.negMu.Unlock()
-	expiry, ok := w.negative[path]
-	if !ok {
-		return nil, false
-	}
-	if !w.negClock.Now().Before(expiry) {
-		delete(w.negative, path)
-		return nil, false
-	}
-	return &httpcache.Response{
-		StatusCode: http.StatusNotFound,
-		Header:     http.Header{"Content-Type": {"text/plain; charset=utf-8"}},
-		Body:       []byte("404 page not found\n"),
-	}, true
-}
-
 // OnSubresourceResponse stores a network-fetched subresource under its new
-// entity tag so subsequent visits can serve it locally. With negative
-// caching enabled, a complete 404 is remembered for the TTL and any
-// response proving the resource exists clears the remembered 404.
+// entity tag so subsequent visits can serve it locally.
 func (w *Worker) OnSubresourceResponse(path string, resp *httpcache.Response) {
 	if w.recorder != nil {
 		w.recorder.Record(path, int64(len(resp.Body)))
-	}
-	if w.negative != nil {
-		w.negMu.Lock()
-		switch {
-		case resp.StatusCode == http.StatusNotFound && !resp.Truncated:
-			w.negative[path] = w.negClock.Now().Add(w.negTTL)
-		case resp.StatusCode == http.StatusOK:
-			if _, ok := w.negative[path]; ok {
-				delete(w.negative, path)
-				w.negativeEvictions.Add(1)
-			}
-		}
-		w.negMu.Unlock()
 	}
 	w.cache.Put(path, resp)
 }
@@ -336,8 +245,6 @@ func (w *Worker) OnSubresourceResponse(path string, resp *httpcache.Response) {
 type Registry struct {
 	workers  map[string]*Worker
 	recorder AccessRecorder
-	negTTL   time.Duration
-	negClock vclock.Clock
 }
 
 // NewRegistry returns an empty registry (a browser profile with no
@@ -350,15 +257,6 @@ func NewRegistry() *Registry {
 // Already-installed workers are unaffected.
 func (r *Registry) WithRecorder(rec AccessRecorder) *Registry {
 	r.recorder = rec
-	return r
-}
-
-// WithNegativeCache makes Register enable negative caching (ttl, clock)
-// on every newly installed worker. Already-installed workers are
-// unaffected. A non-positive ttl disables the feature.
-func (r *Registry) WithNegativeCache(ttl time.Duration, clock vclock.Clock) *Registry {
-	r.negTTL = ttl
-	r.negClock = clock
 	return r
 }
 
@@ -378,9 +276,6 @@ func (r *Registry) Register(origin string) *Worker {
 	w := NewWorker()
 	if r.recorder != nil {
 		w.WithRecorder(r.recorder)
-	}
-	if r.negTTL > 0 && r.negClock != nil {
-		w.WithNegativeCache(r.negTTL, r.negClock)
 	}
 	r.workers[origin] = w
 	return w

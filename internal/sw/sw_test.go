@@ -74,6 +74,37 @@ func TestCacheStorageRejectsTruncated(t *testing.T) {
 	}
 }
 
+func resp404() *httpcache.Response {
+	return &httpcache.Response{
+		StatusCode: http.StatusNotFound,
+		Header:     http.Header{"Content-Type": {"text/plain"}},
+		Body:       []byte("404 page not found\n"),
+	}
+}
+
+// TestWorkerNegativeDisabledByDefault: a worker does not remember 404s, so
+// the next fetch of a missing path goes to the network.
+func TestWorkerNegativeDisabledByDefault(t *testing.T) {
+	w := NewWorker()
+	w.OnSubresourceResponse("/missing.png", resp404())
+	if _, ok := w.HandleFetch("/missing.png"); ok {
+		t.Fatal("a 404 was served locally")
+	}
+	if st := w.Stats(); st.NetworkFetches != 1 {
+		t.Fatalf("NetworkFetches = %d, want 1", st.NetworkFetches)
+	}
+}
+
+func TestWorkerNegativeIgnoresTruncated404(t *testing.T) {
+	w := NewWorker()
+	tr := resp404()
+	tr.Truncated = true
+	w.OnSubresourceResponse("/x", tr)
+	if _, ok := w.HandleFetch("/x"); ok {
+		t.Fatal("a truncated 404 was served locally")
+	}
+}
+
 func TestCacheStorageReplaceAccountsBytes(t *testing.T) {
 	c := NewCacheStorage()
 	c.Put("/a", resp("v1", "0123456789", nil))

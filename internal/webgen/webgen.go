@@ -78,7 +78,7 @@ type Params struct {
 	FingerprintFrac float64
 	// BrokenFrac is the fraction of HTML-referenced images that 404 for a
 	// while after generation — the page references them before the asset
-	// deploy lands, the pathology negative caching targets. A broken
+	// deploy lands, and every scheme's load fails them alike. A broken
 	// resource "appears" (flips to 200) at a per-resource delay after the
 	// site epoch. Default 0; negative is 0. Zero draws no extra rng values,
 	// so existing corpora are byte-identical.
