@@ -22,6 +22,7 @@ import (
 	"cachecatalyst/internal/baselines"
 	"cachecatalyst/internal/core"
 	"cachecatalyst/internal/delta"
+	"cachecatalyst/internal/headers"
 	"cachecatalyst/internal/htmlparse"
 	"cachecatalyst/internal/httpcache"
 	"cachecatalyst/internal/jsexec"
@@ -304,9 +305,9 @@ func (b *Browser) LoadContext(ctx context.Context, origins Origins, cond netsim.
 		origins:   origins,
 		cond:      cond,
 		endpoints: make(map[string]*netsim.Endpoint),
-		seen:      make(map[string]bool),
-		completed: make(map[string]bool),
-		hinted:    make(map[string]bool),
+		seen:      make(map[resKey]bool),
+		completed: make(map[resKey]bool),
+		hinted:    make(map[resKey]bool),
 		pageHost:  host,
 		pagePath:  path,
 	}
@@ -334,6 +335,10 @@ func (b *Browser) LoadContext(ctx context.Context, origins Origins, cond netsim.
 	return l.result, nil
 }
 
+// resKey names a resource within a load: its host and path, kept apart so
+// that keying a map by one allocates nothing.
+type resKey struct{ host, path string }
+
 // loader is the per-navigation state machine.
 type loader struct {
 	b         *Browser
@@ -343,24 +348,27 @@ type loader struct {
 	origins   Origins
 	cond      netsim.Conditions
 	endpoints map[string]*netsim.Endpoint
-	// seen dedupes fetches by host+path, like a browser coalescing
+	// seen dedupes fetches by host and path, like a browser coalescing
 	// identical in-flight requests.
-	seen map[string]bool
+	seen map[resKey]bool
 	// completed marks resources fully settled (delivered+processed or
 	// failed). A seen-but-not-completed resource is in flight — the
 	// parser can still register it as render-blocking (preloads start
 	// before the parser knows what blocks).
-	completed map[string]bool
+	completed map[resKey]bool
 	// hinted tracks 103-preloaded keys not yet referenced by the page;
 	// what remains at the end of the load is wasted preload work.
-	hinted map[string]bool
+	hinted map[resKey]bool
 	// hintKey/onHints route the navigation's early-hint delivery: only
-	// the request whose host+path equals hintKey fetches with hints.
-	hintKey  string
+	// the request for hintKey fetches with hints.
+	hintKey  resKey
 	onHints  func(http.Header)
 	pageHost string
 	pagePath string
-	result   LoadResult
+	// referer is every request's Referer value, made on the first; no
+	// origin writes a request header, so the requests share it.
+	referer []string
+	result  LoadResult
 	// pushed holds resources delivered ahead of request by a bundling
 	// origin (Bundled mode), keyed by path; pushedUsed tracks consumption.
 	pushed     map[string]*httpcache.Response
@@ -370,7 +378,7 @@ type loader struct {
 	// processed and no render-blocking resource is outstanding.
 	htmlProcessed bool
 	blockingLeft  int
-	blockingKeys  map[string]bool
+	blockingKeys  map[resKey]bool
 	fcp           time.Duration
 	fcpSet        bool
 }
@@ -378,13 +386,13 @@ type loader struct {
 // fetchBlocking schedules a render-blocking fetch (stylesheets, sync
 // scripts): FCP waits for it.
 func (l *loader) fetchBlocking(host, path string, kind htmlparse.ResourceKind) {
-	key := host + path
+	key := resKey{host, path}
 	// A resource becomes render-blocking when first requested, or when the
 	// parser discovers that a resource already in flight (a 103 preload
 	// started it) blocks rendering — FCP must wait either way.
 	if !l.seen[key] || !l.completed[key] && !l.blockingKeys[key] {
 		if l.blockingKeys == nil {
-			l.blockingKeys = make(map[string]bool)
+			l.blockingKeys = make(map[resKey]bool)
 		}
 		l.blockingKeys[key] = true
 		l.addBlocking()
@@ -395,14 +403,14 @@ func (l *loader) fetchBlocking(host, path string, kind htmlparse.ResourceKind) {
 // finish marks a resource settled (delivered or failed) and retires any
 // render-blocking obligation, reporting whether it was blocking.
 func (l *loader) finish(host, path string) bool {
-	l.completed[host+path] = true
+	l.completed[resKey{host, path}] = true
 	return l.completeBlocking(host, path)
 }
 
 // completeBlocking retires the blocking obligation for a delivered (or
 // failed) resource, reporting whether it was render-blocking.
 func (l *loader) completeBlocking(host, path string) bool {
-	key := host + path
+	key := resKey{host, path}
 	if !l.blockingKeys[key] {
 		return false
 	}
@@ -445,7 +453,7 @@ func (l *loader) endpoint(host string) (*netsim.Endpoint, bool) {
 
 // fetch loads one resource (deduplicated) and processes its content.
 func (l *loader) fetch(host, path string, kind htmlparse.ResourceKind) {
-	key := host + path
+	key := resKey{host, path}
 	if l.seen[key] {
 		// A reference to a hinted resource means the preload was useful.
 		delete(l.hinted, key)
@@ -479,21 +487,27 @@ func (l *loader) decide(host, path string, decisions []string) []string {
 }
 
 // deliverLocal serves a response from client state with zero network time.
-func (l *loader) deliverLocal(host, path string, kind htmlparse.ResourceKind, source string, resp *httpcache.Response, decisions ...string) {
+func (l *loader) deliverLocal(host, path string, kind htmlparse.ResourceKind, source string, resp *httpcache.Response, decision string) {
 	l.result.LocalHits++
 	l.sim.After(0, func() {
-		dec := l.decide(host, path, decisions)
-		if l.b.OnFetch != nil {
-			l.b.OnFetch(FetchEvent{
-				Host: host, Path: path,
-				Start: l.sim.Now(), End: l.sim.Now(),
-				Source: source, Status: resp.StatusCode,
-				Decisions: dec,
-			})
+		if l.recordsDecisions() {
+			dec := l.decide(host, path, []string{decision})
+			if l.b.OnFetch != nil {
+				l.b.OnFetch(FetchEvent{
+					Host: host, Path: path,
+					Start: l.sim.Now(), End: l.sim.Now(),
+					Source: source, Status: resp.StatusCode,
+					Decisions: dec,
+				})
+			}
 		}
 		l.process(host, path, kind, resp, false)
 	})
 }
+
+// recordsDecisions reports whether anything reads a delivery's decisions:
+// a trace on the load or an OnFetch hook. Without either, none are built.
+func (l *loader) recordsDecisions() bool { return l.trace != nil || l.b.OnFetch != nil }
 
 // --- Conventional mode -----------------------------------------------
 
@@ -515,36 +529,35 @@ func (l *loader) fetchConventional(host, path string, kind htmlparse.ResourceKin
 // verification falls back to a plain full fetch.
 func (l *loader) fetchViaHTTPCache(host, path string, kind htmlparse.ResourceKind, offerBase bool, after func(*httpcache.Response)) {
 	key := cacheKey(host, path)
-	deliver := func(resp *httpcache.Response) *httpcache.Response {
+	entry, state := l.b.cache.Get(key)
+	if state == httpcache.Fresh {
+		if after != nil {
+			after(entry.Response)
+		}
+		l.deliverLocal(host, path, kind, "cache", entry.Response, "cache")
+		return
+	}
+	full := func(resp *httpcache.Response, reqAt, respAt time.Duration) *httpcache.Response {
+		l.b.cache.Put(key, resp, l.absTime(reqAt), l.absTime(respAt))
 		if after != nil {
 			after(resp)
 		}
 		return resp
 	}
-	full := func(resp *httpcache.Response, reqAt, respAt time.Duration) *httpcache.Response {
-		l.b.cache.Put(key, resp, l.absTime(reqAt), l.absTime(respAt))
-		return deliver(resp)
-	}
-	entry, state := l.b.cache.Get(key)
-	switch state {
-	case httpcache.Fresh:
-		deliver(entry.Response)
-		l.deliverLocal(host, path, kind, "cache", entry.Response, "cache")
-		return
-	case httpcache.Stale:
+	if state == httpcache.Stale {
 		hdr := make(http.Header)
 		tag, hasTag := entry.ETag()
 		if hasTag {
-			hdr.Set("If-None-Match", tag.String())
-		} else if lm := entry.Response.Header.Get("Last-Modified"); lm != "" {
+			hdr["If-None-Match"] = []string{tag.String()}
+		} else if lm := headers.Value(entry.Response.Header, "Last-Modified"); lm != "" {
 			// No entity tag; fall back to timestamp validation
 			// (If-Modified-Since), as browsers do.
-			hdr.Set("If-Modified-Since", lm)
+			hdr["If-Modified-Since"] = []string{lm}
 		}
 		offerBase = offerBase && hasTag
 		base := entry.Response.Body
 		if offerBase {
-			hdr.Set(delta.RequestHeader, tag.String())
+			hdr[delta.RequestHeader] = []string{tag.String()}
 		}
 		if len(hdr) > 0 {
 			l.networkFetch(host, path, kind, hdr, func(resp *httpcache.Response, reqAt, respAt time.Duration) *httpcache.Response {
@@ -552,9 +565,12 @@ func (l *loader) fetchViaHTTPCache(host, path string, kind htmlparse.ResourceKin
 					l.result.Validations304++
 					l.b.cache.Refresh(key, resp, l.absTime(reqAt), l.absTime(respAt))
 					fresh, _ := l.b.cache.Peek(key)
-					return deliver(fresh.Response)
+					if after != nil {
+						after(fresh.Response)
+					}
+					return fresh.Response
 				}
-				if offerBase && resp.Header.Get(delta.FromHeader) != "" {
+				if offerBase && headers.Value(resp.Header, delta.FromHeader) != "" {
 					recon, err := delta.Apply(base, resp.Body)
 					if err != nil {
 						// Corrupt or mismatched patch: refetch in full,
@@ -664,7 +680,7 @@ func (l *loader) fetchBundled(host, path string, kind htmlparse.ResourceKind, is
 // body start subresource fetches immediately.
 func (l *loader) fetchEarlyHints(host, path string, kind htmlparse.ResourceKind, isNav bool) {
 	if isNav {
-		l.hintKey = host + path
+		l.hintKey = resKey{host, path}
 		l.onHints = func(h http.Header) { l.consumeHints(host, path, h) }
 	}
 	l.fetchViaHTTPCache(host, path, kind, false, nil)
@@ -674,7 +690,7 @@ func (l *loader) fetchEarlyHints(host, path string, kind htmlparse.ResourceKind,
 // header block, resolved against the navigation URL.
 func (l *loader) consumeHints(navHost, navPath string, hdr http.Header) {
 	for _, t := range hintTargets(navHost, navPath, hdr.Values("Link")) {
-		key := t.host + t.path
+		key := resKey{t.host, t.path}
 		if l.seen[key] {
 			continue
 		}
@@ -732,12 +748,15 @@ func (l *loader) networkFetch(host, path string, kind htmlparse.ResourceKind, hd
 		l.finish(host, path)
 		return
 	}
-	hdr.Set("Referer", "https://"+l.pageHost+l.pagePath)
+	if l.referer == nil {
+		l.referer = []string{"https://" + l.pageHost + l.pagePath}
+	}
+	hdr["Referer"] = l.referer
 	if l.trace != nil {
-		hdr.Set(telemetry.RequestIDHeader, l.trace.ID)
+		hdr[telemetry.RequestIDHeader] = []string{l.trace.ID}
 	}
 	if c := l.b.cookieHeader(host); c != "" {
-		hdr.Set("Cookie", c)
+		hdr["Cookie"] = []string{c}
 	}
 	l.attemptFetch(ep, host, path, kind, hdr, intercept, 0)
 }
@@ -755,7 +774,7 @@ func (l *loader) attemptFetch(ep *netsim.Endpoint, host, path string, kind htmlp
 	reqAt := l.sim.Now()
 	req := &netsim.Request{Method: "GET", Path: path, Header: hdr}
 	fetch := func(done func(netsim.FetchResult)) { ep.Fetch(req, done) }
-	if l.onHints != nil && host+path == l.hintKey {
+	if l.onHints != nil && (resKey{host, path}) == l.hintKey {
 		fetch = func(done func(netsim.FetchResult)) { ep.FetchWithHints(req, l.onHints, done) }
 	}
 	fetch(func(fr netsim.FetchResult) {
@@ -819,8 +838,11 @@ func (l *loader) attemptFetch(ep *netsim.Endpoint, host, path string, kind htmlp
 // by whatever the origin reported back via Server-Timing, prefixed
 // "origin:" — and records it on the load's trace.
 func (l *loader) networkDecisions(host, path string, hdr http.Header, resp *httpcache.Response) []string {
+	if !l.recordsDecisions() {
+		return nil
+	}
 	dec := make([]string, 0, 4)
-	if hdr.Get("If-None-Match") != "" || hdr.Get("If-Modified-Since") != "" {
+	if headers.Value(hdr, "If-None-Match") != "" || headers.Value(hdr, "If-Modified-Since") != "" {
 		dec = append(dec, "revalidate")
 	}
 	if resp.StatusCode == http.StatusNotModified {
@@ -828,7 +850,7 @@ func (l *loader) networkDecisions(host, path string, hdr http.Header, resp *http
 	} else {
 		dec = append(dec, "network")
 	}
-	for _, tok := range telemetry.ParseServerTiming(resp.Header.Get(telemetry.ServerTimingHeader)) {
+	for _, tok := range telemetry.ParseServerTiming(headers.Value(resp.Header, telemetry.ServerTimingHeader)) {
 		dec = append(dec, "origin:"+tok)
 	}
 	return l.decide(host, path, dec)
@@ -845,7 +867,7 @@ func (l *loader) absTime(d time.Duration) time.Time {
 // (see ParseMemo).
 func (l *loader) process(host, path string, kind htmlparse.ResourceKind, resp *httpcache.Response, asSent bool) {
 	wasBlocking := l.finish(host, path)
-	ct := resp.Header.Get("Content-Type")
+	ct := headers.Value(resp.Header, "Content-Type")
 	switch {
 	case kind == htmlparse.KindDocument && strings.HasPrefix(ct, "text/html"):
 		l.processHTML(host, path, resp, asSent)

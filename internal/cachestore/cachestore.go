@@ -377,18 +377,6 @@ func (s *Store[V]) remove(sh *shard[V], n *node[V]) {
 	s.bytes.Add(-n.size)
 }
 
-// Delete removes the entry for key, reporting whether one existed.
-func (s *Store[V]) Delete(key string) bool {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	e, ok := sh.index.Load(key)
-	if ok {
-		s.remove(sh, e.(*node[V]))
-	}
-	sh.mu.Unlock()
-	return ok
-}
-
 // MaxBytes returns the byte budget (0 = unbounded).
 func (s *Store[V]) MaxBytes() int64 { return s.maxBytes }
 

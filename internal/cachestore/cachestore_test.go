@@ -15,7 +15,7 @@ func sized(maxBytes int64) *Store[string] {
 	})
 }
 
-func TestPutGetPeekDelete(t *testing.T) {
+func TestPutGetPeek(t *testing.T) {
 	s := New[int](Options[int]{})
 	if _, ok := s.Get("a"); ok {
 		t.Fatal("empty store returned a value")
@@ -30,16 +30,6 @@ func TestPutGetPeekDelete(t *testing.T) {
 	}
 	if s.Len() != 2 || s.Bytes() != 2 { // default SizeOf charges 1
 		t.Fatalf("Len=%d Bytes=%d", s.Len(), s.Bytes())
-	}
-	if !s.Delete("a") || s.Delete("a") {
-		t.Fatal("Delete bookkeeping wrong")
-	}
-	if s.Len() != 1 || s.Bytes() != 1 {
-		t.Fatalf("after delete: Len=%d Bytes=%d", s.Len(), s.Bytes())
-	}
-	s.Delete("b")
-	if s.Len() != 0 || s.Bytes() != 0 {
-		t.Fatalf("after deleting all: Len=%d Bytes=%d", s.Len(), s.Bytes())
 	}
 	c := s.Counters()
 	if c.Hits != 1 || c.Misses != 1 || c.Puts != 2 {
@@ -114,9 +104,7 @@ func TestEvictionsCountOnlyBudgetEvictions(t *testing.T) {
 		SizeOf:   func(_ string, v string) int64 { return int64(len(v)) },
 	})
 	s.Put("a", "1")
-	s.Put("a", "2") // replacement: not an eviction (a's rank 2/1)
-	s.Put("b", "11")
-	s.Delete("b")    // delete: not an eviction
+	s.Put("a", "2")  // replacement: not an eviction (a's rank 2/1)
 	s.Put("b", "11") // rank 1/2
 	s.Put("c", "1")  // budget: evicts b, the smallest rank
 	if n := s.Counters().Evictions; n != 1 {
@@ -289,14 +277,10 @@ func TestConcurrentStress(t *testing.T) {
 					s.Get(key)
 					gets.Add(1)
 				case 4:
-					if i%20 == 4 {
-						s.Delete(key)
-					} else {
-						s.Do(key, func() (string, error) {
-							s.Put(key, val)
-							return val, nil
-						})
-					}
+					s.Do(key, func() (string, error) {
+						s.Put(key, val)
+						return val, nil
+					})
 				}
 			}
 		}(g)
@@ -344,10 +328,8 @@ func TestAuditDetectsDrift(t *testing.T) {
 		t.Fatal("audit missed a byte-counter drift")
 	}
 	s.bytes.Add(-3)
-	s.Delete("/a")
-	s.Delete("/b")
 	if err := s.Audit(); err != nil {
-		t.Fatalf("empty store failed audit: %v", err)
+		t.Fatalf("restored store failed audit: %v", err)
 	}
 	// The heap is audited too: a node in a slot it does not claim is
 	// caught.

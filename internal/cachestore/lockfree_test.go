@@ -109,7 +109,7 @@ func TestDeferredPromotionEvictsExactly(t *testing.T) {
 }
 
 // TestLockFreeStressAgainstBudget hammers every mutating operation —
-// Get, Put, Delete, eviction — from many goroutines, then
+// Get, Put, eviction — from many goroutines, then
 // quiesces and audits. Run under -race this is the memory-safety half of
 // the differential argument (the sequential half is
 // TestStoreMatchesReferenceGDSF and TestDeferredPromotionEvictsExactly).
@@ -135,10 +135,8 @@ func testLockFreeStressAgainstBudget(t *testing.T) {
 			for i := 0; i < 800; i++ {
 				key := fmt.Sprintf("/obj-%d", rng.Intn(300))
 				switch rng.Intn(10) {
-				case 0, 1, 2:
+				case 0, 1, 2, 3:
 					s.Put(key, val)
-				case 3:
-					s.Delete(key)
 				case 4:
 					s.Peek(key)
 				default:
@@ -163,7 +161,7 @@ func testLockFreeStressAgainstBudget(t *testing.T) {
 
 // TestEpochReclamationNoTornReads proves the publication protocol: entries
 // are immutable after publication and replacement installs a whole new
-// entry, so a reader that raced a replacement, eviction or Delete must see
+// entry, so a reader that raced a replacement or an eviction must see
 // either the complete old value or the complete new one — never a mix.
 // Values carry a self-check (two halves that must agree, tied to the key),
 // and leakcheck verifies the readers actually wind down.
@@ -215,9 +213,6 @@ func TestEpochReclamationNoTornReads(t *testing.T) {
 				key := keys[rng.Intn(len(keys))]
 				n := seq.Add(1)
 				s.Put(key, &sealed{key: key, a: n, b: n})
-				if i%50 == 0 {
-					s.Delete(key)
-				}
 				if i%97 == 0 {
 					runtime.GC() // reclaim retired entries while readers hold some
 				}

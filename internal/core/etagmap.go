@@ -156,9 +156,18 @@ const MaxEncodedMapBytes = 1 << 20
 // input is rejected with an error (callers treat that like an absent
 // header). DecodeMap never panics, whatever the input — the client's whole
 // fault tolerance rests on that.
+//
+// A header in exactly the form Encode writes decodes in one pass, its keys
+// and opaque tags substrings of s. Any other form — whitespace between
+// tokens, an escape other than a tag's \", a control byte or one above
+// ASCII, an empty opaque — goes to encoding/json, which gives every input
+// the same result as the one pass gives the inputs it takes.
 func DecodeMap(s string) (ETagMap, error) {
 	if len(s) > MaxEncodedMapBytes {
 		return nil, fmt.Errorf("etag map: %d bytes exceeds limit %d", len(s), MaxEncodedMapBytes)
+	}
+	if m, ok := decodeEncoded(s); ok {
+		return m, nil
 	}
 	if strings.TrimSpace(s) == "" {
 		return ETagMap{}, nil
@@ -174,6 +183,74 @@ func DecodeMap(s string) (ETagMap, error) {
 		}
 	}
 	return m, nil
+}
+
+// plainByte marks the bytes a JSON string literal carries as themselves
+// and Encode writes unescaped inside a key or an opaque tag: printable
+// ASCII other than the quote and the backslash.
+var plainByte = func() (t [256]bool) {
+	for c := 0x20; c < 0x7f; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return
+}()
+
+// decodeEncoded decodes s if it is in Encode's exact form: {"key":"\"tag\""
+// or "key":"W/\"tag\"" entries, comma-separated, with plain bytes only in
+// keys and tags and a non-empty tag. It reports false for any other input.
+// A repeated key keeps its last tag, as encoding/json keeps the last value.
+func decodeEncoded(s string) (ETagMap, bool) {
+	if len(s) < 2 || s[0] != '{' {
+		return nil, false
+	}
+	m := make(ETagMap, strings.Count(s, ",")+1)
+	if s[1] == '}' {
+		return m, len(s) == 2
+	}
+	// plainRun returns the end of the run of plain bytes from i.
+	plainRun := func(i int) int {
+		for i < len(s) && plainByte[s[i]] {
+			i++
+		}
+		return i
+	}
+	i := 1
+	for {
+		if i >= len(s) || s[i] != '"' {
+			return nil, false
+		}
+		end := plainRun(i + 1)
+		if !strings.HasPrefix(s[end:], `":"`) {
+			return nil, false
+		}
+		key := s[i+1 : end]
+		i = end + 3
+		weak := strings.HasPrefix(s[i:], `W/`)
+		if weak {
+			i += 2
+		}
+		if !strings.HasPrefix(s[i:], `\"`) {
+			return nil, false
+		}
+		i += 2
+		end = plainRun(i)
+		if end == i || !strings.HasPrefix(s[end:], `\""`) {
+			return nil, false
+		}
+		m[key] = etag.Tag{Opaque: s[i:end], Weak: weak}
+		i = end + 3
+		if i >= len(s) {
+			return nil, false
+		}
+		switch s[i] {
+		case ',':
+			i++
+		case '}':
+			return m, i == len(s)-1
+		default:
+			return nil, false
+		}
+	}
 }
 
 // Resolver supplies the server-side facts BuildMap needs about the site

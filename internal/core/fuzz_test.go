@@ -1,24 +1,70 @@
 package core
 
 import (
+	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"cachecatalyst/internal/etag"
 )
 
+// decodeMapJSON is DecodeMap as it was before the one-pass decode:
+// encoding/json for every input. It is the reference FuzzDecodeMap holds
+// DecodeMap to.
+func decodeMapJSON(s string) (ETagMap, error) {
+	if len(s) > MaxEncodedMapBytes {
+		return nil, fmt.Errorf("etag map: %d bytes exceeds limit %d", len(s), MaxEncodedMapBytes)
+	}
+	if strings.TrimSpace(s) == "" {
+		return ETagMap{}, nil
+	}
+	var raw map[string]string
+	if err := json.Unmarshal([]byte(s), &raw); err != nil {
+		return nil, fmt.Errorf("etag map: %w", err)
+	}
+	m := make(ETagMap, len(raw))
+	for p, v := range raw {
+		if t, ok := etag.Parse(v); ok {
+			m[p] = t
+		}
+	}
+	return m, nil
+}
+
 // FuzzDecodeMap checks the X-Etag-Config decoder against hostile header
-// values: a malicious or corrupted header must fail cleanly (error or
-// partial map), never panic, and a re-encoded decode must be stable. The
-// seeds cover the chaos fault model: truncated JSON (mid-transfer header
-// corruption), duplicated keys, oversized values, and non-UTF-8 bytes.
+// values: every input must give the same map, and the same error or none,
+// as decodeMapJSON, the encoding/json decode DecodeMap's one pass stands in
+// for; and a re-encoded decode must be stable. The seeds cover the chaos
+// fault model (truncated JSON from mid-transfer header corruption,
+// duplicated keys, oversized values, non-UTF-8 bytes) and the edges of the
+// one pass: Encode's escapes, weak and empty tags, whitespace between
+// tokens and bytes after the closing brace.
 func FuzzDecodeMap(f *testing.F) {
 	f.Add(`{}`)
 	f.Add(`{"/a.css":"\"v1\""}`)
 	f.Add(`{"/a":"W/\"x\"","/b":"garbage"}`)
 	f.Add(`[1,2,3]`)
 	f.Add(`{"dup":"\"1\"","dup":"\"2\""}`)
+	f.Add(`{"dup":"\"1\"","dup":"\"2"}`) // the last value is malformed
+	f.Add(`{"dup":"\"1\"","dup":"W/\"\""}`)
 	f.Add(`{"` + "\x00" + `":"\"v\""}`)
+	// Encode's own output for keys and tags that need escaping, weak tags
+	// and an empty opaque.
+	f.Add((ETagMap{
+		"/a<b>&c.css": {Opaque: "<&>"}, `/q"uote\back`: {Opaque: `x"y\z`, Weak: true},
+		"/ctl\x01\t\n": {Opaque: "\x1f"}, "/ünï\xff": {Opaque: "é\xfe", Weak: true},
+		"/w": {Opaque: "w", Weak: true}, "/empty": {}, "/weak-empty": {Weak: true},
+	}).Encode())
+	f.Add((ETagMap{"/a.css": {Opaque: "v1"}, "/b.js": {Opaque: "v2", Weak: true}, "": {Opaque: "root"}}).Encode())
+	// Whitespace between tokens, and bytes after the closing brace.
+	f.Add(` {"/a" : "\"v1\"" , "/b":"\"v2\""} `)
+	f.Add("{\"/a\":\"\\\"v1\\\"\"}\n")
+	f.Add(`{"/a":"\"v1\""}x`)
+	f.Add(`{}{}`)
+	f.Add(`{"/a":"\"v1\"",}`)
+	f.Add(`null`)
 	// Truncation points a ChaosOrigin would produce: a valid encoding cut
 	// mid-key, mid-value, and mid-structure.
 	full := (ETagMap{"/a.css": {Opaque: "v1"}, "/b.js": {Opaque: "v2"}}).Encode()
@@ -32,8 +78,16 @@ func FuzzDecodeMap(f *testing.F) {
 	f.Add("{\"/\xff\xfe\":\"\\\"v\\\"\"}")
 	f.Add("\x80\x81\x82")
 	f.Add(`{"/a":"` + "\x1b[31m" + `"}`)
+	f.Add(`{"/a":"\"v\u00e9\"","/b":"\"\u003c\""}`)
 	f.Fuzz(func(t *testing.T, input string) {
 		m, err := DecodeMap(input)
+		want, wantErr := decodeMapJSON(input)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("DecodeMap(%q) error %v, encoding/json gives %v", input, err, wantErr)
+		}
+		if !reflect.DeepEqual(m, want) {
+			t.Fatalf("DecodeMap(%q) = %v, encoding/json gives %v", input, m, want)
+		}
 		if err != nil {
 			return
 		}
@@ -121,4 +175,19 @@ func (acceptAllResolver) ETagFor(path string) (etag.Tag, bool) {
 
 func (acceptAllResolver) StylesheetBody(path string) (string, bool) {
 	return "", false
+}
+
+// TestDecodeMapTakesEncodeInOnePass: Encode's output for tags and paths
+// of plain bytes is what the one pass exists for, so it must not fall
+// through to encoding/json.
+func TestDecodeMapTakesEncodeInOnePass(t *testing.T) {
+	m := ETagMap{"/a.css": {Opaque: "v1"}, "/b c.js": {Opaque: "x-2", Weak: true}, "": {Opaque: "root"}}
+	enc := m.Encode()
+	got, ok := decodeEncoded(enc)
+	if !ok {
+		t.Fatalf("Encode output %q fell through to encoding/json", enc)
+	}
+	if !reflect.DeepEqual(got, m) {
+		t.Fatalf("one pass decoded %v, want %v", got, m)
+	}
 }

@@ -50,7 +50,9 @@ type CacheControl struct {
 // names are case-insensitive.
 func ParseCacheControl(v string) CacheControl {
 	var cc CacheControl
-	for _, part := range strings.Split(v, ",") {
+	for rest := v; rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, ",")
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue

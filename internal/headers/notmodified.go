@@ -2,7 +2,6 @@ package headers
 
 import (
 	"net/http"
-	"net/textproto"
 	"time"
 
 	"cachecatalyst/internal/etag"
@@ -16,10 +15,10 @@ import (
 // compared with lastModified at the one-second granularity of HTTP dates;
 // an unparsable date, or a zero lastModified, means no 304.
 func NotModified(req http.Header, tag etag.Tag, hasTag bool, lastModified time.Time) bool {
-	if inm := req.Get("If-None-Match"); inm != "" {
+	if inm := Value(req, "If-None-Match"); inm != "" {
 		return hasTag && !etag.NoneMatch(inm, tag)
 	}
-	ims := req.Get("If-Modified-Since")
+	ims := Value(req, "If-Modified-Since")
 	if ims == "" || lastModified.IsZero() {
 		return false
 	}
@@ -75,13 +74,49 @@ func MergeNotModified(dst, stored, notModified http.Header) http.Header {
 	return dst
 }
 
+// keptFrom304Fields are the fields of a 304 that never replace a stored
+// field: Content-Length, and the hop-by-hop fields.
+var keptFrom304Fields = [...]string{"Content-Length", "Connection", "Keep-Alive", "Proxy-Connection",
+	"Proxy-Authenticate", "Proxy-Authorization", "Te", "Trailer", "Transfer-Encoding", "Upgrade"}
+
 // keptFrom304 reports whether a field of a 304 must not replace the stored
-// field of that name: Content-Length, or a hop-by-hop field.
+// field of that name: Content-Length, or a hop-by-hop field. A name matches
+// in any letter case, as its textproto.CanonicalMIMEHeaderKey form would;
+// comparing lengths first turns most names away unread.
 func keptFrom304(key string) bool {
-	switch textproto.CanonicalMIMEHeaderKey(key) {
-	case "Content-Length", "Connection", "Keep-Alive", "Proxy-Connection", "Proxy-Authenticate",
-		"Proxy-Authorization", "Te", "Trailer", "Transfer-Encoding", "Upgrade":
-		return true
+	for _, f := range keptFrom304Fields {
+		if len(f) == len(key) && equalFoldASCII(f, key) {
+			return true
+		}
 	}
 	return false
+}
+
+// equalFoldASCII reports whether a and b, of equal length, are equal under
+// ASCII case folding, the only folding CanonicalMIMEHeaderKey does.
+func equalFoldASCII(a, b string) bool {
+	for i := 0; i < len(a); i++ {
+		x, y := a[i], b[i]
+		if 'A' <= x && x <= 'Z' {
+			x += 'a' - 'A'
+		}
+		if 'A' <= y && y <= 'Z' {
+			y += 'a' - 'A'
+		}
+		if x != y {
+			return false
+		}
+	}
+	return true
+}
+
+// Value returns the first value of the field key in h, or "" if h has
+// none. key must be in canonical form (textproto.CanonicalMIMEHeaderKey(key)
+// == key), as every constant field name the client reads is; Value then
+// gives what h.Get(key) gives, without canonicalising key on every call.
+func Value(h http.Header, key string) string {
+	if vs := h[key]; len(vs) > 0 {
+		return vs[0]
+	}
+	return ""
 }

@@ -50,7 +50,7 @@ type Response struct {
 
 // ETag returns the response's parsed entity tag, if any.
 func (r *Response) ETag() (etag.Tag, bool) {
-	return etag.Parse(r.Header.Get("Etag"))
+	return etag.Parse(headers.Value(r.Header, "Etag"))
 }
 
 // State classifies a cache lookup result.
@@ -95,7 +95,8 @@ type Entry struct {
 	// varyValues captures the request header values named by the
 	// response's Vary field at store time (lowercased name → value), for
 	// the RFC 9111 §4.1 secondary-key match. This cache stores one
-	// variant per URL, as the RFC permits.
+	// variant per URL, as the RFC permits. The map is never written once
+	// stored, so Refresh hands it on to the refreshed entry.
 	varyValues map[string]string
 }
 
@@ -177,7 +178,7 @@ func Storable(resp *Response) bool {
 		resp.StatusCode != http.StatusNoContent {
 		return false
 	}
-	cc := headers.ParseCacheControl(resp.Header.Get("Cache-Control"))
+	cc := headers.ParseCacheControl(headers.Value(resp.Header, "Cache-Control"))
 	return !cc.NoStore
 }
 
@@ -199,8 +200,8 @@ func (c *Cache) PutWithRequest(url string, reqHeader http.Header, resp *Response
 		Response:     &Response{StatusCode: resp.StatusCode, Header: resp.Header.Clone(), Body: resp.Body},
 		RequestTime:  requestTime,
 		ResponseTime: responseTime,
-		CC:           headers.ParseCacheControl(resp.Header.Get("Cache-Control")),
-		varyValues:   varyValues(resp.Header.Get("Vary"), reqHeader),
+		CC:           headers.ParseCacheControl(headers.Value(resp.Header, "Cache-Control")),
+		varyValues:   varyValues(headers.Value(resp.Header, "Vary"), reqHeader),
 	}
 	c.store.Put(url, e)
 }
@@ -298,14 +299,14 @@ func (c *Cache) freshnessLifetime(e *Entry) time.Duration {
 		return e.CC.MaxAge
 	}
 	date := c.dateValue(e)
-	if expires := e.Response.Header.Get("Expires"); expires != "" {
+	if expires := headers.Value(e.Response.Header, "Expires"); expires != "" {
 		if t, ok := headers.ParseHTTPDate(expires); ok {
 			return t.Sub(date)
 		}
 		// Invalid Expires (e.g. "0") means already expired.
 		return 0
 	}
-	if lm := e.Response.Header.Get("Last-Modified"); lm != "" {
+	if lm := headers.Value(e.Response.Header, "Last-Modified"); lm != "" {
 		if t, ok := headers.ParseHTTPDate(lm); ok && date.After(t) {
 			return time.Duration(float64(date.Sub(t)) * heuristicFraction)
 		}
@@ -316,7 +317,7 @@ func (c *Cache) freshnessLifetime(e *Entry) time.Duration {
 // currentAge computes the response's current age per RFC 9111 §4.2.3.
 func (c *Cache) currentAge(e *Entry) time.Duration {
 	var ageValue time.Duration
-	if ageHdr := e.Response.Header.Get("Age"); ageHdr != "" {
+	if ageHdr := headers.Value(e.Response.Header, "Age"); ageHdr != "" {
 		if d, err := time.ParseDuration(ageHdr + "s"); err == nil && d >= 0 {
 			ageValue = d
 		}
@@ -337,7 +338,7 @@ func (c *Cache) currentAge(e *Entry) time.Duration {
 
 // dateValue returns the response's Date, defaulting to the response time.
 func (c *Cache) dateValue(e *Entry) time.Time {
-	if d := e.Response.Header.Get("Date"); d != "" {
+	if d := headers.Value(e.Response.Header, "Date"); d != "" {
 		if t, ok := headers.ParseHTTPDate(d); ok {
 			return t
 		}
@@ -359,16 +360,12 @@ func (c *Cache) Refresh(url string, notModified *Response, requestTime, response
 		Header:     headers.MergeNotModified(nil, e.Response.Header, notModified.Header),
 		Body:       e.Response.Body,
 	}
-	vary := make(map[string]string, len(e.varyValues))
-	for k, v := range e.varyValues {
-		vary[k] = v
-	}
 	c.store.Put(url, &Entry{
 		URL:          e.URL,
 		Response:     resp,
 		RequestTime:  requestTime,
 		ResponseTime: responseTime,
-		CC:           headers.ParseCacheControl(resp.Header.Get("Cache-Control")),
-		varyValues:   vary,
+		CC:           headers.ParseCacheControl(headers.Value(resp.Header, "Cache-Control")),
+		varyValues:   e.varyValues,
 	})
 }

@@ -71,31 +71,25 @@ func TestNoCacheIsAlwaysStale(t *testing.T) {
 	}
 }
 
-func TestNoStoreNotStored(t *testing.T) {
-	c, clk := newTestCache()
-	put(c, clk, "/d.jpg", respWith(map[string]string{"Cache-Control": "no-store"}, "img"))
-	if _, s := c.Get("/d.jpg"); s != Miss {
-		t.Fatalf("no-store was stored: %v", s)
-	}
-	if c.Len() != 0 {
-		t.Fatal("entry count nonzero")
-	}
-}
-
+// TestNon200NotStored: an error status never displaces a stored entry; a 404
+// for a URL that holds a fresh 200 leaves the 200 in place.
 func TestNon200NotStored(t *testing.T) {
 	c, clk := newTestCache()
+	put(c, clk, "/page", respWith(map[string]string{"Cache-Control": "max-age=60"}, "ok"))
 	resp := respWith(map[string]string{"Cache-Control": "max-age=60"}, "nope")
-	resp.StatusCode = 404
-	put(c, clk, "/missing", resp)
-	if _, s := c.Get("/missing"); s != Miss {
-		t.Fatal("404 was stored")
+	resp.StatusCode = http.StatusNotFound
+	put(c, clk, "/page", resp)
+	e, s := c.Get("/page")
+	if s != Fresh || e.Response.StatusCode != http.StatusOK || string(e.Response.Body) != "ok" {
+		t.Fatalf("after a 404 Put: state %v, entry %+v", s, e)
 	}
 }
 
 // TestStorable pins RFC 9111 §3's storage rule as this cache applies it:
 // 200, 203 and 204 are kept; a 206 is refused, because without Range
 // support a stored partial body would answer a full GET (§3.3–3.4); error
-// statuses, truncated bodies and no-store responses are never kept.
+// statuses, truncated bodies and no-store responses are never kept: a Put
+// of one leaves the cache empty, and a Get of its URL misses.
 func TestStorable(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -111,6 +105,7 @@ func TestStorable(t *testing.T) {
 		{"404", http.StatusNotFound, "max-age=60", false, false},
 		{"truncated", http.StatusOK, "max-age=60", true, false},
 		{"no-store", http.StatusOK, "max-age=60, no-store", false, false},
+		{"bare-no-store", http.StatusOK, "no-store", false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp := respWith(map[string]string{"Cache-Control": tc.cc}, "body")
@@ -123,6 +118,9 @@ func TestStorable(t *testing.T) {
 			put(c, clk, "/r", resp)
 			if stored := c.Len() == 1; stored != tc.want {
 				t.Fatalf("Put stored = %v, want %v", stored, tc.want)
+			}
+			if _, state := c.Get("/r"); (state != Miss) != tc.want {
+				t.Fatalf("Get after Put = %v, want stored %v", state, tc.want)
 			}
 		})
 	}

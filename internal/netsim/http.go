@@ -166,6 +166,19 @@ type pendingFetch struct {
 	// onHints, when set, receives a clone of the response headers early —
 	// the 103 Early Hints model. See Endpoint.FetchWithHints.
 	onHints func(http.Header)
+
+	// The round trip's state: the connection it runs on, whether that
+	// connection was opened for it, and the response once the origin has
+	// answered. step runs the round trip's next stage; each stage
+	// schedules step again, so a round trip makes one callback, not one
+	// per stage.
+	conn         *simConn
+	isNew        bool
+	stage        int
+	step         func()
+	think, drain time.Duration
+	resp         *httpcache.Response
+	respBytes    int64
 }
 
 type simConn struct {
@@ -220,7 +233,7 @@ func (e *Endpoint) dispatch(p *pendingFetch) {
 	for _, c := range e.conns {
 		if c.established && !c.busy {
 			c.busy = true
-			e.exchange(c, p, false)
+			e.roundTrip(c, p, false)
 			return
 		}
 	}
@@ -231,24 +244,23 @@ func (e *Endpoint) dispatch(p *pendingFetch) {
 		setup := time.Duration(e.opts.handshakeRTTs()) * e.cond.RTT
 		e.sim.After(setup, func() {
 			c.established = true
-			e.exchange(c, p, true)
+			e.roundTrip(c, p, true)
 		})
 		return
 	}
 	e.waiting = append(e.waiting, p)
 }
 
-// exchange runs one request/response on an established h1 connection.
-func (e *Endpoint) exchange(c *simConn, p *pendingFetch, isNew bool) {
-	e.roundTrip(c, p, isNew, func() {
-		c.busy = false
-		if len(e.waiting) > 0 {
-			next := e.waiting[0]
-			e.waiting = e.waiting[1:]
-			c.busy = true
-			e.exchange(c, next, false)
-		}
-	})
+// release frees h1 connection c when its exchange completes, handing it
+// to the first queued fetch if there is one.
+func (e *Endpoint) release(c *simConn) {
+	c.busy = false
+	if len(e.waiting) > 0 {
+		next := e.waiting[0]
+		e.waiting = e.waiting[1:]
+		c.busy = true
+		e.roundTrip(c, next, false)
+	}
 }
 
 // fetchH2 multiplexes the fetch over the single H2 connection, creating it
@@ -270,73 +282,80 @@ func (e *Endpoint) fetchH2(p *pendingFetch) {
 		e.waiting = append(e.waiting, p)
 		return
 	}
-	e.roundTrip(e.conns[0], p, false, nil)
+	e.roundTrip(e.conns[0], p, false)
 }
 
 func (e *Endpoint) drainH2() {
 	waiting := e.waiting
 	e.waiting = nil
 	for _, p := range waiting {
-		e.roundTrip(e.conns[0], p, true, nil)
+		e.roundTrip(e.conns[0], p, true)
 	}
 }
 
 // roundTrip models: ½RTT request propagation + request serialization on the
 // uplink, origin processing, response serialization on the shared downlink
-// + ½RTT propagation. after (optional) runs when the response completes,
-// before the caller's done callback.
-func (e *Endpoint) roundTrip(c *simConn, p *pendingFetch, isNew bool, after func()) {
+// + ½RTT propagation. An h1 connection is released when the response
+// completes, before the caller's done callback runs.
+func (e *Endpoint) roundTrip(c *simConn, p *pendingFetch, isNew bool) {
 	e.stats.Requests++
 	reqBytes := RequestWireSize(p.req)
 	e.stats.BytesUp += reqBytes
-	think := e.opts.ServerThink
+	p.think = e.opts.ServerThink
 	if s, ok := e.origin.(Stalling); ok {
-		think += s.StallFor(p.req)
+		p.think += s.StallFor(p.req)
 	}
-	e.up.Start(reqBytes, func() {
+	p.conn, p.isNew = c, isNew
+	p.step = func() { e.roundTripStage(p) }
+	e.up.Start(reqBytes, p.step)
+}
+
+// roundTripStage runs p's next stage and schedules the one after it.
+func (e *Endpoint) roundTripStage(p *pendingFetch) {
+	p.stage++
+	switch p.stage {
+	case 1:
 		// Request propagates to the origin.
-		e.sim.After(e.cond.RTT/2+think, func() {
-			resp := e.origin.RoundTrip(p.req)
-			respBytes := ResponseWireSize(resp)
-			e.stats.BytesDown += respBytes
-			e.stats.ResponseBytes += int64(len(resp.Body))
-			if p.onHints != nil {
-				if links := resp.Header.Values("Link"); len(links) > 0 {
-					hintBytes := earlyHintsWireSize(links)
-					e.stats.BytesDown += hintBytes
-					hdr := resp.Header.Clone()
-					e.down.Start(hintBytes, func() {
-						e.sim.After(e.cond.RTT/2, func() {
-							p.onHints(hdr)
-						})
-					})
-				}
-			}
-			var drain time.Duration
-			if d, ok := e.origin.(Draining); ok {
-				drain = d.DrainFor(p.req, resp)
-			}
-			stall := e.slowStartStall(c, respBytes)
-			e.sim.After(stall, func() {
-				e.down.Start(respBytes, func() {
-					// Last byte propagates back to the client; a
-					// slow-reader drain keeps the connection busy past
-					// that, which is the whole point of the fault.
-					e.sim.After(e.cond.RTT/2+drain, func() {
-						if after != nil {
-							after()
-						}
-						p.done(FetchResult{
-							Resp:          resp,
-							Start:         p.t0,
-							End:           e.sim.Now(),
-							NewConnection: isNew,
-						})
+		e.sim.After(e.cond.RTT/2+p.think, p.step)
+	case 2:
+		resp := e.origin.RoundTrip(p.req)
+		p.resp, p.respBytes = resp, ResponseWireSize(resp)
+		e.stats.BytesDown += p.respBytes
+		e.stats.ResponseBytes += int64(len(resp.Body))
+		if p.onHints != nil {
+			if links := resp.Header.Values("Link"); len(links) > 0 {
+				hintBytes := earlyHintsWireSize(links)
+				e.stats.BytesDown += hintBytes
+				hdr := resp.Header.Clone()
+				e.down.Start(hintBytes, func() {
+					e.sim.After(e.cond.RTT/2, func() {
+						p.onHints(hdr)
 					})
 				})
-			})
+			}
+		}
+		if d, ok := e.origin.(Draining); ok {
+			p.drain = d.DrainFor(p.req, resp)
+		}
+		e.sim.After(e.slowStartStall(p.conn, p.respBytes), p.step)
+	case 3:
+		e.down.Start(p.respBytes, p.step)
+	case 4:
+		// Last byte propagates back to the client; a slow-reader drain
+		// keeps the connection busy past that, which is the whole point
+		// of the fault.
+		e.sim.After(e.cond.RTT/2+p.drain, p.step)
+	default:
+		if !e.opts.H2 {
+			e.release(p.conn)
+		}
+		p.done(FetchResult{
+			Resp:          p.resp,
+			Start:         p.t0,
+			End:           e.sim.Now(),
+			NewConnection: p.isNew,
 		})
-	})
+	}
 }
 
 // maxCwnd caps congestion-window growth (≈3 MB in flight).

@@ -14,11 +14,14 @@ type Pipe struct {
 	sim *Sim
 	// bytesPerSec is the link capacity; 0 means unlimited.
 	bytesPerSec float64
-	active      []*transfer
-	lastUpdate  time.Duration
+	active      []transfer
+	// finished is complete's buffer of callbacks to run, kept between
+	// calls.
+	finished   []func()
+	lastUpdate time.Duration
 	// completion fires when the transfer finishing first does. The pipe
 	// keeps the one event and re-arms it whenever the share changes.
-	completion *Event
+	completion *event
 
 	// TotalBytes counts all bytes ever accepted, for bytes-on-wire
 	// accounting in experiments.
@@ -48,7 +51,7 @@ func (p *Pipe) Start(size int64, done func()) {
 		return
 	}
 	p.advance()
-	p.active = append(p.active, &transfer{remaining: float64(size), done: done})
+	p.active = append(p.active, transfer{remaining: float64(size), done: done})
 	p.reschedule()
 }
 
@@ -61,8 +64,8 @@ func (p *Pipe) advance() {
 	}
 	elapsed := (now - p.lastUpdate).Seconds()
 	share := p.bytesPerSec / float64(len(p.active))
-	for _, t := range p.active {
-		t.remaining -= elapsed * share
+	for i := range p.active {
+		p.active[i].remaining -= elapsed * share
 	}
 	p.lastUpdate = now
 }
@@ -90,7 +93,7 @@ func (p *Pipe) reschedule() {
 	// reschedules itself forever.
 	eta := time.Duration(math.Ceil(minRemaining / share * float64(time.Second)))
 	if p.completion == nil {
-		p.completion = &Event{fn: p.complete, index: -1}
+		p.completion = &event{fn: p.complete, index: -1}
 	}
 	p.sim.rearm(p.completion, eta)
 }
@@ -101,10 +104,10 @@ func (p *Pipe) complete() {
 	p.advance()
 	const epsilon = 1e-6 // bytes; absorbs float error
 	still := p.active[:0]
-	var finished []*transfer
+	finished := p.finished[:0]
 	for _, t := range p.active {
 		if t.remaining <= epsilon {
-			finished = append(finished, t)
+			finished = append(finished, t.done)
 		} else {
 			still = append(still, t)
 		}
@@ -112,7 +115,12 @@ func (p *Pipe) complete() {
 	clear(p.active[len(still):])
 	p.active = still
 	p.reschedule()
-	for _, t := range finished {
-		t.done()
+	// A callback may start a transfer on this pipe, but only the
+	// completion event runs complete, so finished is not reused before
+	// the loop ends.
+	for _, done := range finished {
+		done()
 	}
+	clear(finished)
+	p.finished = finished
 }

@@ -12,12 +12,14 @@ import (
 // refPipe is the Pipe as it was before it re-armed one completion event: a
 // reschedule cancels the queued event and schedules a new one with After.
 // It is the reference TestPipeRearmFiresInRescheduleOrder holds Pipe to.
+// Events cannot be cancelled, so a reschedule bumps gen instead, and a
+// completion scheduled under an older gen does nothing when it fires.
 type refPipe struct {
 	sim         *Sim
 	bytesPerSec float64
 	active      []*transfer
 	lastUpdate  time.Duration
-	completion  *Event
+	gen         int
 }
 
 func (p *refPipe) Start(size int64, done func()) {
@@ -45,10 +47,7 @@ func (p *refPipe) advance() {
 }
 
 func (p *refPipe) reschedule() {
-	if p.completion != nil {
-		p.completion.Cancel()
-		p.completion = nil
-	}
+	p.gen++
 	if len(p.active) == 0 {
 		return
 	}
@@ -63,11 +62,15 @@ func (p *refPipe) reschedule() {
 	}
 	share := p.bytesPerSec / float64(len(p.active))
 	eta := time.Duration(math.Ceil(minRemaining / share * float64(time.Second)))
-	p.completion = p.sim.After(eta, p.complete)
+	gen := p.gen
+	p.sim.After(eta, func() {
+		if gen == p.gen {
+			p.complete()
+		}
+	})
 }
 
 func (p *refPipe) complete() {
-	p.completion = nil
 	p.advance()
 	const epsilon = 1e-6
 	var still, finished []*transfer

@@ -10,6 +10,10 @@
 // Virtual time makes a 100-site × network-grid × revisit-delay sweep run in
 // milliseconds of wall time while preserving the quantities that determine
 // page load time: round trips, transmission times and scheduling.
+//
+// Sim.At and Sim.After return nothing: a scheduled callback cannot be
+// cancelled, so the simulator recycles an event once it has fired, and a
+// simulation allocates no more events than its queue ever held at once.
 package netsim
 
 import (
@@ -24,6 +28,8 @@ type Sim struct {
 	now   time.Duration
 	queue eventQueue
 	seq   int64
+	// free holds fired events for At to reuse, linked through next.
+	free *event
 }
 
 // NewSim returns a simulator at virtual time zero.
@@ -34,21 +40,26 @@ func (s *Sim) Now() time.Duration { return s.now }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // runs fn at the current time (immediately-next event).
-func (s *Sim) At(t time.Duration, fn func()) *Event {
+func (s *Sim) At(t time.Duration, fn func()) {
 	if t < s.now {
 		t = s.now
 	}
-	ev := &Event{at: t, seq: s.seq, fn: fn}
+	ev := s.free
+	if ev != nil {
+		s.free, ev.next = ev.next, nil
+	} else {
+		ev = &event{recycled: true}
+	}
+	ev.at, ev.seq, ev.fn = t, s.seq, fn
 	s.seq++
 	heap.Push(&s.queue, ev)
-	return ev
 }
 
-// rearm reschedules ev, this simulator's event, to run d from now. It
-// orders exactly as cancelling ev and scheduling its callback afresh with
-// After would: ev takes the next sequence number, and moves within the queue
-// if it is still queued or joins it again if it has fired.
-func (s *Sim) rearm(ev *Event, d time.Duration) {
+// rearm reschedules ev, an event its owner keeps, to run d from now. It
+// orders exactly as scheduling ev's callback afresh with After would: ev
+// takes the next sequence number, and moves within the queue if it is still
+// queued or joins it again if it has fired.
+func (s *Sim) rearm(ev *event, d time.Duration) {
 	ev.at, ev.seq = s.now+d, s.seq
 	s.seq++
 	if ev.index < 0 {
@@ -59,40 +70,40 @@ func (s *Sim) rearm(ev *Event, d time.Duration) {
 }
 
 // After schedules fn to run d from now.
-func (s *Sim) After(d time.Duration, fn func()) *Event {
-	return s.At(s.now+d, fn)
+func (s *Sim) After(d time.Duration, fn func()) {
+	s.At(s.now+d, fn)
 }
 
 // Run executes events until the queue drains, returning the final virtual
 // time.
 func (s *Sim) Run() time.Duration {
 	for s.queue.Len() > 0 {
-		ev := heap.Pop(&s.queue).(*Event)
+		ev := heap.Pop(&s.queue).(*event)
 		ev.index = -1 // out of the queue
-		if ev.cancelled {
-			continue
-		}
 		s.now = ev.at
-		ev.fn()
+		fn := ev.fn
+		if ev.recycled {
+			ev.fn, ev.next, s.free = nil, s.free, ev
+		}
+		fn()
 	}
 	return s.now
 }
 
-// Event is a scheduled callback; it can be cancelled before it fires.
-type Event struct {
-	at        time.Duration
-	seq       int64
-	fn        func()
-	index     int // position in the queue; -1 once popped
-	cancelled bool
+// event is a scheduled callback. At's events go back on the simulator's
+// free list when they fire; an event made elsewhere (a Pipe's completion)
+// stays its maker's, to re-arm.
+type event struct {
+	at       time.Duration
+	seq      int64
+	fn       func()
+	index    int // position in the queue; -1 once popped
+	recycled bool
+	next     *event // the free list's link
 }
 
-// Cancel prevents the event from firing. Cancelling a fired or already
-// cancelled event is a no-op.
-func (e *Event) Cancel() { e.cancelled = true }
-
 // eventQueue is a min-heap ordered by (time, sequence).
-type eventQueue []*Event
+type eventQueue []*event
 
 func (q eventQueue) Len() int { return len(q) }
 
@@ -110,7 +121,7 @@ func (q eventQueue) Swap(i, j int) {
 }
 
 func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
+	ev := x.(*event)
 	ev.index = len(*q)
 	*q = append(*q, ev)
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -63,16 +64,53 @@ func TestSchedulingInPastClampsToNow(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
+// TestFiredEventsAreRecycled: an event goes back on the free list when it
+// fires, before its callback runs, so a chain of events scheduled one from
+// another's callback reuses one event throughout, and a simulation holds no
+// more events than its queue's peak.
+func TestFiredEventsAreRecycled(t *testing.T) {
 	s := NewSim()
-	fired := false
-	ev := s.After(time.Millisecond, func() { fired = true })
-	ev.Cancel()
-	s.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
+	free := func() (n int) {
+		for ev := s.free; ev != nil; ev = ev.next {
+			n++
+		}
+		return n
 	}
-	ev.Cancel() // double-cancel must not panic
+	var order []int
+	var chain func(i int)
+	chain = func(i int) {
+		order = append(order, i)
+		if i < 100 {
+			s.After(time.Millisecond, func() { chain(i + 1) })
+		}
+	}
+	for i := 0; i < 3; i++ {
+		s.After(0, func() {})
+	}
+	s.After(0, func() { chain(0) })
+	if end := s.Run(); end != 100*time.Millisecond {
+		t.Fatalf("chain ended at %v, want 100ms", end)
+	}
+	if len(order) != 101 || order[100] != 100 {
+		t.Fatalf("chain ran %d links", len(order))
+	}
+	if n := free(); n != 4 {
+		t.Fatalf("free list holds %d events after a run whose queue peaked at 4", n)
+	}
+	var fired []int
+	for i := 0; i < 6; i++ {
+		s.After(time.Duration(6-i), func() { fired = append(fired, i) })
+	}
+	if n := free(); n != 0 {
+		t.Fatalf("free list holds %d events after 6 were scheduled from 4", n)
+	}
+	s.Run()
+	if fmt.Sprint(fired) != "[5 4 3 2 1 0]" {
+		t.Fatalf("recycled events fired in order %v", fired)
+	}
+	if n := free(); n != 6 {
+		t.Fatalf("free list holds %d events, want 6", n)
+	}
 }
 
 func TestRunEmptyQueue(t *testing.T) {

@@ -69,34 +69,33 @@ func (a *originAdapter) RoundTrip(req *netsim.Request) *httpcache.Response {
 	if r.Header == nil {
 		r.Header = make(http.Header)
 	}
-	rec := &recorder{header: make(http.Header), code: http.StatusOK}
+	rec := &recorder{resp: httpcache.Response{StatusCode: http.StatusOK, Header: make(http.Header)}}
 	a.h.ServeHTTP(rec, r)
-	return &httpcache.Response{StatusCode: rec.code, Header: rec.header, Body: rec.body}
+	return &rec.resp
 }
 
 // recorder is the adapter's ResponseWriter, with httptest.ResponseRecorder's
 // semantics for what the simulator reads: the first WriteHeader fixes the
 // status (200 if the handler writes or flushes without one) and the header
 // map is the live one. Write copies, since its argument may be a reused
-// buffer.
+// buffer. The response it records is the one RoundTrip returns, allocated
+// with the recorder.
 type recorder struct {
-	header http.Header
-	code   int
-	wrote  bool
-	body   []byte
+	resp  httpcache.Response
+	wrote bool
 }
 
-func (w *recorder) Header() http.Header { return w.header }
+func (w *recorder) Header() http.Header { return w.resp.Header }
 
 func (w *recorder) WriteHeader(code int) {
 	if !w.wrote {
-		w.code, w.wrote = code, true
+		w.resp.StatusCode, w.wrote = code, true
 	}
 }
 
 func (w *recorder) Write(p []byte) (int, error) {
 	w.wrote = true
-	w.body = append(w.body, p...)
+	w.resp.Body = append(w.resp.Body, p...)
 	return len(p), nil
 }
 
@@ -107,11 +106,11 @@ func (w *recorder) Flush() { w.wrote = true }
 // response body; the full slice expression makes a later Write append to a
 // copy rather than into body's array.
 func (w *recorder) WriteShared(body []byte) int {
-	if len(w.body) > 0 {
+	if len(w.resp.Body) > 0 {
 		n, _ := w.Write(body)
 		return n
 	}
 	w.wrote = true
-	w.body = body[:len(body):len(body)]
+	w.resp.Body = body[:len(body):len(body)]
 	return len(body)
 }

@@ -58,7 +58,7 @@ func (c *CacheStorage) Put(path string, resp *httpcache.Response) {
 	if resp.StatusCode != http.StatusOK || resp.Truncated {
 		return
 	}
-	cc := headers.ParseCacheControl(resp.Header.Get("Cache-Control"))
+	cc := headers.ParseCacheControl(headers.Value(resp.Header, "Cache-Control"))
 	if cc.NoStore {
 		return
 	}
@@ -177,7 +177,7 @@ func (w *Worker) ETagMap() core.ETagMap { return *w.etags.Load() }
 // treated exactly like an absent one, and counted, so a mangled map can
 // never fail the load.
 func (w *Worker) OnNavigationResponse(resp *httpcache.Response) {
-	cfg := resp.Header.Get(core.HeaderName)
+	cfg := headers.Value(resp.Header, core.HeaderName)
 	if cfg == "" {
 		return
 	}
