@@ -73,7 +73,11 @@ vet:
 # second experiment runner or revisit schedule: forEachSite(, newWorld(
 # (besides NewWorld's) and .Advance( (besides World.Advance's) each have
 # exactly one caller in non-test internal/harness, the runner's and
-# World.revisit's (DESIGN.md §3, §4).
+# World.revisit's (DESIGN.md §3, §4) — or when catalyst or internal/cluster
+# reads an age off the wall clock: time.Now(, time.Since( and time.Until(
+# appear there only in the html_ns stage timing (htmlStart), because every
+# age reads the injected vclock.Clock, and no Now func() time.Time field
+# stands in for a clock anywhere (DESIGN.md §7, "Frozen values").
 FORK_SRC = $(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' ./... | tr ' ' '\n' | grep -v '/bench/'
 forks:
 	@fail=0; src=$$($(FORK_SRC)); \
@@ -118,6 +122,11 @@ forks:
 	dec=$$(grep -Hn 'core\.Decide(' $$src | grep -v ':[0-9]*:[[:space:]]*//'); \
 	if [ "$$(echo "$$dec" | grep -c /internal/sw/)" -ne 1 ] || [ "$$(echo "$$dec" | grep -c .)" -ne 1 ]; then \
 		echo "forks: core.Decide( is called $$(echo "$$dec" | grep -c .) times in non-test code, want once, in internal/sw:" >&2; echo "$$dec" >&2; fail=1; fi; \
+	age=$$(echo "$$src" | grep '/catalyst/[^/]*\.go$$\|/internal/cluster/'); \
+	if grep -Hn 'time\.\(Now\|Since\|Until\)(' $$age | grep -v ':[0-9]*:[[:space:]]*//\|htmlStart' >&2; then \
+		echo "forks: catalyst or internal/cluster reads the wall clock outside the stage timing; an age reads the injected vclock.Clock (DESIGN.md §7)" >&2; fail=1; fi; \
+	if grep -Hn 'Now[[:space:]]\+func()[[:space:]]*time\.Time' $$src | grep -v ':[0-9]*:[[:space:]]*//' >&2; then \
+		echo "forks: a Now func() time.Time field stands in for a clock; take a vclock.Clock or the caller's time (DESIGN.md §7)" >&2; fail=1; fi; \
 	if $(GO) list -f '{{join .Imports "\n"}}' ./internal/server | grep -q 'internal/tenant$$'; then \
 		echo "forks: internal/server imports internal/tenant; the tenant path belongs to catalyst.Middleware" >&2; fail=1; fi; \
 	exit $$fail

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cachecatalyst/internal/vclock"
 )
 
 // discardWriter is the cheapest possible ResponseWriter, so the benchmarks
@@ -55,7 +57,7 @@ func BenchmarkMiddlewareStatic(b *testing.B) {
 // both schemes share; it bounds the regression risk of the rewrite on the
 // HTML side.
 func BenchmarkMiddlewareHTML(b *testing.B) {
-	h := tuned(innerSite(), MiddlewareOptions{}, withProbeTTL(time.Hour))
+	h := tuned(innerSite(), MiddlewareOptions{}, withStoppedClock())
 	// Warm the probe cache once so the benchmark measures the steady state.
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
 	b.ReportAllocs()
@@ -66,14 +68,18 @@ func BenchmarkMiddlewareHTML(b *testing.B) {
 	})
 }
 
-// BenchmarkProbeContention renders one page from many goroutines with a
-// probe TTL so short every render wants a re-probe: the singleflight layer
-// determines how many inner-handler probes actually run.
+// BenchmarkProbeContention renders one page from many goroutines, each
+// render moving the clock a sixteenth of the probe TTL, so one render in
+// sixteen finds every probe expired and the renders beside it pile onto its
+// refresh: the singleflight layer determines how many inner-handler probes
+// actually run.
 func BenchmarkProbeContention(b *testing.B) {
-	h := tuned(innerSite(), MiddlewareOptions{}, withProbeTTL(100*time.Microsecond))
+	clk := vclock.NewVirtual(vclock.Epoch)
+	h := tuned(innerSite(), MiddlewareOptions{}, withClock(clk))
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
+			clk.Advance(probeTTL / 16)
 			h.ServeHTTP(&discardWriter{h: make(http.Header)}, httptest.NewRequest("GET", "/", nil))
 		}
 	})
@@ -124,7 +130,7 @@ func site50(delay time.Duration) http.Handler {
 // ops/sec for RenchmarkCache over NoRenderCache.
 func BenchmarkMiddlewareHTML50(b *testing.B) {
 	bench := func(b *testing.B, opts MiddlewareOptions) {
-		h := tuned(site50(0), opts, withProbeTTL(time.Hour))
+		h := tuned(site50(0), opts, withStoppedClock())
 		// Two warm-up renders: the first fills the probe and render caches
 		// and slots the map, which the second already reuses.
 		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
@@ -153,7 +159,7 @@ func BenchmarkMiddlewareHTML50(b *testing.B) {
 // encoding, writes precomputed headers, and acquires no mutex (see
 // TestWarmGetTakesNoMutex in internal/cachestore for the store-level proof).
 func BenchmarkMiddlewareWarmHit(b *testing.B) {
-	h := tuned(site50(0), MiddlewareOptions{}, withProbeTTL(time.Hour))
+	h := tuned(site50(0), MiddlewareOptions{}, withStoppedClock())
 	// Warm: the first request fills the probe and render caches and slots
 	// the map, which the second already reuses.
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
@@ -177,10 +183,11 @@ func BenchmarkMiddlewareHTMLCold(b *testing.B) {
 	const probeCost = 100 * time.Microsecond
 	bench := func(b *testing.B, concurrency int) {
 		inner := site50(probeCost)
+		stopped := withStoppedClock()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			h := tuned(inner, MiddlewareOptions{}, withProbeTTL(time.Hour), withProbeConcurrency(concurrency))
+			h := tuned(inner, MiddlewareOptions{}, stopped, withProbeConcurrency(concurrency))
 			h.ServeHTTP(&discardWriter{h: make(http.Header)}, httptest.NewRequest("GET", "/", nil))
 		}
 	}
@@ -232,14 +239,15 @@ func churnPage(pageBytes int) http.Handler {
 // connection pool a body copy and, mostly, a connect.
 func BenchmarkMiddlewareProbeRefresh(b *testing.B) {
 	bench := func(b *testing.B, inner http.Handler) {
-		// One nanosecond: every probe has expired by the time it is read back.
-		h := tuned(inner, MiddlewareOptions{}, withProbeTTL(time.Nanosecond))
+		clk := vclock.NewVirtual(vclock.Epoch)
+		h := tuned(inner, MiddlewareOptions{}, withClock(clk))
 		req := httptest.NewRequest("GET", "/", nil)
 		w := &discardWriter{h: make(http.Header)}
 		h.ServeHTTP(w, req)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			clk.Advance(probeTTL) // every probe has expired by the time it is read back
 			h.ServeHTTP(w, req)
 		}
 	}
@@ -269,7 +277,7 @@ func benchUpstream(b *testing.B, site http.Handler, bench func(*testing.B, http.
 // writer.
 func BenchmarkMiddlewarePageRevalidate(b *testing.B) {
 	bench := func(b *testing.B, inner http.Handler) {
-		h := tuned(inner, MiddlewareOptions{}, withProbeTTL(time.Hour))
+		h := tuned(inner, MiddlewareOptions{}, withStoppedClock())
 		req := httptest.NewRequest("GET", "/", nil)
 		w := &discardWriter{h: make(http.Header)}
 		for i := 0; i < 3; i++ {
@@ -291,7 +299,7 @@ func BenchmarkMiddlewarePageRevalidate(b *testing.B) {
 // iteration, so every serve re-walks 40 probe-cache hits and re-encodes the
 // map.
 func BenchmarkMiddlewareWarmResolve(b *testing.B) {
-	h := tuned(churnPage(0), MiddlewareOptions{}, withProbeTTL(time.Hour))
+	h := tuned(churnPage(0), MiddlewareOptions{}, withStoppedClock())
 	m := h.(*middleware)
 	req := httptest.NewRequest("GET", "/", nil)
 	w := &discardWriter{h: make(http.Header)}

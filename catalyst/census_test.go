@@ -64,6 +64,22 @@ func TestOptionCensus(t *testing.T) {
 			"Peers",     // catalyst.NewEdge (its config's "cluster"), bench
 			"Telemetry", // catalyst.NewEdge, bench
 		}},
+		{reflect.TypeOf(resilience.BreakerOptions{}), []string{
+			"Telemetry", // catalyst.NewUpstream
+			"Name",      // catalyst.NewUpstream
+		}},
+		{reflect.TypeOf(resilience.ServeOptions{}), []string{
+			"ShutdownTimeout", // cmd/catalystd (-shutdown-timeout)
+			"Telemetry",       // cmd/catalystd
+			"SnapshotTo",      // cmd/catalystd
+			"Logf",            // cmd/catalystd
+			"OnDrain",         // cmd/catalystd
+		}},
+		{reflect.TypeOf(MetricsOptions{}), []string{
+			"Telemetry", // cmd/catalystd (-metrics)
+			"PProf",     // cmd/catalystd (-pprof)
+			"Config",    // cmd/catalystd
+		}},
 		{reflect.TypeOf(resilience.HealthOptions{}), []string{
 			"Interval",  // catalyst.NewUpstream (a tenant's healthInterval)
 			"Telemetry", // catalyst.NewUpstream

@@ -5,9 +5,9 @@ import (
 	"net/http"
 	"reflect"
 	"sync"
-	"time"
 
 	"cachecatalyst/internal/server"
+	"cachecatalyst/internal/vclock"
 )
 
 // ProbeEvictions reports how many entries h, a Middleware, has evicted from
@@ -26,12 +26,13 @@ func tuned(next http.Handler, opts MiddlewareOptions, edits ...func(*tuning)) ht
 	return newMiddleware(next, opts, t)
 }
 
-// The edits tuned applies.
-func withProbeTTL(d time.Duration) func(*tuning) { return func(t *tuning) { t.probeTTL = d } }
+// The edits tuned applies. withClock makes every age the middleware reads
+// one of clock's: a test moves past a bound with Advance, never a sleep.
+func withClock(clock *vclock.Virtual) func(*tuning) { return func(t *tuning) { t.clock = clock } }
 
-func withBreaker(threshold int, cooldown time.Duration) func(*tuning) {
-	return func(t *tuning) { t.breakerThreshold, t.breakerCooldown = threshold, cooldown }
-}
+// withStoppedClock is withClock on a clock no one advances: nothing the
+// middleware holds expires.
+func withStoppedClock() func(*tuning) { return withClock(vclock.NewVirtual(vclock.Epoch)) }
 
 func withMaxProbeEntries(n int) func(*tuning) { return func(t *tuning) { t.maxProbeEntries = n } }
 
@@ -47,12 +48,16 @@ func serverOf(h http.Handler) *server.Server { return h.(*middleware).content.sr
 // metricsOf returns the counters of h, a Middleware.
 func metricsOf(h http.Handler) *middlewareMetrics { return h.(*middleware).metrics }
 
+// TimelineStep is how far the timeline tests advance the clock between
+// steps: past every probe's trust and every path's open breaker, so each
+// step re-probes the whole site, as a fresh crawl does.
+const TimelineStep = max(probeTTL, breakerCooldown) * 3 / 2
+
 // TimelineMiddleware is Middleware as the timeline tests run it, with its
-// counters: a probe is trusted for ttl, a path's open breaker holds it out of
-// the map no longer than that, and maxProbeEntries, when positive, shrinks
-// the probe cache.
-func TimelineMiddleware(next http.Handler, ttl time.Duration, maxProbeEntries int) (http.Handler, *middlewareMetrics) {
-	edits := []func(*tuning){withProbeTTL(ttl), withBreaker(breakerThreshold, ttl)}
+// counters: every age is read off clock, and maxProbeEntries, when positive,
+// shrinks the probe cache.
+func TimelineMiddleware(next http.Handler, clock *vclock.Virtual, maxProbeEntries int) (http.Handler, *middlewareMetrics) {
+	edits := []func(*tuning){withClock(clock)}
 	if maxProbeEntries > 0 {
 		edits = append(edits, withMaxProbeEntries(maxProbeEntries))
 	}

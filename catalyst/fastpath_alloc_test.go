@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 // TestWarmHitAllocations pins the warm fast lane's allocation budget: once
@@ -20,7 +19,7 @@ import (
 // garbage the fast-lane refactor removed (sniff buffers, header encodes,
 // span closures, request clones).
 func TestWarmHitAllocations(t *testing.T) {
-	h := tuned(site50(0), MiddlewareOptions{}, withProbeTTL(time.Hour))
+	h := tuned(site50(0), MiddlewareOptions{}, withStoppedClock())
 	// The first request warms probes and render and slots the map; the
 	// second reuses it.
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
@@ -39,7 +38,7 @@ func TestWarmHitAllocations(t *testing.T) {
 // merge's one value array, with one to spare; what it must not grow back is a
 // request Clone or an If-None-Match value built per request.
 func TestWarmRevalidatedHitAllocations(t *testing.T) {
-	h := tuned(churnPage(0), MiddlewareOptions{}, withProbeTTL(time.Hour))
+	h := tuned(churnPage(0), MiddlewareOptions{}, withStoppedClock())
 	m := h.(*middleware)
 	req := httptest.NewRequest("GET", "/", nil)
 	w := &discardWriter{h: make(http.Header)}

@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 // TestWarmHitServesIdenticalResponse proves the fast lane is a pure
@@ -12,7 +11,7 @@ import (
 // writer all engaged) response is byte-identical to the first full render,
 // headers included.
 func TestWarmHitServesIdenticalResponse(t *testing.T) {
-	h := tuned(site50(0), MiddlewareOptions{}, withProbeTTL(time.Hour))
+	h := tuned(site50(0), MiddlewareOptions{}, withStoppedClock())
 	recs := make([]*httptest.ResponseRecorder, 4)
 	for i := range recs {
 		recs[i] = httptest.NewRecorder()

@@ -48,16 +48,21 @@ func staleEntrySize(key string, e *staleEntry) int64 {
 }
 
 // staleFor returns the unexpired stale entry for pageURL in the tenant's
-// stale cache, if any.
-func (m *middleware) staleFor(ts *tenantState, pageURL string) (*staleEntry, bool) {
+// stale cache, if any, and its age: an entry is served up to and including
+// the instant its age reaches the stale TTL.
+func (m *middleware) staleFor(ts *tenantState, pageURL string) (*staleEntry, time.Duration, bool) {
 	if ts.stales == nil {
-		return nil, false
+		return nil, 0, false
 	}
 	e, ok := ts.stales.Get(pageURL)
-	if !ok || time.Since(e.at) > ts.staleTTL {
-		return nil, false
+	if !ok {
+		return nil, 0, false
 	}
-	return e, true
+	age := m.tune.clock.Now().Sub(e.at)
+	if age > ts.staleTTL {
+		return nil, 0, false
+	}
+	return e, age, true
 }
 
 // recordStale refreshes the last-known-good copy of a page after a
@@ -68,7 +73,7 @@ func (m *middleware) recordStale(ts *tenantState, pageURL string, ent *renderEnt
 	if ts.stales == nil {
 		return
 	}
-	now := time.Now()
+	now := m.tune.clock.Now()
 	if prev, ok := ts.stales.Peek(pageURL); ok &&
 		prev.tag == ent.Tag && prev.enc == encoded && now.Sub(prev.at) < ts.staleTTL/4 {
 		return
@@ -87,7 +92,7 @@ func (m *middleware) recordStale(ts *tenantState, pageURL string, ent *renderEnt
 // header, the stored body, and the last-known map. Reports whether it
 // served; reason lands on the request trace.
 func (m *middleware) serveStale(ts *tenantState, w http.ResponseWriter, r *http.Request, pageURL, reason string) bool {
-	e, ok := m.staleFor(ts, pageURL)
+	e, age, ok := m.staleFor(ts, pageURL)
 	if !ok {
 		return false
 	}
@@ -102,7 +107,7 @@ func (m *middleware) serveStale(ts *tenantState, w http.ResponseWriter, r *http.
 	}
 	h.Set("Etag", e.tag.String())
 	h.Set("Warning", `110 - "Response is Stale"`)
-	h.Set("Age", strconv.FormatInt(int64(time.Since(e.at)/time.Second), 10))
+	h.Set("Age", strconv.FormatInt(int64(age/time.Second), 10))
 	if !etag.NoneMatch(r.Header.Get("If-None-Match"), e.tag) {
 		w.WriteHeader(http.StatusNotModified)
 		return true

@@ -279,20 +279,15 @@ func TestLadderErrorWithoutStaleIsHonest(t *testing.T) {
 func TestBreakerFlipsToStaleServing(t *testing.T) {
 	site := newFlakySite()
 	reg := telemetry.NewRegistry()
-	h := Middleware(site, MiddlewareOptions{
-		Telemetry: reg,
-		OriginBreaker: resilience.NewBreaker(resilience.BreakerOptions{
-			FailureThreshold: 2,
-			Cooldown:         time.Hour, // no recovery inside this test
-			Telemetry:        reg,
-			Name:             "middleware.origin",
-		}),
-	})
+	h := tuned(site, MiddlewareOptions{
+		Telemetry:     reg,
+		OriginBreaker: resilience.NewBreaker(resilience.BreakerOptions{Telemetry: reg, Name: "middleware.origin"}),
+	}, withStoppedClock()) // no recovery inside this test
 	metrics := metricsOf(h)
 	prime(t, h)
 
 	site.mode.Store("err")
-	for i := 0; i < 2; i++ {
+	for i := 0; i < resilience.BreakerThreshold; i++ {
 		if rec := get(h, "/page"); rec.Code != 200 {
 			t.Fatalf("serve %d during flap: %d", i, rec.Code)
 		}
@@ -312,8 +307,8 @@ func TestBreakerFlipsToStaleServing(t *testing.T) {
 	if reg.Snapshot().Counters["middleware.origin.trips"] != 1 {
 		t.Fatalf("trips counter: %+v", reg.Snapshot().Counters)
 	}
-	if metrics.LadderStale.Load() != 5 {
-		t.Fatalf("LadderStale = %d, want 5 (2 held errors + 3 open-breaker)", metrics.LadderStale.Load())
+	if want := int64(resilience.BreakerThreshold + 3); metrics.LadderStale.Load() != want {
+		t.Fatalf("LadderStale = %d, want %d (%d held errors + 3 open-breaker)", metrics.LadderStale.Load(), want, resilience.BreakerThreshold)
 	}
 }
 
@@ -322,12 +317,12 @@ func TestBreakerFlipsToStaleServing(t *testing.T) {
 func TestBreakerWithoutStaleRejects(t *testing.T) {
 	site := newFlakySite()
 	site.mode.Store("err")
-	h := Middleware(site, MiddlewareOptions{
-		OriginBreaker: resilience.NewBreaker(resilience.BreakerOptions{FailureThreshold: 1, Cooldown: time.Hour}),
-	})
+	h := tuned(site, MiddlewareOptions{OriginBreaker: resilience.NewBreaker(resilience.BreakerOptions{})}, withStoppedClock())
 	metrics := metricsOf(h)
-	if rec := get(h, "/page"); rec.Code != http.StatusInternalServerError {
-		t.Fatalf("first failure: %d", rec.Code) // no stale yet: honest error
+	for i := 0; i < resilience.BreakerThreshold; i++ {
+		if rec := get(h, "/page"); rec.Code != http.StatusInternalServerError {
+			t.Fatalf("failure %d: %d", i, rec.Code) // no stale yet: honest error
+		}
 	}
 	rec := get(h, "/page")
 	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {

@@ -17,6 +17,7 @@ import (
 	"cachecatalyst/internal/server"
 	"cachecatalyst/internal/telemetry"
 	"cachecatalyst/internal/tenant"
+	"cachecatalyst/internal/vclock"
 )
 
 // MiddlewareOptions configures Middleware. A value no program sets is not an
@@ -48,8 +49,8 @@ type MiddlewareOptions struct {
 	// un-instrumented rather than late.
 	RequestBudget time.Duration
 	// OriginBreaker, when set, is the default state's inner-handler
-	// circuit breaker (a tenant's is tenant.Tenant.Breaker): after its
-	// failure threshold of consecutive 5xx/panic serves the middleware
+	// circuit breaker (a tenant's is tenant.Tenant.Breaker): after
+	// resilience.BreakerThreshold consecutive 5xx/panic serves the middleware
 	// stops calling the inner handler and answers from the stale cache (or
 	// 503) until the breaker admits a trial. Nil disables the breaker —
 	// appropriate when the inner handler is in-process; catalystd's proxy
@@ -136,9 +137,11 @@ const defaultRenderBytes = 16 << 20
 // serves with frozen(), the one place they are read; only a test reaches
 // other values (export_test.go).
 type tuning struct {
-	probeTTL           time.Duration
-	breakerThreshold   int
-	breakerCooldown    time.Duration
+	// clock is what every age is read off: a probe's, a stale copy's, a
+	// path's and the origin's open breaker's, a peer map's. In front of a
+	// *server.Server it is the server's own. What a stage costs is read off
+	// the wall clock instead.
+	clock              vclock.Clock
 	maxProbeEntries    int
 	probeConcurrency   int
 	contentConcurrency int
@@ -150,9 +153,7 @@ type tuning struct {
 // frozen returns the tuning Middleware serves with.
 func frozen() tuning {
 	return tuning{
-		probeTTL:           probeTTL,
-		breakerThreshold:   breakerThreshold,
-		breakerCooldown:    breakerCooldown,
+		clock:              vclock.System{},
 		maxProbeEntries:    maxProbeEntries,
 		probeConcurrency:   probeConcurrency,
 		contentConcurrency: contentConcurrency,
@@ -197,6 +198,7 @@ func newMiddleware(next http.Handler, opts MiddlewareOptions, tune tuning) *midd
 		m.content, m.prefix, reuses = newContentFront(srv), "server.", "maps_reused"
 		m.build = core.BuildOptions{CrossOriginETag: m.content.cross, Concurrency: tune.contentConcurrency}
 		so := srv.Options()
+		m.tune.clock = so.Clock
 		m.opts.ServerTiming = opts.ServerTiming || so.ServerTiming
 		m.opts.Telemetry = cmp.Or(opts.Telemetry, so.Telemetry)
 		m.opts.Exchange = nil
@@ -453,7 +455,7 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	// Inner-handler circuit breaker: while open, don't error-proxy —
 	// answer from the stale cache, or refuse honestly.
-	if ts.breaker != nil && !ts.breaker.Allow() {
+	if ts.breaker != nil && !ts.breaker.Allow(m.tune.clock.Now()) {
 		if m.serveStale(ts, w, r, pageURL, "breaker-open") {
 			return
 		}
@@ -475,7 +477,7 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	panicked, held := m.fetchPage(ts, sw, r, pageURL)
 	if ts.breaker != nil {
-		ts.breaker.Record(!panicked && sw.status < http.StatusInternalServerError)
+		ts.breaker.Record(!panicked && sw.status < http.StatusInternalServerError, m.tune.clock.Now())
 	}
 	if panicked {
 		if !sw.sentToDst {
@@ -514,7 +516,7 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// time left to probe subresources and assemble the map. Serve the
 	// HTML un-instrumented — late-but-plain beats later-and-decorated,
 	// and the client simply falls back to ordinary caching.
-	if b, ok := resilience.BudgetFrom(r.Context()); ok && b.Exhausted() {
+	if resilience.BudgetSpent(r.Context()) {
 		m.metrics.BudgetExhausted.Add(1)
 		m.servePlain(w, r, sw, pageURL, held)
 		return
@@ -715,7 +717,7 @@ func (m *middleware) serveDecorated(ctx context.Context, ts *tenantState, w http
 // only rebuild it. A freshly slotted map is published to the cluster. A
 // recording session's extras ride on top of a reused or built map.
 func (m *middleware) mapFor(ctx context.Context, ts *tenantState, r *http.Request, pageURL string, ent *renderEntry, session string) ([]string, int, string) {
-	now := time.Now()
+	now := m.tune.clock.Now()
 	rm, decision := ent.slot.Load(), "map-reused"
 	if rm == nil || !rm.verify(ts.src, now, nil) {
 		if peerEnc, ok := m.exchangeLookup(ts, pageURL, ent, now); ok {
@@ -728,7 +730,7 @@ func (m *middleware) mapFor(ctx context.Context, ts *tenantState, r *http.Reques
 			rm.base = etags
 		}
 		var until time.Time
-		if ctx.Err() == nil && rm.verify(ts.src, time.Now(), &until) {
+		if ctx.Err() == nil && rm.verify(ts.src, m.tune.clock.Now(), &until) {
 			ent.slot.Store(rm)
 			m.publish(ts, pageURL, ent, rm, until, now)
 		}
@@ -766,7 +768,7 @@ func (m *middleware) publish(ts *tenantState, pageURL string, ent *renderEntry, 
 		return
 	}
 	if until.IsZero() {
-		until = now.Add(m.tune.probeTTL)
+		until = now.Add(probeTTL)
 	}
 	ex.Publish(ts.name, pageURL, ent.TagStr, rm.hdr[0], until.UnixNano())
 }
@@ -790,7 +792,7 @@ type probeSource struct {
 // it up inline instead of on a fan-out goroutine.
 func (p *probeSource) cached(path string) bool {
 	pr, ok := p.ts.probes.Peek(path)
-	return ok && time.Now().Before(pr.expires)
+	return ok && p.m.tune.clock.Now().Before(pr.expires)
 }
 
 func (p *probeSource) lookup(ctx context.Context, r *http.Request, path string) (etag.Tag, bool, string, bool) {
@@ -816,7 +818,7 @@ func (p *probeSource) recheck(path string, _ bool) (etag.Tag, bool, time.Time) {
 // breakerCooldown, so an inner handler erroring on one path is not hammered
 // on every page render.
 func (m *middleware) probe(ts *tenantState, path string, via *http.Request, ctx context.Context) probe {
-	if pr, ok := ts.probes.Get(path); ok && time.Now().Before(pr.expires) {
+	if pr, ok := ts.probes.Get(path); ok && m.tune.clock.Now().Before(pr.expires) {
 		return pr
 	}
 	telemetry.Event(ctx, "probe", path)
@@ -824,14 +826,14 @@ func (m *middleware) probe(ts *tenantState, path string, via *http.Request, ctx 
 		// Re-check inside the flight: the flight we queued behind may
 		// have refreshed the entry already.
 		prev, had := ts.probes.Peek(path)
-		if had && time.Now().Before(prev.expires) {
+		if had && m.tune.clock.Now().Before(prev.expires) {
 			return prev, nil
 		}
 		pr := m.fetchProbe(ctx, path, via, prev)
 		if !pr.ok {
 			pr.fails = prev.fails + 1
-			if pr.fails >= m.tune.breakerThreshold {
-				pr.expires = time.Now().Add(m.tune.breakerCooldown)
+			if pr.fails >= breakerThreshold {
+				pr.expires = m.tune.clock.Now().Add(breakerCooldown)
 				m.metrics.BreakerTrips.Add(1)
 				telemetry.Event(ctx, "breaker-open", path)
 			}
@@ -865,7 +867,7 @@ func (m *middleware) fetchProbe(trace context.Context, path string, via *http.Re
 			pr = probe{expires: pr.expires}
 		}
 	}()
-	pr.expires = time.Now().Add(m.tune.probeTTL)
+	pr.expires = m.tune.clock.Now().Add(probeTTL)
 	u, err := url.ParseRequestURI(path)
 	if err != nil {
 		return pr

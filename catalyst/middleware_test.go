@@ -135,7 +135,7 @@ func TestMiddlewareProbeTTL(t *testing.T) {
 		w.Header().Set("Content-Type", "text/html")
 		_, _ = io.WriteString(w, `<script src="/a.js"></script>`)
 	})
-	h := tuned(inner, MiddlewareOptions{}, withProbeTTL(time.Hour))
+	h := tuned(inner, MiddlewareOptions{}, withStoppedClock())
 	for i := 0; i < 5; i++ {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
@@ -312,7 +312,7 @@ func TestMiddlewareHEADThroughProxy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := tuned(httputil.NewSingleHostReverseProxy(u), MiddlewareOptions{}, withProbeTTL(time.Hour))
+			h := tuned(httputil.NewSingleHostReverseProxy(u), MiddlewareOptions{}, withStoppedClock())
 			m := h.(*middleware)
 			serve := func(method string) *httptest.ResponseRecorder {
 				rec := httptest.NewRecorder()

@@ -141,15 +141,15 @@ func TestMiddlewareTraceEndToEnd(t *testing.T) {
 // is a 304, the request's trace records one probe-revalidated event per
 // path, and no probe body is fetched.
 func TestMiddlewareTraceProbeRevalidated(t *testing.T) {
-	const ttl = 10 * time.Millisecond
-	h := tuned(taggedInnerSite(), MiddlewareOptions{}, withProbeTTL(ttl))
+	clk := vclock.NewVirtual(vclock.Epoch)
+	h := tuned(taggedInnerSite(), MiddlewareOptions{}, withClock(clk))
 	metrics := metricsOf(h)
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
 	const paths = 4 // style.css, app.js, logo.png and the stylesheet's bg.png
 	if got := metrics.ProbeFetched.Load(); got != paths {
 		t.Fatalf("cold navigation: ProbeFetched = %d, want %d", got, paths)
 	}
-	time.Sleep(2 * ttl)
+	clk.Advance(probeTTL)
 
 	ctx, tr := telemetry.StartTrace(context.Background(), "")
 	rec := httptest.NewRecorder()

@@ -5,9 +5,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"cachecatalyst/catalyst"
+	"cachecatalyst/internal/vclock"
 )
 
 // pagePersonalities are the page's behaviours a held page's conditional
@@ -42,13 +42,11 @@ func TestRevalidatedPagesAreExact(t *testing.T) {
 }
 
 func runPageTimeline(t *testing.T, p personality) {
-	const (
-		ttl   = 10 * time.Millisecond
-		steps = 16
-	)
+	const steps = 16
 	site := newTimelineSite(p)
 	rng := rand.New(rand.NewSource(int64(p) + 1))
-	subject, metrics := catalyst.TimelineMiddleware(site, ttl, 0)
+	clk := vclock.NewVirtual(vclock.Epoch)
+	subject, metrics := catalyst.TimelineMiddleware(site, clk, 0)
 	// held reports whether the page may ever be held: anything else must
 	// never be asked for conditionally.
 	held := p == honours || p == ignores || p == lying304 || p == unsolicited
@@ -95,7 +93,7 @@ func runPageTimeline(t *testing.T, p personality) {
 		}
 		checkLies(t, step, site.seen)
 		site.mutate(rng, step)
-		time.Sleep(ttl + ttl/2)
+		clk.Advance(catalyst.TimelineStep)
 	}
 
 	revalidated, fetched := metrics.PageRevalidated.Load(), metrics.PageFetched.Load()

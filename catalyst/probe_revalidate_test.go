@@ -9,9 +9,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"cachecatalyst/catalyst"
+	"cachecatalyst/internal/vclock"
 )
 
 // personality is how the timeline site treats validators — the behaviours of
@@ -301,16 +301,14 @@ func TestRevalidatedProbesAreExact(t *testing.T) {
 }
 
 func runTimeline(t *testing.T, p personality, maxProbeEntries int) {
-	const (
-		ttl   = 10 * time.Millisecond
-		steps = 16
-	)
+	const steps = 16
 	site := newTimelineSite(p)
 	rng := rand.New(rand.NewSource(int64(p) + 1))
-	// The breaker stays on and counting, but holds a failing path out no
-	// longer than a probe is trusted anyway: a redeployed path must be back
-	// in the map as soon as the fresh crawl sees it.
-	subject, metrics := catalyst.TimelineMiddleware(site, ttl, maxProbeEntries)
+	// The breaker stays on and counting, but each step outlasts its
+	// cooldown as well as every probe's trust: a redeployed path must be
+	// back in the map as soon as the fresh crawl sees it.
+	clk := vclock.NewVirtual(vclock.Epoch)
+	subject, metrics := catalyst.TimelineMiddleware(site, clk, maxProbeEntries)
 
 	for step := 0; step <= steps; step++ {
 		site.observe(true)
@@ -328,7 +326,7 @@ func runTimeline(t *testing.T, p personality, maxProbeEntries int) {
 		}
 		checkLies(t, step, site.seen)
 		site.mutate(rng, step)
-		time.Sleep(ttl + ttl/2)
+		clk.Advance(catalyst.TimelineStep)
 	}
 
 	revalidated, fetched := metrics.ProbeRevalidated.Load(), metrics.ProbeFetched.Load()

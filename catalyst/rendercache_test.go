@@ -11,14 +11,15 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
+
+	"cachecatalyst/internal/vclock"
 )
 
 // TestRenderCacheReusesUnchangedPage asserts the tentpole win: a hot page
 // whose raw body does not change parses, injects and hashes exactly once —
 // later requests hit the render cache — while the response stays identical.
 func TestRenderCacheReusesUnchangedPage(t *testing.T) {
-	h := tuned(innerSite(), MiddlewareOptions{}, withProbeTTL(time.Hour))
+	h := tuned(innerSite(), MiddlewareOptions{}, withStoppedClock())
 	m := h.(*middleware)
 
 	first := httptest.NewRecorder()
@@ -75,7 +76,7 @@ func TestRenderCacheKeysOnContent(t *testing.T) {
 		w.Header().Set("Content-Type", "image/png")
 		_, _ = io.WriteString(w, r.URL.Path)
 	})
-	h := tuned(inner, MiddlewareOptions{}, withProbeTTL(time.Hour))
+	h := tuned(inner, MiddlewareOptions{}, withStoppedClock())
 
 	r1 := httptest.NewRecorder()
 	h.ServeHTTP(r1, httptest.NewRequest("GET", "/", nil))
@@ -102,12 +103,12 @@ func TestRenderCacheKeysOnContent(t *testing.T) {
 // TestRenderCacheDisabled asserts MaxRenderBytes < 0 restores the
 // uncached pipeline with identical responses.
 func TestRenderCacheDisabled(t *testing.T) {
-	h := tuned(innerSite(), MiddlewareOptions{MaxRenderBytes: -1}, withProbeTTL(time.Hour))
+	h := tuned(innerSite(), MiddlewareOptions{MaxRenderBytes: -1}, withStoppedClock())
 	m := h.(*middleware)
 	if m.def.renders != nil {
 		t.Fatal("render cache allocated despite MaxRenderBytes < 0")
 	}
-	cached := tuned(innerSite(), MiddlewareOptions{}, withProbeTTL(time.Hour))
+	cached := tuned(innerSite(), MiddlewareOptions{}, withStoppedClock())
 	for i := 0; i < 2; i++ {
 		a, b := httptest.NewRecorder(), httptest.NewRecorder()
 		h.ServeHTTP(a, httptest.NewRequest("GET", "/", nil))
@@ -134,14 +135,15 @@ func TestEncodeReuseInvalidatedByProbeChange(t *testing.T) {
 		w.Header().Set("Content-Type", "image/png")
 		_, _ = io.WriteString(w, asset.Load().(string))
 	})
-	h := tuned(inner, MiddlewareOptions{}, withProbeTTL(time.Millisecond))
+	clk := vclock.NewVirtual(vclock.Epoch)
+	h := tuned(inner, MiddlewareOptions{}, withClock(clk))
 
 	r1 := httptest.NewRecorder()
 	h.ServeHTTP(r1, httptest.NewRequest("GET", "/", nil))
 	m1, _ := DecodeMap(r1.Header().Get(HeaderName))
 
 	asset.Store("v2")
-	time.Sleep(5 * time.Millisecond) // let the probe expire
+	clk.Advance(probeTTL) // let the probe expire
 
 	r2 := httptest.NewRecorder()
 	h.ServeHTTP(r2, httptest.NewRequest("GET", "/", nil))
@@ -174,7 +176,8 @@ func TestRenderFanOutRaceStaysConsistent(t *testing.T) {
 		w.Header().Set("Content-Type", "image/png")
 		_, _ = io.WriteString(w, r.URL.Path)
 	})
-	h := tuned(inner, MiddlewareOptions{}, withProbeTTL(time.Millisecond), withProbeConcurrency(4))
+	clk := vclock.NewVirtual(vclock.Epoch)
+	h := tuned(inner, MiddlewareOptions{}, withClock(clk), withProbeConcurrency(4))
 	m := h.(*middleware)
 
 	const goroutines = 8
@@ -185,6 +188,7 @@ func TestRenderFanOutRaceStaysConsistent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				version.Add(1)
+				clk.Advance(probeTTL) // every probe held so far expires
 				rec := httptest.NewRecorder()
 				h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
 				if rec.Code != http.StatusOK {
@@ -239,7 +243,7 @@ func TestRenderCacheHoldsOneEntryPerPage(t *testing.T) {
 		w.Header().Set("Etag", fmt.Sprintf(`"page-v%d"`, v))
 		fmt.Fprintf(w, `<html><head><title>v%d</title></head><body><img src="/a.png"></body></html>`, v)
 	})
-	h := tuned(inner, MiddlewareOptions{}, withProbeTTL(time.Hour))
+	h := tuned(inner, MiddlewareOptions{}, withStoppedClock())
 	m := h.(*middleware)
 	var last *httptest.ResponseRecorder
 	for i := 0; i < versions; i++ {

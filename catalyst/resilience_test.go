@@ -7,7 +7,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
+
+	"cachecatalyst/internal/vclock"
 )
 
 // --- middleware resilience --------------------------------------------
@@ -56,10 +57,8 @@ func TestMiddlewareProbeCircuitBreaker(t *testing.T) {
 		cssCalls.Add(1)
 		http.Error(w, "db down", http.StatusInternalServerError)
 	})
-	h := tuned(mux, MiddlewareOptions{},
-		withProbeTTL(time.Nanosecond), // every page load re-probes
-		withBreaker(2, time.Hour),
-	)
+	clk := vclock.NewVirtual(vclock.Epoch)
+	h := tuned(mux, MiddlewareOptions{}, withClock(clk))
 	metrics := metricsOf(h)
 
 	loadPage := func() {
@@ -72,13 +71,14 @@ func TestMiddlewareProbeCircuitBreaker(t *testing.T) {
 			t.Fatalf("erroring subresource leaked into map: %q", rec.Header().Get(HeaderName))
 		}
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < breakerThreshold+2; i++ {
 		loadPage()
-		time.Sleep(time.Microsecond) // let the nanosecond TTL lapse
+		clk.Advance(probeTTL) // every page load re-probes
 	}
-	// Two probes trip the breaker; the remaining three loads are shielded.
-	if got := cssCalls.Load(); got != 2 {
-		t.Fatalf("probe calls = %d, want 2 (breaker did not open)", got)
+	// breakerThreshold probes trip the breaker; the remaining two loads,
+	// well inside its cooldown, are shielded.
+	if got := cssCalls.Load(); got != breakerThreshold {
+		t.Fatalf("probe calls = %d, want %d (breaker did not open)", got, breakerThreshold)
 	}
 	if got := metrics.BreakerTrips.Load(); got != 1 {
 		t.Fatalf("breaker trips = %d, want 1", got)
@@ -98,7 +98,7 @@ func TestMiddlewareProbeCacheBounded(t *testing.T) {
 		w.Header().Set("Content-Type", "image/png")
 		fmt.Fprint(w, "PNG")
 	})
-	h := tuned(mux, MiddlewareOptions{}, withProbeTTL(time.Nanosecond), withMaxProbeEntries(8))
+	h := tuned(mux, MiddlewareOptions{}, withMaxProbeEntries(8))
 	for i := 0; i < 100; i++ {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/p%d.html", i), nil))

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cachecatalyst/internal/vclock"
 )
 
 // pageSet is an inner handler whose pages each reference one image of their
@@ -46,16 +48,19 @@ func assetTag(path string, v int) string {
 }
 
 // slotHarness serves pages through a Middleware with Server-Timing on and
-// reaches into its default state's probe cache.
+// reaches into its default state's probe cache. Its clock moves only when a
+// test advances it.
 type slotHarness struct {
-	t *testing.T
-	h http.Handler
-	m *middleware
+	t   *testing.T
+	h   http.Handler
+	m   *middleware
+	clk *vclock.Virtual
 }
 
 func newSlotHarness(t *testing.T, inner http.Handler, ex MapExchange) *slotHarness {
-	h := tuned(inner, MiddlewareOptions{ServerTiming: true, Exchange: ex}, withProbeTTL(time.Hour))
-	return &slotHarness{t: t, h: h, m: h.(*middleware)}
+	clk := vclock.NewVirtual(vclock.Epoch)
+	h := tuned(inner, MiddlewareOptions{ServerTiming: true, Exchange: ex}, withClock(clk))
+	return &slotHarness{t: t, h: h, m: h.(*middleware), clk: clk}
 }
 
 // serve navigates to page and returns the decisions the response reported
@@ -80,7 +85,8 @@ func (s *slotHarness) tag(enc, path string) string {
 	return m[path].String()
 }
 
-// expire ages the given probes out, as their ProbeTTL running out would.
+// expire ages the given probes out, as their probeTTL running out would,
+// and no other.
 func (s *slotHarness) expire(paths ...string) {
 	s.t.Helper()
 	for _, p := range paths {
@@ -88,7 +94,7 @@ func (s *slotHarness) expire(paths ...string) {
 		if !ok {
 			s.t.Fatalf("%s was never probed", p)
 		}
-		pr.expires = time.Now().Add(-time.Millisecond)
+		pr.expires = s.clk.Now()
 		s.m.def.probes.Put(p, pr)
 	}
 }
@@ -182,9 +188,10 @@ func TestExchangePublishesAndAdopts(t *testing.T) {
 	ex := &stubExchange{}
 	s := newSlotHarness(t, newPageSet(), ex)
 
-	// B probes /shared.png first, so A's evidence names one probe that
-	// expires before the one A fetched itself.
+	// B probes /shared.png a tick before A, so A's evidence names one probe
+	// that expires before the one A fetched itself.
 	s.serve("/b.html")
+	s.clk.Advance(time.Nanosecond)
 	_, enc := s.serve("/a.html")
 	if st, _ := s.serve("/a.html"); !strings.Contains(st, "map-reused") {
 		t.Fatalf("A's second serve decided %q, want map-reused", st)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"cachecatalyst/internal/etag"
+	"cachecatalyst/internal/vclock"
 )
 
 // countingHandler wraps a handler and counts how many times it runs.
@@ -234,7 +235,7 @@ func TestProbeSingleflight(t *testing.T) {
 		w.Header().Set("Content-Type", "text/javascript")
 		_, _ = io.WriteString(w, "js()")
 	})
-	h := tuned(mux, MiddlewareOptions{}, withProbeTTL(time.Hour))
+	h := tuned(mux, MiddlewareOptions{}, withStoppedClock())
 
 	const renders = 12
 	var wg sync.WaitGroup
@@ -319,9 +320,10 @@ func TestCapMapBytesMatchesNaive(t *testing.T) {
 // and sniffing writer as concurrency-safe.
 func TestMiddlewareParallelStress(t *testing.T) {
 	t.Parallel()
+	clk := vclock.NewVirtual(vclock.Epoch)
 	h := tuned(innerSite(), MiddlewareOptions{},
-		withProbeTTL(time.Millisecond), // force constant re-probing
-		withMaxProbeEntries(2),         // fewer than the page's 4 subresources: constant eviction
+		withClock(clk),
+		withMaxProbeEntries(2), // fewer than the page's 4 subresources: constant eviction
 	)
 	paths := []string{"/", "/logo.png", "/api/data", "/style.css", WorkerPath, "/missing"}
 
@@ -332,6 +334,7 @@ func TestMiddlewareParallelStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				path := paths[(g+i)%len(paths)]
+				clk.Advance(probeTTL) // force constant re-probing
 				rec := httptest.NewRecorder()
 				h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 				want := 200

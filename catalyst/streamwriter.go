@@ -171,7 +171,7 @@ func (w *sniffWriter) WriteHeader(code int) {
 		return
 	}
 	if code >= http.StatusInternalServerError && w.staleOwner != nil {
-		if _, ok := w.staleOwner.staleFor(w.staleState, w.stalePage); ok {
+		if _, _, ok := w.staleOwner.staleFor(w.staleState, w.stalePage); ok {
 			// A stale substitute exists: swallow the error entirely.
 			// Nothing reaches the client; the middleware serves the stale
 			// copy after the inner handler returns.

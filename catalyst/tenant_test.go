@@ -8,11 +8,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"cachecatalyst/internal/resilience"
 	"cachecatalyst/internal/telemetry"
 	"cachecatalyst/internal/tenant"
+	"cachecatalyst/internal/vclock"
 )
 
 // tenantRouter is a stand-in for catalystd's multi-origin inner handler: it
@@ -46,12 +46,12 @@ func (tr *tenantRouter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // newTenantedMiddleware serves a tenantRouter to tenants alpha and beta.
 // breaker, when set, builds each tenant's origin breaker, as catalystd wires
 // one per configured tenant.
-func newTenantedMiddleware(t *testing.T, reg *telemetry.Registry, opts MiddlewareOptions, breaker func(name string) *resilience.Breaker) (http.Handler, *tenantRouter) {
+func newTenantedMiddleware(t *testing.T, reg *telemetry.Registry, opts MiddlewareOptions, breaker func(name string) *resilience.Breaker, edits ...func(*tuning)) (http.Handler, *tenantRouter) {
 	t.Helper()
 	tr := &tenantRouter{}
 	tr.failing.Store("")
 	opts.Telemetry = reg
-	mw := Middleware(tr, opts)
+	mw := tuned(tr, opts, edits...)
 	alpha := &tenant.Tenant{Name: "alpha", Hosts: []string{"alpha.test"}}
 	beta := &tenant.Tenant{Name: "beta", Hosts: []string{"beta.test"}}
 	if breaker != nil {
@@ -113,21 +113,17 @@ func TestTenantIsolatedServing(t *testing.T) {
 // failing tenant degrades to its own stale copy.
 func TestTenantBreakerIsolation(t *testing.T) {
 	reg := telemetry.NewRegistry()
+	clk := vclock.NewVirtual(vclock.Epoch)
 	h, tr := newTenantedMiddleware(t, reg, MiddlewareOptions{}, func(name string) *resilience.Breaker {
-		return resilience.NewBreaker(resilience.BreakerOptions{
-			FailureThreshold: 2,
-			Cooldown:         time.Millisecond,
-			Telemetry:        reg,
-			Name:             "tenant." + name + ".origin",
-		})
-	})
+		return resilience.NewBreaker(resilience.BreakerOptions{Telemetry: reg, Name: "tenant." + name + ".origin"})
+	}, withClock(clk))
 
 	// Warm both tenants so stale copies exist.
 	tenantGet(h, "alpha.test", "/")
 	tenantGet(h, "beta.test", "/")
 
 	tr.failing.Store("alpha")
-	for i := 0; i < 4; i++ {
+	for i := 0; i < resilience.BreakerThreshold+2; i++ {
 		rec := tenantGet(h, "alpha.test", "/")
 		// Every one of these is answered from alpha's stale copy (the
 		// sniff writer holds back the 502), never an error.
@@ -148,17 +144,15 @@ func TestTenantBreakerIsolation(t *testing.T) {
 			snap.Counters["tenant.alpha.origin.trips"], snap.Counters["tenant.beta.origin.trips"])
 	}
 
-	// Alpha recovers once its origin does.
+	// Alpha recovers once its origin does: the breaker holds alpha open
+	// until its cooldown ends, and then a trial request closes it.
 	tr.failing.Store("")
-	// The breaker may hold alpha open briefly; a trial request closes it.
-	var recovered bool
-	for i := 0; i < 10 && !recovered; i++ {
-		time.Sleep(2 * time.Millisecond) // let the cooldown admit a trial
-		rec := tenantGet(h, "alpha.test", "/")
-		recovered = rec.Code == 200 && rec.Header().Get("Warning") == ""
+	if rec := tenantGet(h, "alpha.test", "/"); rec.Header().Get("Warning") == "" {
+		t.Fatal("alpha's open breaker let a request through inside its cooldown")
 	}
-	if !recovered {
-		t.Fatal("alpha did not recover after its origin did")
+	clk.Advance(resilience.BreakerCooldown)
+	if rec := tenantGet(h, "alpha.test", "/"); rec.Code != 200 || rec.Header().Get("Warning") != "" {
+		t.Fatalf("alpha did not recover after its origin did: code %d warning %q", rec.Code, rec.Header().Get("Warning"))
 	}
 }
 
@@ -172,7 +166,7 @@ func TestTenantDefaultPathUntouched(t *testing.T) {
 	tr := &tenantRouter{}
 	tr.failing.Store("")
 	breaker := func() *resilience.Breaker {
-		return resilience.NewBreaker(resilience.BreakerOptions{FailureThreshold: 3})
+		return resilience.NewBreaker(resilience.BreakerOptions{})
 	}
 	mw := Middleware(tr, MiddlewareOptions{
 		Telemetry: reg, Delta: true, MaxInflight: 4, OriginBreaker: breaker(),

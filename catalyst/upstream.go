@@ -44,8 +44,9 @@ var upstreamBuffers = copyBuffers{pool: sync.Pool{New: func() any {
 
 // NewUpstream assembles what fronts one origin, the same for catalystd's
 // -origin and for every tenant NewEdge fronts: the reverse proxy, a circuit
-// breaker (resilience.BreakerOptions' defaults) and a running health checker
-// sharing that breaker, so recovery is probe-driven. The proxy is a
+// breaker (resilience.BreakerThreshold failures open it for BreakerCooldown)
+// and a running health checker sharing that breaker, so recovery is
+// probe-driven. The proxy is a
 // single-host reverse proxy over a transport of its own, whose idle pool
 // covers the probe fan-out (upstreamIdleConns), with pooled copy buffers. A
 // dead upstream becomes a silent 502 the middleware can hold back in favor

@@ -8,9 +8,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"cachecatalyst/internal/cachestore"
+	"cachecatalyst/internal/vclock"
 )
 
 // churnSite is an inner handler with the benchmark's page_churn shape: pages
@@ -78,24 +78,23 @@ func (s *churnSite) navigateAll(t *testing.T, h http.Handler) {
 // than the working set the same traffic thrashes, which is what the second
 // subtest holds this test's teeth to.
 //
-// The TTL is long against one navigation (tens of milliseconds under -race
-// on a loaded machine), so no probe expires between the resolver's ETagFor
-// and StylesheetBody of the same page; the default budget evicts nothing, so
-// its first pass fetches exactly once per path. Under the thrash budget a
-// stylesheet's probe can be evicted between those two lookups and fetched
-// again, so that first pass is bounded below only.
+// The clock stands still within a pass, so no probe expires between the
+// resolver's ETagFor and StylesheetBody of the same page; the default budget
+// evicts nothing, so its first pass fetches exactly once per path. Under the
+// thrash budget a stylesheet's probe can be evicted between those two lookups
+// and fetched again, so that first pass is bounded below only.
 func TestProbeWorkingSetSurvivesItsTTL(t *testing.T) {
-	const ttl = 500 * time.Millisecond
 	secondPass := func(t *testing.T, budget int) (revalidated, fetched, swept, bodyBytes int64) {
 		site := &churnSite{pages: 150, sheet: "/*" + strings.Repeat("x", 6<<10-4) + "*/"}
-		h := tuned(site, MiddlewareOptions{}, withProbeTTL(ttl), withMaxProbeEntries(budget))
+		clk := vclock.NewVirtual(vclock.Epoch)
+		h := tuned(site, MiddlewareOptions{}, withClock(clk), withMaxProbeEntries(budget))
 		metrics := metricsOf(h)
 		site.navigateAll(t, h)
 		got, want := metrics.ProbeFetched.Load(), int64(site.pages*churnRefsPerPage)
 		if got < want || budget == maxProbeEntries && got != want {
 			t.Fatalf("first pass fetched %d probes, want one per path (%d)", got, want)
 		}
-		time.Sleep(ttl + ttl/2) // every probe of the first pass expires
+		clk.Advance(probeTTL) // every probe of the first pass expires
 		fetched, bodyBytes = metrics.ProbeFetched.Load(), site.subBytes.Load()
 		site.navigateAll(t, h)
 		probes := h.(*middleware).def.probes

@@ -15,6 +15,7 @@ import (
 	"cachecatalyst/internal/core"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/telemetry"
+	"cachecatalyst/internal/vclock"
 )
 
 func TestRingDistribution(t *testing.T) {
@@ -223,9 +224,10 @@ func TestExchangeDrops(t *testing.T) {
 		{"status", "http://peer", answer(500), func(m *ExchangeMetrics) *telemetry.Counter { return &m.DroppedStatus }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			e := tunedExchange(ExchangeOptions{Instance: "a", Peers: []string{c.peer}}, &http.Client{Transport: c.rt}, queueLen)
+			clk := vclock.NewVirtual(vclock.Epoch)
+			e := tunedExchange(ExchangeOptions{Instance: "a", Peers: []string{c.peer}}, clk, &http.Client{Transport: c.rt}, queueLen)
 			defer e.Close()
-			e.Publish("t", "/", `"v"`, "{}", time.Now().Add(time.Minute).UnixNano())
+			e.Publish("t", "/", `"v"`, "{}", clk.Now().Add(time.Minute).UnixNano())
 			waitFor(t, c.reason(&e.Metrics), 1)
 			if e.Metrics.Dropped.Load() != 1 {
 				t.Fatalf("Dropped = %d, want 1", e.Metrics.Dropped.Load())
@@ -240,9 +242,10 @@ func TestExchangeDrops(t *testing.T) {
 			<-release
 			return answer(200)(nil)
 		})
-		e := tunedExchange(ExchangeOptions{Instance: "a", Peers: []string{"http://peer"}}, &http.Client{Transport: stall}, 1)
+		clk := vclock.NewVirtual(vclock.Epoch)
+		e := tunedExchange(ExchangeOptions{Instance: "a", Peers: []string{"http://peer"}}, clk, &http.Client{Transport: stall}, 1)
 		defer e.Close()
-		exp := time.Now().Add(time.Minute).UnixNano()
+		exp := clk.Now().Add(time.Minute).UnixNano()
 		e.Publish("t", "/1", `"v"`, "{}", exp)
 		<-entered                              // the sender holds the first announcement
 		e.Publish("t", "/2", `"v"`, "{}", exp) // fills the queue
@@ -268,26 +271,37 @@ func waitFor(t *testing.T, c *telemetry.Counter, want int64) {
 	}
 }
 
-// TestExchangeTTLCap pins that a sender's extravagant lifetime is clamped
-// to the receiver's maxTTL.
+// TestExchangeTTLCap pins the exchange's one age bound to the nanosecond: an
+// announcement is held until its receipt plus the lifetime it carries, capped
+// at maxTTL, and not one tick longer.
 func TestExchangeTTLCap(t *testing.T) {
-	e := NewExchange(ExchangeOptions{Instance: "x"})
-	e.maxTTL = 50 * time.Millisecond
-	defer e.Close()
-	body := fmt.Sprintf(`{"tenant":"t","page":"/","tag":"v","enc":"{}","ttl":%d}`, time.Hour)
-	rec := httptest.NewRecorder()
-	e.Handler().ServeHTTP(rec, httptest.NewRequest("POST", HotMapPath, strings.NewReader(body)))
-	if rec.Code != 200 {
-		t.Fatalf("announcement refused: %d %s", rec.Code, rec.Body.String())
-	}
-	if _, exp, ok := e.Lookup("t", "/", "v"); !ok {
-		t.Fatal("announcement not stored")
-	} else if until := time.Until(time.Unix(0, exp)); until > 60*time.Millisecond {
-		t.Fatalf("expiry %v out, beyond the 50ms MaxTTL", until)
-	}
-	time.Sleep(60 * time.Millisecond)
-	if _, _, ok := e.Lookup("t", "/", "v"); ok {
-		t.Fatal("expired announcement still served")
+	for _, c := range []struct {
+		name      string
+		ttl, held time.Duration
+	}{
+		{"lifetime under the cap", time.Second, time.Second},
+		{"extravagant lifetime capped", time.Hour, maxTTL},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			clk := vclock.NewVirtual(vclock.Epoch)
+			e := tunedExchange(ExchangeOptions{Instance: "x"}, clk, &http.Client{}, queueLen)
+			defer e.Close()
+			receipt := clk.Now()
+			body := fmt.Sprintf(`{"tenant":"t","page":"/","tag":"v","enc":"{}","ttl":%d}`, c.ttl)
+			rec := httptest.NewRecorder()
+			e.Handler().ServeHTTP(rec, httptest.NewRequest("POST", HotMapPath, strings.NewReader(body)))
+			if rec.Code != 200 {
+				t.Fatalf("announcement refused: %d %s", rec.Code, rec.Body.String())
+			}
+			clk.Advance(c.held - 1)
+			if _, exp, ok := e.Lookup("t", "/", "v"); !ok || exp != receipt.Add(c.held).UnixNano() {
+				t.Fatalf("one tick before the bound: Lookup = (%v, %v), want held until receipt + %v", exp, ok, c.held)
+			}
+			clk.Advance(1)
+			if _, _, ok := e.Lookup("t", "/", "v"); ok {
+				t.Fatalf("still held %v after receipt", c.held)
+			}
+		})
 	}
 }
 
@@ -297,35 +311,21 @@ func TestExchangeTTLCap(t *testing.T) {
 // probes' one second; an absolute deadline on the wire would have been
 // trusted for as long as the skew, up to the receiver's whole cap.
 func TestExchangeTrustsRemainingLifetime(t *testing.T) {
-	body := fmt.Sprintf(`{"tenant":"t","page":"/","tag":"v","enc":"{}","ttl":%d}`, time.Second)
-	e := NewExchange(ExchangeOptions{Instance: "x"})
-	defer e.Close()
-	before := time.Now()
-	rec := httptest.NewRecorder()
-	e.Handler().ServeHTTP(rec, httptest.NewRequest("POST", HotMapPath, strings.NewReader(body)))
-	if rec.Code != 200 {
-		t.Fatalf("announcement with a lifetime refused: %d %s", rec.Code, rec.Body.String())
-	}
-	if _, exp, ok := e.Lookup("t", "/", "v"); !ok {
-		t.Fatal("announcement not stored")
-	} else if lo, hi := before.Add(time.Second).UnixNano(), time.Now().Add(time.Second).UnixNano(); exp < lo || exp > hi {
-		t.Fatalf("expiry %v after the receipt, want its 1s lifetime", time.Unix(0, exp).Sub(before))
-	}
-
-	// The sender turns its own deadline into the lifetime left.
-	recv := NewExchange(ExchangeOptions{Instance: "b"})
+	recvClock := vclock.NewVirtual(vclock.Epoch)
+	recv := tunedExchange(ExchangeOptions{Instance: "b"}, recvClock, &http.Client{}, queueLen)
 	defer recv.Close()
 	srv := httptest.NewServer(recv.Handler())
 	defer srv.Close()
-	send := NewExchange(ExchangeOptions{Instance: "a", Peers: []string{srv.URL}})
+	sendClock := vclock.NewVirtual(vclock.Epoch.Add(time.Hour)) // an hour ahead
+	send := tunedExchange(ExchangeOptions{Instance: "a", Peers: []string{srv.URL}}, sendClock, &http.Client{Timeout: sendTimeout}, queueLen)
 	defer send.Close()
-	published := time.Now()
-	send.Publish("t", "/", "v", "{}", published.Add(time.Second).UnixNano())
+
+	send.Publish("t", "/", "v", "{}", sendClock.Now().Add(time.Second).UnixNano())
 	waitFor(t, &recv.Metrics.Received, 1)
 	if _, exp, ok := recv.Lookup("t", "/", "v"); !ok {
 		t.Fatal("announcement not stored")
-	} else if over := time.Unix(0, exp).Sub(published); over > time.Second+time.Since(published) {
-		t.Fatalf("trusted for %v after publishing, want at most the 1s lifetime plus the time in flight", over)
+	} else if got, want := time.Unix(0, exp), recvClock.Now().Add(time.Second); !got.Equal(want) {
+		t.Fatalf("held until %v after the receipt, want the 1s lifetime it was sent with", got.Sub(recvClock.Now()))
 	}
 }
 
@@ -341,11 +341,11 @@ func FuzzHotMapAnnouncement(f *testing.F) {
 	f.Add([]byte(`{"tenant":"t","page":"/","tag":"v","enc":"{}","expires":1}`))
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte(`{`))
-	e := NewExchange(ExchangeOptions{Instance: "x"})
+	clk := vclock.NewVirtual(vclock.Epoch)
+	e := tunedExchange(ExchangeOptions{Instance: "x"}, clk, &http.Client{}, queueLen)
 	defer e.Close()
 	h := e.Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
-		before := time.Now()
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("POST", HotMapPath, bytes.NewReader(body)))
 		var msg hotMapMsg
@@ -362,8 +362,8 @@ func FuzzHotMapAnnouncement(f *testing.F) {
 		if _, err := core.DecodeMap(a.Enc); err != nil {
 			t.Fatalf("stored an encoding DecodeMap refuses: %q: %v", a.Enc, err)
 		}
-		if limit := time.Now().Add(maxTTL).UnixNano(); a.expires > limit {
-			t.Fatalf("held until %v past receipt, beyond maxTTL %v", time.Unix(0, a.expires).Sub(before), maxTTL)
+		if limit := clk.Now().Add(maxTTL).UnixNano(); a.expires > limit {
+			t.Fatalf("held until %v past receipt, beyond maxTTL %v", time.Unix(0, a.expires).Sub(clk.Now()), maxTTL)
 		}
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"cachecatalyst/internal/cachestore"
 	"cachecatalyst/internal/core"
 	"cachecatalyst/internal/telemetry"
+	"cachecatalyst/internal/vclock"
 )
 
 // HotMapPath is the endpoint peers POST hot-map announcements to. Mount
@@ -47,8 +48,9 @@ type ExchangeOptions struct {
 }
 
 // No program sets the values below, so they are constants rather than
-// options (DESIGN.md, "Frozen values"); a test reaches others through
-// newExchange and the maxTTL field (export_test.go).
+// options (DESIGN.md, "Frozen values"); a test reaches another client and
+// queue length through newExchange (export_test.go), and moves past maxTTL
+// on the clock it hands newExchange.
 const (
 	// sendTimeout bounds one peer POST: gossip must never hold the sender
 	// hostage to a dead peer.
@@ -103,7 +105,7 @@ func count(total, reason *telemetry.Counter) {
 type Exchange struct {
 	opts    ExchangeOptions
 	client  *http.Client
-	maxTTL  time.Duration
+	clock   vclock.Clock // every expiry and lifetime is read off it
 	local   *cachestore.Store[hotMapMsg]
 	queue   chan hotMapMsg
 	done    chan struct{}
@@ -113,14 +115,14 @@ type Exchange struct {
 
 // NewExchange starts an exchange; Close releases its sender goroutine.
 func NewExchange(opts ExchangeOptions) *Exchange {
-	return newExchange(opts, &http.Client{Timeout: sendTimeout}, queueLen)
+	return newExchange(opts, vclock.System{}, &http.Client{Timeout: sendTimeout}, queueLen)
 }
 
-func newExchange(opts ExchangeOptions, client *http.Client, queueLen int) *Exchange {
+func newExchange(opts ExchangeOptions, clock vclock.Clock, client *http.Client, queueLen int) *Exchange {
 	e := &Exchange{
 		opts:   opts,
 		client: client,
-		maxTTL: maxTTL,
+		clock:  clock,
 		queue:  make(chan hotMapMsg, queueLen),
 		done:   make(chan struct{}),
 	}
@@ -163,7 +165,7 @@ func hotMapKey(tenant, page, tag string) string {
 // held and unexpired. Implements catalyst.MapExchange.
 func (e *Exchange) Lookup(tenant, page, tag string) (string, int64, bool) {
 	m, ok := e.local.Get(hotMapKey(tenant, page, tag))
-	if !ok || time.Now().UnixNano() >= m.expires {
+	if !ok || e.clock.Now().UnixNano() >= m.expires {
 		return "", 0, false
 	}
 	e.Metrics.Adopted.Add(1)
@@ -200,7 +202,7 @@ func (e *Exchange) sender() {
 		case msg := <-e.queue:
 			// The lifetime is read off the clock as late as possible, so time
 			// spent queued is not trusted on the receiving end.
-			msg.TTL = msg.expires - time.Now().UnixNano()
+			msg.TTL = msg.expires - e.clock.Now().UnixNano()
 			body, err := json.Marshal(msg)
 			if err != nil {
 				continue
@@ -239,7 +241,7 @@ const maxAnnouncementBytes = core.MaxEncodedMapBytes + 64<<10
 // lifetime runs from the receive time, capped at maxTTL.
 func (e *Exchange) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		receipt := time.Now()
+		receipt := e.clock.Now()
 		if r.Method != http.MethodPost {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
@@ -267,7 +269,7 @@ func (e *Exchange) Handler() http.Handler {
 			return
 		}
 		// Cap the trust window to this instance's own tolerance.
-		msg.expires = receipt.Add(min(time.Duration(msg.TTL), e.maxTTL)).UnixNano()
+		msg.expires = receipt.Add(min(time.Duration(msg.TTL), maxTTL)).UnixNano()
 		e.local.Put(hotMapKey(msg.Tenant, msg.Page, msg.Tag), msg)
 		e.Metrics.Received.Add(1)
 		w.WriteHeader(http.StatusOK)

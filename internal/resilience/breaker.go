@@ -35,55 +35,31 @@ func (s BreakerState) String() string {
 
 // BreakerOptions configures a Breaker.
 type BreakerOptions struct {
-	// FailureThreshold is how many consecutive failures open the
-	// breaker. Zero selects 5; negative disables the breaker (Allow
-	// always true).
-	FailureThreshold int
-	// Cooldown is how long an open breaker refuses traffic before
-	// letting a half-open trial through. Zero selects 5 seconds.
-	Cooldown time.Duration
-	// Now supplies the clock; nil means time.Now. Tests inject one so
-	// cooldown expiry needs no real sleeping.
-	Now func() time.Time
 	// Telemetry, when set with a non-empty Name, indexes trip/probe
 	// counters under Name.
 	Telemetry *telemetry.Registry
 	Name      string
 }
 
-func (o BreakerOptions) threshold() int {
-	if o.FailureThreshold < 0 {
-		return 0
-	}
-	if o.FailureThreshold == 0 {
-		return 5
-	}
-	return o.FailureThreshold
-}
-
-func (o BreakerOptions) cooldown() time.Duration {
-	if o.Cooldown <= 0 {
-		return 5 * time.Second
-	}
-	return o.Cooldown
-}
-
-func (o BreakerOptions) now() time.Time {
-	if o.Now != nil {
-		return o.Now()
-	}
-	return time.Now()
-}
+// No program sets the values below, so they are constants rather than
+// options (DESIGN.md, "Frozen values").
+const (
+	// BreakerThreshold consecutive failures open a breaker.
+	BreakerThreshold = 5
+	// BreakerCooldown is how long an open breaker refuses traffic before
+	// letting a half-open trial through.
+	BreakerCooldown = 5 * time.Second
+)
 
 // Breaker is a consecutive-failure circuit breaker guarding one origin:
 // closed it only counts, at the threshold it opens and refuses fast, and
 // after the cooldown it half-opens to let a single trial decide. The
 // serving path records outcomes passively; a HealthChecker can record
 // actively so a recovered origin closes the breaker without waiting for
-// user traffic to gamble on it.
+// user traffic to gamble on it. A breaker keeps no clock: every call
+// carries its caller's time, the serving path's clock or the checker's
+// wall clock.
 type Breaker struct {
-	opts BreakerOptions
-
 	mu       sync.Mutex
 	state    BreakerState
 	fails    int
@@ -94,21 +70,18 @@ type Breaker struct {
 
 // NewBreaker returns a closed breaker.
 func NewBreaker(opts BreakerOptions) *Breaker {
-	b := &Breaker{opts: opts}
+	b := &Breaker{}
 	if opts.Telemetry != nil && opts.Name != "" {
 		b.trips = opts.Telemetry.Counter(opts.Name + ".trips")
 	}
 	return b
 }
 
-// Allow reports whether a request may proceed. In the open state it
-// returns false until the cooldown has elapsed, then flips to half-open
+// Allow reports whether a request may proceed at now. In the open state it
+// returns false until BreakerCooldown has elapsed, then flips to half-open
 // and admits exactly one trial; further calls are refused until Record
 // settles the trial.
-func (b *Breaker) Allow() bool {
-	if b.opts.threshold() == 0 {
-		return true
-	}
+func (b *Breaker) Allow(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -117,7 +90,7 @@ func (b *Breaker) Allow() bool {
 	case BreakerHalfOpen:
 		return false // a trial is already in flight
 	default:
-		if b.opts.now().Sub(b.openedAt) < b.opts.cooldown() {
+		if now.Sub(b.openedAt) < BreakerCooldown {
 			return false
 		}
 		b.state = BreakerHalfOpen
@@ -125,14 +98,10 @@ func (b *Breaker) Allow() bool {
 	}
 }
 
-// Record feeds one observed outcome into the breaker: a success closes it
-// (or resets the failure run), a failure extends the run and opens the
-// breaker at the threshold. Half-open trials settle here.
-func (b *Breaker) Record(ok bool) {
-	threshold := b.opts.threshold()
-	if threshold == 0 {
-		return
-	}
+// Record feeds one outcome observed at now into the breaker: a success
+// closes it (or resets the failure run), a failure extends the run and
+// opens the breaker at the threshold. Half-open trials settle here.
+func (b *Breaker) Record(ok bool, now time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if ok {
@@ -141,14 +110,12 @@ func (b *Breaker) Record(ok bool) {
 		return
 	}
 	b.fails++
-	if b.state == BreakerHalfOpen || b.fails >= threshold {
-		if b.state != BreakerOpen {
-			if b.trips != nil {
-				b.trips.Add(1)
-			}
+	if b.state == BreakerHalfOpen || b.fails >= BreakerThreshold {
+		if b.state != BreakerOpen && b.trips != nil {
+			b.trips.Add(1)
 		}
 		b.state = BreakerOpen
-		b.openedAt = b.opts.now()
+		b.openedAt = now
 		b.fails = 0
 	}
 }
@@ -244,5 +211,5 @@ func (h *HealthChecker) check() {
 	if err != nil {
 		h.failures.Add(1)
 	}
-	h.breaker.Record(err == nil)
+	h.breaker.Record(err == nil, time.Now())
 }

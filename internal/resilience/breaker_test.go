@@ -11,23 +11,26 @@ import (
 	"cachecatalyst/internal/telemetry"
 )
 
-// fakeClock drives breaker cooldowns without sleeping.
-type fakeClock struct{ now atomic.Int64 }
+// t0 is the time the breaker tests start at; each passes its own times.
+var t0 = time.Date(2024, time.November, 18, 0, 0, 0, 0, time.UTC)
 
-func (c *fakeClock) Now() time.Time          { return time.Unix(0, c.now.Load()) }
-func (c *fakeClock) Advance(d time.Duration) { c.now.Add(int64(d)) }
+// trip records BreakerThreshold failures at now.
+func trip(b *Breaker, now time.Time) {
+	for i := 0; i < BreakerThreshold; i++ {
+		b.Record(false, now)
+	}
+}
 
 func TestBreakerOpensAtThreshold(t *testing.T) {
-	clk := &fakeClock{}
-	b := NewBreaker(BreakerOptions{FailureThreshold: 3, Cooldown: time.Second, Now: clk.Now})
-	for i := 0; i < 2; i++ {
-		b.Record(false)
-		if !b.Allow() {
-			t.Fatalf("open after %d failures, threshold 3", i+1)
+	b := NewBreaker(BreakerOptions{})
+	for i := 0; i < BreakerThreshold-1; i++ {
+		b.Record(false, t0)
+		if !b.Allow(t0) {
+			t.Fatalf("open after %d failures, threshold %d", i+1, BreakerThreshold)
 		}
 	}
-	b.Record(false)
-	if b.Allow() {
+	b.Record(false, t0)
+	if b.Allow(t0) {
 		t.Fatal("still allowing at threshold")
 	}
 	if b.State() != BreakerOpen {
@@ -36,64 +39,56 @@ func TestBreakerOpensAtThreshold(t *testing.T) {
 }
 
 func TestBreakerSuccessResetsRun(t *testing.T) {
-	b := NewBreaker(BreakerOptions{FailureThreshold: 3})
-	b.Record(false)
-	b.Record(false)
-	b.Record(true)
-	b.Record(false)
-	b.Record(false)
-	if !b.Allow() {
+	b := NewBreaker(BreakerOptions{})
+	for i := 0; i < BreakerThreshold-1; i++ {
+		b.Record(false, t0)
+	}
+	b.Record(true, t0)
+	for i := 0; i < BreakerThreshold-1; i++ {
+		b.Record(false, t0)
+	}
+	if !b.Allow(t0) {
 		t.Fatal("non-consecutive failures opened the breaker")
 	}
 }
 
+// TestBreakerHalfOpenTrial pins the cooldown to the nanosecond: an open
+// breaker refuses until BreakerCooldown has passed since it opened, then
+// admits exactly one trial.
 func TestBreakerHalfOpenTrial(t *testing.T) {
-	clk := &fakeClock{}
-	b := NewBreaker(BreakerOptions{FailureThreshold: 1, Cooldown: time.Second, Now: clk.Now})
-	b.Record(false)
-	if b.Allow() {
-		t.Fatal("open breaker allowed traffic")
+	b := NewBreaker(BreakerOptions{})
+	trip(b, t0)
+	if b.Allow(t0.Add(BreakerCooldown - 1)) {
+		t.Fatal("open breaker allowed traffic one tick before its cooldown ended")
 	}
-	clk.Advance(2 * time.Second)
-	if !b.Allow() {
+	reopen := t0.Add(BreakerCooldown)
+	if !b.Allow(reopen) {
 		t.Fatal("cooldown elapsed but no trial admitted")
 	}
 	if b.State() != BreakerHalfOpen {
 		t.Fatalf("state = %v, want half-open", b.State())
 	}
-	if b.Allow() {
+	if b.Allow(reopen) {
 		t.Fatal("second trial admitted while first is in flight")
 	}
-	// Failed trial re-opens for a fresh cooldown.
-	b.Record(false)
-	if b.State() != BreakerOpen || b.Allow() {
-		t.Fatal("failed trial did not re-open")
+	// Failed trial re-opens for a fresh cooldown, from the trial's time.
+	b.Record(false, reopen)
+	if b.State() != BreakerOpen || b.Allow(reopen.Add(BreakerCooldown-1)) {
+		t.Fatal("failed trial did not re-open for a full cooldown")
 	}
 	// Another cooldown, successful trial closes.
-	clk.Advance(2 * time.Second)
-	if !b.Allow() {
+	if !b.Allow(reopen.Add(BreakerCooldown)) {
 		t.Fatal("no second trial")
 	}
-	b.Record(true)
-	if b.State() != BreakerClosed || !b.Allow() {
+	b.Record(true, reopen.Add(BreakerCooldown))
+	if b.State() != BreakerClosed || !b.Allow(reopen.Add(BreakerCooldown)) {
 		t.Fatal("successful trial did not close")
-	}
-}
-
-func TestBreakerDisabled(t *testing.T) {
-	b := NewBreaker(BreakerOptions{FailureThreshold: -1})
-	for i := 0; i < 100; i++ {
-		b.Record(false)
-	}
-	if !b.Allow() {
-		t.Fatal("disabled breaker opened")
 	}
 }
 
 func TestHealthCheckerDrivesBreaker(t *testing.T) {
 	leakcheck.Check(t)
-	clk := &fakeClock{}
-	b := NewBreaker(BreakerOptions{FailureThreshold: 2, Cooldown: time.Hour, Now: clk.Now})
+	b := NewBreaker(BreakerOptions{})
 	var healthy atomic.Bool
 	reg := telemetry.NewRegistry()
 	h := NewHealthChecker(b, func(ctx context.Context) error {
@@ -118,9 +113,9 @@ func TestHealthCheckerDrivesBreaker(t *testing.T) {
 	// Unhealthy origin: the checker opens the breaker without any user
 	// traffic failing first.
 	waitFor(func() bool { return b.State() == BreakerOpen }, "checker never opened the breaker")
-	// Recovery: the checker's successful probes close it again, even
-	// though the cooldown (1h) is nowhere near elapsed — active health
-	// beats passive cooldown.
+	// Recovery: the checker's successful probes close it again, well
+	// before a cooldown would have elapsed — active health beats passive
+	// cooldown.
 	healthy.Store(true)
 	waitFor(func() bool { return b.State() == BreakerClosed }, "checker never closed the breaker")
 	if h.Checks() == 0 || h.Failures() == 0 {

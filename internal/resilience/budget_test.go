@@ -10,15 +10,8 @@ func TestWithBudgetEnforcesDeadline(t *testing.T) {
 	ctx, cancel := WithBudget(context.Background(), 30*time.Millisecond)
 	defer cancel()
 
-	b, ok := BudgetFrom(ctx)
-	if !ok {
-		t.Fatal("no budget on context")
-	}
-	if b.Total() != 30*time.Millisecond {
-		t.Fatalf("total = %v", b.Total())
-	}
-	if b.Exhausted() {
-		t.Fatal("budget exhausted at birth")
+	if BudgetSpent(ctx) {
+		t.Fatal("budget spent at birth")
 	}
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
 		t.Fatal("budget did not set a context deadline")
@@ -29,11 +22,8 @@ func TestWithBudgetEnforcesDeadline(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("budget deadline never fired")
 	}
-	if !b.Exhausted() || b.Remaining() != 0 {
-		t.Fatalf("after expiry: exhausted=%v remaining=%v", b.Exhausted(), b.Remaining())
-	}
-	if b.Spent() < 30*time.Millisecond {
-		t.Fatalf("spent = %v, want >= total", b.Spent())
+	if !BudgetSpent(ctx) {
+		t.Fatal("deadline fired but the budget is not spent")
 	}
 }
 
@@ -44,11 +34,13 @@ func TestWithBudgetZeroIsNoOp(t *testing.T) {
 	if ctx != parent {
 		t.Fatal("zero budget changed the context")
 	}
-	if _, ok := BudgetFrom(ctx); ok {
-		t.Fatal("zero budget recorded a budget")
+	if BudgetSpent(ctx) {
+		t.Fatal("a context without a budget reads spent")
 	}
 }
 
+// TestWithBudgetKeepsEarlierDeadline: an earlier parent deadline bounds the
+// context, but its passing spends no budget.
 func TestWithBudgetKeepsEarlierDeadline(t *testing.T) {
 	parent, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
@@ -62,7 +54,21 @@ func TestWithBudgetKeepsEarlierDeadline(t *testing.T) {
 	if time.Until(d) > time.Second {
 		t.Fatalf("budget overrode the earlier deadline: %v away", time.Until(d))
 	}
-	if _, ok := BudgetFrom(ctx); !ok {
-		t.Fatal("budget not recorded for accounting")
+	<-ctx.Done()
+	if BudgetSpent(ctx) {
+		t.Fatal("the parent's earlier deadline passed, and the budget reads spent")
+	}
+}
+
+// TestBudgetNotSpentByCancel: a client going away ends the context but
+// spends no budget.
+func TestBudgetNotSpentByCancel(t *testing.T) {
+	parent, cancel := context.WithCancel(context.Background())
+	ctx, cancel2 := WithBudget(parent, time.Hour)
+	defer cancel2()
+	cancel()
+	<-ctx.Done()
+	if BudgetSpent(ctx) {
+		t.Fatal("a cancelled request reads its budget spent")
 	}
 }
