@@ -23,11 +23,13 @@ vet:
 # Fork guard: the HTML decoration stages exist once, unexported in catalyst,
 # where one front end runs them: catalyst.Middleware, in front of any handler
 # or of internal/server's content server; the compiler keeps renders, map
-# slots, resolves and delta bases out of every other package. Fails when, in
-# non-test code outside bench/ (which times the leaf functions themselves),
-# snippet injection or delta diffing gains a second call site, the
-# preload-hint cap a second definition, or internal/server a tenant path
-# (DESIGN.md §3) — or when internal/server builds an admission gate:
+# slots and resolves out of every other package. Fails when, in non-test
+# code outside bench/ (which times the leaf functions themselves), snippet
+# injection gains a second call site, the preload-hint cap a second
+# definition, or internal/server a tenant path (DESIGN.md §3) — or when a
+# package outside bench/ imports internal/delta, a diff library with no
+# serving path that only the benchmark's layer timings call (DESIGN.md §3)
+# — or when internal/server builds an admission gate:
 # resilience.NewGate( is the front end's (DESIGN.md §3, §7) — or when a
 # second reverse proxy is assembled beside catalyst.NewUpstream's, the one
 # upstream leg, or a second edge assembly beside catalyst.NewEdge, the one
@@ -81,7 +83,7 @@ vet:
 FORK_SRC = $(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' ./... | tr ' ' '\n' | grep -v '/bench/'
 forks:
 	@fail=0; src=$$($(FORK_SRC)); \
-	for pat in 'core\.\(InjectRegistration\|RegistrationOffset\)(' 'delta\.Diff(' 'maxPreloadHints *=' 'httputil\.NewSingleHostReverseProxy(' 'tenant\.Handler(' 'cluster\.NewExchange(' 'func MergeNotModified(' 'case "iframe":'; do \
+	for pat in 'core\.\(InjectRegistration\|RegistrationOffset\)(' 'maxPreloadHints *=' 'httputil\.NewSingleHostReverseProxy(' 'tenant\.Handler(' 'cluster\.NewExchange(' 'func MergeNotModified(' 'case "iframe":'; do \
 		n=$$(grep -h "$$pat" $$src | grep -vc '^[[:space:]]*//'); \
 		if [ "$$n" -ne 1 ]; then echo "forks: '$$pat' appears $$n times in non-test code, want 1:" >&2; grep -n "$$pat" $$src >&2; fail=1; fi; \
 	done; \
@@ -127,6 +129,8 @@ forks:
 		echo "forks: catalyst or internal/cluster reads the wall clock outside the stage timing; an age reads the injected vclock.Clock (DESIGN.md §7)" >&2; fail=1; fi; \
 	if grep -Hn 'Now[[:space:]]\+func()[[:space:]]*time\.Time' $$src | grep -v ':[0-9]*:[[:space:]]*//' >&2; then \
 		echo "forks: a Now func() time.Time field stands in for a clock; take a vclock.Clock or the caller's time (DESIGN.md §7)" >&2; fail=1; fi; \
+	if $(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -v '^[^:]*/bench: ' | grep ' cachecatalyst/internal/delta\( \|$$\)' >&2; then \
+		echo "forks: a package outside bench/ imports internal/delta; delta-encoded serving is deleted (DESIGN.md §3)" >&2; fail=1; fi; \
 	if $(GO) list -f '{{join .Imports "\n"}}' ./internal/server | grep -q 'internal/tenant$$'; then \
 		echo "forks: internal/server imports internal/tenant; the tenant path belongs to catalyst.Middleware" >&2; fail=1; fi; \
 	exit $$fail
@@ -160,8 +164,8 @@ fuzz:
 # prints the same bytes at -parallel 1 and -parallel 4. See EXPERIMENTS.md,
 # "Scheme matrix".
 schemes:
-	$(GO) test -race -count=1 -run 'SchemeMatrix|Scheme|Delta|EarlyHints|Broken|Memo' \
-		./internal/harness/ ./internal/browser/ ./internal/server/ ./internal/delta/ ./catalyst/
+	$(GO) test -race -count=1 -run 'SchemeMatrix|Scheme|EarlyHints|Broken|Memo' \
+		./internal/harness/ ./internal/browser/ ./internal/server/ ./catalyst/
 	$(GO) run ./cmd/schemes -sites 8
 	$(GO) run ./cmd/pltbench -experiment headline -sites 3 -json -parallel 1 > headline.p1.json
 	$(GO) run ./cmd/pltbench -experiment headline -sites 3 -json -parallel 4 > headline.p4.json

@@ -29,7 +29,6 @@ func TestOptionCensus(t *testing.T) {
 			"OriginBreaker",  // cmd/catalystd (proxy mode's health-checked breaker)
 			"ServerTiming",   // cmd/catalystd (-server-timing)
 			"Exchange",       // catalyst.NewEdge (its config's "cluster"), bench
-			"Delta",          // internal/harness (catalyst-delta scheme)
 		}},
 		{reflect.TypeOf(ServerOptions{}), []string{
 			"Record",         // cmd/catalystd (-record)

@@ -56,3 +56,17 @@ func TestWarmRevalidatedHitAllocations(t *testing.T) {
 	}
 	t.Logf("revalidated warm hit: %.1f allocs/op", n)
 }
+
+// sinkRender keeps the measured renders alive.
+var sinkRender render
+
+// TestColdRenderAllocations pins what one cold render of each fixture page
+// allocates: the body, the validator's two header forms, the references.
+// A render that builds a string no serve reads breaks it.
+func TestColdRenderAllocations(t *testing.T) {
+	for _, c := range renderFixtures {
+		if n := testing.AllocsPerRun(100, func() { sinkRender = newRender(c.pageURL, c.raw) }); n > c.allocs {
+			t.Errorf("%s: a cold render allocates %.0f times, want ≤ %.0f", c.pageURL, n, c.allocs)
+		}
+	}
+}

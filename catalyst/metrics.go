@@ -117,11 +117,6 @@ type middlewareMetrics struct {
 	// BudgetExhausted counts HTML responses delivered un-decorated
 	// because the request's deadline budget ran out before map assembly.
 	BudgetExhausted telemetry.Counter
-	// DeltasServed counts HTML responses answered with a CCD1 patch
-	// against the client's named base instead of the full body;
-	// DeltaBytesSaved accumulates body bytes avoided that way.
-	DeltasServed    telemetry.Counter
-	DeltaBytesSaved telemetry.Counter
 	// HotMapHits counts HTML responses whose X-Etag-Config was adopted
 	// from a cluster peer's published encoding (MiddlewareOptions.Exchange)
 	// instead of being assembled by a local probe fan-out.
@@ -147,8 +142,8 @@ func (m *middlewareMetrics) register(reg *telemetry.Registry, prefix, reuses str
 		"panics_recovered": &m.PanicsRecovered, "breaker_trips": &m.BreakerTrips, "map_entries_dropped": &m.MapEntriesDropped,
 		"maps_built": &m.MapsBuilt, "map_bytes": &m.MapBytes, reuses: &m.EncodeReuses, "map_sheds": &m.MapSheds,
 		"ladder_stale": &m.LadderStale, "ladder_passthrough": &m.LadderPassthrough, "ladder_rejected": &m.LadderRejected,
-		"budget_exhausted": &m.BudgetExhausted, "deltas_served": &m.DeltasServed, "delta_bytes_saved": &m.DeltaBytesSaved,
-		"hotmap_hits": &m.HotMapHits, "probe_revalidated": &m.ProbeRevalidated, "probe_fetched": &m.ProbeFetched,
+		"budget_exhausted": &m.BudgetExhausted, "hotmap_hits": &m.HotMapHits,
+		"probe_revalidated": &m.ProbeRevalidated, "probe_fetched": &m.ProbeFetched,
 		"page_revalidated": &m.PageRevalidated, "page_fetched": &m.PageFetched,
 	} {
 		reg.RegisterCounter(prefix+name, c)

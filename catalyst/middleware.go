@@ -10,7 +10,6 @@ import (
 
 	"cachecatalyst/internal/cachestore"
 	"cachecatalyst/internal/core"
-	"cachecatalyst/internal/delta"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/headers"
 	"cachecatalyst/internal/resilience"
@@ -71,13 +70,6 @@ type MiddlewareOptions struct {
 	// local probe fan-out. Nil disables the exchange. In front of a
 	// *server.Server, which probes nothing, it is unused.
 	Exchange MapExchange
-	// Delta enables delta-encoded HTML: recently served page bodies are
-	// retained keyed by their validator, and a request naming one in
-	// X-Delta-Base is answered with a CCD1 patch (internal/delta) against
-	// that base — marked X-Delta-From — whenever the patch is smaller
-	// than the full body. The Etag is always the current entity's. The
-	// retained-base cache holds bodyStoreBudget bytes.
-	Delta bool
 }
 
 // No program sets the values below, so they are constants rather than
@@ -132,6 +124,10 @@ const (
 // defaultRenderBytes is the render cache budget a zero MaxRenderBytes
 // selects.
 const defaultRenderBytes = 16 << 20
+
+// bodyStoreBudget bounds the stale cache, the one store that keeps a body
+// per page beside the renders.
+const bodyStoreBudget = 8 << 20
 
 // tuning holds the frozen values a test needs other settings of. Middleware
 // serves with frozen(), the one place they are read; only a test reaches
@@ -243,7 +239,7 @@ type middleware struct {
 }
 
 // tenantState is one tenant's slice of the middleware: its caches (probe
-// results, rendered pages, stale copies, delta bases), its admission gate
+// results, rendered pages, stale copies), its admission gate
 // and its upstream breaker. Dimensioning the state
 // this way is what makes the degradation ladder per-tenant: one tenant's
 // saturated or flapping upstream trips its own gate and breaker while its
@@ -257,11 +253,8 @@ type tenantState struct {
 	// not (see renderEntry); nil when disabled.
 	renders *cachestore.Store[*renderEntry]
 	stales  *cachestore.Store[*staleEntry] // last-known-good serves; nil when disabled
-	// deltaBases retains recently served page bodies (deltaBase);
-	// nil when Options.Delta is off.
-	deltaBases *cachestore.Store[[]byte]
-	gate       *resilience.Gate    // admission control; nil when disabled
-	breaker    *resilience.Breaker // inner-handler health; nil when disabled
+	gate    *resilience.Gate               // admission control; nil when disabled
+	breaker *resilience.Breaker            // inner-handler health; nil when disabled
 	// staleTTL and requestBudget are the resolved knobs (the tenant's own
 	// values, or the options when unset).
 	staleTTL      time.Duration
@@ -320,26 +313,12 @@ func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
 	} else {
 		ts.name, prefix = t.Name, "tenant."+t.Name+"."
 	}
-	// Stale copies and delta bases get half the tenant's budget.
-	half := t.BudgetBytes / 2
-	if t.BudgetBytes < 0 {
-		half = -1
-	}
-
 	if o.MaxRenderBytes >= 0 {
 		ts.renders = cachestore.New(cachestore.Options[*renderEntry]{
 			MaxBytes:  budget(t.BudgetBytes, cmp.Or(o.MaxRenderBytes, defaultRenderBytes)),
 			SizeOf:    renderEntrySize,
 			Telemetry: o.Telemetry,
 			Name:      prefix + "renders",
-		})
-	}
-	if o.Delta {
-		ts.deltaBases = cachestore.New(cachestore.Options[[]byte]{
-			MaxBytes:  budget(half, bodyStoreBudget),
-			SizeOf:    func(key string, body []byte) int64 { return int64(len(key) + len(body)) },
-			Telemetry: o.Telemetry,
-			Name:      prefix + "delta_bases",
 		})
 	}
 	maxInflight := o.MaxInflight
@@ -382,6 +361,11 @@ func (m *middleware) initState(ts *tenantState, t *tenant.Tenant) {
 		ts.staleTTL = t.StaleFor
 	}
 	if t.StaleFor >= 0 {
+		// Stale copies get half the tenant's budget.
+		half := t.BudgetBytes / 2
+		if t.BudgetBytes < 0 {
+			half = -1
+		}
 		ts.stales = cachestore.New(cachestore.Options[*staleEntry]{
 			MaxBytes:  budget(half, bodyStoreBudget),
 			SizeOf:    staleEntrySize,
@@ -577,9 +561,9 @@ func (m *middleware) fetchPage(ts *tenantState, sw *sniffWriter, r *http.Request
 // serveHTML decorates and delivers a page: the buffered 200 HTML entity, or
 // — when held is set — the held render, which the inner handler has just
 // answered 304 for. On a fully-warm unchanged page — render hit, cached
-// encoding still valid, no conditionals, no delta — this function acquires
-// no mutex and allocates nothing when the page was downloaded, and only the
-// header merge's one value array when it was revalidated: every header value
+// encoding still valid, no conditionals — this function acquires no mutex
+// and allocates nothing when the page was downloaded, and only the header
+// merge's one value array when it was revalidated: every header value
 // it writes was precomputed when the render or encoding was cached.
 func (m *middleware) serveHTML(ts *tenantState, w http.ResponseWriter, r *http.Request, sw *sniffWriter, pageURL string, held *renderEntry) {
 	ctx, span := telemetry.BeginSpan(r.Context(), "middleware")
@@ -663,13 +647,12 @@ func (a admission) end() {
 }
 
 // serveDecorated is the pipeline from the render on, whatever the source:
-// delta base, map, Etag, stale copy, decisions, conditional answer and body,
-// under the page's other headers, which w's header carries already. session
-// names the recording session whose extras the map carries ("" for none).
+// map, Etag, stale copy, decisions, conditional answer and body, under the
+// page's other headers, which w's header carries already. session names
+// the recording session whose extras the map carries ("" for none).
 // It reports the status and body bytes written and the map's entry count.
 func (m *middleware) serveDecorated(ctx context.Context, ts *tenantState, w http.ResponseWriter, r *http.Request, pageURL string, ent *renderEntry, session string) (status, n, entries int) {
 	h := w.Header()
-	base, from := deltaBase(ts.deltaBases, r, pageURL, &ent.render)
 	hdr, entries, decision := m.mapFor(ctx, ts, r, pageURL, ent, session)
 	switch decision {
 	case "map-built":
@@ -690,18 +673,8 @@ func (m *middleware) serveDecorated(ctx context.Context, ts *tenantState, w http
 		w.WriteHeader(http.StatusNotModified)
 		return http.StatusNotModified, 0, entries
 	}
-	// A validator match above wins over a patch (the 304 transfers nothing
-	// at all); here the entity changed, so diff lazily.
-	body, clen := ent.Body, ent.ClenHeader
-	if p, ok := patch(base, body); ok {
-		m.metrics.DeltasServed.Add(1)
-		m.metrics.DeltaBytesSaved.Add(int64(len(body) - len(p)))
-		h.Set(delta.FromHeader, from)
-		m.decide(ctx, h, "delta", pageURL)
-		body, clen = p, nil
-	}
 	m.decide(ctx, h, "network", pageURL)
-	return http.StatusOK, server.WriteEntity(w, r, body, clen), entries
+	return http.StatusOK, server.WriteEntity(w, r, ent.Body, ent.ClenHeader), entries
 }
 
 // mapFor is the one map path, whatever the source: it returns ent's

@@ -2,19 +2,12 @@ package catalyst
 
 import (
 	"bytes"
-	"net/http"
 	"strconv"
 	"strings"
 
-	"cachecatalyst/internal/cachestore"
 	"cachecatalyst/internal/core"
-	"cachecatalyst/internal/delta"
 	"cachecatalyst/internal/etag"
 )
-
-// bodyStoreBudget bounds each store that keeps one body per page: delta
-// bases and stale copies.
-const bodyStoreBudget = 8 << 20
 
 // render is everything about one decorated page that is a pure function of
 // its URL and raw HTML: the extracted subresource references, the
@@ -34,9 +27,6 @@ type render struct {
 	TagStr     string
 	EtagHeader []string
 	ClenHeader []string
-	// DeltaKey is the key Body is retained under as a future delta base:
-	// pageURL + NUL + validator.
-	DeltaKey string
 	// snipAt and snipLen locate the injected snippet in Body (snipLen 0 when
 	// the raw page already carried it): the raw page is
 	// Body[:snipAt] + Body[snipAt+snipLen:], which is how isRenderOf
@@ -59,7 +49,6 @@ func newRender(pageURL, raw string) render {
 		TagStr:     tagStr,
 		EtagHeader: []string{tagStr},
 		ClenHeader: []string{strconv.Itoa(len(body))},
-		DeltaKey:   pageURL + "\x00" + tagStr,
 		snipAt:     at,
 		snipLen:    gap,
 	}
@@ -86,34 +75,3 @@ func (rd *render) raw() []byte {
 // isCSS reports whether a content type is a stylesheet — the responses a
 // resolve inspects recursively.
 func isCSS(contentType string) bool { return strings.HasPrefix(contentType, "text/css") }
-
-// deltaBase retains rd's body under its validator as a future diff base,
-// and returns the retained body the request names in X-Delta-Base, if any,
-// with its tag. The lock-free Get doubles as the promotion that keeps a hot
-// base resident, so a warm serve writes nothing. A nil store means delta
-// encoding is off.
-func deltaBase(bases *cachestore.Store[[]byte], r *http.Request, pageURL string, rd *render) (base []byte, from string) {
-	if bases == nil {
-		return nil, ""
-	}
-	if _, ok := bases.Get(rd.DeltaKey); !ok {
-		bases.Put(rd.DeltaKey, rd.Body)
-	}
-	if from = r.Header.Get(delta.RequestHeader); from != "" && from != rd.TagStr {
-		if base, ok := bases.Get(pageURL + "\x00" + from); ok {
-			return base, from
-		}
-	}
-	return nil, ""
-}
-
-// patch returns the CCD1 patch from base to body when it is strictly
-// smaller than body. Callers answer conditionals first — a 304 transfers
-// nothing at all — so the diff runs only for a changed entity.
-func patch(base, body []byte) ([]byte, bool) {
-	if base == nil {
-		return nil, false
-	}
-	p := delta.Diff(base, body)
-	return p, len(p) < len(body)
-}

@@ -169,7 +169,7 @@ func TestTenantDefaultPathUntouched(t *testing.T) {
 		return resilience.NewBreaker(resilience.BreakerOptions{})
 	}
 	mw := Middleware(tr, MiddlewareOptions{
-		Telemetry: reg, Delta: true, MaxInflight: 4, OriginBreaker: breaker(),
+		Telemetry: reg, MaxInflight: 4, OriginBreaker: breaker(),
 	})
 
 	rec := httptest.NewRecorder()
@@ -196,8 +196,7 @@ func TestTenantDefaultPathUntouched(t *testing.T) {
 	}
 	parts := func(s *tenantState) map[string]bool {
 		return map[string]bool{
-			"probes": s.probes != nil, "renders": s.renders != nil,
-			"stales": s.stales != nil, "delta_bases": s.deltaBases != nil,
+			"probes": s.probes != nil, "renders": s.renders != nil, "stales": s.stales != nil,
 			"gate": s.gate != nil, "breaker": s.breaker != nil,
 		}
 	}
@@ -212,7 +211,7 @@ func TestTenantDefaultPathUntouched(t *testing.T) {
 		t.Error("tenant state shares a cache, gate or breaker with the default state")
 	}
 	snap = reg.Snapshot()
-	for _, kind := range []string{"probes", "renders", "stales", "delta_bases"} {
+	for _, kind := range []string{"probes", "renders", "stales"} {
 		for _, name := range []string{"middleware." + kind + ".puts", "tenant.acme." + kind + ".puts"} {
 			if _, ok := snap.Counters[name]; !ok {
 				t.Errorf("instrument %q not registered", name)
@@ -279,33 +278,33 @@ func TestTenantStateBuiltOnceUnderConcurrentFirstRequests(t *testing.T) {
 }
 
 // TestTenantStoreBudgets pins the byte budget of every store a tenant's
-// state opens: the render cache takes the tenant's budget, stale copies and
-// delta bases half of it; zero keeps the default state's budgets, a
-// negative budget means unbounded (MaxBytes 0), and the probe cache keeps
-// the default's whatever the tenant bought. A disabled render cache stays
-// disabled for every tenant.
+// state opens: the render cache takes the tenant's budget, stale copies
+// half of it; zero keeps the default state's budgets, a negative budget
+// means unbounded (MaxBytes 0), and the probe cache keeps the default's
+// whatever the tenant bought. A disabled render cache stays disabled for
+// every tenant.
 func TestTenantStoreBudgets(t *testing.T) {
 	probeBudget := int64(maxProbeEntries) * probeBaseCost
-	type budgets struct{ renders, stales, deltaBases, probes int64 }
+	type budgets struct{ renders, stales, probes int64 }
 	for _, c := range []struct {
 		name           string
 		maxRenderBytes int64
 		budgetBytes    int64
 		want           budgets
 	}{
-		{"inherit", 0, 0, budgets{defaultRenderBytes, bodyStoreBudget, bodyStoreBudget, probeBudget}},
-		{"inherit-option", 4 << 20, 0, budgets{4 << 20, bodyStoreBudget, bodyStoreBudget, probeBudget}},
-		{"own", 0, 2 << 20, budgets{2 << 20, 1 << 20, 1 << 20, probeBudget}},
-		{"unbounded", 0, -1, budgets{0, 0, 0, probeBudget}},
-		{"renders-off", -1, 2 << 20, budgets{-1, 1 << 20, 1 << 20, probeBudget}},
+		{"inherit", 0, 0, budgets{defaultRenderBytes, bodyStoreBudget, probeBudget}},
+		{"inherit-option", 4 << 20, 0, budgets{4 << 20, bodyStoreBudget, probeBudget}},
+		{"own", 0, 2 << 20, budgets{2 << 20, 1 << 20, probeBudget}},
+		{"unbounded", 0, -1, budgets{0, 0, probeBudget}},
+		{"renders-off", -1, 2 << 20, budgets{-1, 1 << 20, probeBudget}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tr := &tenantRouter{}
 			tr.failing.Store("")
-			m := Middleware(tr, MiddlewareOptions{MaxRenderBytes: c.maxRenderBytes, Delta: true}).(*middleware)
+			m := Middleware(tr, MiddlewareOptions{MaxRenderBytes: c.maxRenderBytes}).(*middleware)
 			req := httptest.NewRequest(http.MethodGet, "/", nil)
 			ts := m.stateFor(req.WithContext(tenant.NewContext(req.Context(), &tenant.Tenant{Name: "acme", BudgetBytes: c.budgetBytes})))
-			got := budgets{-1, ts.stales.MaxBytes(), ts.deltaBases.MaxBytes(), ts.probes.MaxBytes()}
+			got := budgets{-1, ts.stales.MaxBytes(), ts.probes.MaxBytes()}
 			if ts.renders != nil {
 				got.renders = ts.renders.MaxBytes()
 			}

@@ -1,7 +1,7 @@
-// Command schemes prints the scheme-matrix conformance table: six
+// Command schemes prints the scheme-matrix conformance table: five
 // acceleration schemes — conventional caching, CacheCatalyst with and
-// without recording, HTTP/2 Server Push, 103 Early Hints and delta-encoded
-// HTML — crossed with a grid of network conditions.
+// without recording, HTTP/2 Server Push and 103 Early Hints — crossed with
+// a grid of network conditions.
 //
 //	schemes                  # the quick matrix behind EXPERIMENTS.md
 //	schemes -sites 20        # more sites per cell

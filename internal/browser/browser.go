@@ -21,7 +21,6 @@ import (
 
 	"cachecatalyst/internal/baselines"
 	"cachecatalyst/internal/core"
-	"cachecatalyst/internal/delta"
 	"cachecatalyst/internal/headers"
 	"cachecatalyst/internal/htmlparse"
 	"cachecatalyst/internal/httpcache"
@@ -130,11 +129,6 @@ type LoadResult struct {
 	// page never actually referenced (wasted preload bandwidth).
 	HintedPreloads int
 	HintedUnused   int
-	// DeltaApplied counts navigations reconstructed by patching the
-	// cached base HTML (catalyst-delta); DeltaFallbacks counts patches
-	// that failed verification and forced a full refetch.
-	DeltaApplied   int64
-	DeltaFallbacks int64
 	// Trace is the trace the caller passed to LoadContext, now holding
 	// every cache decision any layer recorded, in order. It is nil for a
 	// load through Load or through a context carrying no trace: such a
@@ -154,10 +148,6 @@ type Browser struct {
 	cache     *httpcache.Cache
 	registry  *sw.Registry
 	recorder  sw.AccessRecorder // nil unless WithAccessRecorder was called
-	// delta enables the catalyst-delta scheme: stale navigations name
-	// their cached validator in X-Delta-Base and patch the cached body
-	// with the server's CCD1 response (internal/delta).
-	delta bool
 	// cookies holds name→value per host; enough for the session cookie
 	// the recording extension depends on.
 	cookies map[string]map[string]string
@@ -224,15 +214,6 @@ func (b *Browser) Workers() *sw.Registry { return b.registry }
 func (b *Browser) WithAccessRecorder(rec sw.AccessRecorder) *Browser {
 	b.recorder = rec
 	b.ClearState()
-	return b
-}
-
-// WithDelta enables delta-encoded navigations (Catalyst mode only): a
-// stale page revisit offers its cached validator as a patch base and
-// reconstructs the current document from the server's diff. Returns b for
-// chaining at construction.
-func (b *Browser) WithDelta() *Browser {
-	b.delta = true
 	return b
 }
 
@@ -512,7 +493,7 @@ func (l *loader) recordsDecisions() bool { return l.trace != nil || l.b.OnFetch 
 // --- Conventional mode -----------------------------------------------
 
 func (l *loader) fetchConventional(host, path string, kind htmlparse.ResourceKind, isNav bool) {
-	l.fetchViaHTTPCache(host, path, kind, false, nil)
+	l.fetchViaHTTPCache(host, path, kind, nil)
 }
 
 // fetchViaHTTPCache implements the RFC 9111 client path: fresh entries are
@@ -521,13 +502,7 @@ func (l *loader) fetchConventional(host, path string, kind htmlparse.ResourceKin
 // the delivered response — the Catalyst mode uses it to mirror deliveries
 // into the Service-Worker cache, because a real SW's fetch() also flows
 // through the browser's HTTP cache.
-//
-// With offerBase set (the catalyst-delta navigation), a stale entry's
-// validator also names the cached copy as a patch base (X-Delta-Base): the
-// server may answer with a CCD1 patch (X-Delta-From) instead of the full
-// body, which is applied to the cached copy. A patch that fails
-// verification falls back to a plain full fetch.
-func (l *loader) fetchViaHTTPCache(host, path string, kind htmlparse.ResourceKind, offerBase bool, after func(*httpcache.Response)) {
+func (l *loader) fetchViaHTTPCache(host, path string, kind htmlparse.ResourceKind, after func(*httpcache.Response)) {
 	key := cacheKey(host, path)
 	entry, state := l.b.cache.Get(key)
 	if state == httpcache.Fresh {
@@ -546,18 +521,12 @@ func (l *loader) fetchViaHTTPCache(host, path string, kind htmlparse.ResourceKin
 	}
 	if state == httpcache.Stale {
 		hdr := make(http.Header)
-		tag, hasTag := entry.ETag()
-		if hasTag {
+		if tag, ok := entry.ETag(); ok {
 			hdr["If-None-Match"] = []string{tag.String()}
 		} else if lm := headers.Value(entry.Response.Header, "Last-Modified"); lm != "" {
 			// No entity tag; fall back to timestamp validation
 			// (If-Modified-Since), as browsers do.
 			hdr["If-Modified-Since"] = []string{lm}
-		}
-		offerBase = offerBase && hasTag
-		base := entry.Response.Body
-		if offerBase {
-			hdr[delta.RequestHeader] = []string{tag.String()}
 		}
 		if len(hdr) > 0 {
 			l.networkFetch(host, path, kind, hdr, func(resp *httpcache.Response, reqAt, respAt time.Duration) *httpcache.Response {
@@ -569,23 +538,6 @@ func (l *loader) fetchViaHTTPCache(host, path string, kind htmlparse.ResourceKin
 						after(fresh.Response)
 					}
 					return fresh.Response
-				}
-				if offerBase && headers.Value(resp.Header, delta.FromHeader) != "" {
-					recon, err := delta.Apply(base, resp.Body)
-					if err != nil {
-						// Corrupt or mismatched patch: refetch in full,
-						// without offering a base.
-						l.result.DeltaFallbacks++
-						l.decide(host, path, []string{"delta-fallback"})
-						l.networkFetch(host, path, kind, make(http.Header), full)
-						return nil // consumed: the fallback fetch delivers
-					}
-					patched := &httpcache.Response{StatusCode: http.StatusOK, Header: resp.Header.Clone(), Body: recon}
-					patched.Header.Del(delta.FromHeader)
-					patched.Header.Set("Content-Length", fmt.Sprint(len(recon)))
-					l.result.DeltaApplied++
-					l.decide(host, path, []string{"delta-applied"})
-					resp = patched
 				}
 				l.result.Validations200++
 				return full(resp, reqAt, respAt)
@@ -614,7 +566,7 @@ func (l *loader) fetchCatalyst(host, path string, kind htmlparse.ResourceKind, i
 		// HTML is typically no-cache, so this costs a conditional request
 		// whose 304 still carries the refreshed X-Etag-Config header —
 		// the client gets fresh tokens without re-downloading the page.
-		l.fetchViaHTTPCache(host, path, kind, l.b.delta, func(resp *httpcache.Response) {
+		l.fetchViaHTTPCache(host, path, kind, func(resp *httpcache.Response) {
 			if !registered && strings.Contains(resp.Text(), `serviceWorker`) {
 				l.b.registry.Register(host)
 			}
@@ -634,7 +586,7 @@ func (l *loader) fetchCatalyst(host, path string, kind htmlparse.ResourceKind, i
 	// through the HTTP cache, so conditional revalidation still applies to
 	// resources the map does not cover. The delivered response is mirrored
 	// into the SW cache for future zero-RTT hits.
-	l.fetchViaHTTPCache(host, path, kind, false, func(resp *httpcache.Response) {
+	l.fetchViaHTTPCache(host, path, kind, func(resp *httpcache.Response) {
 		if w, ok := l.b.registry.Lookup(l.pageHost); ok {
 			w.OnSubresourceResponse(swKey, resp)
 		}
@@ -683,7 +635,7 @@ func (l *loader) fetchEarlyHints(host, path string, kind htmlparse.ResourceKind,
 		l.hintKey = resKey{host, path}
 		l.onHints = func(h http.Header) { l.consumeHints(host, path, h) }
 	}
-	l.fetchViaHTTPCache(host, path, kind, false, nil)
+	l.fetchViaHTTPCache(host, path, kind, nil)
 }
 
 // consumeHints starts a fetch for every preload link in an early-hints
@@ -808,11 +760,6 @@ func (l *loader) attemptFetch(ep *netsim.Endpoint, host, path string, kind htmlp
 			return
 		}
 		resp := intercept(fr.Resp, reqAt, fr.End)
-		if resp == nil {
-			// The interceptor consumed the response and scheduled its own
-			// follow-up fetch (delta fallback): nothing to deliver here.
-			return
-		}
 		if l.b.OnFetch != nil {
 			l.b.OnFetch(FetchEvent{
 				Host: host, Path: path,
@@ -827,8 +774,8 @@ func (l *loader) attemptFetch(ep *netsim.Endpoint, host, path string, kind htmlp
 			l.finish(host, path)
 			return
 		}
-		// A body the interceptor swapped (for a cached copy, a patched
-		// page or a bundle's part) is not the origin's own.
+		// A body the interceptor swapped (for a cached copy or a bundle's
+		// part) is not the origin's own.
 		l.process(host, path, kind, resp, resp == fr.Resp)
 	})
 }

@@ -42,11 +42,11 @@ type world struct {
 
 // front is srv behind catalyst.Middleware when decorated, srv itself
 // otherwise.
-func front(srv *server.Server, decorated bool, opts catalyst.MiddlewareOptions) nethttp.Handler {
+func front(srv *server.Server, decorated bool) nethttp.Handler {
 	if !decorated {
 		return srv
 	}
-	return catalyst.Middleware(srv, opts)
+	return catalyst.Middleware(srv, catalyst.MiddlewareOptions{})
 }
 
 func newWorld(decorated bool) *world {
@@ -54,7 +54,7 @@ func newWorld(decorated bool) *world {
 	// d.jpg) are covered on revisits — the full Figure 1c configuration.
 	w := &world{clock: vclock.NewVirtual(vclock.Epoch), content: figure1Site()}
 	w.srv = server.New(w.content, server.Options{Record: decorated, Clock: w.clock})
-	w.origins = OriginMap{"site.example": server.NewOrigin(front(w.srv, decorated, catalyst.MiddlewareOptions{}))}
+	w.origins = OriginMap{"site.example": server.NewOrigin(front(w.srv, decorated))}
 	return w
 }
 
@@ -63,7 +63,7 @@ func newWorld(decorated bool) *world {
 func newStaticWorld() *world {
 	w := &world{clock: vclock.NewVirtual(vclock.Epoch), content: figure1Site()}
 	w.srv = server.New(w.content, server.Options{Clock: w.clock})
-	w.origins = OriginMap{"site.example": server.NewOrigin(front(w.srv, true, catalyst.MiddlewareOptions{}))}
+	w.origins = OriginMap{"site.example": server.NewOrigin(front(w.srv, true))}
 	return w
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/baselines"
 	"cachecatalyst/internal/netsim"
 	"cachecatalyst/internal/server"
@@ -15,7 +14,7 @@ import (
 func newBundledWorld(policy baselines.Policy) *world {
 	w := &world{clock: vclock.NewVirtual(vclock.Epoch), content: figure1Site()}
 	w.srv = server.New(w.content, server.Options{Clock: w.clock})
-	w.origins = OriginMap{"site.example": baselines.NewBundleOrigin(server.NewOrigin(front(w.srv, true, catalyst.MiddlewareOptions{})), policy, nil)}
+	w.origins = OriginMap{"site.example": baselines.NewBundleOrigin(server.NewOrigin(front(w.srv, true)), policy, nil)}
 	return w
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/netsim"
 	"cachecatalyst/internal/server"
 	"cachecatalyst/internal/vclock"
@@ -41,7 +40,7 @@ var chaosGrid = []struct {
 func newChaosWorld(decorated bool, cfg netsim.ChaosConfig) (*world, *netsim.ChaosOrigin) {
 	w := &world{clock: vclock.NewVirtual(vclock.Epoch), content: figure1Site()}
 	w.srv = server.New(w.content, server.Options{Record: decorated, Clock: w.clock})
-	chaos := netsim.NewChaosOrigin(server.NewOrigin(front(w.srv, decorated, catalyst.MiddlewareOptions{})), cfg)
+	chaos := netsim.NewChaosOrigin(server.NewOrigin(front(w.srv, decorated)), cfg)
 	w.origins = OriginMap{"site.example": chaos}
 	return w, chaos
 }

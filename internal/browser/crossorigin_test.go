@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/core"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/netsim"
@@ -42,7 +41,7 @@ func xoWorld() (*world, *server.MemContent) {
 	w.srv = server.New(w.content, opts)
 	cdnSrv := server.New(cdn, server.Options{Clock: w.clock})
 	w.origins = OriginMap{
-		"site.example": server.NewOrigin(front(w.srv, true, catalyst.MiddlewareOptions{})),
+		"site.example": server.NewOrigin(front(w.srv, true)),
 		"cdn.example":  server.NewOrigin(cdnSrv),
 	}
 	return w, cdn

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/netsim"
 	"cachecatalyst/internal/server"
 	"cachecatalyst/internal/vclock"
@@ -31,7 +30,7 @@ func fcpSite() *server.MemContent {
 func fcpWorld(decorated bool) *world {
 	w := &world{clock: vclock.NewVirtual(vclock.Epoch), content: fcpSite()}
 	w.srv = server.New(w.content, server.Options{Record: decorated, Clock: w.clock})
-	w.origins = OriginMap{"site.example": server.NewOrigin(front(w.srv, decorated, catalyst.MiddlewareOptions{}))}
+	w.origins = OriginMap{"site.example": server.NewOrigin(front(w.srv, decorated))}
 	return w
 }
 

@@ -1,14 +1,11 @@
 package browser
 
 import (
-	"fmt"
 	nethttp "net/http"
 	"strings"
 	"testing"
 	"time"
 
-	"cachecatalyst/catalyst"
-	"cachecatalyst/internal/delta"
 	"cachecatalyst/internal/httpcache"
 	"cachecatalyst/internal/netsim"
 	"cachecatalyst/internal/server"
@@ -128,101 +125,6 @@ func TestEarlyHintsUnusedCounted(t *testing.T) {
 	}
 }
 
-// deltaWorld is the full catalyst configuration plus delta encoding.
-func deltaWorld() *world {
-	w := &world{clock: vclock.NewVirtual(vclock.Epoch), content: figure1Site()}
-	w.srv = server.New(w.content, server.Options{Record: true, Clock: w.clock})
-	w.origins = OriginMap{"site.example": server.NewOrigin(front(w.srv, true, catalyst.MiddlewareOptions{Delta: true}))}
-	return w
-}
-
-func TestDeltaNavApplied(t *testing.T) {
-	w := deltaWorld()
-	b := New(w.clock, Catalyst, netsim.TransportOptions{}).WithDelta()
-	first := mustLoad(t, b, w)
-	if first.DeltaApplied != 0 || first.Errors != 0 {
-		t.Fatalf("cold load: %+v", first)
-	}
-
-	w.clock.Advance(2 * time.Hour)
-	w.content.SetBody("/index.html",
-		`<html><head><link rel="stylesheet" href="/a.css"><script src="/b.js"></script></head><body>hello updated world</body></html>`,
-		server.CachePolicy{NoCache: true})
-	res := mustLoad(t, b, w)
-	if res.DeltaApplied != 1 {
-		t.Fatalf("delta applied = %d, want 1 (%+v)", res.DeltaApplied, res)
-	}
-	if res.DeltaFallbacks != 0 || res.Errors != 0 {
-		t.Fatalf("revisit: %+v", res)
-	}
-	// The reconstructed document drove the load: its subresources resolved
-	// and the cache now holds the patched body.
-	e, ok := b.Cache().Peek("site.example/index.html")
-	if !ok || !strings.Contains(string(e.Response.Body), "hello updated world") {
-		t.Fatal("patched navigation body not in cache")
-	}
-	if strings.Contains(string(e.Response.Body), "CCD1") {
-		t.Fatal("raw patch bytes cached instead of the reconstruction")
-	}
-}
-
-func TestDeltaUnchangedRevisitStill304(t *testing.T) {
-	w := deltaWorld()
-	b := New(w.clock, Catalyst, netsim.TransportOptions{}).WithDelta()
-	mustLoad(t, b, w)
-	w.clock.Advance(2 * time.Hour)
-	res := mustLoad(t, b, w)
-	if res.DeltaApplied != 0 {
-		t.Fatalf("delta applied on unchanged page (%+v)", res)
-	}
-	if res.Validations304 == 0 {
-		t.Fatalf("unchanged revisit did not revalidate to 304 (%+v)", res)
-	}
-}
-
-// corruptDeltaOrigin answers any delta-offering request with a garbage
-// patch, forcing the client's verification to fail.
-type corruptDeltaOrigin struct {
-	inner netsim.Origin
-}
-
-func (o *corruptDeltaOrigin) RoundTrip(req *netsim.Request) *httpcache.Response {
-	if base := req.Header.Get(delta.RequestHeader); base != "" {
-		body := []byte("CCD1 this is not a valid patch")
-		h := make(nethttp.Header)
-		h.Set("Content-Type", "text/html")
-		h.Set("Etag", `"bogus"`)
-		h.Set(delta.FromHeader, base)
-		h.Set("Content-Length", fmt.Sprint(len(body)))
-		return &httpcache.Response{StatusCode: 200, Header: h, Body: body}
-	}
-	return o.inner.RoundTrip(req)
-}
-
-func TestDeltaFallbackOnCorruptPatch(t *testing.T) {
-	w := deltaWorld()
-	b := New(w.clock, Catalyst, netsim.TransportOptions{}).WithDelta()
-	mustLoad(t, b, w)
-
-	w.clock.Advance(2 * time.Hour)
-	w.content.SetBody("/index.html",
-		`<html><head><link rel="stylesheet" href="/a.css"><script src="/b.js"></script></head><body>changed</body></html>`,
-		server.CachePolicy{NoCache: true})
-	w.origins["site.example"] = &corruptDeltaOrigin{inner: w.origins["site.example"]}
-	res := mustLoad(t, b, w)
-	if res.DeltaFallbacks != 1 || res.DeltaApplied != 0 {
-		t.Fatalf("fallbacks = %d, applied = %d, want 1/0 (%+v)", res.DeltaFallbacks, res.DeltaApplied, res)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("errors after fallback: %+v", res)
-	}
-	// The fallback refetch (no delta offer) got the real document.
-	e, ok := b.Cache().Peek("site.example/index.html")
-	if !ok || !strings.Contains(string(e.Response.Body), "changed") {
-		t.Fatal("fallback did not cache the full document")
-	}
-}
-
 // brokenSite is figure1Site plus a reference to a resource that 404s until
 // the test deploys it.
 func brokenSite() *server.MemContent {
@@ -243,7 +145,7 @@ func TestBrokenReferenceFailsUntilDeployed(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			w := &world{clock: vclock.NewVirtual(vclock.Epoch), content: brokenSite()}
 			w.srv = server.New(w.content, server.Options{Record: true, Clock: w.clock})
-			w.origins = OriginMap{"site.example": server.NewOrigin(front(w.srv, mode == Catalyst, catalyst.MiddlewareOptions{}))}
+			w.origins = OriginMap{"site.example": server.NewOrigin(front(w.srv, mode == Catalyst))}
 			b := New(w.clock, mode, netsim.TransportOptions{})
 			var missing []FetchEvent
 			b.OnFetch = func(ev FetchEvent) {

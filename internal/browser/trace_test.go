@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/httpcache"
 	"cachecatalyst/internal/netsim"
 	"cachecatalyst/internal/server"
@@ -21,7 +20,7 @@ import (
 func timedWorld(decorated bool) *world {
 	w := &world{clock: vclock.NewVirtual(vclock.Epoch), content: figure1Site()}
 	w.srv = server.New(w.content, server.Options{Record: decorated, Clock: w.clock, ServerTiming: true})
-	w.origins = OriginMap{"site.example": server.NewOrigin(front(w.srv, decorated, catalyst.MiddlewareOptions{}))}
+	w.origins = OriginMap{"site.example": server.NewOrigin(front(w.srv, decorated))}
 	return w
 }
 

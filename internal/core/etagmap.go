@@ -130,16 +130,10 @@ func writeJSONString(b *strings.Builder, s string) {
 	b.WriteByte('"')
 }
 
-// WireSize returns the byte cost of carrying the encoded map in a response
+// WireSizeOf returns the byte cost of carrying an encoded map in a response
 // header, including the header name, separator and CRLF. The evaluation
 // charges this against the base-HTML transfer: proactive tokens are not
 // free, and the honesty of Figure 3 depends on counting them.
-func (m ETagMap) WireSize() int {
-	return WireSizeOf(m.Encode())
-}
-
-// WireSizeOf is WireSize for a map already in wire form, so a caller that
-// just called Encode does not pay for a second full encoding.
 func WireSizeOf(encoded string) int {
 	return len(HeaderName) + len(": ") + len(encoded) + len("\r\n")
 }

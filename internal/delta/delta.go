@@ -1,8 +1,9 @@
-// Package delta implements the wire format used by the catalyst-delta
-// scheme: instead of retransmitting a whole dynamic HTML document, the
-// server sends a patch computed against the base version the client
-// already holds (named by the client's validator), and the browser
-// reconstructs the current document from its cached copy.
+// Package delta is a diff library with no serving path: Diff computes a
+// patch that turns a base byte string into a target as COPY spans of the
+// base and INSERTed literals, and Apply reconstructs the target from the
+// base and the patch. No server or client in this repository sends a
+// patch; the benchmark times both calls, and incremental extraction of
+// dynamic pages can build on the COPY/INSERT ops.
 //
 // The format ("CCD1") is deliberately small and strict:
 //
@@ -21,7 +22,7 @@
 // Apply validates everything it can: magic, base length and checksum,
 // opcode bounds, and finally the exact target length and checksum. A
 // truncated or corrupted patch is rejected with an error rather than
-// producing garbage — the caller falls back to a full fetch.
+// producing garbage.
 package delta
 
 import (
@@ -29,16 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-)
-
-// Wire headers used by the catalyst-delta scheme.
-const (
-	// RequestHeader names the base version (an ETag) the client holds
-	// and can patch against.
-	RequestHeader = "X-Delta-Base"
-	// FromHeader is set on responses whose body is a patch; its value
-	// is the base ETag the patch applies to.
-	FromHeader = "X-Delta-From"
 )
 
 const (

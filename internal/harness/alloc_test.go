@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"cachecatalyst/internal/core"
-	"cachecatalyst/internal/delta"
 	"cachecatalyst/internal/netsim"
 	"cachecatalyst/internal/telemetry"
 	"cachecatalyst/internal/webgen"
@@ -58,9 +57,9 @@ func TestClientHeaderKeysAreCanonical(t *testing.T) {
 		// httpcache: freshness, age, validators, storability, Vary.
 		"Cache-Control", "Expires", "Last-Modified", "Age", "Date", "Etag", "Vary",
 		// browser: conditional requests, the request builders, content
-		// type, decisions and delta navigations.
+		// type and decisions.
 		"If-None-Match", "If-Modified-Since", "Referer", "Cookie", "Content-Type",
-		telemetry.RequestIDHeader, telemetry.ServerTimingHeader, delta.RequestHeader, delta.FromHeader,
+		telemetry.RequestIDHeader, telemetry.ServerTimingHeader,
 		// sw: the map a navigation delivers.
 		core.HeaderName,
 	} {

@@ -46,10 +46,6 @@ const (
 	// Hints: the server advertises the page's subresources as preload
 	// links delivered ahead of the HTML body.
 	SchemeEarlyHints
-	// SchemeCatalystDelta is catalyst+record plus delta-encoded
-	// navigations: stale page revisits transfer a CCD1 patch against the
-	// client's cached copy instead of the full document.
-	SchemeCatalystDelta
 )
 
 func (s Scheme) String() string {
@@ -68,8 +64,6 @@ func (s Scheme) String() string {
 		return "rdr-proxy"
 	case SchemeEarlyHints:
 		return "early-hints"
-	case SchemeCatalystDelta:
-		return "catalyst-delta"
 	}
 	return "unknown"
 }
@@ -78,15 +72,15 @@ func (s Scheme) String() string {
 var AllSchemes = []Scheme{
 	SchemeConventional, SchemeCatalyst, SchemeCatalystRecord,
 	SchemeCatalystFull, SchemeServerPush, SchemeRDR,
-	SchemeEarlyHints, SchemeCatalystDelta,
+	SchemeEarlyHints,
 }
 
-// MatrixSchemes are the six schemes of the conformance matrix, in
+// MatrixSchemes are the five schemes of the conformance matrix, in
 // reporting order. Each extension has the scheme it extends as a row of
 // its own, so each row is credited with its own mechanism.
 var MatrixSchemes = []Scheme{
 	SchemeConventional, SchemeCatalyst, SchemeCatalystRecord,
-	SchemeServerPush, SchemeEarlyHints, SchemeCatalystDelta,
+	SchemeServerPush, SchemeEarlyHints,
 }
 
 // RDRProxyThink is the per-request origin-side processing charged under
@@ -197,23 +191,16 @@ func newWorld(site *webgen.Site, memos siteMemos, scheme Scheme, transport netsi
 	case SchemeEarlyHints:
 		srvOpts.EarlyHints = true
 		mode = browser.EarlyHints
-	case SchemeCatalystDelta:
-		srvOpts.Record = true
-		mode = browser.Catalyst
 	}
 
 	b := browser.New(clock, mode, transport).WithParseMemo(memos.parse)
-	if scheme == SchemeCatalystDelta {
-		b.WithDelta()
-	}
 
 	// Every scheme that ships the map has catalyst.Middleware in front of
 	// the server.
 	srv := server.New(site.Content(), srvOpts)
 	front := http.Handler(srv)
 	if mode == browser.Catalyst || mode == browser.Bundled {
-		opts := catalyst.MiddlewareOptions{Delta: scheme == SchemeCatalystDelta}
-		front = catalyst.ShareRenders(catalyst.Middleware(srv, opts), memos.render)
+		front = catalyst.ShareRenders(catalyst.Middleware(srv, catalyst.MiddlewareOptions{}), memos.render)
 	}
 	cdn := server.New(site.CDNContent(), server.Options{Clock: clock})
 	return &World{

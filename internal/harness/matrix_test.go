@@ -65,7 +65,6 @@ func TestSchemeMatrixShape(t *testing.T) {
 		conv := byScheme[SchemeConventional]
 		cat := byScheme[SchemeCatalyst]
 		rec := byScheme[SchemeCatalystRecord]
-		delta := byScheme[SchemeCatalystDelta]
 		push := byScheme[SchemeServerPush]
 		// Catalyst needs fewer warm requests than conventional.
 		if cat.MeanWarmRequests >= conv.MeanWarmRequests {
@@ -77,11 +76,6 @@ func TestSchemeMatrixShape(t *testing.T) {
 		if rec.MeanWarmRequests >= cat.MeanWarmRequests {
 			t.Errorf("%s: catalyst+record warm reqs %.1f not below catalyst %.1f",
 				conv.Cond, rec.MeanWarmRequests, cat.MeanWarmRequests)
-		}
-		// Delta encoding ships a patch instead of the changed page.
-		if delta.MeanWarmBytes >= rec.MeanWarmBytes {
-			t.Errorf("%s: catalyst-delta warm bytes %.0f not below catalyst+record %.0f",
-				conv.Cond, delta.MeanWarmBytes, rec.MeanWarmBytes)
 		}
 		// The broken references (the corpus has BrokenFrac > 0) fail
 		// under every scheme: no scheme answers a missing resource.

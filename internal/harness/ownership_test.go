@@ -49,12 +49,12 @@ func (o ledgerOrigin) RoundTrip(req *netsim.Request) *httpcache.Response {
 
 // TestBodiesAreNeverWritten guards the ownership rule on httpcache.Response:
 // the origin adapter, the HTTP cache, the Service Worker's CacheStorage, the
-// parsers, the delta client and the bundler share one body slice, so none of
-// them may write a body once it is handed out. It runs the quick scheme
-// matrix — all six schemes, delta included — with chaos truncation and
-// map corruption on every origin, fingerprints every body on both sides of
-// the chaos layer (the server's own slice, and the possibly truncated view
-// the browser receives), and re-takes every fingerprint after the whole run.
+// parsers and the bundler share one body slice, so none of them may write a
+// body once it is handed out. It runs the quick scheme matrix — all five
+// schemes — with chaos truncation and map corruption on every origin,
+// fingerprints every body on both sides of the chaos layer (the server's own
+// slice, and the possibly truncated view the browser receives), and re-takes
+// every fingerprint after the whole run.
 // Worlds are built the way the sweeps build them: one generated site per
 // index, every condition and scheme on a view of it with the site's parse
 // and render memos, so one body (a page render included) reaches many

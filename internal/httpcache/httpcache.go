@@ -32,10 +32,10 @@ import (
 // Ownership rule: a body is never written after it enters a Response. The
 // origin adapter, this cache, the Service Worker's CacheStorage and the
 // browser's parsers all share one body slice instead of copying it, and a
-// stage that needs different bytes builds a new slice (delta.Apply, the
-// bundler) or reslices with a full slice expression (chaos truncation), so
-// an append can never reach a shared array. Headers are not covered: they
-// are mutable maps, and every store clones the header it keeps.
+// stage that needs different bytes builds a new slice (the bundler) or
+// reslices with a full slice expression (chaos truncation), so an append
+// can never reach a shared array. Headers are not covered: they are mutable
+// maps, and every store clones the header it keeps.
 type Response struct {
 	StatusCode int
 	Header     http.Header

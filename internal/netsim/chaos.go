@@ -141,22 +141,6 @@ func (c *ChaosOrigin) Stats() ChaosStats {
 	}
 }
 
-// RegisterTelemetry indexes the origin's fault counters in reg under name
-// (e.g. "chaos.requests"); the registry reads the same storage Stats()
-// snapshots.
-func (c *ChaosOrigin) RegisterTelemetry(reg *telemetry.Registry, name string) {
-	reg.RegisterCounter(name+".requests", &c.requests)
-	reg.RegisterCounter(name+".failures", &c.failures)
-	reg.RegisterCounter(name+".flap_failures", &c.flapFailures)
-	reg.RegisterCounter(name+".truncations", &c.truncations)
-	reg.RegisterCounter(name+".corrupted_maps", &c.corruptedMaps)
-	reg.RegisterCounter(name+".stalls", &c.stalls)
-	reg.RegisterCounter(name+".slow_reads", &c.slowReads)
-	reg.RegisterCounter(name+".bursts", &c.bursts)
-	reg.RegisterCounter(name+".burst_requests", &c.burstRequests)
-	reg.RegisterCounter(name+".brownout_stalls", &c.brownoutStalls)
-}
-
 // StallFor implements Stalling: it draws the latency-spike fault for one
 // request and overlays the brown-out window — BrownoutLen consecutive
 // requests of sustained stall after every BrownoutEvery normal ones.

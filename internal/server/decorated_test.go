@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -13,7 +12,6 @@ import (
 
 	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/core"
-	"cachecatalyst/internal/delta"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/netsim"
 	"cachecatalyst/internal/server"
@@ -457,101 +455,6 @@ func TestRecordingModeFoldsIntoMap(t *testing.T) {
 	mOther, _ := core.DecodeMap(navOther.Header().Get(core.HeaderName))
 	if _, ok := mOther["/dyn.js"]; ok {
 		t.Fatal("recording leaked across sessions")
-	}
-}
-
-// deltaServer returns a catalyst+delta server over a mutable MemContent,
-// so tests can change a page body between requests (new validator per
-// version).
-func deltaServer(t *testing.T) (*front, *server.MemContent) {
-	t.Helper()
-	c := server.BuildSite()
-	s := newFront(c, server.Options{Clock: vclock.NewVirtual(vclock.Epoch)}, catalyst.MiddlewareOptions{Delta: true})
-	return s, c
-}
-
-func TestDeltaServesPatch(t *testing.T) {
-	s, c := deltaServer(t)
-
-	first := get(t, s, "/index.html", nil)
-	if first.Code != 200 || first.Header().Get(delta.FromHeader) != "" {
-		t.Fatalf("first visit: code=%d from=%q", first.Code, first.Header().Get(delta.FromHeader))
-	}
-	baseTag := first.Header().Get("Etag")
-	baseBody := append([]byte(nil), first.Body.Bytes()...)
-
-	// The page changes slightly (dynamic HTML churn).
-	c.SetBody("/index.html", `<html><head><link rel="stylesheet" href="/a.css"><script src="/b.js"></script></head><body><p>updated headline</p><img src="/d.jpg"></body></html>`, server.CachePolicy{NoCache: true})
-
-	rec := get(t, s, "/index.html", map[string]string{delta.RequestHeader: baseTag})
-	if rec.Code != 200 {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	from := rec.Header().Get(delta.FromHeader)
-	if from != baseTag {
-		t.Fatalf("%s = %q, want %q", delta.FromHeader, from, baseTag)
-	}
-	newTag := rec.Header().Get("Etag")
-	if newTag == baseTag {
-		t.Fatal("Etag unchanged after content change")
-	}
-
-	// The patch applies against the base to exactly the new body.
-	patched, err := delta.Apply(baseBody, rec.Body.Bytes())
-	if err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	full := get(t, s, "/index.html", nil)
-	if full.Header().Get(delta.FromHeader) != "" {
-		t.Fatal("request without X-Delta-Base got a patch")
-	}
-	if !bytes.Equal(patched, full.Body.Bytes()) {
-		t.Fatal("patched body differs from full body")
-	}
-	if served, saved := s.counter("server.deltas_served"), s.counter("server.delta_bytes_saved"); served != 1 || saved <= 0 {
-		t.Fatalf("metrics = served %d, saved %d", served, saved)
-	}
-}
-
-func TestDeltaFallsBackOnUnknownBase(t *testing.T) {
-	s, _ := deltaServer(t)
-	rec := get(t, s, "/index.html", map[string]string{delta.RequestHeader: `"unknown-tag"`})
-	if rec.Code != 200 {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	if rec.Header().Get(delta.FromHeader) != "" {
-		t.Fatal("served a patch against an unknown base")
-	}
-	if !bytes.Contains(rec.Body.Bytes(), []byte("<html>")) {
-		t.Fatal("fallback did not serve the full body")
-	}
-}
-
-func TestDeltaPrefers304OverPatch(t *testing.T) {
-	s, _ := deltaServer(t)
-	first := get(t, s, "/index.html", nil)
-	tag := first.Header().Get("Etag")
-	rec := get(t, s, "/index.html", map[string]string{
-		"If-None-Match":     tag,
-		delta.RequestHeader: tag,
-	})
-	if rec.Code != 304 {
-		t.Fatalf("status = %d, want 304 when the validator still matches", rec.Code)
-	}
-	if s.counter("server.deltas_served") != 0 {
-		t.Fatal("diff computed on the 304 path")
-	}
-}
-
-func TestDeltaDisabledWithoutOption(t *testing.T) {
-	c := server.BuildSite()
-	s := catalyst.Middleware(server.New(c, server.Options{Clock: vclock.NewVirtual(vclock.Epoch)}), catalyst.MiddlewareOptions{})
-	first := get(t, s, "/index.html", nil)
-	baseTag := first.Header().Get("Etag")
-	c.SetBody("/index.html", `<html><body>changed</body></html>`, server.CachePolicy{NoCache: true})
-	rec := get(t, s, "/index.html", map[string]string{delta.RequestHeader: baseTag})
-	if rec.Header().Get(delta.FromHeader) != "" {
-		t.Fatal("delta served with MiddlewareOptions.Delta off")
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"cachecatalyst/catalyst"
 	"cachecatalyst/internal/core"
-	"cachecatalyst/internal/delta"
 	"cachecatalyst/internal/netsim"
 	"cachecatalyst/internal/server"
 	"cachecatalyst/internal/vclock"
@@ -28,12 +27,12 @@ func fingerprint(h http.Header) string {
 
 // TestOriginLeavesRequestHeaderAlone: NewOrigin hands the Server the
 // simulated request's own header map, which is sound only because a Server
-// never writes a request header. Over every kind of exchange a recording,
-// delta-encoding catalyst server answers — a page (a 200, then a 304 on
+// never writes a request header. Over every kind of exchange a recording
+// catalyst server answers — a page (a 200, then a 304 on
 // If-None-Match), a stylesheet, a 404 and the worker script — the Server
 // must see the caller's map itself and leave it as it was sent.
 func TestOriginLeavesRequestHeaderAlone(t *testing.T) {
-	srv := catalyst.Middleware(server.New(server.BuildSite(), server.Options{Record: true, Clock: vclock.NewVirtual(vclock.Epoch)}), catalyst.MiddlewareOptions{Delta: true})
+	srv := catalyst.Middleware(server.New(server.BuildSite(), server.Options{Record: true, Clock: vclock.NewVirtual(vclock.Epoch)}), catalyst.MiddlewareOptions{})
 	origin := server.NewOrigin(srv)
 	var seen http.Header
 	*server.OriginHandler(origin) = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -70,8 +69,8 @@ func TestOriginLeavesRequestHeaderAlone(t *testing.T) {
 	if tag == "" {
 		t.Fatal("page served without a validator")
 	}
-	send("/index.html", http.StatusOK, map[string]string{delta.RequestHeader: `"base"`})
-	send("/index.html", http.StatusNotModified, map[string]string{"If-None-Match": tag, delta.RequestHeader: tag})
+	send("/index.html", http.StatusOK, nil)
+	send("/index.html", http.StatusNotModified, map[string]string{"If-None-Match": tag})
 	send("/a.css", http.StatusOK, nil)
 	send("/missing.css", http.StatusNotFound, nil)
 	send(core.ServiceWorkerPath, http.StatusOK, nil)

@@ -4,7 +4,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -63,22 +62,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)-1))
 }
 
-// GeoMean returns the geometric mean; inputs must be positive, or the
-// result is NaN.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
-}
-
 // Min returns the smallest value, or NaN for empty input.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -115,33 +98,4 @@ func ReductionPercent(baseline, treatment float64) float64 {
 		return math.NaN()
 	}
 	return (baseline - treatment) / baseline * 100
-}
-
-// Summary is a five-number-plus description of a sample.
-type Summary struct {
-	N            int
-	Mean, Median float64
-	Min, Max     float64
-	StdDev       float64
-	P10, P90     float64
-}
-
-// Summarize computes a Summary.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		Median: Median(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		StdDev: StdDev(xs),
-		P10:    Percentile(xs, 10),
-		P90:    Percentile(xs, 90),
-	}
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.2f median=%.2f sd=%.2f min=%.2f p10=%.2f p90=%.2f max=%.2f",
-		s.N, s.Mean, s.Median, s.StdDev, s.Min, s.P10, s.P90, s.Max)
 }

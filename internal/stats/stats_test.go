@@ -62,18 +62,6 @@ func TestStdDev(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if !approx(GeoMean([]float64{1, 100}), 10) {
-		t.Fatal("geomean wrong")
-	}
-	if !math.IsNaN(GeoMean([]float64{1, -1})) {
-		t.Fatal("negative input should yield NaN")
-	}
-	if !math.IsNaN(GeoMean(nil)) {
-		t.Fatal("empty geomean should be NaN")
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
 	if Min(xs) != -1 || Max(xs) != 7 {
@@ -96,16 +84,6 @@ func TestReductionPercent(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || !approx(s.Mean, 3) || !approx(s.Median, 3) || !approx(s.Min, 1) || !approx(s.Max, 5) {
-		t.Fatalf("summary = %+v", s)
-	}
-	if s.String() == "" {
-		t.Fatal("empty String")
-	}
-}
-
 // Property: min ≤ p10 ≤ median ≤ p90 ≤ max for any sample.
 func TestOrderStatisticsOrderedQuick(t *testing.T) {
 	f := func(raw []int16) bool {
@@ -116,8 +94,8 @@ func TestOrderStatisticsOrderedQuick(t *testing.T) {
 		for i, v := range raw {
 			xs[i] = float64(v)
 		}
-		s := Summarize(xs)
-		return s.Min <= s.P10 && s.P10 <= s.Median && s.Median <= s.P90 && s.P90 <= s.Max
+		lo, p10, med, p90, hi := Min(xs), Percentile(xs, 10), Median(xs), Percentile(xs, 90), Max(xs)
+		return lo <= p10 && p10 <= med && med <= p90 && p90 <= hi
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ type Tenant struct {
 	// for this tenant.
 	PathPrefix string
 	// BudgetBytes bounds the tenant's own derived caches (rendered
-	// pages; stale copies and delta bases at half scale). Zero inherits
+	// pages; stale copies at half scale). Zero inherits
 	// the process default; negative means unbounded.
 	BudgetBytes int64
 	// MaxInflight bounds the tenant's concurrently instrumented
