@@ -56,9 +56,14 @@ vet:
 # httptest anything (NewRecorder, NewRequest) back in non-test
 # internal/server, whose origin adapter builds its request and records its
 # response itself, or "unsafe" imported by any non-test file but the body
-# view's (internal/httpcache/view.go) (DESIGN.md §3, §14) — or when the
-# client decision of PROTOCOL.md §4 forks again: core.Decide( is called once,
-# by sw.Worker, and catalyst.Client is a shell over that worker (DESIGN.md §6)
+# view's (internal/httpcache/view.go) (DESIGN.md §3, §14) — or when a
+# client store copies a header again or goes back onto the cache core: a
+# header .Clone() or maps.Clone( in non-test httpcache or sw, which keep the
+# response they are handed, or either importing internal/cachestore, whose
+# budget and eviction order two unbounded stores have no use for (DESIGN.md
+# §3) — or when the client decision of PROTOCOL.md §4 forks again:
+# core.Decide( is called once, by sw.Worker, and catalyst.Client is a shell
+# over that worker (DESIGN.md §6)
 # — or when the emulated browser parses a body beside its parse memo:
 # htmlparse.ExtractPage(, cssparse.ExtractRefs( and jsexec.ExtractFetches(
 # are each called once in non-test internal/browser, in memo.go, so every
@@ -100,6 +105,10 @@ forks:
 	body=$$(echo "$$src" | grep '/internal/\(httpcache\|sw\|browser\|netsim\|baselines\)/'); \
 	if grep -Hn 'append(\[\]byte(nil),\|bytes\.Clone(\|\.Clone()' $$body | grep -v '[hH]eader\(()\)\?\.Clone()\|:[0-9]*:[[:space:]]*//' >&2; then \
 		echo "forks: a simulated load copies a response body again; stores and parsers share it (DESIGN.md §3)" >&2; fail=1; fi; \
+	if grep -Hn '[hH]eader\(()\)\?\.Clone()\|maps\.Clone(' $$(echo "$$body" | grep '/internal/\(httpcache\|sw\)/') | grep -v ':[0-9]*:[[:space:]]*//' >&2; then \
+		echo "forks: a client store copies a header again; it keeps the response it is handed (DESIGN.md §3)" >&2; fail=1; fi; \
+	if $(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./internal/httpcache ./internal/sw | grep ' cachecatalyst/internal/cachestore\( \|$$\)' >&2; then \
+		echo "forks: a client store is back on internal/cachestore; httpcache and sw are maps under a mutex (DESIGN.md §3)" >&2; fail=1; fi; \
 	if grep -Hn '^[[:space:]]*\(import[[:space:]]*\)\?\(_[[:space:]]*\)\?"unsafe"' $$src | grep -v '/internal/httpcache/view\.go:' >&2; then \
 		echo "forks: \"unsafe\" imported outside internal/httpcache/view.go, the one read-only body view" >&2; fail=1; fi; \
 	brw=$$(echo "$$src" | grep '/internal/browser/'); \

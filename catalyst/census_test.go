@@ -85,9 +85,8 @@ func TestOptionCensus(t *testing.T) {
 			"Name",      // catalyst.NewUpstream
 		}},
 		{reflect.TypeOf(cachestore.Options[int]{}), []string{
-			"Shards",    // internal/httpcache
 			"MaxBytes",  // catalyst.Middleware, internal/cluster, internal/cachesim, bench
-			"SizeOf",    // catalyst.Middleware, internal/cluster, internal/cachesim, internal/httpcache, internal/sw, bench
+			"SizeOf",    // catalyst.Middleware, internal/cluster, internal/cachesim, bench
 			"Telemetry", // catalyst.Middleware, internal/cluster
 			"Name",      // catalyst.Middleware, internal/cluster
 		}},

@@ -155,6 +155,9 @@ type Browser struct {
 	// the browser's private memo it looks in second. They are one memo
 	// unless WithParseMemo shares another.
 	memo, own *ParseMemo
+	// res is the current load's per-resource state. Loads never overlap,
+	// so each one clears and reuses the same map.
+	res map[resKey]resState
 
 	// OnFetch, when set, receives one event per resource delivery — the
 	// waterfall data behind Figure-1-style timelines. It runs inside the
@@ -196,7 +199,7 @@ type FetchEvent struct {
 // New returns a browser with empty caches.
 func New(clock vclock.Clock, mode Mode, transport netsim.TransportOptions) *Browser {
 	own := NewParseMemo()
-	b := &Browser{clock: clock, mode: mode, transport: transport, memo: own, own: own}
+	b := &Browser{clock: clock, mode: mode, transport: transport, memo: own, own: own, res: make(map[resKey]resState)}
 	b.ClearState()
 	return b
 }
@@ -278,6 +281,7 @@ func (b *Browser) LoadContext(ctx context.Context, origins Origins, cond netsim.
 	tr, _ := telemetry.TraceFrom(ctx)
 	ctx, span := telemetry.BeginSpan(ctx, "load")
 	defer span.End()
+	clear(b.res)
 	l := &loader{
 		b:         b,
 		ctx:       ctx,
@@ -286,9 +290,7 @@ func (b *Browser) LoadContext(ctx context.Context, origins Origins, cond netsim.
 		origins:   origins,
 		cond:      cond,
 		endpoints: make(map[string]*netsim.Endpoint),
-		seen:      make(map[resKey]bool),
-		completed: make(map[resKey]bool),
-		hinted:    make(map[resKey]bool),
+		res:       b.res,
 		pageHost:  host,
 		pagePath:  path,
 	}
@@ -302,11 +304,12 @@ func (b *Browser) LoadContext(ctx context.Context, origins Origins, cond netsim.
 	if !l.fcpSet {
 		l.result.FCP = end
 	}
-	l.result.Resources = len(l.seen)
+	// Every resource in res was requested: each state is set right
+	// before the fetch that sets seen.
+	l.result.Resources = len(l.res)
 	if l.pushed != nil {
 		l.result.PushedUnused = len(l.pushed) - len(l.pushedUsed)
 	}
-	l.result.HintedUnused = len(l.hinted)
 	for _, ep := range l.endpoints {
 		st := ep.Stats()
 		l.result.BytesDown += st.BytesDown
@@ -320,6 +323,26 @@ func (b *Browser) LoadContext(ctx context.Context, origins Origins, cond netsim.
 // that keying a map by one allocates nothing.
 type resKey struct{ host, path string }
 
+// resState is what a load knows of one resource, a set of bits.
+type resState uint8
+
+const (
+	// seen: requested. Fetches dedupe on it, like a browser coalescing
+	// identical in-flight requests.
+	seen resState = 1 << iota
+	// completed: fully settled (delivered and processed, or failed). A
+	// seen but not completed resource is in flight: the parser can still
+	// register it as render-blocking (preloads start before the parser
+	// knows what blocks).
+	completed
+	// blocking: render-blocking and not yet settled; FCP waits for it.
+	blocking
+	// hinted: 103-preloaded and not yet referenced by the page. What is
+	// left at the end of the load is wasted preload work
+	// (LoadResult.HintedUnused counts it as it goes).
+	hinted
+)
+
 // loader is the per-navigation state machine.
 type loader struct {
 	b         *Browser
@@ -329,17 +352,8 @@ type loader struct {
 	origins   Origins
 	cond      netsim.Conditions
 	endpoints map[string]*netsim.Endpoint
-	// seen dedupes fetches by host and path, like a browser coalescing
-	// identical in-flight requests.
-	seen map[resKey]bool
-	// completed marks resources fully settled (delivered+processed or
-	// failed). A seen-but-not-completed resource is in flight — the
-	// parser can still register it as render-blocking (preloads start
-	// before the parser knows what blocks).
-	completed map[resKey]bool
-	// hinted tracks 103-preloaded keys not yet referenced by the page;
-	// what remains at the end of the load is wasted preload work.
-	hinted map[resKey]bool
+	// res is the load's per-resource state (the Browser's map).
+	res map[resKey]resState
 	// hintKey/onHints route the navigation's early-hint delivery: only
 	// the request for hintKey fetches with hints.
 	hintKey  resKey
@@ -359,7 +373,6 @@ type loader struct {
 	// processed and no render-blocking resource is outstanding.
 	htmlProcessed bool
 	blockingLeft  int
-	blockingKeys  map[resKey]bool
 	fcp           time.Duration
 	fcpSet        bool
 }
@@ -371,11 +384,8 @@ func (l *loader) fetchBlocking(host, path string, kind htmlparse.ResourceKind) {
 	// A resource becomes render-blocking when first requested, or when the
 	// parser discovers that a resource already in flight (a 103 preload
 	// started it) blocks rendering — FCP must wait either way.
-	if !l.seen[key] || !l.completed[key] && !l.blockingKeys[key] {
-		if l.blockingKeys == nil {
-			l.blockingKeys = make(map[resKey]bool)
-		}
-		l.blockingKeys[key] = true
+	if st := l.res[key]; st&seen == 0 || st&(completed|blocking) == 0 {
+		l.res[key] = st | blocking
 		l.addBlocking()
 	}
 	l.fetch(host, path, kind)
@@ -384,18 +394,19 @@ func (l *loader) fetchBlocking(host, path string, kind htmlparse.ResourceKind) {
 // finish marks a resource settled (delivered or failed) and retires any
 // render-blocking obligation, reporting whether it was blocking.
 func (l *loader) finish(host, path string) bool {
-	l.completed[resKey{host, path}] = true
-	return l.completeBlocking(host, path)
+	key := resKey{host, path}
+	l.res[key] |= completed
+	return l.completeBlocking(key)
 }
 
 // completeBlocking retires the blocking obligation for a delivered (or
 // failed) resource, reporting whether it was render-blocking.
-func (l *loader) completeBlocking(host, path string) bool {
-	key := resKey{host, path}
-	if !l.blockingKeys[key] {
+func (l *loader) completeBlocking(key resKey) bool {
+	st := l.res[key]
+	if st&blocking == 0 {
 		return false
 	}
-	delete(l.blockingKeys, key)
+	l.res[key] = st &^ blocking
 	l.blockingDone()
 	return true
 }
@@ -435,12 +446,16 @@ func (l *loader) endpoint(host string) (*netsim.Endpoint, bool) {
 // fetch loads one resource (deduplicated) and processes its content.
 func (l *loader) fetch(host, path string, kind htmlparse.ResourceKind) {
 	key := resKey{host, path}
-	if l.seen[key] {
+	st := l.res[key]
+	if st&seen != 0 {
 		// A reference to a hinted resource means the preload was useful.
-		delete(l.hinted, key)
+		if st&hinted != 0 {
+			l.res[key] = st &^ hinted
+			l.result.HintedUnused--
+		}
 		return
 	}
-	l.seen[key] = true
+	l.res[key] = st | seen
 
 	isNav := kind == htmlparse.KindDocument && host == l.pageHost && path == l.pagePath
 	switch l.b.mode {
@@ -643,11 +658,12 @@ func (l *loader) fetchEarlyHints(host, path string, kind htmlparse.ResourceKind,
 func (l *loader) consumeHints(navHost, navPath string, hdr http.Header) {
 	for _, t := range hintTargets(navHost, navPath, hdr.Values("Link")) {
 		key := resKey{t.host, t.path}
-		if l.seen[key] {
+		if l.res[key]&seen != 0 {
 			continue
 		}
 		l.result.HintedPreloads++
-		l.hinted[key] = true
+		l.result.HintedUnused++
+		l.res[key] |= hinted
 		l.decide(t.host, t.path, []string{"hinted"})
 		l.fetch(t.host, t.path, t.kind)
 	}

@@ -22,8 +22,7 @@ func BenchmarkStoreMixed(b *testing.B) {
 	keys := benchKeys(1024)
 	for _, shards := range []int{1, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s := New[string](Options[string]{
-				Shards:   shards,
+			s := newSharded(shards, Options[string]{
 				MaxBytes: 512 * 768, // forces steady eviction at ~75% of the key space
 				SizeOf:   func(_ string, v string) int64 { return int64(len(v)) },
 			})

@@ -1,20 +1,20 @@
-// Package cachestore is the one cache core every cache in this repository
-// builds on: a sharded, byte-budgeted key-value store, generic over the
-// value type, with a lock-free read path, singleflight loading and atomic
-// hit/miss/eviction counters.
+// Package cachestore is the one cache core every bounded cache in this
+// repository builds on: a sharded, byte-budgeted key-value store, generic
+// over the value type, with a lock-free read path, singleflight loading and
+// atomic hit/miss/eviction counters.
 //
 // The paper's server-side argument is that redundant work — like redundant
-// round trips — is pure waste. Before this package the repository carried
-// four independently hand-rolled caches (the client's response map, the
-// RFC 9111 browser cache, the Service-Worker cache storage, and the
-// middleware's probe cache), each with its own eviction bugs and none safe
-// to share between goroutines. They now all store through a Store.
+// round trips — is pure waste. The middleware's probe, render and stale
+// caches and the cluster's announcement store all store through a Store.
+// The client caches (the browser's HTTP cache and Service-Worker storage)
+// do not: they are unbounded and never evict, so a budget, a rank heap and
+// a lock-free index would be paid for on every store and lookup and used
+// by nothing. Each is a plain map under one mutex in its own package.
 //
 // A store's byte budget is fixed when it is built, and a cache that needs
 // its own budget — a tenant's render cache, say — is its own Store: there
 // are no sub-stores, and nothing resizes or empties a store while it
-// serves. The client caches (the browser's HTTP cache and Service-Worker
-// storage) set no budget at all.
+// serves.
 //
 // # Warm-path fast lane
 //
@@ -57,14 +57,13 @@ import (
 	"cachecatalyst/internal/telemetry"
 )
 
+// numShards is the number of mutex-protected segments keys hash across, a
+// power of two. Writers to different shards do not contend; eviction order
+// is the same whatever the count, and reads take no shard lock.
+const numShards = 16
+
 // Options configures a Store.
 type Options[V any] struct {
-	// Shards is the number of independent mutex-protected segments keys
-	// hash across. Zero selects 16; values are rounded up to a power of
-	// two (capped at 256). More shards mean less write-lock contention
-	// under concurrent load; eviction order is unaffected. Reads never
-	// take a shard lock regardless.
-	Shards int
 	// MaxBytes bounds the sum of entry sizes as reported by SizeOf;
 	// 0 means unbounded. The entry with the smallest GDSF rank (across
 	// all shards) is evicted first.
@@ -156,17 +155,9 @@ type Store[V any] struct {
 
 // New returns an empty store.
 func New[V any](opts Options[V]) *Store[V] {
-	n := opts.Shards
-	if n <= 0 {
-		n = 16
-	}
-	pow := 1
-	for pow < n && pow < 256 {
-		pow <<= 1
-	}
 	s := &Store[V]{
-		shards:   make([]shard[V], pow),
-		mask:     uint64(pow - 1),
+		shards:   make([]shard[V], numShards),
+		mask:     numShards - 1,
 		sizeOf:   opts.SizeOf,
 		maxBytes: opts.MaxBytes,
 	}

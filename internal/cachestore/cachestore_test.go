@@ -254,8 +254,7 @@ func TestDoNeverCachesAFailedLoad(t *testing.T) {
 // the surviving entries, the budget holds, and the counters add up.
 func TestConcurrentStress(t *testing.T) {
 	t.Parallel()
-	s := New[string](Options[string]{
-		Shards:   8,
+	s := newSharded(8, Options[string]{
 		MaxBytes: 1 << 12,
 		SizeOf:   func(_ string, v string) int64 { return int64(len(v)) },
 	})
@@ -333,7 +332,7 @@ func TestAuditDetectsDrift(t *testing.T) {
 	}
 	// The heap is audited too: a node in a slot it does not claim is
 	// caught.
-	one := New[string](Options[string]{Shards: 1})
+	one := newSharded(1, Options[string]{})
 	one.Put("/a", "a")
 	one.Put("/b", "b")
 	h := one.shards[0].heap

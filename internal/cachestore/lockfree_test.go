@@ -19,7 +19,7 @@ import (
 func TestWarmGetTakesNoMutex(t *testing.T) { t.Run("gdsf", testWarmGetTakesNoMutex) }
 
 func testWarmGetTakesNoMutex(t *testing.T) {
-	s := New[string](Options[string]{Shards: 4})
+	s := newSharded(4, Options[string]{})
 	for i := 0; i < 32; i++ {
 		s.Put(fmt.Sprintf("/k%d", i), "v")
 	}
@@ -52,7 +52,7 @@ func testWarmGetTakesNoMutex(t *testing.T) {
 // TestGetAllocsZero pins the warm read path at zero allocations, for a hit
 // and for a miss.
 func TestGetAllocsZero(t *testing.T) {
-	s := New[string](Options[string]{Shards: 4})
+	s := newSharded(4, Options[string]{})
 	s.Put("/page", "body")
 	if n := testing.AllocsPerRun(200, func() { s.Get("/page") }); n != 0 {
 		t.Fatalf("Get allocates %.1f per op, want 0", n)
@@ -71,7 +71,7 @@ func TestGetAllocsZero(t *testing.T) {
 func TestDeferredPromotionEvictsExactly(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s := New[int](Options[int]{Shards: shards})
+			s := newSharded(shards, Options[int]{})
 			const n = 40
 			for i := 0; i < n; i++ {
 				s.Put(fmt.Sprintf("/k%02d", i), i)
@@ -120,8 +120,7 @@ func TestLockFreeStressAgainstBudget(t *testing.T) {
 
 func testLockFreeStressAgainstBudget(t *testing.T) {
 	t.Parallel()
-	s := New[string](Options[string]{
-		Shards:   8,
+	s := newSharded(8, Options[string]{
 		MaxBytes: 4 << 10,
 		SizeOf:   func(_ string, v string) int64 { return int64(len(v)) },
 	})
@@ -171,8 +170,7 @@ func TestEpochReclamationNoTornReads(t *testing.T) {
 		key  string
 		a, b uint64 // always written equal; a torn read would disagree
 	}
-	s := New[*sealed](Options[*sealed]{
-		Shards:   4,
+	s := newSharded(4, Options[*sealed]{
 		MaxBytes: 64, // tight: constant eviction pressure
 	})
 	stop := make(chan struct{})

@@ -118,8 +118,7 @@ func (r *refGDSF) evict(key string) error {
 func TestStoreMatchesReferenceGDSF(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s := New[int64](Options[int64]{
-				Shards:   shards,
+			s := newSharded(shards, Options[int64]{
 				MaxBytes: 100,
 				SizeOf:   func(_ string, v int64) int64 { return v },
 			})
@@ -170,8 +169,7 @@ func TestStoreMatchesReferenceGDSF(t *testing.T) {
 // small popular one, even when the large one was touched last — the
 // size-aware decision recency alone cannot make.
 func TestGDSFPrefersSmallPopular(t *testing.T) {
-	s := New[int64](Options[int64]{
-		Shards:   4,
+	s := newSharded(4, Options[int64]{
 		MaxBytes: 80,
 		SizeOf:   func(_ string, v int64) int64 { return v },
 	})
@@ -204,8 +202,7 @@ func TestGDSFPrefersSmallPopular(t *testing.T) {
 // so a formerly popular object that stops being touched is eventually
 // overtaken by fresh arrivals — GDSF does not suffer LFU's cache pollution.
 func TestGDSFAging(t *testing.T) {
-	s := New[int64](Options[int64]{
-		Shards:   1,
+	s := newSharded(1, Options[int64]{
 		MaxBytes: 20,
 		SizeOf:   func(_ string, v int64) int64 { return v },
 	})
@@ -229,8 +226,7 @@ func TestGDSFAging(t *testing.T) {
 // sizes spanning three orders of magnitude; the heap bookkeeping must
 // survive it.
 func TestGDSFConcurrent(t *testing.T) {
-	s := New[int64](Options[int64]{
-		Shards:   8,
+	s := newSharded(8, Options[int64]{
 		MaxBytes: 64 << 10,
 		SizeOf:   func(_ string, v int64) int64 { return v },
 	})

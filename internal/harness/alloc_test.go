@@ -26,8 +26,8 @@ func TestSimulatedLoadAllocations(t *testing.T) {
 		scheme Scheme
 		max    float64
 	}{
-		{SchemeConventional, 2830}, // measured 2774
-		{SchemeCatalyst, 2796},     // measured 2740
+		{SchemeConventional, 2382}, // measured 2335
+		{SchemeCatalyst, 2054},     // measured 2014
 	} {
 		t.Run(tc.scheme.String(), func(t *testing.T) {
 			var resources int

@@ -13,8 +13,8 @@ import (
 
 // TestCacheConcurrentStress exercises the browser cache from many
 // goroutines at once — Gets racing Puts racing Refreshes — and then audits
-// the byte accounting. Run under -race this pins
-// the cachestore rebase as safe for concurrent use.
+// every stored entry. Run under -race this pins the cache as safe for
+// concurrent use.
 func TestCacheConcurrentStress(t *testing.T) {
 	t.Parallel()
 	clock := vclock.NewVirtual(time.Unix(1_700_000_000, 0))
@@ -60,14 +60,16 @@ func TestCacheConcurrentStress(t *testing.T) {
 	}
 	wg.Wait()
 
-	var sum int64
-	for _, k := range c.Keys() {
-		if e, ok := c.Peek(k); ok {
-			sum += e.Size()
-		}
+	keys := c.Keys()
+	// Puts reach 60 of the 100 URLs: (13g + 20k) mod 100 over the 12
+	// goroutines' g.
+	if len(keys) != c.Len() || len(keys) != 60 {
+		t.Fatalf("%d keys, Len() = %d, want the 60 URLs put", len(keys), c.Len())
 	}
-	if sum != c.Bytes() {
-		t.Fatalf("byte accounting drifted: entries sum to %d, Bytes() = %d", sum, c.Bytes())
+	for _, k := range keys {
+		if e, ok := c.Peek(k); !ok || e.URL != k || len(e.Response.Body) != 256 {
+			t.Fatalf("%s: stored entry %+v, %v", k, e, ok)
+		}
 	}
 	st := c.Stats()
 	if st.Hits+st.Misses == 0 {

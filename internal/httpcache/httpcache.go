@@ -9,18 +9,18 @@
 // reuses this package's storage but bypasses freshness entirely, deciding
 // reuse from proactively delivered ETags instead.
 //
-// Storage sits on internal/cachestore; this package keeps only the
-// RFC 9111 policy layer (freshness math, Vary secondary keys, the
-// 304 refresh procedure).
+// Storage is a plain map under one mutex: the cache is unbounded and never
+// evicts, so it has no use for a byte budget or an eviction order. What it
+// adds is the RFC 9111 policy layer (freshness math, Vary secondary keys,
+// the 304 refresh procedure).
 package httpcache
 
 import (
 	"net/http"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"time"
 
-	"cachecatalyst/internal/cachestore"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/headers"
 	"cachecatalyst/internal/vclock"
@@ -29,16 +29,19 @@ import (
 // Response is the minimal response representation shared by the real
 // net/http path and the discrete-event simulator.
 //
-// Ownership rule: a body is never written after it enters a Response. The
-// origin adapter, this cache, the Service Worker's CacheStorage and the
-// browser's parsers all share one body slice instead of copying it, and a
-// stage that needs different bytes builds a new slice (the bundler) or
-// reslices with a full slice expression (chaos truncation), so an append
-// can never reach a shared array. Headers are not covered: they are mutable
-// maps, and every store clones the header it keeps.
+// Ownership rule: neither a body nor a header is written after it enters a
+// Response. The origin adapter, this cache, the Service Worker's
+// CacheStorage and the browser's parsers all share one body slice and one
+// header map instead of copying them, and both stores keep the very
+// Response they are handed. A stage that needs different bytes builds a new
+// slice (the bundler) or reslices with a full slice expression (chaos
+// truncation), so an append can never reach a shared array; a stage that
+// needs a different header edits a clone in a Response of its own (chaos's
+// map corruption, the bundler's split) or builds a new map (the 304 merge).
 type Response struct {
 	StatusCode int
-	Header     http.Header
+	// Header is read-only once set; see the ownership rule above.
+	Header http.Header
 	// Body is read-only once set; see the ownership rule above.
 	Body []byte
 	// Truncated marks a body cut short by a mid-transfer failure
@@ -90,29 +93,27 @@ type Entry struct {
 	// response (RFC 9111 §4.2.3).
 	RequestTime  time.Time
 	ResponseTime time.Time
-	// CC is the parsed Cache-Control of the stored response.
-	CC headers.CacheControl
 	// varyValues captures the request header values named by the
 	// response's Vary field at store time (lowercased name → value), for
 	// the RFC 9111 §4.1 secondary-key match. This cache stores one
 	// variant per URL, as the RFC permits. The map is never written once
 	// stored, so Refresh hands it on to the refreshed entry.
 	varyValues map[string]string
+	// lifetime is the freshness lifetime (RFC 9111 §4.2.1), zero for a
+	// no-cache response, and initialAge the corrected initial age
+	// (§4.2.3), both fixed by the stored header and the exchange times.
+	// A lookup adds only the resident time.
+	lifetime, initialAge time.Duration
 }
 
 // ETag returns the entry's parsed entity tag, if any.
 func (e *Entry) ETag() (etag.Tag, bool) { return e.Response.ETag() }
 
-// Size returns the entry's accounting size in bytes.
-func (e *Entry) Size() int64 {
-	n := int64(len(e.Response.Body)) + int64(len(e.URL))
-	for k, vs := range e.Response.Header {
-		n += int64(len(k))
-		for _, v := range vs {
-			n += int64(len(v))
-		}
-	}
-	return n
+// fresh reports whether the entry is fresh at now (RFC 9111 §4.2): its
+// current age, the corrected initial age plus the time it has been resident
+// since the response arrived, is below its freshness lifetime.
+func (e *Entry) fresh(now time.Time) bool {
+	return e.lifetime > 0 && e.initialAge+now.Sub(e.ResponseTime) < e.lifetime
 }
 
 // heuristicFraction is the fraction of (Date − Last-Modified) used as the
@@ -120,14 +121,16 @@ func (e *Entry) Size() int64 {
 // 10% RFC 9111 §4.2.2 suggests.
 const heuristicFraction = 0.1
 
-// Cache is a private HTTP cache backed by internal/cachestore, and safe
-// for concurrent use. It is unbounded: no program here sets a size bound.
+// Cache is a private HTTP cache: a map under one mutex, safe for concurrent
+// use. It is unbounded and never evicts: no program here sets a size bound.
 // Read its counters through Stats().
 type Cache struct {
 	clock vclock.Clock
-	store *cachestore.Store[*Entry]
 
-	hits, misses, validations atomic.Int64
+	mu      sync.Mutex
+	entries map[string]*Entry
+
+	hits, misses, validations int64
 }
 
 // CacheStats is a snapshot of a Cache's counters.
@@ -142,44 +145,43 @@ type CacheStats struct {
 
 // Stats returns a snapshot of the cache's counters.
 func (c *Cache) Stats() CacheStats {
-	return CacheStats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Validations: c.validations.Load(),
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return CacheStats{Hits: c.hits, Misses: c.misses, Validations: c.validations}
 }
 
 // New returns an empty cache driven by the given clock.
 func New(clock vclock.Clock) *Cache {
-	return &Cache{clock: clock, store: cachestore.New(cachestore.Options[*Entry]{
-		// One shard keeps this a faithful single-browser cache: the
-		// store's locking still makes it race-free when experiments
-		// drive one browser from several goroutines.
-		Shards: 1,
-		SizeOf: func(_ string, e *Entry) int64 { return e.Size() },
-	})}
+	return &Cache{clock: clock, entries: make(map[string]*Entry)}
 }
 
 // Len returns the number of stored entries.
-func (c *Cache) Len() int { return c.store.Len() }
-
-// Bytes returns the total accounting size of stored entries.
-func (c *Cache) Bytes() int64 { return c.store.Bytes() }
+func (c *Cache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
 
 // Storable reports whether a response may be stored at all
 // (RFC 9111 §3): a 200, 203 or 204 status, complete body, no no-store
 // directive. A 206 is refused: this cache has no Range support, and a
 // stored partial body must not answer a full GET (RFC 9111 §3.3–3.4).
 func Storable(resp *Response) bool {
+	_, ok := storable(resp)
+	return ok
+}
+
+// storable is Storable, also returning the Cache-Control it parsed.
+func storable(resp *Response) (headers.CacheControl, bool) {
 	if resp.Truncated {
-		return false
+		return headers.CacheControl{}, false
 	}
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNonAuthoritativeInfo &&
 		resp.StatusCode != http.StatusNoContent {
-		return false
+		return headers.CacheControl{}, false
 	}
 	cc := headers.ParseCacheControl(headers.Value(resp.Header, "Cache-Control"))
-	return !cc.NoStore
+	return cc, !cc.NoStore
 }
 
 // Put stores a response received for url. requestTime/responseTime bracket
@@ -190,20 +192,30 @@ func (c *Cache) Put(url string, resp *Response, requestTime, responseTime time.T
 
 // PutWithRequest stores a response along with the request header values its
 // Vary field names, enabling the secondary-key check on later lookups. The
-// stored entry keeps a clone of resp's header and shares its body.
+// stored entry keeps resp itself, header and body, which no one writes after
+// they enter a Response (the ownership rule on Response).
 func (c *Cache) PutWithRequest(url string, reqHeader http.Header, resp *Response, requestTime, responseTime time.Time) {
-	if !Storable(resp) {
+	cc, ok := storable(resp)
+	if !ok {
 		return
 	}
+	c.store(url, resp, cc, requestTime, responseTime, varyValues(headers.Value(resp.Header, "Vary"), reqHeader))
+}
+
+// store computes the entry's freshness once, from the header it keeps (cc is
+// that header's Cache-Control), and replaces whatever url held.
+func (c *Cache) store(url string, resp *Response, cc headers.CacheControl, requestTime, responseTime time.Time, vary map[string]string) {
 	e := &Entry{
 		URL:          url,
-		Response:     &Response{StatusCode: resp.StatusCode, Header: resp.Header.Clone(), Body: resp.Body},
+		Response:     resp,
 		RequestTime:  requestTime,
 		ResponseTime: responseTime,
-		CC:           headers.ParseCacheControl(headers.Value(resp.Header, "Cache-Control")),
-		varyValues:   varyValues(headers.Value(resp.Header, "Vary"), reqHeader),
+		varyValues:   vary,
 	}
-	c.store.Put(url, e)
+	e.lifetime, e.initialAge = freshness(e, cc)
+	c.mu.Lock()
+	c.entries[url] = e
+	c.mu.Unlock()
 }
 
 // varyValues snapshots the request header values named by a Vary field.
@@ -244,13 +256,16 @@ func (c *Cache) Get(url string) (*Entry, State) {
 // request's is unusable (Miss); a response stored with "Vary: *" can never
 // be proven to match, so it always requires validation.
 func (c *Cache) GetWithRequest(url string, reqHeader http.Header) (*Entry, State) {
-	e, ok := c.store.Get(url)
+	now := c.clock.Now()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[url]
 	if !ok {
-		c.misses.Add(1)
+		c.misses++
 		return nil, Miss
 	}
 	if _, star := e.varyValues["*"]; star {
-		c.validations.Add(1)
+		c.validations++
 		return e, Stale
 	}
 	for name, stored := range e.varyValues {
@@ -259,99 +274,90 @@ func (c *Cache) GetWithRequest(url string, reqHeader http.Header) (*Entry, State
 			got = reqHeader.Get(name)
 		}
 		if got != stored {
-			c.misses.Add(1)
+			c.misses++
 			return nil, Miss
 		}
 	}
-	if c.isFresh(e) {
-		c.hits.Add(1)
+	if e.fresh(now) {
+		c.hits++
 		return e, Fresh
 	}
-	c.validations.Add(1)
+	c.validations++
 	return e, Stale
 }
 
-// Peek returns the entry without touching counters or eviction order.
+// Peek returns the entry without touching counters.
 func (c *Cache) Peek(url string) (*Entry, bool) {
-	return c.store.Peek(url)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[url]
+	return e, ok
 }
 
 // Keys returns the URLs of all stored entries, in no particular order —
 // chaos tests use it to audit the whole cache for poisoned entries.
-func (c *Cache) Keys() []string { return c.store.Keys() }
-
-// isFresh implements the RFC 9111 §4.2 freshness check.
-func (c *Cache) isFresh(e *Entry) bool {
-	if e.CC.NoCache {
-		return false // always requires validation
+func (c *Cache) Keys() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	keys := make([]string, 0, len(c.entries))
+	for k := range c.entries {
+		keys = append(keys, k)
 	}
-	lifetime := c.freshnessLifetime(e)
-	if lifetime <= 0 {
-		return false
-	}
-	return c.currentAge(e) < lifetime
+	return keys
 }
 
-// freshnessLifetime computes the freshness lifetime per RFC 9111 §4.2.1:
-// max-age, then Expires − Date, then the heuristic.
-func (c *Cache) freshnessLifetime(e *Entry) time.Duration {
-	if e.CC.HasMaxAge {
-		return e.CC.MaxAge
+// freshness computes an entry's freshness lifetime (RFC 9111 §4.2.1:
+// max-age, then Expires − Date, then the heuristic; zero for no-cache,
+// which always requires validation) and its corrected initial age
+// (§4.2.3), from its stored header, that header's Cache-Control cc and
+// its exchange times.
+func freshness(e *Entry, cc headers.CacheControl) (lifetime, initialAge time.Duration) {
+	h := e.Response.Header
+	date := e.ResponseTime
+	if d := headers.Value(h, "Date"); d != "" {
+		if t, ok := headers.ParseHTTPDate(d); ok {
+			date = t
+		}
 	}
-	date := c.dateValue(e)
-	if expires := headers.Value(e.Response.Header, "Expires"); expires != "" {
+	switch expires := headers.Value(h, "Expires"); {
+	case cc.NoCache:
+	case cc.HasMaxAge:
+		lifetime = cc.MaxAge
+	case expires != "":
+		// An invalid Expires (e.g. "0") means already expired.
 		if t, ok := headers.ParseHTTPDate(expires); ok {
-			return t.Sub(date)
+			lifetime = t.Sub(date)
 		}
-		// Invalid Expires (e.g. "0") means already expired.
-		return 0
-	}
-	if lm := headers.Value(e.Response.Header, "Last-Modified"); lm != "" {
-		if t, ok := headers.ParseHTTPDate(lm); ok && date.After(t) {
-			return time.Duration(float64(date.Sub(t)) * heuristicFraction)
+	default:
+		if lm := headers.Value(h, "Last-Modified"); lm != "" {
+			if t, ok := headers.ParseHTTPDate(lm); ok && date.After(t) {
+				lifetime = time.Duration(float64(date.Sub(t)) * heuristicFraction)
+			}
 		}
 	}
-	return 0
-}
 
-// currentAge computes the response's current age per RFC 9111 §4.2.3.
-func (c *Cache) currentAge(e *Entry) time.Duration {
 	var ageValue time.Duration
-	if ageHdr := headers.Value(e.Response.Header, "Age"); ageHdr != "" {
+	if ageHdr := headers.Value(h, "Age"); ageHdr != "" {
 		if d, err := time.ParseDuration(ageHdr + "s"); err == nil && d >= 0 {
 			ageValue = d
 		}
 	}
-	apparentAge := e.ResponseTime.Sub(c.dateValue(e))
+	apparentAge := e.ResponseTime.Sub(date)
 	if apparentAge < 0 {
 		apparentAge = 0
 	}
 	responseDelay := e.ResponseTime.Sub(e.RequestTime)
-	correctedAge := ageValue + responseDelay
-	correctedInitialAge := apparentAge
-	if correctedAge > correctedInitialAge {
-		correctedInitialAge = correctedAge
-	}
-	residentTime := c.clock.Now().Sub(e.ResponseTime)
-	return correctedInitialAge + residentTime
-}
-
-// dateValue returns the response's Date, defaulting to the response time.
-func (c *Cache) dateValue(e *Entry) time.Time {
-	if d := headers.Value(e.Response.Header, "Date"); d != "" {
-		if t, ok := headers.ParseHTTPDate(d); ok {
-			return t
-		}
-	}
-	return e.ResponseTime
+	initialAge = max(apparentAge, ageValue+responseDelay)
+	return lifetime, initialAge
 }
 
 // Refresh applies a 304 Not Modified to the stored entry per RFC 9111 §4.3.4:
-// the stored headers are updated from the 304 and the entry's clock fields
-// reset, renewing its freshness. The refreshed entry replaces the stored
-// one — entries already handed out are never mutated — and shares its body.
+// the stored headers are updated from the 304, the entry's clock fields
+// reset and its freshness re-derived from the merged header. The refreshed
+// entry replaces the stored one — entries already handed out are never
+// mutated — and shares its body.
 func (c *Cache) Refresh(url string, notModified *Response, requestTime, responseTime time.Time) {
-	e, ok := c.store.Peek(url)
+	e, ok := c.Peek(url)
 	if !ok {
 		return
 	}
@@ -360,12 +366,6 @@ func (c *Cache) Refresh(url string, notModified *Response, requestTime, response
 		Header:     headers.MergeNotModified(nil, e.Response.Header, notModified.Header),
 		Body:       e.Response.Body,
 	}
-	c.store.Put(url, &Entry{
-		URL:          e.URL,
-		Response:     resp,
-		RequestTime:  requestTime,
-		ResponseTime: responseTime,
-		CC:           headers.ParseCacheControl(headers.Value(resp.Header, "Cache-Control")),
-		varyValues:   e.varyValues,
-	})
+	cc := headers.ParseCacheControl(headers.Value(resp.Header, "Cache-Control"))
+	c.store(e.URL, resp, cc, requestTime, responseTime, e.varyValues)
 }

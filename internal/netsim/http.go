@@ -163,8 +163,8 @@ type pendingFetch struct {
 	req  *Request
 	done func(FetchResult)
 	t0   time.Duration
-	// onHints, when set, receives a clone of the response headers early —
-	// the 103 Early Hints model. See Endpoint.FetchWithHints.
+	// onHints, when set, receives the response headers early — the 103
+	// Early Hints model. See Endpoint.FetchWithHints.
 	onHints func(http.Header)
 
 	// The round trip's state: the connection it runs on, whether that
@@ -213,7 +213,8 @@ func (e *Endpoint) Fetch(req *Request, done func(FetchResult)) {
 // FetchWithHints is Fetch with an informational-response channel: when the
 // origin's response carries Link headers and onHints is non-nil, a small
 // 103 Early Hints interim response is modelled on the downlink and onHints
-// runs with a clone of the response headers as soon as it propagates —
+// runs with the response headers, which it must not write (the ownership
+// rule on httpcache.Response), as soon as it propagates —
 // ahead of the (typically much larger) final response body. The model is
 // conservative: the hints leave after origin processing, so they beat the
 // body by its serialization time rather than the server think time a real
@@ -326,10 +327,9 @@ func (e *Endpoint) roundTripStage(p *pendingFetch) {
 			if links := resp.Header.Values("Link"); len(links) > 0 {
 				hintBytes := earlyHintsWireSize(links)
 				e.stats.BytesDown += hintBytes
-				hdr := resp.Header.Clone()
 				e.down.Start(hintBytes, func() {
 					e.sim.After(e.cond.RTT/2, func() {
-						p.onHints(hdr)
+						p.onHints(resp.Header)
 					})
 				})
 			}

@@ -1,6 +1,6 @@
 // Package stats provides the small descriptive-statistics toolkit the
-// experiment harness reports with: means, medians, percentiles, standard
-// deviation and relative-change helpers.
+// experiment harness reports with: means, medians, percentiles and a
+// relative-change helper.
 package stats
 
 import (
@@ -45,49 +45,6 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// StdDev returns the sample standard deviation (n−1 denominator), or NaN
-// for fewer than two samples.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
-}
-
-// Min returns the smallest value, or NaN for empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest value, or NaN for empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // ReductionPercent returns the relative reduction from baseline to

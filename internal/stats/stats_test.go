@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -53,25 +54,6 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if !approx(StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}), math.Sqrt(32.0/7)) {
-		t.Fatal("stddev wrong")
-	}
-	if !math.IsNaN(StdDev([]float64{1})) {
-		t.Fatal("single-sample stddev should be NaN")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Fatal("min/max wrong")
-	}
-	if !math.IsNaN(Min(nil)) || !math.IsNaN(Max(nil)) {
-		t.Fatal("empty min/max should be NaN")
-	}
-}
-
 func TestReductionPercent(t *testing.T) {
 	if !approx(ReductionPercent(200, 140), 30) {
 		t.Fatal("30% reduction wrong")
@@ -94,7 +76,7 @@ func TestOrderStatisticsOrderedQuick(t *testing.T) {
 		for i, v := range raw {
 			xs[i] = float64(v)
 		}
-		lo, p10, med, p90, hi := Min(xs), Percentile(xs, 10), Median(xs), Percentile(xs, 90), Max(xs)
+		lo, p10, med, p90, hi := slices.Min(xs), Percentile(xs, 10), Median(xs), Percentile(xs, 90), slices.Max(xs)
 		return lo <= p10 && p10 <= med && med <= p90 && p90 <= hi
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -113,7 +95,7 @@ func TestMeanBoundedQuick(t *testing.T) {
 			xs[i] = float64(v)
 		}
 		m := Mean(xs)
-		return m >= Min(xs)-1e-9 && m <= Max(xs)+1e-9
+		return m >= slices.Min(xs)-1e-9 && m <= slices.Max(xs)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

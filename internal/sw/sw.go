@@ -12,9 +12,9 @@ package sw
 import (
 	"context"
 	"net/http"
+	"sync"
 	"sync/atomic"
 
-	"cachecatalyst/internal/cachestore"
 	"cachecatalyst/internal/core"
 	"cachecatalyst/internal/etag"
 	"cachecatalyst/internal/headers"
@@ -27,28 +27,30 @@ import (
 // (Service Worker caches never expire entries on their own). It is
 // unbounded: no program here sets a storage quota.
 //
-// Storage sits on internal/cachestore's sharded store, so a
-// CacheStorage is safe for concurrent workers (real browsers share one
-// Cache across worker contexts the same way).
+// Storage is a map under one mutex, so a CacheStorage is safe for
+// concurrent workers (real browsers share one Cache across worker contexts
+// the same way).
 type CacheStorage struct {
-	store *cachestore.Store[*httpcache.Response]
+	mu        sync.Mutex
+	responses map[string]*httpcache.Response
 }
 
 // NewCacheStorage returns an empty store.
 func NewCacheStorage() *CacheStorage {
-	return &CacheStorage{store: cachestore.New(cachestore.Options[*httpcache.Response]{
-		SizeOf: func(_ string, r *httpcache.Response) int64 { return int64(len(r.Body)) },
-	})}
+	return &CacheStorage{responses: make(map[string]*httpcache.Response)}
 }
 
 // Match returns the stored response for path, if any.
 func (c *CacheStorage) Match(path string) (*httpcache.Response, bool) {
-	return c.store.Get(path)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r, ok := c.responses[path]
+	return r, ok
 }
 
-// Put stores resp under path, replacing any previous entry. The stored
-// response keeps a clone of resp's header and shares its body, which no one
-// writes after it enters a Response (httpcache.Response's ownership rule).
+// Put stores resp under path, replacing any previous entry. The store keeps
+// resp itself, header and body, which no one writes after they enter a
+// Response (httpcache.Response's ownership rule).
 // Responses marked no-store are not cached, matching the paper's rule that
 // the Service Worker stores "all resources received from the server ...
 // provided they do not have a no-store header". Truncated bodies are never
@@ -62,18 +64,29 @@ func (c *CacheStorage) Put(path string, resp *httpcache.Response) {
 	if cc.NoStore {
 		return
 	}
-	c.store.Put(path, &httpcache.Response{StatusCode: resp.StatusCode, Header: resp.Header.Clone(), Body: resp.Body})
+	c.mu.Lock()
+	c.responses[path] = resp
+	c.mu.Unlock()
 }
 
 // Len returns the number of stored responses.
-func (c *CacheStorage) Len() int { return c.store.Len() }
+func (c *CacheStorage) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.responses)
+}
 
 // Keys returns the stored paths, in no particular order — chaos tests use
 // it to audit the whole store for poisoned entries.
-func (c *CacheStorage) Keys() []string { return c.store.Keys() }
-
-// Bytes returns the total stored body bytes.
-func (c *CacheStorage) Bytes() int64 { return c.store.Bytes() }
+func (c *CacheStorage) Keys() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	keys := make([]string, 0, len(c.responses))
+	for k := range c.responses {
+		keys = append(keys, k)
+	}
+	return keys
+}
 
 // AccessRecorder observes every subresource access a Worker serves or
 // fetches, with the object's byte size. internal/cachesim's Recorder

@@ -177,13 +177,9 @@ func (s *Site) lookupSpec(path string) (*resourceSpec, bool) {
 	return nil, false
 }
 
-// get materializes the resource at path for the current clock time, or
-// returns the one already in the store.
-func (s *Site) get(path string) (*server.Resource, bool) {
-	spec, ok := s.lookupSpec(path)
-	if !ok {
-		return nil, false
-	}
+// get materializes the resource at path, whose spec the caller looked up,
+// for the current clock time, or returns the one already in the store.
+func (s *Site) get(path string, spec *resourceSpec) (*server.Resource, bool) {
 	now := s.clock.Now()
 	if spec.appearsAfter > 0 && now.Before(s.epoch.Add(spec.appearsAfter)) {
 		// Referenced but not yet deployed: the server 404s until the
@@ -371,7 +367,7 @@ func (v *originView) Get(path string) (*server.Resource, bool) {
 	if !ok || spec.crossOrigin != v.cdn {
 		return nil, false
 	}
-	return v.site.get(path)
+	return v.site.get(path, spec)
 }
 
 func (v *originView) Paths() []string {
