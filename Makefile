@@ -64,6 +64,11 @@ vet:
 # §3) — or when the client decision of PROTOCOL.md §4 forks again:
 # core.Decide( is called once, by sw.Worker, and catalyst.Client is a shell
 # over that worker (DESIGN.md §6)
+# — or when a stylesheet's references are extracted beside the middleware's
+# one extraction: core.ExtractCSSRefs is named once in non-test code, as
+# catalyst's extractCSSRefs (render.go), through which the RenderMemo
+# extracts each stylesheet version once and the probe source its held text;
+# core's own adapter for text resolvers calls it unqualified (DESIGN.md §7)
 # — or when the emulated browser parses a body beside its parse memo:
 # htmlparse.ExtractPage(, cssparse.ExtractRefs( and jsexec.ExtractFetches(
 # are each called once in non-test internal/browser, in memo.go, so every
@@ -133,6 +138,9 @@ forks:
 	dec=$$(grep -Hn 'core\.Decide(' $$src | grep -v ':[0-9]*:[[:space:]]*//'); \
 	if [ "$$(echo "$$dec" | grep -c /internal/sw/)" -ne 1 ] || [ "$$(echo "$$dec" | grep -c .)" -ne 1 ]; then \
 		echo "forks: core.Decide( is called $$(echo "$$dec" | grep -c .) times in non-test code, want once, in internal/sw:" >&2; echo "$$dec" >&2; fail=1; fi; \
+	css=$$(grep -Hn 'core\.ExtractCSSRefs' $$src | grep -v ':[0-9]*:[[:space:]]*//'); \
+	if [ "$$(echo "$$css" | grep -c '/catalyst/render\.go:')" -ne 1 ] || [ "$$(echo "$$css" | grep -c .)" -ne 1 ]; then \
+		echo "forks: core.ExtractCSSRefs is named $$(echo "$$css" | grep -c .) times in non-test code, want once, as catalyst's extractCSSRefs:" >&2; echo "$$css" >&2; fail=1; fi; \
 	age=$$(echo "$$src" | grep '/catalyst/[^/]*\.go$$\|/internal/cluster/'); \
 	if grep -Hn 'time\.\(Now\|Since\|Until\)(' $$age | grep -v ':[0-9]*:[[:space:]]*//\|htmlStart' >&2; then \
 		echo "forks: catalyst or internal/cluster reads the wall clock outside the stage timing; an age reads the injected vclock.Clock (DESIGN.md §7)" >&2; fail=1; fi; \
@@ -148,7 +156,9 @@ forks:
 # map building, cache-trace parsing, delta patches, probe targets out of
 # upstream HTML, the HTML parser itself and the streaming extractor checked
 # against it), the render cache's raw-page compare, the 304 header merge
-# the held page and the browser cache share, and the two inputs that cross
+# the held page and the browser cache share, the fixed-offset HTTP date
+# reader and the origin adapter's request-target builder (each held to the
+# standard library parser it stands in for), and the two inputs that cross
 # into the daemon from outside: a peer's hot-map announcement and
 # catalystd.json. The corpus seeds also run as part of plain `go test`.
 fuzz:
@@ -159,6 +169,8 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzProbeTarget -fuzztime=10s ./catalyst/
 	$(GO) test -run=^$$ -fuzz=FuzzHotMatch -fuzztime=10s ./catalyst/
 	$(GO) test -run=^$$ -fuzz=FuzzMergeNotModified -fuzztime=10s ./internal/headers/
+	$(GO) test -run=^$$ -fuzz=FuzzParseHTTPDate -fuzztime=10s ./internal/headers/
+	$(GO) test -run=^$$ -fuzz=FuzzRequestTarget -fuzztime=10s ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=10s ./internal/htmlparse/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeEntities -fuzztime=10s ./internal/htmlparse/
 	$(GO) test -run=^$$ -fuzz=FuzzExtractPage -fuzztime=10s ./internal/htmlparse/

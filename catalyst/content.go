@@ -42,16 +42,16 @@ func (c *contentFront) render(ts *tenantState, pageURL string, res *server.Resou
 // expired.
 var never = time.Date(9999, time.December, 31, 0, 0, 0, 0, time.UTC)
 
-// lookup makes c a mapSource.
-func (c *contentFront) lookup(_ context.Context, _ *http.Request, path string) (etag.Tag, bool, string, bool) {
+// lookup makes c a mapSource; a stylesheet's references come via the memo.
+func (c *contentFront) lookup(_ context.Context, _ *http.Request, path string, sheet bool) (etag.Tag, bool, []core.Ref) {
 	r, ok := c.content.Get(path)
 	if !ok {
-		return etag.Tag{}, false, "", false
+		return etag.Tag{}, false, nil
 	}
-	if !isCSS(r.ContentType) {
-		return r.ETag, true, "", false
+	if !sheet || !isCSS(r.ContentType) {
+		return r.ETag, true, nil
 	}
-	return r.ETag, true, r.Text(), true
+	return r.ETag, true, c.memo.sheet(path, r)
 }
 
 // cached is false: at contentConcurrency a resolve makes every lookup
@@ -91,19 +91,22 @@ func (c *contentFront) withRecorded(base core.ETagMap, session, pageURL string) 
 // RenderMemo holds the renders (newRender) of every page version
 // the Middlewares sharing it have served from Content, keyed by the page's
 // *server.Resource and URL, of which a render is a pure function (a body is
-// never written; references resolve against the URL). A sweep makes one per
-// site and hands it to every world's front end of the site (ShareRenders),
-// so each page version is rendered once per site, not once per world. Each
-// Middleware keeps its own bounded store, map slots and counters over it.
+// never written; references resolve against the URL), and alike the
+// references (extractCSSRefs) of every stylesheet version their maps read.
+// A sweep makes one per site and hands it to every world's front end of the
+// site (ShareRenders), so each page and stylesheet version is rendered or
+// extracted once per site, not once per world or resolve. Each Middleware
+// keeps its own bounded store, map slots and counters over it.
 // A memo is unbounded and lives as long as its Resources, so only the
 // simulator makes one: catalystd -dir's renders stay within its store's
 // budget. It is not safe for concurrent use: a site's worlds run one after
 // another on one goroutine.
 type RenderMemo struct {
 	renders map[renderKey]render
+	sheets  map[renderKey][]core.Ref
 }
 
-// renderKey names one page version at one URL.
+// renderKey names one page or stylesheet version at one URL.
 type renderKey struct {
 	res  *server.Resource
 	page string
@@ -111,7 +114,7 @@ type renderKey struct {
 
 // NewRenderMemo returns an empty memo.
 func NewRenderMemo() *RenderMemo {
-	m := &RenderMemo{renders: make(map[renderKey]render)}
+	m := &RenderMemo{renders: make(map[renderKey]render), sheets: make(map[renderKey][]core.Ref)}
 	if testHookNewRenderMemo != nil {
 		testHookNewRenderMemo(m)
 	}
@@ -143,6 +146,19 @@ func (m *RenderMemo) render(p string, res *server.Resource) render {
 		m.renders[key] = rd
 	}
 	return rd
+}
+
+// sheet returns extractCSSRefs of the stylesheet res at p, once per memo.
+func (m *RenderMemo) sheet(p string, res *server.Resource) []core.Ref {
+	if m == nil {
+		return extractCSSRefs(p, string(res.Body))
+	}
+	refs, ok := m.sheets[renderKey{res, p}]
+	if !ok {
+		refs = extractCSSRefs(p, string(res.Body))
+		m.sheets[renderKey{res, p}] = refs
+	}
+	return refs
 }
 
 // MapsBuilt reports how many X-Etag-Config maps h, a Middleware, has

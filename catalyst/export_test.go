@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 
+	"cachecatalyst/internal/core"
 	"cachecatalyst/internal/server"
 	"cachecatalyst/internal/vclock"
 )
@@ -65,11 +66,13 @@ func TimelineMiddleware(next http.Handler, clock *vclock.Virtual, maxProbeEntrie
 	return h, metricsOf(h)
 }
 
-// renderMemoLog collects the memos NewRenderMemo makes while it is on.
+// renderMemoLog collects the memos NewRenderMemo makes, and counts the
+// stylesheet extractions extractCSSRefs makes, while it is on.
 var renderMemoLog struct {
 	sync.Mutex
-	on    bool
-	memos []*RenderMemo
+	on          bool
+	memos       []*RenderMemo
+	extractions int
 }
 
 func init() {
@@ -80,33 +83,50 @@ func init() {
 		}
 		renderMemoLog.Unlock()
 	}
+	extract := extractCSSRefs
+	extractCSSRefs = func(path, text string) []core.Ref {
+		renderMemoLog.Lock()
+		if renderMemoLog.on {
+			renderMemoLog.extractions++
+		}
+		renderMemoLog.Unlock()
+		return extract(path, text)
+	}
 }
 
-// CollectRenderMemos runs f and returns every render memo made while it ran.
-func CollectRenderMemos(f func()) []*RenderMemo {
+// CollectRenderMemos runs f and returns every render memo made while it ran
+// and how many stylesheets the middleware extracted meanwhile.
+func CollectRenderMemos(f func()) ([]*RenderMemo, int) {
 	renderMemoLog.Lock()
-	renderMemoLog.on, renderMemoLog.memos = true, nil
+	renderMemoLog.on, renderMemoLog.memos, renderMemoLog.extractions = true, nil, 0
 	renderMemoLog.Unlock()
 	f()
 	renderMemoLog.Lock()
 	defer renderMemoLog.Unlock()
-	memos := renderMemoLog.memos
+	memos, n := renderMemoLog.memos, renderMemoLog.extractions
 	renderMemoLog.on, renderMemoLog.memos = false, nil
-	return memos
+	return memos, n
 }
 
-// Recheck renders every entry's page afresh from its Resource and URL and
-// returns how many entries the memo holds and an error naming those whose
-// stored render differs.
-func (m *RenderMemo) Recheck() (int, error) {
+// Recheck renders every render entry's page afresh from its Resource and
+// URL, and extracts every stylesheet entry's references afresh, and returns
+// how many renders and stylesheet versions the memo holds and an error
+// naming the entries that differ.
+func (m *RenderMemo) Recheck() (renders, sheets int, err error) {
 	var bad []string
 	for key, got := range m.renders {
 		if want := newRender(key.page, string(key.res.Body)); !reflect.DeepEqual(got, want) {
 			bad = append(bad, fmt.Sprintf("%s, version %s: the stored render differs from a fresh one", key.page, key.res.ETag))
 		}
 	}
-	if len(bad) > 0 {
-		return len(m.renders), fmt.Errorf("%d of %d renders differ from a fresh render: %q", len(bad), len(m.renders), bad)
+	for key, got := range m.sheets {
+		if want := core.ExtractCSSRefs(key.page, string(key.res.Body)); !reflect.DeepEqual(got, want) {
+			bad = append(bad, fmt.Sprintf("%s, version %s: the stored references differ from a fresh extraction", key.page, key.res.ETag))
+		}
 	}
-	return len(m.renders), nil
+	renders, sheets = len(m.renders), len(m.sheets)
+	if len(bad) > 0 {
+		err = fmt.Errorf("%d of %d entries differ from a fresh render or extraction: %q", len(bad), renders+sheets, bad)
+	}
+	return renders, sheets, err
 }

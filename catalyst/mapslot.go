@@ -53,9 +53,9 @@ type evidence struct {
 // construction.
 type mapSource interface {
 	// lookup answers one lookup of a resolve run for r, whose trace ctx
-	// carries: path's validator, whether the resource exists and, for an
-	// existing stylesheet, its text.
-	lookup(ctx context.Context, r *http.Request, path string) (tag etag.Tag, ok bool, css string, isCSS bool)
+	// carries: path's validator, whether the resource exists and, when
+	// sheet is set, an existing stylesheet's references (read-only).
+	lookup(ctx context.Context, r *http.Request, path string, sheet bool) (tag etag.Tag, ok bool, children []core.Ref)
 	// cached reports whether lookup answers path without a flight, so a
 	// resolve makes it inline (core.CachingResolver).
 	cached(path string) bool
@@ -158,27 +158,24 @@ func (w *witness) note(ev evidence) {
 	w.mu.Unlock()
 }
 
-func (w *witness) lookup(path string) (etag.Tag, bool, string, bool) {
-	tag, ok, css, isCSS := w.src.lookup(w.ctx, w.r, path)
+func (w *witness) lookup(path string, sheet bool) (etag.Tag, bool, []core.Ref) {
+	tag, ok, children := w.src.lookup(w.ctx, w.r, path, sheet)
 	w.note(evidence{key: path, tag: tag, present: ok})
-	return tag, ok, css, isCSS
+	return tag, ok, children
 }
 
 func (w *witness) ETagFor(path string) (etag.Tag, bool) {
-	tag, ok, _, _ := w.lookup(path)
+	tag, ok, _ := w.lookup(path, false)
 	return tag, ok
 }
 
-// StylesheetBody logs its lookup separately from ETagFor's of the same path:
+// StylesheetRefs logs its lookup separately from ETagFor's of the same path:
 // if the source moved between the two, the log holds both validators, no
 // verification can satisfy both, and the map is rebuilt instead of pairing
 // one version's tag with another's children.
-func (w *witness) StylesheetBody(path string) (string, bool) {
-	_, ok, css, isCSS := w.lookup(path)
-	if !ok || !isCSS {
-		return "", false
-	}
-	return css, true
+func (w *witness) StylesheetRefs(path string) []core.Ref {
+	_, _, children := w.lookup(path, true)
+	return children
 }
 
 // Cached implements core.CachingResolver.

@@ -768,9 +768,13 @@ func (p *probeSource) cached(path string) bool {
 	return ok && p.m.tune.clock.Now().Before(pr.expires)
 }
 
-func (p *probeSource) lookup(ctx context.Context, r *http.Request, path string) (etag.Tag, bool, string, bool) {
+// lookup extracts a stylesheet's references from the probe's held text.
+func (p *probeSource) lookup(ctx context.Context, r *http.Request, path string, sheet bool) (etag.Tag, bool, []core.Ref) {
 	pr := p.m.probe(p.ts, path, r, ctx)
-	return pr.tag, pr.ok, pr.cssBody, pr.ok && pr.isCSS
+	if !sheet || !pr.ok || !pr.isCSS {
+		return pr.tag, pr.ok, nil
+	}
+	return pr.tag, true, extractCSSRefs(path, pr.cssBody)
 }
 
 func (p *probeSource) recheck(path string, _ bool) (etag.Tag, bool, time.Time) {

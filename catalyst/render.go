@@ -72,6 +72,11 @@ func (rd *render) raw() []byte {
 	return append(append(make([]byte, 0, len(rd.Body)-rd.snipLen), rd.Body[:at]...), rd.Body[rest:]...)
 }
 
+// extractCSSRefs is the middleware's one extraction of a stylesheet's
+// references: of a probe's text on every resolve, of a Content stylesheet
+// version once per RenderMemo. Tests wrap it to count the extractions.
+var extractCSSRefs = core.ExtractCSSRefs
+
 // isCSS reports whether a content type is a stylesheet — the responses a
 // resolve inspects recursively.
 func isCSS(contentType string) bool { return strings.HasPrefix(contentType, "text/css") }

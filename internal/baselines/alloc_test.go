@@ -53,7 +53,7 @@ func TestBundleAllocatesItsBodyOnce(t *testing.T) {
 		resp = origin.RoundTrip(&netsim.Request{Method: "GET", Path: "/index.html", Header: make(http.Header)})
 	}
 	nav()
-	if _, pushed, ok := Split(resp); !ok || len(pushed) != 16 {
+	if _, pushed, ok := split(resp); !ok || len(pushed) != 16 {
 		t.Fatalf("bundle of %d parts, want 16", len(pushed))
 	}
 

@@ -329,16 +329,22 @@ func (b *bundleOrigin) resolveAll(pagePath, html string) []string {
 	return order
 }
 
-// Split unpacks a bundled navigation response into the page response and
-// the bundled subresource responses keyed by path. ok=false means the
-// response carries no (valid) bundle.
-func Split(resp *httpcache.Response) (page *httpcache.Response, pushed map[string]*httpcache.Response, ok bool) {
-	manifest := resp.Header.Get(BundleHeader)
-	if manifest == "" {
-		return nil, nil, false
-	}
+// DecodeManifest decodes a bundle manifest, the BundleHeader value of a
+// bundled navigation; nil means it is none.
+func DecodeManifest(manifest string) []Entry {
 	var entries []Entry
-	if err := json.Unmarshal([]byte(manifest), &entries); err != nil || len(entries) == 0 {
+	if json.Unmarshal([]byte(manifest), &entries) != nil {
+		return nil
+	}
+	return entries
+}
+
+// Split unpacks a bundled navigation response, whose manifest decodes to
+// entries, into the page response and the bundled subresource responses
+// keyed by path, each with a header map of its own. ok=false means the
+// response carries no (valid) bundle.
+func Split(resp *httpcache.Response, entries []Entry) (page *httpcache.Response, pushed map[string]*httpcache.Response, ok bool) {
+	if len(entries) == 0 {
 		return nil, nil, false
 	}
 	total := 0

@@ -41,7 +41,7 @@ func navigate(t *testing.T, origin netsim.Origin) *httpcache.Response {
 func TestPushAllBundlesStaticResources(t *testing.T) {
 	origin, _ := newBundleWorld(t, PushAll)
 	resp := navigate(t, origin)
-	page, pushed, ok := Split(resp)
+	page, pushed, ok := split(resp)
 	if !ok {
 		t.Fatal("no bundle")
 	}
@@ -65,7 +65,7 @@ func TestPushAllBundlesStaticResources(t *testing.T) {
 
 func TestRDRBundlesFullClosure(t *testing.T) {
 	origin, _ := newBundleWorld(t, RDR)
-	_, pushed, ok := Split(navigate(t, origin))
+	_, pushed, ok := split(navigate(t, origin))
 	if !ok {
 		t.Fatal("no bundle")
 	}
@@ -81,7 +81,7 @@ func TestRDRBundlesFullClosure(t *testing.T) {
 
 func TestBundleBodiesIntact(t *testing.T) {
 	origin, _ := newBundleWorld(t, RDR)
-	_, pushed, _ := Split(navigate(t, origin))
+	_, pushed, _ := split(navigate(t, origin))
 	if string(pushed["/d.jpg"].Body) != "JPEG" {
 		t.Fatalf("d.jpg body = %q", pushed["/d.jpg"].Body)
 	}
@@ -118,15 +118,15 @@ func TestNotFoundPassesThrough(t *testing.T) {
 func TestSplitRejectsCorruptManifest(t *testing.T) {
 	h := make(http.Header)
 	h.Set(BundleHeader, "{broken")
-	if _, _, ok := Split(&httpcache.Response{StatusCode: 200, Header: h, Body: []byte("x")}); ok {
+	if _, _, ok := split(&httpcache.Response{StatusCode: 200, Header: h, Body: []byte("x")}); ok {
 		t.Fatal("accepted corrupt manifest")
 	}
 	h2 := make(http.Header)
 	h2.Set(BundleHeader, `[{"p":"/","s":200,"ct":"text/html","n":999}]`)
-	if _, _, ok := Split(&httpcache.Response{StatusCode: 200, Header: h2, Body: []byte("short")}); ok {
+	if _, _, ok := split(&httpcache.Response{StatusCode: 200, Header: h2, Body: []byte("short")}); ok {
 		t.Fatal("accepted length mismatch")
 	}
-	if _, _, ok := Split(&httpcache.Response{StatusCode: 200, Header: make(http.Header), Body: []byte("x")}); ok {
+	if _, _, ok := split(&httpcache.Response{StatusCode: 200, Header: make(http.Header), Body: []byte("x")}); ok {
 		t.Fatal("accepted bundle-less response")
 	}
 }
@@ -147,4 +147,9 @@ func TestPolicyString(t *testing.T) {
 	if PushAll.String() != "push-all" || RDR.String() != "rdr" {
 		t.Fatal("policy strings wrong")
 	}
+}
+
+// split is Split of resp with its manifest decoded.
+func split(resp *httpcache.Response) (*httpcache.Response, map[string]*httpcache.Response, bool) {
+	return Split(resp, DecodeManifest(resp.Header.Get(BundleHeader)))
 }

@@ -42,7 +42,7 @@ func TestBundleMemoKeysByParts(t *testing.T) {
 			var first []byte // the first world's bundle body
 			for i, want := range []*httpcache.Response{css, &changed, css} {
 				resp := navigate(t, worlds[i%2])
-				_, pushed, ok := Split(resp)
+				_, pushed, ok := split(resp)
 				if !ok || pushed["/a.css"] == nil {
 					t.Fatalf("navigation %d: no bundle carrying /a.css", i)
 				}

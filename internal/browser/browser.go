@@ -613,7 +613,7 @@ func (l *loader) fetchCatalyst(host, path string, kind htmlparse.ResourceKind, i
 func (l *loader) fetchBundled(host, path string, kind htmlparse.ResourceKind, isNav bool) {
 	if isNav {
 		l.networkFetch(host, path, kind, make(http.Header), func(resp *httpcache.Response, reqAt, respAt time.Duration) *httpcache.Response {
-			page, pushed, ok := baselines.Split(resp)
+			page, pushed, ok := baselines.Split(resp, l.b.manifest(resp))
 			if !ok {
 				return resp
 			}

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sync"
 	"unsafe"
+
+	"cachecatalyst/internal/baselines"
 )
 
 // memoLog collects the memos NewParseMemo makes while it is on.
@@ -40,14 +42,14 @@ func CollectMemos(f func()) []*ParseMemo {
 
 // MemoCounts is how many entries of each sort memos hold.
 type MemoCounts struct {
-	Identity, Content, Resolved int
+	Identity, Content, Resolved, Manifests int
 }
 
 // Recheck derives every entry of memos afresh: it parses the bytes behind
 // every identity key and every content key, and resolves a fresh parse of
 // the body behind every resolved entry against that entry's document URL.
-// It returns how many entries the memos hold and an error naming those whose
-// stored value differs.
+// It decodes every bundle manifest afresh too. It returns how many entries
+// the memos hold and an error naming those whose stored value differs.
 func Recheck(memos []*ParseMemo) (MemoCounts, error) {
 	var n MemoCounts
 	var bad []string
@@ -72,6 +74,12 @@ func Recheck(memos []*ParseMemo) (MemoCounts, error) {
 				bad = append(bad, fmt.Sprintf("identity %d %.40q: %+v, a parse gives %+v", id.kind, text, got, want))
 			}
 		}
+		for text, got := range m.manifests {
+			if want := baselines.DecodeManifest(text); !reflect.DeepEqual(got, want) {
+				bad = append(bad, fmt.Sprintf("manifest %.40q: %+v, a decode gives %+v", text, got, want))
+			}
+		}
+		n.Manifests += len(m.manifests)
 		n.Identity += len(m.byID)
 		n.Content += len(m.byText)
 		n.Resolved += len(m.resolved)

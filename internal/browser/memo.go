@@ -4,6 +4,7 @@ import (
 	"net/url"
 	"strings"
 
+	"cachecatalyst/internal/baselines"
 	"cachecatalyst/internal/cssparse"
 	"cachecatalyst/internal/htmlparse"
 	"cachecatalyst/internal/httpcache"
@@ -40,6 +41,8 @@ import (
 // browser's own memo, which lives only as long as the browser, so a shared
 // memo never holds on to a buffer one navigation allocated.
 //
+// A push or RDR bundle's manifest is decoded once per memo, keyed by text.
+//
 // Entries are shared and read-only: a caller must not append to, sort or
 // otherwise write a slice it gets from the memo.
 //
@@ -47,9 +50,10 @@ import (
 // site's worlds run one after another on one goroutine, and a Browser is
 // not safe for concurrent use either.
 type ParseMemo struct {
-	byID     map[bodyID]*parsed
-	byText   map[bodyText]*parsed
-	resolved map[docRef][]target
+	byID      map[bodyID]*parsed
+	byText    map[bodyText]*parsed
+	resolved  map[docRef][]target
+	manifests map[string][]baselines.Entry
 }
 
 // bodyKind is the parser a body is read with.
@@ -110,9 +114,10 @@ type docRef struct {
 // NewParseMemo returns an empty memo.
 func NewParseMemo() *ParseMemo {
 	m := &ParseMemo{
-		byID:     make(map[bodyID]*parsed),
-		byText:   make(map[bodyText]*parsed),
-		resolved: make(map[docRef][]target),
+		byID:      make(map[bodyID]*parsed),
+		byText:    make(map[bodyText]*parsed),
+		resolved:  make(map[docRef][]target),
+		manifests: make(map[string][]baselines.Entry),
 	}
 	if testHookNewMemo != nil {
 		testHookNewMemo(m)
@@ -183,6 +188,18 @@ func (b *Browser) parsed(k bodyKind, resp *httpcache.Response, asSent bool) (*pa
 	into := b.into(asSent)
 	into.byID[id], into.byText[text] = e, e
 	return e, into == b.memo
+}
+
+// manifest returns the decoded bundle manifest resp carries, nil for none,
+// from the memo (baselines.DecodeManifest on a miss, which the memo keeps).
+func (b *Browser) manifest(resp *httpcache.Response) []baselines.Entry {
+	text := resp.Header.Get(baselines.BundleHeader)
+	entries, ok := b.memo.manifests[text]
+	if !ok {
+		entries = baselines.DecodeManifest(text)
+		b.memo.manifests[text] = entries
+	}
+	return entries
 }
 
 // parse extracts a body's references with kind's parser.

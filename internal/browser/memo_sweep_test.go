@@ -33,8 +33,8 @@ func TestMemoisedParsesAreExact(t *testing.T) {
 	if err != nil {
 		t.Error(err)
 	}
-	if n.Identity == 0 || n.Content == 0 || n.Resolved == 0 {
+	if n.Identity == 0 || n.Content == 0 || n.Resolved == 0 || n.Manifests == 0 {
 		t.Fatalf("the sweeps stored %+v in the memos; the browser does not parse and resolve through one", n)
 	}
-	t.Logf("%d memos made; %d identity, %d content and %d resolved entries checked", len(memos), n.Identity, n.Content, n.Resolved)
+	t.Logf("%d memos made; %d identity, %d content, %d resolved and %d manifest entries checked", len(memos), n.Identity, n.Content, n.Resolved, n.Manifests)
 }

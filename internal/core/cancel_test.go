@@ -48,7 +48,7 @@ func TestResolveRefsContextCancelStopsFanout(t *testing.T) {
 
 	done := make(chan ETagMap, 1)
 	go func() {
-		done <- ResolveRefsContext(ctx, manyRefs(64), res, BuildOptions{Concurrency: workers})
+		done <- ResolveRefsContext(ctx, manyRefs(64), extracting{res}, BuildOptions{Concurrency: workers})
 	}()
 
 	// Wait for the fan-out to be mid-flight: every worker blocked in a
@@ -86,7 +86,7 @@ func TestResolveRefsContextCancelBeforeStart(t *testing.T) {
 	res := &gateResolver{release: make(chan struct{})}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m := ResolveRefsContext(ctx, manyRefs(8), res, BuildOptions{Concurrency: 4})
+	m := ResolveRefsContext(ctx, manyRefs(8), extracting{res}, BuildOptions{Concurrency: 4})
 	if len(m) != 0 {
 		t.Fatalf("map has %d entries, want 0", len(m))
 	}
@@ -108,7 +108,7 @@ func TestResolveRefsContextSequentialCancel(t *testing.T) {
 		}
 		return etag.ForBytes([]byte(path)), true
 	})
-	m := ResolveRefsContext(ctx, manyRefs(32), res, BuildOptions{})
+	m := ResolveRefsContext(ctx, manyRefs(32), extracting{res}, BuildOptions{})
 	if calls > 3 {
 		t.Fatalf("%d lookups ran after cancel", calls)
 	}
@@ -125,7 +125,7 @@ func TestResolveRefsContextUncancelledMatchesResolveRefs(t *testing.T) {
 	})
 	refs := manyRefs(16)
 	a := ResolveRefs(refs, res, BuildOptions{Concurrency: 4})
-	b := ResolveRefsContext(context.Background(), refs, res, BuildOptions{Concurrency: 4})
+	b := ResolveRefsContext(context.Background(), refs, extracting{res}, BuildOptions{Concurrency: 4})
 	if len(a) != len(b) || len(a) != 16 {
 		t.Fatalf("len(a)=%d len(b)=%d", len(a), len(b))
 	}

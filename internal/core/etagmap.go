@@ -258,13 +258,24 @@ type Resolver interface {
 	StylesheetBody(path string) (string, bool)
 }
 
-// CachingResolver is a Resolver that can tell, without blocking, which
+// RefResolver is what the resolve phase asks: a Resolver that answers a
+// stylesheet with its references, so one that holds them per stylesheet
+// version extracts each once. ResolveRefs and BuildMap adapt a Resolver.
+type RefResolver interface {
+	// ETagFor is Resolver's.
+	ETagFor(path string) (etag.Tag, bool)
+	// StylesheetRefs returns ExtractCSSRefs of the same-origin stylesheet
+	// at path (nil for none), which the resolve phase only reads.
+	StylesheetRefs(path string) []Ref
+}
+
+// CachingResolver is a RefResolver that can tell, without blocking, which
 // lookups it would answer from what it already holds. ResolveRefsContext
 // makes those lookups inline on the calling goroutine and fans out only the
 // rest, so a level whose references are all held starts no goroutine.
 type CachingResolver interface {
-	Resolver
-	// Cached reports whether ETagFor and StylesheetBody of path would
+	RefResolver
+	// Cached reports whether ETagFor and StylesheetRefs of path would
 	// answer without blocking.
 	Cached(path string) bool
 }

@@ -144,17 +144,28 @@ func resolveCrossOrigin(base *url.URL, ref string) (string, bool) {
 // map is deterministic: it holds every reference that resolved. The map's
 // size is bounded where it is encoded (catalyst's encodeMap), not here.
 func ResolveRefs(refs []Ref, res Resolver, opts BuildOptions) ETagMap {
-	return ResolveRefsContext(context.Background(), refs, res, opts)
+	return ResolveRefsContext(context.Background(), refs, extracting{res}, opts)
 }
 
-// ResolveRefsContext is ResolveRefs with cancellation: once ctx is done no
-// further Resolver lookups are started — workers finish the call they are
-// in, drain, and the map assembled so far is returned. An abandoned page
-// build (a client that disconnected mid-render) therefore stops fanning
-// probes out at the origin instead of completing the whole BFS. Callers
-// that cache assembled maps must not cache a cancelled resolve's partial
-// result; check ctx.Err() after the call.
-func ResolveRefsContext(ctx context.Context, refs []Ref, res Resolver, opts BuildOptions) ETagMap {
+// extracting adapts a Resolver to the resolve phase: a stylesheet's
+// references are extracted from its text on every lookup.
+type extracting struct{ Resolver }
+
+func (e extracting) StylesheetRefs(path string) []Ref {
+	if body, ok := e.StylesheetBody(path); ok {
+		return ExtractCSSRefs(path, body)
+	}
+	return nil
+}
+
+// ResolveRefsContext is ResolveRefs over a RefResolver, with cancellation:
+// once ctx is done no further lookups are started — workers finish the call
+// they are in, drain, and the map assembled so far is returned. An
+// abandoned page build (a client that disconnected mid-render) therefore
+// stops fanning probes out at the origin instead of completing the whole
+// BFS. Callers that cache assembled maps must not cache a cancelled
+// resolve's partial result; check ctx.Err() after the call.
+func ResolveRefsContext(ctx context.Context, refs []Ref, res RefResolver, opts BuildOptions) ETagMap {
 	depth := maxCSSDepth
 	type outcome struct {
 		tag      etag.Tag
@@ -200,9 +211,7 @@ func ResolveRefsContext(ctx context.Context, refs []Ref, res Resolver, opts Buil
 			}
 			o := outcome{tag: t, ok: true}
 			if recurse[i] {
-				if body, ok := res.StylesheetBody(r.Key); ok {
-					o.children = ExtractCSSRefs(r.Key, body)
-				}
+				o.children = res.StylesheetRefs(r.Key)
 			}
 			outs[i] = o
 		}

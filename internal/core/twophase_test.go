@@ -114,7 +114,7 @@ func TestResolveRefsParallelMatchesSequential(t *testing.T) {
 
 // cachingResolver claims to hold the paths held reports true for.
 type cachingResolver struct {
-	Resolver
+	RefResolver
 	held func(path string) bool
 }
 
@@ -129,7 +129,7 @@ func TestResolveRefsCachingResolverMatchesSequential(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		for mod := 1; mod <= 3; mod++ {
 			held := func(p string) bool { return len(p)%mod == 0 }
-			got := BuildMap("/index.html", html, cachingResolver{res, held}, BuildOptions{CrossOriginETag: xo, Concurrency: workers})
+			got := ResolveRefsContext(context.Background(), ExtractPageRefs("/index.html", html), cachingResolver{extracting{res}, held}, BuildOptions{CrossOriginETag: xo, Concurrency: workers})
 			if len(got) != len(seq) {
 				t.Fatalf("concurrency %d, held len%%%d: %d entries, want %d", workers, mod, len(got), len(seq))
 			}
@@ -152,7 +152,7 @@ func TestResolveRefsHeldLookupsStayInline(t *testing.T) {
 	}
 	slow := &slowResolver{delay: time.Millisecond}
 	all := func(string) bool { return true }
-	if m := BuildMap("/", html, cachingResolver{slow, all}, BuildOptions{Concurrency: 16}); len(m) != 16 {
+	if m := ResolveRefsContext(context.Background(), ExtractPageRefs("/", html), cachingResolver{extracting{slow}, all}, BuildOptions{Concurrency: 16}); len(m) != 16 {
 		t.Fatalf("map has %d entries", len(m))
 	}
 	if p := slow.peak.Load(); p != 1 {
@@ -160,7 +160,7 @@ func TestResolveRefsHeldLookupsStayInline(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancelling := &cancellingResolver{Resolver: slow, cancel: cancel}
-	if m := ResolveRefsContext(ctx, ExtractPageRefs("/", html), cachingResolver{cancelling, all}, BuildOptions{Concurrency: 16}); len(m) != 1 || cancelling.calls != 1 {
+	if m := ResolveRefsContext(ctx, ExtractPageRefs("/", html), cachingResolver{extracting{cancelling}, all}, BuildOptions{Concurrency: 16}); len(m) != 1 || cancelling.calls != 1 {
 		t.Fatalf("the context was done after the first lookup, but %d ran and %d entries resolved", cancelling.calls, len(m))
 	}
 }

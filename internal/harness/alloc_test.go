@@ -26,8 +26,8 @@ func TestSimulatedLoadAllocations(t *testing.T) {
 		scheme Scheme
 		max    float64
 	}{
-		{SchemeConventional, 2382}, // measured 2335
-		{SchemeCatalyst, 2054},     // measured 2014
+		{SchemeConventional, 2257}, // measured 2212
+		{SchemeCatalyst, 2012},     // measured 1972
 	} {
 		t.Run(tc.scheme.String(), func(t *testing.T) {
 			var resources int

@@ -153,8 +153,13 @@ func FormatHTTPDate(t time.Time) string {
 }
 
 // ParseHTTPDate parses the three date forms RFC 9110 §5.6.7 requires
-// recipients to accept. The boolean reports success.
+// recipients to accept. The boolean reports success. An IMF-fixdate as
+// FormatHTTPDate writes it is read at fixed offsets, anything else by
+// time.Parse.
 func ParseHTTPDate(s string) (time.Time, bool) {
+	if t, ok := parseIMFFixdate(s); ok {
+		return t, true
+	}
 	for _, layout := range []string{httpTimeFormat, time.RFC850, time.ANSIC} {
 		if t, err := time.Parse(layout, s); err == nil {
 			return t, true
@@ -164,3 +169,28 @@ func ParseHTTPDate(s string) (time.Time, bool) {
 }
 
 const httpTimeFormat = "Mon, 02 Jan 2006 15:04:05 GMT"
+
+// parseIMFFixdate reads s when it is exactly httpTimeFormat's shape (names
+// in that letter case, every field in range: a day past its month's end
+// normalizes to another day, and is refused) as time.Parse(httpTimeFormat,
+// s) does, and declines anything else, well formed or not, with ok false.
+func parseIMFFixdate(s string) (t time.Time, ok bool) {
+	if len(s) != len(httpTimeFormat) || s[3:5] != ", " || s[7] != ' ' || s[11] != ' ' ||
+		s[16] != ' ' || s[19] != ':' || s[22] != ':' || s[25:] != " GMT" {
+		return time.Time{}, false
+	}
+	var n [6]int // day, century, year of century, hour, minute, second
+	for i, at := range [6]int{5, 12, 14, 17, 20, 23} {
+		hi, lo := s[at]-'0', s[at+1]-'0'
+		if hi > 9 || lo > 9 {
+			return time.Time{}, false
+		}
+		n[i] = int(hi)*10 + int(lo)
+	}
+	wd, mon := strings.Index("MonTueWedThuFriSatSun", s[:3]), strings.Index("JanFebMarAprMayJunJulAugSepOctNovDec", s[8:11])
+	if wd%3 != 0 || mon%3 != 0 || n[3] > 23 || n[4] > 59 || n[5] > 59 {
+		return time.Time{}, false
+	}
+	t = time.Date(n[1]*100+n[2], time.Month(mon/3+1), n[0], n[3], n[4], n[5], 0, time.UTC)
+	return t, t.Day() == n[0]
+}

@@ -35,40 +35,23 @@ func NotModified(req http.Header, tag etag.Tag, hasTag bool, lastModified time.T
 // §3.1).
 //
 // The merged fields are written into dst, which is made when nil, and dst is
-// returned; fields of dst that neither input names are left alone. Every value
-// slice written is a fresh copy cut to its length, all of them carved from one
-// allocation. The result therefore shares no backing array with either input,
-// and an append by whoever holds it reallocates instead of writing into a
-// neighbour's values.
+// returned; fields of dst that neither input names are left alone. Every
+// value slice written is the input's own, cut to its length and capacity:
+// nothing is copied, and an append by whoever holds the result reallocates
+// instead of writing into an input's array. No value is written in place
+// (the ownership rule on httpcache.Response), so the sharing is safe.
 func MergeNotModified(dst, stored, notModified http.Header) http.Header {
-	n := 0
-	for k, vs := range stored {
-		if _, replaced := notModified[k]; !replaced || keptFrom304(k) {
-			n += len(vs)
-		}
-	}
-	for k, vs := range notModified {
-		if !keptFrom304(k) {
-			n += len(vs)
-		}
-	}
 	if dst == nil {
-		dst = make(http.Header, len(stored)+len(notModified))
-	}
-	vals := make([]string, 0, n)
-	put := func(k string, vs []string) {
-		at := len(vals)
-		vals = append(vals, vs...)
-		dst[k] = vals[at:len(vals):len(vals)]
+		dst = make(http.Header, len(stored))
 	}
 	for k, vs := range stored {
 		if _, replaced := notModified[k]; !replaced || keptFrom304(k) {
-			put(k, vs)
+			dst[k] = vs[:len(vs):len(vs)]
 		}
 	}
 	for k, vs := range notModified {
 		if !keptFrom304(k) {
-			put(k, vs)
+			dst[k] = vs[:len(vs):len(vs)]
 		}
 	}
 	return dst

@@ -71,21 +71,9 @@ type Resource struct {
 	// Built lazily on first serve; racing builders produce identical
 	// values, so last-store-wins is fine.
 	hdr atomic.Pointer[resourceHeaders]
-	// str memoizes string(Body) for the map builder, which reads every
-	// stylesheet it recurses into as a string on every resolve. Same
-	// lazy, last-store-wins discipline as hdr.
-	str atomic.Pointer[string]
-}
-
-// Text returns the body as a string, converting once per Resource rather
-// than once per resolve.
-func (r *Resource) Text() string {
-	if s := r.str.Load(); s != nil {
-		return *s
-	}
-	s := string(r.Body)
-	r.str.Store(&s)
-	return s
+	// hints memoizes an HTML page's early-hints Link values
+	// (Server.hintsFor), under the same discipline.
+	hints atomic.Pointer[preloadHints]
 }
 
 // Content supplies the site being served. Implementations must reflect the

@@ -228,7 +228,8 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, d Decorator) {
 		}
 	}
 
-	if s.opts.EarlyHints && isHTML && AddPreloadLinks(h, core.ExtractPageRefs(p, string(res.Body))) {
+	if links := s.hintsFor(isHTML, p, res); len(links) > 0 {
+		h["Link"] = links
 		s.Metrics.HintsSent.Add(1)
 		s.decide(ctx, h, "hints", p)
 	}
@@ -296,4 +297,25 @@ func (r *Resource) headerValues() *resourceHeaders {
 	}
 	r.hdr.Store(h)
 	return h
+}
+
+// preloadHints is a page's early-hints Link values at one path.
+type preloadHints struct {
+	page  string
+	links []string
+}
+
+// hintsFor returns res's early-hints Link values at p (none without
+// Options.EarlyHints or for a non-page), extracted once per page version
+// and path and kept on the Resource; shared by responses, never written.
+func (s *Server) hintsFor(isHTML bool, p string, res *Resource) []string {
+	if !s.opts.EarlyHints || !isHTML {
+		return nil
+	}
+	if h := res.hints.Load(); h != nil && h.page == p {
+		return h.links
+	}
+	h := &preloadHints{page: p, links: preloadLinks(core.ExtractPageRefs(p, string(res.Body)))}
+	res.hints.Store(h)
+	return h.links
 }

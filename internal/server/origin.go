@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"net/url"
+	"strings"
 
 	"cachecatalyst/internal/httpcache"
 	"cachecatalyst/internal/netsim"
@@ -36,11 +37,14 @@ func (a *originAdapter) RoundTrip(req *netsim.Request) *httpcache.Response {
 	if method == "" {
 		method = "GET"
 	}
-	u, err := url.ParseRequestURI(req.Path)
-	if err != nil {
-		// What a server answers a request line whose target is not a
-		// request URI.
-		return &httpcache.Response{StatusCode: http.StatusBadRequest, Header: make(http.Header)}
+	u, ok := plainTarget(req.Path)
+	if !ok {
+		var err error
+		if u, err = url.ParseRequestURI(req.Path); err != nil {
+			// What a server answers a request line whose target is not a
+			// request URI.
+			return &httpcache.Response{StatusCode: http.StatusBadRequest, Header: make(http.Header)}
+		}
 	}
 	// The request httptest.NewRequest would build, without parsing a
 	// request line: the same Host, RemoteAddr, Proto and body.
@@ -114,3 +118,29 @@ func (w *recorder) WriteShared(body []byte) int {
 	w.resp.Body = body[:len(body):len(body)]
 	return len(body)
 }
+
+// plainTarget is url.ParseRequestURI(target) without the parse, for the
+// targets the simulator sends: a path of plainPathByte bytes and an
+// optional non-empty query of visible ASCII but '#'. It declines, with ok
+// false, any other target, which goes to url.ParseRequestURI.
+func plainTarget(target string) (u *url.URL, ok bool) {
+	path, query, hasQuery := strings.Cut(target, "?")
+	if !strings.HasPrefix(path, "/") || hasQuery && query == "" ||
+		strings.IndexFunc(query, func(r rune) bool { return r <= ' ' || r >= 0x7f || r == '#' }) >= 0 {
+		return nil, false
+	}
+	for i := 0; i < len(path); i++ {
+		if !plainPathByte[path[i]] {
+			return nil, false
+		}
+	}
+	return &url.URL{Path: path, RawQuery: query}, true
+}
+
+// plainPathByte marks the bytes net/url keeps as they are in a path.
+var plainPathByte = func() (t [256]bool) {
+	for _, c := range []byte("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_.~$&+,/:;=@") {
+		t[c] = true
+	}
+	return t
+}()

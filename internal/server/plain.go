@@ -20,22 +20,21 @@ import (
 // dozen the hints themselves delay the HTML they are racing.
 const maxPreloadHints = 32
 
-// AddPreloadLinks advertises refs as "Link: <url>; rel=preload" headers —
-// the content of a 103 Early Hints response — and reports whether it added
-// any. Committing the 103 is the caller's business: only a real socket can
-// carry one.
-func AddPreloadLinks(h http.Header, refs []core.Ref) bool {
-	for i, ref := range refs {
-		if i == maxPreloadHints {
-			break
-		}
+// preloadLinks returns the "Link: <url>; rel=preload" values advertising
+// refs — the content of a 103 Early Hints response — at most
+// maxPreloadHints of them, cut to their length so an append to them
+// reallocates. Committing the 103 is the caller's business: only a real
+// socket can carry one.
+func preloadLinks(refs []core.Ref) []string {
+	links := make([]string, min(len(refs), maxPreloadHints))
+	for i := range links {
 		as := "image"
-		if ref.CSS {
+		if refs[i].CSS {
 			as = "style"
 		}
-		h.Add("Link", "<"+ref.Key+">; rel=preload; as="+as)
+		links[i] = "<" + refs[i].Key + ">; rel=preload; as=" + as
 	}
-	return len(refs) > 0
+	return links
 }
 
 // The worker script never changes within one build, so everything serving

@@ -14,21 +14,17 @@ import (
 	"cachecatalyst/internal/telemetry"
 )
 
-func TestAddPreloadLinks(t *testing.T) {
-	h := http.Header{}
-	if AddPreloadLinks(h, nil) || len(h) != 0 {
-		t.Fatalf("no refs must add nothing: %v", h)
+func TestPreloadLinks(t *testing.T) {
+	if links := preloadLinks(nil); len(links) != 0 {
+		t.Fatalf("no refs must give no links: %q", links)
 	}
 	refs := []core.Ref{{Key: "/a.css", CSS: true}, {Key: "/b.png"}}
 	for i := 0; i < 40; i++ {
 		refs = append(refs, core.Ref{Key: "/img/" + strconv.Itoa(i)})
 	}
-	if !AddPreloadLinks(h, refs) {
-		t.Fatal("refs present but no hint reported")
-	}
-	links := h.Values("Link")
-	if len(links) != maxPreloadHints {
-		t.Fatalf("%d links, want the cap %d", len(links), maxPreloadHints)
+	links := preloadLinks(refs)
+	if len(links) != maxPreloadHints || cap(links) != len(links) {
+		t.Fatalf("%d links (capacity %d), want the cap %d", len(links), cap(links), maxPreloadHints)
 	}
 	if links[0] != "</a.css>; rel=preload; as=style" || links[1] != "</b.png>; rel=preload; as=image" {
 		t.Fatalf("link wire form: %q, %q", links[0], links[1])
