@@ -37,7 +37,10 @@ vet:
 # cluster.NewExchange( are each called once, there (DESIGN.md §13) — or
 # when the cache core grows a second
 # eviction order beside GDSF's rank: a recency list, a touch counter, a policy
-# parser or a ranker type (DESIGN.md §10) — or when the RFC 9111 §4.3.4 304
+# parser or a ranker type (DESIGN.md §10) — or when a cache store splits
+# into shards again: numShards, hashKey(, findVictimShard( or a []shard[
+# slice in non-test internal/cachestore, where a store is one index, one
+# mutex and one rank heap (DESIGN.md §7) — or when the RFC 9111 §4.3.4 304
 # merge gains a second definition beside headers.MergeNotModified, or a
 # hand-rolled copy loop over a 304's header in httpcache or catalyst,
 # catalyst.Client's included (DESIGN.md §12) — or when
@@ -98,6 +101,7 @@ forks:
 		if [ "$$n" -ne 1 ]; then echo "forks: '$$pat' appears $$n times in non-test code, want 1:" >&2; grep -n "$$pat" $$src >&2; fail=1; fi; \
 	done; \
 	for chk in '/internal/cachestore/:pushFront(\|relink(\|touch\.Add(\|ParsePolicy(\|type [A-Za-z]*[rR]anker' \
+		'/internal/cachestore/:numShards\|hashKey(\|findVictimShard(\|\[\]shard\[' \
 		'/internal/httpcache/\|/catalyst/:range [A-Za-z0-9_.]*\([nN]ot[mM]odified\|304\|httpResp\)[A-Za-z0-9_]*\.Header' \
 		'/catalyst/[^/]*\.go$$:"crypto/sha256"' '/:htmlparse\.Parse(' \
 		'/catalyst/[^/]*\.go$$:probeGen\|minExpires\|encodedMap' '/:GetBytes(\|renderKeyPool' \
@@ -155,7 +159,9 @@ forks:
 # Short fuzz pass over the hostile-input parsers (X-Etag-Config decoding,
 # map building, cache-trace parsing, delta patches, probe targets out of
 # upstream HTML, the HTML parser itself and the streaming extractor checked
-# against it), the render cache's raw-page compare, the 304 header merge
+# against it, an upstream's Server-Timing header), the probe writer's commit
+# rules over whatever an upstream handler writes, the render cache's
+# raw-page compare, the 304 header merge
 # the held page and the browser cache share, the fixed-offset HTTP date
 # reader and the origin adapter's request-target builder (each held to the
 # standard library parser it stands in for), and the two inputs that cross
@@ -168,6 +174,8 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDeltaRoundTrip -fuzztime=10s ./internal/delta/
 	$(GO) test -run=^$$ -fuzz=FuzzProbeTarget -fuzztime=10s ./catalyst/
 	$(GO) test -run=^$$ -fuzz=FuzzHotMatch -fuzztime=10s ./catalyst/
+	$(GO) test -run=^$$ -fuzz=FuzzProbeWriter -fuzztime=10s ./catalyst/
+	$(GO) test -run=^$$ -fuzz=FuzzParseServerTiming -fuzztime=10s ./internal/telemetry/
 	$(GO) test -run=^$$ -fuzz=FuzzMergeNotModified -fuzztime=10s ./internal/headers/
 	$(GO) test -run=^$$ -fuzz=FuzzParseHTTPDate -fuzztime=10s ./internal/headers/
 	$(GO) test -run=^$$ -fuzz=FuzzRequestTarget -fuzztime=10s ./internal/server/

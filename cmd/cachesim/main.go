@@ -97,12 +97,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "trace: %s — %d requests, %s requested, budget %s\n\n",
 		source, ub.Requests, formatBytes(ub.BytesRequested), formatBytes(budget))
 
-	fmt.Fprintf(stdout, "%-14s %8s %8s %8s %8s %10s %12s\n",
-		"policy", "OHR", "%opt", "BHR", "%opt", "evictions", "victimscans")
+	fmt.Fprintf(stdout, "%-14s %8s %8s %8s %8s %10s\n",
+		"policy", "OHR", "%opt", "BHR", "%opt", "evictions")
 	res := cachesim.Replay(trace, budget)
-	fmt.Fprintf(stdout, "%-14s %8.4f %7.1f%% %8.4f %7.1f%% %10d %12d\n",
+	fmt.Fprintf(stdout, "%-14s %8.4f %7.1f%% %8.4f %7.1f%% %10d\n",
 		"gdsf", res.OHR(), pctOf(res.OHR(), ub.OHR()), res.BHR(), pctOf(res.BHR(), ub.BHR()),
-		res.Counters.Evictions, res.Counters.VictimScans)
+		res.Counters.Evictions)
 	fmt.Fprintf(stdout, "%-14s %8.4f %7.1f%% %8.4f %7.1f%%\n", "foo-bound", ub.OHR(), 100.0, ub.BHR(), 100.0)
 	if !*check {
 		return 0

@@ -45,7 +45,7 @@
 // and a command line that still names one refuses to start. -cache-budget
 // resizes the rendered-page cache. With -metrics, the effective settings are
 // echoed under "config" at /debug/catalystd, and each cache reports its
-// evictions and victim scans in the telemetry snapshot. cmd/cachesim scores
+// evictions in the telemetry snapshot. cmd/cachesim scores
 // the order offline against recorded or synthetic workloads.
 //
 // # Overload and lifecycle

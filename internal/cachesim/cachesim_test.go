@@ -263,8 +263,8 @@ func TestSmartPoliciesBeatLRU(t *testing.T) {
 		if gdsf.OHR() < lru.OHR() {
 			t.Errorf("%s: GDSF OHR %.4f below LRU OHR %.4f", name, gdsf.OHR(), lru.OHR())
 		}
-		if gdsf.Counters.VictimScans == 0 {
-			t.Errorf("%s: replay recorded no victim scans under pressure", name)
+		if gdsf.Counters.Evictions == 0 {
+			t.Errorf("%s: replay recorded no evictions under pressure", name)
 		}
 	}
 }

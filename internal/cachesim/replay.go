@@ -13,8 +13,7 @@ type Result struct {
 	// BytesRequested and BytesHit are the corresponding byte totals.
 	BytesRequested, BytesHit int64
 	// Counters is the underlying store's counter snapshot; its
-	// VictimScans and Evictions fields show how the store earned its
-	// ratios.
+	// Evictions field shows how hard the budget pressed.
 	Counters cachestore.Counters
 }
 
@@ -36,8 +35,8 @@ func (r Result) BHR() float64 {
 
 // Replay runs the trace through a real cachestore.Store under the given
 // byte budget — the same code path production consumers use, not a
-// reimplementation, so simulator numbers reflect the store's actual victim
-// selection. Every miss inserts the object.
+// reimplementation, so simulator numbers reflect the store's actual
+// eviction order. Every miss inserts the object.
 func Replay(trace []Request, budget int64) Result {
 	store := cachestore.New[int64](cachestore.Options[int64]{
 		MaxBytes: budget,

@@ -15,36 +15,32 @@ func benchKeys(n int) []string {
 }
 
 // BenchmarkStoreMixed is the headline concurrency benchmark: a read-heavy
-// mixed workload (90% Get, 10% Put) against a bounded store, with the shard
-// count as the contention knob.
+// mixed workload (90% Get, 10% Put) against a bounded store, with -cpu as
+// the contention knob.
 func BenchmarkStoreMixed(b *testing.B) {
 	val := strings.Repeat("v", 512)
 	keys := benchKeys(1024)
-	for _, shards := range []int{1, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s := newSharded(shards, Options[string]{
-				MaxBytes: 512 * 768, // forces steady eviction at ~75% of the key space
-				SizeOf:   func(_ string, v string) int64 { return int64(len(v)) },
-			})
-			for _, k := range keys {
-				s.Put(k, val)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					k := keys[i%len(keys)]
-					if i%10 == 0 {
-						s.Put(k, val)
-					} else {
-						s.Get(k)
-					}
-					i++
-				}
-			})
-		})
+	s := New(Options[string]{
+		MaxBytes: 512 * 768, // forces steady eviction at ~75% of the key space
+		SizeOf:   func(_ string, v string) int64 { return int64(len(v)) },
+	})
+	for _, k := range keys {
+		s.Put(k, val)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			k := keys[i%len(keys)]
+			if i%10 == 0 {
+				s.Put(k, val)
+			} else {
+				s.Get(k)
+			}
+			i++
+		}
+	})
 }
 
 // BenchmarkStoreGetHit measures the uncontended promote-on-hit fast path.

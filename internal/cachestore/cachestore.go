@@ -1,7 +1,7 @@
 // Package cachestore is the one cache core every bounded cache in this
-// repository builds on: a sharded, byte-budgeted key-value store, generic
-// over the value type, with a lock-free read path, singleflight loading and
-// atomic hit/miss/eviction counters.
+// repository builds on: a byte-budgeted key-value store, generic over the
+// value type, with a lock-free read path, singleflight loading and atomic
+// hit/miss/eviction counters.
 //
 // The paper's server-side argument is that redundant work — like redundant
 // round trips — is pure waste. The middleware's probe, render and stale
@@ -18,7 +18,7 @@
 //
 // # Warm-path fast lane
 //
-// A fully-warm Get touches no mutex. Each shard keeps its key→entry index
+// A fully-warm Get touches no mutex. The store keeps its key→entry index
 // in a read-mostly concurrent map (sync.Map) that readers load from
 // lock-free; an entry's value, key and size are immutable after
 // publication, so a reader can never observe a torn entry — replacing a
@@ -28,25 +28,23 @@
 // the last reader lets go).
 //
 // An access is recorded lock-free too: a Get bumps the entry's frequency and
-// eviction rank with atomic stores on the entry itself. The per-shard rank
-// heap is maintained only by writers — under the shard mutex — and is
-// allowed to go stale while a shard takes only reads. Victim selection
+// eviction rank with atomic stores on the entry itself. The rank heap is
+// maintained only by writers — under the store's one mutex — and is
+// allowed to go stale while the store takes only reads. Victim selection
 // revalidates lazily: a root whose live rank no longer matches its linked
 // position is sifted to where it belongs (paying off the deferred
 // promotions) and the peek repeats, so the entry finally chosen is exactly
-// the globally smallest live rank. Ranks only grow — frequencies only rise
-// and the inflation value only inflates — which is what makes "candidate's
-// rank unchanged since linking" prove global minimality. Single-threaded
-// eviction order is therefore exactly GDSF's order (the differential tests
-// replay it against a naive reference); concurrent races can at worst pick
-// a near-minimal victim.
+// the smallest live rank. Ranks only grow — frequencies only rise and the
+// inflation value only inflates — which is what makes "candidate's rank
+// unchanged since linking" prove minimality. Single-threaded eviction order
+// is therefore exactly GDSF's order (the differential tests replay it
+// against a naive reference); a Get racing the selection can at worst
+// leave a near-minimal victim.
 //
 // # One eviction order
 //
-// Every shard orders its entries in one min-heap on rank, and the store
-// evicts the smallest root across shards — one O(shards) scan, no global
-// lock. The rank is greedy-dual size-frequency (see policy.go), so the
-// victim is the same whatever the shard count.
+// The store orders its entries in one min-heap on rank and evicts the root.
+// The rank is greedy-dual size-frequency (see policy.go).
 package cachestore
 
 import (
@@ -57,25 +55,19 @@ import (
 	"cachecatalyst/internal/telemetry"
 )
 
-// numShards is the number of mutex-protected segments keys hash across, a
-// power of two. Writers to different shards do not contend; eviction order
-// is the same whatever the count, and reads take no shard lock.
-const numShards = 16
-
 // Options configures a Store.
 type Options[V any] struct {
 	// MaxBytes bounds the sum of entry sizes as reported by SizeOf;
-	// 0 means unbounded. The entry with the smallest GDSF rank (across
-	// all shards) is evicted first.
+	// 0 means unbounded. The entry with the smallest GDSF rank is
+	// evicted first.
 	MaxBytes int64
 	// SizeOf reports an entry's accounting size. Nil charges 1 per
 	// entry, turning MaxBytes into a maximum entry count.
 	SizeOf func(key string, v V) int64
 	// Telemetry, when set together with Name, registers the store's
 	// counters in the given registry as "<Name>.hits", "<Name>.misses",
-	// "<Name>.puts", "<Name>.evictions", "<Name>.loads",
-	// "<Name>.loads_shared" and "<Name>.victim_scans". The registry
-	// indexes the store's own
+	// "<Name>.puts", "<Name>.evictions", "<Name>.loads" and
+	// "<Name>.loads_shared". The registry indexes the store's own
 	// counters — Counters() and the registry snapshot read the same
 	// storage.
 	Telemetry *telemetry.Registry
@@ -94,16 +86,13 @@ type Counters struct {
 	// callers that piggybacked on another goroutine's in-flight load
 	// instead of running their own.
 	Loads, LoadsShared int64
-	// VictimScans counts candidate entries examined while selecting
-	// victims (one per non-empty shard peeked per selection pass).
-	VictimScans int64
 }
 
 // node is one resident entry. key, val and size are immutable after the
-// entry is published in its shard's index, which is what makes lock-free
-// reads safe: replacing a key's value installs a fresh node. stamp is the
+// entry is published in the index, which is what makes lock-free reads
+// safe: replacing a key's value installs a fresh node. stamp is the
 // entry's live eviction rank, updated by lock-free readers; linked is the
-// rank the entry's heap position reflects, touched only under the shard
+// rank the entry's heap position reflects, touched only under the store's
 // mutex. stamp only ever grows, and stamp == linked means the position is
 // current.
 type node[V any] struct {
@@ -114,41 +103,37 @@ type node[V any] struct {
 	// store is evicted first — as of its last access. Written lock-free by
 	// Get.
 	stamp atomic.Uint64
-	// linked is the rank at which the entry was last positioned in its
-	// shard's heap. Guarded by the shard mutex.
+	// linked is the rank at which the entry was last positioned in the
+	// heap. Guarded by the store's mutex.
 	linked uint64
 	// freq counts this entry's accesses while resident (saturating;
 	// racing increments may be lost, which the rank tolerates).
 	freq atomic.Uint32
-	// hidx is the entry's index in its shard's heap; -1 once removed.
+	// hidx is the entry's index in the heap; -1 once removed.
 	hidx int32
 }
 
-type shard[V any] struct {
-	mu sync.Mutex
+// Store is a byte-budgeted store with lock-free reads. The zero value is
+// not usable; construct with New. A Store is safe for concurrent use.
+type Store[V any] struct {
 	// index maps key → *node[V]. Readers Load lock-free; all mutation
 	// happens under mu, so writers see a consistent membership.
 	index sync.Map
-	count atomic.Int64 // resident entries; mutated under mu
-	heap  []*node[V]   // min-heap on linked rank (see policy.go)
-}
+	mu    sync.Mutex
+	heap  []*node[V] // min-heap on linked rank (see policy.go); guarded by mu
 
-// Store is a sharded store with lock-free reads. The zero value is not
-// usable; construct with New. A Store is safe for concurrent use.
-type Store[V any] struct {
-	shards   []shard[V]
-	mask     uint64
 	sizeOf   func(string, V) int64
 	maxBytes int64 // 0 = unbounded
 
+	// bytes is written under mu and read lock-free by Bytes.
 	bytes atomic.Int64
 	// inflation is GDSF's L as float64 bits: raised to each victim's rank,
-	// never lowered (see policy.go).
+	// never lowered (see policy.go). Written under mu; Get reads it
+	// lock-free to rank a hit.
 	inflation atomic.Uint64
 
 	hits, misses, puts, evictions telemetry.Counter
 	loads, loadsShared            telemetry.Counter
-	victimScans                   telemetry.Counter
 
 	flight flightGroup[V]
 }
@@ -156,8 +141,6 @@ type Store[V any] struct {
 // New returns an empty store.
 func New[V any](opts Options[V]) *Store[V] {
 	s := &Store[V]{
-		shards:   make([]shard[V], numShards),
-		mask:     numShards - 1,
 		sizeOf:   opts.SizeOf,
 		maxBytes: opts.MaxBytes,
 	}
@@ -172,32 +155,17 @@ func New[V any](opts Options[V]) *Store[V] {
 		opts.Telemetry.RegisterCounter(opts.Name+".evictions", &s.evictions)
 		opts.Telemetry.RegisterCounter(opts.Name+".loads", &s.loads)
 		opts.Telemetry.RegisterCounter(opts.Name+".loads_shared", &s.loadsShared)
-		opts.Telemetry.RegisterCounter(opts.Name+".victim_scans", &s.victimScans)
 	}
 	return s
 }
 
-// hashKey is inline FNV-1a; good spread on URL-shaped keys, no allocation.
-func hashKey(key string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-func (s *Store[V]) shard(key string) *shard[V] {
-	return &s.shards[hashKey(key)&s.mask]
-}
-
 // Get returns the value for key, promoting it in the eviction order and
 // counting the hit or miss. A warm hit acquires no mutex: the lookup reads
-// the shard's concurrent index and the promotion is atomic stores on the
-// entry, deferred into the shard's heap until the next write needs it (see
-// the package comment's warm-path fast lane).
+// the concurrent index and the promotion is atomic stores on the entry,
+// deferred into the heap until the next eviction needs it (see the package
+// comment's warm-path fast lane).
 func (s *Store[V]) Get(key string) (V, bool) {
-	e, ok := s.shard(key).index.Load(key)
+	e, ok := s.index.Load(key)
 	if !ok {
 		s.misses.Add(1)
 		var zero V
@@ -225,7 +193,7 @@ func (s *Store[V]) promote(n *node[V]) {
 // Peek returns the value for key without touching eviction order or
 // counters. Lock-free.
 func (s *Store[V]) Peek(key string) (V, bool) {
-	e, ok := s.shard(key).index.Load(key)
+	e, ok := s.index.Load(key)
 	if !ok {
 		var zero V
 		return zero, false
@@ -233,14 +201,13 @@ func (s *Store[V]) Peek(key string) (V, bool) {
 	return e.(*node[V]).val, true
 }
 
-// Put stores v under key, replacing any previous entry, then enforces the
-// byte budget.
+// Put stores v under key, replacing any previous entry, then evicts until
+// the byte budget holds.
 func (s *Store[V]) Put(key string, v V) {
 	size := s.sizeOf(key, v)
-	sh := s.shard(key)
-	sh.mu.Lock()
+	s.mu.Lock()
 	var old *node[V]
-	if e, ok := sh.index.Load(key); ok {
+	if e, ok := s.index.Load(key); ok {
 		old = e.(*node[V])
 	}
 	// Replacement installs a fresh node so concurrent lock-free readers
@@ -261,111 +228,43 @@ func (s *Store[V]) Put(key string, v V) {
 	n.linked = rank
 	if old != nil {
 		s.bytes.Add(size - old.size)
-		sh.heapRemove(old)
+		s.heapRemove(old)
 	} else {
 		s.bytes.Add(size)
-		sh.count.Add(1)
 	}
-	sh.heapPush(n)
-	sh.index.Store(key, n)
-	sh.mu.Unlock()
+	s.heapPush(n)
+	s.index.Store(key, n)
+	s.evict()
+	s.mu.Unlock()
 	s.puts.Add(1)
-	s.enforceBudget()
 }
 
-// enforceBudget evicts globally-smallest-rank entries until the byte budget
-// is respected. Concurrent evictors can race on the choice of victim; each
-// still evicts some near-minimal entry and the loop re-checks the budget, so
-// the store converges. Single-threaded use is exactly GDSF's order.
-func (s *Store[V]) enforceBudget() {
-	if s.maxBytes <= 0 {
-		return
-	}
-	for s.bytes.Load() > s.maxBytes && s.evictOne() {
+// evict removes smallest-rank entries until the byte budget holds, raising
+// L to each victim's rank (GDSF aging). The victim is the heap root once
+// its live rank is paid off: a root whose stamp ran ahead of its linked
+// position is sifted down and the peek repeats, so the root finally taken
+// is current, which (ranks only grow) proves it the store's minimum. The
+// bound on re-sifts only matters while concurrent Gets promote faster than
+// the loop settles, where a near-minimal victim is acceptable;
+// single-threaded the loop is exact. Requires mu.
+func (s *Store[V]) evict() {
+	for sifts := 0; s.maxBytes > 0 && s.bytes.Load() > s.maxBytes && len(s.heap) > 0; {
+		r := s.heap[0]
+		if live := r.stamp.Load(); live != r.linked && sifts < len(s.heap)+8 {
+			r.linked = live
+			s.heapFix(r)
+			sifts++
+			continue
+		}
+		s.heapRemove(r)
+		s.index.Delete(r.key)
+		s.bytes.Add(-r.size)
+		if r.linked > s.inflation.Load() {
+			s.inflation.Store(r.linked)
+		}
 		s.evictions.Add(1)
+		sifts = 0
 	}
-}
-
-// victim returns the shard's eviction candidate — the heap root — with its
-// live rank paid off. A root whose live stamp ran ahead of its linked
-// position is sifted down and the peek repeats, so the returned entry's
-// position is current — which (ranks only grow) proves it is the shard's
-// true minimum. The iteration bound only matters under concurrent promotion
-// storms, where a near-minimal victim is acceptable; single-threaded the
-// loop settles exactly. Requires the shard lock.
-func (s *Store[V]) victim(sh *shard[V]) *node[V] {
-	limit := int(sh.count.Load()) + 8
-	for i := 0; ; i++ {
-		if len(sh.heap) == 0 {
-			return nil
-		}
-		r := sh.heap[0]
-		live := r.stamp.Load()
-		if live == r.linked || i >= limit {
-			return r
-		}
-		r.linked = live
-		sh.heapFix(r)
-	}
-}
-
-// findVictimShard scans every shard for the globally smallest rank,
-// counting the candidates examined. Shards are locked one at a time —
-// never nested — so selection cannot deadlock with Put or other evictors.
-func (s *Store[V]) findVictimShard() int {
-	best := -1
-	var bestStamp uint64
-	scanned := int64(0)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		if n := s.victim(sh); n != nil {
-			scanned++
-			if best < 0 || n.linked < bestStamp {
-				best, bestStamp = i, n.linked
-			}
-		}
-		sh.mu.Unlock()
-	}
-	if scanned > 0 {
-		s.victimScans.Add(scanned)
-	}
-	return best
-}
-
-// evictOne removes the entry with the smallest rank, raising L to that rank
-// (GDSF aging), and reports whether it found one.
-func (s *Store[V]) evictOne() bool {
-	best := s.findVictimShard()
-	if best < 0 {
-		return false
-	}
-	sh := &s.shards[best]
-	sh.mu.Lock()
-	n := s.victim(sh)
-	if n == nil {
-		// A concurrent evictor drained this shard between the scan and
-		// the re-lock; it is making progress, so stop here.
-		sh.mu.Unlock()
-		return false
-	}
-	s.remove(sh, n)
-	sh.mu.Unlock()
-	for l := s.inflation.Load(); n.linked > l; l = s.inflation.Load() {
-		if s.inflation.CompareAndSwap(l, n.linked) {
-			break
-		}
-	}
-	return true
-}
-
-// remove unhooks a resident entry from its shard's bookkeeping. Requires
-// the shard lock.
-func (s *Store[V]) remove(sh *shard[V], n *node[V]) {
-	sh.heapRemove(n)
-	sh.index.Delete(n.key)
-	sh.count.Add(-1)
-	s.bytes.Add(-n.size)
 }
 
 // MaxBytes returns the byte budget (0 = unbounded).
@@ -373,11 +272,9 @@ func (s *Store[V]) MaxBytes() int64 { return s.maxBytes }
 
 // Len returns the number of stored entries.
 func (s *Store[V]) Len() int {
-	total := int64(0)
-	for i := range s.shards {
-		total += s.shards[i].count.Load()
-	}
-	return int(total)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.heap)
 }
 
 // Bytes returns the total accounting size of stored entries.
@@ -385,74 +282,53 @@ func (s *Store[V]) Bytes() int64 { return s.bytes.Load() }
 
 // Keys returns the stored keys, in no particular order.
 func (s *Store[V]) Keys() []string {
-	keys := make([]string, 0, 64)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.index.Range(func(k, _ any) bool {
-			keys = append(keys, k.(string))
-			return true
-		})
-		sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	keys := make([]string, len(s.heap))
+	for i, n := range s.heap {
+		keys[i] = n.key
 	}
 	return keys
 }
 
-// Audit cross-checks the store's bookkeeping invariants: every shard's heap
-// and index must agree entry for entry (each node at the heap index it
+// Audit cross-checks the store's bookkeeping invariants: the heap and the
+// index must agree entry for entry (each node at the heap index it
 // claims), the ordering invariant must hold (the heap property on linked
 // ranks; no live rank lags its linked position), and the charged sizes must
 // sum to Bytes(). It returns the first inconsistency found, or
 // nil. Audit is meant for tests — the byte total is only meaningful when no
 // concurrent mutation is in flight.
 func (s *Store[V]) Audit() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	indexed := 0
+	s.index.Range(func(_, _ any) bool { indexed++; return true })
+	if len(s.heap) != indexed {
+		return fmt.Errorf("cachestore: heap holds %d entries, index holds %d", len(s.heap), indexed)
+	}
 	var total int64
-	for i := range s.shards {
-		n, err := s.auditShard(i)
-		if err != nil {
-			return err
+	for j, n := range s.heap {
+		if int(n.hidx) != j {
+			return fmt.Errorf("cachestore: heap node %q claims index %d, is at %d", n.key, n.hidx, j)
 		}
-		total += n
+		if j > 0 && s.heap[(j-1)/2].linked > n.linked {
+			return fmt.Errorf("cachestore: heap property violated at %q", n.key)
+		}
+		if e, ok := s.index.Load(n.key); !ok || e.(*node[V]) != n {
+			return fmt.Errorf("cachestore: heap node %q not in index", n.key)
+		}
+		if live := n.stamp.Load(); live < n.linked {
+			return fmt.Errorf("cachestore: entry %q live rank %d lags its linked rank %d", n.key, live, n.linked)
+		}
+		if size := s.sizeOf(n.key, n.val); size != n.size {
+			return fmt.Errorf("cachestore: entry %q charged %d bytes, SizeOf says %d", n.key, n.size, size)
+		}
+		total += n.size
 	}
 	if got := s.bytes.Load(); got != total {
 		return fmt.Errorf("cachestore: byte counter %d, entries sum to %d", got, total)
 	}
 	return nil
-}
-
-// auditShard checks one shard's invariants and returns its charged bytes.
-func (s *Store[V]) auditShard(i int) (int64, error) {
-	sh := &s.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	indexed := 0
-	sh.index.Range(func(_, _ any) bool { indexed++; return true })
-	if c := int(sh.count.Load()); c != indexed {
-		return 0, fmt.Errorf("cachestore: shard %d counts %d entries, index holds %d", i, c, indexed)
-	}
-	if len(sh.heap) != indexed {
-		return 0, fmt.Errorf("cachestore: shard %d heap holds %d entries, index holds %d", i, len(sh.heap), indexed)
-	}
-	var total int64
-	for j, n := range sh.heap {
-		if int(n.hidx) != j {
-			return 0, fmt.Errorf("cachestore: shard %d heap node %q claims index %d, is at %d", i, n.key, n.hidx, j)
-		}
-		if j > 0 && sh.heap[(j-1)/2].linked > n.linked {
-			return 0, fmt.Errorf("cachestore: shard %d heap property violated at %q", i, n.key)
-		}
-		if e, ok := sh.index.Load(n.key); !ok || e.(*node[V]) != n {
-			return 0, fmt.Errorf("cachestore: shard %d heap node %q not in index", i, n.key)
-		}
-		if live := n.stamp.Load(); live < n.linked {
-			return 0, fmt.Errorf("cachestore: entry %q live rank %d lags its linked rank %d", n.key, live, n.linked)
-		}
-		if size := s.sizeOf(n.key, n.val); size != n.size {
-			return 0, fmt.Errorf("cachestore: entry %q charged %d bytes, SizeOf says %d", n.key, n.size, size)
-		}
-		total += n.size
-	}
-	return total, nil
 }
 
 // Counters returns a snapshot of the store's counters.
@@ -464,6 +340,5 @@ func (s *Store[V]) Counters() Counters {
 		Evictions:   s.evictions.Load(),
 		Loads:       s.loads.Load(),
 		LoadsShared: s.loadsShared.Load(),
-		VictimScans: s.victimScans.Load(),
 	}
 }

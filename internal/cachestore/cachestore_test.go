@@ -49,10 +49,10 @@ func TestReplaceAccountsBytes(t *testing.T) {
 	}
 }
 
-// TestGlobalOrderAcrossShards drives many keys — spread over every shard —
-// through a byte budget and asserts every victim is the globally
-// smallest-rank entry, whichever shard holds it.
-func TestGlobalOrderAcrossShards(t *testing.T) {
+// TestEvictsSmallestRankBlock drives many keys through a byte budget and
+// asserts every victim is the smallest-rank entry: a block of untouched
+// entries goes, and every touched one and every arrival stays.
+func TestEvictsSmallestRankBlock(t *testing.T) {
 	s := sized(20)
 	for i := 0; i < 10; i++ {
 		s.Put(fmt.Sprintf("k%02d", i), "xx") // rank 1/2
@@ -129,7 +129,7 @@ func TestPeekDoesNotPromote(t *testing.T) {
 			t.Fatal("peek miss")
 		}
 	}
-	if e, _ := s.shard("a").index.Load("a"); e.(*node[string]).freq.Load() != 1 {
+	if e, _ := s.index.Load("a"); e.(*node[string]).freq.Load() != 1 {
 		t.Fatal("Peek raised the entry's frequency")
 	}
 	s.Put("c", "x")
@@ -254,7 +254,7 @@ func TestDoNeverCachesAFailedLoad(t *testing.T) {
 // the surviving entries, the budget holds, and the counters add up.
 func TestConcurrentStress(t *testing.T) {
 	t.Parallel()
-	s := newSharded(8, Options[string]{
+	s := New(Options[string]{
 		MaxBytes: 1 << 12,
 		SizeOf:   func(_ string, v string) int64 { return int64(len(v)) },
 	})
@@ -332,12 +332,8 @@ func TestAuditDetectsDrift(t *testing.T) {
 	}
 	// The heap is audited too: a node in a slot it does not claim is
 	// caught.
-	one := newSharded(1, Options[string]{})
-	one.Put("/a", "a")
-	one.Put("/b", "b")
-	h := one.shards[0].heap
-	h[0], h[1] = h[1], h[0]
-	if err := one.Audit(); err == nil {
+	s.heap[0], s.heap[1] = s.heap[1], s.heap[0]
+	if err := s.Audit(); err == nil {
 		t.Fatal("audit missed a misplaced heap node")
 	}
 }

@@ -13,24 +13,17 @@ import (
 )
 
 // TestWarmGetTakesNoMutex is the direct proof of the warm-path fast lane:
-// with every shard mutex held by the test, a warm Get (and Peek) must still
-// return — it would deadlock if the read path touched
-// any shard lock.
+// with the store's mutex held by the test, a warm Get (and Peek) must still
+// return — it would deadlock if the read path touched the lock.
 func TestWarmGetTakesNoMutex(t *testing.T) { t.Run("gdsf", testWarmGetTakesNoMutex) }
 
 func testWarmGetTakesNoMutex(t *testing.T) {
-	s := newSharded(4, Options[string]{})
+	s := New(Options[string]{})
 	for i := 0; i < 32; i++ {
 		s.Put(fmt.Sprintf("/k%d", i), "v")
 	}
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-	}
-	defer func() {
-		for i := range s.shards {
-			s.shards[i].mu.Unlock()
-		}
-	}()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	done := make(chan bool, 1)
 	go func() {
 		_, ok1 := s.Get("/k7")
@@ -45,14 +38,14 @@ func testWarmGetTakesNoMutex(t *testing.T) {
 			t.Fatal("lock-free reads returned wrong results")
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Get blocked on a shard mutex — read path is not lock-free")
+		t.Fatal("Get blocked on the store mutex — read path is not lock-free")
 	}
 }
 
 // TestGetAllocsZero pins the warm read path at zero allocations, for a hit
 // and for a miss.
 func TestGetAllocsZero(t *testing.T) {
-	s := newSharded(4, Options[string]{})
+	s := New(Options[string]{})
 	s.Put("/page", "body")
 	if n := testing.AllocsPerRun(200, func() { s.Get("/page") }); n != 0 {
 		t.Fatalf("Get allocates %.1f per op, want 0", n)
@@ -64,14 +57,23 @@ func TestGetAllocsZero(t *testing.T) {
 
 // TestDeferredPromotionEvictsExactly exercises the lazy-promotion design
 // directly: a burst of lock-free Gets reorders the live ranks without
-// touching the shards' heaps, and the subsequent evictions (forced one at a
-// time through evictOne) must still come out in exact rank order — proving
-// victim validation pays off every deferred promotion before trusting a
-// candidate.
+// touching the heap, and the subsequent evictions (forced one at a time by
+// lowering the budget just below the resident bytes) must still come out
+// in exact rank order — proving victim validation pays off every deferred
+// promotion before trusting a candidate.
+//
+// The case names are the ids these runs had when a store was split into
+// shards; a store now has one heap, and each case scrambles the touch
+// order with its own seed (the shards=1 case keeps the original one).
 func TestDeferredPromotionEvictsExactly(t *testing.T) {
-	for _, shards := range []int{1, 4, 16} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s := newSharded(shards, Options[int]{})
+	for _, tc := range []struct {
+		name string
+		seed int64
+	}{{"shards=1", 9}, {"shards=4", 4}, {"shards=16", 16}} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Two bytes an entry, so the budget that forces the last
+			// eviction is one byte, not the 0 that means unbounded.
+			s := New(Options[int]{SizeOf: func(string, int) int64 { return 2 }})
 			const n = 40
 			for i := 0; i < n; i++ {
 				s.Put(fmt.Sprintf("/k%02d", i), i)
@@ -80,7 +82,7 @@ func TestDeferredPromotionEvictsExactly(t *testing.T) {
 			// in interleaved rounds, so every rank is distinct; these
 			// promotions all stay deferred (stamp runs ahead of linked)
 			// because no write intervenes.
-			rng := rand.New(rand.NewSource(9))
+			rng := rand.New(rand.NewSource(tc.seed))
 			order := rng.Perm(n)
 			for round := 0; round < n; round++ {
 				for _, i := range order[round:] {
@@ -92,9 +94,10 @@ func TestDeferredPromotionEvictsExactly(t *testing.T) {
 			// Evict one entry at a time: each eviction must remove exactly
 			// the least touched survivor.
 			for pos, i := range order {
-				if !s.evictOne() {
-					t.Fatalf("eviction %d found no victim", pos)
-				}
+				s.mu.Lock()
+				s.maxBytes = int64(2*(n-pos) - 1)
+				s.evict()
+				s.mu.Unlock()
 				if want := fmt.Sprintf("/k%02d", i); s.Len() != n-pos-1 {
 					t.Fatalf("eviction %d left %d entries, want %d", pos, s.Len(), n-pos-1)
 				} else if _, ok := s.Peek(want); ok {
@@ -120,7 +123,7 @@ func TestLockFreeStressAgainstBudget(t *testing.T) {
 
 func testLockFreeStressAgainstBudget(t *testing.T) {
 	t.Parallel()
-	s := newSharded(8, Options[string]{
+	s := New(Options[string]{
 		MaxBytes: 4 << 10,
 		SizeOf:   func(_ string, v string) int64 { return int64(len(v)) },
 	})
@@ -170,7 +173,7 @@ func TestEpochReclamationNoTornReads(t *testing.T) {
 		key  string
 		a, b uint64 // always written equal; a torn read would disagree
 	}
-	s := newSharded(4, Options[*sealed]{
+	s := New(Options[*sealed]{
 		MaxBytes: 64, // tight: constant eviction pressure
 	})
 	stop := make(chan struct{})

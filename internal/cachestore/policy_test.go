@@ -111,19 +111,25 @@ func (r *refGDSF) evict(key string) error {
 }
 
 // TestStoreMatchesReferenceGDSF is the core's safety net: a long
-// pseudo-random single-threaded op sequence, across shard counts, must agree
-// with the naive reference on every Get, evict only minimum-rank entries,
-// and end with the same contents. TestGlobalOrderAcrossShards is the focused
-// cross-shard case.
+// pseudo-random single-threaded op sequence must agree with the naive
+// reference on every Get, evict only minimum-rank entries, and end with the
+// same contents. TestEvictsSmallestRankBlock is the focused case.
+//
+// The case names are the ids these runs had when a store was split into
+// shards; a store now has one heap, and each case replays its own
+// sequence (the shards=1 case keeps the original seed).
 func TestStoreMatchesReferenceGDSF(t *testing.T) {
-	for _, shards := range []int{1, 4, 16} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s := newSharded(shards, Options[int64]{
+	for _, tc := range []struct {
+		name string
+		seed int64
+	}{{"shards=1", 42}, {"shards=4", 4}, {"shards=16", 16}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Options[int64]{
 				MaxBytes: 100,
 				SizeOf:   func(_ string, v int64) int64 { return v },
 			})
 			ref := &refGDSF{}
-			rng := rand.New(rand.NewSource(42))
+			rng := rand.New(rand.NewSource(tc.seed))
 			total := 0
 			for op := 0; op < 20000; op++ {
 				key := fmt.Sprintf("k%02d", rng.Intn(40))
@@ -169,7 +175,7 @@ func TestStoreMatchesReferenceGDSF(t *testing.T) {
 // small popular one, even when the large one was touched last — the
 // size-aware decision recency alone cannot make.
 func TestGDSFPrefersSmallPopular(t *testing.T) {
-	s := newSharded(4, Options[int64]{
+	s := New(Options[int64]{
 		MaxBytes: 80,
 		SizeOf:   func(_ string, v int64) int64 { return v },
 	})
@@ -193,8 +199,8 @@ func TestGDSFPrefersSmallPopular(t *testing.T) {
 	if err := s.Audit(); err != nil {
 		t.Fatal(err)
 	}
-	if c := s.Counters(); c.VictimScans == 0 {
-		t.Error("victim selection recorded no scans")
+	if c := s.Counters(); c.Evictions != 1 {
+		t.Errorf("evictions = %d, want 1 (big alone)", c.Evictions)
 	}
 }
 
@@ -202,7 +208,7 @@ func TestGDSFPrefersSmallPopular(t *testing.T) {
 // so a formerly popular object that stops being touched is eventually
 // overtaken by fresh arrivals — GDSF does not suffer LFU's cache pollution.
 func TestGDSFAging(t *testing.T) {
-	s := newSharded(1, Options[int64]{
+	s := New(Options[int64]{
 		MaxBytes: 20,
 		SizeOf:   func(_ string, v int64) int64 { return v },
 	})
@@ -226,7 +232,7 @@ func TestGDSFAging(t *testing.T) {
 // sizes spanning three orders of magnitude; the heap bookkeeping must
 // survive it.
 func TestGDSFConcurrent(t *testing.T) {
-	s := newSharded(8, Options[int64]{
+	s := New(Options[int64]{
 		MaxBytes: 64 << 10,
 		SizeOf:   func(_ string, v int64) int64 { return v },
 	})
@@ -255,8 +261,8 @@ func TestGDSFConcurrent(t *testing.T) {
 	}
 }
 
-// TestPolicyTelemetry: the victim-selection counter lands in the registry
-// under the store's name like every other instrument.
+// TestPolicyTelemetry: the eviction counter lands in the registry under the
+// store's name like every other instrument.
 func TestPolicyTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := New[int64](Options[int64]{
@@ -268,10 +274,10 @@ func TestPolicyTelemetry(t *testing.T) {
 	s.Put("a", 10)
 	s.Put("b", 10) // evicts one of the two
 	snap := reg.Snapshot()
-	if got := snap.Counters["test.victim_scans"]; got < 1 {
-		t.Errorf("test.victim_scans = %d, want ≥ 1", got)
+	if got := snap.Counters["test.evictions"]; got != 1 {
+		t.Errorf("test.evictions = %d, want 1", got)
 	}
-	if c := s.Counters(); c.VictimScans != snap.Counters["test.victim_scans"] {
-		t.Error("Counters() and registry disagree on victim scans")
+	if c := s.Counters(); c.Evictions != snap.Counters["test.evictions"] {
+		t.Error("Counters() and registry disagree on evictions")
 	}
 }

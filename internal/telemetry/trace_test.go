@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -122,4 +123,34 @@ func TestNextRequestIDUnique(t *testing.T) {
 	if a == b || a == "" {
 		t.Fatalf("ids %q, %q", a, b)
 	}
+}
+
+// FuzzParseServerTiming feeds arbitrary header values — an upstream's
+// Server-Timing crosses into the middleware unchecked — to the parser: it
+// must never panic or return an empty name or one carrying a list (",")
+// or parameter (";") separator, and formatting the names and parsing them
+// again must give the same names.
+func FuzzParseServerTiming(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"map-built, network",
+		`cache;dur=0.2, net;desc="origin fetch"`,
+		",,, ;;;",
+		" ; dur=1 ,x",
+		"a\tb , c\u0085",
+		"\xff\xfe;\xff",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		names := ParseServerTiming(v)
+		for _, n := range names {
+			if n == "" || strings.ContainsAny(n, ",;") {
+				t.Fatalf("ParseServerTiming(%q) returned name %q", v, n)
+			}
+		}
+		if again := ParseServerTiming(FormatServerTiming(names)); len(names) > 0 && !reflect.DeepEqual(again, names) {
+			t.Fatalf("ParseServerTiming(%q) = %q, but its formatted names parse to %q", v, names, again)
+		}
+	})
 }
